@@ -1,0 +1,128 @@
+"""Golden outputs: emitted PDs, colorings, traces and errors stay byte-identical.
+
+Each case group recomputes its outputs and compares them, byte for byte,
+with the JSON file of the same name under ``tests/golden/``.  To rewrite the
+files after an intended output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change log why the outputs moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from zcolor import cli, generate
+from zcolor.diagram import canonical, serialize_pd, serialize_pd_raw
+from zcolor.jsonio import coloring_to_json, dumps
+from zcolor.parallel_coloring import color_two_parallel
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "zcolor" / "corpus"
+
+# figure8 (8) is left out: its color-parallel op takes over ten seconds.
+REDUCE_CASES = [("hopf", "4,4"), ("trefoil", "4"), ("figure8", "4"),
+                ("trefoil_writhe0", "2"), ("hopf", "8,8")]
+
+
+def _run(*argv: str) -> str:
+    """Exit code and stdout of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def reduce_outputs(work: Path) -> dict[str, str]:
+    """color-parallel --reduce, then replay --check of its traces."""
+    std = generate.standard_diagrams()
+    out = {}
+    for name, spec in REDUCE_CASES:
+        tag = f"{name}-{spec}"
+        base = work / f"{name}.pd"
+        base.write_text(serialize_pd(std[name]))
+        text = _run("color-parallel", "--spec", spec, str(base), "--reduce")
+        out[f"{tag} color-parallel"] = text
+        doc = json.loads(text.split("\n", 1)[1])
+        (work / f"{tag}.pd").write_text(doc["pd"])
+        (work / f"{tag}.reduced.pd").write_text(doc["reduced_pd"])
+        stages = [s for trace in doc["traces"] for s in trace["stages"]]
+        (work / f"{tag}.trace.json").write_text(
+            json.dumps({"schema_version": 1, "stages": stages}))
+        out[f"{tag} replay"] = _run("replay", str(work / f"{tag}.pd"),
+                                    str(work / f"{tag}.trace.json"),
+                                    "--check", str(work / f"{tag}.reduced.pd"))
+    return out
+
+
+def simplify_outputs(work: Path) -> dict[str, str]:
+    """simplify-coloring on every two-bight chain, with 0 and 1 kinks."""
+    out = {}
+    for kinks in (0, 1):
+        for colors in itertools.product(range(1, 5), repeat=2):
+            if len(set(colors)) == 1:
+                continue
+            d, gamma = generate.diff_chain(colors, kinks)
+            canon, relabel = canonical(d)
+            stem = work / ("chain-" + "".join(map(str, colors)) + f"-k{kinks}")
+            Path(f"{stem}.pd").write_text(serialize_pd_raw(canon))
+            Path(f"{stem}.json").write_text(json.dumps(
+                {str(relabel[e]): v for e, v in gamma.items()}))
+            out[stem.name] = _run("simplify-coloring", f"{stem}.pd", f"{stem}.json")
+    return out
+
+
+def random_knot_outputs(work: Path) -> dict[str, str]:
+    return {f"seed {s} ops {n}": serialize_pd(generate.random_knot_diagram(random.Random(s), n))
+            for s in range(10) for n in (3, 6)}
+
+
+def twist_outputs(work: Path) -> dict[str, str]:
+    cabled, gamma = color_two_parallel(generate.standard_diagrams()["trefoil_writhe0"])
+    return {"trefoil_writhe0 pd": serialize_pd_raw(cabled),
+            "trefoil_writhe0 coloring": dumps(coloring_to_json(gamma))}
+
+
+def validate_outputs(work: Path) -> dict[str, str]:
+    return {pd.name: _run("validate", str(pd)) for pd in sorted(CORPUS.glob("*.pd"))}
+
+
+GROUPS = {
+    "reduce": reduce_outputs,
+    "simplify": simplify_outputs,
+    "random_knots": random_knot_outputs,
+    "twists": twist_outputs,
+    "validate": validate_outputs,
+}
+
+
+def _compute(group: str) -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return GROUPS[group](Path(tmp))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_golden(group):
+    expected = json.loads((GOLDEN / f"{group}.json").read_text())
+    got = _compute(group)
+    assert sorted(got) == sorted(expected)
+    for case in expected:
+        assert got[case] == expected[case], f"{group}: {case} changed"
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for group in sorted(GROUPS):
+        path = GOLDEN / f"{group}.json"
+        path.write_text(json.dumps(_compute(group), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
