@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .diagram import Diagram, linking_number, writhe
+from .moves import DiagramBuilder
 
 
 class CableError(ValueError):
@@ -25,14 +26,12 @@ class TwistSite:
 
     base_edge: int
     sign: int
-    count: int = 1
     pair: tuple[int, int] = (1, 2)
 
 
 @dataclass(frozen=True)
 class CableSpec:
     multiplicities: tuple[int, ...]
-    twist_insertions: tuple[TwistSite, ...] = ()
 
     def __post_init__(self):
         if any(n < 1 for n in self.multiplicities):
@@ -207,61 +206,18 @@ def insert_full_twist(cabled: Diagram, base_edge: int, sign: int,
     key1, key2 = (base_edge, k1), (base_edge, k2)
     if key1 not in st.copy_edges or key2 not in st.copy_edges:
         raise CableError(f"no parallel pair for base arc {base_edge}")
-    left = st.copy_edges[key1]
-    right = st.copy_edges[key2]
-
-    rows = {x.cid: list(x.slots) for x in cabled.crossings}
-    next_cid = max(rows, default=-1) + 1
-    next_e = max(cabled.edges, default=0) + 1
-    l_mid, l_out = next_e, next_e + 1
-    r_mid, r_out = next_e + 2, next_e + 3
-
-    def head_occurrence(edge):
-        for x in cabled.crossings:
-            if x.under_in == edge:
-                return (x.cid, 0)
-            if x.over_in == edge:
-                s = 3 if x.sign > 0 else 1
-                if x.slots[s] == edge:
-                    return (x.cid, s)
-                return (x.cid, 1 if x.sign > 0 else 3)
-        raise CableError(f"arc {edge} has no head; diagram inconsistent")
-
-    for edge, new in ((left, l_out), (right, r_out)):
-        cid, slot = head_occurrence(edge)
-        rows[cid][slot] = new
-
-    if sign > 0:
-        # left strand over, twice
-        c1 = (right, l_mid, r_mid, left)
-        c2 = (l_mid, r_out, l_out, r_mid)
-    else:
-        # right strand over, twice
-        c1 = (left, right, l_mid, r_mid)
-        c2 = (r_mid, l_mid, r_out, l_out)
-    rows[next_cid] = list(c1)
-    rows[next_cid + 1] = list(c2)
-
-    twisted = Diagram(
-        [tuple(rows[c]) for c in sorted(rows)],
-        free_loops=cabled.free_loops,
-        cids=sorted(rows),
-    )
+    builder = DiagramBuilder(cabled)
+    cids, (left_out, right_out) = builder.insert_twist(
+        st.copy_edges[key1], st.copy_edges[key2], sign)
     new_st = CableStructure(
         multiplicities=st.multiplicities,
         base_components=st.base_components,
         regions=st.regions,
-        copy_edges=dict(st.copy_edges),
-        twists=st.twists + [(TwistSite(base_edge=base_edge, sign=sign, pair=pair),
-                             [next_cid, next_cid + 1])],
+        # downstream of the twist the pair continues on the new arc ids
+        copy_edges={**st.copy_edges, key1: left_out, key2: right_out},
+        twists=st.twists + [(TwistSite(base_edge=base_edge, sign=sign, pair=pair), cids)],
     )
-    # downstream of the twist the pair continues on the new arc ids
-    new_st.copy_edges[key1] = l_out
-    new_st.copy_edges[key2] = r_out
-    object.__setattr__(twisted, "cable", new_st)
-    if len(twisted.crossings) != len(cabled.crossings) + 2:
-        raise CableError("internal: twist insertion must add exactly two crossings")
-    return twisted
+    return builder.diagram(cable=new_st)
 
 
 def linking_equals_writhe(diagram: Diagram) -> tuple[int, int, bool]:

@@ -16,6 +16,9 @@ from .diagram import Diagram, crossing_graph_pieces
 
 Coloring = dict[int, int]
 
+# The most coefficient vectors ``minimize_palette_on_diagram`` scans.
+MAX_BOX_VECTORS = 10 ** 6
+
 
 class ColoringError(ValueError):
     """Raised when a coloring is not usable (not total, not valid, ...)."""
@@ -98,7 +101,8 @@ def minimize_palette_on_diagram(
     the palette size; ties resolve to the lexicographically smallest value
     vector.  Adding a constant never changes a palette, so whenever the
     all-ones vector can be split off the basis its coefficient is fixed to
-    zero; every palette realized in the full box is still realized.
+    zero; every palette realized in the full box is still realized.  A box
+    of more than ``MAX_BOX_VECTORS`` vectors is refused before scanning.
     """
     if lattice.rank < 2:
         raise ColoringError("palette search needs kernel rank >= 2")
@@ -107,6 +111,11 @@ def minimize_palette_on_diagram(
 
     basis = [list(v) for v in lattice.basis]
     scan = _split_off_ones(basis)
+    span, k = 2 * coeff_bound + 1, len(scan)
+    if span ** k > MAX_BOX_VECTORS:
+        raise ColoringError(
+            f"coefficient box of {span}^{k} = {span ** k} vectors exceeds "
+            f"the limit of {MAX_BOX_VECTORS}")
     best = _scan_box(scan, coeff_bound)
     if best is None:
         raise ColoringError("no non-trivial combination in the searched box")

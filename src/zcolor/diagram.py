@@ -95,7 +95,7 @@ class Diagram:
 
         self.free_loops = free_loops
         self.cable = cable
-        occ = _occurrences(rows)
+        occ = occurrence_index(enumerate(rows))
         for e, places in occ.items():
             if len(places) != 2:
                 raise DiagramError(f"arc {e} appears {len(places)} times; every arc must appear exactly twice")
@@ -139,13 +139,6 @@ class Diagram:
     def successor(self, edge: int) -> int:
         return self._succ[edge]
 
-    def component_of(self, edge: int) -> int:
-        """Index of the labelled component containing ``edge``."""
-        for i, comp in enumerate(self.components):
-            if edge in comp:
-                return i
-        raise DiagramError(f"no such arc: {edge}")
-
     def arc_classes(self) -> dict[int, int]:
         """Map each edge to the representative of its Fox arc.
 
@@ -157,39 +150,12 @@ class Diagram:
     def arc_class_reps(self) -> tuple[int, ...]:
         return tuple(sorted(set(self._arc_class.values())))
 
-    # -- faces (rotation-system combinatorics) ----------------------------
+    # -- faces ------------------------------------------------------------
 
     def faces(self) -> list[tuple[tuple[int, int], ...]]:
-        """Faces as corner orbits.
-
-        A corner ``(cid, i)`` sits counterclockwise after slot ``i``.  From
-        corner ``(X, i)`` the boundary continues along the edge at slot
-        ``i+1`` to its far occurrence ``(Y, j)``, giving corner ``(Y, j)``.
-        """
-        occ: dict[int, list[tuple[int, int]]] = {}
-        for x in self.crossings:
-            for i, e in enumerate(x.slots):
-                occ.setdefault(e, []).append((x.cid, i))
-        corners = {(x.cid, i) for x in self.crossings for i in range(4)}
-        faces = []
-        while corners:
-            start = min(corners)
-            walk = []
-            cur = start
-            while True:
-                walk.append(cur)
-                corners.discard(cur)
-                cid, i = cur
-                e = self._by_cid[cid].slots[(i + 1) % 4]
-                a, b = occ[e]
-                cur = b if a == (cid, (i + 1) % 4) else a
-                if cur == start:
-                    break
-            faces.append(tuple(walk))
-        return faces
-
-    def face_edges(self, face: tuple[tuple[int, int], ...]) -> list[int]:
-        return [self._by_cid[cid].slots[(i + 1) % 4] for cid, i in face]
+        """Every face as a corner orbit, ordered by smallest corner."""
+        rows = {x.cid: x.slots for x in self.crossings}
+        return face_listing(rows, occurrence_index(rows.items()))
 
     # -- invariants --------------------------------------------------------
 
@@ -197,12 +163,60 @@ class Diagram:
         return f"Diagram({len(self.crossings)} crossings, {self.num_components} components)"
 
 
-def _occurrences(rows) -> dict[int, list[tuple[int, int]]]:
+def occurrence_index(rows) -> dict[int, list[tuple[int, int]]]:
+    """Arc -> its ``(cid, slot)`` occurrences, from ``(cid, slots)`` pairs."""
     occ: dict[int, list[tuple[int, int]]] = {}
-    for i, r in enumerate(rows):
+    for cid, r in rows:
         for s, e in enumerate(r):
-            occ.setdefault(e, []).append((i, s))
+            occ.setdefault(e, []).append((cid, s))
     return occ
+
+
+# -- faces (rotation-system combinatorics) -----------------------------------
+#
+# ``rows`` maps crossing ids to slot quadruples and ``occ`` is its
+# occurrence index.  A corner ``(X, i)`` sits counterclockwise after slot
+# ``i``; the face boundary leaves it along the arc at slot ``i+1`` and
+# arrives at that arc's far occurrence ``(Y, j)``, the next corner.
+
+
+def _leave(rows, corner) -> tuple[int, tuple[int, int]]:
+    """The arc a corner leaves along, and the occurrence it leaves from."""
+    cid, i = corner
+    s = (i + 1) % 4
+    return rows[cid][s], (cid, s)
+
+
+def face_walk(rows, occ, corner) -> tuple[tuple[int, int], ...]:
+    """The face through ``corner``, rotated to start at its smallest corner."""
+    walk = [corner]
+    while True:
+        e, here = _leave(rows, walk[-1])
+        a, b = occ[e]
+        nxt = b if a == here else a
+        if nxt == corner:
+            break
+        walk.append(nxt)
+    k = walk.index(min(walk))
+    return tuple(walk[k:] + walk[:k])
+
+
+def face_listing(rows, occ) -> list[tuple[tuple[int, int], ...]]:
+    """All faces, each walked from its smallest corner, in that corner's order."""
+    seen: set[tuple[int, int]] = set()
+    faces = []
+    for cid in sorted(rows):
+        for i in range(4):
+            if (cid, i) not in seen:
+                face = face_walk(rows, occ, (cid, i))
+                seen.update(face)
+                faces.append(face)
+    return faces
+
+
+def face_steps(rows, face) -> list[tuple[int, tuple[int, int]]]:
+    """(arc, departing occurrence) for each corner of ``face``, in walk order."""
+    return [_leave(rows, corner) for corner in face]
 
 
 def _orient(rows, occ, hints) -> tuple[dict, dict]:
@@ -271,7 +285,6 @@ def _orient(rows, occ, hints) -> tuple[dict, dict]:
         if (i, OVER_A) in heads:
             continue
         x, y = r[OVER_A], r[OVER_B]
-        wrap = y == x + 1 or (x > y and all((j, OVER_A) in heads or rows[j] is r for j in range(len(rows))))
         if y == x + 1:
             head_slot = OVER_A
         elif x == y + 1:
@@ -496,10 +509,7 @@ def parse_pd(text: str) -> Diagram:
         if labels != set(range(1, 2 * len(rows) + 1)):
             raise DiagramError(
                 f"arc labels must be exactly 1..{2 * len(rows)}; got {sorted(labels)}")
-    try:
-        return Diagram(rows, free_loops=loops, orientation_hints=hints or None)
-    except DiagramError:
-        raise
+    return Diagram(rows, free_loops=loops, orientation_hints=hints or None)
 
 
 def serialize_pd(diagram: Diagram) -> str:
@@ -539,8 +549,9 @@ def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
     """Apply an arc-label bijection; preserves structure and metadata."""
     rows = [tuple(mapping[e] for e in x.slots) for x in diagram.crossings]
     hints = [tuple(mapping[e] for e in cyc) for cyc in diagram.components]
+    cable = diagram.cable.relabel(mapping) if diagram.cable is not None else None
     return Diagram(rows, free_loops=diagram.free_loops, orientation_hints=hints,
-                   cable=diagram.cable, cids=[x.cid for x in diagram.crossings])
+                   cable=cable, cids=[x.cid for x in diagram.crossings])
 
 
 def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:

@@ -94,55 +94,11 @@ def random_knot_diagram(rng: random.Random, n_ops: int = 6) -> Diagram:
             for f in pairs:
                 g = rng.choice([e for e in edges if e != f])
                 try:
-                    insert_twist_clasp(builder, f, g, sign)
+                    builder.insert_twist(f, g, sign)
                     break
                 except MoveError:
                     continue
     return canonical(builder.diagram())[0]
-
-
-def insert_twist_clasp(builder: DiagramBuilder, f: int, g: int, sign: int) -> None:
-    """Two equal-sign crossings between co-face parallel arcs (a full twist).
-
-    Requires the two arcs to run parallel along a shared face; raises
-    MoveError otherwise.  Writhe changes by 2*sign.
-    """
-    from .moves import _faces, _face_walk_edges
-
-    if f == g:
-        raise MoveError("clasp needs two distinct arcs")
-    chosen = None
-    for face in _faces(builder):
-        steps = _face_walk_edges(builder, face)
-        edges = [e for e, _ in steps]
-        if f in edges and g in edges:
-            f_fwd = next(not builder.is_head(c, s) for e, (c, s) in steps if e == f)
-            g_fwd = next(not builder.is_head(c, s) for e, (c, s) in steps if e == g)
-            if f_fwd != g_fwd:  # strands parallel across the face
-                chosen = (f_fwd, g_fwd)
-                break
-    if chosen is None:
-        raise MoveError(f"arcs {f} and {g} do not run parallel along a face")
-    f_fwd, _ = chosen
-    f_head = next(p for p in builder.occurrences(f) if builder.is_head(*p))
-    g_head = next(p for p in builder.occurrences(g) if builder.is_head(*p))
-    f_m, f_b = builder.fresh_edge(), builder.fresh_edge()
-    g_m, g_b = builder.fresh_edge(), builder.fresh_edge()
-    builder.replace_occurrence(*f_head, f_b)
-    builder.replace_occurrence(*g_head, g_b)
-    if sign > 0:
-        # left strand passes over at both crossings of a positive twist
-        c1 = (g, f_m, g_m, f)
-        c2 = (f_m, g_b, f_b, g_m)
-    else:
-        c1 = (f, g, f_m, g_m)
-        c2 = (g_m, f_m, g_b, f_b)
-    if not f_fwd:
-        c1 = (c1[0], c1[3], c1[2], c1[1])
-        c2 = (c2[0], c2[3], c2[2], c2[1])
-    builder.rows[builder.fresh_cid()] = c1
-    builder.rows[builder.fresh_cid()] = c2
-    builder._dirty()
 
 
 def standard_diagrams() -> dict[str, Diagram]:

@@ -23,7 +23,9 @@ from .diagram import (
     UNDER_IN,
     UNDER_OUT,
     Diagram,
-    DiagramError,
+    face_steps,
+    face_walk,
+    occurrence_index,
     same_diagram,
 )
 
@@ -108,15 +110,22 @@ EMPTY_TRACE = MoveTrace(stages=())
 
 
 class DiagramBuilder:
-    """Mutable crossing table used while applying moves."""
+    """Mutable planar map used while applying moves.
+
+    ``rows`` maps crossing ids to slot quadruples; it is read-only outside
+    this class.  The mutators below are its only writers and keep an
+    arc -> occurrences index current, so face and bigon queries walk only
+    the faces they need.
+    """
 
     def __init__(self, diagram: Diagram):
         self.rows: dict[int, tuple[int, int, int, int]] = {
             x.cid: x.slots for x in diagram.crossings
         }
+        self._occ = occurrence_index(self.rows.items())
         self.free_loops = diagram.free_loops
         self.next_cid = max(self.rows, default=-1) + 1
-        self.next_edge = max((e for r in self.rows.values() for e in r), default=0) + 1
+        self.next_edge = max(self._occ, default=0) + 1
         self._diagram: Optional[Diagram] = None
 
     def diagram(self, cable=None) -> Diagram:
@@ -130,16 +139,55 @@ class DiagramBuilder:
             )
         return self._diagram
 
-    def _dirty(self):
+    # -- mutators -------------------------------------------------------------
+
+    def _unindex(self, edge: int, place: tuple[int, int]):
+        places = self._occ[edge]
+        places.remove(place)
+        if not places:
+            del self._occ[edge]
+
+    def replace_occurrence(self, cid: int, slot: int, new_edge: int):
+        row = list(self.rows[cid])
+        self._unindex(row[slot], (cid, slot))
+        self._occ.setdefault(new_edge, []).append((cid, slot))
+        row[slot] = new_edge
+        self.rows[cid] = tuple(row)
         self._diagram = None
 
+    def add_crossing(self, row: tuple[int, int, int, int]) -> int:
+        cid = self.next_cid
+        self.next_cid += 1
+        self.rows[cid] = row
+        for s, e in enumerate(row):
+            self._occ.setdefault(e, []).append((cid, s))
+        self._diagram = None
+        return cid
+
+    def remove_crossing(self, cid: int):
+        for s, e in enumerate(self.rows.pop(cid)):
+            self._unindex(e, (cid, s))
+        self._diagram = None
+
+    def snapshot(self):
+        """State for ``restore`` to roll a tentative rewrite back to."""
+        return dict(self.rows), self.free_loops, self.next_cid, self.next_edge
+
+    def restore(self, snap):
+        rows, self.free_loops, self.next_cid, self.next_edge = snap
+        self.rows = dict(rows)
+        self._occ = occurrence_index(self.rows.items())
+        self._diagram = None
+
+    def fresh_edge(self) -> int:
+        e = self.next_edge
+        self.next_edge += 1
+        return e
+
+    # -- queries ----------------------------------------------------------------
+
     def occurrences(self, edge: int) -> list[tuple[int, int]]:
-        out = []
-        for cid, row in self.rows.items():
-            for s, e in enumerate(row):
-                if e == edge:
-                    out.append((cid, s))
-        return out
+        return list(self._occ.get(edge, ()))
 
     def is_head(self, cid: int, slot: int) -> bool:
         """Does the edge at this slot terminate here (point into the crossing)?"""
@@ -152,57 +200,72 @@ class DiagramBuilder:
         head_slot = OVER_B if x.sign > 0 else OVER_A
         return slot == head_slot
 
-    def fresh_edge(self) -> int:
-        e = self.next_edge
-        self.next_edge += 1
-        return e
+    def faces_through(self, arc: int) -> list[tuple[tuple[int, int], ...]]:
+        """The at most two faces whose boundary runs along ``arc``.
 
-    def fresh_cid(self) -> int:
-        c = self.next_cid
-        self.next_cid += 1
-        return c
+        They are the faces of the corners that leave along the arc's
+        occurrences (the corner before each), listed by smallest corner as
+        the full face listing orders them.
+        """
+        return sorted({face_walk(self.rows, self._occ, (cid, (s - 1) % 4))
+                       for cid, s in self._occ.get(arc, ())})
 
-    def replace_occurrence(self, cid: int, slot: int, new_edge: int):
-        row = list(self.rows[cid])
-        row[slot] = new_edge
-        self.rows[cid] = tuple(row)
-        self._dirty()
+    def walks_forward(self, steps, arc: int) -> bool:
+        """Does a face walk's first step along ``arc`` follow the strand?
 
+        ``steps`` is the face's ``face_steps``; leaving from the arc's tail
+        occurrence means walking with the strand direction.
+        """
+        return next(not self.is_head(*p) for e, p in steps if e == arc)
 
-# -- face walking on the builder ---------------------------------------------
+    def bigon_arcs(self, c1: int, c2: int) -> tuple[int, int]:
+        """(over arc, under arc) joining the two crossings of a bigon."""
+        r1, r2 = self.rows[c1], self.rows[c2]
+        over = under = None
+        for e in set(r1) & set(r2):
+            s1, s2 = r1.index(e), r2.index(e)
+            if s1 in (OVER_A, OVER_B) and s2 in (OVER_A, OVER_B):
+                over = e
+            elif s1 in (UNDER_IN, UNDER_OUT) and s2 in (UNDER_IN, UNDER_OUT):
+                under = e
+        if over is None or under is None:
+            raise MoveError(f"crossings {c1},{c2} do not bound a bigon")
+        return over, under
 
+    def insert_twist(self, f: int, g: int, sign: int) -> tuple[list[int], tuple[int, int]]:
+        """Clasp two co-face parallel arcs with a two-crossing full twist.
 
-def _faces(builder: DiagramBuilder):
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for cid, row in builder.rows.items():
-        for s, e in enumerate(row):
-            occ.setdefault(e, []).append((cid, s))
-    corners = {(cid, i) for cid in builder.rows for i in range(4)}
-    faces = []
-    while corners:
-        start = min(corners)
-        walk = []
-        cur = start
-        while True:
-            walk.append(cur)
-            corners.discard(cur)
-            cid, i = cur
-            e = builder.rows[cid][(i + 1) % 4]
-            a, b = occ[e]
-            cur = b if a == (cid, (i + 1) % 4) else a
-            if cur == start:
-                break
-        faces.append(tuple(walk))
-    return faces
-
-
-def _face_walk_edges(builder: DiagramBuilder, face) -> list[tuple[int, tuple[int, int]]]:
-    """(edge, departing occurrence) for each boundary step of the face."""
-    out = []
-    for cid, i in face:
-        e = builder.rows[cid][(i + 1) % 4]
-        out.append((e, (cid, (i + 1) % 4)))
-    return out
+        Requires the arcs to run parallel along a shared face; raises
+        MoveError otherwise.  Writhe changes by 2*sign.  Returns the two new
+        crossing ids and the arcs that continue ``f`` and ``g`` past the twist.
+        """
+        if f == g:
+            raise MoveError("clasp needs two distinct arcs")
+        for face in self.faces_through(f):
+            steps = face_steps(self.rows, face)
+            if any(e == g for e, _ in steps):
+                f_fwd = self.walks_forward(steps, f)
+                if f_fwd != self.walks_forward(steps, g):  # strands parallel across the face
+                    break
+        else:
+            raise MoveError(f"arcs {f} and {g} do not run parallel along a face")
+        f_head = next(p for p in self.occurrences(f) if self.is_head(*p))
+        g_head = next(p for p in self.occurrences(g) if self.is_head(*p))
+        f_m, f_b = self.fresh_edge(), self.fresh_edge()
+        g_m, g_b = self.fresh_edge(), self.fresh_edge()
+        self.replace_occurrence(*f_head, f_b)
+        self.replace_occurrence(*g_head, g_b)
+        if sign > 0:
+            # left strand passes over at both crossings of a positive twist
+            c1 = (g, f_m, g_m, f)
+            c2 = (f_m, g_b, f_b, g_m)
+        else:
+            c1 = (f, g, f_m, g_m)
+            c2 = (g_m, f_m, g_b, f_b)
+        if not f_fwd:
+            c1 = (c1[0], c1[3], c1[2], c1[1])
+            c2 = (c2[0], c2[3], c2[2], c2[1])
+        return [self.add_crossing(c1), self.add_crossing(c2)], (f_b, g_b)
 
 
 # -- move application ---------------------------------------------------------
@@ -238,9 +301,7 @@ def _apply_r1_insert(builder: DiagramBuilder, mv: R1Insert) -> dict:
         row = (e_a, e_b, loop, loop) if mv.sign > 0 else (e_a, loop, loop, e_b)
     else:
         row = (loop, loop, e_b, e_a) if mv.sign > 0 else (loop, e_a, e_b, loop)
-    cid = builder.fresh_cid()
-    builder.rows[cid] = row
-    builder._dirty()
+    cid = builder.add_crossing(row)
     return {"created": [cid], "touched": []}
 
 
@@ -261,8 +322,7 @@ def _apply_r1_remove(builder: DiagramBuilder, mv: R1Remove) -> dict:
     if loop is None:
         raise MoveError(f"crossing {mv.cid} is not a removable kink")
     outer = [e for e in row if e != loop]
-    del builder.rows[mv.cid]
-    builder._dirty()
+    builder.remove_crossing(mv.cid)
     if not outer:  # the loop was the whole component
         builder.free_loops += 1
         return {"created": [], "touched": [mv.cid]}
@@ -279,20 +339,15 @@ def _apply_r1_remove(builder: DiagramBuilder, mv: R1Remove) -> dict:
 
 
 def _locate_r2_face(builder: DiagramBuilder, mv: R2Insert):
-    candidates = []
-    for face in _faces(builder):
-        steps = _face_walk_edges(builder, face)
-        edges = [e for e, _ in steps]
-        if mv.push_edge in edges and mv.across_edge in edges:
-            if mv.corner is not None and tuple(mv.corner) not in face:
-                continue
-            candidates.append((face, steps))
-    if not candidates:
-        raise MoveError(
-            f"arcs {mv.push_edge} and {mv.across_edge} do not co-bound a face"
-            + (f" through corner {mv.corner}" if mv.corner else ""))
-    candidates.sort(key=lambda fs: min(fs[0]))
-    return candidates[0]
+    """The first face, by smallest corner, along both arcs (and the corner)."""
+    for face in builder.faces_through(mv.push_edge):
+        steps = face_steps(builder.rows, face)
+        if any(e == mv.across_edge for e, _ in steps) and \
+                (mv.corner is None or tuple(mv.corner) in face):
+            return steps
+    raise MoveError(
+        f"arcs {mv.push_edge} and {mv.across_edge} do not co-bound a face"
+        + (f" through corner {mv.corner}" if mv.corner else ""))
 
 
 def _apply_r2_insert(builder: DiagramBuilder, mv: R2Insert) -> dict:
@@ -306,14 +361,8 @@ def _apply_r2_insert(builder: DiagramBuilder, mv: R2Insert) -> dict:
     f, g = mv.push_edge, mv.across_edge
     if f == g:
         raise MoveError("cannot push an arc across itself")
-    face, steps = _locate_r2_face(builder, mv)
-    f_fwd = g_fwd = None
-    for e, (cid, slot) in steps:
-        fwd = not builder.is_head(cid, slot)  # departing its tail = forward
-        if e == f and f_fwd is None:
-            f_fwd = fwd
-        elif e == g and g_fwd is None:
-            g_fwd = fwd
+    steps = _locate_r2_face(builder, mv)
+    f_fwd, g_fwd = (builder.walks_forward(steps, e) for e in (f, g))
     parallel = f_fwd != g_fwd
 
     f_head = next(p for p in builder.occurrences(f) if builder.is_head(*p))
@@ -343,10 +392,7 @@ def _apply_r2_insert(builder: DiagramBuilder, mv: R2Insert) -> dict:
         # which exchanges the two over slots of both new crossings
         first = (first[0], first[3], first[2], first[1])
         second = (second[0], second[3], second[2], second[1])
-    c1, c2 = builder.fresh_cid(), builder.fresh_cid()
-    builder.rows[c1] = first
-    builder.rows[c2] = second
-    builder._dirty()
+    c1, c2 = builder.add_crossing(first), builder.add_crossing(second)
     return {"created": [c1, c2], "touched": []}
 
 
@@ -399,9 +445,8 @@ def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
             for cid, slot in builder.occurrences(drop):
                 if cid not in (mv.cid1, mv.cid2):
                     builder.replace_occurrence(cid, slot, keep)
-    del builder.rows[mv.cid1]
-    del builder.rows[mv.cid2]
-    builder._dirty()
+    builder.remove_crossing(mv.cid1)
+    builder.remove_crossing(mv.cid2)
     return {"created": [], "touched": [mv.cid1, mv.cid2]}
 
 
@@ -409,16 +454,15 @@ def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
     cids = tuple(mv.cids)
     if len(set(cids)) != 3 or any(c not in builder.rows for c in cids):
         raise MoveError(f"R3 needs three distinct crossings, got {cids}")
-    triangle = None
-    for face in _faces(builder):
-        if len(face) == 3 and {c for c, _ in face} == set(cids):
-            triangle = face
-            break
+    # every triangle on these crossings has a corner at the first one
+    around = sorted({f for e in set(builder.rows[cids[0]]) for f in builder.faces_through(e)})
+    triangle = next((f for f in around
+                     if len(f) == 3 and {c for c, _ in f} == set(cids)), None)
     if triangle is None:
         raise MoveError(f"crossings {cids} do not bound a triangle face")
 
     rows = {c: builder.rows[c] for c in cids}
-    inner_edges = [builder.rows[cid][(i + 1) % 4] for cid, i in triangle]
+    inner_edges = [e for e, _ in face_steps(builder.rows, triangle)]
 
     def is_under_at(cid, e):
         row = rows[cid]
@@ -485,8 +529,8 @@ def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
         else:
             new_rows[cid] = (u_in, o_in, u_out, o_out)
     for cid, row in new_rows.items():
-        builder.rows[cid] = row
-    builder._dirty()
+        for slot, e in enumerate(row):
+            builder.replace_occurrence(cid, slot, e)
     return {"created": [], "touched": list(cids)}
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .cabling import CableSpec, CableStructure, Region, insert_full_twist, parallel
 from .coloring import Coloring, ColoringError, palette, verify_coloring
-from .diagram import Diagram, crossing_graph_pieces, writhe
+from .diagram import Diagram, crossing_graph_pieces, face_steps, writhe
 from .moves import (
     DiagramBuilder,
     MoveError,
@@ -411,8 +411,7 @@ def _rewrite_toggle_over_state(builder: DiagramBuilder, region: Region,
     o1, o2 = info1["created"]
     # inside the bigon: the mid segments are the over strand's new middle
     # (arc between o1 and o2) and the crossed strand's middle
-    x_mid = _shared_over_arc(builder, o1, o2)
-    y_mid = _shared_under_arc(builder, o1, o2)
+    x_mid, y_mid = builder.bigon_arcs(o1, o2)
     mv2 = R2Insert(push_edge=y_mid, across_edge=x_mid, push_over=True)
     info2 = apply_move(builder, mv2)
     moves.append((mv2, disk))
@@ -422,31 +421,10 @@ def _rewrite_toggle_over_state(builder: DiagramBuilder, region: Region,
     _slide_east(builder, i2, region, moves, disk)
 
 
-def _shared_over_arc(builder: DiagramBuilder, c1: int, c2: int) -> int:
-    r1, r2 = builder.rows[c1], builder.rows[c2]
-    for e in set(r1) & set(r2):
-        s1, s2 = r1.index(e), r2.index(e)
-        if s1 in (1, 3) and s2 in (1, 3):
-            return e
-    raise NoApplicableMoveError("bigon lost its over arc")
-
-
-def _shared_under_arc(builder: DiagramBuilder, c1: int, c2: int) -> int:
-    r1, r2 = builder.rows[c1], builder.rows[c2]
-    for e in set(r1) & set(r2):
-        s1, s2 = r1.index(e), r2.index(e)
-        if s1 in (0, 2) and s2 in (0, 2):
-            return e
-    raise NoApplicableMoveError("bigon lost its under arc")
-
-
 def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
                  prefer_cids: set[int]) -> Optional[tuple[int, int]]:
-    from .moves import _faces, _face_walk_edges
-
-    for face in _faces(builder):
-        edges = [e for e, _ in _face_walk_edges(builder, face)]
-        if e1 in edges and e2 in edges:
+    for face in builder.faces_through(e1):
+        if any(e == e2 for e, _ in face_steps(builder.rows, face)):
             for cid, slot in face:
                 if cid in prefer_cids:
                     return (cid, slot)
@@ -628,9 +606,7 @@ def _toggle_verified(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
     The wrong handedness also recolors consistently but drives the over
     pair to (4,5) or (-2,-1) through the region, so the met colors decide.
     """
-    snapshot_rows = dict(builder.rows)
-    snapshot_loops = builder.free_loops
-    snap_cid, snap_edge = builder.next_cid, builder.next_edge
+    snapshot = builder.snapshot()
     snap_moves = len(moves)
     for flip in (False, True):
         try:
@@ -642,9 +618,6 @@ def _toggle_verified(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
                 return
             raise ConstructionError(f"toggle drove the pair to {met_now}")
         except (ConstructionError, MoveError, NoApplicableMoveError):
-            builder.rows = dict(snapshot_rows)
-            builder.free_loops = snapshot_loops
-            builder.next_cid, builder.next_edge = snap_cid, snap_edge
-            builder._dirty()
+            builder.restore(snapshot)
             del moves[snap_moves:]
     raise NoApplicableMoveError("twist conjugation failed in both handednesses")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import Coloring, ColoringError, diff_spectrum, is_simple, verify_coloring
-from .diagram import Diagram, crossing_graph_pieces
+from .diagram import Diagram, crossing_graph_pieces, face_steps
 from .moves import (
     DiagramBuilder,
     MoveError,
@@ -235,19 +235,12 @@ def _eliminate_one(diagram: Diagram, gamma: Coloring, path: DiffPath,
 
 def _poke_face(builder: DiagramBuilder, tip: int):
     """The face the tongue tip currently points into (not its bigon face)."""
-    from .moves import _faces, _face_walk_edges
-
-    candidates = []
-    for face in _faces(builder):
-        edges = [e for e, _ in _face_walk_edges(builder, face)]
-        if tip in edges:
-            candidates.append((face, edges))
-    if not candidates:
+    faces = builder.faces_through(tip)
+    if not faces:
         raise RewriteError(f"tip {tip} lies on no face")
     # the bigon face has exactly two corners and carries the tip twice or
     # alongside only the crossed arc; the poke face is the larger one
-    candidates.sort(key=lambda fe: len(fe[0]))
-    return candidates[-1]
+    return sorted(faces, key=len)[-1]
 
 
 def _drag_and_slide(diagram: Diagram, gamma: Coloring, path: DiffPath,
@@ -261,9 +254,6 @@ def _drag_and_slide(diagram: Diagram, gamma: Coloring, path: DiffPath,
     crosses the under arc, then the over strand, and the triangle slide
     fires.
     """
-    from .moves import _face_walk_edges, _faces
-    from .parallel_coloring import _shared_over_arc, _shared_under_arc
-
     builder = DiagramBuilder(diagram)
     moves: list = []
     disk = 1
@@ -280,27 +270,25 @@ def _drag_and_slide(diagram: Diagram, gamma: Coloring, path: DiffPath,
     w = gamma[w_arc]
     cap = 4 * len(diagram.crossings) + 8
     for _step in range(cap):
-        faces = _faces(builder)
-        walk = {f: [e for e, _ in _face_walk_edges(builder, f)] for f in faces}
         if tip == w_arc:
-            tip_faces = [f for f in faces if tip in walk[f]]
+            near = builder.faces_through(tip)
         else:
-            tip_faces = [_poke_face(builder, tip)[0]]
-        if any(set(f) & goal_corners for f in tip_faces):
+            near = [_poke_face(builder, tip)]
+        if any(set(f) & goal_corners for f in near):
             break
-        # dual BFS crossing only z-colored arcs
+        # dual BFS crossing only z-colored arcs, each to the face beyond it
         prev: dict = {}
-        frontier = list(tip_faces)
+        frontier = list(near)
         seen = set(frontier)
         goal_face = None
         while frontier and goal_face is None:
             nxt = []
             for f in frontier:
-                for e in walk[f]:
+                for e, _ in face_steps(builder.rows, f):
                     if ext.get(e) != z:
                         continue
-                    for f2 in faces:
-                        if f2 in seen or e not in walk[f2]:
+                    for f2 in builder.faces_through(e):
+                        if f2 in seen:
                             continue
                         prev[f2] = (f, e)
                         seen.add(f2)
@@ -317,16 +305,15 @@ def _drag_and_slide(diagram: Diagram, gamma: Coloring, path: DiffPath,
             raise RewriteError("no corridor of path-colored arcs reaches the target")
         # first arc to cross on the route
         step_face = goal_face
-        while prev.get(step_face, (None, None))[0] not in tip_faces:
+        while prev.get(step_face, (None, None))[0] not in near:
             step_face = prev[step_face][0]
         cross_arc = prev[step_face][1]
         mv = R2Insert(push_edge=tip, across_edge=cross_arc, push_over=True)
         info = apply_move(builder, mv)
         moves.append((mv, disk))
         c1, c2 = info["created"]
-        new_tip = _shared_over_arc(builder, c1, c2)
         _record_push_colors(builder, ext, c1, c2, w)
-        tip = new_tip
+        tip = builder.bigon_arcs(c1, c2)[0]
     else:
         raise RewriteError("finger exceeded its step budget")
 
@@ -382,16 +369,11 @@ def _endgame(builder: DiagramBuilder, moves: list, disk: int,
     them), corner hints pin the pushes to the target's corner faces, and
     each failed variant rolls the builder back.
     """
-    from .parallel_coloring import _shared_over_arc, _shared_under_arc
-
-    snapshot = (dict(builder.rows), builder.free_loops,
-                builder.next_cid, builder.next_edge, len(moves))
+    snapshot, snap_moves = builder.snapshot(), len(moves)
 
     def rollback():
-        builder.rows, builder.free_loops = dict(snapshot[0]), snapshot[1]
-        builder.next_cid, builder.next_edge = snapshot[2], snapshot[3]
-        builder._dirty()
-        del moves[snapshot[4]:]
+        builder.restore(snapshot)
+        del moves[snap_moves:]
 
     corners = [(target_cid, i) for i in range(4)]
     for u_slot in u_slots:
@@ -405,7 +387,7 @@ def _endgame(builder: DiagramBuilder, moves: list, disk: int,
                         info1 = apply_move(builder, mv1)
                         moves.append((mv1, disk))
                         cu1, cu2 = info1["created"]
-                        mid = _shared_over_arc(builder, cu1, cu2)
+                        mid = builder.bigon_arcs(cu1, cu2)[0]
                         o_now = builder.rows[target_cid][o_slot]
                         mv2 = R2Insert(push_edge=mid, across_edge=o_now,
                                        push_over=False, corner=o_corner)
@@ -493,37 +475,3 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
     if not report.ok:
         raise RewriteError(f"trace verification failed: {report.reasons}")
     return cur_d, cur_g, trace
-
-
-def replay_with_coloring(diagram: Diagram, gamma: Coloring, trace: MoveTrace
-                         ) -> tuple[Diagram, Coloring]:
-    """Replay a trace and recolor by pinning arcs outside the worked disks.
-
-    Arcs incident to any crossing a move created or touched are left free
-    and re-derived; propagation handles the generic case and the partial
-    solver covers underdetermined boundaries.
-    """
-    from .moves import apply_move as _apply
-
-    builder = DiagramBuilder(diagram)
-    worked: set[int] = set()
-    for stage in trace.stages:
-        for move, _disk in stage.moves:
-            info = _apply(builder, move)
-            worked.update(info["created"])
-            worked.update(info["touched"])
-    result = builder.diagram()
-    loose: set[int] = set()
-    for cid in worked:
-        if cid in {x.cid for x in result.crossings}:
-            loose.update(result.crossing(cid).slots)
-    pinned = {e: gamma[e] for e in result.edges
-              if e in gamma and e not in loose}
-    try:
-        return result, propagate_coloring(result, pinned)
-    except ConstructionError:
-        from .algebra import solve_partial
-        completion = solve_partial(result, pinned)
-        if completion is None:
-            raise RewriteError("replayed diagram admits no compatible coloring")
-        return result, completion

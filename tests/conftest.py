@@ -51,3 +51,38 @@ def brute_force_integer_kernel_rank(diagram: Diagram, box: int = 3) -> int:
             non_constant = True
             break
     return 2 if non_constant else (1 if reps else 0)
+
+
+def reference_faces(rows: dict) -> list[tuple[tuple[int, int], ...]]:
+    """Every face of a crossing table, by a full rescan from the smallest
+    unvisited corner each time.
+
+    Independent of ``zcolor.diagram``'s walker: corner ``(X, i)`` leaves
+    along the arc at slot ``i+1`` and arrives at that arc's far occurrence.
+    """
+    occ: dict[int, list[tuple[int, int]]] = {}
+    for cid, row in rows.items():
+        for s, e in enumerate(row):
+            occ.setdefault(e, []).append((cid, s))
+    corners = {(cid, i) for cid in rows for i in range(4)}
+    faces = []
+    while corners:
+        start = min(corners)
+        walk = []
+        cur = start
+        while True:
+            walk.append(cur)
+            corners.discard(cur)
+            cid, i = cur
+            e = rows[cid][(i + 1) % 4]
+            a, b = occ[e]
+            cur = b if a == (cid, (i + 1) % 4) else a
+            if cur == start:
+                break
+        faces.append(tuple(walk))
+    return faces
+
+
+def reference_face_arcs(rows: dict, face) -> list[int]:
+    """The arcs the corners of ``face`` leave along, in walk order."""
+    return [rows[cid][(i + 1) % 4] for cid, i in face]

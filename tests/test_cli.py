@@ -1,5 +1,8 @@
 import json
+import time
 from pathlib import Path
+
+import pytest
 
 from zcolor.cli import main
 
@@ -123,6 +126,22 @@ def test_minimize(capsys):
                     str(CORPUS / "split_unlink.pd"))
     assert code == 0
     assert doc["palette_size"] >= 2
+
+
+@pytest.mark.parametrize("n, k", [(6, 9), (8, 13)])
+def test_minimize_refuses_an_oversized_box(tmp_path, capsys, n, k):
+    from zcolor.cabling import CableSpec, parallel
+    from zcolor.diagram import parse_pd, serialize_pd
+
+    hopf = parse_pd((CORPUS / "hopf.pd").read_text())
+    pd_file = tmp_path / f"hopf-{n}.pd"
+    pd_file.write_text(serialize_pd(parallel(hopf, CableSpec(multiplicities=(n, n)))))
+    start = time.perf_counter()
+    code, doc = run(capsys, "minimize", "--bound", "3", str(pd_file))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert doc["error"]["type"] == "ColoringError"
+    assert f"7^{k} = {7 ** k} vectors" in doc["error"]["message"]
 
 
 def test_output_determinism(capsys):

@@ -1,0 +1,88 @@
+"""The builder's local face queries against the full-scan reference walker."""
+
+import functools
+import random
+
+from conftest import reference_face_arcs, reference_faces
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zcolor.cabling import CableSpec, parallel
+from zcolor.diagram import occurrence_index
+from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
+from zcolor.moves import DiagramBuilder, apply_move
+from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
+from zcolor.rewrite import to_simple_coloring
+
+
+def check_builder(builder: DiagramBuilder) -> None:
+    rows = dict(builder.rows)
+    ref = reference_faces(rows)
+    arcs = {f: reference_face_arcs(rows, f) for f in ref}
+    index = occurrence_index(rows.items())
+    for e in index:
+        assert sorted(builder.occurrences(e)) == sorted(index[e])
+        assert builder.faces_through(e) == [f for f in ref if e in arcs[f]], e
+    assert builder.diagram().faces() == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8))
+def test_random_diagram_faces_match_reference(seed, n_ops):
+    d = random_knot_diagram(random.Random(seed), n_ops)
+    assert d.faces() == reference_faces({x.cid: x.slots for x in d.crossings})
+    check_builder(DiagramBuilder(d))
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_run(name):
+    """(source diagram, moves) of one delete_color_moves or to_simple_coloring run."""
+    std = standard_diagrams()
+    if name == "hopf-4,4 delete 3":
+        cabled = parallel(std["hopf"], CableSpec((4, 4)))
+        d, _, trace = delete_color_moves(cabled, color_even_parallel(cabled), 3)
+        return cabled, trace.moves
+    if name == "trefoil_writhe0-2 delete 4, -1":
+        cabled, gamma = color_two_parallel(std["trefoil_writhe0"])
+        d, moves = cabled, []
+        for target in (4, -1):
+            if target in gamma.values():
+                d, gamma, trace = delete_color_moves(d, gamma, target)
+                moves += trace.moves
+        return cabled, moves
+    colors, kinks = {"chain-21-k1": ((2, 1), 1), "chain-31-k0": ((3, 1), 0),
+                     "chain-421-k1": ((4, 2, 1), 1)}[name]
+    d, gamma = diff_chain(colors, kinks)
+    return d, to_simple_coloring(d, gamma)[2].moves
+
+
+RUNS = ["hopf-4,4 delete 3", "trefoil_writhe0-2 delete 4, -1",
+        "chain-21-k1", "chain-31-k0", "chain-421-k1"]
+
+
+@settings(max_examples=len(RUNS), deadline=None)
+@given(st.sampled_from(RUNS))
+def test_faces_match_reference_after_every_move(name):
+    source, moves = recorded_run(name)
+    assert moves
+    builder = DiagramBuilder(source)
+    check_builder(builder)
+    for move, _disk in moves:
+        apply_move(builder, move)
+        check_builder(builder)
+
+
+def test_restore_rebuilds_the_occurrence_index():
+    source, moves = recorded_run("chain-21-k1")
+    builder = DiagramBuilder(source)
+    before = dict(builder.rows)
+    snap = builder.snapshot()
+    for move, _disk in moves[:3]:
+        apply_move(builder, move)
+    assert builder.rows != before
+    builder.restore(snap)
+    assert builder.rows == before
+    check_builder(builder)
+    for move, _disk in moves[:3]:  # the restored builder replays identically
+        apply_move(builder, move)
+        check_builder(builder)

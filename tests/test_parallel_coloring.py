@@ -99,6 +99,18 @@ def test_even_parallel_rejects_split_base():
         color_even_parallel(cabled)
 
 
+def test_canonical_relabels_the_cable_structure(corpus):
+    """canonical() carries copy_edges through the relabelling."""
+    from zcolor.diagram import canonical
+
+    cabled = parallel(corpus["figure8"], CableSpec((4,)))
+    canon, mapping = canonical(cabled)
+    assert canon.cable.copy_edges == {k: mapping[e] for k, e in cabled.cable.copy_edges.items()}
+    gamma = color_even_parallel(canon)
+    assert verify_coloring(canon, gamma)
+    assert gamma == {mapping[e]: c for e, c in color_even_parallel(cabled).items()}
+
+
 def test_delete_color_3():
     cabled = parallel(HOPF, CableSpec(multiplicities=(4, 4)))
     gamma = color_even_parallel(cabled)

@@ -157,19 +157,6 @@ def test_all_paths_sorted():
     assert lengths == sorted(lengths)
 
 
-def test_replay_with_coloring_preserves_validity():
-    from zcolor.diagram import same_diagram
-    from zcolor.rewrite import replay_with_coloring
-
-    d, g = diff_chain([3, 1])
-    p = find_diff_path(d, g)
-    out_d, out_g, trace = eliminate_max_diff(d, g, p)
-    replayed_d, replayed_g = replay_with_coloring(d, g, trace)
-    assert same_diagram(replayed_d, out_d)
-    assert verify_coloring(replayed_d, replayed_g)
-    assert len(set(replayed_g.values())) > 1
-
-
 def test_simple_detection_reports_common_diff():
     d, g = diff_chain([2, 2])
     assert is_simple(d, g) == (True, 2)
