@@ -93,11 +93,37 @@ def twist_outputs(work: Path) -> dict[str, str]:
             "trefoil_writhe0 coloring": dumps(coloring_to_json(gamma))}
 
 
+# Parallels for the algebra commands, cabled through the CLI.
+ALGEBRA_CABLES = [("hopf", "4,4"), ("hopf", "6,6"), ("trefoil", "4"), ("trefoil", "6"),
+                  ("figure8", "4"), ("trefoil_writhe0", "2")]
+MINIMIZE_CABLES = [("hopf", "4,4"), ("trefoil", "4"), ("figure8", "4")]
+
+
+def algebra_outputs(work: Path) -> dict[str, str]:
+    """invariants, colorability, fox-count and minimize on the corpus and parallels."""
+    out = {}
+    for pd in sorted(CORPUS.glob("*.pd")):
+        for argv in (["invariants"], ["colorability"],
+                     ["fox-count", "-n", "3"], ["fox-count", "-n", "5"]):
+            out[f"{pd.name} {' '.join(argv)}"] = _run(*argv, str(pd))
+    for name, spec in ALGEBRA_CABLES:
+        tag = f"{name}-{spec}"
+        doc = json.loads(_run("cable", "--spec", spec, str(CORPUS / f"{name}.pd")).split("\n", 1)[1])
+        cabled = work / f"{tag}.pd"
+        cabled.write_text(doc["pd"])
+        for argv in (["invariants"], ["colorability"], ["fox-count", "-n", "3"]):
+            out[f"{tag} {' '.join(argv)}"] = _run(*argv, str(cabled))
+        if (name, spec) in MINIMIZE_CABLES:
+            out[f"{tag} minimize --bound 3"] = _run("minimize", "--bound", "3", str(cabled))
+    return out
+
+
 def validate_outputs(work: Path) -> dict[str, str]:
     return {pd.name: _run("validate", str(pd)) for pd in sorted(CORPUS.glob("*.pd"))}
 
 
 GROUPS = {
+    "algebra": algebra_outputs,
     "reduce": reduce_outputs,
     "simplify": simplify_outputs,
     "random_knots": random_knot_outputs,
