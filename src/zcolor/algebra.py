@@ -2,12 +2,16 @@
 
 The coloring matrix has one row per crossing and one column per Fox arc
 (over-merged edge class): the row encodes 2*over - under_in - under_out = 0.
-Everything downstream is arbitrary-precision integer arithmetic; Smith
-normal form is computed densely with minimal-absolute-value pivoting.
+Everything downstream is arbitrary-precision integer arithmetic, and one
+dense Smith normal form answers every question: the determinant is the
+product of all invariant factors but the last, the kernel lattice is read
+off the column transform, Fox counts are gcds of the invariant factors
+with n, and ``solve_integer`` solves A x = b over Z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,8 +87,12 @@ def coloring_matrix(diagram: Diagram) -> ColoringMatrix:
 def smith_normal_form(matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return unimodular U, V and diagonal S with U*M*V = S and d1 | d2 | ...
 
-    Dense elimination with pivoting on the smallest nonzero entry to limit
-    coefficient growth; all arithmetic is exact.
+    One dense elimination.  Step t pivots on the smallest nonzero entry of
+    the remaining block (the first unit ends the search) and clears the
+    pivot's column and row by division with remainder.  While the pivot
+    fails to divide some entry of the block below it, the offending row is
+    added to the pivot row and reduction resumes with a smaller pivot.  The
+    finished diagonal entry is made non-negative.  All arithmetic is exact.
     """
     S = [list(map(int, row)) for row in matrix]
     r = len(S)
@@ -114,121 +122,52 @@ def smith_normal_form(matrix) -> tuple[Matrix, Matrix, Matrix]:
         for row in V:
             row[dst] += q * row[src]
 
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                v = S[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
+    for t in range(min(r, c)):
+        pivot = _smallest_entry(S, t)
         if pivot is None:
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
         while True:
-            dirty = False
-            for i in range(t + 1, r):
-                if S[i][t]:
-                    q = -(S[i][t] // S[t][t])
-                    add_row(i, t, q)
-                    if S[i][t]:  # remainder smaller than pivot: promote it
-                        swap_rows(t, i)
-                    dirty = True
-                    break
-            if dirty:
+            p = S[t][t]
+            i = next((i for i in range(t + 1, r) if S[i][t]), None)
+            if i is not None:
+                add_row(i, t, -(S[i][t] // p))
+                if S[i][t]:  # remainder smaller than pivot: promote it
+                    swap_rows(t, i)
                 continue
-            for j in range(t + 1, c):
+            j = next((j for j in range(t + 1, c) if S[t][j]), None)
+            if j is not None:
+                add_col(j, t, -(S[t][j] // p))
                 if S[t][j]:
-                    q = -(S[t][j] // S[t][t])
-                    add_col(j, t, q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                    dirty = True
-                    break
-            if not dirty:
+                    swap_cols(t, j)
+                continue
+            if abs(p) == 1:  # a unit divides the whole block
                 break
-        t += 1
-
-    # normalize signs and enforce the divisibility chain
-    n = min(r, c)
-    for i in range(n):
-        if S[i][i] < 0:
-            for k in range(c):
-                S[i][k] = -S[i][k]
-            for k in range(r):
-                U[i][k] = -U[i][k]
-    i = 0
-    while i < n - 1:
-        a, b = S[i][i], S[i + 1][i + 1]
-        if a and b and b % a:
-            add_col(i, i + 1, 1)  # brings b into column i
-            _rediagonalize(S, U, V, i, r, c)
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    for i in range(n):
-        if S[i][i] < 0:
-            for k in range(c):
-                S[i][k] = -S[i][k]
-            for k in range(r):
-                U[i][k] = -U[i][k]
+            i = next((i for i in range(t + 1, r)
+                      if any(S[i][j] % p for j in range(t + 1, c))), None)
+            if i is None:
+                break
+            add_row(t, i, 1)
+        if S[t][t] < 0:
+            S[t][t] = -S[t][t]  # the rest of row t is already zero
+            U[t] = [-u for u in U[t]]
     return U, S, V
 
 
-def _rediagonalize(S, U, V, t, r, c):
-    """Restore diagonal form from position t after a divisibility fix-up."""
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                v = S[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            return
-        i0, j0 = pivot
-        S[t], S[i0] = S[i0], S[t]
-        U[t], U[i0] = U[i0], U[t]
-        for row in S:
-            row[t], row[j0] = row[j0], row[t]
-        for row in V:
-            row[t], row[j0] = row[j0], row[t]
-        clean = True
-        for i in range(t + 1, r):
-            if S[i][t]:
-                q = -(S[i][t] // S[t][t])
-                for k in range(c):
-                    S[i][k] += q * S[t][k]
-                for k in range(r):
-                    U[i][k] += q * U[t][k]
-                if S[i][t]:
-                    S[t], S[i] = S[i], S[t]
-                    U[t], U[i] = U[i], U[t]
-                clean = False
-                break
-        if not clean:
-            continue
-        for j in range(t + 1, c):
-            if S[t][j]:
-                q = -(S[t][j] // S[t][t])
-                for row in S:
-                    row[j] += q * row[t]
-                for row in V:
-                    row[j] += q * row[t]
-                if S[t][j]:
-                    for row in S:
-                        row[t], row[j] = row[j], row[t]
-                    for row in V:
-                        row[t], row[j] = row[j], row[t]
-                clean = False
-                break
-        if clean:
-            t += 1
+def _smallest_entry(S: Matrix, t: int) -> Optional[tuple[int, int]]:
+    """Position of the first smallest nonzero |entry| in the block S[t:, t:]."""
+    pivot = None
+    best = 0
+    for i in range(t, len(S)):
+        row = S[i]
+        for j in range(t, len(row)):
+            v = abs(row[j])
+            if v and (pivot is None or v < best):
+                if v == 1:
+                    return i, j
+                best, pivot = v, (i, j)
+    return pivot
 
 
 def _identity(n: int) -> Matrix:
@@ -250,31 +189,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
                 for j in range(m):
                     row[j] += a * Bt[j]
     return out
-
-
-def det_int(A: Matrix) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
 
 
 def snf_diagonal(matrix) -> list[int]:
@@ -360,13 +274,14 @@ def diagram_lattice(diagram: Diagram) -> ColoringLattice:
 
 
 def determinant(diagram: Diagram) -> int:
-    """|product of elementary divisors| of the matrix with one row and one
-    column deleted; 0 for split or singular diagrams.
+    """Product d1*...*d(n-1) of the invariant factors of the n x n coloring
+    matrix; 0 for split or singular diagrams.
 
-    Deleting the last row/column is the canonical choice; invariance under
-    the choice is a tested property.  A connected diagram whose relation
-    matrix is not square (some component never passes under) is reported 0:
-    such diagrams always have extra coloring freedom.
+    That product is the gcd of the first minors.  Every first minor of a
+    connected diagram's matrix has the same absolute value (a tested
+    property), so the gcd is the determinant.  A connected diagram whose
+    relation matrix is not square (some component never passes under) is
+    reported 0: such diagrams always have extra coloring freedom.
     """
     if not diagram.crossings and not diagram.free_loops:
         raise DiagramError("determinant requires a non-empty diagram")
@@ -377,21 +292,9 @@ def determinant(diagram: Diagram) -> int:
     r, c = M.shape
     if r == 0:
         return 1  # a single crossing-free circle
-    return reduced_determinant(M, r - 1, c - 1)
-
-
-def reduced_determinant(matrix: ColoringMatrix, drop_row: int, drop_col: int) -> int:
-    r, c = matrix.shape
     if r != c:
         return 0
-    reduced = [
-        [matrix.rows[i][j] for j in range(c) if j != drop_col]
-        for i in range(r) if i != drop_row
-    ]
-    if not reduced:
-        return 1
-    d = det_int(reduced)
-    return abs(d)
+    return math.prod(snf_diagonal([list(row) for row in M.rows])[:-1])
 
 
 def is_z_colorable(diagram: Diagram) -> tuple[bool, Optional[dict[int, int]]]:
@@ -426,8 +329,6 @@ def fox_coloring_count(diagram: Diagram, n: int) -> int:
     solutions and each free column contributes n.  Crossing-free circles
     contribute a free constant each.
     """
-    import math
-
     if n < 2:
         raise ValueError("modulus must be at least 2")
     M = coloring_matrix(diagram)
@@ -470,7 +371,7 @@ def solve_partial(diagram: Diagram, partial: dict[int, int]) -> Optional[dict[in
         return {e: 0 for e in edges}
     A = [[lat.basis[t][col[rep]] for t in range(k)] for rep in sorted(pinned)]
     b = [pinned[rep] for rep in sorted(pinned)]
-    t = _solve_integer(A, b, k)
+    t = solve_integer(A, b, k)
     if t is None:
         return None
     values = [sum(t[i] * lat.basis[i][j] for i in range(k)) for j in range(len(lat.columns))]
@@ -481,23 +382,23 @@ def solve_partial(diagram: Diagram, partial: dict[int, int]) -> Optional[dict[in
     return out
 
 
-def _solve_integer(A: Matrix, b: list[int], width: int) -> Optional[list[int]]:
-    """One integer solution of A x = b with free coordinates set to zero."""
+def solve_integer(A: Matrix, b: list[int], width: int) -> Optional[list[int]]:
+    """One integer solution x (of length ``width``) of A x = b, or None.
+
+    With U*A*V = S, x = V*y where S*y = U*b; coordinates of y on zero
+    invariant factors are set to zero, so the solution is the unique one
+    whenever the columns of A are independent.
+    """
     if not A:
         return [0] * width
     U, S, V = smith_normal_form(A)
-    w = mat_mul(U, [[x] for x in b])
-    n = min(len(A), width)
     y = [0] * width
-    for i in range(len(A)):
-        wi = w[i][0]
-        d = S[i][i] if i < n else 0
-        if d == 0:
-            if wi != 0:
-                return None
-        else:
+    for i, (wi,) in enumerate(mat_mul(U, [[x] for x in b])):
+        d = S[i][i] if i < width else 0
+        if d:
             if wi % d:
                 return None
             y[i] = wi // d
-    x = mat_mul(V, [[v] for v in y])
-    return [row[0] for row in x]
+        elif wi:
+            return None
+    return [row[0] for row in mat_mul(V, [[v] for v in y])]

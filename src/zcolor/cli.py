@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import algebra, cabling, coloring, diagram, jsonio, parallel_coloring, rewrite
+from . import algebra, cabling, coloring, diagram, jsonio, moves, parallel_coloring, rewrite
 from .diagram import Diagram, DiagramError, PDSyntaxError
 
 
@@ -34,6 +34,23 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
         raise UsageError(f"{path}: invalid JSON ({err})")
+
+
+def _decode_json(path: str, decode, what: str):
+    """``decode`` applied to the JSON file at ``path``; a document of the
+    wrong shape is a usage error naming the file."""
+    doc = _load_json(path)
+    try:
+        return decode(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"{path}: not a {what} ({type(err).__name__}: {err})")
+
+
+def _parse_spec(spec: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in spec.split(","))
+    except ValueError:
+        raise UsageError(f"--spec {spec!r}: expected comma-separated integers")
 
 
 def _emit(doc: dict, pretty: bool) -> None:
@@ -80,6 +97,8 @@ def cmd_colorability(args) -> int:
 
 
 def cmd_fox_count(args) -> int:
+    if args.n < 2:
+        raise UsageError(f"-n {args.n}: the modulus must be at least 2")
     d = _load_diagram(args.pd)
     _emit({"n": args.n,
            "count": jsonio.encode_int(algebra.fox_coloring_count(d, args.n))},
@@ -94,7 +113,7 @@ def cmd_cable(args) -> int:
     else:
         if not args.spec:
             raise UsageError("cable needs --spec or --two-parallel-untwisted")
-        mult = tuple(int(t) for t in args.spec.split(","))
+        mult = _parse_spec(args.spec)
         out = cabling.parallel(d, cabling.CableSpec(multiplicities=mult))
     _emit({"pd": diagram.serialize_pd(out),
            "crossings": len(out.crossings),
@@ -104,7 +123,7 @@ def cmd_cable(args) -> int:
 
 def cmd_color_parallel(args) -> int:
     d = _load_diagram(args.pd)
-    mult = tuple(int(t) for t in args.spec.split(","))
+    mult = _parse_spec(args.spec)
     if mult == (2,):
         cabled, gamma = parallel_coloring.color_two_parallel(d)
         targets = [4, -1]
@@ -138,7 +157,7 @@ def cmd_color_parallel(args) -> int:
 
 def cmd_simplify_coloring(args) -> int:
     d = _load_diagram(args.pd)
-    gamma = jsonio.coloring_from_json(_load_json(args.coloring))
+    gamma = _decode_json(args.coloring, jsonio.coloring_from_json, "coloring")
     out_d, out_g, trace = rewrite.to_simple_coloring(d, gamma)
     _emit({
         "pd": diagram.serialize_pd(out_d),
@@ -165,7 +184,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_verify(args) -> int:
     d = _load_diagram(args.pd)
-    gamma = jsonio.coloring_from_json(_load_json(args.coloring))
+    gamma = _decode_json(args.coloring, jsonio.coloring_from_json, "coloring")
     ok = coloring.verify_coloring(d, gamma)
     doc = {"valid": ok}
     if ok:
@@ -176,15 +195,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from .moves import replay_trace, verify_local_equivalence
-
     d = _load_diagram(args.pd)
-    trace = jsonio.trace_from_json(_load_json(args.trace))
-    result = replay_trace(d, trace)
+    trace = _decode_json(args.trace, jsonio.trace_from_json, "move trace")
+    result = moves.replay_trace(d, trace)
     doc = {"pd": diagram.serialize_pd(result)}
     if args.check:
         target = _load_diagram(args.check)
-        report = verify_local_equivalence(d, target, trace)
+        report = moves.verify_local_equivalence(d, target, trace)
         doc["equivalent"] = report.ok
         doc["reasons"] = list(report.reasons)
     _emit(doc, args.pretty)
@@ -301,6 +318,7 @@ DOMAIN_ERRORS = (
     algebra.DiagramError,
     cabling.CableError,
     coloring.ColoringError,
+    moves.MoveError,
     parallel_coloring.ConstructionError,
     parallel_coloring.NoApplicableMoveError,
     rewrite.RewriteError,

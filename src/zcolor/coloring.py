@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import ColoringLattice
+from .algebra import ColoringLattice, solve_integer
 from .diagram import Diagram, crossing_graph_pieces
 
 Coloring = dict[int, int]
@@ -125,37 +125,16 @@ def minimize_palette_on_diagram(
 
 
 def _split_off_ones(basis: list[list[int]]) -> list[list[int]]:
-    """Drop one basis vector in favor of all-ones when a unit coefficient allows it."""
-    from .algebra import smith_normal_form, mat_mul
+    """Drop one basis vector in favor of all-ones when a unit coefficient allows it.
 
-    k = len(basis)
-    c = len(basis[0])
-    ones = [1] * c
+    The basis is independent, so all-ones has at most one coefficient vector.
+    """
+    k, c = len(basis), len(basis[0])
     A = [[basis[t][j] for t in range(k)] for j in range(c)]
-    U, S, V = smith_normal_form(A)
-    w = mat_mul(U, [[1]] * c)
-    y = [0] * k
-    ok = True
-    for i in range(c):
-        d = S[i][i] if i < min(c, k) else 0
-        wi = w[i][0]
-        if d == 0:
-            if wi:
-                ok = False
-                break
-        elif wi % d:
-            ok = False
-            break
-        else:
-            if i < k:
-                y[i] = wi // d
-    if not ok:
-        return basis
-    t = [row[0] for row in mat_mul(V, [[v] for v in y])]
-    for idx, coeff in enumerate(t):
+    coeffs = solve_integer(A, [1] * c, k) or []
+    for idx, coeff in enumerate(coeffs):
         if abs(coeff) == 1:
-            reduced = basis[:idx] + basis[idx + 1:]
-            return reduced
+            return basis[:idx] + basis[idx + 1:]
     return basis
 
 

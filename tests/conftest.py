@@ -53,6 +53,47 @@ def brute_force_integer_kernel_rank(diagram: Diagram, box: int = 3) -> int:
     return 2 if non_constant else (1 if reps else 0)
 
 
+def det_int(A: list) -> int:
+    """Exact integer determinant (fraction-free Bareiss elimination).
+
+    Independent of the Smith normal form that ``zcolor.algebra`` uses.
+    """
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [list(row) for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def reduced_determinant(matrix, drop_row: int, drop_col: int) -> int:
+    """|det| of a coloring matrix with one row and one column deleted
+    (Bareiss); 0 when the matrix is not square."""
+    r, c = matrix.shape
+    if r != c:
+        return 0
+    reduced = [
+        [matrix.rows[i][j] for j in range(c) if j != drop_col]
+        for i in range(r) if i != drop_row
+    ]
+    return abs(det_int(reduced))
+
+
 def reference_faces(rows: dict) -> list[tuple[tuple[int, int], ...]]:
     """Every face of a crossing table, by a full rescan from the smallest
     unvisited corner each time.

@@ -9,14 +9,13 @@ import time
 
 import pytest
 
-from conftest import brute_force_fox_count
+from conftest import brute_force_fox_count, reduced_determinant
 from zcolor.algebra import (
     coloring_matrix,
     determinant,
     diagram_lattice,
     fox_coloring_count,
     is_z_colorable,
-    reduced_determinant,
 )
 from zcolor.cabling import CableSpec, linking_equals_writhe, parallel, two_parallel_untwisted
 from zcolor.coloring import (

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_fox_count
+from conftest import brute_force_fox_count, det_int, reduced_determinant
 from zcolor.algebra import (
     coloring_matrix,
     determinant,
@@ -11,13 +11,14 @@ from zcolor.algebra import (
     is_z_colorable,
     kernel_lattice,
     mat_mul,
-    reduced_determinant,
     smith_normal_form,
+    solve_integer,
     solve_partial,
-    det_int,
 )
+from zcolor.cabling import CableSpec, insert_full_twist, parallel
 from zcolor.coloring import verify_coloring
-from zcolor.diagram import parse_pd
+from zcolor.diagram import crossing_graph_pieces, parse_pd
+from zcolor.generate import random_knot_diagram, seeded_rng
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 
@@ -58,11 +59,26 @@ def test_snf_row():
     assert snf_invariants([[2, -1, -1]]) == [1]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
-                min_size=1, max_size=4).filter(
-                    lambda m: len({len(r) for r in m}) == 1))
+def matrices(entries):
+    """Rectangular matrices of 1 to 6 rows and 1 to 6 columns."""
+    return st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.lists(
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(st.integers(-9, 9)))
 def test_snf_random(M):
+    snf_invariants(M)
+
+
+# Multiples of 2, 3 or 6 with no unit entry: pivots of 2 or 3 that do not
+# divide the rest of their block force the in-loop divisibility step.
+@settings(max_examples=100, deadline=None)
+@given(matrices(st.tuples(st.sampled_from([2, 3, 6]), st.integers(-3, 3)).map(
+    lambda mk: mk[0] * mk[1])))
+def test_snf_random_non_unit(M):
     snf_invariants(M)
 
 
@@ -124,9 +140,16 @@ def test_all_ones_in_every_kernel(corpus):
         cols = len(lat.columns)
         target = [1] * cols
         # integer combination reaching all-ones must exist
-        from zcolor.algebra import _solve_integer
         A = [[lat.basis[t][j] for t in range(lat.rank)] for j in range(cols)]
-        assert _solve_integer(A, target, lat.rank) is not None, name
+        assert solve_integer(A, target, lat.rank) is not None, name
+
+
+def test_solve_integer_exact():
+    A = [[2, 0], [0, 3], [1, 1]]
+    assert solve_integer(A, [4, 9, 5], 2) == [2, 3]
+    assert solve_integer(A, [4, 9, 6], 2) is None   # inconsistent
+    assert solve_integer(A, [3, 9, 4], 2) is None   # rational, not integer
+    assert solve_integer([], [], 3) == [0, 0, 0]
 
 
 # -- determinants --------------------------------------------------------------
@@ -151,6 +174,41 @@ def test_determinant_choice_invariance(corpus):
         values = {reduced_determinant(M, i, j)
                   for i in range(r) for j in range(c)}
         assert len(values) == 1, name
+
+
+def bareiss_determinant(d) -> int:
+    """The determinant as one Bareiss first minor: the last row and column
+    of the coloring matrix deleted."""
+    if len(crossing_graph_pieces(d)) > 1:
+        return 0
+    M = coloring_matrix(d)
+    r, c = M.shape
+    return 1 if r == 0 else reduced_determinant(M, r - 1, c - 1)
+
+
+def differential_diagrams(corpus):
+    yield from corpus.items()
+    rng = seeded_rng()
+    for i in range(120):
+        yield f"random knot {i}", random_knot_diagram(rng, n_ops=2 + i % 7)
+    for name in ("unknot_kink", "hopf", "trefoil", "figure8"):
+        base = corpus[name]
+        for k in (1, 2, 3):
+            spec = CableSpec(multiplicities=(k,) * len(base.components))
+            yield f"{name} ({k})", parallel(base, spec)
+    for name in ("trefoil", "figure8"):
+        cabled = parallel(corpus[name], CableSpec(multiplicities=(2,)))
+        base_edge = min(e for e, _ in cabled.cable.copy_edges)
+        for sign in (1, -1):
+            yield f"{name} (2) twist {sign}", insert_full_twist(cabled, base_edge, sign)
+
+
+def test_determinant_matches_bareiss_minor(corpus):
+    checked = 0
+    for name, d in differential_diagrams(corpus):
+        assert determinant(d) == bareiss_determinant(d), name
+        checked += 1
+    assert checked >= 100 + len(corpus)
 
 
 def test_determinant_empty_rejected():

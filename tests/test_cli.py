@@ -171,3 +171,34 @@ def test_colorability_emits_lattice(capsys):
     assert doc["kernel_rank"] == 1
     assert doc["lattice"]["rank"] == 1
     assert doc["z_colorable"] is False
+
+
+TREFOIL = str(CORPUS / "trefoil.pd")
+NOT_A_TRACE = {"schema_version": 1}
+UNKNOWN_MOVE = {"stages": [{"moves": [{"kind": "R9", "disk": 0}], "disks": {}}]}
+MISSING_CROSSING = {"stages": [{"moves": [{"kind": "R1-", "crossing": 99, "disk": 0}],
+                                "disks": {}}]}
+
+
+@pytest.mark.parametrize("argv, document, code, error_type, names", [
+    (["fox-count", "-n", "1", TREFOIL], None, 2, "usage", "-n 1"),
+    (["fox-count", "-n", "0", TREFOIL], None, 2, "usage", "-n 0"),
+    (["cable", "--spec", "a", TREFOIL], None, 2, "usage", "--spec"),
+    (["color-parallel", "--spec", "x", TREFOIL], None, 2, "usage", "--spec"),
+    (["verify", TREFOIL, "DOC"], {"a": 1}, 2, "usage", "doc.json"),
+    (["verify", TREFOIL, "DOC"], [1, 2], 2, "usage", "doc.json"),
+    (["replay", TREFOIL, "DOC"], NOT_A_TRACE, 2, "usage", "doc.json"),
+    (["replay", TREFOIL, "DOC"], UNKNOWN_MOVE, 2, "usage", "doc.json"),
+    (["replay", TREFOIL, "DOC"], MISSING_CROSSING, 1, "MoveError", "crossing"),
+])
+def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code, error_type,
+                                         names):
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(document))
+    argv = [str(doc_file) if a == "DOC" else a for a in argv]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == error_type
+    assert names in error["message"]
