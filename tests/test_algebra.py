@@ -148,7 +148,7 @@ def test_solve_integer_exact():
     A = [[2, 0], [0, 3], [1, 1]]
     assert solve_integer(A, [4, 9, 5], 2) == [2, 3]
     assert solve_integer(A, [4, 9, 6], 2) is None   # inconsistent
-    assert solve_integer(A, [3, 9, 4], 2) is None   # rational, not integer
+    assert solve_integer([[2, 0], [0, 3]], [3, 9], 2) is None   # x = (3/2, 3)
     assert solve_integer([], [], 3) == [0, 0, 0]
 
 
