@@ -19,6 +19,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises bad arguments as a UsageError, so they print one JSON error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _load_diagram(path: str) -> Diagram:
     try:
         text = Path(path).read_text()
@@ -248,7 +255,7 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="zcolor",
         description="Integer colorings of link diagrams: colorability, "
                     "cabling, palette reduction.")
@@ -326,12 +333,11 @@ DOMAIN_ERRORS = (
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as err:
-        return 2 if err.code not in (0, None) else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as err:  # --help printed its text
+            return 2 if err.code not in (0, None) else 0
         return args.func(args)
     except UsageError as err:
         sys.stdout.write(jsonio.dumps(

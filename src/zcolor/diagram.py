@@ -120,7 +120,7 @@ class Diagram:
             Crossing(cid=c, slots=r, sign=s) for c, r, s in zip(cids, rows, signs)
         )
         self._by_cid = {x.cid: x for x in self.crossings}
-        self.components: tuple[tuple[int, ...], ...] = _cycles(self._succ)
+        self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
         self._arc_class: dict[int, int] = _merge_over_pairs(rows)
 
     # -- basic views ------------------------------------------------------
@@ -312,7 +312,8 @@ def _successors(rows, heads) -> dict[int, int]:
     return succ
 
 
-def _cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+def strand_cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of an arc successor map, each from its smallest arc."""
     seen = set()
     out = []
     for start in sorted(succ):

@@ -31,6 +31,9 @@ def encode_int(n: int) -> Any:
 
 
 def decode_int(v: Any) -> int:
+    """An integer, given as a JSON integer or a string of one."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"expected an integer, got {v!r}")
     return int(v)
 
 

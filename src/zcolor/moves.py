@@ -5,6 +5,10 @@ its location by current arc/crossing ids; replaying a trace re-executes the
 edits with deterministic id allocation, so a trace can be checked by
 replaying it and comparing the result with the claimed target.
 
+``DiagramBuilder`` carries each crossing's sign: a move sets the signs of
+the crossings it creates and leaves every other sign alone, so no move
+rebuilds a ``Diagram``, and ``diagram()`` is oriented as the strands run.
+
 Locality is tracked through disks: a disk is declared as a set of crossing
 ids of the stage's source diagram, moves are tagged with a disk, and every
 crossing a move modifies or removes must belong to the disk or have been
@@ -22,11 +26,13 @@ from .diagram import (
     OVER_B,
     UNDER_IN,
     UNDER_OUT,
+    Crossing,
     Diagram,
     face_steps,
     face_walk,
     occurrence_index,
     same_diagram,
+    strand_cycles,
 )
 
 
@@ -112,32 +118,37 @@ EMPTY_TRACE = MoveTrace(stages=())
 class DiagramBuilder:
     """Mutable planar map used while applying moves.
 
-    ``rows`` maps crossing ids to slot quadruples; it is read-only outside
-    this class.  The mutators below are its only writers and keep an
-    arc -> occurrences index current, so face and bigon queries walk only
-    the faces they need.
+    ``rows`` maps crossing ids to slot quadruples and ``signs`` to crossing
+    signs; both are read-only outside this class.  The mutators below are
+    their only writers and keep an arc -> occurrences index current, so
+    face and bigon queries walk only the faces they need.
     """
 
     def __init__(self, diagram: Diagram):
         self.rows: dict[int, tuple[int, int, int, int]] = {
             x.cid: x.slots for x in diagram.crossings
         }
+        self.signs: dict[int, int] = {x.cid: x.sign for x in diagram.crossings}
         self._occ = occurrence_index(self.rows.items())
         self.free_loops = diagram.free_loops
         self.next_cid = max(self.rows, default=-1) + 1
         self.next_edge = max(self._occ, default=0) + 1
-        self._diagram: Optional[Diagram] = None
 
     def diagram(self, cable=None) -> Diagram:
-        if self._diagram is None or cable is not None:
-            cids = sorted(self.rows)
-            self._diagram = Diagram(
-                [self.rows[c] for c in cids],
-                free_loops=self.free_loops,
-                cable=cable,
-                cids=cids,
-            )
-        return self._diagram
+        """A new ``Diagram`` of the current rows, oriented as the strands run."""
+        cids = sorted(self.rows)
+        succ = {}
+        for cid in cids:
+            x = self.crossing(cid)
+            succ[x.under_in] = x.under_out
+            succ[x.over_in] = x.over_out
+        return Diagram(
+            [self.rows[c] for c in cids],
+            free_loops=self.free_loops,
+            orientation_hints=strand_cycles(succ),
+            cable=cable,
+            cids=cids,
+        )
 
     # -- mutators -------------------------------------------------------------
 
@@ -153,31 +164,29 @@ class DiagramBuilder:
         self._occ.setdefault(new_edge, []).append((cid, slot))
         row[slot] = new_edge
         self.rows[cid] = tuple(row)
-        self._diagram = None
 
-    def add_crossing(self, row: tuple[int, int, int, int]) -> int:
+    def add_crossing(self, row: tuple[int, int, int, int], sign: int) -> int:
         cid = self.next_cid
         self.next_cid += 1
         self.rows[cid] = row
+        self.signs[cid] = sign
         for s, e in enumerate(row):
             self._occ.setdefault(e, []).append((cid, s))
-        self._diagram = None
         return cid
 
     def remove_crossing(self, cid: int):
+        del self.signs[cid]
         for s, e in enumerate(self.rows.pop(cid)):
             self._unindex(e, (cid, s))
-        self._diagram = None
 
     def snapshot(self):
         """State for ``restore`` to roll a tentative rewrite back to."""
-        return dict(self.rows), self.free_loops, self.next_cid, self.next_edge
+        return dict(self.rows), dict(self.signs), self.free_loops, self.next_cid, self.next_edge
 
     def restore(self, snap):
-        rows, self.free_loops, self.next_cid, self.next_edge = snap
-        self.rows = dict(rows)
+        rows, signs, self.free_loops, self.next_cid, self.next_edge = snap
+        self.rows, self.signs = dict(rows), dict(signs)
         self._occ = occurrence_index(self.rows.items())
-        self._diagram = None
 
     def fresh_edge(self) -> int:
         e = self.next_edge
@@ -189,16 +198,16 @@ class DiagramBuilder:
     def occurrences(self, edge: int) -> list[tuple[int, int]]:
         return list(self._occ.get(edge, ()))
 
+    def crossing(self, cid: int) -> Crossing:
+        return Crossing(cid=cid, slots=self.rows[cid], sign=self.signs[cid])
+
     def is_head(self, cid: int, slot: int) -> bool:
         """Does the edge at this slot terminate here (point into the crossing)?"""
         if slot == UNDER_IN:
             return True
         if slot == UNDER_OUT:
             return False
-        d = self.diagram()
-        x = d.crossing(cid)
-        head_slot = OVER_B if x.sign > 0 else OVER_A
-        return slot == head_slot
+        return slot == (OVER_B if self.signs[cid] > 0 else OVER_A)
 
     def faces_through(self, arc: int) -> list[tuple[tuple[int, int], ...]]:
         """The at most two faces whose boundary runs along ``arc``.
@@ -236,7 +245,9 @@ class DiagramBuilder:
         """Clasp two co-face parallel arcs with a two-crossing full twist.
 
         Requires the arcs to run parallel along a shared face; raises
-        MoveError otherwise.  Writhe changes by 2*sign.  Returns the two new
+        MoveError otherwise.  Both new crossings get ``sign`` if ``f`` runs
+        with the face walk, as cable twists do, else ``-sign`` (mirrored
+        layout); the writhe changes by twice that.  Returns the two new
         crossing ids and the arcs that continue ``f`` and ``g`` past the twist.
         """
         if f == g:
@@ -265,7 +276,8 @@ class DiagramBuilder:
         if not f_fwd:
             c1 = (c1[0], c1[3], c1[2], c1[1])
             c2 = (c2[0], c2[3], c2[2], c2[1])
-        return [self.add_crossing(c1), self.add_crossing(c2)], (f_b, g_b)
+            sign = -sign
+        return [self.add_crossing(c1, sign), self.add_crossing(c2, sign)], (f_b, g_b)
 
 
 # -- move application ---------------------------------------------------------
@@ -301,7 +313,7 @@ def _apply_r1_insert(builder: DiagramBuilder, mv: R1Insert) -> dict:
         row = (e_a, e_b, loop, loop) if mv.sign > 0 else (e_a, loop, loop, e_b)
     else:
         row = (loop, loop, e_b, e_a) if mv.sign > 0 else (loop, e_a, e_b, loop)
-    cid = builder.add_crossing(row)
+    cid = builder.add_crossing(row, mv.sign)
     return {"created": [cid], "touched": []}
 
 
@@ -392,7 +404,10 @@ def _apply_r2_insert(builder: DiagramBuilder, mv: R2Insert) -> dict:
         # which exchanges the two over slots of both new crossings
         first = (first[0], first[3], first[2], first[1])
         second = (second[0], second[3], second[2], second[1])
-    c1, c2 = builder.add_crossing(first), builder.add_crossing(second)
+    # the over strand enters ``first`` at slot OVER_B exactly when it is positive
+    over_in = f_a if mv.push_over else (g_a if parallel else g_m)
+    sign = 1 if first[OVER_B] == over_in else -1
+    c1, c2 = builder.add_crossing(first, sign), builder.add_crossing(second, -sign)
     return {"created": [c1, c2], "touched": []}
 
 
@@ -419,8 +434,7 @@ def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
     overs = [e for e in inner if not is_under(slot_of(r1, e)) and not is_under(slot_of(r2, e))]
     if len(unders) != 1 or len(overs) != 1:
         raise MoveError("bigon is clasped (same strand not over at both crossings)")
-    d = builder.diagram()
-    if d.crossing(mv.cid1).sign + d.crossing(mv.cid2).sign != 0:
+    if builder.signs[mv.cid1] + builder.signs[mv.cid2] != 0:
         raise MoveError("bigon crossings do not have opposite signs")
 
     def strand_edges(row, e):
@@ -485,29 +499,19 @@ def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
     if len(tops) != 1 or len(bottoms) != 1 or len(middles) != 1:
         raise MoveError("triangle is not an R3 pattern (needs top/middle/bottom strands)")
 
-    d = builder.diagram()
-
     def strand_route(inner):
         """(c_first, c_second, x_in, x_out): strand order through the triangle."""
-        c1, c2 = strands[inner]
-        # orient: at one crossing inner is the strand's out-edge, at the other its in-edge
         def in_out(cid):
-            x = d.crossing(cid)
-            if inner in (x.under_in, x.under_out) and rows[cid].index(inner) in (UNDER_IN, UNDER_OUT):
-                return (x.under_in, x.under_out)
-            return (x.over_in, x.over_out)
+            x = builder.crossing(cid)
+            return (x.under_in, x.under_out) if is_under_at(cid, inner) else (x.over_in, x.over_out)
 
-        i1, o1 = in_out(c1)
-        if o1 == inner:
-            c_first, c_second = c1, c2
-        else:
-            c_first, c_second = c2, c1
-        xf = in_out(c_first)
-        xs = in_out(c_second)
-        return c_first, c_second, xf[0], xs[1]
+        # inner is the strand's out-edge at its first crossing
+        c_first, c_second = strands[inner]
+        if in_out(c_first)[1] != inner:
+            c_first, c_second = c_second, c_first
+        return c_first, c_second, in_out(c_first)[0], in_out(c_second)[1]
 
     routes = {e: strand_route(e) for e in inner_edges}
-    signs = {c: d.crossing(c).sign for c in cids}
 
     # after the flip each strand passes its two crossings in the opposite order
     new_rows = {}
@@ -524,7 +528,7 @@ def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
 
         u_in, u_out = new_in_out(under_e)
         o_in, o_out = new_in_out(over_e)
-        if signs[cid] > 0:
+        if builder.signs[cid] > 0:
             new_rows[cid] = (u_in, o_out, u_out, o_in)
         else:
             new_rows[cid] = (u_in, o_in, u_out, o_out)

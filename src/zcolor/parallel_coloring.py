@@ -319,7 +319,7 @@ def _over_travel_rows(region: Region) -> list[int]:
     return list(range(q)) if region.base_sign > 0 else list(range(q - 1, -1, -1))
 
 
-def _over_line(diagram: Diagram, region: Region, step: int) -> dict:
+def _over_line(diagram: Diagram | DiagramBuilder, region: Region, step: int) -> dict:
     """Entry arc, exit arc and travel-ordered crossings of one over line."""
     rows = _over_travel_rows(region)
     cids = [region.grid[r][step] for r in rows]
@@ -338,27 +338,17 @@ def _region_interior_arcs(diagram: Diagram, region: Region) -> set[int]:
 
 
 def _slide_east(builder: DiagramBuilder, slider: int, region: Region,
-                moves: list, disk: int) -> None:
-    """R3 the over-over crossing ``slider`` across every under strand."""
+                steps: tuple[int, int], moves: list, disk: int) -> None:
+    """R3 ``slider``, where the over lines at ``steps`` cross, across every row."""
     for r in _over_travel_rows(region):
         row = region.grid[r]
-        # the slider forms a triangle with the two line crossings of this row
-        done = False
-        for a_idx in range(len(row)):
-            for b_idx in range(a_idx + 1, len(row)):
-                mv = R3(cids=(slider, row[a_idx], row[b_idx]))
-                try:
-                    apply_move(builder, mv)
-                except MoveError:
-                    continue
-                moves.append((mv, disk))
-                done = True
-                break
-            if done:
-                break
-        if not done:
+        mv = R3(cids=(slider, row[min(steps)], row[max(steps)]))
+        try:
+            apply_move(builder, mv)
+        except MoveError as err:
             raise NoApplicableMoveError(
-                f"cannot slide crossing {slider} across under row {r}")
+                f"cannot slide crossing {slider} across under row {r}: {err}") from err
+        moves.append((mv, disk))
 
 
 # -- the rewrite library ----------------------------------------------------------
@@ -373,9 +363,8 @@ def _rewrite_swap_first_met(builder: DiagramBuilder, region: Region,
     region) and slides the far crossing east across every under strand; the
     partner is recolored to 2f - g between the bigon crossings.
     """
-    d = builder.diagram()
-    clean = _over_line(d, region, clean_step)
-    other = _over_line(d, region, other_step)
+    clean = _over_line(builder, region, clean_step)
+    other = _over_line(builder, region, other_step)
     first_col_cids = {region.grid[r][s] for r in (_over_travel_rows(region)[:1])
                       for s in (clean_step, other_step)}
     corner = _find_corner(builder, clean["entry"], other["entry"], first_col_cids)
@@ -384,7 +373,7 @@ def _rewrite_swap_first_met(builder: DiagramBuilder, region: Region,
     info = apply_move(builder, mv)
     moves.append((mv, disk))
     far = info["created"][1]
-    _slide_east(builder, far, region, moves, disk)
+    _slide_east(builder, far, region, (clean_step, other_step), moves, disk)
 
 
 def _rewrite_toggle_over_state(builder: DiagramBuilder, region: Region,
@@ -396,9 +385,8 @@ def _rewrite_toggle_over_state(builder: DiagramBuilder, region: Region,
     leaving one full twist before the region and its inverse after.
     ``flip_second`` selects the handedness of the twist pair.
     """
-    d = builder.diagram()
-    line0 = _over_line(d, region, 0)
-    line1 = _over_line(d, region, 1)
+    line0 = _over_line(builder, region, 0)
+    line1 = _over_line(builder, region, 1)
     first_col_cids = {region.grid[r][s] for r in (_over_travel_rows(region)[:1])
                       for s in (0, 1)}
     x_edge, y_edge = (line0["entry"], line1["entry"])
@@ -417,8 +405,8 @@ def _rewrite_toggle_over_state(builder: DiagramBuilder, region: Region,
     moves.append((mv2, disk))
     i1, i2 = info2["created"]
     # east pair = the far crossings of each insert
-    _slide_east(builder, o2, region, moves, disk)
-    _slide_east(builder, i2, region, moves, disk)
+    _slide_east(builder, o2, region, (0, 1), moves, disk)
+    _slide_east(builder, i2, region, (0, 1), moves, disk)
 
 
 def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
@@ -441,9 +429,8 @@ def _rewrite_reroute_line(builder: DiagramBuilder, region: Region,
     color 2 at each crossing and carries its own color through the middle.
     """
     for target_step in over_steps:
-        d = builder.diagram()
-        mover = _over_line(d, region, mover_step)
-        target = _over_line(d, region, target_step)
+        mover = _over_line(builder, region, mover_step)
+        target = _over_line(builder, region, target_step)
         first_col_cids = {region.grid[r][s] for r in (_over_travel_rows(region)[:1])
                           for s in (mover_step, target_step)}
         corner = _find_corner(builder, mover["entry"], target["entry"], first_col_cids)
@@ -452,7 +439,7 @@ def _rewrite_reroute_line(builder: DiagramBuilder, region: Region,
         info = apply_move(builder, mv)
         moves.append((mv, disk))
         far = info["created"][1]
-        _slide_east(builder, far, region, moves, disk)
+        _slide_east(builder, far, region, (mover_step, target_step), moves, disk)
 
 
 # -- delete_color_moves -----------------------------------------------------------

@@ -115,6 +115,18 @@ def test_full_twist_insertion():
     assert linking_number(back, 0, 1) == 0
 
 
+def test_full_twist_changes_writhe_by_twice_its_sign():
+    """Cable twists run with the face walk, so they keep the requested sign."""
+    rng = seeded_rng(17)
+    for trial in range(6):
+        base = random_knot_diagram(rng, n_ops=1 + trial % 5)
+        cabled = parallel(base, CableSpec(multiplicities=(2,)))
+        for e in base.edges:
+            for sign in (1, -1):
+                tw = insert_full_twist(cabled, e, sign)
+                assert writhe(tw) - writhe(cabled) == 2 * sign, (trial, e, sign)
+
+
 def test_twist_then_mirror_cancels_by_two_r2_moves():
     u2 = two_parallel_untwisted(parse_pd("X[1,3,2,2] X[3,4,4,1]"))
     tw = insert_full_twist(u2, base_edge=1, sign=1)

@@ -144,6 +144,11 @@ def test_minimize_refuses_an_oversized_box(tmp_path, capsys, n, k):
     assert f"7^{k} = {7 ** k} vectors" in doc["error"]["message"]
 
 
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["fox-count", "--help"]) == 0
+
+
 def test_output_determinism(capsys):
     code1, doc1 = run(capsys, "invariants", str(CORPUS / "figure8.pd"))
     code2, doc2 = run(capsys, "invariants", str(CORPUS / "figure8.pd"))
@@ -190,6 +195,10 @@ MISSING_CROSSING = {"stages": [{"moves": [{"kind": "R1-", "crossing": 99, "disk"
     (["replay", TREFOIL, "DOC"], NOT_A_TRACE, 2, "usage", "doc.json"),
     (["replay", TREFOIL, "DOC"], UNKNOWN_MOVE, 2, "usage", "doc.json"),
     (["replay", TREFOIL, "DOC"], MISSING_CROSSING, 1, "MoveError", "crossing"),
+    (["verify", TREFOIL, "DOC"], {str(e): 1.5 for e in range(1, 7)}, 2, "usage", "doc.json"),
+    (["fox-count", TREFOIL, "-n", "abc"], None, 2, "usage", "-n"),
+    (["fox-count"], None, 2, "usage", "pd"),
+    (["no-such-command", TREFOIL], None, 2, "usage", "no-such-command"),
 ])
 def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code, error_type,
                                          names):

@@ -1,14 +1,16 @@
-"""The builder's local face queries against the full-scan reference walker."""
+"""The builder's local face queries and crossing signs against full rebuilds."""
 
 import functools
 import random
+
+import pytest
 
 from conftest import reference_face_arcs, reference_faces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcolor.cabling import CableSpec, parallel
-from zcolor.diagram import occurrence_index
+from zcolor.diagram import Diagram, occurrence_index
 from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
 from zcolor.moves import DiagramBuilder, apply_move
 from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
@@ -86,3 +88,42 @@ def test_restore_rebuilds_the_occurrence_index():
     for move, _disk in moves[:3]:  # the restored builder replays identically
         apply_move(builder, move)
         check_builder(builder)
+
+
+def diagram_signs(d: Diagram) -> dict[int, int]:
+    return {x.cid: x.sign for x in d.crossings}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_builder_signs_orient_its_diagram(name):
+    """The builder's signs are the signs of the diagram it builds.
+
+    Where every component passes under some crossing, the orientation is
+    forced by the rows alone, so an unhinted ``Diagram`` independently
+    checks the sign each move gave its new crossings.
+    """
+    source, moves = recorded_run(name)
+    builder = DiagramBuilder(source)
+    for move, _disk in moves:
+        apply_move(builder, move)
+        d = builder.diagram()
+        assert diagram_signs(d) == builder.signs, move
+        unders = {x.under_in for x in d.crossings}
+        if all(unders.intersection(cyc) for cyc in d.components):
+            cids = sorted(builder.rows)
+            free = Diagram([builder.rows[c] for c in cids], cids=cids)
+            assert diagram_signs(free) == builder.signs, move
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_moves_keep_the_signs_of_crossings_they_do_not_touch(name):
+    source, moves = recorded_run(name)
+    builder = DiagramBuilder(source)
+    before = diagram_signs(builder.diagram())
+    for move, _disk in moves:
+        info = apply_move(builder, move)
+        after = diagram_signs(builder.diagram())
+        local = set(info["touched"]) | set(info["created"])
+        assert {c: s for c, s in after.items() if c not in local} == \
+            {c: s for c, s in before.items() if c in after and c not in local}, move
+        before = after

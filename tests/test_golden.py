@@ -23,8 +23,9 @@ from pathlib import Path
 import pytest
 
 from zcolor import cli, generate
-from zcolor.diagram import canonical, serialize_pd, serialize_pd_raw
-from zcolor.jsonio import coloring_to_json, dumps
+from zcolor.diagram import canonical, parse_pd, serialize_pd, serialize_pd_raw
+from zcolor.jsonio import coloring_to_json, dumps, trace_from_json
+from zcolor.moves import replay_trace
 from zcolor.parallel_coloring import color_two_parallel
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -65,20 +66,26 @@ def reduce_outputs(work: Path) -> dict[str, str]:
     return out
 
 
-def simplify_outputs(work: Path) -> dict[str, str]:
-    """simplify-coloring on every two-bight chain, with 0 and 1 kinks."""
-    out = {}
+def simplify_inputs():
+    """(case, PD text, coloring) of every two-bight chain, with 0 and 1 kinks."""
     for kinks in (0, 1):
         for colors in itertools.product(range(1, 5), repeat=2):
             if len(set(colors)) == 1:
                 continue
             d, gamma = generate.diff_chain(colors, kinks)
             canon, relabel = canonical(d)
-            stem = work / ("chain-" + "".join(map(str, colors)) + f"-k{kinks}")
-            Path(f"{stem}.pd").write_text(serialize_pd_raw(canon))
-            Path(f"{stem}.json").write_text(json.dumps(
-                {str(relabel[e]): v for e, v in gamma.items()}))
-            out[stem.name] = _run("simplify-coloring", f"{stem}.pd", f"{stem}.json")
+            yield ("chain-" + "".join(map(str, colors)) + f"-k{kinks}",
+                   serialize_pd_raw(canon), {str(relabel[e]): v for e, v in gamma.items()})
+
+
+def simplify_outputs(work: Path) -> dict[str, str]:
+    """simplify-coloring on every two-bight chain, with 0 and 1 kinks."""
+    out = {}
+    for case, pd, gamma in simplify_inputs():
+        stem = work / case
+        Path(f"{stem}.pd").write_text(pd)
+        Path(f"{stem}.json").write_text(json.dumps(gamma))
+        out[case] = _run("simplify-coloring", f"{stem}.pd", f"{stem}.json")
     return out
 
 
@@ -144,6 +151,19 @@ def test_golden(group):
     assert sorted(got) == sorted(expected)
     for case in expected:
         assert got[case] == expected[case], f"{group}: {case} changed"
+
+
+def test_simplify_traces_replay_onto_the_emitted_pd():
+    expected = json.loads((GOLDEN / "simplify.json").read_text())
+    replayed = 0
+    for case, pd, _gamma in simplify_inputs():
+        doc = json.loads(expected[case].split("\n", 1)[1])
+        if "error" in doc:
+            continue
+        result = replay_trace(parse_pd(pd), trace_from_json(doc["trace"]))
+        assert serialize_pd(result) == doc["pd"], case
+        replayed += 1
+    assert replayed == 20
 
 
 if __name__ == "__main__":

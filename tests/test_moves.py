@@ -4,7 +4,7 @@ import pytest
 
 from zcolor.algebra import solve_partial
 from zcolor.coloring import verify_coloring
-from zcolor.diagram import parse_pd, same_diagram, validate, writhe
+from zcolor.diagram import Diagram, parse_pd, same_diagram, validate, writhe
 from zcolor.moves import (
     DiagramBuilder,
     EMPTY_TRACE,
@@ -195,3 +195,31 @@ def test_move_engine_fuzz():
         for c1, c2 in reversed(stack):
             apply_move(b, R2Remove(cid1=c1, cid2=c2))
         assert same_diagram(b.diagram(), d), trial
+
+
+def test_clasp_writhe_changes_by_twice_the_new_crossings_sign():
+    """A clasp whose first arc runs against the face walk is mirrored: -sign."""
+    import random
+
+    from zcolor.generate import random_knot_diagram
+
+    rng = random.Random(44)
+    kept_sign = []
+    for _ in range(120):
+        d = random_knot_diagram(rng, n_ops=3)
+        b = DiagramBuilder(d)
+        edges = sorted({e for row in b.rows.values() for e in row})
+        f, g = rng.sample(edges, 2)
+        sign = rng.choice((1, -1))
+        try:
+            cids, _ = b.insert_twist(f, g, sign)
+        except MoveError:
+            continue
+        new = b.signs[cids[0]]
+        assert b.signs[cids[1]] == new and new in (sign, -sign)
+        # a knot passes under itself, so its rows alone fix the orientation
+        rebuilt = Diagram([b.rows[c] for c in sorted(b.rows)], cids=sorted(b.rows))
+        assert {x.cid: x.sign for x in rebuilt.crossings} == b.signs
+        assert writhe(rebuilt) - writhe(d) == 2 * new
+        kept_sign.append(new == sign)
+    assert len(kept_sign) >= 20 and any(kept_sign) and not all(kept_sign)
