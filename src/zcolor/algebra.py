@@ -3,14 +3,28 @@
 The coloring matrix has one row per crossing and one column per Fox arc
 (over-merged edge class): the row encodes 2*over - under_in - under_out = 0.
 Everything downstream is arbitrary-precision integer arithmetic, and one
-dense Smith normal form answers every question: the determinant is the
-product of all invariant factors but the last, the kernel lattice is read
-off the column transform, Fox counts are gcds of the invariant factors
-with n, and ``solve_integer`` solves A x = b over Z.
+Smith normal form answers every question: the determinant is the product
+of all invariant factors but the last, the kernel lattice is read off the
+column transform, Fox counts are gcds of the invariant factors with n, and
+``solve_integer`` solves A x = b over Z.
+
+Almost every coloring row offers a +-1 pivot, so the Smith form of a
+coloring matrix starts with a sparse pre-pass (``_unit_pivots``) and runs
+the dense elimination only on what is left.  The lemma behind it: if
+M[i][j] = s with s = +-1, subtracting multiples of row i clears column j
+from every other row, and subtracting multiples of column j clears the
+rest of row i.  Both are unimodular, so M is equivalent to diag(s, R),
+where R is M with row i and column j deleted after the row step.  After
+p such pivots, SNF(M) = diag(1, ..., 1, SNF(R)) with p ones.  For the kernel, row i reads
+s * x_j + sum(rest of row i) = 0, so x_j = -s * sum(rest) is an integer
+function of the columns still present.  Lifting a basis of ker R through
+the pivots in reverse order is therefore a bijection of integer kernels:
+its inverse forgets the pivot columns.  The lifted basis stays saturated.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -192,9 +206,77 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def snf_diagonal(matrix) -> list[int]:
-    _, S, _ = smith_normal_form(matrix)
-    n = min(len(S), len(S[0]) if S else 0)
-    return [S[i][i] for i in range(n)]
+    """The min(rows, columns) invariant factors d1 | d2 | ... of ``matrix``:
+    one per unit pivot, then the residual's, then zeros."""
+    pivots, residual, _ = _unit_pivots(matrix)
+    diag = [1] * len(pivots)
+    if residual:
+        _, S, _ = smith_normal_form(residual)
+        diag += [S[t][t] for t in range(min(len(S), len(S[0])))]
+    n = min(len(matrix), len(matrix[0]) if matrix else 0)
+    return diag + [0] * (n - len(diag))
+
+
+def _unit_pivots(matrix) -> tuple[list[tuple[int, int, dict[int, int]]], Matrix, list[int]]:
+    """Eliminate on +-1 entries, cheapest Markowitz cost first.
+
+    Rows are sparse dicts with a column -> rows index.  The cost of entry
+    (i, j) is (nnz of row i - 1) * (nnz of column j - 1).  Candidates wait
+    in a heap keyed by (cost, row, column); a popped entry whose cost has
+    changed goes back with its current cost, and every row an elimination
+    touches pushes its unit entries again, so the order is deterministic.
+    Returns the pivots in order as (column, sign, rest of the pivot row),
+    the dense residual (the nonzero rows left, in row order) and the
+    columns no pivot took, which index the residual.
+    """
+    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(matrix)}
+    c = len(matrix[0]) if matrix else 0
+    col_rows: list[set[int]] = [set() for _ in range(c)]
+    for i, row in rows.items():
+        for j in row:
+            col_rows[j].add(i)
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i):
+        row = rows[i]
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                heapq.heappush(heap, ((len(row) - 1) * (len(col_rows[j]) - 1), i, j))
+
+    for i in rows:
+        push(i)
+    pivots = []
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        row = rows.get(i)
+        if row is None or row.get(j) not in (1, -1):
+            continue
+        now = (len(row) - 1) * (len(col_rows[j]) - 1)
+        if now != cost:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        del rows[i]
+        s = row.pop(j)
+        for k in row:
+            col_rows[k].discard(i)
+        col_rows[j].discard(i)
+        for t in col_rows[j]:  # row t -= (M[t][j] / s) * row i
+            other = rows[t]
+            q = other.pop(j) * s
+            for k, v in row.items():
+                w = other.get(k, 0) - q * v
+                if w:
+                    other[k] = w
+                    col_rows[k].add(t)
+                else:
+                    del other[k]
+                    col_rows[k].discard(t)
+            push(t)
+        pivots.append((j, s, row))
+    taken = {j for j, _, _ in pivots}
+    cols = [j for j in range(c) if j not in taken]
+    residual = [[row.get(j, 0) for j in cols] for _, row in sorted(rows.items()) if row]
+    return pivots, residual, cols
 
 
 # -- kernel lattice ----------------------------------------------------------
@@ -241,17 +323,31 @@ def hermite_form(rows: Matrix) -> Matrix:
 def kernel_lattice(matrix: ColoringMatrix, diagram: Optional[Diagram] = None) -> ColoringLattice:
     """Saturated integer basis of ker(M), canonicalized by Hermite reduction.
 
-    With U*M*V = S diagonal, the kernel is generated by the columns of V at
-    positions where S has no (or a zero) diagonal entry; those columns span
-    every integer kernel vector because V is unimodular.
+    The unit pivots leave a residual R.  With U*R*V = S diagonal, ker(R)
+    is generated by the columns of V at positions where S has no (or a
+    zero) diagonal entry; those columns span every integer kernel vector
+    because V is unimodular.  With no residual rows, ker(R) is spanned by
+    the unit vectors.  Each vector is lifted to ker(M) by back-substitution
+    through the pivots, last first (see the module docstring).
     """
-    r, c = matrix.shape
+    c = matrix.shape[1]
     if c == 0:
         return ColoringLattice(basis=(), columns=(), edge_class=_edge_class(matrix, diagram))
-    _, S, V = smith_normal_form([list(row) for row in matrix.rows])
-    n = min(r, c)
-    free = [j for j in range(c) if j >= n or S[j][j] == 0]
-    vectors = [[V[i][j] for i in range(c)] for j in free]
+    pivots, residual, cols = _unit_pivots(matrix.rows)
+    if residual:
+        _, S, V = smith_normal_form(residual)
+        n = min(len(S), len(cols))
+        kernel = [[row[j] for row in V] for j in range(len(cols)) if j >= n or S[j][j] == 0]
+    else:
+        kernel = _identity(len(cols))
+    vectors = []
+    for x in kernel:
+        v = [0] * c
+        for j, a in zip(cols, x):
+            v[j] = a
+        for j, s, rest in reversed(pivots):
+            v[j] = -s * sum(a * v[k] for k, a in rest.items())
+        vectors.append(v)
     basis = hermite_form(vectors)
     return ColoringLattice(
         basis=tuple(tuple(v) for v in basis),
@@ -304,6 +400,15 @@ def is_z_colorable(diagram: Diagram) -> tuple[bool, Optional[dict[int, int]]]:
     constants already uses two colors.  Connected diagrams are colorable
     exactly when the kernel lattice has rank at least 2.
     """
+    return _colorability(diagram, diagram_lattice(diagram))
+
+
+def _colorability(diagram: Diagram, lat: ColoringLattice) -> tuple[bool, Optional[dict[int, int]]]:
+    """``is_z_colorable`` of ``diagram`` given its kernel lattice ``lat``.
+
+    The witness is None when every arc would get the same color, as on a
+    split diagram whose other pieces are crossing-free circles.
+    """
     if diagram.num_components == 0:
         return False, None
     pieces = crossing_graph_pieces(diagram)
@@ -312,8 +417,7 @@ def is_z_colorable(diagram: Diagram) -> tuple[bool, Optional[dict[int, int]]]:
         for k, piece in enumerate(pieces):
             for e in piece:
                 witness[e] = k
-        return True, (witness or None)
-    lat = diagram_lattice(diagram)
+        return True, (witness if len(set(witness.values())) > 1 else None)
     if lat.rank < 2:
         return False, None
     for v in lat.basis:

@@ -92,8 +92,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_colorability(args) -> int:
     d = _load_diagram(args.pd)
-    colorable, witness = algebra.is_z_colorable(d)
     lat = algebra.diagram_lattice(d)
+    colorable, witness = algebra._colorability(d, lat)
     doc = {"z_colorable": colorable,
            "kernel_rank": lat.rank,
            "lattice": jsonio.lattice_to_json(lat)}

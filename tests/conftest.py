@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from zcolor.algebra import hermite_form, smith_normal_form
 from zcolor.diagram import Diagram
 from zcolor.generate import standard_diagrams
 
@@ -79,6 +80,23 @@ def det_int(A: list) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[-1][-1]
+
+
+def dense_snf_oracle(rows, width: int) -> tuple[list[int], list[list[int]]]:
+    """Invariant factors and Hermite kernel basis of a ``width``-column
+    matrix, from one dense ``smith_normal_form`` of the whole matrix.
+
+    Bypasses the unit-pivot pre-pass that ``snf_diagonal`` and
+    ``kernel_lattice`` run first: the kernel is read off the free columns
+    of V, as ``kernel_lattice`` did before the pre-pass existed.
+    """
+    M = [list(row) for row in rows]
+    if not M:
+        return [], hermite_form([[int(i == j) for i in range(width)] for j in range(width)])
+    _, S, V = smith_normal_form(M)
+    n = min(len(M), width)
+    free = [j for j in range(width) if j >= n or S[j][j] == 0]
+    return [S[i][i] for i in range(n)], hermite_form([[row[j] for row in V] for j in free])
 
 
 def reduced_determinant(matrix, drop_row: int, drop_col: int) -> int:

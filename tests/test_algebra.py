@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_fox_count, det_int, reduced_determinant
+from conftest import brute_force_fox_count, dense_snf_oracle, det_int, reduced_determinant
+from zcolor import algebra
 from zcolor.algebra import (
+    ColoringMatrix,
     coloring_matrix,
     determinant,
     diagram_lattice,
@@ -12,6 +14,7 @@ from zcolor.algebra import (
     kernel_lattice,
     mat_mul,
     smith_normal_form,
+    snf_diagonal,
     solve_integer,
     solve_partial,
 )
@@ -211,6 +214,102 @@ def test_determinant_matches_bareiss_minor(corpus):
     assert checked >= 100 + len(corpus)
 
 
+# -- unit-pivot pre-pass against the dense oracle ----------------------------------
+
+
+def assert_matches_dense_oracle(rows, width, name=None):
+    diag, basis = dense_snf_oracle(rows, width)
+    assert snf_diagonal([list(row) for row in rows]) == diag, name
+    M = ColoringMatrix(rows=tuple(map(tuple, rows)), columns=tuple(range(width)),
+                       crossing_ids=tuple(range(len(rows))))
+    assert [list(v) for v in kernel_lattice(M).basis] == basis, name
+
+
+@st.composite
+def coloring_shaped(draw):
+    """Sparse rectangular matrices of coloring rows: (2, -1, -1), the fused
+    (2, -2) and (1, -1), and zero rows, on random columns."""
+    r, c = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    shapes = [()] + [(2, -2), (1, -1)] * (c >= 2) + [(2, -1, -1)] * (c >= 3)
+    rows = []
+    for _ in range(r):
+        coefficients = draw(st.sampled_from(shapes))
+        cols = draw(st.lists(st.integers(0, c - 1), min_size=len(coefficients),
+                             max_size=len(coefficients), unique=True))
+        row = [0] * c
+        for j, a in zip(cols, coefficients):
+            row[j] = a
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(coloring_shaped(), matrices(st.integers(-2, 2))))
+def test_unit_pivots_match_dense_oracle(M):
+    assert_matches_dense_oracle(M, len(M[0]))
+
+
+# No unit entry anywhere: the pre-pass takes no pivot and the residual is
+# the whole matrix (less its zero rows).
+@settings(max_examples=100, deadline=None)
+@given(matrices(st.tuples(st.sampled_from([2, 3]), st.integers(-3, 3)).map(
+    lambda mk: mk[0] * mk[1])))
+def test_unit_pivots_without_units_match_dense_oracle(M):
+    pivots, residual, cols = algebra._unit_pivots(M)
+    assert pivots == [] and cols == list(range(len(M[0])))
+    assert residual == [row for row in M if any(row)]
+    assert_matches_dense_oracle(M, len(M[0]))
+
+
+def full_parallel(corpus, name, k):
+    base = corpus[name]
+    return parallel(base, CableSpec(multiplicities=(k,) * len(base.components)))
+
+
+def test_unit_pivots_match_dense_oracle_on_diagrams(corpus):
+    checked = 0
+    for name, d in differential_diagrams(corpus):
+        M = coloring_matrix(d)
+        assert_matches_dense_oracle(M.rows, M.shape[1], name)
+        checked += 1
+    for name, k in (("hopf", 6), ("hopf", 8), ("trefoil", 4), ("trefoil", 6), ("figure8", 4),
+                    ("figure8", 5)):
+        d = full_parallel(corpus, name, k)
+        assert len(d.crossings) <= 128
+        M = coloring_matrix(d)
+        assert_matches_dense_oracle(M.rows, M.shape[1], (name, k))
+        checked += 1
+    assert checked >= 120 + len(corpus)
+
+
+def test_dense_elimination_sees_only_the_residual(corpus, monkeypatch):
+    shapes = []
+    dense = algebra.smith_normal_form
+
+    def recording(M):
+        shapes.append((len(M), len(M[0]) if M else 0))
+        return dense(M)
+
+    monkeypatch.setattr(algebra, "smith_normal_form", recording)
+    lat = diagram_lattice(full_parallel(corpus, "figure8", 8))
+    assert lat.rank == 8
+    assert all(r == 0 for r, _ in shapes), shapes
+    shapes.clear()
+    lat = diagram_lattice(full_parallel(corpus, "hopf", 8))
+    assert lat.rank == 14
+    assert shapes and all(r <= 16 for r, _ in shapes), shapes
+
+
+@pytest.mark.parametrize("name,k", [("figure8", 12), ("hopf", 12)])
+def test_large_parallel_lattice_is_colorings(corpus, name, k):
+    d = full_parallel(corpus, name, k)
+    lat = diagram_lattice(d)
+    assert lat.rank >= 2
+    for v in lat.basis:
+        assert verify_coloring(d, lat.expand(v))
+    assert determinant(d) == 0
+
+
 def test_determinant_empty_rejected():
     with pytest.raises(Exception):
         determinant(parse_pd(""))
@@ -230,6 +329,12 @@ def test_split_colorable_with_witness(corpus):
     assert witness is not None
     assert len(set(witness.values())) == 2
     assert verify_coloring(corpus["split_unlink"], witness)
+
+
+def test_constant_witness_is_dropped():
+    # a kink beside a crossing-free circle: split, but every arc is one piece
+    assert is_z_colorable(parse_pd("X[1,1,2,2]\n% loops: 1\n")) == (True, None)
+    assert is_z_colorable(parse_pd("% loops: 2\n")) == (True, None)
 
 
 def test_colorable_iff_det_zero(corpus):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from zcolor import algebra
 from zcolor.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "zcolor" / "corpus"
@@ -176,6 +177,31 @@ def test_colorability_emits_lattice(capsys):
     assert doc["kernel_rank"] == 1
     assert doc["lattice"]["rank"] == 1
     assert doc["z_colorable"] is False
+
+
+def test_colorability_eliminates_once(capsys, monkeypatch):
+    calls = []
+    prepass = algebra._unit_pivots
+
+    def counting(M):
+        calls.append(len(M))
+        return prepass(M)
+
+    monkeypatch.setattr(algebra, "_unit_pivots", counting)
+    for name in ("trefoil", "figure8", "hopf", "split_unlink"):
+        calls.clear()
+        code, doc = run(capsys, "colorability", str(CORPUS / f"{name}.pd"))
+        assert code == 0
+        assert len(calls) == 1, name
+
+
+def test_colorability_omits_constant_witness(tmp_path, capsys):
+    pd_file = tmp_path / "kink_and_loop.pd"
+    pd_file.write_text("X[1,1,2,2]\n% loops: 1\n")
+    code, doc = run(capsys, "colorability", str(pd_file))
+    assert code == 0
+    assert doc["z_colorable"] is True
+    assert "witness" not in doc
 
 
 TREFOIL = str(CORPUS / "trefoil.pd")
