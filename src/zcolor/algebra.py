@@ -15,11 +15,12 @@ M[i][j] = s with s = +-1, subtracting multiples of row i clears column j
 from every other row, and subtracting multiples of column j clears the
 rest of row i.  Both are unimodular, so M is equivalent to diag(s, R),
 where R is M with row i and column j deleted after the row step.  After
-p such pivots, SNF(M) = diag(1, ..., 1, SNF(R)) with p ones.  For the kernel, row i reads
-s * x_j + sum(rest of row i) = 0, so x_j = -s * sum(rest) is an integer
-function of the columns still present.  Lifting a basis of ker R through
-the pivots in reverse order is therefore a bijection of integer kernels:
-its inverse forgets the pivot columns.  The lifted basis stays saturated.
+p such pivots, SNF(M) = diag(1, ..., 1, SNF(R)) with p ones.  For the
+kernel, row i reads s * x_j + sum(rest of row i) = 0, so
+x_j = -s * sum(rest) is an integer function of the columns still
+present.  Lifting ker R through the pivots in reverse order is therefore
+a bijection of integer kernels whose inverse forgets the pivot columns,
+so the lift of a saturated basis of ker R is a saturated basis of ker M.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def _unit_pivots(matrix) -> tuple[list[tuple[int, int, dict[int, int]]], Matrix,
         pivots.append((j, s, row))
     taken = {j for j, _, _ in pivots}
     cols = [j for j in range(c) if j not in taken]
-    residual = [[row.get(j, 0) for j in cols] for _, row in sorted(rows.items()) if row]
+    residual = [[row.get(j, 0) for j in cols] for row in rows.values() if row]
     return pivots, residual, cols
 
 
