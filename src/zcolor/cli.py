@@ -80,12 +80,13 @@ def cmd_validate(args) -> int:
 
 def cmd_invariants(args) -> int:
     d = _load_diagram(args.pd)
-    colorable, _ = algebra.is_z_colorable(d)
+    det = algebra.determinant(d)
     _emit({
         "writhe": diagram.writhe(d),
-        "determinant": jsonio.encode_int(algebra.determinant(d)),
+        "determinant": jsonio.encode_int(det),
         "components": d.num_components,
-        "z_colorable": colorable,
+        # a non-empty diagram is Z-colorable exactly when its determinant is 0
+        "z_colorable": det == 0,
     }, args.pretty)
     return 0
 
@@ -225,12 +226,12 @@ def cmd_corpus(args) -> int:
         entry = {"file": pd_file.name}
         try:
             d = diagram.parse_pd(pd_file.read_text())
-            colorable, _ = algebra.is_z_colorable(d)
+            det = algebra.determinant(d)
             got = {
                 "writhe": diagram.writhe(d),
-                "determinant": algebra.determinant(d),
+                "determinant": det,
                 "components": d.num_components,
-                "z_colorable": colorable,
+                "z_colorable": det == 0,
             }
             entry["invariants"] = {k: jsonio.encode_int(v) if isinstance(v, int) else v
                                    for k, v in got.items()}

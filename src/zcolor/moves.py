@@ -179,15 +179,6 @@ class DiagramBuilder:
         for s, e in enumerate(self.rows.pop(cid)):
             self._unindex(e, (cid, s))
 
-    def snapshot(self):
-        """State for ``restore`` to roll a tentative rewrite back to."""
-        return dict(self.rows), dict(self.signs), self.free_loops, self.next_cid, self.next_edge
-
-    def restore(self, snap):
-        rows, signs, self.free_loops, self.next_cid, self.next_edge = snap
-        self.rows, self.signs = dict(rows), dict(signs)
-        self._occ = occurrence_index(self.rows.items())
-
     def fresh_edge(self) -> int:
         e = self.next_edge
         self.next_edge += 1
@@ -226,6 +217,13 @@ class DiagramBuilder:
         occurrence means walking with the strand direction.
         """
         return next(not self.is_head(*p) for e, p in steps if e == arc)
+
+    def triangle(self, cids: tuple[int, int, int]) -> Optional[tuple[tuple[int, int], ...]]:
+        """The first triangle face, by smallest corner, with a corner at each crossing."""
+        # every such triangle has a corner at the first crossing
+        around = sorted({f for e in set(self.rows[cids[0]]) for f in self.faces_through(e)})
+        return next((f for f in around
+                     if len(f) == 3 and {c for c, _ in f} == set(cids)), None)
 
     def bigon_arcs(self, c1: int, c2: int) -> tuple[int, int]:
         """(over arc, under arc) joining the two crossings of a bigon."""
@@ -329,8 +327,6 @@ def _apply_r1_remove(builder: DiagramBuilder, mv: R1Remove) -> dict:
             if (pairs[0] in (UNDER_IN, UNDER_OUT)) != (pairs[1] in (UNDER_IN, UNDER_OUT)):
                 loop = e
                 break
-            if pairs == [UNDER_IN, UNDER_OUT] or pairs == [OVER_A, OVER_B]:
-                continue
     if loop is None:
         raise MoveError(f"crossing {mv.cid} is not a removable kink")
     outer = [e for e in row if e != loop]
@@ -421,24 +417,20 @@ def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
              if sum(x == e for x in r1) == 1 and sum(x == e for x in r2) == 1]
     if len(inner) != 2:
         raise MoveError(f"crossings {mv.cid1},{mv.cid2} do not bound a bigon")
-    e1, e2 = inner
-
-    def slot_of(row, e):
-        return row.index(e)
 
     def is_under(s):
         return s in (UNDER_IN, UNDER_OUT)
 
     # one inner edge is under at both crossings, the other over at both
-    unders = [e for e in inner if is_under(slot_of(r1, e)) and is_under(slot_of(r2, e))]
-    overs = [e for e in inner if not is_under(slot_of(r1, e)) and not is_under(slot_of(r2, e))]
+    unders = [e for e in inner if is_under(r1.index(e)) and is_under(r2.index(e))]
+    overs = [e for e in inner if not is_under(r1.index(e)) and not is_under(r2.index(e))]
     if len(unders) != 1 or len(overs) != 1:
         raise MoveError("bigon is clasped (same strand not over at both crossings)")
     if builder.signs[mv.cid1] + builder.signs[mv.cid2] != 0:
         raise MoveError("bigon crossings do not have opposite signs")
 
     def strand_edges(row, e):
-        s = slot_of(row, e)
+        s = row.index(e)
         if is_under(s):
             return (row[UNDER_IN], row[UNDER_OUT])
         return (row[OVER_A], row[OVER_B])
@@ -468,10 +460,7 @@ def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
     cids = tuple(mv.cids)
     if len(set(cids)) != 3 or any(c not in builder.rows for c in cids):
         raise MoveError(f"R3 needs three distinct crossings, got {cids}")
-    # every triangle on these crossings has a corner at the first one
-    around = sorted({f for e in set(builder.rows[cids[0]]) for f in builder.faces_through(e)})
-    triangle = next((f for f in around
-                     if len(f) == 3 and {c for c, _ in f} == set(cids)), None)
+    triangle = builder.triangle(cids)
     if triangle is None:
         raise MoveError(f"crossings {cids} do not bound a triangle face")
 

@@ -534,17 +534,18 @@ def _rewrite_region(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
         if target == 4:
             if y_state != 2:
                 raise NoApplicableMoveError("color-4 interior without a (2,3) over pair")
-            _toggle_verified(builder, cabled, gamma, region, all_regions, moves, disk)
+            _toggle_verified(builder, cabled, gamma, region, y_state, all_regions,
+                             moves, disk)
             return
         if target == -1:
             if y_state == 2:
                 raise NoApplicableMoveError("expected a toggled (0,1) over pair")
             clean_color = 2 if u_state == 2 else 1
             if u_state == 2:
-                _toggle_verified(builder, cabled, gamma, region, all_regions, moves, disk)
-            d = builder.diagram()
-            g_now = _recolor(d, cabled, gamma, all_regions)
-            met_now = _region_met_colors(d, g_now, region)
+                met_now = _toggle_verified(builder, cabled, gamma, region, y_state,
+                                           all_regions, moves, disk)
+            else:
+                met_now = _met_colors_now(builder, cabled, gamma, region, all_regions)
             if clean_color not in met_now:
                 raise NoApplicableMoveError("no clean line to bring first")
             clean_step = met_now.index(clean_color)
@@ -587,24 +588,32 @@ def _recolor(diagram: Diagram, old_diagram: Diagram, gamma: Coloring,
 
 
 def _toggle_verified(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
-                     region: Region, all_regions, moves: list, disk: int) -> None:
-    """Try both twist handednesses; keep the one whose pair stays in 0..3.
+                     region: Region, y_state: int, all_regions, moves: list,
+                     disk: int) -> list[int]:
+    """Toggle the over pair between states 0 and 2; returns the met colors after.
 
-    The wrong handedness also recolors consistently but drives the over
-    pair to (4,5) or (-2,-1) through the region, so the met colors decide.
+    The pair meets a full twist before the region and its inverse after it
+    (``_rewrite_toggle_over_state``).  A twist of sign s shifts a pair's
+    state by -2s, so state 2 needs a positive twist to drop to 0 and state
+    0 a negative one to rise to 2.  The twist's sign is fixed by which line
+    is pushed over the other and by the side each line lies on of their
+    travel direction; the under strands cross the over lines from the side
+    the region's sign gives, so that sign fixes the sides.  Pushing line 0
+    over line 1 gives sign -base_sign, line 1 over line 0 gives +base_sign:
+    flip exactly when base_sign * (y_state - 1) > 0.  The recolored met
+    colors must stay in 0..3; a wrong handedness would drive the pair to
+    (4,5) or (-2,-1).
     """
-    snapshot = builder.snapshot()
-    snap_moves = len(moves)
-    for flip in (False, True):
-        try:
-            _rewrite_toggle_over_state(builder, region, moves, disk, flip)
-            d = builder.diagram()
-            ext = _recolor(d, cabled, gamma, all_regions)
-            met_now = _region_met_colors(d, ext, region)
-            if all(0 <= c <= 3 for c in met_now):
-                return
-            raise ConstructionError(f"toggle drove the pair to {met_now}")
-        except (ConstructionError, MoveError, NoApplicableMoveError):
-            builder.restore(snapshot)
-            del moves[snap_moves:]
-    raise NoApplicableMoveError("twist conjugation failed in both handednesses")
+    _rewrite_toggle_over_state(builder, region, moves, disk,
+                               flip_second=region.base_sign * (y_state - 1) > 0)
+    met_now = _met_colors_now(builder, cabled, gamma, region, all_regions)
+    if not all(0 <= c <= 3 for c in met_now):
+        raise NoApplicableMoveError(f"toggle drove the pair to {met_now}")
+    return met_now
+
+
+def _met_colors_now(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
+                    region: Region, all_regions) -> list[int]:
+    """The region's met colors on the builder's current diagram, recolored."""
+    d = builder.diagram()
+    return _region_met_colors(d, _recolor(d, cabled, gamma, all_regions), region)

@@ -317,10 +317,9 @@ def _drag_and_slide(diagram: Diagram, gamma: Coloring, path: DiffPath,
     else:
         raise RewriteError("finger exceeded its step budget")
 
-    # endgame: cross the under arc at the target's corner, then the over
-    # strand, and fire the triangle; variants roll back until one verifies
-    if not _endgame(builder, moves, disk, path.start, u_slots, tip):
-        raise RewriteError("finger reached the target but no triangle formed")
+    # endgame: cross the under arc at the corner whose face holds the tip,
+    # then the over arc the crossing leads to, and fire the triangle
+    _endgame(builder, moves, disk, path.start, u_slots, tip)
 
     result = builder.diagram()
     new_gamma = _recolor_after_slide(result, diagram, gamma, moves)
@@ -362,51 +361,44 @@ def _record_push_colors(builder: DiagramBuilder, ext: Coloring,
 
 
 def _endgame(builder: DiagramBuilder, moves: list, disk: int,
-             target_cid: int, u_slots: list[int], tip: int) -> bool:
+             target_cid: int, u_slots: list[int], tip: int) -> None:
     """Poke over the under arc, under the over strand, slide the target.
 
-    Arcs are re-read from the builder at push time (routing may have split
-    them), corner hints pin the pushes to the target's corner faces, and
-    each failed variant rolls the builder back.
+    The under arc at slot u of the target t runs between the faces of
+    corners (t, u) and (t, u-1).  A tip in the face of (t, u) pokes across
+    it into the face of (t, u-1), where the next poke goes under the over
+    arc of slot u-1 through that corner; a tip in the face of (t, u-1)
+    pokes into the face of (t, u) and under the over arc of slot u+1.  The
+    first corner whose face carries the tip names both pokes, and the
+    triangle is the one the target bounds with the first or with the
+    second crossing of both bigons.  Arcs are re-read from the builder at
+    push time, since routing may have split them.
     """
-    snapshot, snap_moves = builder.snapshot(), len(moves)
-
-    def rollback():
-        builder.restore(snapshot)
-        del moves[snap_moves:]
-
-    corners = [(target_cid, i) for i in range(4)]
-    for u_slot in u_slots:
-        u_now = builder.rows[target_cid][u_slot]
-        for u_corner in ((target_cid, u_slot), (target_cid, (u_slot - 1) % 4)):
-            for o_slot in (1, 3):
-                for o_corner in corners:
-                    try:
-                        mv1 = R2Insert(push_edge=tip, across_edge=u_now,
-                                       push_over=True, corner=u_corner)
-                        info1 = apply_move(builder, mv1)
-                        moves.append((mv1, disk))
-                        cu1, cu2 = info1["created"]
-                        mid = builder.bigon_arcs(cu1, cu2)[0]
-                        o_now = builder.rows[target_cid][o_slot]
-                        mv2 = R2Insert(push_edge=mid, across_edge=o_now,
-                                       push_over=False, corner=o_corner)
-                        info2 = apply_move(builder, mv2)
-                        moves.append((mv2, disk))
-                        co1, co2 = info2["created"]
-                        for cu in (cu1, cu2):
-                            for co in (co1, co2):
-                                try:
-                                    mv3 = R3(cids=(target_cid, cu, co))
-                                    apply_move(builder, mv3)
-                                    moves.append((mv3, disk))
-                                    return True
-                                except MoveError:
-                                    continue
-                        rollback()
-                    except MoveError:
-                        rollback()
-    return False
+    t = target_cid
+    tip_corners = {c for f in builder.faces_through(tip) for c in f}
+    poke = next(((u, u_corner, o_slot, o_corner) for u in u_slots
+                 for u_corner, o_slot, o_corner in (((t, u), (u - 1) % 4, (t, (u - 1) % 4)),
+                                                    ((t, (u - 1) % 4), (u + 1) % 4, (t, u)))
+                 if u_corner in tip_corners), None)
+    if poke is None:
+        raise RewriteError(f"tip {tip} lies in no corner face of crossing {t}'s under arc")
+    u, u_corner, o_slot, o_corner = poke
+    mv1 = R2Insert(push_edge=tip, across_edge=builder.rows[t][u],
+                   push_over=True, corner=u_corner)
+    cu1, cu2 = apply_move(builder, mv1)["created"]
+    moves.append((mv1, disk))
+    mid = builder.bigon_arcs(cu1, cu2)[0]
+    mv2 = R2Insert(push_edge=mid, across_edge=builder.rows[t][o_slot],
+                   push_over=False, corner=o_corner)
+    co1, co2 = apply_move(builder, mv2)["created"]
+    moves.append((mv2, disk))
+    pair = next(((cu, co) for cu, co in ((cu1, co1), (cu2, co2))
+                 if builder.triangle((t, cu, co)) is not None), None)
+    if pair is None:
+        raise RewriteError("finger reached the target but no triangle formed")
+    mv3 = R3(cids=(t, *pair))
+    apply_move(builder, mv3)
+    moves.append((mv3, disk))
 
 
 def _recolor_after_slide(result: Diagram, source: Diagram, gamma: Coloring,

@@ -338,12 +338,22 @@ def test_constant_witness_is_dropped():
 
 
 def test_colorable_iff_det_zero(corpus):
-    from zcolor.diagram import is_connected
-    for name, d in corpus.items():
-        if not d.crossings or not is_connected(d):
-            continue
-        ok, _ = is_z_colorable(d)
-        assert ok == (determinant(d) == 0), name
+    """``invariants`` reads colorability off the determinant; this is why.
+
+    Connected: rank >= 2 exactly when det = 0.  Split or with a component
+    that never passes under: det 0, and colorable.  One free loop: det 1,
+    and not colorable.
+    """
+    from zcolor.diagram import Diagram
+
+    extra = [("one free loop", Diagram([], free_loops=1)),
+             ("two free loops", Diagram([], free_loops=2)),
+             ("kink and a free loop", Diagram([(1, 1, 2, 2)], free_loops=1))]
+    checked = 0
+    for name, d in [*differential_diagrams(corpus), *extra]:
+        assert is_z_colorable(d)[0] == (determinant(d) == 0), name
+        checked += 1
+    assert checked >= 100 + len(corpus)
 
 
 # -- Fox counts -------------------------------------------------------------------

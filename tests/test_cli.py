@@ -195,6 +195,37 @@ def test_colorability_eliminates_once(capsys, monkeypatch):
         assert len(calls) == 1, name
 
 
+def test_invariants_eliminates_once(capsys, monkeypatch):
+    calls = []
+    prepass = algebra._unit_pivots
+
+    def counting(M):
+        calls.append(len(M))
+        return prepass(M)
+
+    monkeypatch.setattr(algebra, "_unit_pivots", counting)
+    # a split diagram's determinant is 0 without elimination
+    for name, passes in (("trefoil", 1), ("figure8", 1), ("hopf", 1), ("split_unlink", 0)):
+        calls.clear()
+        code, _ = run(capsys, "invariants", str(CORPUS / f"{name}.pd"))
+        assert code == 0
+        assert len(calls) == passes, name
+
+
+@pytest.mark.xfail(strict=True, reason="deleting color 4 creates -1 on this base")
+def test_two_kink_writhe0_unknot_reduces_to_four_colors(tmp_path, capsys):
+    """A writhe-0 unknot of two opposite kinks on one arc.
+
+    Deleting color 4 creates -1 today, and the deletion refuses with
+    "rewrite introduced unexpected colors [-1]".
+    """
+    pd = tmp_path / "two_kinks.pd"
+    pd.write_text("% component: 1 2 3 4\nX[1,1,2,4] X[2,3,3,4]\n")
+    code, doc = run(capsys, "color-parallel", "--spec", "2", "--reduce", str(pd))
+    assert code == 0, doc
+    assert doc["palette"] == [0, 1, 2, 3]
+
+
 def test_colorability_omits_constant_witness(tmp_path, capsys):
     pd_file = tmp_path / "kink_and_loop.pd"
     pd_file.write_text("X[1,1,2,2]\n% loops: 1\n")

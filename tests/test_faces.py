@@ -74,22 +74,6 @@ def test_faces_match_reference_after_every_move(name):
         check_builder(builder)
 
 
-def test_restore_rebuilds_the_occurrence_index():
-    source, moves = recorded_run("chain-21-k1")
-    builder = DiagramBuilder(source)
-    before = dict(builder.rows)
-    snap = builder.snapshot()
-    for move, _disk in moves[:3]:
-        apply_move(builder, move)
-    assert builder.rows != before
-    builder.restore(snap)
-    assert builder.rows == before
-    check_builder(builder)
-    for move, _disk in moves[:3]:  # the restored builder replays identically
-        apply_move(builder, move)
-        check_builder(builder)
-
-
 def diagram_signs(d: Diagram) -> dict[int, int]:
     return {x.cid: x.sign for x in d.crossings}
 

@@ -166,6 +166,33 @@ def test_simplify_traces_replay_onto_the_emitted_pd():
     assert replayed == 20
 
 
+def test_simplify_moves_are_named_not_tried(monkeypatch):
+    """On the simplify golden inputs, no move the rewrite search makes is rejected."""
+    from zcolor import rewrite
+    from zcolor.moves import MoveError
+
+    rejected = []
+    apply = rewrite.apply_move
+
+    def recording(builder, move):
+        try:
+            return apply(builder, move)
+        except MoveError:
+            rejected.append(move)
+            raise
+
+    monkeypatch.setattr(rewrite, "apply_move", recording)
+    simplified = 0
+    for case, pd, gamma in simplify_inputs():
+        try:
+            rewrite.to_simple_coloring(parse_pd(pd), {int(e): v for e, v in gamma.items()})
+            simplified += 1
+        except rewrite.RewriteError:
+            pass
+        assert not rejected, (case, rejected[:3])
+    assert simplified == 20
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for group in sorted(GROUPS):

@@ -255,3 +255,41 @@ def test_even_parallel_pipeline_on_random_bases():
             assert verify_local_equivalence(cabled, cur_d, trace).ok, trial
         assert palette(cur_g)[0] == {-1, 0, 1, 2}, trial
         assert is_simple(cur_d, cur_g) == (True, 1), trial
+
+
+def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
+    """The twist handedness is read from the region, never found by retrying.
+
+    Over the 2-parallel reduce cases and the random writhe-0 bases above,
+    every deletion pass conjugates each region it toggles exactly once, and
+    the 4-pass toggles exactly the regions whose interior carries 4.
+    """
+    import zcolor.parallel_coloring as pc
+    from zcolor.generate import seeded_rng
+
+    calls = []
+    toggle = pc._rewrite_toggle_over_state
+
+    def recording(builder, region, *args, **kwargs):
+        calls.append(region.base_cid)
+        return toggle(builder, region, *args, **kwargs)
+
+    monkeypatch.setattr(pc, "_rewrite_toggle_over_state", recording)
+    rng = seeded_rng(7)
+    bases = [corpus["unknot_writhe0"], corpus["trefoil_writhe0"]]
+    bases += [_balanced_random_knot(rng, n_ops=2 + trial % 5) for trial in range(8)]
+    toggled = 0
+    for i, base in enumerate(bases):
+        cur_d, cur_g = color_two_parallel(base)
+        for target in (4, -1):
+            if target not in palette(cur_g)[0]:
+                continue
+            carrying_4 = {cid for cid, region in cur_d.cable.regions.items()
+                          if 4 in {cur_g[e] for e in pc._region_interior_arcs(cur_d, region)}}
+            calls.clear()
+            cur_d, cur_g, _ = delete_color_moves(cur_d, cur_g, target)
+            assert len(calls) == len(set(calls)), (i, target, calls)
+            assert target != 4 or set(calls) == carrying_4, (i, calls)
+            toggled += len(calls)
+        assert palette(cur_g)[0] == {0, 1, 2, 3}, i
+    assert toggled > 0
