@@ -12,6 +12,7 @@ and say in the change log why the outputs moved.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -24,9 +25,10 @@ import pytest
 
 from zcolor import cli, generate
 from zcolor.diagram import canonical, parse_pd, serialize_pd, serialize_pd_raw
-from zcolor.jsonio import coloring_to_json, dumps, trace_from_json
+from zcolor.jsonio import coloring_to_json, dumps, trace_from_json, trace_to_json
 from zcolor.moves import replay_trace
 from zcolor.parallel_coloring import color_two_parallel
+from zcolor.rewrite import RewriteError, to_simple_coloring
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "zcolor" / "corpus"
@@ -89,6 +91,36 @@ def simplify_outputs(work: Path) -> dict[str, str]:
     return out
 
 
+def diff_chain_grid():
+    """(case, colors, kinks) of every non-constant chain of 2 or 3 bights colored 1..4."""
+    for n in (2, 3):
+        for colors in itertools.product(range(1, 5), repeat=n):
+            if len(set(colors)) == 1:
+                continue
+            for kinks in (0, 1, 2):
+                yield "chain-" + "".join(map(str, colors)) + f"-k{kinks}", colors, kinks
+
+
+def diff_chain_outputs(work: Path) -> dict[str, str]:
+    """to_simple_coloring on the 216 grid chains: sha256 of its outputs, or its refusal.
+
+    The digest covers the raw PD (arc labels and crossing ids as emitted),
+    the coloring JSON and the trace JSON.
+    """
+    out = {}
+    for case, colors, kinks in diff_chain_grid():
+        d, gamma = generate.diff_chain(colors, kinks)
+        try:
+            out_d, out_g, trace = to_simple_coloring(d, gamma)
+        except RewriteError as err:
+            out[case] = f"{type(err).__name__}: {err}"
+            continue
+        text = "\n".join((serialize_pd_raw(out_d), dumps(coloring_to_json(out_g)),
+                          dumps(trace_to_json(trace))))
+        out[case] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
 def random_knot_outputs(work: Path) -> dict[str, str]:
     return {f"seed {s} ops {n}": serialize_pd(generate.random_knot_diagram(random.Random(s), n))
             for s in range(10) for n in (3, 6)}
@@ -131,6 +163,7 @@ def validate_outputs(work: Path) -> dict[str, str]:
 
 GROUPS = {
     "algebra": algebra_outputs,
+    "diff_chains": diff_chain_outputs,
     "reduce": reduce_outputs,
     "simplify": simplify_outputs,
     "random_knots": random_knot_outputs,
