@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .cabling import CableSpec, CableStructure, Region, insert_full_twist, parallel
 from .coloring import Coloring, ColoringError, palette, verify_coloring
-from .diagram import Diagram, crossing_graph_pieces, face_steps, writhe
+from .diagram import Crossing, Diagram, crossing_graph_pieces, face_steps, writhe
 from .moves import (
     DiagramBuilder,
     MoveError,
@@ -107,7 +107,7 @@ def propagate_region(over: Sequence[int], under_in) -> RegionColoring:
     )
 
 
-# -- relation propagation over a whole diagram --------------------------------
+# -- relation propagation ------------------------------------------------------
 
 
 def propagate_coloring(diagram: Diagram, seeds: Coloring) -> Coloring:
@@ -115,6 +115,15 @@ def propagate_coloring(diagram: Diagram, seeds: Coloring) -> Coloring:
 
     Fixpoint propagation in all directions; raises on contradiction or if
     the seeds do not determine every arc.
+    """
+    return _propagate(diagram.crossings, seeds)
+
+
+def _propagate(crossings: Sequence[Crossing], seeds: Coloring) -> Coloring:
+    """``propagate_coloring`` over just ``crossings``: the seeds, extended.
+
+    Every arc of the given crossings must be determined and every one of
+    their relations must hold; arcs elsewhere are neither read nor checked.
     """
     gamma: dict[int, int] = {}
 
@@ -131,7 +140,7 @@ def propagate_coloring(diagram: Diagram, seeds: Coloring) -> Coloring:
     changed = True
     while changed:
         changed = False
-        for x in diagram.crossings:
+        for x in crossings:
             oi, oo = x.over_in, x.over_out
             ui, uo = x.under_in, x.under_out
             if oi in gamma and oo not in gamma:
@@ -149,10 +158,10 @@ def propagate_coloring(diagram: Diagram, seeds: Coloring) -> Coloring:
                 if s % 2:
                     raise ConstructionError(f"propagation conflict at crossing {x.cid}")
                 changed |= assign(oi, s // 2)
-    missing = [e for e in diagram.edges if e not in gamma]
+    missing = sorted({e for x in crossings for e in x.slots if e not in gamma})
     if missing:
         raise ConstructionError(f"seeds do not determine arcs {missing[:8]}")
-    for x in diagram.crossings:
+    for x in crossings:
         if gamma[x.over_in] != gamma[x.over_out] or \
                 2 * gamma[x.over_in] != gamma[x.under_in] + gamma[x.under_out]:
             raise ConstructionError(f"propagation conflict at crossing {x.cid}")

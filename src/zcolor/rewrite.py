@@ -15,15 +15,29 @@ with the right sign choices the D-diff crossing becomes a |D - 2d|-diff
 crossing and the finger's pair under the over strand carries |D - d|, so
 no new diff reaches D.  Iterating strictly reduces the maximum, ending in
 a coloring whose positive diffs are all equal.
+
+A run keeps one move builder for all its stages, with the coloring, each
+crossing's diff and the diff histogram beside the rows.  Each stage (one
+finger drag and slide) re-derives only the colors it changes: the arcs it
+creates and the triangle's inner arcs, by propagating the crossing
+relations over the crossings that meet them.  Those crossings' relations
+are re-checked and their diffs updated; no other crossing's row or arc
+colors change.  The stage is then accepted only if its target lost the
+maximal diff and no diff outside {0, existing below maximum, |D-d|,
+|D-2d|} grew.  Once, at the end of the run, the whole coloring is verified
+on the emitted diagram and the whole trace is replayed by
+``verify_local_equivalence``.  A stage that fails after its moves cannot be
+undone on the shared builder, so it refuses the whole run.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap, Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import Coloring, ColoringError, diff_spectrum, is_simple, verify_coloring
-from .diagram import Diagram, crossing_graph_pieces, face_steps
+from .diagram import UNDER_IN, UNDER_OUT, Diagram, crossing_graph_pieces, face_steps
 from .moves import (
     DiagramBuilder,
     MoveError,
@@ -34,7 +48,7 @@ from .moves import (
     apply_move,
     verify_local_equivalence,
 )
-from .parallel_coloring import ConstructionError, propagate_coloring
+from .parallel_coloring import ConstructionError, _propagate
 
 
 class RewriteError(ValueError):
@@ -56,11 +70,99 @@ class DiffPath:
     color: int                 # the shared arc color z
 
 
-def _arc_role(diagram: Diagram, cid: int, arc: int) -> str:
-    x = diagram.crossing(cid)
-    if arc in (x.under_in, x.under_out):
+class _Run:
+    """One elimination run: a move builder with its coloring and diffs.
+
+    ``gamma`` colors the builder's arcs, ``diffs`` maps each crossing to its
+    diff and ``histogram`` counts the crossings of each diff; stages update
+    all three only at the crossings they create or touch.
+    """
+
+    def __init__(self, diagram: Diagram, gamma: Coloring):
+        spec = diff_spectrum(diagram, gamma)
+        self.source = diagram
+        self.builder = DiagramBuilder(diagram)
+        self.gamma = {e: gamma[e] for e in diagram.edges}
+        self.diffs = dict(spec.diffs)
+        self.histogram = dict(spec.histogram)
+        self.stages: list[Stage] = []
+
+    @property
+    def d_m(self) -> int:
+        return max(self.histogram, default=0)
+
+    def set_diff(self, cid: int, d: int) -> None:
+        old = self.diffs.get(cid)
+        if old is not None:
+            self.histogram[old] -= 1
+            if not self.histogram[old]:
+                del self.histogram[old]
+        self.diffs[cid] = d
+        self.histogram[d] = self.histogram.get(d, 0) + 1
+
+    def finish(self) -> tuple[Diagram, Coloring, MoveTrace]:
+        """The one diagram build and the checks of the whole run."""
+        result = self.builder.diagram()
+        gamma = {e: self.gamma[e] for e in result.edges}
+        if not verify_coloring(result, gamma):
+            raise RewriteError("rewritten coloring does not verify")
+        trace = MoveTrace(stages=tuple(self.stages))
+        report = verify_local_equivalence(self.source, result, trace)
+        if not report.ok:
+            raise RewriteError(f"trace verification failed: {report.reasons}")
+        return result, gamma, trace
+
+
+def _arc_role(builder: DiagramBuilder, cid: int, arc: int) -> str:
+    row = builder.rows[cid]
+    if arc in (row[UNDER_IN], row[UNDER_OUT]):
         return "under"
     return "over"
+
+
+def _diff_paths(builder: DiagramBuilder, gamma: Coloring, diffs: dict[int, int]
+                ) -> list[DiffPath]:
+    """``all_diff_paths`` on the builder's rows, given every crossing's diff.
+
+    Incident crossings are read from the builder's occurrence index as the
+    search reaches an arc, in ascending id order.
+    """
+    d_m = max(diffs.values(), default=0)
+    if not any(0 < d < d_m for d in diffs.values()):
+        raise RewriteError("coloring has no smaller positive diff: nothing to route to")
+
+    def incident(arc: int) -> list[int]:
+        return sorted({cid for cid, _ in builder.occurrences(arc)})
+
+    found: list[DiffPath] = []
+    for start in sorted(c for c, d in diffs.items() if d == d_m):
+        for first in sorted(set(builder.rows[start])):
+            frontier = [(first,)]
+            seen = {first}
+            while frontier:
+                hits = [(cid, path) for path in frontier for cid in incident(path[-1])
+                        if 0 < diffs[cid] < d_m]
+                if hits:
+                    for end, via in sorted(hits):
+                        found.append(DiffPath(
+                            start=start, end=end, via=via,
+                            kind=(_arc_role(builder, start, via[0]),
+                                  _arc_role(builder, end, via[-1])),
+                            color=gamma[via[0]],
+                        ))
+                    break
+                nxt = []
+                for path in frontier:
+                    for cid in incident(path[-1]):
+                        if diffs[cid] != 0:
+                            continue
+                        for e in set(builder.rows[cid]):
+                            if e not in seen:
+                                seen.add(e)
+                                nxt.append(path + (e,))
+                frontier = nxt
+    found.sort(key=lambda p: (len(p.via), p.end, p.start, p.via))
+    return found
 
 
 def all_diff_paths(diagram: Diagram, gamma: Coloring) -> list[DiffPath]:
@@ -71,54 +173,7 @@ def all_diff_paths(diagram: Diagram, gamma: Coloring) -> list[DiffPath]:
     smaller positive diff.  Results are ordered by path length, then end
     and start crossing ids, so the first entry is the canonical choice.
     """
-    spec = diff_spectrum(diagram, gamma)
-    d_m = spec.d_m
-    smaller = {c for c, d in spec.diffs.items() if 0 < d < d_m}
-    if not smaller:
-        raise RewriteError("coloring has no smaller positive diff: nothing to route to")
-    starts = [c for c, d in spec.diffs.items() if d == d_m]
-    zero = {c for c, d in spec.diffs.items() if d == 0}
-
-    incident: dict[int, list[int]] = {}
-    for x in diagram.crossings:
-        for e in set(x.slots):
-            incident.setdefault(e, []).append(x.cid)
-
-    found: list[DiffPath] = []
-    for start in sorted(starts):
-        x0 = diagram.crossing(start)
-        for first in sorted(set(x0.slots)):
-            frontier = [(first,)]
-            seen = {first}
-            while frontier:
-                hits = []
-                for path in frontier:
-                    arc = path[-1]
-                    for cid in incident[arc]:
-                        if cid in smaller:
-                            hits.append((cid, path))
-                if hits:
-                    for end, via in sorted(hits):
-                        found.append(DiffPath(
-                            start=start, end=end, via=tuple(via),
-                            kind=(_arc_role(diagram, start, via[0]),
-                                  _arc_role(diagram, end, via[-1])),
-                            color=gamma[via[0]],
-                        ))
-                    break
-                nxt = []
-                for path in frontier:
-                    arc = path[-1]
-                    for cid in incident[arc]:
-                        if cid not in zero:
-                            continue
-                        for e in set(diagram.crossing(cid).slots):
-                            if e not in seen:
-                                seen.add(e)
-                                nxt.append(path + (e,))
-                frontier = nxt
-    found.sort(key=lambda p: (len(p.via), p.end, p.start, p.via))
-    return found
+    return _diff_paths(DiagramBuilder(diagram), gamma, diff_spectrum(diagram, gamma).diffs)
 
 
 def find_diff_path(diagram: Diagram, gamma: Coloring) -> Optional[DiffPath]:
@@ -130,7 +185,7 @@ def find_diff_path(diagram: Diagram, gamma: Coloring) -> Optional[DiffPath]:
 # -- the elimination -----------------------------------------------------------
 
 
-def _finger_candidates(diagram: Diagram, gamma: Coloring, path: DiffPath,
+def _finger_candidates(builder: DiagramBuilder, gamma: Coloring, path: DiffPath,
                        d: int, allowed: set[int]) -> list[int]:
     """Arcs at the end crossing usable as the dragged finger.
 
@@ -138,10 +193,9 @@ def _finger_candidates(diagram: Diagram, gamma: Coloring, path: DiffPath,
     any arc whose gap to the path color is a permitted diff qualifies; the
     natural choice (gap d) sorts first.
     """
-    x1 = diagram.crossing(path.end)
     z = path.color
     cands = []
-    for arc in set(x1.slots):
+    for arc in set(builder.rows[path.end]):
         if arc in path.via:
             continue
         gap = abs(gamma[arc] - z)
@@ -150,87 +204,75 @@ def _finger_candidates(diagram: Diagram, gamma: Coloring, path: DiffPath,
     return sorted(cands, key=lambda a: (abs(abs(gamma[a] - z) - d), gamma[a]))
 
 
+def _finger_variant(run: _Run, path: DiffPath, d: int, allowed: set[int]
+                    ) -> Optional[tuple[int, int]]:
+    """The first (finger arc, target under arc) whose slide keeps every diff allowed."""
+    x0 = run.builder.crossing(path.start)
+    b = run.gamma[x0.over_in]
+    for w_arc in _finger_candidates(run.builder, run.gamma, path, d, allowed):
+        w = run.gamma[w_arc]
+        # the slide turns the target's diff |b - u| into |b + u - 2w|
+        for u_arc in dict.fromkeys((x0.under_in, x0.under_out)):
+            if abs(b + run.gamma[u_arc] - 2 * w) in allowed and abs(b - w) in allowed:
+                return w_arc, u_arc
+    return None
+
+
 def eliminate_max_diff(diagram: Diagram, gamma: Coloring, path: DiffPath
                        ) -> tuple[Diagram, Coloring, MoveTrace]:
     """Remove every maximal-diff crossing; returns the rewritten pair.
 
     The supplied path seeds the first elimination; paths for the remaining
-    maximal-diff crossings are found internally.  Each round is verified:
-    the coloring stays valid, the round's target loses its maximal diff,
-    and every new diff lies in {0, existing below maximum, |D-d|, |D-2d|}.
+    maximal-diff crossings are found internally.  Each stage checks its
+    target's new diff and that every diff it grows lies in {0, existing
+    below maximum, |D-d|, |D-2d|}; the coloring and the whole trace are
+    verified once, at the end.
     """
-    spec = diff_spectrum(diagram, gamma)
-    d_m = spec.d_m
-    if spec.diffs.get(path.start) != d_m:
+    run = _Run(diagram, gamma)
+    _eliminate_rounds(run, path)
+    return run.finish()
+
+
+def _eliminate_rounds(run: _Run, path: DiffPath) -> None:
+    """One stage per maximal-diff crossing of the run, until none is left.
+
+    The first stage tries only the seeded path; later ones try every path
+    the builder offers, in order, and take the first with a finger variant.
+    """
+    d_m = run.d_m
+    if run.diffs.get(path.start) != d_m:
         raise RewriteError("path does not start at a maximal-diff crossing")
-    budget = spec.histogram.get(d_m, 0)
-    allowed_new: set[int] = {0} | {v for v in spec.histogram if v < d_m}
-    stages: list[Stage] = []
-    cur_d, cur_g = diagram, dict(gamma)
-    cur_path: Optional[DiffPath] = path
+    budget = run.histogram[d_m]
+    allowed_new: set[int] = {0} | {v for v in run.histogram if v < d_m}
     rounds = 0
-    while True:
-        spec = diff_spectrum(cur_d, cur_g)
-        if d_m not in spec.histogram:
-            break
+    while d_m in run.histogram:
         rounds += 1
         if rounds > budget:
             raise RewriteError("elimination exceeded its loop bound")
-        candidates = [cur_path] if cur_path is not None else \
-            all_diff_paths(cur_d, cur_g)
+        candidates = [path] if rounds == 1 else \
+            _diff_paths(run.builder, run.gamma, run.diffs)
         if not candidates:
             raise NoDiffPathError(
                 "no path from a maximal-diff crossing through 0-diff crossings; "
                 "noteworthy counter-instance")
-        done = None
         errors: list[str] = []
         for cand in candidates:
-            d = spec.diffs[cand.end]
+            d = run.diffs[cand.end]
             allowed = allowed_new | {abs(d_m - d), abs(d_m - 2 * d)}
-            try:
-                done = _eliminate_one(cur_d, cur_g, cand, d_m, d, allowed)
+            variant = _finger_variant(run, cand, d, allowed)
+            if variant is not None:
                 break
-            except RewriteError as err:
-                errors.append(str(err))
-        if done is None:
+            errors.append("no finger variant satisfies the diff postcondition")
+        else:
             raise RewriteError(
                 f"no candidate path eliminates a {d_m}-diff crossing "
                 f"({errors[:2]})")
-        new_d, new_g, stage = done
-        stages.append(stage)
-        cur_d, cur_g = new_d, new_g
-        cur_path = None
-    trace = MoveTrace(stages=tuple(stages))
-    report = verify_local_equivalence(diagram, cur_d, trace)
-    if not report.ok:
-        raise RewriteError(f"trace verification failed: {report.reasons}")
-    return cur_d, cur_g, trace
-
-
-def _eliminate_one(diagram: Diagram, gamma: Coloring, path: DiffPath,
-                   d_m: int, d: int, allowed: set[int]
-                   ) -> tuple[Diagram, Coloring, Stage]:
-    """One verified finger-drag-and-slide; tries the bounded variant space."""
-    x0 = diagram.crossing(path.start)
-    b = gamma[x0.over_in]
-    errors = []
-    for w_arc in _finger_candidates(diagram, gamma, path, d, allowed):
-        w = gamma[w_arc]
-        # the slide turns the target's diff |b - u| into |b + u - 2w|
-        for u_arc in dict.fromkeys((x0.under_in, x0.under_out)):
-            u = gamma[u_arc]
-            new_diff = abs(b + u - 2 * w)
-            pair_diff = abs(b - w)
-            if new_diff not in allowed or pair_diff not in allowed:
-                continue
-            try:
-                return _drag_and_slide(diagram, gamma, path, w_arc, u_arc,
-                                       allowed, d_m)
-            except (MoveError, RewriteError, ConstructionError) as err:
-                errors.append(str(err))
-    raise RewriteError(
-        "no finger variant satisfies the diff postcondition"
-        + (f" (tried: {errors[:3]})" if errors else ""))
+        try:
+            _drag_and_slide(run, cand, *variant, allowed, d_m)
+        except (MoveError, RewriteError, ConstructionError) as err:
+            raise RewriteError(
+                f"round {rounds} at diff {d_m}: the stage at target crossing "
+                f"{cand.start} failed and the run is refused ({err})") from err
 
 
 def _poke_face(builder: DiagramBuilder, tip: int):
@@ -243,23 +285,24 @@ def _poke_face(builder: DiagramBuilder, tip: int):
     return sorted(faces, key=len)[-1]
 
 
-def _drag_and_slide(diagram: Diagram, gamma: Coloring, path: DiffPath,
-                    w_arc: int, u_arc: int, allowed: set[int], d_m: int
-                    ) -> tuple[Diagram, Coloring, Stage]:
+def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
+                    allowed: set[int], d_m: int) -> None:
     """Route the finger by breadth-first search over faces.
 
     The tongue may cross only arcs carrying the path color (each crossing
     pair has diff |w - z|, already in the allowed set), until its face
     touches the target crossing next to the chosen under arc; there it
     crosses the under arc, then the over strand, and the triangle slide
-    fires.
+    fires.  The moves go onto the run's builder and the stage onto its
+    stages.
     """
-    builder = DiagramBuilder(diagram)
+    builder = run.builder
+    first_cid, first_edge = builder.next_cid, builder.next_edge
     moves: list = []
     disk = 1
     z = path.color
-    ext = dict(gamma)
-    x0 = diagram.crossing(path.start)
+    ext = ChainMap({}, run.gamma)
+    x0 = builder.crossing(path.start)
     u_slots = [i for i, e in enumerate(x0.slots) if e == u_arc and i in (0, 2)]
     goal_corners = set()
     for s in u_slots:
@@ -267,8 +310,8 @@ def _drag_and_slide(diagram: Diagram, gamma: Coloring, path: DiffPath,
         goal_corners.add((path.start, (s - 1) % 4))
 
     tip = w_arc
-    w = gamma[w_arc]
-    cap = 4 * len(diagram.crossings) + 8
+    w = run.gamma[w_arc]
+    cap = 4 * len(builder.rows) + 8
     for _step in range(cap):
         if tip == w_arc:
             near = builder.faces_through(tip)
@@ -319,20 +362,16 @@ def _drag_and_slide(diagram: Diagram, gamma: Coloring, path: DiffPath,
 
     # endgame: cross the under arc at the corner whose face holds the tip,
     # then the over arc the crossing leads to, and fire the triangle
-    _endgame(builder, moves, disk, path.start, u_slots, tip)
+    triangle = _endgame(builder, moves, disk, path.start, u_slots, tip)
 
-    result = builder.diagram()
-    new_gamma = _recolor_after_slide(result, diagram, gamma, moves)
-    new_spec = diff_spectrum(result, new_gamma)
-    if new_spec.diffs.get(path.start) == d_m:
+    before = dict(run.histogram)
+    _recolor_after_slide(run, triangle, first_cid, first_edge)
+    if run.diffs[path.start] == d_m:
         raise RewriteError("slide left the target's diff unchanged")
-    bad = {v for v in new_spec.histogram if v not in allowed and v != 0}
-    old_spec = diff_spectrum(diagram, gamma)
-    if any(new_spec.histogram.get(v, 0) > old_spec.histogram.get(v, 0)
-           for v in bad | {d_m}):
+    bad = {v for v in run.histogram if v not in allowed and v != 0}
+    if any(run.histogram.get(v, 0) > before.get(v, 0) for v in bad | {d_m}):
         raise RewriteError("slide created diffs outside the allowed set")
-    stage = Stage(moves=tuple(moves), disks={disk: frozenset({path.start})})
-    return result, new_gamma, stage
+    run.stages.append(Stage(moves=tuple(moves), disks={disk: frozenset({path.start})}))
 
 
 def _record_push_colors(builder: DiagramBuilder, ext: Coloring,
@@ -361,7 +400,7 @@ def _record_push_colors(builder: DiagramBuilder, ext: Coloring,
 
 
 def _endgame(builder: DiagramBuilder, moves: list, disk: int,
-             target_cid: int, u_slots: list[int], tip: int) -> None:
+             target_cid: int, u_slots: list[int], tip: int) -> tuple[int, int, int]:
     """Poke over the under arc, under the over strand, slide the target.
 
     The under arc at slot u of the target t runs between the faces of
@@ -372,7 +411,8 @@ def _endgame(builder: DiagramBuilder, moves: list, disk: int,
     first corner whose face carries the tip names both pokes, and the
     triangle is the one the target bounds with the first or with the
     second crossing of both bigons.  Arcs are re-read from the builder at
-    push time, since routing may have split them.
+    push time, since routing may have split them.  Returns the triangle's
+    crossings.
     """
     t = target_cid
     tip_corners = {c for f in builder.faces_through(tip) for c in f}
@@ -399,27 +439,33 @@ def _endgame(builder: DiagramBuilder, moves: list, disk: int,
     mv3 = R3(cids=(t, *pair))
     apply_move(builder, mv3)
     moves.append((mv3, disk))
+    return mv3.cids
 
 
-def _recolor_after_slide(result: Diagram, source: Diagram, gamma: Coloring,
-                         moves: list) -> Coloring:
-    """Re-propagate after the slide; only the triangle's inner arcs move.
+def _recolor_after_slide(run: _Run, triangle: tuple[int, int, int],
+                         first_cid: int, first_edge: int) -> None:
+    """Re-derive the stage's colors; only the triangle's inner arcs move.
 
-    A triangle move recolors exactly its three side arcs; every surviving
-    arc outside the triangle keeps its color and the tongue's new arcs are
-    derived by propagation.
+    A triangle move recolors exactly its three side arcs, the arcs met
+    twice among its crossings; every surviving arc outside the triangle
+    keeps its color and the tongue's new arcs (ids from ``first_edge`` on)
+    are derived by propagation.  Only the crossings meeting an arc to
+    derive, the created ones (ids from ``first_cid`` on) and the triangle
+    are swept; their relations are re-checked and their diffs updated.
     """
-    touched_cids = set()
-    for mv, _ in moves:
-        if isinstance(mv, R3):
-            touched_cids.update(mv.cids)
-    count: dict[int, int] = {}
-    for cid in touched_cids:
-        for e in result.crossing(cid).slots:
-            count[e] = count.get(e, 0) + 1
-    loose = {e for e, k in count.items() if k >= 2}
-    pinned = {e: gamma[e] for e in result.edges if e in gamma and e not in loose}
-    return propagate_coloring(result, pinned)
+    builder = run.builder
+    count = Counter(e for cid in triangle for e in builder.rows[cid])
+    unknown = {e for e, k in count.items() if k >= 2} | \
+        set(range(first_edge, builder.next_edge))
+    cids = {cid for e in unknown for cid, _ in builder.occurrences(e)}
+    cids |= set(triangle) | set(range(first_cid, builder.next_cid))
+    crossings = [builder.crossing(cid) for cid in sorted(cids)]
+    seeds = {e: run.gamma[e] for x in crossings for e in x.slots if e not in unknown}
+    local = _propagate(crossings, seeds)
+    for e in unknown:
+        run.gamma[e] = local[e]
+    for x in crossings:
+        run.set_diff(x.cid, abs(local[x.over_in] - local[x.under_in]))
 
 
 # -- full simplification ---------------------------------------------------------
@@ -431,7 +477,8 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
 
     The maximum diff strictly decreases each round, so the loop runs at
     most d_m(initial) times; already-simple colorings return unchanged with
-    an empty trace.
+    an empty trace.  All rounds share one run: one builder, one diagram
+    build and one trace verification at the end.
     """
     if not verify_coloring(diagram, gamma):
         raise ColoringError("not a valid coloring")
@@ -443,27 +490,17 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
     if simple:
         return diagram, dict(gamma), MoveTrace(stages=())
 
-    initial_dm = diff_spectrum(diagram, gamma).d_m
-    stages: list[Stage] = []
-    cur_d, cur_g = diagram, dict(gamma)
+    run = _Run(diagram, gamma)
+    initial_dm = run.d_m
     rounds = 0
-    while True:
-        simple, _ = is_simple(cur_d, cur_g)
-        if simple:
-            break
+    while sum(d > 0 for d in run.histogram) > 1:
         rounds += 1
         if rounds > initial_dm:
             raise RewriteError("simplification exceeded its loop bound")
-        path = find_diff_path(cur_d, cur_g)
-        if path is None:
+        paths = _diff_paths(run.builder, run.gamma, run.diffs)
+        if not paths:
             raise NoDiffPathError(
                 "no path from a maximal-diff crossing through 0-diff crossings; "
                 "noteworthy counter-instance")
-        new_d, new_g, trace = eliminate_max_diff(cur_d, cur_g, path)
-        stages.extend(trace.stages)
-        cur_d, cur_g = new_d, new_g
-    trace = MoveTrace(stages=tuple(stages))
-    report = verify_local_equivalence(diagram, cur_d, trace)
-    if not report.ok:
-        raise RewriteError(f"trace verification failed: {report.reasons}")
-    return cur_d, cur_g, trace
+        _eliminate_rounds(run, paths[0])
+    return run.finish()

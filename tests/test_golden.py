@@ -24,11 +24,12 @@ from pathlib import Path
 import pytest
 
 from zcolor import cli, generate
+from zcolor.coloring import is_simple
 from zcolor.diagram import canonical, parse_pd, serialize_pd, serialize_pd_raw
 from zcolor.jsonio import coloring_to_json, dumps, trace_from_json, trace_to_json
 from zcolor.moves import replay_trace
 from zcolor.parallel_coloring import color_two_parallel
-from zcolor.rewrite import RewriteError, to_simple_coloring
+from zcolor.rewrite import RewriteError, eliminate_max_diff, find_diff_path, to_simple_coloring
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "zcolor" / "corpus"
@@ -223,6 +224,35 @@ def test_simplify_moves_are_named_not_tried(monkeypatch):
         except rewrite.RewriteError:
             pass
         assert not rejected, (case, rejected[:3])
+    assert simplified == 20
+
+
+def test_stagewise_eliminations_match_one_run():
+    """Chained public eliminations, each verifying its own trace, emit what one run does.
+
+    ``to_simple_coloring`` checks the coloring and the trace once, at the
+    end; here every ``eliminate_max_diff`` call is checked on its own.
+    """
+    simplified = 0
+    for case, pd, gamma in simplify_inputs():
+        d, g = parse_pd(pd), {int(e): v for e, v in gamma.items()}
+        try:
+            out_d, out_g, trace = to_simple_coloring(d, g)
+        except RewriteError as err:
+            with pytest.raises(RewriteError) as chained:
+                cur_d, cur_g = d, g
+                while not is_simple(cur_d, cur_g)[0]:
+                    cur_d, cur_g, _ = eliminate_max_diff(cur_d, cur_g, find_diff_path(cur_d, cur_g))
+            assert str(chained.value) == str(err), case
+            continue
+        cur_d, cur_g, stages = d, g, []
+        while not is_simple(cur_d, cur_g)[0]:
+            cur_d, cur_g, step = eliminate_max_diff(cur_d, cur_g, find_diff_path(cur_d, cur_g))
+            stages += step.stages
+        assert serialize_pd_raw(cur_d) == serialize_pd_raw(out_d), case
+        assert cur_g == out_g, case
+        assert tuple(stages) == trace.stages, case
+        simplified += 1
     assert simplified == 20
 
 

@@ -1,9 +1,12 @@
 import pytest
 
+from zcolor import rewrite
+from zcolor.algebra import is_z_colorable
+from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import diff_spectrum, is_simple, verify_coloring
-from zcolor.diagram import validate
-from zcolor.generate import diff_chain
-from zcolor.moves import verify_local_equivalence
+from zcolor.diagram import Diagram, validate
+from zcolor.generate import diff_chain, standard_diagrams
+from zcolor.moves import MoveError, verify_local_equivalence
 from zcolor.rewrite import (
     NoDiffPathError,
     RewriteError,
@@ -185,3 +188,50 @@ def test_random_chains_simplify_or_fail_explicitly():
         assert verify_local_equivalence(d, out_d, trace).ok, (trial, colors)
         simplified += 1
     assert simplified >= 8
+
+
+def test_one_run_builds_few_diagrams_and_verifies_once(monkeypatch):
+    """Rounds share one builder: no per-round Diagram, one trace check, diffs kept current."""
+    cabled = parallel(standard_diagrams()["trefoil"], CableSpec(multiplicities=(8,)))
+    _, witness = is_z_colorable(cabled)
+    builds, verifications, runs = [], [], []
+    init, verify, finish = Diagram.__init__, rewrite.verify_local_equivalence, rewrite._Run.finish
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_verify(*args):
+        verifications.append(1)
+        return verify(*args)
+
+    def keeping_finish(run):
+        runs.append(run)
+        return finish(run)
+
+    monkeypatch.setattr(Diagram, "__init__", counting_init)
+    monkeypatch.setattr(rewrite, "verify_local_equivalence", counting_verify)
+    monkeypatch.setattr(rewrite._Run, "finish", keeping_finish)
+    out_d, out_g, trace = to_simple_coloring(cabled, witness)
+    assert len(trace.stages) > 100
+    assert len(builds) <= 4
+    assert len(verifications) == 1
+    spec = diff_spectrum(out_d, out_g)
+    assert runs[0].diffs == spec.diffs
+    assert runs[0].histogram == spec.histogram
+
+
+def test_a_stage_failing_mid_run_refuses_the_whole_run(monkeypatch):
+    d, g = diff_chain([2, 1], kinks_between=1)
+    target = find_diff_path(d, g).start
+
+    def failing_endgame(*args):
+        raise MoveError("injected endgame failure")
+
+    monkeypatch.setattr(rewrite, "_endgame", failing_endgame)
+    with pytest.raises(RewriteError) as refused:
+        to_simple_coloring(d, g)
+    message = str(refused.value)
+    assert "round 1" in message
+    assert f"target crossing {target}" in message
+    assert "injected endgame failure" in message
