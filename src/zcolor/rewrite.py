@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import Coloring, ColoringError, diff_spectrum, is_simple, verify_coloring
-from .diagram import UNDER_IN, UNDER_OUT, Diagram, crossing_graph_pieces, face_steps
+from .diagram import Diagram, crossing_graph_pieces, face_steps
 from .moves import (
     DiagramBuilder,
     MoveError,
@@ -114,8 +114,8 @@ class _Run:
 
 
 def _arc_role(builder: DiagramBuilder, cid: int, arc: int) -> str:
-    row = builder.rows[cid]
-    if arc in (row[UNDER_IN], row[UNDER_OUT]):
+    x = builder.crossing(cid)
+    if arc in (x.under_in, x.under_out):
         return "under"
     return "over"
 
