@@ -24,11 +24,12 @@ from pathlib import Path
 import pytest
 
 from zcolor import cli, generate
-from zcolor.coloring import is_simple
-from zcolor.diagram import canonical, parse_pd, serialize_pd, serialize_pd_raw
+from zcolor.cabling import CableSpec, parallel
+from zcolor.coloring import is_simple, palette
+from zcolor.diagram import canonical, parse_pd, serialize_pd, serialize_pd_raw, writhe
 from zcolor.jsonio import coloring_to_json, dumps, trace_from_json, trace_to_json
 from zcolor.moves import replay_trace
-from zcolor.parallel_coloring import color_two_parallel
+from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
 from zcolor.rewrite import RewriteError, eliminate_max_diff, find_diff_path, to_simple_coloring
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,6 +103,13 @@ def diff_chain_grid():
                 yield "chain-" + "".join(map(str, colors)) + f"-k{kinks}", colors, kinks
 
 
+def _digest(diagram, gamma, traces_json) -> str:
+    """sha256 of the raw PD, the coloring JSON and the traces' JSON."""
+    text = "\n".join((serialize_pd_raw(diagram), dumps(coloring_to_json(gamma)),
+                      dumps(traces_json)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def diff_chain_outputs(work: Path) -> dict[str, str]:
     """to_simple_coloring on the 216 grid chains: sha256 of its outputs, or its refusal.
 
@@ -116,9 +124,45 @@ def diff_chain_outputs(work: Path) -> dict[str, str]:
         except RewriteError as err:
             out[case] = f"{type(err).__name__}: {err}"
             continue
-        text = "\n".join((serialize_pd_raw(out_d), dumps(coloring_to_json(out_g)),
-                          dumps(trace_to_json(trace))))
-        out[case] = hashlib.sha256(text.encode()).hexdigest()
+        out[case] = _digest(out_d, out_g, trace_to_json(trace))
+    return out
+
+
+def _deleted(cabled, gamma, targets) -> str:
+    """Digest of the deletion passes for ``targets`` in the palette, or the refusal."""
+    traces = []
+    try:
+        for target in targets:
+            if target in palette(gamma)[0]:
+                cabled, gamma, trace = delete_color_moves(cabled, gamma, target)
+                traces.append(trace)
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+    return _digest(cabled, gamma, [trace_to_json(t) for t in traces])
+
+
+def deletion_outputs(work: Path) -> dict[str, str]:
+    """delete_color_moves on 2-parallels and on even parallels of random knots.
+
+    2-parallels: every writhe-0 knot among 1,500 seeded draws, colored by
+    ``color_two_parallel``, then its 4 pass and -1 pass.  Even parallels:
+    the (4), (6) and (8) parallels of 40 seeded knots, each with its
+    3-deletion.  The seeds are explicit, so ``ZCOLOR_SEED`` does not move
+    the cases.
+    """
+    out = {}
+    rng = generate.seeded_rng(7)
+    for draw in range(1500):
+        base = generate.random_knot_diagram(rng, n_ops=rng.randint(2, 8))
+        if writhe(base) == 0:
+            out[f"two-parallel draw {draw}"] = _deleted(*color_two_parallel(base), (4, -1))
+    rng = generate.seeded_rng(21)
+    bases = [generate.random_knot_diagram(rng, n_ops=1 + i % 6) for i in range(40)]
+    for width in (4, 6, 8):
+        for i, base in enumerate(bases):
+            cabled = parallel(base, CableSpec(multiplicities=(width,)))
+            out[f"({width}) parallel base {i}"] = _deleted(
+                cabled, color_even_parallel(cabled), (3,))
     return out
 
 
@@ -164,6 +208,7 @@ def validate_outputs(work: Path) -> dict[str, str]:
 
 GROUPS = {
     "algebra": algebra_outputs,
+    "deletion": deletion_outputs,
     "diff_chains": diff_chain_outputs,
     "reduce": reduce_outputs,
     "simplify": simplify_outputs,
