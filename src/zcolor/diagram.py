@@ -555,6 +555,22 @@ def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
                    cable=cable, cids=[x.cid for x in diagram.crossings])
 
 
+def _canonical_map(diagram: Diagram) -> dict[int, int]:
+    """Arc labels 1..2n along each component traversal (see ``canonical``)."""
+    mapping: dict[int, int] = {}
+    for cyc in sorted(diagram.components, key=min):
+        k = cyc.index(min(cyc))
+        for e in cyc[k:] + cyc[:k]:
+            mapping[e] = len(mapping) + 1
+    return mapping
+
+
+def _canonical_rows(diagram: Diagram) -> list[tuple[int, ...]]:
+    """The sorted crossing rows of ``canonical(diagram)``, without building it."""
+    mapping = _canonical_map(diagram)
+    return sorted(tuple(mapping[e] for e in x.slots) for x in diagram.crossings)
+
+
 def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:
     """Relabel arcs 1..2n along each component traversal.
 
@@ -562,13 +578,7 @@ def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:
     started at that label, so the output is deterministic for a given
     diagram and succession becomes n -> n+1 within components.
     """
-    mapping: dict[int, int] = {}
-    nxt = 1
-    for cyc in sorted(diagram.components, key=lambda c: min(c)):
-        k = cyc.index(min(cyc))
-        for e in cyc[k:] + cyc[:k]:
-            mapping[e] = nxt
-            nxt += 1
+    mapping = _canonical_map(diagram)
     if not mapping:
         return diagram, {}
     return relabel(diagram, mapping), mapping
@@ -576,10 +586,7 @@ def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:
 
 def same_diagram(d1: Diagram, d2: Diagram) -> bool:
     """Equality after canonical relabelling (not full PD isomorphism)."""
-    c1, _ = canonical(d1)
-    c2, _ = canonical(d2)
-    return (sorted(x.slots for x in c1.crossings) == sorted(x.slots for x in c2.crossings)
-            and c1.free_loops == c2.free_loops)
+    return d1.free_loops == d2.free_loops and _canonical_rows(d1) == _canonical_rows(d2)
 
 
 def isomorphic(d1: Diagram, d2: Diagram) -> bool:
@@ -590,7 +597,7 @@ def isomorphic(d1: Diagram, d2: Diagram) -> bool:
         return False
     if sorted(map(len, d1.components)) != sorted(map(len, d2.components)):
         return False
-    target = sorted(x.slots for x in canonical(d2)[0].crossings)
+    target = _canonical_rows(d2)
 
     def signatures(d: Diagram):
         comps = d.components

@@ -17,12 +17,18 @@ Deletions are verified local rewrites built from R2/R3 moves: conjugating
 a crossing region by a canceling twist pair toggles the over state, a
 bigon of one over line pushed across the region exchanges which line is
 met first, and rerouting a 0-line past the middle 1-pair fixes the parity
-that produces color 3.  Every rewrite is accepted only after the recolored
-diagram verifies and the trace replays; failures raise, never degrade.
+that produces color 3.  A deletion pass runs on one move builder with the
+coloring beside it.  After each region rewrite it re-derives only the
+region's interior arcs (before and after the rewrite) and the arcs the
+rewrite created, by propagating over the crossings that meet them
+(``_rederive``, shared with ``rewrite``).  Once, at the end, the result is
+built, its coloring verified, its palette checked and its trace replayed;
+failures raise, never degrade.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -168,6 +174,22 @@ def _propagate(crossings: Sequence[Crossing], seeds: Coloring) -> Coloring:
     return gamma
 
 
+def _rederive(builder: DiagramBuilder, gamma: Coloring, unknown: set[int]) -> list[Crossing]:
+    """Re-derive the ``unknown`` arcs of ``gamma`` on the builder's rows.
+
+    Propagates over every crossing that meets an unknown arc, seeded by
+    those crossings' other arcs, and writes the unknown arcs into ``gamma``.
+    Returns the swept crossings, in id order; all their relations hold.
+    """
+    cids = sorted({cid for e in unknown for cid, _ in builder.occurrences(e)})
+    crossings = [builder.crossing(cid) for cid in cids]
+    local = _propagate(crossings, {e: gamma[e] for x in crossings for e in x.slots
+                                   if e not in unknown})
+    for e in unknown:
+        gamma[e] = local[e]
+    return crossings
+
+
 # -- even parallels ------------------------------------------------------------
 
 
@@ -191,11 +213,12 @@ def color_even_parallel(cabled: Diagram, spec: Optional[CableSpec] = None) -> Co
     if len(crossing_graph_pieces(cabled)) > 1:
         raise ConstructionError("base diagram must be non-split")
 
-    seeds: Coloring = {}
+    width: dict[int, int] = {}
+    for base_edge, copy in st.copy_edges:
+        width[base_edge] = max(width.get(base_edge, 0), copy)
     patterns = {n: BoundaryPattern.standard(n) for n in set(mult)}
-    for (base_edge, copy), arc in st.copy_edges.items():
-        width = _width_of_base_edge(st, base_edge)
-        seeds[arc] = patterns[width].colors[copy - 1]
+    seeds = {arc: patterns[width[base_edge]].colors[copy - 1]
+             for (base_edge, copy), arc in st.copy_edges.items()}
     gamma = propagate_coloring(cabled, seeds)
     if not verify_coloring(cabled, gamma):
         raise ConstructionError("internal: even-parallel coloring failed verification")
@@ -204,11 +227,6 @@ def color_even_parallel(cabled: Diagram, spec: Optional[CableSpec] = None) -> Co
     if not values <= allowed:
         raise ConstructionError(f"internal: palette {sorted(values)} exceeds {sorted(allowed)}")
     return gamma
-
-
-def _width_of_base_edge(st: CableStructure, base_edge: int) -> int:
-    copies = [k for (e, k) in st.copy_edges if e == base_edge]
-    return max(copies)
 
 
 # -- 2-parallel construction -----------------------------------------------------
@@ -224,15 +242,11 @@ def plan_drift_twists(diagram: Diagram) -> list[tuple[int, int]]:
     """
     if len(diagram.components) != 1 or diagram.free_loops:
         raise ConstructionError("twist planning needs a one-component knot diagram")
-    cyc = diagram.components[0]
-    unders = []
-    for e in cyc:
-        for x in diagram.crossings:
-            if x.under_in == e:
-                unders.append((e, x))
+    under_at = {x.under_in: x for x in diagram.crossings}
+    unders = [under_at[e] for e in diagram.components[0] if e in under_at]
     plan = []
-    for i, (e, x) in enumerate(unders):
-        nxt = unders[(i + 1) % len(unders)][1]
+    for i, x in enumerate(unders):
+        nxt = unders[(i + 1) % len(unders)]
         if x.sign == nxt.sign:
             # after a positive underpass the pair sits at state 0 and the
             # next positive underpass wants 2: raise with a negative twist;
@@ -319,31 +333,52 @@ def color_two_parallel(
 # -- region geometry helpers -----------------------------------------------------
 
 
-def _under_entry(diagram: Diagram, region: Region, row: int) -> int:
-    return diagram.crossing(region.grid[row][0]).under_in
-
-
 def _over_travel_rows(region: Region) -> list[int]:
     q = len(region.grid)
     return list(range(q)) if region.base_sign > 0 else list(range(q - 1, -1, -1))
 
 
-def _over_line(diagram: Diagram | DiagramBuilder, region: Region, step: int) -> dict:
-    """Entry arc, exit arc and travel-ordered crossings of one over line."""
-    rows = _over_travel_rows(region)
-    cids = [region.grid[r][step] for r in rows]
-    entry = diagram.crossing(cids[0]).over_in
-    exit_ = diagram.crossing(cids[-1]).over_out
-    return {"cids": cids, "entry": entry, "exit": exit_}
+def _over_entry(builder: DiagramBuilder, region: Region, step: int) -> int:
+    """The arc on which the over line at ``step`` enters the region."""
+    return builder.crossing(region.grid[_over_travel_rows(region)[0]][step]).over_in
 
 
-def _region_interior_arcs(diagram: Diagram, region: Region) -> set[int]:
-    cids = {c for row in region.grid for c in row}
-    count: dict[int, int] = {}
-    for c in cids:
-        for e in diagram.crossing(c).slots:
-            count[e] = count.get(e, 0) + 1
+def _region_interior_arcs(diagram: Diagram | DiagramBuilder, region: Region) -> set[int]:
+    count = Counter(e for row in region.grid for c in row for e in diagram.crossing(c).slots)
     return {e for e, k in count.items() if k == 2}
+
+
+def _region_met_colors(builder: DiagramBuilder, gamma: Coloring, region: Region) -> list[int]:
+    """Over-line colors in the order the under strands meet them."""
+    return [gamma[_over_entry(builder, region, s)] for s in range(len(region.grid[0]))]
+
+
+def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
+                 prefer_cids: set[int]) -> Optional[tuple[int, int]]:
+    for face in builder.faces_through(e1):
+        if any(e == e2 for e, _ in face_steps(builder.rows, face)):
+            for cid, slot in face:
+                if cid in prefer_cids:
+                    return (cid, slot)
+    return None
+
+
+def _push_bigon(builder: DiagramBuilder, region: Region, push_step: int,
+                across_step: int, push_over: bool, moves: list, disk: int) -> list[int]:
+    """An R2 bigon west of the region: one over line pushed across another.
+
+    The bigon sits in the face the two lines' entry arcs share at the
+    region's first-met row.  Returns the two new crossings in the order the
+    pushed line runs through them.
+    """
+    push = _over_entry(builder, region, push_step)
+    across = _over_entry(builder, region, across_step)
+    row = region.grid[_over_travel_rows(region)[0]]
+    corner = _find_corner(builder, push, across, {row[push_step], row[across_step]})
+    mv = R2Insert(push_edge=push, across_edge=across, push_over=push_over, corner=corner)
+    created = apply_move(builder, mv)["created"]
+    moves.append((mv, disk))
+    return created
 
 
 def _slide_east(builder: DiagramBuilder, slider: int, region: Region,
@@ -372,16 +407,7 @@ def _rewrite_swap_first_met(builder: DiagramBuilder, region: Region,
     region) and slides the far crossing east across every under strand; the
     partner is recolored to 2f - g between the bigon crossings.
     """
-    clean = _over_line(builder, region, clean_step)
-    other = _over_line(builder, region, other_step)
-    first_col_cids = {region.grid[r][s] for r in (_over_travel_rows(region)[:1])
-                      for s in (clean_step, other_step)}
-    corner = _find_corner(builder, clean["entry"], other["entry"], first_col_cids)
-    mv = R2Insert(push_edge=clean["entry"], across_edge=other["entry"],
-                  push_over=True, corner=corner)
-    info = apply_move(builder, mv)
-    moves.append((mv, disk))
-    far = info["created"][1]
+    far = _push_bigon(builder, region, clean_step, other_step, True, moves, disk)[1]
     _slide_east(builder, far, region, (clean_step, other_step), moves, disk)
 
 
@@ -394,38 +420,17 @@ def _rewrite_toggle_over_state(builder: DiagramBuilder, region: Region,
     leaving one full twist before the region and its inverse after.
     ``flip_second`` selects the handedness of the twist pair.
     """
-    line0 = _over_line(builder, region, 0)
-    line1 = _over_line(builder, region, 1)
-    first_col_cids = {region.grid[r][s] for r in (_over_travel_rows(region)[:1])
-                      for s in (0, 1)}
-    x_edge, y_edge = (line0["entry"], line1["entry"])
-    if flip_second:
-        x_edge, y_edge = y_edge, x_edge
-    corner = _find_corner(builder, x_edge, y_edge, first_col_cids)
-    mv1 = R2Insert(push_edge=x_edge, across_edge=y_edge, push_over=True, corner=corner)
-    info1 = apply_move(builder, mv1)
-    moves.append((mv1, disk))
-    o1, o2 = info1["created"]
+    x_step, y_step = (1, 0) if flip_second else (0, 1)
+    o1, o2 = _push_bigon(builder, region, x_step, y_step, True, moves, disk)
     # inside the bigon: the mid segments are the over strand's new middle
     # (arc between o1 and o2) and the crossed strand's middle
     x_mid, y_mid = builder.bigon_arcs(o1, o2)
     mv2 = R2Insert(push_edge=y_mid, across_edge=x_mid, push_over=True)
-    info2 = apply_move(builder, mv2)
+    i2 = apply_move(builder, mv2)["created"][1]
     moves.append((mv2, disk))
-    i1, i2 = info2["created"]
     # east pair = the far crossings of each insert
     _slide_east(builder, o2, region, (0, 1), moves, disk)
     _slide_east(builder, i2, region, (0, 1), moves, disk)
-
-
-def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
-                 prefer_cids: set[int]) -> Optional[tuple[int, int]]:
-    for face in builder.faces_through(e1):
-        if any(e == e2 for e, _ in face_steps(builder.rows, face)):
-            for cid, slot in face:
-                if cid in prefer_cids:
-                    return (cid, slot)
-    return None
 
 
 def _rewrite_reroute_line(builder: DiagramBuilder, region: Region,
@@ -438,16 +443,7 @@ def _rewrite_reroute_line(builder: DiagramBuilder, region: Region,
     color 2 at each crossing and carries its own color through the middle.
     """
     for target_step in over_steps:
-        mover = _over_line(builder, region, mover_step)
-        target = _over_line(builder, region, target_step)
-        first_col_cids = {region.grid[r][s] for r in (_over_travel_rows(region)[:1])
-                          for s in (mover_step, target_step)}
-        corner = _find_corner(builder, mover["entry"], target["entry"], first_col_cids)
-        mv = R2Insert(push_edge=mover["entry"], across_edge=target["entry"],
-                      push_over=False, corner=corner)
-        info = apply_move(builder, mv)
-        moves.append((mv, disk))
-        far = info["created"][1]
+        far = _push_bigon(builder, region, mover_step, target_step, False, moves, disk)[1]
         _slide_east(builder, far, region, (mover_step, target_step), moves, disk)
 
 
@@ -459,10 +455,14 @@ def delete_color_moves(cabled: Diagram, gamma: Coloring, target: int
     """Remove one color from a parallel coloring by verified local moves.
 
     Every region whose interior uses the target color is rewritten inside
-    its own disk; the result is recolored by propagation from the unchanged
-    boundary and accepted only if it verifies, drops the target, and adds
-    no new colors.  Raises NoApplicableMoveError when the move library has
-    no rewrite for the configuration.
+    its own disk, on one move builder for the whole pass.  After each
+    rewrite (toggle, first-met swap, reroute) only the colors it can change
+    are re-derived, by propagation from the arcs around them: the region's
+    interior arcs before and after it and the arcs it created.  Once, at
+    the end, the result is built, its coloring verified, its palette
+    checked (target gone, no new colors) and the trace replayed.  Raises
+    NoApplicableMoveError when the move library has no rewrite for the
+    configuration.
     """
     st: CableStructure = cabled.cable
     if st is None:
@@ -474,36 +474,20 @@ def delete_color_moves(cabled: Diagram, gamma: Coloring, target: int
         raise ColoringError(f"color {target} is not in the palette")
 
     builder = DiagramBuilder(cabled)
+    gamma = {e: gamma[e] for e in cabled.edges}
     moves: list = []
     disks: dict[int, frozenset[int]] = {}
-    disk_id = 0
-    rewritten = False
-
     for base_cid in sorted(st.regions):
         region = st.regions[base_cid]
-        interior = _region_interior_arcs(cabled, region)
-        colors_here = {gamma[e] for e in interior}
-        if target not in colors_here:
-            continue
-        disk_id += 1
-        disks[disk_id] = frozenset(c for row in region.grid for c in row)
-        _rewrite_region(builder, cabled, gamma, region, target, moves, disk_id)
-        rewritten = True
-
-    if not rewritten:
+        if target in {gamma[e] for e in _region_interior_arcs(builder, region)}:
+            disks[len(disks) + 1] = frozenset(c for row in region.grid for c in row)
+            _rewrite_region(builder, gamma, region, target, moves, len(disks))
+    if not disks:
         raise NoApplicableMoveError(
             f"color {target} does not appear in any rewritable region interior")
 
-    new_st = CableStructure(
-        multiplicities=st.multiplicities,
-        base_components=st.base_components,
-        regions=st.regions,
-        copy_edges=dict(st.copy_edges),
-        twists=list(st.twists),
-    )
-    result = builder.diagram(cable=new_st)
-    new_gamma = _recolor(result, cabled, gamma, st.regions.values())
-
+    result = builder.diagram(cable=st)
+    new_gamma = {e: gamma[e] for e in result.edges}
     if not verify_coloring(result, new_gamma):
         raise NoApplicableMoveError("rewrite produced an invalid coloring")
     new_values, _ = palette(new_gamma)
@@ -520,47 +504,31 @@ def delete_color_moves(cabled: Diagram, gamma: Coloring, target: int
     return result, new_gamma, trace
 
 
-def _region_met_colors(diagram: Diagram, gamma: Coloring, region: Region) -> list[int]:
-    """Over-line colors in the order the under strands meet them."""
-    out = []
-    for s in range(len(region.grid[0])):
-        line = _over_line(diagram, region, s)
-        out.append(gamma[line["entry"]])
-    return out
-
-
-def _rewrite_region(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
-                    region: Region, target: int, moves: list, disk: int) -> None:
+def _rewrite_region(builder: DiagramBuilder, gamma: Coloring, region: Region,
+                    target: int, moves: list, disk: int) -> None:
     q = len(region.grid)
     p = len(region.grid[0])
-    met = _region_met_colors(cabled, gamma, region)
-    under_in = [gamma[_under_entry(cabled, region, r)] for r in range(q)]
+    met = _region_met_colors(builder, gamma, region)
 
     if p == q == 2:
-        u_state = min(under_in)
+        u_state = min(gamma[builder.crossing(row[0]).under_in] for row in region.grid)
         y_state = min(met)
-        all_regions = cabled.cable.regions.values()
         if target == 4:
             if y_state != 2:
                 raise NoApplicableMoveError("color-4 interior without a (2,3) over pair")
-            _toggle_verified(builder, cabled, gamma, region, y_state, all_regions,
-                             moves, disk)
+            _toggle_verified(builder, gamma, region, y_state, moves, disk)
             return
         if target == -1:
             if y_state == 2:
                 raise NoApplicableMoveError("expected a toggled (0,1) over pair")
             clean_color = 2 if u_state == 2 else 1
             if u_state == 2:
-                met_now = _toggle_verified(builder, cabled, gamma, region, y_state,
-                                           all_regions, moves, disk)
-            else:
-                met_now = _met_colors_now(builder, cabled, gamma, region, all_regions)
-            if clean_color not in met_now:
+                met = _toggle_verified(builder, gamma, region, y_state, moves, disk)
+            if clean_color not in met:
                 raise NoApplicableMoveError("no clean line to bring first")
-            clean_step = met_now.index(clean_color)
-            other_step = 1 - clean_step
-            _rewrite_swap_first_met(builder, region, clean_step, other_step,
-                                    moves, disk)
+            clean_step = met.index(clean_color)
+            _recolored(builder, gamma, region, _rewrite_swap_first_met,
+                       clean_step, 1 - clean_step, moves, disk)
             return
         raise NoApplicableMoveError(f"no 2-parallel rewrite deletes color {target}")
 
@@ -573,32 +541,30 @@ def _rewrite_region(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
         mover = ones[0] - 1
         if mover < 0 or met[mover] != 0:
             raise NoApplicableMoveError("no 0-line before the 1-pair")
-        _rewrite_reroute_line(builder, region, mover,
-                              (ones[0], ones[1]), moves, disk)
+        _recolored(builder, gamma, region, _rewrite_reroute_line,
+                   mover, (ones[0], ones[1]), moves, disk)
         return
     raise NoApplicableMoveError(f"no rewrite available for color {target} here")
 
 
-def _recolor(diagram: Diagram, old_diagram: Diagram, gamma: Coloring,
-             regions) -> Coloring:
-    """Recolor after rewrites, pinning only true boundary arcs.
+def _recolored(builder: DiagramBuilder, gamma: Coloring, region: Region,
+               rewrite, *args) -> list[int]:
+    """Apply one region rewrite and re-derive what it recolors; returns the met colors after.
 
-    Region interiors of the old diagram may survive under the same id in a
-    new role after R3 slides, so both old and new interiors are excluded
-    from pinning and re-derived by propagation.
+    Colors change only inside the region's disk: on the region's interior
+    arcs before the rewrite and after it (R3 slides move arcs in and out)
+    and on the arcs the rewrite creates.  Every other arc keeps its color.
     """
-    excluded: set[int] = set()
-    for region in regions:
-        excluded |= _region_interior_arcs(old_diagram, region)
-        excluded |= _region_interior_arcs(diagram, region)
-    pinned = {e: gamma[e] for e in diagram.edges
-              if e in gamma and e not in excluded}
-    return propagate_coloring(diagram, pinned)
+    before = _region_interior_arcs(builder, region)
+    first_edge = builder.next_edge
+    rewrite(builder, region, *args)
+    _rederive(builder, gamma, before | _region_interior_arcs(builder, region)
+              | set(range(first_edge, builder.next_edge)))
+    return _region_met_colors(builder, gamma, region)
 
 
-def _toggle_verified(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
-                     region: Region, y_state: int, all_regions, moves: list,
-                     disk: int) -> list[int]:
+def _toggle_verified(builder: DiagramBuilder, gamma: Coloring, region: Region,
+                     y_state: int, moves: list, disk: int) -> list[int]:
     """Toggle the over pair between states 0 and 2; returns the met colors after.
 
     The pair meets a full twist before the region and its inverse after it
@@ -609,20 +575,12 @@ def _toggle_verified(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
     travel direction; the under strands cross the over lines from the side
     the region's sign gives, so that sign fixes the sides.  Pushing line 0
     over line 1 gives sign -base_sign, line 1 over line 0 gives +base_sign:
-    flip exactly when base_sign * (y_state - 1) > 0.  The recolored met
+    flip exactly when base_sign * (y_state - 1) > 0.  The re-derived met
     colors must stay in 0..3; a wrong handedness would drive the pair to
     (4,5) or (-2,-1).
     """
-    _rewrite_toggle_over_state(builder, region, moves, disk,
-                               flip_second=region.base_sign * (y_state - 1) > 0)
-    met_now = _met_colors_now(builder, cabled, gamma, region, all_regions)
+    met_now = _recolored(builder, gamma, region, _rewrite_toggle_over_state, moves, disk,
+                         region.base_sign * (y_state - 1) > 0)
     if not all(0 <= c <= 3 for c in met_now):
         raise NoApplicableMoveError(f"toggle drove the pair to {met_now}")
     return met_now
-
-
-def _met_colors_now(builder: DiagramBuilder, cabled: Diagram, gamma: Coloring,
-                    region: Region, all_regions) -> list[int]:
-    """The region's met colors on the builder's current diagram, recolored."""
-    d = builder.diagram()
-    return _region_met_colors(d, _recolor(d, cabled, gamma, all_regions), region)

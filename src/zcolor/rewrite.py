@@ -48,7 +48,7 @@ from .moves import (
     apply_move,
     verify_local_equivalence,
 )
-from .parallel_coloring import ConstructionError, _propagate
+from .parallel_coloring import ConstructionError, _rederive
 
 
 class RewriteError(ValueError):
@@ -297,7 +297,7 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
     stages.
     """
     builder = run.builder
-    first_cid, first_edge = builder.next_cid, builder.next_edge
+    first_edge = builder.next_edge
     moves: list = []
     disk = 1
     z = path.color
@@ -365,7 +365,7 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
     triangle = _endgame(builder, moves, disk, path.start, u_slots, tip)
 
     before = dict(run.histogram)
-    _recolor_after_slide(run, triangle, first_cid, first_edge)
+    _recolor_after_slide(run, triangle, first_edge)
     if run.diffs[path.start] == d_m:
         raise RewriteError("slide left the target's diff unchanged")
     bad = {v for v in run.histogram if v not in allowed and v != 0}
@@ -442,30 +442,21 @@ def _endgame(builder: DiagramBuilder, moves: list, disk: int,
     return mv3.cids
 
 
-def _recolor_after_slide(run: _Run, triangle: tuple[int, int, int],
-                         first_cid: int, first_edge: int) -> None:
+def _recolor_after_slide(run: _Run, triangle: tuple[int, int, int], first_edge: int) -> None:
     """Re-derive the stage's colors; only the triangle's inner arcs move.
 
     A triangle move recolors exactly its three side arcs, the arcs met
     twice among its crossings; every surviving arc outside the triangle
     keeps its color and the tongue's new arcs (ids from ``first_edge`` on)
-    are derived by propagation.  Only the crossings meeting an arc to
-    derive, the created ones (ids from ``first_cid`` on) and the triangle
-    are swept; their relations are re-checked and their diffs updated.
+    are derived by ``_rederive``.  The crossings it sweeps, those meeting an
+    arc to derive, are re-checked there and get their diffs updated here.
     """
     builder = run.builder
     count = Counter(e for cid in triangle for e in builder.rows[cid])
     unknown = {e for e, k in count.items() if k >= 2} | \
         set(range(first_edge, builder.next_edge))
-    cids = {cid for e in unknown for cid, _ in builder.occurrences(e)}
-    cids |= set(triangle) | set(range(first_cid, builder.next_cid))
-    crossings = [builder.crossing(cid) for cid in sorted(cids)]
-    seeds = {e: run.gamma[e] for x in crossings for e in x.slots if e not in unknown}
-    local = _propagate(crossings, seeds)
-    for e in unknown:
-        run.gamma[e] = local[e]
-    for x in crossings:
-        run.set_diff(x.cid, abs(local[x.over_in] - local[x.under_in]))
+    for x in _rederive(builder, run.gamma, unknown):
+        run.set_diff(x.cid, abs(run.gamma[x.over_in] - run.gamma[x.under_in]))
 
 
 # -- full simplification ---------------------------------------------------------

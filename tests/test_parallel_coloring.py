@@ -257,6 +257,15 @@ def test_even_parallel_pipeline_on_random_bases():
         assert is_simple(cur_d, cur_g) == (True, 1), trial
 
 
+def _toggle_bases(corpus):
+    """Writhe-0 bases whose 2-parallels toggle regions in both deletion passes."""
+    from zcolor.generate import seeded_rng
+
+    rng = seeded_rng(7)
+    bases = [corpus["unknot_writhe0"], corpus["trefoil_writhe0"]]
+    return bases + [_balanced_random_knot(rng, n_ops=2 + trial % 5) for trial in range(8)]
+
+
 def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
     """The twist handedness is read from the region, never found by retrying.
 
@@ -265,7 +274,6 @@ def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
     the 4-pass toggles exactly the regions whose interior carries 4.
     """
     import zcolor.parallel_coloring as pc
-    from zcolor.generate import seeded_rng
 
     calls = []
     toggle = pc._rewrite_toggle_over_state
@@ -275,11 +283,8 @@ def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
         return toggle(builder, region, *args, **kwargs)
 
     monkeypatch.setattr(pc, "_rewrite_toggle_over_state", recording)
-    rng = seeded_rng(7)
-    bases = [corpus["unknot_writhe0"], corpus["trefoil_writhe0"]]
-    bases += [_balanced_random_knot(rng, n_ops=2 + trial % 5) for trial in range(8)]
     toggled = 0
-    for i, base in enumerate(bases):
+    for i, base in enumerate(_toggle_bases(corpus)):
         cur_d, cur_g = color_two_parallel(base)
         for target in (4, -1):
             if target not in palette(cur_g)[0]:
@@ -293,3 +298,41 @@ def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
             toggled += len(calls)
         assert palette(cur_g)[0] == {0, 1, 2, 3}, i
     assert toggled > 0
+
+
+def test_a_deletion_pass_builds_two_diagrams_and_verifies_once(corpus, monkeypatch):
+    """Regions are recolored on the move builder, never on a built diagram.
+
+    Each pass builds its result and the trace check builds the replay:
+    at most two ``Diagram``s per call, however many regions it rewrites,
+    and one trace verification.
+    """
+    import zcolor.parallel_coloring as pc
+    from zcolor.diagram import Diagram
+
+    colored = [color_two_parallel(base) for base in _toggle_bases(corpus)]
+    builds, verifications = [], []
+    init, verify = Diagram.__init__, pc.verify_local_equivalence
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_verify(*args):
+        verifications.append(1)
+        return verify(*args)
+
+    monkeypatch.setattr(Diagram, "__init__", counting_init)
+    monkeypatch.setattr(pc, "verify_local_equivalence", counting_verify)
+    most_regions = 0
+    for i, (cur_d, cur_g) in enumerate(colored):
+        for target in (4, -1):
+            if target not in palette(cur_g)[0]:
+                continue
+            builds.clear()
+            verifications.clear()
+            cur_d, cur_g, trace = delete_color_moves(cur_d, cur_g, target)
+            assert len(builds) <= 2, (i, target, len(builds))
+            assert len(verifications) == 1, (i, target)
+            most_regions = max(most_regions, len(trace.stages[0].disks))
+    assert most_regions >= 3
