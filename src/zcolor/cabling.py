@@ -12,6 +12,8 @@ which is why the untwisted 2-parallel demands writhe 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
 from .diagram import Diagram, linking_number, writhe
 from .moves import DiagramBuilder
 
@@ -197,27 +199,42 @@ def insert_full_twist(cabled: Diagram, base_edge: int, sign: int,
     two positive crossings (left copy passing over first); crossing count
     grows by exactly 2.
     """
+    return insert_full_twists(cabled, [TwistSite(base_edge=base_edge, sign=sign, pair=pair)])
+
+
+def insert_full_twists(cabled: Diagram, sites: Sequence[TwistSite]) -> Diagram:
+    """Insert a full twist at each site in turn, on one move builder.
+
+    The same diagram, arc labels and crossing ids as one
+    ``insert_full_twist`` call per site, with one ``Diagram`` built (none
+    when there is no site).
+    """
     st: CableStructure = cabled.cable
     if st is None:
         raise CableError("diagram carries no cable structure")
-    if sign not in (1, -1):
-        raise CableError("twist sign must be +1 or -1")
-    k1, k2 = pair
-    key1, key2 = (base_edge, k1), (base_edge, k2)
-    if key1 not in st.copy_edges or key2 not in st.copy_edges:
-        raise CableError(f"no parallel pair for base arc {base_edge}")
+    if not sites:
+        return cabled
     builder = DiagramBuilder(cabled)
-    cids, (left_out, right_out) = builder.insert_twist(
-        st.copy_edges[key1], st.copy_edges[key2], sign)
-    new_st = CableStructure(
+    copy_edges = dict(st.copy_edges)
+    twists = list(st.twists)
+    for site in sites:
+        if site.sign not in (1, -1):
+            raise CableError("twist sign must be +1 or -1")
+        key1, key2 = ((site.base_edge, k) for k in site.pair)
+        if key1 not in copy_edges or key2 not in copy_edges:
+            raise CableError(f"no parallel pair for base arc {site.base_edge}")
+        cids, (left_out, right_out) = builder.insert_twist(
+            copy_edges[key1], copy_edges[key2], site.sign)
+        # downstream of the twist the pair continues on the new arc ids
+        copy_edges[key1], copy_edges[key2] = left_out, right_out
+        twists.append((site, cids))
+    return builder.diagram(cable=CableStructure(
         multiplicities=st.multiplicities,
         base_components=st.base_components,
         regions=st.regions,
-        # downstream of the twist the pair continues on the new arc ids
-        copy_edges={**st.copy_edges, key1: left_out, key2: right_out},
-        twists=st.twists + [(TwistSite(base_edge=base_edge, sign=sign, pair=pair), cids)],
-    )
-    return builder.diagram(cable=new_st)
+        copy_edges=copy_edges,
+        twists=twists,
+    ))
 
 
 def linking_equals_writhe(diagram: Diagram) -> tuple[int, int, bool]:

@@ -7,6 +7,7 @@ stdout), 2 usage or input-syntax error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -205,13 +206,17 @@ def cmd_verify(args) -> int:
 def cmd_replay(args) -> int:
     d = _load_diagram(args.pd)
     trace = _decode_json(args.trace, jsonio.trace_from_json, "move trace")
-    result = moves.replay_trace(d, trace)
+    # one replay gives both the result and the locality reasons of --check
+    builder = moves.DiagramBuilder(d)
+    reasons: list[str] = []
+    moves.apply_trace(builder, trace, reasons)
+    result = builder.diagram()
     doc = {"pd": diagram.serialize_pd(result)}
     if args.check:
-        target = _load_diagram(args.check)
-        report = moves.verify_local_equivalence(d, target, trace)
-        doc["equivalent"] = report.ok
-        doc["reasons"] = list(report.reasons)
+        if not diagram.same_diagram(result, _load_diagram(args.check)):
+            reasons.append(moves.TARGET_MISMATCH)
+        doc["equivalent"] = not reasons
+        doc["reasons"] = reasons
     _emit(doc, args.pretty)
     return 0
 
@@ -333,10 +338,17 @@ DOMAIN_ERRORS = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing never changes it, and each call
+    gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as err:  # --help printed its text
             return 2 if err.code not in (0, None) else 0
         return args.func(args)

@@ -187,18 +187,42 @@ def _leave(rows, corner) -> tuple[int, tuple[int, int]]:
     return rows[cid][s], (cid, s)
 
 
+def _next_corner(rows, occ, corner) -> tuple[int, int]:
+    """The corner a face walk reaches from ``corner`` in one step."""
+    e, here = _leave(rows, corner)
+    a, b = occ[e]
+    return b if a == here else a
+
+
+def _from_smallest(walk) -> tuple[tuple[int, int], ...]:
+    """A closed corner walk, rotated to start at its smallest corner."""
+    k = walk.index(min(walk))
+    return tuple(walk[k:] + walk[:k])
+
+
 def face_walk(rows, occ, corner) -> tuple[tuple[int, int], ...]:
     """The face through ``corner``, rotated to start at its smallest corner."""
     walk = [corner]
-    while True:
-        e, here = _leave(rows, walk[-1])
-        a, b = occ[e]
-        nxt = b if a == here else a
-        if nxt == corner:
-            break
+    while (nxt := _next_corner(rows, occ, walk[-1])) != corner:
         walk.append(nxt)
-    k = walk.index(min(walk))
-    return tuple(walk[k:] + walk[:k])
+    return _from_smallest(walk)
+
+
+def triangle_face(rows, occ, cids) -> Optional[tuple[tuple[int, int], ...]]:
+    """The first triangle face, by smallest corner, with a corner at each
+    of three crossings.
+
+    Every such face has a corner at the first crossing, so only three
+    steps from each of that crossing's four corners are walked.
+    """
+    found = []
+    for i in range(4):
+        walk = [(cids[0], i)]
+        for _ in range(2):
+            walk.append(_next_corner(rows, occ, walk[-1]))
+        if _next_corner(rows, occ, walk[-1]) == walk[0] and {c for c, _ in walk} == set(cids):
+            found.append(_from_smallest(walk))
+    return min(found, default=None)
 
 
 def face_listing(rows, occ) -> list[tuple[tuple[int, int], ...]]:
@@ -514,16 +538,18 @@ def parse_pd(text: str) -> Diagram:
 
 
 def serialize_pd(diagram: Diagram) -> str:
-    """Canonical PD text: relabelled 1..2n, crossings sorted, headers emitted."""
-    canon, _ = canonical(diagram)
-    lines = []
-    if canon.free_loops:
-        lines.append(f"% loops: {canon.free_loops}")
-    for cyc in canon.components:
-        lines.append("% component: " + " ".join(str(e) for e in cyc))
-    for x in sorted(canon.crossings, key=lambda x: x.slots):
-        a, b, c, d = x.slots
-        lines.append(f"X[{a},{b},{c},{d}]")
+    """Canonical PD text: relabelled 1..2n, crossings sorted, headers emitted.
+
+    The text of ``canonical(diagram)``, written from the canonical map
+    without building that diagram: each component's labels run on from the
+    previous component's, starting at its smallest arc.
+    """
+    lines = [f"% loops: {diagram.free_loops}"] if diagram.free_loops else []
+    start = 1
+    for cyc in sorted(diagram.components, key=min):
+        lines.append("% component: " + " ".join(map(str, range(start, start + len(cyc)))))
+        start += len(cyc)
+    lines += ["X[%d,%d,%d,%d]" % row for row in _canonical_rows(diagram)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

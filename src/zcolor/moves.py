@@ -14,6 +14,8 @@ ids of the stage's source diagram, moves are tagged with a disk, and every
 crossing a move modifies or removes must belong to the disk or have been
 created by an earlier move of the same disk.  Disks of one stage must be
 pairwise disjoint; a multi-stage trace chains independently-disked stages.
+``apply_trace`` is the one replay loop: it checks locality as it applies
+the moves, so a check of a trace replays it once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .diagram import (
     occurrence_index,
     same_diagram,
     strand_cycles,
+    triangle_face,
 )
 
 
@@ -220,10 +223,7 @@ class DiagramBuilder:
 
     def triangle(self, cids: tuple[int, int, int]) -> Optional[tuple[tuple[int, int], ...]]:
         """The first triangle face, by smallest corner, with a corner at each crossing."""
-        # every such triangle has a corner at the first crossing
-        around = sorted({f for e in set(self.rows[cids[0]]) for f in self.faces_through(e)})
-        return next((f for f in around
-                     if len(f) == 3 and {c for c, _ in f} == set(cids)), None)
+        return triangle_face(self.rows, self._occ, cids)
 
     def bigon_arcs(self, c1: int, c2: int) -> tuple[int, int]:
         """(over arc, under arc) joining the two crossings of a bigon."""
@@ -530,12 +530,41 @@ def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
 # -- replay and verification ---------------------------------------------------
 
 
+TARGET_MISMATCH = "replayed diagram does not match the target"
+
+
+def apply_trace(builder: DiagramBuilder, trace: MoveTrace, reasons: list[str]) -> None:
+    """Apply every move of ``trace`` to ``builder``, recording locality faults.
+
+    Appends to ``reasons`` each pair of overlapping disks of a stage, each
+    move naming an unknown disk, and each crossing a move modifies or
+    removes that is neither in the move's disk nor created earlier by the
+    same disk.  Raises MoveError at the first move that does not apply; the
+    faults found before it stay in ``reasons``.
+    """
+    for si, stage in enumerate(trace.stages):
+        ids = sorted(stage.disks)
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                if stage.disks[a] & stage.disks[b]:
+                    reasons.append(f"stage {si}: disks {a} and {b} overlap")
+        owned: dict[int, set[int]] = {k: set(v) for k, v in stage.disks.items()}
+        for move, disk in stage.moves:
+            if disk not in owned:
+                reasons.append(f"stage {si}: move {move} names unknown disk {disk}")
+                owned[disk] = set()
+            info = apply_move(builder, move)
+            for cid in info["touched"]:
+                if cid not in owned[disk]:
+                    reasons.append(
+                        f"stage {si}: move {move} touched crossing {cid} outside disk {disk}")
+            owned[disk].update(info["created"])
+
+
 def replay_trace(diagram: Diagram, trace: MoveTrace) -> Diagram:
     """Re-execute every move; deterministic, raises MoveError on bad locations."""
     builder = DiagramBuilder(diagram)
-    for stage in trace.stages:
-        for move, _disk in stage.moves:
-            apply_move(builder, move)
+    apply_trace(builder, trace, [])
     return builder.diagram()
 
 
@@ -553,29 +582,12 @@ def verify_local_equivalence(source: Diagram, target: Diagram, trace: MoveTrace)
     disk.  Disks are checked for pairwise disjointness within each stage;
     stages are independent localizations applied in sequence.
     """
-    reasons = []
+    reasons: list[str] = []
     builder = DiagramBuilder(source)
-    for si, stage in enumerate(trace.stages):
-        ids = sorted(stage.disks)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if stage.disks[a] & stage.disks[b]:
-                    reasons.append(f"stage {si}: disks {a} and {b} overlap")
-        owned: dict[int, set[int]] = {k: set(v) for k, v in stage.disks.items()}
-        for move, disk in stage.moves:
-            if disk not in owned:
-                reasons.append(f"stage {si}: move {move} names unknown disk {disk}")
-                owned.setdefault(disk, set())
-            try:
-                info = apply_move(builder, move)
-            except MoveError as err:
-                return EquivalenceReport(False, tuple(reasons + [f"replay failed: {err}"]))
-            for cid in info["touched"]:
-                if cid not in owned[disk]:
-                    reasons.append(
-                        f"stage {si}: move {move} touched crossing {cid} outside disk {disk}")
-            owned[disk].update(info["created"])
-    result = builder.diagram()
-    if not same_diagram(result, target):
-        reasons.append("replayed diagram does not match the target")
+    try:
+        apply_trace(builder, trace, reasons)
+    except MoveError as err:
+        return EquivalenceReport(False, tuple(reasons + [f"replay failed: {err}"]))
+    if not same_diagram(builder.diagram(), target):
+        reasons.append(TARGET_MISMATCH)
     return EquivalenceReport(ok=not reasons, reasons=tuple(reasons))

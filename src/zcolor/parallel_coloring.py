@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cabling import CableSpec, CableStructure, Region, insert_full_twist, parallel
+from .cabling import CableSpec, CableStructure, Region, TwistSite, insert_full_twists, parallel
 from .coloring import Coloring, ColoringError, palette, verify_coloring
 from .diagram import Crossing, Diagram, crossing_graph_pieces, face_steps, writhe
 from .moves import (
@@ -310,11 +310,8 @@ def color_two_parallel(
     states = _underpass_states(diagram, plan)
 
     cabled = parallel(diagram, CableSpec(multiplicities=(2,)))
-    st: CableStructure = cabled.cable
-    pre_twist_arcs = dict(st.copy_edges)
-    for base_edge, sign in plan:
-        cabled = insert_full_twist(cabled, base_edge, sign)
-    st = cabled.cable
+    pre_twist_arcs = cabled.cable.copy_edges
+    cabled = insert_full_twists(cabled, [TwistSite(base_edge=e, sign=sign) for e, sign in plan])
 
     seeds: Coloring = {}
     for e in diagram.components[0]:

@@ -14,6 +14,25 @@ def corpus() -> dict:
     return standard_diagrams()
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for one test and
+    returns the list of the argument tuples of its calls, in call order."""
+
+    def install(owner, name: str) -> list[tuple]:
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return install
+
+
 def brute_force_fox_count(diagram: Diagram, n: int) -> int:
     """Count colorings mod n by direct enumeration over arc classes.
 

@@ -3,12 +3,14 @@ import pytest
 from zcolor.cabling import (
     CableError,
     CableSpec,
+    TwistSite,
     insert_full_twist,
+    insert_full_twists,
     linking_equals_writhe,
     parallel,
     two_parallel_untwisted,
 )
-from zcolor.diagram import isomorphic, linking_number, parse_pd, validate, writhe
+from zcolor.diagram import isomorphic, linking_number, parse_pd, serialize_pd_raw, validate, writhe
 from zcolor.generate import random_knot_diagram, seeded_rng
 from zcolor.moves import DiagramBuilder, R2Remove, apply_move
 from zcolor.diagram import same_diagram
@@ -125,6 +127,25 @@ def test_full_twist_changes_writhe_by_twice_its_sign():
             for sign in (1, -1):
                 tw = insert_full_twist(cabled, e, sign)
                 assert writhe(tw) - writhe(cabled) == 2 * sign, (trial, e, sign)
+
+
+def test_twists_on_one_builder_match_one_insertion_per_site():
+    """Same rows, arc labels, crossing ids and cable metadata as site by site."""
+    rng = seeded_rng(19)
+    for trial in range(6):
+        base = random_knot_diagram(rng, n_ops=2 + trial)
+        cabled = parallel(base, CableSpec(multiplicities=(2,)))
+        sites = [TwistSite(base_edge=rng.choice(base.edges), sign=rng.choice((1, -1)))
+                 for _ in range(2 + trial)]
+        one_by_one = cabled
+        for site in sites:
+            one_by_one = insert_full_twist(one_by_one, site.base_edge, site.sign)
+        at_once = insert_full_twists(cabled, sites)
+        assert serialize_pd_raw(at_once) == serialize_pd_raw(one_by_one), trial
+        assert [x.cid for x in at_once.crossings] == [x.cid for x in one_by_one.crossings]
+        assert at_once.cable.copy_edges == one_by_one.cable.copy_edges, trial
+        assert at_once.cable.twists == one_by_one.cable.twists, trial
+    assert insert_full_twists(cabled, []) is cabled
 
 
 def test_twist_then_mirror_cancels_by_two_r2_moves():

@@ -85,20 +85,33 @@ def test_verify_and_spectrum(tmp_path, capsys):
     assert doc["palette"] == [5]
 
 
-def test_replay_round_trip(tmp_path, capsys):
+def _reduced_hopf(tmp_path, capsys) -> tuple[Path, dict, Path]:
+    """The emitted hopf (4,4) parallel, its deletion trace and its reduced PD."""
     code, doc = run(capsys, "color-parallel", "--spec", "4,4", "--reduce",
                     str(CORPUS / "hopf.pd"))
-    assert len(doc["traces"]) == 1
-    trace = tmp_path / "trace.json"
-    trace.write_text(json.dumps(doc["traces"][0]))
-    pd_in = tmp_path / "h44.pd"
-    pd_in.write_text(doc["pd"])
-    target = tmp_path / "h44_reduced.pd"
+    assert code == 0 and len(doc["traces"]) == 1
+    source, target = tmp_path / "h44.pd", tmp_path / "h44_reduced.pd"
+    source.write_text(doc["pd"])
     target.write_text(doc["reduced_pd"])
-    code2, doc2 = run(capsys, "replay", str(pd_in), str(trace),
-                      "--check", str(target))
-    assert code2 == 0
-    assert doc2["equivalent"] is True
+    return source, doc["traces"][0], target
+
+
+def test_replay_round_trip(tmp_path, capsys, count_calls):
+    """``replay --check`` replays once, for the result and the locality check."""
+    from zcolor import moves
+    from zcolor.diagram import Diagram
+
+    source, trace, target = _reduced_hopf(tmp_path, capsys)
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace))
+    applied = count_calls(moves, "apply_move")
+    builds = count_calls(Diagram, "__init__")
+    code, doc = run(capsys, "replay", str(source), str(trace_file), "--check", str(target))
+    assert code == 0
+    assert doc["equivalent"] is True
+    assert len(applied) == sum(len(stage["moves"]) for stage in trace["stages"]) > 0
+    # the two parsed files and the one replayed result
+    assert len(builds) == 3
 
 
 def test_corpus_runner(capsys):
@@ -179,15 +192,8 @@ def test_colorability_emits_lattice(capsys):
     assert doc["z_colorable"] is False
 
 
-def test_colorability_eliminates_once(capsys, monkeypatch):
-    calls = []
-    prepass = algebra._unit_pivots
-
-    def counting(M):
-        calls.append(len(M))
-        return prepass(M)
-
-    monkeypatch.setattr(algebra, "_unit_pivots", counting)
+def test_colorability_eliminates_once(capsys, count_calls):
+    calls = count_calls(algebra, "_unit_pivots")
     for name in ("trefoil", "figure8", "hopf", "split_unlink"):
         calls.clear()
         code, doc = run(capsys, "colorability", str(CORPUS / f"{name}.pd"))
@@ -195,15 +201,8 @@ def test_colorability_eliminates_once(capsys, monkeypatch):
         assert len(calls) == 1, name
 
 
-def test_invariants_eliminates_once(capsys, monkeypatch):
-    calls = []
-    prepass = algebra._unit_pivots
-
-    def counting(M):
-        calls.append(len(M))
-        return prepass(M)
-
-    monkeypatch.setattr(algebra, "_unit_pivots", counting)
+def test_invariants_eliminates_once(capsys, count_calls):
+    calls = count_calls(algebra, "_unit_pivots")
     # a split diagram's determinant is 0 without elimination
     for name, passes in (("trefoil", 1), ("figure8", 1), ("hopf", 1), ("split_unlink", 0)):
         calls.clear()
@@ -268,3 +267,73 @@ def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code,
     error = json.loads(out)["error"]
     assert error["type"] == error_type
     assert names in error["message"]
+
+
+def test_back_to_back_calls_share_no_option_state(capsys, count_calls):
+    """``main`` reuses one parser; no option of one call reaches the next."""
+    from zcolor import cli
+
+    cli._parser.cache_clear()
+    builds = count_calls(cli, "build_parser")
+    unknot = str(CORPUS / "unknot_writhe0.pd")
+    code, spec2 = run(capsys, "cable", "--spec", "2", unknot)
+    assert code == 0
+    code, untwisted = run(capsys, "cable", "--two-parallel-untwisted", unknot)
+    assert (code, untwisted) == (0, spec2)
+    # a leaked --spec or --two-parallel-untwisted would make this succeed
+    code, doc = run(capsys, "cable", unknot)
+    assert code == 2 and "needs --spec" in doc["error"]["message"]
+
+    assert main(["--pretty", "invariants", TREFOIL]) == 0
+    assert capsys.readouterr().out.count("\n") > 1
+    assert main(["invariants", TREFOIL]) == 0
+    assert capsys.readouterr().out.count("\n") == 1
+
+    code, doc = run(capsys, "fox-count", TREFOIL, "-n", "3")
+    assert (code, doc["count"]) == (0, 9)
+    code, doc = run(capsys, "fox-count", TREFOIL, "-n", "abc")
+    assert (code, doc["error"]["type"]) == (2, "usage")
+    code, doc = run(capsys, "fox-count", TREFOIL)
+    assert (code, doc["error"]["type"]) == (2, "usage")
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("check", [None, "missing.pd", "target"])
+def test_replay_failing_mid_trace_is_a_move_error(tmp_path, capsys, check):
+    """A move that does not apply exits 1 before the target is read."""
+    trace = {"stages": [{"moves": [
+        {"kind": "R2+", "push": 1, "across": 4, "over": True, "disk": 0},
+        {"kind": "R1-", "crossing": 0, "disk": 0},
+    ], "disks": {"0": [0]}}]}
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace))
+    argv = ["replay", TREFOIL, str(trace_file)]
+    if check is not None:
+        argv += ["--check", TREFOIL if check == "target" else str(tmp_path / check)]
+    code, doc = run(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "MoveError"
+    assert "not a removable kink" in doc["error"]["message"]
+
+
+def test_replay_check_reports_the_reasons_of_verify_local_equivalence(tmp_path, capsys):
+    """A non-local trace against a wrong target: every reason, in order."""
+    from zcolor.diagram import parse_pd
+    from zcolor.jsonio import trace_from_json
+    from zcolor.moves import verify_local_equivalence
+
+    source, trace, _ = _reduced_hopf(tmp_path, capsys)
+    stage = trace["stages"][0]
+    first, second = sorted(stage["disks"])[:2]
+    stage["disks"][second] = stage["disks"][first]       # overlapping disks
+    stage["disks"][first] = stage["disks"][first][:1]     # moves touch outside their disk
+    stage["moves"][-1]["disk"] = 99                       # an unknown disk
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace))
+    code, doc = run(capsys, "replay", str(source), str(trace_file), "--check", str(source))
+    assert (code, doc["equivalent"]) == (0, False)
+    d = parse_pd(source.read_text())
+    report = verify_local_equivalence(d, d, trace_from_json(trace))
+    assert doc["reasons"] == list(report.reasons)
+    for kind in ("overlap", "outside disk", "unknown disk", "does not match"):
+        assert any(kind in r for r in doc["reasons"]), kind

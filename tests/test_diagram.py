@@ -136,3 +136,48 @@ def test_signs_recomputed_from_traversal(corpus):
         for x in d.crossings:
             expected = 1 if x.over_in == x.slots[3] else -1
             assert x.sign == expected
+
+
+def _relabelled_text(d: Diagram) -> str:
+    """PD text of the built ``canonical(d)``: its headers, then its rows sorted."""
+    canon, _ = canonical(d)
+    lines = [f"% loops: {canon.free_loops}"] if canon.free_loops else []
+    lines += ["% component: " + " ".join(map(str, cyc)) for cyc in canon.components]
+    lines += [f"X[{a},{b},{c},{e}]" for a, b, c, e in sorted(x.slots for x in canon.crossings)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _serialized_cases(corpus):
+    from zcolor.cabling import CableSpec, parallel
+    from zcolor.generate import random_knot_diagram, seeded_rng
+    from zcolor.moves import DiagramBuilder, R1Remove, apply_move
+
+    yield from corpus.items()
+    for spec in ((4, 4), (3, 2)):
+        yield f"hopf {spec}", parallel(corpus["hopf"], CableSpec(spec))
+    rng = seeded_rng(5)
+    for k in range(4):
+        yield f"random {k} (2)", parallel(random_knot_diagram(rng, 2 + k), CableSpec((2,)))
+    looped = parse_pd("% loops: 1\n" + TREFOIL)
+    yield "trefoil and a loop (2,3)", parallel(looped, CableSpec((2, 3)))
+    b = DiagramBuilder(parse_pd(TREFOIL + " X[7,7,8,8]"))
+    apply_move(b, R1Remove(cid=3))
+    yield "builder: trefoil and a removed kink", b.diagram()
+    b = DiagramBuilder(parse_pd("X[1,1,2,2]"))
+    apply_move(b, R1Remove(cid=0))
+    yield "builder: a lone removed kink", b.diagram()
+    yield "empty", parse_pd("")
+    yield "two loops", parse_pd("% loops: 2")
+
+
+def test_serialize_pd_is_the_canonical_text_without_a_build(corpus, count_calls):
+    cases = list(_serialized_cases(corpus))
+    assert any(d.free_loops and d.crossings for _, d in cases)
+    builds = count_calls(Diagram, "__init__")
+    for name, d in cases:
+        expected = _relabelled_text(d)
+        builds.clear()
+        text = serialize_pd(d)
+        assert builds == [], name
+        assert text == expected, name
+        assert serialize_pd(canonical(d)[0]) == text, name

@@ -1,6 +1,7 @@
 """The builder's local face queries and crossing signs against full rebuilds."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -110,3 +111,55 @@ def test_moves_keep_the_signs_of_crossings_they_do_not_touch(name):
         for cid in after.keys() - set(info["touched"]) - set(info["created"]):
             assert after[cid] == before[cid], (move, cid)
         before = after
+
+
+def reference_triangle(rows: dict, cids) -> tuple | None:
+    """The triangle face through all three crossings with the smallest
+    corner, read off the full face listing."""
+    return next((f for f in reference_faces(rows)
+                 if len(f) == 3 and {c for c, _ in f} == set(cids)), None)
+
+
+def triangle_cases():
+    std = standard_diagrams()
+    yield "trefoil", DiagramBuilder(std["trefoil"])  # two triangles on one triple
+    for name, spec in (("hopf", (4, 4)), ("trefoil", (3,)), ("figure8", (2,))):
+        yield f"{name} {spec}", DiagramBuilder(parallel(std[name], CableSpec(spec)))
+    rng = random.Random(23)
+    for k in range(3):
+        base = random_knot_diagram(rng, 2 + k)
+        yield f"random {k} (3)", DiagramBuilder(parallel(base, CableSpec((3,))))
+    for colors, kinks in (((2, 1), 1), ((3, 1), 0), ((4, 2, 1), 1)):
+        yield f"chain {colors} k{kinks}", DiagramBuilder(diff_chain(colors, kinks)[0])
+    for name in RUNS:  # states reached by recorded R2/R3 runs
+        source, moves = recorded_run(name)
+        builder = DiagramBuilder(source)
+        for move, _disk in moves[:len(moves) // 2]:
+            apply_move(builder, move)
+        yield f"{name}, half way", builder
+
+
+def test_bounded_triangle_search_matches_the_face_listing():
+    rng = random.Random(29)
+    triangles = misses = 0
+    for name, builder in triangle_cases():
+        rows = dict(builder.rows)
+        faces = reference_faces(rows)
+        triples = set()
+        for f in faces:
+            cids = {c for c, _ in f}
+            if len(f) == 3 and len(cids) == 3:
+                triples.update(itertools.permutations(sorted(cids)))
+        for _ in range(40):  # mostly not a triangle
+            triples.add(tuple(rng.sample(sorted(rows), 3)))
+        for f in faces:  # bigons and longer faces with a third crossing
+            cids = sorted({c for c, _ in f})
+            if len(cids) >= 2 and len(f) != 3:
+                third = rng.choice([c for c in rows if c not in cids[:2]])
+                triples.add((cids[0], cids[1], third))
+        for triple in sorted(triples):
+            expected = reference_triangle(rows, triple)
+            assert builder.triangle(triple) == expected, (name, triple)
+            triangles += expected is not None
+            misses += expected is None
+    assert triangles > 100 and misses > 100

@@ -266,7 +266,7 @@ def _toggle_bases(corpus):
     return bases + [_balanced_random_knot(rng, n_ops=2 + trial % 5) for trial in range(8)]
 
 
-def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
+def test_each_toggled_region_is_conjugated_once(corpus, count_calls):
     """The twist handedness is read from the region, never found by retrying.
 
     Over the 2-parallel reduce cases and the random writhe-0 bases above,
@@ -275,14 +275,7 @@ def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
     """
     import zcolor.parallel_coloring as pc
 
-    calls = []
-    toggle = pc._rewrite_toggle_over_state
-
-    def recording(builder, region, *args, **kwargs):
-        calls.append(region.base_cid)
-        return toggle(builder, region, *args, **kwargs)
-
-    monkeypatch.setattr(pc, "_rewrite_toggle_over_state", recording)
+    toggles = count_calls(pc, "_rewrite_toggle_over_state")
     toggled = 0
     for i, base in enumerate(_toggle_bases(corpus)):
         cur_d, cur_g = color_two_parallel(base)
@@ -291,8 +284,9 @@ def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
                 continue
             carrying_4 = {cid for cid, region in cur_d.cable.regions.items()
                           if 4 in {cur_g[e] for e in pc._region_interior_arcs(cur_d, region)}}
-            calls.clear()
+            toggles.clear()
             cur_d, cur_g, _ = delete_color_moves(cur_d, cur_g, target)
+            calls = [region.base_cid for _, region, *_ in toggles]
             assert len(calls) == len(set(calls)), (i, target, calls)
             assert target != 4 or set(calls) == carrying_4, (i, calls)
             toggled += len(calls)
@@ -300,7 +294,7 @@ def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
     assert toggled > 0
 
 
-def test_a_deletion_pass_builds_two_diagrams_and_verifies_once(corpus, monkeypatch):
+def test_a_deletion_pass_builds_two_diagrams_and_verifies_once(corpus, count_calls):
     """Regions are recolored on the move builder, never on a built diagram.
 
     Each pass builds its result and the trace check builds the replay:
@@ -311,19 +305,8 @@ def test_a_deletion_pass_builds_two_diagrams_and_verifies_once(corpus, monkeypat
     from zcolor.diagram import Diagram
 
     colored = [color_two_parallel(base) for base in _toggle_bases(corpus)]
-    builds, verifications = [], []
-    init, verify = Diagram.__init__, pc.verify_local_equivalence
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    def counting_verify(*args):
-        verifications.append(1)
-        return verify(*args)
-
-    monkeypatch.setattr(Diagram, "__init__", counting_init)
-    monkeypatch.setattr(pc, "verify_local_equivalence", counting_verify)
+    builds = count_calls(Diagram, "__init__")
+    verifications = count_calls(pc, "verify_local_equivalence")
     most_regions = 0
     for i, (cur_d, cur_g) in enumerate(colored):
         for target in (4, -1):
@@ -336,3 +319,20 @@ def test_a_deletion_pass_builds_two_diagrams_and_verifies_once(corpus, monkeypat
             assert len(verifications) == 1, (i, target)
             most_regions = max(most_regions, len(trace.stages[0].disks))
     assert most_regions >= 3
+
+
+def test_a_two_parallel_builds_two_diagrams_however_many_twists(count_calls):
+    """The parallel and its twisted form: every drift twist goes on one builder."""
+    from zcolor.diagram import Diagram
+    from zcolor.generate import seeded_rng
+
+    rng = seeded_rng(11)
+    bases = [_balanced_random_knot(rng, n_ops=3 + trial) for trial in range(6)]
+    builds = count_calls(Diagram, "__init__")
+    most_twists = 0
+    for i, base in enumerate(bases):
+        builds.clear()
+        cabled, _ = color_two_parallel(base)
+        most_twists = max(most_twists, len(cabled.cable.twists))
+        assert len(builds) <= 2, (i, len(cabled.cable.twists), len(builds))
+    assert most_twists >= 4

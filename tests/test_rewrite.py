@@ -190,35 +190,21 @@ def test_random_chains_simplify_or_fail_explicitly():
     assert simplified >= 8
 
 
-def test_one_run_builds_few_diagrams_and_verifies_once(monkeypatch):
+def test_one_run_builds_few_diagrams_and_verifies_once(count_calls):
     """Rounds share one builder: no per-round Diagram, one trace check, diffs kept current."""
     cabled = parallel(standard_diagrams()["trefoil"], CableSpec(multiplicities=(8,)))
     _, witness = is_z_colorable(cabled)
-    builds, verifications, runs = [], [], []
-    init, verify, finish = Diagram.__init__, rewrite.verify_local_equivalence, rewrite._Run.finish
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    def counting_verify(*args):
-        verifications.append(1)
-        return verify(*args)
-
-    def keeping_finish(run):
-        runs.append(run)
-        return finish(run)
-
-    monkeypatch.setattr(Diagram, "__init__", counting_init)
-    monkeypatch.setattr(rewrite, "verify_local_equivalence", counting_verify)
-    monkeypatch.setattr(rewrite._Run, "finish", keeping_finish)
+    builds = count_calls(Diagram, "__init__")
+    verifications = count_calls(rewrite, "verify_local_equivalence")
+    finishes = count_calls(rewrite._Run, "finish")
     out_d, out_g, trace = to_simple_coloring(cabled, witness)
     assert len(trace.stages) > 100
     assert len(builds) <= 2
     assert len(verifications) == 1
     spec = diff_spectrum(out_d, out_g)
-    assert runs[0].diffs == spec.diffs
-    assert runs[0].histogram == spec.histogram
+    run = finishes[0][0]
+    assert run.diffs == spec.diffs
+    assert run.histogram == spec.histogram
 
 
 def test_a_stage_failing_mid_run_refuses_the_whole_run(monkeypatch):
