@@ -110,6 +110,7 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
 
     rows: list[tuple[int, int, int, int]] = []
     cids: list[int] = []
+    signs: list[int] = []
     regions: dict[int, Region] = {}
     next_cid = 0
 
@@ -151,6 +152,7 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
                     row = (u_in, o_in, u_out, o_out)
                 rows.append(row)
                 cids.append(next_cid)
+                signs.append(x.sign)
                 grid[ki][s] = next_cid
                 next_cid += 1
         regions[x.cid] = Region(
@@ -168,7 +170,7 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
         regions=regions,
         copy_edges=copy_edges,
     )
-    out = Diagram(rows, free_loops=free, cable=structure, cids=cids)
+    out = Diagram(rows, free_loops=free, cable=structure, cids=cids, signs=signs)
     expected = sum(mult[comp_of[x.over_in]] * mult[comp_of[x.under_in]]
                    for x in diagram.crossings)
     if len(out.crossings) != expected:

@@ -3,10 +3,11 @@
 A diagram is a set of crossings, each a counterclockwise quadruple of arc
 labels starting from the incoming under-arc.  Slot 0 is the incoming
 under-arc, slot 2 the outgoing under-arc; slots 1 and 3 carry the over
-strand.  Which of slots 1/3 is the incoming over-arc is not part of the
-input format: it is recovered from a globally consistent orientation of
-the strands, and the crossing sign is derived from it (incoming over-arc
-at slot 3 means sign +1).
+strand, and the crossing sign says which one is incoming (incoming
+over-arc at slot 3 means sign +1).  PD text does not carry the signs: for
+it the orientation is solved from the rows (``_orient``).  Writers that
+already hold every sign (the move builder, cabling, relabelling) pass them
+in, and the orientation they imply is checked, not solved.
 
 Arc labels are the PD edge labels 1..2n.  The arcs of Fox/integer coloring
 theory (maximal overpasses) are the equivalence classes of edge labels
@@ -16,7 +17,10 @@ under merging the two over-slots of every crossing; see ``arc_classes``.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 
@@ -71,7 +75,9 @@ class Diagram:
     Immutable after construction; all operations on diagrams are pure
     functions returning new values.  ``cable`` holds optional construction
     metadata attached by the cabling module; it does not participate in
-    equality or serialization.
+    equality or serialization.  ``signs``, one per row, give the
+    orientation directly; without them it is solved from the rows, pinned
+    by ``orientation_hints`` where given.
     """
 
     def __init__(
@@ -81,10 +87,11 @@ class Diagram:
         orientation_hints: Optional[Sequence[Sequence[int]]] = None,
         cable=None,
         cids: Optional[Sequence[int]] = None,
+        signs: Optional[Sequence[int]] = None,
     ):
         if free_loops < 0:
             raise DiagramError("free loop count must be non-negative")
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(map(int, r)) for r in rows]
         for r in rows:
             if len(r) != 4 or any(x <= 0 for x in r):
                 raise DiagramError(f"crossing {r} is not a quadruple of positive labels")
@@ -95,13 +102,15 @@ class Diagram:
 
         self.free_loops = free_loops
         self.cable = cable
-        occ = occurrence_index(enumerate(rows))
-        for e, places in occ.items():
-            if len(places) != 2:
-                raise DiagramError(f"arc {e} appears {len(places)} times; every arc must appear exactly twice")
+        counts = Counter(chain.from_iterable(rows))
+        for e, k in counts.items():
+            if k != 2:
+                raise DiagramError(f"arc {e} appears {k} times; every arc must appear exactly twice")
 
-        heads, tails = _orient(rows, occ, orientation_hints)
-        self._succ = _successors(rows, heads)
+        if signs is None:
+            heads = _orient(rows, occurrence_index(enumerate(rows)), orientation_hints)
+            signs = [1 if heads[(i, OVER_B)] else -1 for i in range(len(rows))]
+        self._succ = _successors(rows, signs, len(counts))
         if orientation_hints:
             for cyc in orientation_hints:
                 cyc = list(cyc)
@@ -110,18 +119,15 @@ class Diagram:
                         raise DiagramError(
                             f"orientation header contradicts the diagram: "
                             f"arc {a} is not followed by arc {b}")
-        signs = [1 if heads.get((i, OVER_B), False) else -1 for i in range(len(rows))]
-        for i, r in enumerate(rows):
-            a_head = heads.get((i, OVER_A), False)
-            b_head = heads.get((i, OVER_B), False)
-            if a_head == b_head:
-                raise DiagramError(f"crossing {r}: exactly one over-slot must be incoming")
         self.crossings: tuple[Crossing, ...] = tuple(
             Crossing(cid=c, slots=r, sign=s) for c, r, s in zip(cids, rows, signs)
         )
         self._by_cid = {x.cid: x for x in self.crossings}
         self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
-        self._arc_class: dict[int, int] = _merge_over_pairs(rows)
+
+    @cached_property
+    def _arc_class(self) -> dict[int, int]:
+        return _merge_over_pairs([x.slots for x in self.crossings])
 
     # -- basic views ------------------------------------------------------
 
@@ -243,7 +249,10 @@ def face_steps(rows, face) -> list[tuple[int, tuple[int, int]]]:
     return [_leave(rows, corner) for corner in face]
 
 
-def _orient(rows, occ, hints) -> tuple[dict, dict]:
+INCONSISTENT = "orientation inconsistency: no consistent strand orientation exists"
+
+
+def _orient(rows, occ, hints) -> dict[tuple[int, int], bool]:
     """Decide, for every slot occurrence, whether the edge ends (head) there.
 
     Under slots are forced: slot 0 is a head, slot 2 a tail.  Over slots are
@@ -262,7 +271,7 @@ def _orient(rows, occ, hints) -> tuple[dict, dict]:
     def set_role(place, is_head):
         if place in heads:
             if heads[place] != is_head:
-                raise DiagramError("orientation inconsistency: no consistent strand orientation exists")
+                raise DiagramError(INCONSISTENT)
             return []
         heads[place] = is_head
         return [place]
@@ -317,22 +326,26 @@ def _orient(rows, occ, hints) -> tuple[dict, dict]:
             head_slot = OVER_A if x < y else OVER_B
         propagate(set_role((i, head_slot), True))
 
-    # verify: each edge has exactly one head occurrence
-    for e, places in occ.items():
-        n_heads = sum(1 for p in places if heads[p])
-        if n_heads != 1:
-            raise DiagramError("orientation inconsistency: no consistent strand orientation exists")
-    return heads, {k: not v for k, v in heads.items()}
+    return heads
 
 
-def _successors(rows, heads) -> dict[int, int]:
+def _successors(rows, signs, n_arcs: int) -> dict[int, int]:
+    """Arc -> the arc after it along its strand, read off the signs.
+
+    Each row's incoming arcs are its under slot 0 and, by its sign, over
+    slot 3 (+1) or 1 (-1).  Raises unless every one of the ``n_arcs`` arcs
+    is incoming exactly once, so has exactly one head and one tail; a sign
+    other than +1 or -1 gives its row no incoming over-arc.
+    """
     succ = {}
-    for i, r in enumerate(rows):
+    for r, sign in zip(rows, signs):
         succ[r[UNDER_IN]] = r[UNDER_OUT]
-        if heads[(i, OVER_A)]:
-            succ[r[OVER_A]] = r[OVER_B]
-        else:
+        if sign == 1:
             succ[r[OVER_B]] = r[OVER_A]
+        elif sign == -1:
+            succ[r[OVER_A]] = r[OVER_B]
+    if len(succ) != n_arcs:
+        raise DiagramError(INCONSISTENT)
     return succ
 
 
@@ -575,10 +588,10 @@ def serialize_pd_raw(diagram: Diagram) -> str:
 def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
     """Apply an arc-label bijection; preserves structure and metadata."""
     rows = [tuple(mapping[e] for e in x.slots) for x in diagram.crossings]
-    hints = [tuple(mapping[e] for e in cyc) for cyc in diagram.components]
     cable = diagram.cable.relabel(mapping) if diagram.cable is not None else None
-    return Diagram(rows, free_loops=diagram.free_loops, orientation_hints=hints,
-                   cable=cable, cids=[x.cid for x in diagram.crossings])
+    return Diagram(rows, free_loops=diagram.free_loops, cable=cable,
+                   cids=[x.cid for x in diagram.crossings],
+                   signs=[x.sign for x in diagram.crossings])
 
 
 def _canonical_map(diagram: Diagram) -> dict[int, int]:

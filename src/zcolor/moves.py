@@ -7,7 +7,8 @@ replaying it and comparing the result with the claimed target.
 
 ``DiagramBuilder`` carries each crossing's sign: a move sets the signs of
 the crossings it creates and leaves every other sign alone, so no move
-rebuilds a ``Diagram``, and ``diagram()`` is oriented as the strands run.
+rebuilds a ``Diagram``, and ``diagram()`` hands the signs to ``Diagram``
+rather than having it solve the orientation again.
 
 Locality is tracked through disks: a disk is declared as a set of crossing
 ids of the stage's source diagram, moves are tagged with a disk, and every
@@ -34,7 +35,6 @@ from .diagram import (
     face_walk,
     occurrence_index,
     same_diagram,
-    strand_cycles,
     triangle_face,
 )
 
@@ -138,19 +138,18 @@ class DiagramBuilder:
         self.next_edge = max(self._occ, default=0) + 1
 
     def diagram(self, cable=None) -> Diagram:
-        """A new ``Diagram`` of the current rows, oriented as the strands run."""
+        """A new ``Diagram`` of the current rows with the builder's signs.
+
+        Its orientation is read from the signs, not solved, so it runs as
+        the strands do; ``Diagram`` checks that it is consistent.
+        """
         cids = sorted(self.rows)
-        succ = {}
-        for cid in cids:
-            x = self.crossing(cid)
-            succ[x.under_in] = x.under_out
-            succ[x.over_in] = x.over_out
         return Diagram(
             [self.rows[c] for c in cids],
             free_loops=self.free_loops,
-            orientation_hints=strand_cycles(succ),
             cable=cable,
             cids=cids,
+            signs=[self.signs[c] for c in cids],
         )
 
     # -- mutators -------------------------------------------------------------
@@ -457,72 +456,37 @@ def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
 
 
 def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
+    """Slide one strand across the triangle of three crossings.
+
+    Corner ``(c, i)`` of the triangle face meets its two sides at slots
+    ``i`` and ``i+1``, so side k runs from slot ``i_k+1`` of the k-th corner's
+    crossing to slot ``i_{k+1}`` of the next one.  After the move each
+    strand passes its two crossings in the opposite order: at the crossing
+    it left along the side it now arrives along it, and the other way round,
+    so at both ends the side moves to the opposite slot of its strand and
+    the strand's far arc takes the side's old slot.  Signs do not change.
+    """
     cids = tuple(mv.cids)
     if len(set(cids)) != 3 or any(c not in builder.rows for c in cids):
         raise MoveError(f"R3 needs three distinct crossings, got {cids}")
     triangle = builder.triangle(cids)
     if triangle is None:
         raise MoveError(f"crossings {cids} do not bound a triangle face")
-
-    rows = {c: builder.rows[c] for c in cids}
-    inner_edges = [e for e, _ in face_steps(builder.rows, triangle)]
-
-    def is_under_at(cid, e):
-        row = rows[cid]
-        s = row.index(e)
-        if row.count(e) != 1:
-            raise MoveError("degenerate triangle (kink inside)")
-        return s in (UNDER_IN, UNDER_OUT)
-
-    strands = {}  # inner edge -> (cid1, cid2, role at each)
-    for e in inner_edges:
-        at = [c for c in cids if e in rows[c]]
-        if len(at) != 2:
-            raise MoveError("triangle side does not join two of the crossings")
-        strands[e] = (at[0], at[1])
-
-    unders = {e: sum(is_under_at(c, e) for c in strands[e]) for e in strands}
-    tops = [e for e, k in unders.items() if k == 0]
-    bottoms = [e for e, k in unders.items() if k == 2]
-    middles = [e for e, k in unders.items() if k == 1]
-    if len(tops) != 1 or len(bottoms) != 1 or len(middles) != 1:
+    # a side is under where its slot is even, so corners whose slots all
+    # share a parity make every side under at one end and over at the other
+    if len({i % 2 for _, i in triangle}) == 1:
         raise MoveError("triangle is not an R3 pattern (needs top/middle/bottom strands)")
-
-    def strand_route(inner):
-        """(c_first, c_second, x_in, x_out): strand order through the triangle."""
-        def in_out(cid):
-            x = builder.crossing(cid)
-            return (x.under_in, x.under_out) if is_under_at(cid, inner) else (x.over_in, x.over_out)
-
-        # inner is the strand's out-edge at its first crossing
-        c_first, c_second = strands[inner]
-        if in_out(c_first)[1] != inner:
-            c_first, c_second = c_second, c_first
-        return c_first, c_second, in_out(c_first)[0], in_out(c_second)[1]
-
-    routes = {e: strand_route(e) for e in inner_edges}
-
-    # after the flip each strand passes its two crossings in the opposite order
-    new_rows = {}
+    rows = builder.rows
+    new_rows = {c: list(rows[c]) for c in cids}
+    for k, (c, i) in enumerate(triangle):
+        ends = (c, (i + 1) % 4), triangle[(k + 1) % 3]
+        # the side leaves its strand's first crossing and enters the second
+        (c1, s1), (c2, s2) = ends if not builder.is_head(*ends[0]) else ends[::-1]
+        side = rows[c1][s1]
+        new_rows[c1][s1], new_rows[c1][(s1 + 2) % 4] = rows[c2][(s2 + 2) % 4], side
+        new_rows[c2][s2], new_rows[c2][(s2 + 2) % 4] = rows[c1][(s1 + 2) % 4], side
     for cid in cids:
-        here = [e for e in inner_edges if cid in strands[e]]
-        over_e = next(e for e in here if not is_under_at(cid, e))
-        under_e = next(e for e in here if is_under_at(cid, e))
-
-        def new_in_out(inner):
-            c_first, c_second, x_in, x_out = routes[inner]
-            if cid == c_first:      # becomes the strand's second crossing
-                return (inner, x_out)
-            return (x_in, inner)    # becomes the strand's first crossing
-
-        u_in, u_out = new_in_out(under_e)
-        o_in, o_out = new_in_out(over_e)
-        if builder.signs[cid] > 0:
-            new_rows[cid] = (u_in, o_out, u_out, o_in)
-        else:
-            new_rows[cid] = (u_in, o_in, u_out, o_out)
-    for cid, row in new_rows.items():
-        for slot, e in enumerate(row):
+        for slot, e in enumerate(new_rows[cid]):
             builder.replace_occurrence(cid, slot, e)
     return {"created": [], "touched": list(cids)}
 

@@ -5,8 +5,9 @@ import itertools
 import pytest
 
 from zcolor.algebra import hermite_form, smith_normal_form
-from zcolor.diagram import Diagram
+from zcolor.diagram import UNDER_IN, UNDER_OUT, Diagram, face_steps
 from zcolor.generate import standard_diagrams
+from zcolor.moves import MoveError
 
 
 @pytest.fixture(scope="session")
@@ -164,3 +165,81 @@ def reference_faces(rows: dict) -> list[tuple[tuple[int, int], ...]]:
 def reference_face_arcs(rows: dict, face) -> list[int]:
     """The arcs the corners of ``face`` leave along, in walk order."""
     return [rows[cid][(i + 1) % 4] for cid, i in face]
+
+
+def reference_r3(builder, mv) -> dict:
+    """An R3 move on a ``DiagramBuilder``, from each side's strand roles.
+
+    Independent of ``zcolor.moves``' slot arithmetic: it finds which
+    crossings each side of the triangle joins, whether it passes under or
+    over at each, and the order in which its strand meets them, and writes
+    the rows of the flipped triangle from those roles.
+    """
+    cids = tuple(mv.cids)
+    if len(set(cids)) != 3 or any(c not in builder.rows for c in cids):
+        raise MoveError(f"R3 needs three distinct crossings, got {cids}")
+    triangle = builder.triangle(cids)
+    if triangle is None:
+        raise MoveError(f"crossings {cids} do not bound a triangle face")
+
+    rows = {c: builder.rows[c] for c in cids}
+    inner_edges = [e for e, _ in face_steps(builder.rows, triangle)]
+
+    def is_under_at(cid, e):
+        row = rows[cid]
+        s = row.index(e)
+        if row.count(e) != 1:
+            raise MoveError("degenerate triangle (kink inside)")
+        return s in (UNDER_IN, UNDER_OUT)
+
+    strands = {}  # inner edge -> (cid1, cid2, role at each)
+    for e in inner_edges:
+        at = [c for c in cids if e in rows[c]]
+        if len(at) != 2:
+            raise MoveError("triangle side does not join two of the crossings")
+        strands[e] = (at[0], at[1])
+
+    unders = {e: sum(is_under_at(c, e) for c in strands[e]) for e in strands}
+    tops = [e for e, k in unders.items() if k == 0]
+    bottoms = [e for e, k in unders.items() if k == 2]
+    middles = [e for e, k in unders.items() if k == 1]
+    if len(tops) != 1 or len(bottoms) != 1 or len(middles) != 1:
+        raise MoveError("triangle is not an R3 pattern (needs top/middle/bottom strands)")
+
+    def strand_route(inner):
+        """(c_first, c_second, x_in, x_out): strand order through the triangle."""
+        def in_out(cid):
+            x = builder.crossing(cid)
+            return (x.under_in, x.under_out) if is_under_at(cid, inner) else (x.over_in, x.over_out)
+
+        # inner is the strand's out-edge at its first crossing
+        c_first, c_second = strands[inner]
+        if in_out(c_first)[1] != inner:
+            c_first, c_second = c_second, c_first
+        return c_first, c_second, in_out(c_first)[0], in_out(c_second)[1]
+
+    routes = {e: strand_route(e) for e in inner_edges}
+
+    # after the flip each strand passes its two crossings in the opposite order
+    new_rows = {}
+    for cid in cids:
+        here = [e for e in inner_edges if cid in strands[e]]
+        over_e = next(e for e in here if not is_under_at(cid, e))
+        under_e = next(e for e in here if is_under_at(cid, e))
+
+        def new_in_out(inner):
+            c_first, c_second, x_in, x_out = routes[inner]
+            if cid == c_first:      # becomes the strand's second crossing
+                return (inner, x_out)
+            return (x_in, inner)    # becomes the strand's first crossing
+
+        u_in, u_out = new_in_out(under_e)
+        o_in, o_out = new_in_out(over_e)
+        if builder.signs[cid] > 0:
+            new_rows[cid] = (u_in, o_out, u_out, o_in)
+        else:
+            new_rows[cid] = (u_in, o_in, u_out, o_out)
+    for cid, row in new_rows.items():
+        for slot, e in enumerate(row):
+            builder.replace_occurrence(cid, slot, e)
+    return {"created": [], "touched": list(cids)}

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from zcolor import algebra
+from zcolor import algebra, diagram
 from zcolor.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "zcolor" / "corpus"
@@ -97,10 +97,14 @@ def _reduced_hopf(tmp_path, capsys) -> tuple[Path, dict, Path]:
 
 
 def test_replay_round_trip(tmp_path, capsys, count_calls):
-    """``replay --check`` replays once, for the result and the locality check."""
+    """``replay --check`` replays once, for the result and the locality check.
+
+    Neither it nor ``color-parallel --reduce`` reads the Fox arc classes.
+    """
     from zcolor import moves
     from zcolor.diagram import Diagram
 
+    merges = count_calls(diagram, "_merge_over_pairs")
     source, trace, target = _reduced_hopf(tmp_path, capsys)
     trace_file = tmp_path / "trace.json"
     trace_file.write_text(json.dumps(trace))
@@ -112,6 +116,7 @@ def test_replay_round_trip(tmp_path, capsys, count_calls):
     assert len(applied) == sum(len(stage["moves"]) for stage in trace["stages"]) > 0
     # the two parsed files and the one replayed result
     assert len(builds) == 3
+    assert merges == []
 
 
 def test_corpus_runner(capsys):
@@ -194,21 +199,27 @@ def test_colorability_emits_lattice(capsys):
 
 def test_colorability_eliminates_once(capsys, count_calls):
     calls = count_calls(algebra, "_unit_pivots")
+    merges = count_calls(diagram, "_merge_over_pairs")
     for name in ("trefoil", "figure8", "hopf", "split_unlink"):
         calls.clear()
+        merges.clear()
         code, doc = run(capsys, "colorability", str(CORPUS / f"{name}.pd"))
         assert code == 0
         assert len(calls) == 1, name
+        assert len(merges) <= 1, name
 
 
 def test_invariants_eliminates_once(capsys, count_calls):
     calls = count_calls(algebra, "_unit_pivots")
+    merges = count_calls(diagram, "_merge_over_pairs")
     # a split diagram's determinant is 0 without elimination
     for name, passes in (("trefoil", 1), ("figure8", 1), ("hopf", 1), ("split_unlink", 0)):
         calls.clear()
+        merges.clear()
         code, _ = run(capsys, "invariants", str(CORPUS / f"{name}.pd"))
         assert code == 0
         assert len(calls) == passes, name
+        assert len(merges) <= 1, name
 
 
 @pytest.mark.xfail(strict=True, reason="deleting color 4 creates -1 on this base")

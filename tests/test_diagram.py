@@ -113,6 +113,77 @@ def test_arc_classes_merge_over_pairs():
     assert len(set(k.arc_classes().values())) == 1
 
 
+INCONSISTENT = "orientation inconsistency: no consistent strand orientation exists"
+
+
+def _signed(d: Diagram, signs) -> Diagram:
+    """``d``'s rows, crossing ids and free loops, built from ``signs``."""
+    return Diagram([x.slots for x in d.crossings], free_loops=d.free_loops,
+                   cids=[x.cid for x in d.crossings], signs=signs)
+
+
+def _orientation(d: Diagram) -> tuple:
+    return ([x.sign for x in d.crossings], d.components,
+            {e: d.successor(e) for e in d.edges})
+
+
+def _random_bases() -> list[Diagram]:
+    from zcolor.generate import random_knot_diagram, seeded_rng
+
+    rng = seeded_rng()
+    return [random_knot_diagram(rng, 2 + k) for k in range(4)]
+
+
+def _parallels(corpus, random_bases):
+    """Parallels of the corpus, of hopf at unequal widths and of ``random_bases``."""
+    from zcolor.cabling import CableSpec, parallel
+
+    for name, d in corpus.items():
+        yield f"{name} (2)", parallel(d, CableSpec((2,) * d.num_components))
+    yield "hopf (4,3)", parallel(corpus["hopf"], CableSpec((4, 3)))
+    for k, d in enumerate(random_bases):
+        yield f"random {k} (3)", parallel(d, CableSpec((3,)))
+
+
+@pytest.mark.parametrize("wrong", [lambda sign: -sign, lambda sign: 0], ids=["flipped", "zero"])
+def test_signed_build_refuses_a_wrong_sign(corpus, wrong):
+    for name, d in corpus.items():
+        signs = [x.sign for x in d.crossings]
+        for k in range(len(signs)):
+            with pytest.raises(DiagramError) as err:
+                _signed(d, signs[:k] + [wrong(signs[k])] + signs[k + 1:])
+            assert str(err.value) == INCONSISTENT, (name, k)
+
+
+def test_signed_build_equals_the_solved_build(corpus):
+    """The orientation read from the signs is the one solved from the rows."""
+    from zcolor.diagram import serialize_pd_raw
+
+    cases = list(corpus.items()) + list(_parallels(corpus, _random_bases()))
+    for name, d in cases:
+        signed = _signed(d, [x.sign for x in d.crossings])
+        solved = parse_pd(serialize_pd_raw(d))
+        assert _orientation(signed) == _orientation(solved) == _orientation(d), name
+
+
+def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
+    from zcolor import diagram
+    from zcolor.cabling import insert_full_twist
+    from zcolor.moves import DiagramBuilder, R1Insert, apply_move
+
+    generated = _random_bases()  # solved, so drawn before counting
+    solves = count_calls(diagram, "_orient")
+    for name, d in _parallels(corpus, generated):
+        canonical(d)
+        builder = DiagramBuilder(d)
+        if d.crossings:
+            apply_move(builder, R1Insert(edge=d.crossings[0].under_in, sign=1))
+        builder.diagram()
+        if name == "trefoil_writhe0 (2)":
+            insert_full_twist(d, base_edge=1, sign=1)
+    assert solves == []
+
+
 def test_faces_euler(corpus):
     for name, d in corpus.items():
         if not d.crossings:

@@ -1,19 +1,29 @@
 """The builder's local face queries and crossing signs against full rebuilds."""
 
+import collections
+import copy
 import functools
 import itertools
 import random
 
 import pytest
 
-from conftest import reference_face_arcs, reference_faces
+from conftest import reference_face_arcs, reference_faces, reference_r3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcolor.cabling import CableSpec, parallel
-from zcolor.diagram import Diagram, occurrence_index
-from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
-from zcolor.moves import DiagramBuilder, apply_move
+from zcolor.diagram import Diagram, canonical, occurrence_index, parse_pd, writhe
+from zcolor.generate import diff_chain, random_knot_diagram, seeded_rng, standard_diagrams
+from zcolor.moves import (
+    R3,
+    DiagramBuilder,
+    MoveError,
+    R2Remove,
+    apply_move,
+    replay_trace,
+    single_stage,
+)
 from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
 from zcolor.rewrite import to_simple_coloring
 
@@ -100,6 +110,22 @@ def test_builder_signs_orient_its_diagram(name):
             assert diagram_signs(free) == builder.signs, move
 
 
+def test_builder_signs_orient_an_over_only_two_arc_component():
+    """A component of two arcs that passes under nothing has the same
+    successor map either way round, so only the signs say how it runs."""
+    source = parse_pd("% component: 1 7 8 2\n% component: 3 6 5 4\n"
+                      "X[8,3,2,4] X[2,6,1,3] X[7,4,8,5] X[1,6,7,5]")
+    move = R2Remove(2, 3)
+    builder = DiagramBuilder(source)
+    apply_move(builder, move)
+    assert builder.signs == {0: 1, 1: 1}
+    built = builder.diagram()
+    replayed = replay_trace(source, single_stage([(move, 0)], {0: frozenset({2, 3})}))
+    for d in (built, replayed, canonical(built)[0]):
+        assert diagram_signs(d) == builder.signs
+        assert writhe(d) == writhe(source) == 2
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_moves_keep_the_signs_of_crossings_they_do_not_touch(name):
     source, moves = recorded_run(name)
@@ -139,27 +165,67 @@ def triangle_cases():
         yield f"{name}, half way", builder
 
 
+def probe_triples(rows: dict, faces, rng) -> list[tuple[int, int, int]]:
+    """Every permutation of every triangle's crossings, 40 random triples
+    (mostly not a triangle), and the first two crossings of each bigon or
+    longer face with a random third."""
+    triples = set()
+    for f in faces:
+        cids = {c for c, _ in f}
+        if len(f) == 3 and len(cids) == 3:
+            triples.update(itertools.permutations(sorted(cids)))
+    for _ in range(40):
+        triples.add(tuple(rng.sample(sorted(rows), 3)))
+    for f in faces:
+        cids = sorted({c for c, _ in f})
+        if len(cids) >= 2 and len(f) != 3:
+            third = rng.choice([c for c in rows if c not in cids[:2]])
+            triples.add((cids[0], cids[1], third))
+    return sorted(triples)
+
+
 def test_bounded_triangle_search_matches_the_face_listing():
     rng = random.Random(29)
     triangles = misses = 0
     for name, builder in triangle_cases():
         rows = dict(builder.rows)
         faces = reference_faces(rows)
-        triples = set()
-        for f in faces:
-            cids = {c for c, _ in f}
-            if len(f) == 3 and len(cids) == 3:
-                triples.update(itertools.permutations(sorted(cids)))
-        for _ in range(40):  # mostly not a triangle
-            triples.add(tuple(rng.sample(sorted(rows), 3)))
-        for f in faces:  # bigons and longer faces with a third crossing
-            cids = sorted({c for c, _ in f})
-            if len(cids) >= 2 and len(f) != 3:
-                third = rng.choice([c for c in rows if c not in cids[:2]])
-                triples.add((cids[0], cids[1], third))
-        for triple in sorted(triples):
+        for triple in probe_triples(rows, faces, rng):
             expected = reference_triangle(rows, triple)
             assert builder.triangle(triple) == expected, (name, triple)
             triangles += expected is not None
             misses += expected is None
     assert triangles > 100 and misses > 100
+
+
+def r3_outcome(apply, builder: DiagramBuilder, triple) -> tuple:
+    """What one R3 does to a copy of ``builder``: the result or the
+    ``MoveError`` text, then the rows, signs and every arc's occurrences."""
+    builder = copy.deepcopy(builder)
+    try:
+        result = apply(builder, R3(triple))
+    except MoveError as err:
+        result = str(err)
+    arcs = sorted({e for row in builder.rows.values() for e in row})
+    return result, builder.rows, builder.signs, {e: builder.occurrences(e) for e in arcs}
+
+
+def test_r3_from_slots_matches_the_reference():
+    rng = seeded_rng()
+    cases = list(triangle_cases())
+    for k in range(3):
+        base = random_knot_diagram(rng, 2 + k)
+        cases.append((f"seeded random {k} (3)", DiagramBuilder(parallel(base, CableSpec((3,))))))
+    outcomes = collections.Counter()
+    for name, builder in cases:
+        rows = dict(builder.rows)
+        a, b = sorted(rows)[:2]
+        unusable = [(a, a, b), (a, b, max(rows) + 1)]
+        for triple in probe_triples(rows, reference_faces(rows), rng) + unusable:
+            expected = r3_outcome(reference_r3, builder, triple)
+            assert r3_outcome(apply_move, builder, triple) == expected, (name, triple)
+            outcomes[expected[0] if isinstance(expected[0], str) else "applied"] += 1
+    assert outcomes["applied"] > 100
+    assert sum(n for text, n in outcomes.items() if "three distinct" in text) == 2 * len(cases)
+    assert outcomes["triangle is not an R3 pattern (needs top/middle/bottom strands)"] > 10
+    assert sum(n for text, n in outcomes.items() if "do not bound a triangle" in text) > 100
