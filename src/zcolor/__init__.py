@@ -41,8 +41,6 @@ from .diagram import (
     DiagramError,
     PDSyntaxError,
     canonical,
-    components,
-    is_connected,
     linking_number,
     parse_pd,
     serialize_pd,
@@ -97,7 +95,6 @@ __all__ = [
     "color_even_parallel",
     "color_two_parallel",
     "coloring_matrix",
-    "components",
     "delete_color_moves",
     "determinant",
     "diagram_lattice",
@@ -106,7 +103,6 @@ __all__ = [
     "find_diff_path",
     "fox_coloring_count",
     "insert_full_twist",
-    "is_connected",
     "is_simple",
     "is_z_colorable",
     "kernel_lattice",

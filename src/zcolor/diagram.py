@@ -4,10 +4,10 @@ A diagram is a set of crossings, each a counterclockwise quadruple of arc
 labels starting from the incoming under-arc.  Slot 0 is the incoming
 under-arc, slot 2 the outgoing under-arc; slots 1 and 3 carry the over
 strand, and the crossing sign says which one is incoming (incoming
-over-arc at slot 3 means sign +1).  PD text does not carry the signs: for
-it the orientation is solved from the rows (``_orient``).  Writers that
-already hold every sign (the move builder, cabling, relabelling) pass them
-in, and the orientation they imply is checked, not solved.
+over-arc at slot 3 means sign +1).  Every ``Diagram`` is built from its
+signs, and checks only that they orient each arc one way.  PD text does
+not carry the signs, so ``parse_pd`` is the one place that solves them,
+from the rows and the ``% component:`` headers (``_solve_signs``).
 
 Arc labels are the PD edge labels 1..2n.  The arcs of Fox/integer coloring
 theory (maximal overpasses) are the equivalence classes of edge labels
@@ -76,18 +76,18 @@ class Diagram:
     functions returning new values.  ``cable`` holds optional construction
     metadata attached by the cabling module; it does not participate in
     equality or serialization.  ``signs``, one per row, give the
-    orientation directly; without them it is solved from the rows, pinned
-    by ``orientation_hints`` where given.
+    orientation: each row's incoming arcs are its slot 0 and, by its sign,
+    slot 3 (+1) or slot 1 (-1).  Signs that do not make every arc incoming
+    exactly once are refused.
     """
 
     def __init__(
         self,
         rows: Sequence[tuple[int, int, int, int]],
+        signs: Sequence[int],
         free_loops: int = 0,
-        orientation_hints: Optional[Sequence[Sequence[int]]] = None,
         cable=None,
         cids: Optional[Sequence[int]] = None,
-        signs: Optional[Sequence[int]] = None,
     ):
         if free_loops < 0:
             raise DiagramError("free loop count must be non-negative")
@@ -107,18 +107,7 @@ class Diagram:
             if k != 2:
                 raise DiagramError(f"arc {e} appears {k} times; every arc must appear exactly twice")
 
-        if signs is None:
-            heads = _orient(rows, occurrence_index(enumerate(rows)), orientation_hints)
-            signs = [1 if heads[(i, OVER_B)] else -1 for i in range(len(rows))]
         self._succ = _successors(rows, signs, len(counts))
-        if orientation_hints:
-            for cyc in orientation_hints:
-                cyc = list(cyc)
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    if self._succ.get(a) != b:
-                        raise DiagramError(
-                            f"orientation header contradicts the diagram: "
-                            f"arc {a} is not followed by arc {b}")
         self.crossings: tuple[Crossing, ...] = tuple(
             Crossing(cid=c, slots=r, sign=s) for c, r, s in zip(cids, rows, signs)
         )
@@ -252,83 +241,6 @@ def face_steps(rows, face) -> list[tuple[int, tuple[int, int]]]:
 INCONSISTENT = "orientation inconsistency: no consistent strand orientation exists"
 
 
-def _orient(rows, occ, hints) -> dict[tuple[int, int], bool]:
-    """Decide, for every slot occurrence, whether the edge ends (head) there.
-
-    Under slots are forced: slot 0 is a head, slot 2 a tail.  Over slots are
-    solved by propagation: every edge has exactly one head and one tail, and
-    every crossing has exactly one incoming over-slot.  Orientation hints
-    (explicit component cycles) and, as a last resort, a label-succession
-    heuristic settle strands that never pass under anything.
-    """
-    heads: dict[tuple[int, int], bool] = {}
-    for i, r in enumerate(rows):
-        heads[(i, UNDER_IN)] = True
-        heads[(i, UNDER_OUT)] = False
-
-    forced: dict[int, list] = {e: [] for e in occ}
-
-    def set_role(place, is_head):
-        if place in heads:
-            if heads[place] != is_head:
-                raise DiagramError(INCONSISTENT)
-            return []
-        heads[place] = is_head
-        return [place]
-
-    # seed from hints: succ(x) = y pins x's over-slot roles where x, y share a crossing
-    hint_succ = {}
-    if hints:
-        for cyc in hints:
-            cyc = list(cyc)
-            for k, e in enumerate(cyc):
-                hint_succ[e] = cyc[(k + 1) % len(cyc)]
-
-    work = list(heads.keys())
-    for i, r in enumerate(rows):
-        x, y = r[OVER_A], r[OVER_B]
-        fwd = hint_succ.get(x) == y and x != y
-        bwd = hint_succ.get(y) == x and x != y
-        if fwd and not bwd:
-            work += set_role((i, OVER_A), True) + set_role((i, OVER_B), False)
-        elif bwd and not fwd:
-            work += set_role((i, OVER_B), True) + set_role((i, OVER_A), False)
-
-    def propagate(work):
-        while work:
-            place = work.pop()
-            i, s = place
-            is_head = heads[place]
-            # within the crossing: the over pair has one head, one tail
-            if s in (OVER_A, OVER_B):
-                other = (i, OVER_B if s == OVER_A else OVER_A)
-                work += set_role(other, not is_head)
-            # across the edge: the other occurrence has the opposite role
-            e = rows[i][s]
-            for place2 in occ[e]:
-                if place2 != place:
-                    work += set_role(place2, not is_head)
-            # an edge occurring twice in the same slot position of one
-            # crossing (a kink loop) is covered by the pair rule above
-
-    propagate(work)
-
-    # strands that never dive under anything: orient by label succession
-    for i, r in enumerate(rows):
-        if (i, OVER_A) in heads:
-            continue
-        x, y = r[OVER_A], r[OVER_B]
-        if y == x + 1:
-            head_slot = OVER_A
-        elif x == y + 1:
-            head_slot = OVER_B
-        else:
-            head_slot = OVER_A if x < y else OVER_B
-        propagate(set_role((i, head_slot), True))
-
-    return heads
-
-
 def _successors(rows, signs, n_arcs: int) -> dict[int, int]:
     """Arc -> the arc after it along its strand, read off the signs.
 
@@ -419,11 +331,6 @@ def linking_number(diagram: Diagram, i: int, j: int) -> int:
     return total // 2
 
 
-def components(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
-    """The partition of arcs into cyclically ordered strand traversals."""
-    return diagram.components
-
-
 def crossing_graph_pieces(diagram: Diagram) -> list[set[int]]:
     """Connected pieces of the diagram: components glued along crossings.
 
@@ -454,10 +361,6 @@ def crossing_graph_pieces(diagram: Diagram) -> list[set[int]]:
               (groups[r] for r in sorted(groups))]
     pieces += [set() for _ in range(diagram.free_loops)]
     return pieces
-
-
-def is_connected(diagram: Diagram) -> bool:
-    return len(crossing_graph_pieces(diagram)) <= 1
 
 
 # -- validation ------------------------------------------------------------
@@ -508,11 +411,15 @@ def parse_pd(text: str) -> Diagram:
     """Parse PD text into a validated diagram.
 
     Grammar: whitespace-separated ``X[a,b,c,d]`` terms, ``#`` comments,
-    optional ``% component: a1 a2 ...`` headers pinning orientation, and
-    ``% loops: k`` recording crossing-free circles.
+    optional ``% component: a1 a2 ...`` headers, and ``% loops: k``
+    recording crossing-free circles.  A header must list a strand's arcs
+    in the order they run, and it sets the direction of a strand that
+    passes under nothing; a two-arc header of such a strand lists first
+    the arc that ends at the earlier of its two rows.  The signs are
+    solved here (``_solve_signs``) and nowhere else.
     """
     rows: list[tuple[int, int, int, int]] = []
-    hints: list[list[int]] = []
+    headers: list[list[int]] = []
     loops = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -523,7 +430,7 @@ def parse_pd(text: str) -> Diagram:
             body = stripped[1:].strip()
             if body.startswith("component:"):
                 try:
-                    hints.append([int(t) for t in body[len("component:"):].split()])
+                    headers.append([int(t) for t in body[len("component:"):].split()])
                 except ValueError:
                     raise PDSyntaxError("bad component header", ln, line.index("%") + 1)
             elif body.startswith("loops:"):
@@ -547,7 +454,59 @@ def parse_pd(text: str) -> Diagram:
         if labels != set(range(1, 2 * len(rows) + 1)):
             raise DiagramError(
                 f"arc labels must be exactly 1..{2 * len(rows)}; got {sorted(labels)}")
-    return Diagram(rows, free_loops=loops, orientation_hints=hints or None)
+    d = Diagram(rows, _solve_signs(rows, headers), free_loops=loops)
+    for cyc in headers:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if d._succ.get(a) != b:
+                raise DiagramError(f"orientation header contradicts the diagram: "
+                                   f"arc {a} is not followed by arc {b}")
+    return d
+
+
+def _solve_signs(rows, headers) -> list[int]:
+    """The crossing signs that PD rows and their component headers imply.
+
+    A strand that passes under something is walked in from each under
+    passage: an arc arrives at slot 0 and the next leaves from slot 2, and
+    an arc that arrives at an over slot makes its row's sign (+1 at slot
+    3).  A strand that passes under nothing is walked from its first row,
+    entered by the arc its header says ends there (for a two-arc header,
+    the first arc) or, with no such header, by the smaller label.  A walk
+    stops where the rows contradict it, and ``Diagram`` refuses the signs.
+    """
+    occ = occurrence_index(enumerate(rows))
+    signs = [0] * len(rows)
+    if any(len(places) != 2 for places in occ.values()):
+        return signs  # Diagram refuses the arc counts
+    walked = [False] * len(rows)
+
+    def walk(c, s):
+        while s != UNDER_OUT:
+            if s == UNDER_IN:
+                if walked[c]:
+                    return
+                walked[c] = True
+                s = UNDER_OUT
+            else:
+                if signs[c]:
+                    return
+                signs[c] = 1 if s == OVER_B else -1
+                s = 4 - s
+            a, b = occ[rows[c][s]]
+            c, s = b if a == (c, s) else a
+
+    for c in range(len(rows)):
+        if not walked[c]:
+            walk(c, UNDER_IN)
+    follows = {}
+    for cyc in headers:
+        follows.update(zip(cyc, cyc[1:] if len(cyc) == 2 else cyc[1:] + cyc[:1]))
+    for c, r in enumerate(rows):
+        if not signs[c]:
+            x, y = r[OVER_A], r[OVER_B]
+            fwd, bwd = follows.get(x) == y, follows.get(y) == x
+            walk(c, OVER_A if (fwd and not bwd) or (fwd == bwd and x < y) else OVER_B)
+    return signs
 
 
 def serialize_pd(diagram: Diagram) -> str:
@@ -555,14 +514,14 @@ def serialize_pd(diagram: Diagram) -> str:
 
     The text of ``canonical(diagram)``, written from the canonical map
     without building that diagram: each component's labels run on from the
-    previous component's, starting at its smallest arc.
+    previous component's, starting at its smallest arc.  Headers are
+    written as ``_header_cycles`` orders them.
     """
+    mapping = _canonical_map(diagram)
     lines = [f"% loops: {diagram.free_loops}"] if diagram.free_loops else []
-    start = 1
-    for cyc in sorted(diagram.components, key=min):
-        lines.append("% component: " + " ".join(map(str, range(start, start + len(cyc)))))
-        start += len(cyc)
-    lines += ["X[%d,%d,%d,%d]" % row for row in _canonical_rows(diagram)]
+    for cyc in _header_cycles(diagram, lambda x: [mapping[e] for e in x.slots]):
+        lines.append("% component: " + " ".join(str(mapping[e]) for e in cyc))
+    lines += ["X[%d,%d,%d,%d]" % row for row in _canonical_rows(diagram, mapping)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -577,7 +536,7 @@ def serialize_pd_raw(diagram: Diagram) -> str:
     lines = []
     if diagram.free_loops:
         lines.append(f"% loops: {diagram.free_loops}")
-    for cyc in diagram.components:
+    for cyc in _header_cycles(diagram, lambda x: x.cid):
         lines.append("% component: " + " ".join(str(e) for e in cyc))
     for x in sorted(diagram.crossings, key=lambda x: x.cid):
         a, b, c, d = x.slots
@@ -585,13 +544,33 @@ def serialize_pd_raw(diagram: Diagram) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _header_cycles(diagram: Diagram, row_key) -> list[tuple[int, ...]]:
+    """Each component cycle as its ``% component:`` header lists it.
+
+    Two arcs read the same cycle either way round.  For a strand of two
+    arcs that passes under nothing, the rows do not say which way it runs
+    either, so its header starts at the arc that ends at the earlier of
+    its two rows, ordered by ``row_key``; ``parse_pd`` reads it that way.
+    """
+    ends = None
+    cycles = []
+    for cyc in diagram.components:
+        if len(cyc) == 2:
+            if ends is None:
+                ends = {x.over_in: x for x in diagram.crossings}
+            a, b = cyc
+            if a in ends and b in ends and row_key(ends[b]) < row_key(ends[a]):
+                cyc = (b, a)
+        cycles.append(cyc)
+    return cycles
+
+
 def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
     """Apply an arc-label bijection; preserves structure and metadata."""
     rows = [tuple(mapping[e] for e in x.slots) for x in diagram.crossings]
     cable = diagram.cable.relabel(mapping) if diagram.cable is not None else None
-    return Diagram(rows, free_loops=diagram.free_loops, cable=cable,
-                   cids=[x.cid for x in diagram.crossings],
-                   signs=[x.sign for x in diagram.crossings])
+    return Diagram(rows, [x.sign for x in diagram.crossings], free_loops=diagram.free_loops,
+                   cable=cable, cids=[x.cid for x in diagram.crossings])
 
 
 def _canonical_map(diagram: Diagram) -> dict[int, int]:
@@ -604,9 +583,9 @@ def _canonical_map(diagram: Diagram) -> dict[int, int]:
     return mapping
 
 
-def _canonical_rows(diagram: Diagram) -> list[tuple[int, ...]]:
+def _canonical_rows(diagram: Diagram, mapping=None) -> list[tuple[int, ...]]:
     """The sorted crossing rows of ``canonical(diagram)``, without building it."""
-    mapping = _canonical_map(diagram)
+    mapping = mapping or _canonical_map(diagram)
     return sorted(tuple(mapping[e] for e in x.slots) for x in diagram.crossings)
 
 
@@ -626,38 +605,3 @@ def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:
 def same_diagram(d1: Diagram, d2: Diagram) -> bool:
     """Equality after canonical relabelling (not full PD isomorphism)."""
     return d1.free_loops == d2.free_loops and _canonical_rows(d1) == _canonical_rows(d2)
-
-
-def isomorphic(d1: Diagram, d2: Diagram) -> bool:
-    """Full PD-isomorphism test by traversal-start search; small diagrams only."""
-    if d1.free_loops != d2.free_loops:
-        return False
-    if len(d1.crossings) != len(d2.crossings):
-        return False
-    if sorted(map(len, d1.components)) != sorted(map(len, d2.components)):
-        return False
-    target = _canonical_rows(d2)
-
-    def signatures(d: Diagram):
-        comps = d.components
-        if not comps:
-            yield []
-            return
-        # all rotations of each component, components in every min-label order
-        # (components are few in practice; orders explored lazily)
-        import itertools
-        for perm in itertools.permutations(range(len(comps))):
-            rotations = []
-            for ci in perm:
-                cyc = comps[ci]
-                rotations.append([cyc[k:] + cyc[:k] for k in range(len(cyc))])
-            for choice in itertools.product(*rotations):
-                mapping = {}
-                nxt = 1
-                for rot in choice:
-                    for e in rot:
-                        mapping[e] = nxt
-                        nxt += 1
-                yield sorted(tuple(mapping[e] for e in x.slots) for x in d.crossings)
-
-    return any(sig == target for sig in signatures(d1))

@@ -82,24 +82,36 @@ def _move_to_json(move: Move) -> dict:
     raise TypeError(f"unknown move {move!r}")
 
 
+def _flag(v: Any, key: str) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"{key!r} must be true or false, got {v!r}")
+    return v
+
+
+def _ints(v: Any, n: int, key: str) -> tuple[int, ...]:
+    if not isinstance(v, list) or len(v) != n:
+        raise ValueError(f"{key!r} must be a list of {n} integers, got {v!r}")
+    return tuple(decode_int(x) for x in v)
+
+
 def _move_from_json(obj: dict) -> Move:
     kind = obj["kind"]
     if kind == "R1+":
-        return R1Insert(edge=obj["edge"], sign=obj["sign"],
-                        over_first=obj.get("over_first", False))
+        return R1Insert(edge=decode_int(obj["edge"]), sign=decode_int(obj["sign"]),
+                        over_first=_flag(obj.get("over_first", False), "over_first"))
     if kind == "R1-":
-        return R1Remove(cid=obj["crossing"])
+        return R1Remove(cid=decode_int(obj["crossing"]))
     if kind == "R2+":
         corner = obj.get("corner")
-        return R2Insert(push_edge=obj["push"], across_edge=obj["across"],
-                        push_over=obj["over"],
-                        corner=tuple(corner) if corner else None,
-                        lean_forward=obj.get("lean_forward", True))
+        return R2Insert(push_edge=decode_int(obj["push"]), across_edge=decode_int(obj["across"]),
+                        push_over=_flag(obj["over"], "over"),
+                        corner=None if corner is None else _ints(corner, 2, "corner"),
+                        lean_forward=_flag(obj.get("lean_forward", True), "lean_forward"))
     if kind == "R2-":
-        a, b = obj["crossings"]
+        a, b = _ints(obj["crossings"], 2, "crossings")
         return R2Remove(cid1=a, cid2=b)
     if kind == "R3":
-        return R3(cids=tuple(obj["crossings"]))
+        return R3(cids=_ints(obj["crossings"], 3, "crossings"))
     raise ValueError(f"unknown move kind {kind!r}")
 
 
@@ -120,8 +132,8 @@ def trace_to_json(trace: MoveTrace) -> dict:
 def trace_from_json(obj: dict) -> MoveTrace:
     stages = []
     for st in obj["stages"]:
-        moves = tuple((_move_from_json(m), m["disk"]) for m in st["moves"])
-        disks = {int(k): frozenset(v) for k, v in st["disks"].items()}
+        moves = tuple((_move_from_json(m), decode_int(m["disk"])) for m in st["moves"])
+        disks = {int(k): frozenset(map(decode_int, v)) for k, v in st["disks"].items()}
         stages.append(Stage(moves=moves, disks=disks))
     return MoveTrace(stages=tuple(stages))
 

@@ -7,8 +7,7 @@ replaying it and comparing the result with the claimed target.
 
 ``DiagramBuilder`` carries each crossing's sign: a move sets the signs of
 the crossings it creates and leaves every other sign alone, so no move
-rebuilds a ``Diagram``, and ``diagram()`` hands the signs to ``Diagram``
-rather than having it solve the orientation again.
+rebuilds a ``Diagram``, and ``diagram()`` hands the signs to ``Diagram``.
 
 Locality is tracked through disks: a disk is declared as a set of crossing
 ids of the stage's source diagram, moves are tagged with a disk, and every
@@ -138,11 +137,8 @@ class DiagramBuilder:
         self.next_edge = max(self._occ, default=0) + 1
 
     def diagram(self, cable=None) -> Diagram:
-        """A new ``Diagram`` of the current rows with the builder's signs.
-
-        Its orientation is read from the signs, not solved, so it runs as
-        the strands do; ``Diagram`` checks that it is consistent.
-        """
+        """A new ``Diagram`` of the current rows with the builder's signs,
+        which ``Diagram`` checks are consistent."""
         cids = sorted(self.rows)
         return Diagram(
             [self.rows[c] for c in cids],

@@ -5,7 +5,19 @@ import itertools
 import pytest
 
 from zcolor.algebra import hermite_form, smith_normal_form
-from zcolor.diagram import UNDER_IN, UNDER_OUT, Diagram, face_steps
+from zcolor.diagram import (
+    INCONSISTENT,
+    OVER_A,
+    OVER_B,
+    UNDER_IN,
+    UNDER_OUT,
+    Diagram,
+    DiagramError,
+    canonical,
+    face_steps,
+    occurrence_index,
+    parse_pd,
+)
 from zcolor.generate import standard_diagrams
 from zcolor.moves import MoveError
 
@@ -243,3 +255,107 @@ def reference_r3(builder, mv) -> dict:
         for slot, e in enumerate(row):
             builder.replace_occurrence(cid, slot, e)
     return {"created": [], "touched": list(cids)}
+
+
+def reference_orient(rows, hints) -> list[int]:
+    """The crossing signs of PD rows, by propagating slot roles.
+
+    Independent of ``zcolor.diagram``'s strand walk: every slot occurrence
+    is a head (the arc ends there) or a tail.  Under slots are forced (slot
+    0 a head, slot 2 a tail); over slots are solved by propagation, since
+    every arc has one head and one tail and every crossing one incoming
+    over-slot.  Orientation hints (component cycles) seed the over-slot
+    roles, and a strand that is still free is oriented at its first row by
+    label succession.  Raises ``DiagramError(INCONSISTENT)`` on a conflict.
+    """
+    occ = occurrence_index(enumerate(rows))
+    heads: dict[tuple[int, int], bool] = {}
+    for i in range(len(rows)):
+        heads[(i, UNDER_IN)] = True
+        heads[(i, UNDER_OUT)] = False
+
+    def set_role(place, is_head):
+        if place in heads:
+            if heads[place] != is_head:
+                raise DiagramError(INCONSISTENT)
+            return []
+        heads[place] = is_head
+        return [place]
+
+    # seed from hints: succ(x) = y pins x's over-slot roles where x, y share a crossing
+    hint_succ = {}
+    for cyc in hints or ():
+        cyc = list(cyc)
+        for k, e in enumerate(cyc):
+            hint_succ[e] = cyc[(k + 1) % len(cyc)]
+
+    work = list(heads.keys())
+    for i, r in enumerate(rows):
+        x, y = r[OVER_A], r[OVER_B]
+        fwd = hint_succ.get(x) == y and x != y
+        bwd = hint_succ.get(y) == x and x != y
+        if fwd and not bwd:
+            work += set_role((i, OVER_A), True) + set_role((i, OVER_B), False)
+        elif bwd and not fwd:
+            work += set_role((i, OVER_B), True) + set_role((i, OVER_A), False)
+
+    def propagate(work):
+        while work:
+            place = work.pop()
+            i, s = place
+            is_head = heads[place]
+            # within the crossing: the over pair has one head, one tail
+            if s in (OVER_A, OVER_B):
+                other = (i, OVER_B if s == OVER_A else OVER_A)
+                work += set_role(other, not is_head)
+            # across the edge: the other occurrence has the opposite role
+            for place2 in occ[rows[i][s]]:
+                if place2 != place:
+                    work += set_role(place2, not is_head)
+
+    propagate(work)
+
+    # strands that never dive under anything: orient by label succession
+    for i, r in enumerate(rows):
+        if (i, OVER_A) in heads:
+            continue
+        x, y = r[OVER_A], r[OVER_B]
+        if y == x + 1:
+            head_slot = OVER_A
+        elif x == y + 1:
+            head_slot = OVER_B
+        else:
+            head_slot = OVER_A if x < y else OVER_B
+        propagate(set_role((i, head_slot), True))
+
+    return [1 if heads[(i, OVER_B)] else -1 for i in range(len(rows))]
+
+
+def pd_signs(rows) -> list[int]:
+    """The signs ``parse_pd`` solves for ``rows``, written as headerless PD
+    text with the arc labels renumbered 1..2n in the same order."""
+    labels = {e: k for k, e in enumerate(sorted({e for r in rows for e in r}), start=1)}
+    text = " ".join("X[%d,%d,%d,%d]" % tuple(labels[e] for e in r) for r in rows)
+    return [x.sign for x in parse_pd(text).crossings]
+
+
+def isomorphic(d1: Diagram, d2: Diagram) -> bool:
+    """Full PD-isomorphism test by traversal-start search; small diagrams only.
+
+    Tries every order of ``d1``'s components and every starting arc on
+    each, numbering the arcs 1..2n along them, against ``d2``'s canonical
+    rows.
+    """
+    if d1.free_loops != d2.free_loops or len(d1.crossings) != len(d2.crossings):
+        return False
+    if sorted(map(len, d1.components)) != sorted(map(len, d2.components)):
+        return False
+    target = sorted(x.slots for x in canonical(d2)[0].crossings)
+    comps = d1.components
+    for perm in itertools.permutations(comps):
+        rotations = [[cyc[k:] + cyc[:k] for k in range(len(cyc))] for cyc in perm]
+        for choice in itertools.product(*rotations):
+            mapping = {e: k for k, e in enumerate(itertools.chain(*choice), start=1)}
+            if sorted(tuple(mapping[e] for e in x.slots) for x in d1.crossings) == target:
+                return True
+    return False

@@ -344,11 +344,11 @@ def test_colorable_iff_det_zero(corpus):
     that never passes under: det 0, and colorable.  One free loop: det 1,
     and not colorable.
     """
-    from zcolor.diagram import Diagram
+    from zcolor.diagram import parse_pd
 
-    extra = [("one free loop", Diagram([], free_loops=1)),
-             ("two free loops", Diagram([], free_loops=2)),
-             ("kink and a free loop", Diagram([(1, 1, 2, 2)], free_loops=1))]
+    extra = [("one free loop", parse_pd("% loops: 1")),
+             ("two free loops", parse_pd("% loops: 2")),
+             ("kink and a free loop", parse_pd("% loops: 1\nX[1,1,2,2]"))]
     checked = 0
     for name, d in [*differential_diagrams(corpus), *extra]:
         assert is_z_colorable(d)[0] == (determinant(d) == 0), name

@@ -10,7 +10,8 @@ from zcolor.cabling import (
     parallel,
     two_parallel_untwisted,
 )
-from zcolor.diagram import isomorphic, linking_number, parse_pd, serialize_pd_raw, validate, writhe
+from conftest import isomorphic
+from zcolor.diagram import linking_number, parse_pd, serialize_pd_raw, validate, writhe
 from zcolor.generate import random_knot_diagram, seeded_rng
 from zcolor.moves import DiagramBuilder, R2Remove, apply_move
 from zcolor.diagram import same_diagram

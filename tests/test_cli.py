@@ -252,6 +252,11 @@ MISSING_CROSSING = {"stages": [{"moves": [{"kind": "R1-", "crossing": 99, "disk"
                                 "disks": {}}]}
 
 
+def _trace(move: dict, disk=0) -> dict:
+    """A one-move trace document."""
+    return {"stages": [{"moves": [dict(move, disk=disk)], "disks": {"0": [0]}}]}
+
+
 @pytest.mark.parametrize("argv, document, code, error_type, names", [
     (["fox-count", "-n", "1", TREFOIL], None, 2, "usage", "-n 1"),
     (["fox-count", "-n", "0", TREFOIL], None, 2, "usage", "-n 0"),
@@ -266,6 +271,23 @@ MISSING_CROSSING = {"stages": [{"moves": [{"kind": "R1-", "crossing": 99, "disk"
     (["fox-count", TREFOIL, "-n", "abc"], None, 2, "usage", "-n"),
     (["fox-count"], None, 2, "usage", "pd"),
     (["no-such-command", TREFOIL], None, 2, "usage", "no-such-command"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R1+", "edge": 1.0, "sign": 1}), 2, "usage",
+     "doc.json"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R1+", "edge": 1, "sign": True}), 2, "usage",
+     "doc.json"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R1+", "edge": 1, "sign": 1, "over_first": "no"}),
+     2, "usage", "doc.json"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R1-", "crossing": [0]}), 2, "usage", "doc.json"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R2+", "push": 1, "across": 4, "over": 1}),
+     2, "usage", "doc.json"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R2+", "push": 1, "across": 4, "over": True,
+                                         "corner": [0]}), 2, "usage", "doc.json"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R2-", "crossings": [0, "x"]}), 2, "usage",
+     "doc.json"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R3", "crossings": [0, 1]}), 2, "usage",
+     "doc.json"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R1-", "crossing": 0}, disk=0.5), 2, "usage",
+     "doc.json"),
 ])
 def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code, error_type,
                                          names):
@@ -348,3 +370,24 @@ def test_replay_check_reports_the_reasons_of_verify_local_equivalence(tmp_path, 
     assert doc["reasons"] == list(report.reasons)
     for kind in ("overlap", "outside disk", "unknown disk", "does not match"):
         assert any(kind in r for r in doc["reasons"]), kind
+
+
+def test_replay_text_keeps_a_two_arc_over_strand_direction(tmp_path, capsys):
+    """The signs of a Hopf link whose over component has two arcs survive
+    ``replay``'s emitted text, and its ``--check`` against that text."""
+    from zcolor.diagram import parse_pd, writhe
+
+    source = tmp_path / "source.pd"
+    source.write_text("% component: 1 7 8 2\n% component: 3 6 5 4\n"
+                      "X[8,3,2,4] X[2,6,1,3] X[7,4,8,5] X[1,6,7,5]\n")
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"schema_version": 1, "stages": [
+        {"moves": [{"kind": "R2-", "crossings": [2, 3], "disk": 0}], "disks": {"0": [2, 3]}}]}))
+    code, doc = run(capsys, "replay", str(source), str(trace))
+    assert code == 0
+    out = parse_pd(doc["pd"])
+    assert [x.sign for x in out.crossings] == [1, 1] and writhe(out) == 2
+    target = tmp_path / "target.pd"
+    target.write_text(doc["pd"])
+    code, doc = run(capsys, "replay", str(source), str(trace), "--check", str(target))
+    assert (code, doc["equivalent"]) == (0, True)

@@ -1,13 +1,12 @@
 import pytest
 
+from conftest import isomorphic
 from zcolor.diagram import (
     Diagram,
     DiagramError,
     PDSyntaxError,
     canonical,
-    components,
-    is_connected,
-    isomorphic,
+    crossing_graph_pieces,
     linking_number,
     parse_pd,
     same_diagram,
@@ -56,6 +55,10 @@ def test_parse_errors():
 def test_contradictory_header_rejected():
     with pytest.raises(DiagramError):
         parse_pd("% component: 1 4 2 5 3 6\n" + TREFOIL)
+    with pytest.raises(DiagramError, match="orientation header contradicts the diagram"):
+        parse_pd("% component: 1 3 2 4\nX[2,3,1,4] X[1,3,2,4]")
+    with pytest.raises(DiagramError, match="orientation inconsistency"):
+        parse_pd("X[1,3,2,4] X[1,4,2,3]")
 
 
 def test_comment_and_headers():
@@ -85,10 +88,10 @@ def test_linking_number():
 
 
 def test_components():
-    assert len(components(parse_pd(TREFOIL))) == 1
-    assert len(components(parse_pd(HOPF))) == 2
-    assert is_connected(parse_pd(HOPF))
-    assert not is_connected(parse_pd("X[1,1,2,2] X[3,3,4,4]"))
+    assert len(parse_pd(TREFOIL).components) == 1
+    assert len(parse_pd(HOPF).components) == 2
+    assert len(crossing_graph_pieces(parse_pd(HOPF))) == 1
+    assert len(crossing_graph_pieces(parse_pd("X[1,1,2,2] X[3,3,4,4]"))) == 2
 
 
 def test_round_trip():
@@ -118,8 +121,8 @@ INCONSISTENT = "orientation inconsistency: no consistent strand orientation exis
 
 def _signed(d: Diagram, signs) -> Diagram:
     """``d``'s rows, crossing ids and free loops, built from ``signs``."""
-    return Diagram([x.slots for x in d.crossings], free_loops=d.free_loops,
-                   cids=[x.cid for x in d.crossings], signs=signs)
+    return Diagram([x.slots for x in d.crossings], signs, free_loops=d.free_loops,
+                   cids=[x.cid for x in d.crossings])
 
 
 def _orientation(d: Diagram) -> tuple:
@@ -167,13 +170,17 @@ def test_signed_build_equals_the_solved_build(corpus):
 
 
 def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
+    """Only ``parse_pd`` solves signs: the generators, cabling, relabelling,
+    the move builder and twist insertion all pass the signs they hold."""
     from zcolor import diagram
     from zcolor.cabling import insert_full_twist
+    from zcolor.generate import diff_chain
     from zcolor.moves import DiagramBuilder, R1Insert, apply_move
 
-    generated = _random_bases()  # solved, so drawn before counting
-    solves = count_calls(diagram, "_orient")
-    for name, d in _parallels(corpus, generated):
+    solves = count_calls(diagram, "_solve_signs")
+    for colors, kinks in (((1, 2), 0), ((3, 1, 2), 2)):
+        diff_chain(colors, kinks)
+    for name, d in _parallels(corpus, _random_bases()):
         canonical(d)
         builder = DiagramBuilder(d)
         if d.crossings:
@@ -252,3 +259,103 @@ def test_serialize_pd_is_the_canonical_text_without_a_build(corpus, count_calls)
         assert builds == [], name
         assert text == expected, name
         assert serialize_pd(canonical(d)[0]) == text, name
+
+
+def _without_headers(text: str) -> str:
+    return "".join(line for line in text.splitlines(True) if not line.startswith("% component:"))
+
+
+def _solver_inputs(corpus):
+    """(name, PD text): the corpus, random knots with and without headers,
+    every golden diff chain as raw, canonical and headerless text, the
+    parallels of ``_parallels`` and the simplify golden outputs."""
+    import json
+
+    from test_golden import GOLDEN, diff_chain_grid
+    from zcolor.diagram import serialize_pd_raw
+    from zcolor.generate import diff_chain, random_knot_diagram, seeded_rng
+
+    for name, d in corpus.items():
+        yield name, serialize_pd_raw(d)
+    rng = seeded_rng()
+    for k in range(300):
+        text = serialize_pd(random_knot_diagram(rng, 1 + k % 8))
+        yield f"random {k}", text
+        yield f"random {k} headerless", _without_headers(text)
+    for case, colors, kinks in diff_chain_grid():
+        d, _ = diff_chain(colors, kinks)
+        yield f"{case} raw", serialize_pd_raw(d)
+        yield f"{case} canonical", serialize_pd(d)
+        yield f"{case} headerless", _without_headers(serialize_pd_raw(d))
+    for name, d in _parallels(corpus, _random_bases()):
+        yield name, serialize_pd_raw(d)
+    for case, out in json.loads((GOLDEN / "simplify.json").read_text()).items():
+        doc = json.loads(out.split("\n", 1)[1])
+        if "pd" in doc:
+            yield f"simplify {case}", doc["pd"]
+
+
+def _reference_parse(rows, headers, loops):
+    """The signs the propagation oracle solves, or None where it refuses."""
+    from conftest import reference_orient
+
+    try:
+        d = Diagram(rows, reference_orient(rows, headers), free_loops=loops)
+    except DiagramError:
+        return None
+    succ = {e: d.successor(e) for e in d.edges}
+    if any(succ.get(a) != b for cyc in headers for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+        return None
+    return [x.sign for x in d.crossings]
+
+
+def _solved(text: str):
+    try:
+        return [x.sign for x in parse_pd(text).crossings]
+    except DiagramError:
+        return None
+
+
+def test_pd_solver_matches_the_propagation_oracle(corpus):
+    """``parse_pd``'s strand walk gives the signs of the old slot-role
+    propagation, and refuses the same texts after two labels are swapped."""
+    import re
+
+    from zcolor.generate import seeded_rng
+
+    rng = seeded_rng()
+    term = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")
+    texts = 0
+    outcomes = []
+    for name, text in _solver_inputs(corpus):
+        rows = [tuple(map(int, m)) for m in term.findall(text)]
+        headers = [list(map(int, line.split(":")[1].split()))
+                   for line in text.splitlines() if line.startswith("% component:")]
+        loops = sum(int(line.split(":")[1]) for line in text.splitlines()
+                    if line.startswith("% loops:"))
+        expected = _reference_parse(rows, headers, loops)
+        assert expected is not None and _solved(text) == expected, name
+        texts += 1
+        for _ in range(3 if rows else 0):
+            cells = [list(r) for r in rows]
+            (i, a), (j, b) = rng.sample([(i, a) for i in range(len(rows)) for a in range(4)], 2)
+            cells[i][a], cells[j][b] = cells[j][b], cells[i][a]
+            swapped = [tuple(r) for r in cells]
+            expected = _reference_parse(swapped, headers, loops)
+            lines = [line for line in text.splitlines() if line.startswith("%")]
+            lines += ["X[%d,%d,%d,%d]" % r for r in swapped]
+            assert _solved("\n".join(lines)) == expected, (name, swapped)
+            outcomes.append(expected is None)
+    assert texts > 1200 and 0 < sum(outcomes) < len(outcomes)
+
+
+def test_two_arc_header_of_an_over_strand_starts_at_the_earlier_row():
+    """``% component: a b`` of a strand that passes under nothing: a ends
+    at the earlier of its two rows, so the header, not the labels, says
+    which way it runs."""
+    rows = "X[2,3,1,4] X[1,3,2,4]"
+    assert [x.sign for x in parse_pd(rows).crossings] == [-1, 1]
+    assert [x.sign for x in parse_pd("% component: 3 4\n" + rows).crossings] == [-1, 1]
+    flipped = parse_pd("% component: 4 3\n" + rows)
+    assert [x.sign for x in flipped.crossings] == [1, -1]
+    assert [x.over_in for x in flipped.crossings] == [4, 3]

@@ -8,12 +8,20 @@ import random
 
 import pytest
 
-from conftest import reference_face_arcs, reference_faces, reference_r3
+from conftest import pd_signs, reference_face_arcs, reference_faces, reference_r3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcolor.cabling import CableSpec, parallel
-from zcolor.diagram import Diagram, canonical, occurrence_index, parse_pd, writhe
+from zcolor.diagram import (
+    Diagram,
+    canonical,
+    occurrence_index,
+    parse_pd,
+    serialize_pd,
+    serialize_pd_raw,
+    writhe,
+)
 from zcolor.generate import diff_chain, random_knot_diagram, seeded_rng, standard_diagrams
 from zcolor.moves import (
     R3,
@@ -94,8 +102,8 @@ def test_builder_signs_orient_its_diagram(name):
     """The builder's signs are the signs of the diagram it builds.
 
     Where every component passes under some crossing, the orientation is
-    forced by the rows alone, so an unhinted ``Diagram`` independently
-    checks the sign each move gave its new crossings.
+    forced by the rows alone, so the signs ``parse_pd`` solves from them
+    independently check the sign each move gave its new crossings.
     """
     source, moves = recorded_run(name)
     builder = DiagramBuilder(source)
@@ -106,13 +114,14 @@ def test_builder_signs_orient_its_diagram(name):
         unders = {x.under_in for x in d.crossings}
         if all(unders.intersection(cyc) for cyc in d.components):
             cids = sorted(builder.rows)
-            free = Diagram([builder.rows[c] for c in cids], cids=cids)
-            assert diagram_signs(free) == builder.signs, move
+            solved = pd_signs([builder.rows[c] for c in cids])
+            assert dict(zip(cids, solved)) == builder.signs, move
 
 
 def test_builder_signs_orient_an_over_only_two_arc_component():
     """A component of two arcs that passes under nothing has the same
-    successor map either way round, so only the signs say how it runs."""
+    successor map either way round, so only the signs say how it runs, and
+    in PD text only its header's order does."""
     source = parse_pd("% component: 1 7 8 2\n% component: 3 6 5 4\n"
                       "X[8,3,2,4] X[2,6,1,3] X[7,4,8,5] X[1,6,7,5]")
     move = R2Remove(2, 3)
@@ -121,7 +130,8 @@ def test_builder_signs_orient_an_over_only_two_arc_component():
     assert builder.signs == {0: 1, 1: 1}
     built = builder.diagram()
     replayed = replay_trace(source, single_stage([(move, 0)], {0: frozenset({2, 3})}))
-    for d in (built, replayed, canonical(built)[0]):
+    texts = [serialize_pd(built), serialize_pd_raw(built)]
+    for d in (built, replayed, canonical(built)[0], *map(parse_pd, texts)):
         assert diagram_signs(d) == builder.signs
         assert writhe(d) == writhe(source) == 2
 

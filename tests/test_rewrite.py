@@ -63,8 +63,8 @@ def test_no_path_when_pieces_split():
     shift_c = len(d1.crossings)
     rows = [x.slots for x in d1.crossings] + [
         tuple(e + shift_e for e in x.slots) for x in d2.crossings]
-    from zcolor.diagram import Diagram
-    both = Diagram(rows)
+    from zcolor.diagram import parse_pd
+    both = parse_pd(" ".join("X[%d,%d,%d,%d]" % r for r in rows))
     gamma = dict(g1)
     gamma.update({e + shift_e: c for e, c in g2.items()})
     assert verify_coloring(both, gamma)
