@@ -15,13 +15,10 @@ from .algebra import (
     is_z_colorable,
     kernel_lattice,
     smith_normal_form,
-    solve_partial,
 )
 from .cabling import (
     CableError,
     CableSpec,
-    insert_full_twist,
-    linking_equals_writhe,
     parallel,
     two_parallel_untwisted,
 )
@@ -56,11 +53,9 @@ from .parallel_coloring import (
     BoundaryPattern,
     ConstructionError,
     NoApplicableMoveError,
-    RegionColoring,
     color_even_parallel,
     color_two_parallel,
     delete_color_moves,
-    propagate_region,
 )
 from .rewrite import (
     DiffPath,
@@ -89,7 +84,6 @@ __all__ = [
     "NoApplicableMoveError",
     "NoDiffPathError",
     "PDSyntaxError",
-    "RegionColoring",
     "RewriteError",
     "canonical",
     "color_even_parallel",
@@ -102,21 +96,17 @@ __all__ = [
     "eliminate_max_diff",
     "find_diff_path",
     "fox_coloring_count",
-    "insert_full_twist",
     "is_simple",
     "is_z_colorable",
     "kernel_lattice",
-    "linking_equals_writhe",
     "linking_number",
     "minimize_palette_on_diagram",
     "palette",
     "parallel",
     "parse_pd",
-    "propagate_region",
     "replay_trace",
     "serialize_pd",
     "smith_normal_form",
-    "solve_partial",
     "to_simple_coloring",
     "two_parallel_untwisted",
     "validate",

@@ -39,9 +39,8 @@ Matrix = list[list[int]]
 class ColoringMatrix:
     """Crossing-relation matrix over the arc classes of a diagram."""
 
-    rows: tuple[tuple[int, ...], ...]
-    columns: tuple[int, ...]        # arc class representatives, sorted
-    crossing_ids: tuple[int, ...]   # row order
+    rows: tuple[tuple[int, ...], ...]   # one per crossing, in crossing order
+    columns: tuple[int, ...]            # arc class representatives, sorted
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -85,15 +84,13 @@ def coloring_matrix(diagram: Diagram) -> ColoringMatrix:
     cols = diagram.arc_class_reps()
     idx = {c: i for i, c in enumerate(cols)}
     rows = []
-    cids = []
     for x in diagram.crossings:
         row = [0] * len(cols)
         row[idx[cls[x.over_in]]] += 2
         row[idx[cls[x.under_in]]] -= 1
         row[idx[cls[x.under_out]]] -= 1
         rows.append(tuple(row))
-        cids.append(x.cid)
-    return ColoringMatrix(rows=tuple(rows), columns=cols, crossing_ids=tuple(cids))
+    return ColoringMatrix(rows=tuple(rows), columns=cols)
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -321,8 +318,9 @@ def hermite_form(rows: Matrix) -> Matrix:
     return [r for r in M if any(r)]
 
 
-def kernel_lattice(matrix: ColoringMatrix, diagram: Optional[Diagram] = None) -> ColoringLattice:
-    """Saturated integer basis of ker(M), canonicalized by Hermite reduction.
+def kernel_lattice(rows, width: int) -> Matrix:
+    """Saturated integer basis of the kernel of ``rows`` (``width`` columns),
+    canonicalized by Hermite reduction.
 
     The unit pivots leave a residual R.  With U*R*V = S diagonal, ker(R)
     is generated by the columns of V at positions where S has no (or a
@@ -331,10 +329,9 @@ def kernel_lattice(matrix: ColoringMatrix, diagram: Optional[Diagram] = None) ->
     the unit vectors.  Each vector is lifted to ker(M) by back-substitution
     through the pivots, last first (see the module docstring).
     """
-    c = matrix.shape[1]
-    if c == 0:
-        return ColoringLattice(basis=(), columns=(), edge_class=_edge_class(matrix, diagram))
-    pivots, residual, cols = _unit_pivots(matrix.rows)
+    if not rows:
+        return _identity(width)
+    pivots, residual, cols = _unit_pivots(rows)
     if residual:
         _, S, V = smith_normal_form(residual)
         n = min(len(S), len(cols))
@@ -343,28 +340,22 @@ def kernel_lattice(matrix: ColoringMatrix, diagram: Optional[Diagram] = None) ->
         kernel = _identity(len(cols))
     vectors = []
     for x in kernel:
-        v = [0] * c
+        v = [0] * width
         for j, a in zip(cols, x):
             v[j] = a
         for j, s, rest in reversed(pivots):
             v[j] = -s * sum(a * v[k] for k, a in rest.items())
         vectors.append(v)
-    basis = hermite_form(vectors)
-    return ColoringLattice(
-        basis=tuple(tuple(v) for v in basis),
-        columns=matrix.columns,
-        edge_class=_edge_class(matrix, diagram),
-    )
-
-
-def _edge_class(matrix: ColoringMatrix, diagram: Optional[Diagram]) -> tuple[tuple[int, int], ...]:
-    if diagram is None:
-        return tuple((c, c) for c in matrix.columns)
-    return tuple(sorted(diagram.arc_classes().items()))
+    return hermite_form(vectors)
 
 
 def diagram_lattice(diagram: Diagram) -> ColoringLattice:
-    return kernel_lattice(coloring_matrix(diagram), diagram)
+    M = coloring_matrix(diagram)
+    return ColoringLattice(
+        basis=tuple(map(tuple, kernel_lattice(M.rows, len(M.columns)))),
+        columns=M.columns,
+        edge_class=tuple(sorted(diagram.arc_classes().items())),
+    )
 
 
 # -- colorability ------------------------------------------------------------
@@ -445,46 +436,6 @@ def fox_coloring_count(diagram: Diagram, n: int) -> int:
     count *= n ** (c - len(diag))
     count *= n ** diagram.free_loops
     return count
-
-
-def solve_partial(diagram: Diagram, partial: dict[int, int]) -> Optional[dict[int, int]]:
-    """Complete a partial arc assignment to a full coloring, or return None.
-
-    The completion is a lattice member agreeing with ``partial``; free
-    directions are pinned to zero, so a unique completion is returned
-    deterministically and the empty assignment completes to all zeros.
-    """
-    edges = set(diagram.edges)
-    unknown = set(partial) - edges
-    if unknown:
-        raise DiagramError(f"assignment names unknown arcs: {sorted(unknown)}")
-    lat = diagram_lattice(diagram)
-    cls = diagram.arc_classes()
-    pinned: dict[int, int] = {}
-    for e, v in partial.items():
-        rep = cls[e]
-        if rep in pinned and pinned[rep] != int(v):
-            return None
-        pinned[rep] = int(v)
-    if not lat.columns:
-        return {}
-    col = {cdx: i for i, cdx in enumerate(lat.columns)}
-    k = lat.rank
-    if k == 0:
-        if any(v != 0 for v in pinned.values()):
-            return None
-        return {e: 0 for e in edges}
-    A = [[lat.basis[t][col[rep]] for t in range(k)] for rep in sorted(pinned)]
-    b = [pinned[rep] for rep in sorted(pinned)]
-    t = solve_integer(A, b, k)
-    if t is None:
-        return None
-    values = [sum(t[i] * lat.basis[i][j] for i in range(k)) for j in range(len(lat.columns))]
-    out = {e: values[col[rep]] for e, rep in lat.edge_class}
-    for e, v in partial.items():
-        if out[e] != int(v):
-            return None
-    return out
 
 
 def solve_integer(A: Matrix, b: list[int], width: int) -> Optional[list[int]]:

@@ -24,11 +24,10 @@ class CableError(ValueError):
 
 @dataclass(frozen=True)
 class TwistSite:
-    """A full-twist insertion point: a base arc, a copy pair, and a sign."""
+    """A full-twist insertion point on the copies 1 and 2 of a base arc."""
 
     base_edge: int
     sign: int
-    pair: tuple[int, int] = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -44,16 +43,13 @@ class CableSpec:
 class Region:
     """The grid of crossings a single base crossing expands into.
 
-    ``grid[r][s]`` is the crossing id met by under-strand copy-row r at its
-    s-th overpass; ``over_copy_at_step[s]`` and ``under_copy_at_row[r]``
-    translate grid coordinates back to cable copy indices.
+    ``grid[r][s]`` is the crossing id met by under-strand copy r + 1 at its
+    s-th overpass.
     """
 
     base_cid: int
     base_sign: int
     grid: list[list[int]]
-    under_copy_at_row: list[int]
-    over_copy_at_step: list[int]
 
 
 @dataclass
@@ -61,7 +57,6 @@ class CableStructure:
     """Construction metadata kept alongside a cabled diagram."""
 
     multiplicities: tuple[int, ...]
-    base_components: int
     regions: dict[int, Region]
     copy_edges: dict[tuple[int, int], int]   # (base edge, copy) -> entry arc id
     twists: list[tuple[TwistSite, list[int]]] = field(default_factory=list)
@@ -69,7 +64,6 @@ class CableStructure:
     def relabel(self, mapping: dict[int, int]) -> "CableStructure":
         return CableStructure(
             multiplicities=self.multiplicities,
-            base_components=self.base_components,
             regions=self.regions,
             copy_edges={k: mapping[e] for k, e in self.copy_edges.items()},
             twists=self.twists,
@@ -108,11 +102,9 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
             for k in range(1, mult[comp_of[e]] + 1):
                 copy_edges[(e, k)] = fresh()
 
-    rows: list[tuple[int, int, int, int]] = []
-    cids: list[int] = []
+    rows: list[tuple[int, int, int, int]] = []   # crossing id = row index
     signs: list[int] = []
     regions: dict[int, Region] = {}
-    next_cid = 0
 
     for x in diagram.crossings:
         q = mult[comp_of[x.under_in]]   # under cable width
@@ -137,8 +129,7 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
         # base crossing is positive, reversed otherwise.
         met_over = list(range(p, 0, -1)) if x.sign > 0 else list(range(1, p + 1))
         grid = [[0] * p for _ in range(q)]
-        under_rows = list(range(1, q + 1))
-        for ki, k in enumerate(under_rows):
+        for k in range(1, q + 1):
             for s in range(p):
                 l = met_over[s]
                 t = k - 1 if x.sign > 0 else q - k  # over copy's step count so far
@@ -150,27 +141,14 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
                     row = (u_in, o_out, u_out, o_in)
                 else:
                     row = (u_in, o_in, u_out, o_out)
+                grid[k - 1][s] = len(rows)
                 rows.append(row)
-                cids.append(next_cid)
                 signs.append(x.sign)
-                grid[ki][s] = next_cid
-                next_cid += 1
-        regions[x.cid] = Region(
-            base_cid=x.cid,
-            base_sign=x.sign,
-            grid=grid,
-            under_copy_at_row=under_rows,
-            over_copy_at_step=met_over,
-        )
+        regions[x.cid] = Region(base_cid=x.cid, base_sign=x.sign, grid=grid)
 
     free = sum(mult[n_cycles:])
-    structure = CableStructure(
-        multiplicities=mult,
-        base_components=diagram.num_components,
-        regions=regions,
-        copy_edges=copy_edges,
-    )
-    out = Diagram(rows, free_loops=free, cable=structure, cids=cids, signs=signs)
+    structure = CableStructure(multiplicities=mult, regions=regions, copy_edges=copy_edges)
+    out = Diagram(rows, signs, free_loops=free, cable=structure)
     expected = sum(mult[comp_of[x.over_in]] * mult[comp_of[x.under_in]]
                    for x in diagram.crossings)
     if len(out.crossings) != expected:
@@ -192,24 +170,13 @@ def two_parallel_untwisted(diagram: Diagram) -> Diagram:
     return out
 
 
-def insert_full_twist(cabled: Diagram, base_edge: int, sign: int,
-                      pair: tuple[int, int] = (1, 2)) -> Diagram:
-    """Insert a 2-crossing full twist on a parallel arc pair.
-
-    The site is named by base-diagram arc (plus the copy pair), so it
-    survives relabelling of the cabled diagram.  A positive full twist has
-    two positive crossings (left copy passing over first); crossing count
-    grows by exactly 2.
-    """
-    return insert_full_twists(cabled, [TwistSite(base_edge=base_edge, sign=sign, pair=pair)])
-
-
 def insert_full_twists(cabled: Diagram, sites: Sequence[TwistSite]) -> Diagram:
-    """Insert a full twist at each site in turn, on one move builder.
+    """Insert a 2-crossing full twist at each site in turn, on one move builder.
 
-    The same diagram, arc labels and crossing ids as one
-    ``insert_full_twist`` call per site, with one ``Diagram`` built (none
-    when there is no site).
+    A site is named by base-diagram arc, so it survives relabelling of the
+    cabled diagram.  A positive full twist has two positive crossings (left
+    copy passing over first); each site adds exactly 2 crossings.  One
+    ``Diagram`` is built (none when there is no site).
     """
     st: CableStructure = cabled.cable
     if st is None:
@@ -222,7 +189,7 @@ def insert_full_twists(cabled: Diagram, sites: Sequence[TwistSite]) -> Diagram:
     for site in sites:
         if site.sign not in (1, -1):
             raise CableError("twist sign must be +1 or -1")
-        key1, key2 = ((site.base_edge, k) for k in site.pair)
+        key1, key2 = (site.base_edge, 1), (site.base_edge, 2)
         if key1 not in copy_edges or key2 not in copy_edges:
             raise CableError(f"no parallel pair for base arc {site.base_edge}")
         cids, (left_out, right_out) = builder.insert_twist(
@@ -232,22 +199,7 @@ def insert_full_twists(cabled: Diagram, sites: Sequence[TwistSite]) -> Diagram:
         twists.append((site, cids))
     return builder.diagram(cable=CableStructure(
         multiplicities=st.multiplicities,
-        base_components=st.base_components,
         regions=st.regions,
         copy_edges=copy_edges,
         twists=twists,
     ))
-
-
-def linking_equals_writhe(diagram: Diagram) -> tuple[int, int, bool]:
-    """Writhe of a knot diagram vs the linking number of its 2-parallel.
-
-    These agree for every diagram: each base crossing contributes exactly
-    two inter-component grid crossings carrying its sign.
-    """
-    if len(diagram.components) != 1 or diagram.free_loops:
-        raise CableError("needs a one-component knot diagram")
-    w = writhe(diagram)
-    cable = parallel(diagram, CableSpec(multiplicities=(2,)))
-    lk = linking_number(cable, 0, 1)
-    return w, lk, w == lk

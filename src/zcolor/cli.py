@@ -180,7 +180,7 @@ def cmd_simplify_coloring(args) -> int:
 def cmd_minimize(args) -> int:
     d = _load_diagram(args.pd)
     lat = algebra.diagram_lattice(d)
-    best = coloring.minimize_palette_on_diagram(d, lat, args.bound)
+    best = coloring.minimize_palette_on_diagram(lat, args.bound)
     values, size = coloring.palette(best)
     _emit({
         "coloring": jsonio.coloring_to_json(best),
@@ -242,22 +242,34 @@ def cmd_corpus(args) -> int:
                                    for k, v in got.items()}
             sidecar = pd_file.with_suffix(".expected.json")
             if sidecar.exists():
-                expected = json.loads(sidecar.read_text())
+                expected = _load_expected(sidecar, got)
                 mismatches = {
                     k: {"expected": expected[k], "got": got[k]}
-                    for k in expected if got.get(k) != expected[k]
+                    for k in expected if got[k] != expected[k]
                 }
                 if mismatches:
                     entry["mismatches"] = mismatches
                     failures += 1
             entry["ok"] = "mismatches" not in entry
-        except (DiagramError, PDSyntaxError) as err:
+        except (DiagramError, PDSyntaxError, UsageError) as err:
             entry["ok"] = False
             entry["error"] = str(err)
             failures += 1
         report.append(entry)
     _emit({"entries": report, "failures": failures}, args.pretty)
     return 1 if failures else 0
+
+
+def _load_expected(sidecar: Path, got: dict) -> dict:
+    """The sidecar's expected invariants; a sidecar that is not a JSON
+    object of invariants the corpus run computes is an error naming it."""
+    expected = _load_json(str(sidecar))
+    if not isinstance(expected, dict):
+        raise UsageError(f"{sidecar}: expected a JSON object of invariants")
+    unknown = sorted(set(expected) - set(got))
+    if unknown:
+        raise UsageError(f"{sidecar}: unknown invariants {unknown}")
+    return expected
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 DOMAIN_ERRORS = (
     DiagramError,
-    algebra.DiagramError,
     cabling.CableError,
     coloring.ColoringError,
     moves.MoveError,

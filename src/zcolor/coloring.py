@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import ColoringLattice, solve_integer
-from .diagram import Diagram, crossing_graph_pieces
+from .diagram import Diagram
 
 Coloring = dict[int, int]
 
@@ -32,9 +32,15 @@ class DiffSpectrum:
 
 
 def _require_total(diagram: Diagram, gamma: Coloring) -> None:
-    missing = [e for e in diagram.edges if e not in gamma]
+    """Refuse a coloring that misses an arc of the diagram or names one it
+    does not have."""
+    edges = diagram.edges
+    missing = [e for e in edges if e not in gamma]
     if missing:
         raise ColoringError(f"coloring is not total: arcs {missing} unassigned")
+    if len(gamma) != len(edges):
+        unknown = sorted(set(gamma) - set(edges))
+        raise ColoringError(f"coloring names arcs {unknown} the diagram does not have")
 
 
 def verify_coloring(diagram: Diagram, gamma: Coloring) -> bool:
@@ -63,12 +69,6 @@ def diff_spectrum(diagram: Diagram, gamma: Coloring) -> DiffSpectrum:
     return DiffSpectrum(diffs=diffs, histogram=hist, d_m=max(hist) if hist else 0)
 
 
-def is_trivial(diagram: Diagram, gamma: Coloring) -> bool:
-    """Trivial means one single color on the whole diagram."""
-    _require_total(diagram, gamma)
-    return len(set(gamma[e] for e in diagram.edges)) <= 1
-
-
 def is_simple(diagram: Diagram, gamma: Coloring) -> tuple[bool, Optional[int]]:
     """Detect a simple coloring: all diffs equal to 0 or one fixed d > 0.
 
@@ -89,11 +89,7 @@ def palette(gamma: Coloring) -> tuple[set[int], int]:
     return values, len(values)
 
 
-def minimize_palette_on_diagram(
-    diagram: Diagram,
-    lattice: ColoringLattice,
-    coeff_bound: int,
-) -> Coloring:
+def minimize_palette_on_diagram(lattice: ColoringLattice, coeff_bound: int) -> Coloring:
     """Exhaustive palette minimization over a bounded coefficient box.
 
     Scans every non-trivial integer combination of the lattice basis with
@@ -119,9 +115,7 @@ def minimize_palette_on_diagram(
     best = _scan_box(scan, coeff_bound)
     if best is None:
         raise ColoringError("no non-trivial combination in the searched box")
-    vec = tuple(best)
-    coloring = lattice.expand(vec)
-    return coloring
+    return lattice.expand(tuple(best))
 
 
 def _split_off_ones(basis: list[list[int]]) -> list[list[int]]:
@@ -182,19 +176,4 @@ def _scan_box(basis: list[list[int]], bound: int) -> Optional[list[int]]:
                     if best_vec is None or cand < best_vec:
                         best_vec = cand
         idx = hi
-    if best_vec is None:
-        return None
     return best_vec
-
-
-def constant_coloring(diagram: Diagram, value: int) -> Coloring:
-    return {e: value for e in diagram.edges}
-
-
-def piecewise_constant(diagram: Diagram) -> Coloring:
-    """Distinct constants on the connected pieces (non-trivial when split)."""
-    out: Coloring = {}
-    for k, piece in enumerate(p for p in crossing_graph_pieces(diagram) if p):
-        for e in piece:
-            out[e] = k
-    return out

@@ -64,10 +64,6 @@ class Crossing:
     def over_out(self) -> int:
         return self.slots[OVER_A] if self.sign > 0 else self.slots[OVER_B]
 
-    @property
-    def over_pair(self) -> tuple[int, int]:
-        return (self.slots[OVER_A], self.slots[OVER_B])
-
 
 class Diagram:
     """A validated oriented link diagram.

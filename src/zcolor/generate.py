@@ -10,20 +10,12 @@ paths between the bights.
 
 from __future__ import annotations
 
-import os
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .coloring import Coloring
 from .diagram import Diagram, canonical
 from .moves import DiagramBuilder, MoveError, R1Insert, apply_move
-
-
-def seeded_rng(seed: Optional[int] = None) -> random.Random:
-    """Honor ZCOLOR_SEED for reproducible randomized tests."""
-    if seed is None:
-        seed = int(os.environ.get("ZCOLOR_SEED", "271828"))
-    return random.Random(seed)
 
 
 def diff_chain(loop_colors: Sequence[int], kinks_between: int = 0

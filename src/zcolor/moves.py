@@ -111,9 +111,6 @@ def single_stage(moves: Sequence[tuple[Move, int]], disks: dict[int, frozenset[i
     return MoveTrace(stages=(Stage(moves=tuple(moves), disks=dict(disks)),))
 
 
-EMPTY_TRACE = MoveTrace(stages=())
-
-
 # -- mutable builder ---------------------------------------------------------
 
 

@@ -55,7 +55,7 @@ class NoApplicableMoveError(ValueError):
     """No move in the library can remove the requested color."""
 
 
-# -- boundary patterns and region propagation --------------------------------
+# -- boundary patterns -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -75,61 +75,15 @@ class BoundaryPattern:
         return BoundaryPattern(k=k, colors=tuple(colors))
 
 
-@dataclass(frozen=True)
-class RegionColoring:
-    """Propagation of under strands beneath a constant block of over lines."""
-
-    over_colors: tuple[int, ...]
-    under_in: tuple[int, ...]
-    interior: tuple[tuple[int, ...], ...]
-    under_out: tuple[int, ...]
-
-
-def propagate_region(over: Sequence[int], under_in) -> RegionColoring:
-    """Apply the crossing relation along each under strand in met order.
-
-    interior[s][j] = 2*over[j] - previous, starting from under_in[s]; the
-    last interior entry is the strand's exit color.
-    """
-    over = tuple(int(o) for o in over)
-    if isinstance(under_in, int):
-        under_in = (under_in,)
-    under_in = tuple(int(u) for u in under_in)
-    interior = []
-    outs = []
-    for u in under_in:
-        row = []
-        cur = u
-        for o in over:
-            cur = 2 * o - cur
-            row.append(cur)
-        interior.append(tuple(row))
-        outs.append(cur)
-    return RegionColoring(
-        over_colors=over,
-        under_in=under_in,
-        interior=tuple(interior),
-        under_out=tuple(outs),
-    )
-
-
 # -- relation propagation ------------------------------------------------------
 
 
-def propagate_coloring(diagram: Diagram, seeds: Coloring) -> Coloring:
-    """Extend seed arc colors to a full coloring by the crossing relations.
+def propagate_coloring(crossings: Sequence[Crossing], seeds: Coloring) -> Coloring:
+    """Extend seed arc colors over ``crossings`` by their relations.
 
-    Fixpoint propagation in all directions; raises on contradiction or if
-    the seeds do not determine every arc.
-    """
-    return _propagate(diagram.crossings, seeds)
-
-
-def _propagate(crossings: Sequence[Crossing], seeds: Coloring) -> Coloring:
-    """``propagate_coloring`` over just ``crossings``: the seeds, extended.
-
-    Every arc of the given crossings must be determined and every one of
-    their relations must hold; arcs elsewhere are neither read nor checked.
+    Fixpoint propagation in all directions.  Raises on contradiction or if
+    the seeds do not determine every arc of the crossings; arcs elsewhere
+    are neither read nor checked.
     """
     gamma: dict[int, int] = {}
 
@@ -183,8 +137,8 @@ def _rederive(builder: DiagramBuilder, gamma: Coloring, unknown: set[int]) -> li
     """
     cids = sorted({cid for e in unknown for cid, _ in builder.occurrences(e)})
     crossings = [builder.crossing(cid) for cid in cids]
-    local = _propagate(crossings, {e: gamma[e] for x in crossings for e in x.slots
-                                   if e not in unknown})
+    local = propagate_coloring(crossings, {e: gamma[e] for x in crossings for e in x.slots
+                                           if e not in unknown})
     for e in unknown:
         gamma[e] = local[e]
     return crossings
@@ -193,7 +147,7 @@ def _rederive(builder: DiagramBuilder, gamma: Coloring, unknown: set[int]) -> li
 # -- even parallels ------------------------------------------------------------
 
 
-def color_even_parallel(cabled: Diagram, spec: Optional[CableSpec] = None) -> Coloring:
+def color_even_parallel(cabled: Diagram) -> Coloring:
     """The explicit coloring of an even parallel with all widths >= 4.
 
     Every parallel family carries the standard boundary pattern; region
@@ -205,9 +159,7 @@ def color_even_parallel(cabled: Diagram, spec: Optional[CableSpec] = None) -> Co
     st: CableStructure = cabled.cable
     if st is None:
         raise ConstructionError("diagram carries no cable structure")
-    mult = spec.multiplicities if spec is not None else st.multiplicities
-    if tuple(mult) != tuple(st.multiplicities):
-        raise ConstructionError("spec disagrees with the diagram's cable structure")
+    mult = st.multiplicities
     if any(n % 2 or n < 4 for n in mult):
         raise ConstructionError("all multiplicities must be even and at least 4")
     if len(crossing_graph_pieces(cabled)) > 1:
@@ -219,7 +171,7 @@ def color_even_parallel(cabled: Diagram, spec: Optional[CableSpec] = None) -> Co
     patterns = {n: BoundaryPattern.standard(n) for n in set(mult)}
     seeds = {arc: patterns[width[base_edge]].colors[copy - 1]
              for (base_edge, copy), arc in st.copy_edges.items()}
-    gamma = propagate_coloring(cabled, seeds)
+    gamma = propagate_coloring(cabled.crossings, seeds)
     if not verify_coloring(cabled, gamma):
         raise ConstructionError("internal: even-parallel coloring failed verification")
     values, _ = palette(gamma)
@@ -290,10 +242,7 @@ def _underpass_states(diagram: Diagram, plan: list[tuple[int, int]]) -> dict[int
     return state_at
 
 
-def color_two_parallel(
-    diagram: Diagram,
-    twist_plan: Optional[Sequence[tuple[int, int]]] = None,
-) -> tuple[Diagram, Coloring]:
+def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
     """Colored 2-parallel of a writhe-0 knot diagram.
 
     Builds the 2-parallel with drift-balancing full twists and colors each
@@ -306,7 +255,7 @@ def color_two_parallel(
     w = writhe(diagram)
     if w != 0:
         raise ConstructionError(f"writhe is {w}; the construction needs writhe 0")
-    plan = list(twist_plan) if twist_plan is not None else plan_drift_twists(diagram)
+    plan = plan_drift_twists(diagram)
     states = _underpass_states(diagram, plan)
 
     cabled = parallel(diagram, CableSpec(multiplicities=(2,)))
@@ -318,7 +267,7 @@ def color_two_parallel(
         state = states[e]
         seeds[pre_twist_arcs[(e, 1)]] = state
         seeds[pre_twist_arcs[(e, 2)]] = state + 1
-    gamma = propagate_coloring(cabled, seeds)
+    gamma = propagate_coloring(cabled.crossings, seeds)
     if not verify_coloring(cabled, gamma):
         raise ConstructionError("internal: 2-parallel coloring failed verification")
     values, _ = palette(gamma)

@@ -66,7 +66,6 @@ class DiffPath:
     start: int                 # crossing id with diff d_m
     end: int                   # crossing id with diff d, 0 < d < d_m
     via: tuple[int, ...]       # arcs, all one color, through 0-diff crossings
-    kind: tuple[str, str]      # strand role at each endpoint: "over"/"under"
     color: int                 # the shared arc color z
 
 
@@ -113,13 +112,6 @@ class _Run:
         return result, gamma, trace
 
 
-def _arc_role(builder: DiagramBuilder, cid: int, arc: int) -> str:
-    x = builder.crossing(cid)
-    if arc in (x.under_in, x.under_out):
-        return "under"
-    return "over"
-
-
 def _diff_paths(builder: DiagramBuilder, gamma: Coloring, diffs: dict[int, int]
                 ) -> list[DiffPath]:
     """``all_diff_paths`` on the builder's rows, given every crossing's diff.
@@ -144,12 +136,8 @@ def _diff_paths(builder: DiagramBuilder, gamma: Coloring, diffs: dict[int, int]
                         if 0 < diffs[cid] < d_m]
                 if hits:
                     for end, via in sorted(hits):
-                        found.append(DiffPath(
-                            start=start, end=end, via=via,
-                            kind=(_arc_role(builder, start, via[0]),
-                                  _arc_role(builder, end, via[-1])),
-                            color=gamma[via[0]],
-                        ))
+                        found.append(DiffPath(start=start, end=end, via=via,
+                                              color=gamma[via[0]]))
                     break
                 nxt = []
                 for path in frontier:
@@ -386,8 +374,7 @@ def _record_push_colors(builder: DiagramBuilder, ext: Coloring,
     r1, r2 = builder.rows[c1], builder.rows[c2]
     shared = set(r1) & set(r2)
     for row in (r1, r2):
-        over_pair = [row[1], row[3]]
-        for e in over_pair:
+        for e in (row[1], row[3]):
             ext.setdefault(e, w)
     for row in (r1, r2):
         u_in, u_out = row[0], row[2]

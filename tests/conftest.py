@@ -1,10 +1,15 @@
 """Shared fixtures and independent brute-force oracles."""
 
 import itertools
+import os
+import random
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import pytest
 
-from zcolor.algebra import hermite_form, smith_normal_form
+from zcolor.algebra import diagram_lattice, hermite_form, smith_normal_form, solve_integer
+from zcolor.cabling import CableError, CableSpec, parallel
 from zcolor.diagram import (
     INCONSISTENT,
     OVER_A,
@@ -16,10 +21,19 @@ from zcolor.diagram import (
     canonical,
     face_steps,
     occurrence_index,
+    linking_number,
     parse_pd,
+    writhe,
 )
 from zcolor.generate import standard_diagrams
 from zcolor.moves import MoveError
+
+
+def seeded_rng(seed: Optional[int] = None) -> random.Random:
+    """Honor ZCOLOR_SEED for reproducible randomized tests."""
+    if seed is None:
+        seed = int(os.environ.get("ZCOLOR_SEED", "271828"))
+    return random.Random(seed)
 
 
 @pytest.fixture(scope="session")
@@ -359,3 +373,95 @@ def isomorphic(d1: Diagram, d2: Diagram) -> bool:
             if sorted(tuple(mapping[e] for e in x.slots) for x in d1.crossings) == target:
                 return True
     return False
+
+
+def solve_partial(diagram: Diagram, partial: dict[int, int]) -> Optional[dict[int, int]]:
+    """Complete a partial arc assignment to a full coloring, or return None.
+
+    The completion is a lattice member agreeing with ``partial``; free
+    directions are pinned to zero, so a unique completion is returned
+    deterministically and the empty assignment completes to all zeros.
+    """
+    edges = set(diagram.edges)
+    unknown = set(partial) - edges
+    if unknown:
+        raise DiagramError(f"assignment names unknown arcs: {sorted(unknown)}")
+    lat = diagram_lattice(diagram)
+    cls = diagram.arc_classes()
+    pinned: dict[int, int] = {}
+    for e, v in partial.items():
+        rep = cls[e]
+        if rep in pinned and pinned[rep] != int(v):
+            return None
+        pinned[rep] = int(v)
+    if not lat.columns:
+        return {}
+    col = {cdx: i for i, cdx in enumerate(lat.columns)}
+    k = lat.rank
+    if k == 0:
+        if any(v != 0 for v in pinned.values()):
+            return None
+        return {e: 0 for e in edges}
+    A = [[lat.basis[t][col[rep]] for t in range(k)] for rep in sorted(pinned)]
+    b = [pinned[rep] for rep in sorted(pinned)]
+    t = solve_integer(A, b, k)
+    if t is None:
+        return None
+    values = [sum(t[i] * lat.basis[i][j] for i in range(k)) for j in range(len(lat.columns))]
+    out = {e: values[col[rep]] for e, rep in lat.edge_class}
+    for e, v in partial.items():
+        if out[e] != int(v):
+            return None
+    return out
+
+
+@dataclass(frozen=True)
+class RegionColoring:
+    """Propagation of under strands beneath a constant block of over lines."""
+
+    over_colors: tuple[int, ...]
+    under_in: tuple[int, ...]
+    interior: tuple[tuple[int, ...], ...]
+    under_out: tuple[int, ...]
+
+
+def propagate_region(over: Sequence[int], under_in) -> RegionColoring:
+    """Apply the crossing relation along each under strand in met order.
+
+    interior[s][j] = 2*over[j] - previous, starting from under_in[s]; the
+    last interior entry is the strand's exit color.
+    """
+    over = tuple(int(o) for o in over)
+    if isinstance(under_in, int):
+        under_in = (under_in,)
+    under_in = tuple(int(u) for u in under_in)
+    interior = []
+    outs = []
+    for u in under_in:
+        row = []
+        cur = u
+        for o in over:
+            cur = 2 * o - cur
+            row.append(cur)
+        interior.append(tuple(row))
+        outs.append(cur)
+    return RegionColoring(
+        over_colors=over,
+        under_in=under_in,
+        interior=tuple(interior),
+        under_out=tuple(outs),
+    )
+
+
+def linking_equals_writhe(diagram: Diagram) -> tuple[int, int, bool]:
+    """Writhe of a knot diagram vs the linking number of its 2-parallel.
+
+    These agree for every diagram: each base crossing contributes exactly
+    two inter-component grid crossings carrying its sign.
+    """
+    if len(diagram.components) != 1 or diagram.free_loops:
+        raise CableError("needs a one-component knot diagram")
+    w = writhe(diagram)
+    cable = parallel(diagram, CableSpec(multiplicities=(2,)))
+    lk = linking_number(cable, 0, 1)
+    return w, lk, w == lk

@@ -9,7 +9,13 @@ import time
 
 import pytest
 
-from conftest import brute_force_fox_count, reduced_determinant
+from conftest import (
+    brute_force_fox_count,
+    linking_equals_writhe,
+    propagate_region,
+    reduced_determinant,
+    seeded_rng,
+)
 from zcolor.algebra import (
     coloring_matrix,
     determinant,
@@ -17,7 +23,7 @@ from zcolor.algebra import (
     fox_coloring_count,
     is_z_colorable,
 )
-from zcolor.cabling import CableSpec, linking_equals_writhe, parallel, two_parallel_untwisted
+from zcolor.cabling import CableSpec, parallel, two_parallel_untwisted
 from zcolor.coloring import (
     diff_spectrum,
     is_simple,
@@ -25,8 +31,7 @@ from zcolor.coloring import (
     palette,
     verify_coloring,
 )
-from zcolor.diagram import writhe
-from zcolor.generate import diff_chain, random_knot_diagram, seeded_rng, standard_diagrams
+from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
 from zcolor.moves import verify_local_equivalence
 from zcolor.parallel_coloring import (
     ConstructionError,
@@ -218,7 +223,7 @@ def test_criterion_7_four_color_floor(corpus):
         colorable, _ = is_z_colorable(d)
         assert colorable, name
         lat = diagram_lattice(d)
-        best = minimize_palette_on_diagram(d, lat, 3)
+        best = minimize_palette_on_diagram(lat, 3)
         _, size = palette(best)
         assert size >= 4, (name, size)  # never 3 or fewer
         if four_expected:
@@ -230,7 +235,7 @@ def test_criterion_7_four_color_floor(corpus):
 
 def test_criterion_8_telescoping():
     """under_out = under_in for every pattern width 4..10, inputs -10..10."""
-    from zcolor.parallel_coloring import BoundaryPattern, propagate_region
+    from zcolor.parallel_coloring import BoundaryPattern
 
     checked = 0
     for k in (4, 6, 8, 10):

@@ -2,10 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_fox_count, dense_snf_oracle, det_int, reduced_determinant
+from conftest import (
+    brute_force_fox_count,
+    dense_snf_oracle,
+    det_int,
+    reduced_determinant,
+    seeded_rng,
+    solve_partial,
+)
 from zcolor import algebra
 from zcolor.algebra import (
-    ColoringMatrix,
     coloring_matrix,
     determinant,
     diagram_lattice,
@@ -16,12 +22,11 @@ from zcolor.algebra import (
     smith_normal_form,
     snf_diagonal,
     solve_integer,
-    solve_partial,
 )
-from zcolor.cabling import CableSpec, insert_full_twist, parallel
+from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
 from zcolor.coloring import verify_coloring
 from zcolor.diagram import crossing_graph_pieces, parse_pd
-from zcolor.generate import random_knot_diagram, seeded_rng
+from zcolor.generate import random_knot_diagram
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 
@@ -203,7 +208,7 @@ def differential_diagrams(corpus):
         cabled = parallel(corpus[name], CableSpec(multiplicities=(2,)))
         base_edge = min(e for e, _ in cabled.cable.copy_edges)
         for sign in (1, -1):
-            yield f"{name} (2) twist {sign}", insert_full_twist(cabled, base_edge, sign)
+            yield f"{name} (2) twist {sign}", insert_full_twists(cabled, [TwistSite(base_edge, sign)])
 
 
 def test_determinant_matches_bareiss_minor(corpus):
@@ -220,9 +225,7 @@ def test_determinant_matches_bareiss_minor(corpus):
 def assert_matches_dense_oracle(rows, width, name=None):
     diag, basis = dense_snf_oracle(rows, width)
     assert snf_diagonal([list(row) for row in rows]) == diag, name
-    M = ColoringMatrix(rows=tuple(map(tuple, rows)), columns=tuple(range(width)),
-                       crossing_ids=tuple(range(len(rows))))
-    assert [list(v) for v in kernel_lattice(M).basis] == basis, name
+    assert kernel_lattice(rows, width) == basis, name
 
 
 @st.composite
@@ -259,6 +262,11 @@ def test_unit_pivots_without_units_match_dense_oracle(M):
     assert pivots == [] and cols == list(range(len(M[0])))
     assert residual == [row for row in M if any(row)]
     assert_matches_dense_oracle(M, len(M[0]))
+
+
+def test_kernel_of_no_rows_is_every_vector():
+    for width in (0, 1, 3):
+        assert_matches_dense_oracle([], width, width)
 
 
 def full_parallel(corpus, name, k):

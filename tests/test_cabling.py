@@ -4,20 +4,23 @@ from zcolor.cabling import (
     CableError,
     CableSpec,
     TwistSite,
-    insert_full_twist,
     insert_full_twists,
-    linking_equals_writhe,
     parallel,
     two_parallel_untwisted,
 )
-from conftest import isomorphic
+from conftest import isomorphic, linking_equals_writhe, seeded_rng
 from zcolor.diagram import linking_number, parse_pd, serialize_pd_raw, validate, writhe
-from zcolor.generate import random_knot_diagram, seeded_rng
+from zcolor.generate import random_knot_diagram
 from zcolor.moves import DiagramBuilder, R2Remove, apply_move
 from zcolor.diagram import same_diagram
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
+
+
+def twist(cabled, base_edge, sign):
+    """``cabled`` with one full twist on the copies of ``base_edge``."""
+    return insert_full_twists(cabled, [TwistSite(base_edge, sign)])
 
 
 def comp_of(d):
@@ -110,11 +113,11 @@ def test_inter_component_grid_crossings_carry_base_sign():
 
 def test_full_twist_insertion():
     u2 = two_parallel_untwisted(parse_pd("X[1,3,2,2] X[3,4,4,1]"))
-    tw = insert_full_twist(u2, base_edge=1, sign=1)
+    tw = twist(u2, base_edge=1, sign=1)
     assert len(tw.crossings) == len(u2.crossings) + 2
     assert validate(tw) == []
     assert linking_number(tw, 0, 1) == 1
-    back = insert_full_twist(tw, base_edge=1, sign=-1)
+    back = twist(tw, base_edge=1, sign=-1)
     assert linking_number(back, 0, 1) == 0
 
 
@@ -126,7 +129,7 @@ def test_full_twist_changes_writhe_by_twice_its_sign():
         cabled = parallel(base, CableSpec(multiplicities=(2,)))
         for e in base.edges:
             for sign in (1, -1):
-                tw = insert_full_twist(cabled, e, sign)
+                tw = twist(cabled, e, sign)
                 assert writhe(tw) - writhe(cabled) == 2 * sign, (trial, e, sign)
 
 
@@ -140,7 +143,7 @@ def test_twists_on_one_builder_match_one_insertion_per_site():
                  for _ in range(2 + trial)]
         one_by_one = cabled
         for site in sites:
-            one_by_one = insert_full_twist(one_by_one, site.base_edge, site.sign)
+            one_by_one = twist(one_by_one, site.base_edge, site.sign)
         at_once = insert_full_twists(cabled, sites)
         assert serialize_pd_raw(at_once) == serialize_pd_raw(one_by_one), trial
         assert [x.cid for x in at_once.crossings] == [x.cid for x in one_by_one.crossings]
@@ -151,8 +154,8 @@ def test_twists_on_one_builder_match_one_insertion_per_site():
 
 def test_twist_then_mirror_cancels_by_two_r2_moves():
     u2 = two_parallel_untwisted(parse_pd("X[1,3,2,2] X[3,4,4,1]"))
-    tw = insert_full_twist(u2, base_edge=1, sign=1)
-    both = insert_full_twist(tw, base_edge=1, sign=-1)
+    tw = twist(u2, base_edge=1, sign=1)
+    both = twist(tw, base_edge=1, sign=-1)
     (site1, pair1), (site2, pair2) = both.cable.twists
     # the adjacent opposite twists cancel: the middle two crossings form a
     # bigon, and removing it exposes a second one
@@ -167,7 +170,7 @@ def test_twist_recolors_pair_affinely():
     u2 = two_parallel_untwisted(parse_pd("X[1,3,2,2] X[3,4,4,1]"))
     st = u2.cable
     pre1, pre2 = st.copy_edges[(2, 1)], st.copy_edges[(2, 2)]
-    tw = insert_full_twist(u2, base_edge=2, sign=1)
+    tw = twist(u2, base_edge=2, sign=1)
     post1 = tw.cable.copy_edges[(2, 1)]
     post2 = tw.cable.copy_edges[(2, 2)]
     cids = set(tw.cable.twists[0][1])

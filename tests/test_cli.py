@@ -140,6 +140,24 @@ def test_corpus_detects_corruption(tmp_path, capsys):
     assert doc["entries"][0]["file"] == "bad.pd"
 
 
+@pytest.mark.parametrize("sidecar, why", [
+    ("{bad", "invalid JSON"),
+    ('{"nope": 1}', "unknown invariants ['nope']"),
+    ("[0]", "expected a JSON object"),
+])
+def test_corpus_reports_a_bad_sidecar(tmp_path, capsys, sidecar, why):
+    (tmp_path / "hopf.pd").write_text((CORPUS / "hopf.pd").read_text())
+    (tmp_path / "hopf.expected.json").write_text(sidecar)
+    (tmp_path / "trefoil.pd").write_text((CORPUS / "trefoil.pd").read_text())
+    code, doc = run(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    assert doc["failures"] == 1
+    bad, good = doc["entries"]
+    assert bad["file"] == "hopf.pd" and not bad["ok"]
+    assert "hopf.expected.json" in bad["error"] and why in bad["error"]
+    assert good["file"] == "trefoil.pd" and good["ok"]
+
+
 def test_minimize(capsys):
     code, doc = run(capsys, "minimize", "--bound", "2",
                     str(CORPUS / "split_unlink.pd"))
@@ -287,7 +305,10 @@ def _trace(move: dict, disk=0) -> dict:
     (["replay", TREFOIL, "DOC"], _trace({"kind": "R3", "crossings": [0, 1]}), 2, "usage",
      "doc.json"),
     (["replay", TREFOIL, "DOC"], _trace({"kind": "R1-", "crossing": 0}, disk=0.5), 2, "usage",
-     "doc.json"),
+     "doc.json"),    (["verify", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "99": 7}, 1,
+     "ColoringError", "[99]"),
+    (["simplify-coloring", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "99": 7}, 1,
+     "ColoringError", "[99]"),
 ])
 def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code, error_type,
                                          names):

@@ -4,17 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zcolor.algebra import diagram_lattice
+from conftest import propagate_region
+from zcolor.algebra import diagram_lattice, is_z_colorable
 from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import (
     ColoringError,
-    constant_coloring,
     diff_spectrum,
     is_simple,
-    is_trivial,
     minimize_palette_on_diagram,
     palette,
-    piecewise_constant,
     verify_coloring,
 )
 from zcolor.diagram import parse_pd
@@ -24,7 +22,7 @@ TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 
 def test_constant_colorings_always_valid(corpus):
     for d in corpus.values():
-        assert verify_coloring(d, constant_coloring(d, 5))
+        assert verify_coloring(d, {e: 5 for e in d.edges})
 
 
 def test_three_color_patterns_fail_over_z():
@@ -42,7 +40,7 @@ def test_partial_coloring_is_an_error_not_false():
 
 
 def test_spectrum_constant():
-    spec = diff_spectrum(TREFOIL, constant_coloring(TREFOIL, 7))
+    spec = diff_spectrum(TREFOIL, {e: 7 for e in TREFOIL.edges})
     assert spec.histogram == {0: 3}
     assert spec.d_m == 0
 
@@ -54,7 +52,6 @@ def test_spectrum_rejects_invalid():
 
 def test_spectrum_region_example():
     # an under strand entering 1 beneath the block (0,1,1,0) has diffs 1,2,2,1
-    from zcolor.parallel_coloring import propagate_region
     rc = propagate_region((0, 1, 1, 0), 1)
     assert rc.interior == ((-1, 3, -1, 1),)
     chain = (1,) + rc.interior[0]
@@ -64,10 +61,10 @@ def test_spectrum_region_example():
 
 def test_is_simple_on_histograms():
     split = parse_pd("X[1,1,2,2] X[3,3,4,4]")
-    gamma = piecewise_constant(split)
+    gamma = is_z_colorable(split)[1]
     # constant-per-piece: every diff 0, not simple (needs a positive d)
     assert is_simple(split, gamma) == (False, None)
-    assert not is_trivial(split, gamma)
+    assert len(set(gamma.values())) > 1
 
 
 def test_palette():
@@ -77,7 +74,7 @@ def test_palette():
 
 def test_palette_affine_invariance(corpus):
     d = corpus["split_unlink"]
-    gamma = piecewise_constant(d)
+    gamma = is_z_colorable(d)[1]
     base = diff_spectrum(d, gamma)
     for a, b in ((1, 3), (-1, 0), (2, -5)):
         shifted = {e: a * c + b for e, c in gamma.items()}
@@ -99,7 +96,7 @@ def test_translation_and_scaling_on_lattice_elements(shift, scale):
 
 def test_minimize_requires_rank_two():
     with pytest.raises(ColoringError):
-        minimize_palette_on_diagram(TREFOIL, diagram_lattice(TREFOIL), 2)
+        minimize_palette_on_diagram(diagram_lattice(TREFOIL), 2)
 
 
 def test_minimize_on_hopf44():
@@ -107,7 +104,7 @@ def test_minimize_on_hopf44():
     h44 = parallel(h, CableSpec(multiplicities=(4, 4)))
     lat = diagram_lattice(h44)
     assert lat.rank >= 2
-    best = minimize_palette_on_diagram(h44, lat, 3)
+    best = minimize_palette_on_diagram(lat, 3)
     values, size = palette(best)
     assert verify_coloring(h44, best)
     assert size == 4

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import isomorphic
+from conftest import isomorphic, seeded_rng
 from zcolor.diagram import (
     Diagram,
     DiagramError,
@@ -131,7 +131,7 @@ def _orientation(d: Diagram) -> tuple:
 
 
 def _random_bases() -> list[Diagram]:
-    from zcolor.generate import random_knot_diagram, seeded_rng
+    from zcolor.generate import random_knot_diagram
 
     rng = seeded_rng()
     return [random_knot_diagram(rng, 2 + k) for k in range(4)]
@@ -173,7 +173,7 @@ def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
     """Only ``parse_pd`` solves signs: the generators, cabling, relabelling,
     the move builder and twist insertion all pass the signs they hold."""
     from zcolor import diagram
-    from zcolor.cabling import insert_full_twist
+    from zcolor.cabling import TwistSite, insert_full_twists
     from zcolor.generate import diff_chain
     from zcolor.moves import DiagramBuilder, R1Insert, apply_move
 
@@ -187,7 +187,7 @@ def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
             apply_move(builder, R1Insert(edge=d.crossings[0].under_in, sign=1))
         builder.diagram()
         if name == "trefoil_writhe0 (2)":
-            insert_full_twist(d, base_edge=1, sign=1)
+            insert_full_twists(d, [TwistSite(base_edge=1, sign=1)])
     assert solves == []
 
 
@@ -227,7 +227,7 @@ def _relabelled_text(d: Diagram) -> str:
 
 def _serialized_cases(corpus):
     from zcolor.cabling import CableSpec, parallel
-    from zcolor.generate import random_knot_diagram, seeded_rng
+    from zcolor.generate import random_knot_diagram
     from zcolor.moves import DiagramBuilder, R1Remove, apply_move
 
     yield from corpus.items()
@@ -273,7 +273,7 @@ def _solver_inputs(corpus):
 
     from test_golden import GOLDEN, diff_chain_grid
     from zcolor.diagram import serialize_pd_raw
-    from zcolor.generate import diff_chain, random_knot_diagram, seeded_rng
+    from zcolor.generate import diff_chain, random_knot_diagram
 
     for name, d in corpus.items():
         yield name, serialize_pd_raw(d)
@@ -293,6 +293,75 @@ def _solver_inputs(corpus):
         doc = json.loads(out.split("\n", 1)[1])
         if "pd" in doc:
             yield f"simplify {case}", doc["pd"]
+
+
+def _emitted_diagrams(corpus):
+    """(name, diagram): the golden diff chains and their simple colorings,
+    random knots, the corpus's parallels and twisted 2-parallels, and the
+    outputs of the color-deletion passes on them."""
+    from test_golden import diff_chain_grid
+    from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
+    from zcolor.generate import diff_chain, random_knot_diagram
+    from zcolor.parallel_coloring import (
+        NoApplicableMoveError,
+        color_even_parallel,
+        color_two_parallel,
+        delete_color_moves,
+    )
+    from zcolor.rewrite import RewriteError, to_simple_coloring
+
+    for case, colors, kinks in diff_chain_grid():
+        d, gamma = diff_chain(colors, kinks)
+        yield case, d
+        try:
+            yield f"{case} simple", to_simple_coloring(d, gamma)[0]
+        except RewriteError:
+            pass
+    rng = seeded_rng()
+    for k in range(100):
+        yield f"random {k}", random_knot_diagram(rng, 1 + k % 8)
+    for name, d in corpus.items():
+        for width in (2, 3):
+            yield f"{name} ({width})", parallel(d, CableSpec((width,) * d.num_components))
+        if len(d.components) == 1 and not d.free_loops:
+            cabled = parallel(d, CableSpec((2,)))
+            for sign in (1, -1):
+                sites = [TwistSite(e, sign) for e in d.components[0][:2]]
+                yield f"{name} (2) twists {sign}", insert_full_twists(cabled, sites)
+    passes = []
+    for name in ("unknot_writhe0", "trefoil_writhe0", "figure8"):
+        passes.append((f"{name} (2)", *color_two_parallel(corpus[name]), (4, -1)))
+    for name in ("trefoil", "figure8", "hopf"):
+        cabled = parallel(corpus[name], CableSpec((4,) * corpus[name].num_components))
+        passes.append((f"{name} (4)", cabled, color_even_parallel(cabled), (3,)))
+    for name, d, gamma, targets in passes:
+        yield name, d
+        for target in targets:
+            if target not in gamma.values():
+                continue
+            try:
+                d, gamma, _ = delete_color_moves(d, gamma, target)
+            except NoApplicableMoveError:
+                break
+            yield f"{name} without {target}", d
+
+
+def test_pd_round_trips_keep_signs(corpus):
+    """Both serializers pin every crossing's sign: ``parse_pd`` of their
+    text gives the canonical rows of ``d`` with ``d``'s signs."""
+    from zcolor.diagram import serialize_pd_raw
+
+    def signed_rows(d):
+        return sorted((x.slots, x.sign) for x in canonical(d)[0].crossings)
+
+    names = []
+    for name, d in _emitted_diagrams(corpus):
+        expected = signed_rows(d)
+        assert signed_rows(parse_pd(serialize_pd(d))) == expected, name
+        assert signed_rows(parse_pd(serialize_pd_raw(d))) == expected, name
+        names.append(name)
+    assert sum(" simple" in n for n in names) > 150
+    assert sum(" without " in n for n in names) >= 6
 
 
 def _reference_parse(rows, headers, loops):
@@ -321,7 +390,6 @@ def test_pd_solver_matches_the_propagation_oracle(corpus):
     propagation, and refuses the same texts after two labels are swapped."""
     import re
 
-    from zcolor.generate import seeded_rng
 
     rng = seeded_rng()
     term = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")

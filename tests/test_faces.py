@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import pd_signs, reference_face_arcs, reference_faces, reference_r3
+from conftest import pd_signs, reference_face_arcs, reference_faces, reference_r3, seeded_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,7 @@ from zcolor.diagram import (
     serialize_pd_raw,
     writhe,
 )
-from zcolor.generate import diff_chain, random_knot_diagram, seeded_rng, standard_diagrams
+from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
 from zcolor.moves import (
     R3,
     DiagramBuilder,

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import seeded_rng
 from zcolor import cli, generate
 from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import is_simple, palette
@@ -151,12 +152,12 @@ def deletion_outputs(work: Path) -> dict[str, str]:
     the cases.
     """
     out = {}
-    rng = generate.seeded_rng(7)
+    rng = seeded_rng(7)
     for draw in range(1500):
         base = generate.random_knot_diagram(rng, n_ops=rng.randint(2, 8))
         if writhe(base) == 0:
             out[f"two-parallel draw {draw}"] = _deleted(*color_two_parallel(base), (4, -1))
-    rng = generate.seeded_rng(21)
+    rng = seeded_rng(21)
     bases = [generate.random_knot_diagram(rng, n_ops=1 + i % 6) for i in range(40)]
     for width in (4, 6, 8):
         for i, base in enumerate(bases):

@@ -1,0 +1,81 @@
+"""The library keeps only what the pipeline runs.
+
+Every public top-level function and class of a ``zcolor`` module must be
+used by something other than the tests: another module of the package, a
+later place in its own module, or the benchmark harness (``perfbench/``,
+its tests excepted).  A re-export from ``zcolor/__init__.py`` is not a use.
+Test oracles belong in ``tests/conftest.py``, not in the package.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "zcolor"
+
+# The paper's lemmas, kept as library API although the pipeline runs their
+# private cores instead; one reason per name.
+ALLOWED = {
+    "is_z_colorable": "the paper's colorability decision; the CLI reuses "
+                      "the lattice it builds through the private _colorability",
+    "find_diff_path": "the paper's path lemma; to_simple_coloring runs the "
+                      "private _diff_paths on its move builder",
+    "eliminate_max_diff": "the paper's elimination lemma; to_simple_coloring "
+                          "runs the private _eliminate_rounds",
+}
+
+
+def _identifiers(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name ``tree`` reads, imports or looks up as an attribute,
+    outside the subtree ``skip``."""
+    out: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+
+
+def unreferenced_names() -> dict[str, str]:
+    """Public name -> its module, for names nothing outside the tests uses."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+               if p.stem != "__init__"}
+    bench = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        bench |= _identifiers(ast.parse(path.read_text()))
+    used_by = {name: _identifiers(tree) for name, tree in modules.items()}
+    out = {}
+    for name, tree in modules.items():
+        elsewhere = bench.union(*(ids for other, ids in used_by.items() if other != name))
+        for node in _public_definitions(tree):
+            if node.name not in elsewhere and node.name not in _identifiers(tree, skip=node):
+                out[node.name] = name
+    return out
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    orphans = {n: m for n, m in unreferenced_names().items() if n not in ALLOWED}
+    assert not orphans, (
+        "used only by tests (move oracles to tests/conftest.py, delete the rest, "
+        f"or give a reason in ALLOWED): {orphans}")
+
+
+def test_allow_list_names_only_unused_public_names():
+    assert set(ALLOWED) <= set(unreferenced_names()), \
+        "an ALLOWED name is gone or now has a caller; drop it from the list"

@@ -2,14 +2,13 @@ import itertools
 
 import pytest
 
-from conftest import pd_signs
-from zcolor.algebra import solve_partial
+from conftest import pd_signs, seeded_rng, solve_partial
 from zcolor.coloring import verify_coloring
 from zcolor.diagram import parse_pd, same_diagram, validate, writhe
 from zcolor.moves import (
     DiagramBuilder,
-    EMPTY_TRACE,
     MoveError,
+    MoveTrace,
     R1Insert,
     R1Remove,
     R2Insert,
@@ -117,8 +116,9 @@ def test_moves_preserve_coloring_solvability():
 
 
 def test_replay_empty_trace():
-    assert same_diagram(replay_trace(TREFOIL, EMPTY_TRACE), TREFOIL)
-    report = verify_local_equivalence(TREFOIL, TREFOIL, EMPTY_TRACE)
+    empty = MoveTrace(stages=())
+    assert same_diagram(replay_trace(TREFOIL, empty), TREFOIL)
+    report = verify_local_equivalence(TREFOIL, TREFOIL, empty)
     assert report.ok
 
 
@@ -176,7 +176,8 @@ def test_move_engine_fuzz():
     """Random diagrams stay structurally sound under random R2 churn."""
     import random
 
-    from zcolor.generate import random_knot_diagram, seeded_rng
+
+    from zcolor.generate import random_knot_diagram
 
     rng = seeded_rng(13)
     for trial in range(12):

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import propagate_region, seeded_rng
 from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import ColoringError, is_simple, palette, verify_coloring
 from zcolor.diagram import parse_pd, validate
@@ -12,7 +13,6 @@ from zcolor.parallel_coloring import (
     color_two_parallel,
     delete_color_moves,
     plan_drift_twists,
-    propagate_region,
 )
 
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
@@ -202,7 +202,6 @@ def _balanced_random_knot(rng, n_ops):
 
 def test_two_parallel_pipeline_on_random_writhe0_diagrams():
     """The full pipeline holds on arbitrary writhe-0 bases, twists included."""
-    from zcolor.generate import seeded_rng
 
     rng = seeded_rng(7)
     for trial in range(8):
@@ -241,7 +240,7 @@ def test_two_parallel_with_same_sign_adjacent_underpasses():
 
 def test_even_parallel_pipeline_on_random_bases():
     """Boundary-pattern coloring and 3-deletion hold for arbitrary bases."""
-    from zcolor.generate import random_knot_diagram, seeded_rng
+    from zcolor.generate import random_knot_diagram
 
     rng = seeded_rng(21)
     for trial in range(6):
@@ -259,7 +258,6 @@ def test_even_parallel_pipeline_on_random_bases():
 
 def _toggle_bases(corpus):
     """Writhe-0 bases whose 2-parallels toggle regions in both deletion passes."""
-    from zcolor.generate import seeded_rng
 
     rng = seeded_rng(7)
     bases = [corpus["unknot_writhe0"], corpus["trefoil_writhe0"]]
@@ -324,7 +322,6 @@ def test_a_deletion_pass_builds_two_diagrams_and_verifies_once(corpus, count_cal
 def test_a_two_parallel_builds_two_diagrams_however_many_twists(count_calls):
     """The parallel and its twisted form: every drift twist goes on one builder."""
     from zcolor.diagram import Diagram
-    from zcolor.generate import seeded_rng
 
     rng = seeded_rng(11)
     bases = [_balanced_random_knot(rng, n_ops=3 + trial) for trial in range(6)]

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import seeded_rng
 from zcolor import rewrite
 from zcolor.algebra import is_z_colorable
 from zcolor.cabling import CableSpec, parallel
@@ -8,7 +9,6 @@ from zcolor.diagram import Diagram, validate
 from zcolor.generate import diff_chain, standard_diagrams
 from zcolor.moves import MoveError, verify_local_equivalence
 from zcolor.rewrite import (
-    NoDiffPathError,
     RewriteError,
     all_diff_paths,
     eliminate_max_diff,
@@ -169,7 +169,6 @@ def test_simple_detection_reports_common_diff():
 
 def test_random_chains_simplify_or_fail_explicitly():
     """Outcomes are verified simplifications or RewriteError, never silent."""
-    from zcolor.generate import seeded_rng
     from zcolor.rewrite import RewriteError
 
     rng = seeded_rng(5)
