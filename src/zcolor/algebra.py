@@ -8,9 +8,11 @@ of all invariant factors but the last, the kernel lattice is read off the
 column transform, Fox counts are gcds of the invariant factors with n, and
 ``solve_integer`` solves A x = b over Z.
 
-Almost every coloring row offers a +-1 pivot, so the Smith form of a
-coloring matrix starts with a sparse pre-pass (``_unit_pivots``) and runs
-the dense elimination only on what is left.  The lemma behind it: if
+The matrix is held as sparse rows, {column: coefficient} with at most
+three entries each.  Almost every coloring row offers a +-1 pivot, so the
+Smith form of a coloring matrix starts with a sparse pre-pass
+(``_unit_pivots``) on those rows and runs the dense elimination only on
+what is left.  The lemma behind it: if
 M[i][j] = s with s = +-1, subtracting multiples of row i clears column j
 from every other row, and subtracting multiples of column j clears the
 rest of row i.  Both are unimodular, so M is equivalent to diag(s, R),
@@ -39,7 +41,8 @@ Matrix = list[list[int]]
 class ColoringMatrix:
     """Crossing-relation matrix over the arc classes of a diagram."""
 
-    rows: tuple[tuple[int, ...], ...]   # one per crossing, in crossing order
+    rows: tuple[dict[int, int], ...]    # one per crossing, in crossing order:
+                                        # column index -> nonzero coefficient
     columns: tuple[int, ...]            # arc class representatives, sorted
 
     @property
@@ -74,22 +77,27 @@ class ColoringLattice:
 
 
 def coloring_matrix(diagram: Diagram) -> ColoringMatrix:
-    """One relation row per crossing on the arc-class columns.
+    """One sparse relation row per crossing on the arc-class columns.
 
-    Coefficients fuse when classes coincide: a crossing whose under-arcs
-    belong to one class gives the {+2, -2} row, and a kink whose over and
-    under arcs are the same class gives the zero row.
+    Coefficients fuse when classes coincide and zero coefficients are
+    dropped: a crossing whose under-arcs belong to one class gives the
+    {+2, -2} row, and a kink whose over and under arcs are the same class
+    gives the empty row.
     """
-    cls = diagram.arc_classes()
     cols = diagram.arc_class_reps()
     idx = {c: i for i, c in enumerate(cols)}
+    col = {e: idx[c] for e, c in diagram.arc_classes().items()}
     rows = []
     for x in diagram.crossings:
-        row = [0] * len(cols)
-        row[idx[cls[x.over_in]]] += 2
-        row[idx[cls[x.under_in]]] -= 1
-        row[idx[cls[x.under_out]]] -= 1
-        rows.append(tuple(row))
+        row = {col[x.over_in]: 2}
+        for e in (x.under_in, x.under_out):
+            j = col[e]
+            v = row.get(j, 0) - 1
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        rows.append(row)
     return ColoringMatrix(rows=tuple(rows), columns=cols)
 
 
@@ -203,33 +211,33 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def snf_diagonal(matrix) -> list[int]:
-    """The min(rows, columns) invariant factors d1 | d2 | ... of ``matrix``:
-    one per unit pivot, then the residual's, then zeros."""
-    pivots, residual, _ = _unit_pivots(matrix)
+def snf_diagonal(rows, width: int) -> list[int]:
+    """The min(rows, columns) invariant factors d1 | d2 | ... of the sparse
+    ``rows`` on ``width`` columns: one per unit pivot, then the residual's,
+    then zeros."""
+    pivots, residual, _ = _unit_pivots(rows, width)
     diag = [1] * len(pivots)
     if residual:
         _, S, _ = smith_normal_form(residual)
         diag += [S[t][t] for t in range(min(len(S), len(S[0])))]
-    n = min(len(matrix), len(matrix[0]) if matrix else 0)
-    return diag + [0] * (n - len(diag))
+    return diag + [0] * (min(len(rows), width) - len(diag))
 
 
-def _unit_pivots(matrix) -> tuple[list[tuple[int, int, dict[int, int]]], Matrix, list[int]]:
-    """Eliminate on +-1 entries, cheapest Markowitz cost first.
+def _unit_pivots(rows, width: int) -> tuple[list[tuple[int, int, dict[int, int]]], Matrix, list[int]]:
+    """Eliminate on +-1 entries of the sparse ``rows``, cheapest Markowitz
+    cost first.
 
-    Rows are sparse dicts with a column -> rows index.  The cost of entry
-    (i, j) is (nnz of row i - 1) * (nnz of column j - 1).  Candidates wait
-    in a heap keyed by (cost, row, column); a popped entry whose cost has
-    changed goes back with its current cost, and every row an elimination
-    touches pushes its unit entries again, so the order is deterministic.
-    Returns the pivots in order as (column, sign, rest of the pivot row),
-    the dense residual (the nonzero rows left, in row order) and the
-    columns no pivot took, which index the residual.
+    Works on copies of the rows with a column -> rows index.  The cost of
+    entry (i, j) is (nnz of row i - 1) * (nnz of column j - 1).  Candidates
+    wait in a heap keyed by (cost, row, column); a popped entry whose cost
+    has changed goes back with its current cost, and every row an
+    elimination touches pushes its unit entries again, so the order is
+    deterministic.  Returns the pivots in order as (column, sign, rest of
+    the pivot row), the dense residual (the nonzero rows left, in row
+    order) and the columns no pivot took, which index the residual.
     """
-    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(matrix)}
-    c = len(matrix[0]) if matrix else 0
-    col_rows: list[set[int]] = [set() for _ in range(c)]
+    rows = {i: dict(row) for i, row in enumerate(rows) if row}
+    col_rows: list[set[int]] = [set() for _ in range(width)]
     for i, row in rows.items():
         for j in row:
             col_rows[j].add(i)
@@ -272,7 +280,7 @@ def _unit_pivots(matrix) -> tuple[list[tuple[int, int, dict[int, int]]], Matrix,
             push(t)
         pivots.append((j, s, row))
     taken = {j for j, _, _ in pivots}
-    cols = [j for j in range(c) if j not in taken]
+    cols = [j for j in range(width) if j not in taken]
     residual = [[row.get(j, 0) for j in cols] for row in rows.values() if row]
     return pivots, residual, cols
 
@@ -319,8 +327,8 @@ def hermite_form(rows: Matrix) -> Matrix:
 
 
 def kernel_lattice(rows, width: int) -> Matrix:
-    """Saturated integer basis of the kernel of ``rows`` (``width`` columns),
-    canonicalized by Hermite reduction.
+    """Saturated integer basis of the kernel of the sparse ``rows`` (``width``
+    columns), canonicalized by Hermite reduction.
 
     The unit pivots leave a residual R.  With U*R*V = S diagonal, ker(R)
     is generated by the columns of V at positions where S has no (or a
@@ -331,7 +339,7 @@ def kernel_lattice(rows, width: int) -> Matrix:
     """
     if not rows:
         return _identity(width)
-    pivots, residual, cols = _unit_pivots(rows)
+    pivots, residual, cols = _unit_pivots(rows, width)
     if residual:
         _, S, V = smith_normal_form(residual)
         n = min(len(S), len(cols))
@@ -339,12 +347,16 @@ def kernel_lattice(rows, width: int) -> Matrix:
     else:
         kernel = _identity(len(cols))
     vectors = []
+    last_first = pivots[::-1]
     for x in kernel:
         v = [0] * width
         for j, a in zip(cols, x):
             v[j] = a
-        for j, s, rest in reversed(pivots):
-            v[j] = -s * sum(a * v[k] for k, a in rest.items())
+        for j, s, rest in last_first:
+            t = 0
+            for k, a in rest.items():
+                t += a * v[k]
+            v[j] = -s * t
         vectors.append(v)
     return hermite_form(vectors)
 
@@ -382,7 +394,7 @@ def determinant(diagram: Diagram) -> int:
         return 1  # a single crossing-free circle
     if r != c:
         return 0
-    return math.prod(snf_diagonal([list(row) for row in M.rows])[:-1])
+    return math.prod(snf_diagonal(M.rows, c)[:-1])
 
 
 def is_z_colorable(diagram: Diagram) -> tuple[bool, Optional[dict[int, int]]]:
@@ -429,7 +441,7 @@ def fox_coloring_count(diagram: Diagram, n: int) -> int:
         raise ValueError("modulus must be at least 2")
     M = coloring_matrix(diagram)
     r, c = M.shape
-    diag = snf_diagonal([list(row) for row in M.rows]) if r and c else []
+    diag = snf_diagonal(M.rows, c) if r and c else []
     count = 1
     for d in diag:
         count *= math.gcd(d, n) if d else n

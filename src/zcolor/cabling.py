@@ -11,7 +11,7 @@ which is why the untwisted 2-parallel demands writhe 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .diagram import Diagram, linking_number, writhe
@@ -47,7 +47,6 @@ class Region:
     s-th overpass.
     """
 
-    base_cid: int
     base_sign: int
     grid: list[list[int]]
 
@@ -59,14 +58,12 @@ class CableStructure:
     multiplicities: tuple[int, ...]
     regions: dict[int, Region]
     copy_edges: dict[tuple[int, int], int]   # (base edge, copy) -> entry arc id
-    twists: list[tuple[TwistSite, list[int]]] = field(default_factory=list)
 
     def relabel(self, mapping: dict[int, int]) -> "CableStructure":
         return CableStructure(
             multiplicities=self.multiplicities,
             regions=self.regions,
             copy_edges={k: mapping[e] for k, e in self.copy_edges.items()},
-            twists=self.twists,
         )
 
 
@@ -144,7 +141,7 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
                 grid[k - 1][s] = len(rows)
                 rows.append(row)
                 signs.append(x.sign)
-        regions[x.cid] = Region(base_cid=x.cid, base_sign=x.sign, grid=grid)
+        regions[x.cid] = Region(base_sign=x.sign, grid=grid)
 
     free = sum(mult[n_cycles:])
     structure = CableStructure(multiplicities=mult, regions=regions, copy_edges=copy_edges)
@@ -185,21 +182,18 @@ def insert_full_twists(cabled: Diagram, sites: Sequence[TwistSite]) -> Diagram:
         return cabled
     builder = DiagramBuilder(cabled)
     copy_edges = dict(st.copy_edges)
-    twists = list(st.twists)
     for site in sites:
         if site.sign not in (1, -1):
             raise CableError("twist sign must be +1 or -1")
         key1, key2 = (site.base_edge, 1), (site.base_edge, 2)
         if key1 not in copy_edges or key2 not in copy_edges:
             raise CableError(f"no parallel pair for base arc {site.base_edge}")
-        cids, (left_out, right_out) = builder.insert_twist(
+        _, (left_out, right_out) = builder.insert_twist(
             copy_edges[key1], copy_edges[key2], site.sign)
         # downstream of the twist the pair continues on the new arc ids
         copy_edges[key1], copy_edges[key2] = left_out, right_out
-        twists.append((site, cids))
     return builder.diagram(cable=CableStructure(
         multiplicities=st.multiplicities,
         regions=st.regions,
         copy_edges=copy_edges,
-        twists=twists,
     ))

@@ -21,7 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 
 class PDSyntaxError(ValueError):
@@ -87,27 +88,26 @@ class Diagram:
     ):
         if free_loops < 0:
             raise DiagramError("free loop count must be non-negative")
-        rows = [tuple(map(int, r)) for r in rows]
-        for r in rows:
-            if len(r) != 4 or any(x <= 0 for x in r):
-                raise DiagramError(f"crossing {r} is not a quadruple of positive labels")
+        rows = list(map(tuple, rows))
+        labels = list(chain.from_iterable(rows))
+        if min(labels, default=1) <= 0 or not set(map(len, rows)) <= {4}:
+            bad = next(r for r in rows if len(r) != 4 or any(x <= 0 for x in r))
+            raise DiagramError(f"crossing {bad} is not a quadruple of positive labels")
         if cids is None:
-            cids = list(range(len(rows)))
-        if len(set(cids)) != len(rows):
+            cids = range(len(rows))
+        elif len(set(cids)) != len(rows):
             raise DiagramError("crossing ids must be distinct")
 
         self.free_loops = free_loops
         self.cable = cable
-        counts = Counter(chain.from_iterable(rows))
-        for e, k in counts.items():
-            if k != 2:
-                raise DiagramError(f"arc {e} appears {k} times; every arc must appear exactly twice")
+        counts = Counter(labels)
+        if not set(counts.values()) <= {2}:
+            e, k = next((e, k) for e, k in counts.items() if k != 2)
+            raise DiagramError(f"arc {e} appears {k} times; every arc must appear exactly twice")
 
         self._succ = _successors(rows, signs, len(counts))
-        self.crossings: tuple[Crossing, ...] = tuple(
-            Crossing(cid=c, slots=r, sign=s) for c, r, s in zip(cids, rows, signs)
-        )
-        self._by_cid = {x.cid: x for x in self.crossings}
+        self.crossings: tuple[Crossing, ...] = tuple(map(Crossing, cids, rows, signs))
+        self._by_cid = dict(zip(cids, self.crossings))
         self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
 
     @cached_property
@@ -127,16 +127,14 @@ class Diagram:
     def crossing(self, cid: int) -> Crossing:
         return self._by_cid[cid]
 
-    def successor(self, edge: int) -> int:
-        return self._succ[edge]
-
-    def arc_classes(self) -> dict[int, int]:
+    def arc_classes(self) -> Mapping[int, int]:
         """Map each edge to the representative of its Fox arc.
 
         Two edges belong to one Fox arc when they are the over-slot pair of
-        some crossing: the over strand runs through unbroken.
+        some crossing: the over strand runs through unbroken.  The map is
+        computed once per diagram and returned as a read-only view.
         """
-        return dict(self._arc_class)
+        return MappingProxyType(self._arc_class)
 
     def arc_class_reps(self) -> tuple[int, ...]:
         return tuple(sorted(set(self._arc_class.values())))
@@ -144,14 +142,56 @@ class Diagram:
     # -- faces ------------------------------------------------------------
 
     def faces(self) -> list[tuple[tuple[int, int], ...]]:
-        """Every face as a corner orbit, ordered by smallest corner."""
-        rows = {x.cid: x.slots for x in self.crossings}
-        return face_listing(rows, occurrence_index(rows.items()))
+        """Every face as a corner orbit from its smallest ``(cid, slot)``
+        corner, ordered by that corner."""
+        nxt = self._next_corners()
+        seen = bytearray(len(nxt))
+        faces = []
+        for k in sorted(range(len(self.crossings)), key=lambda k: self.crossings[k].cid):
+            for start in range(4 * k, 4 * k + 4):
+                walk = []
+                c = start
+                while not seen[c]:
+                    seen[c] = 1
+                    walk.append(c)
+                    c = nxt[c]
+                if walk:
+                    faces.append(tuple((self.crossings[c >> 2].cid, c & 3) for c in walk))
+        return faces
+
+    def _next_corners(self) -> list[int]:
+        """Corner ``4*k + i`` (after slot i of row k) -> the next corner of
+        its face.
+
+        The corner leaves along the arc at slot i+1 and arrives at the
+        arc's far occurrence (row k', slot s'), which is corner ``4*k' + s'``.
+        """
+        far = _far_occurrences([x.slots for x in self.crossings])
+        return [far[c + 1 if c & 3 != 3 else c - 3] for c in range(len(far))]
 
     # -- invariants --------------------------------------------------------
 
     def __repr__(self):
         return f"Diagram({len(self.crossings)} crossings, {self.num_components} components)"
+
+
+def _far_occurrences(rows) -> Optional[list[int]]:
+    """Slot ``4*k + s`` (slot s of row k) -> the slot of the same arc's
+    other occurrence, in one pass over the rows; None unless every arc
+    occurs exactly twice."""
+    labels = list(chain.from_iterable(rows))
+    if 2 * len(set(labels)) != len(labels):
+        return None
+    far = [0] * len(labels)
+    first: dict[int, int] = {}
+    for p, e in enumerate(labels):
+        q = first.pop(e, None)
+        if q is None:
+            first[e] = p
+        else:
+            far[p] = q
+            far[q] = p
+    return None if first else far
 
 
 def occurrence_index(rows) -> dict[int, list[tuple[int, int]]]:
@@ -214,19 +254,6 @@ def triangle_face(rows, occ, cids) -> Optional[tuple[tuple[int, int], ...]]:
         if _next_corner(rows, occ, walk[-1]) == walk[0] and {c for c, _ in walk} == set(cids):
             found.append(_from_smallest(walk))
     return min(found, default=None)
-
-
-def face_listing(rows, occ) -> list[tuple[tuple[int, int], ...]]:
-    """All faces, each walked from its smallest corner, in that corner's order."""
-    seen: set[tuple[int, int]] = set()
-    faces = []
-    for cid in sorted(rows):
-        for i in range(4):
-            if (cid, i) not in seen:
-                face = face_walk(rows, occ, (cid, i))
-                seen.update(face)
-                faces.append(face)
-    return faces
 
 
 def face_steps(rows, face) -> list[tuple[int, tuple[int, int]]]:
@@ -365,10 +392,7 @@ def crossing_graph_pieces(diagram: Diagram) -> list[set[int]]:
 def validate(diagram: Diagram) -> list[str]:
     """Re-check every structural invariant; diagnostics are data, not errors."""
     diags: list[str] = []
-    occ: dict[int, int] = {}
-    for x in diagram.crossings:
-        for e in x.slots:
-            occ[e] = occ.get(e, 0) + 1
+    occ = Counter(chain.from_iterable(x.slots for x in diagram.crossings))
     for e, k in occ.items():
         if k != 2:
             diags.append(f"arc {e} appears {k} times (expected 2)")
@@ -392,15 +416,33 @@ def validate(diagram: Diagram) -> list[str]:
         pieces = [p for p in crossing_graph_pieces(diagram) if p]
         v = len(diagram.crossings)
         e = len(diagram.edges)
-        f = len(diagram.faces())
+        f = _orbit_count(diagram._next_corners())
         if v - e + f != 2 * len(pieces):
             diags.append(f"face count {f} violates Euler formula (V={v}, E={e}, pieces={len(pieces)})")
     return diags
 
 
+def _orbit_count(nxt: list[int]) -> int:
+    """The number of cycles of the permutation ``nxt``."""
+    seen = bytearray(len(nxt))
+    count = 0
+    for start in range(len(nxt)):
+        if not seen[start]:
+            count += 1
+            c = start
+            while not seen[c]:
+                seen[c] = 1
+                c = nxt[c]
+    return count
+
+
 # -- PD text ----------------------------------------------------------------
 
-_TERM = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")
+_TERM = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
+# A line of whitespace-separated terms (``\s`` is ``str.split``'s whitespace),
+# and the labels in it.
+_TERMS = re.compile(r"\s*(?:X\[\d+,\d+,\d+,\d+\](?:\s+|$))*")
+_LABEL = re.compile(r"\d+")
 
 
 def parse_pd(text: str) -> Diagram:
@@ -418,10 +460,12 @@ def parse_pd(text: str) -> Diagram:
     headers: list[list[int]] = []
     loops = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        stripped = line.strip()
-        if not stripped:
+        line = raw.partition("#")[0]
+        if _TERMS.fullmatch(line):  # a blank line is a line of no terms
+            labels = map(int, _LABEL.findall(line))
+            rows.extend(zip(labels, labels, labels, labels))  # four per term
             continue
+        stripped = line.strip()
         if stripped.startswith("%"):
             body = stripped[1:].strip()
             if body.startswith("component:"):
@@ -440,13 +484,11 @@ def parse_pd(text: str) -> Diagram:
         col = 0
         for tok in line.split():
             col = line.index(tok, col)
-            m = _TERM.fullmatch(tok)
-            if not m:
+            if not _TERM.fullmatch(tok):
                 raise PDSyntaxError(f"expected X[a,b,c,d], got {tok!r}", ln, col + 1)
-            rows.append(tuple(int(g) for g in m.groups()))
             col += len(tok)
     if rows:
-        labels = {e for r in rows for e in r}
+        labels = set(chain.from_iterable(rows))
         if labels != set(range(1, 2 * len(rows) + 1)):
             raise DiagramError(
                 f"arc labels must be exactly 1..{2 * len(rows)}; got {sorted(labels)}")
@@ -470,9 +512,9 @@ def _solve_signs(rows, headers) -> list[int]:
     the first arc) or, with no such header, by the smaller label.  A walk
     stops where the rows contradict it, and ``Diagram`` refuses the signs.
     """
-    occ = occurrence_index(enumerate(rows))
+    far = _far_occurrences(rows)
     signs = [0] * len(rows)
-    if any(len(places) != 2 for places in occ.values()):
+    if far is None:
         return signs  # Diagram refuses the arc counts
     walked = [False] * len(rows)
 
@@ -488,8 +530,7 @@ def _solve_signs(rows, headers) -> list[int]:
                     return
                 signs[c] = 1 if s == OVER_B else -1
                 s = 4 - s
-            a, b = occ[rows[c][s]]
-            c, s = b if a == (c, s) else a
+            c, s = divmod(far[4 * c + s], 4)
 
     for c in range(len(rows)):
         if not walked[c]:

@@ -8,6 +8,7 @@ documents carry a schema version.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .coloring import Coloring, DiffSpectrum
@@ -24,6 +25,7 @@ from .moves import (
 
 SCHEMA_VERSION = 1
 _SAFE = 2 ** 53 - 1
+_ARC_KEY = re.compile(r"[1-9][0-9]*")
 
 
 def encode_int(n: int) -> Any:
@@ -42,7 +44,15 @@ def coloring_to_json(gamma: Coloring) -> dict:
 
 
 def coloring_from_json(obj: dict) -> Coloring:
-    return {int(e): decode_int(c) for e, c in obj.items()}
+    """A coloring keyed by arc labels written as ``coloring_to_json`` writes
+    them.  Any other key is refused, so no two keys can name one arc."""
+    gamma = {}
+    for e, c in obj.items():
+        if not _ARC_KEY.fullmatch(e):
+            raise ValueError(f"coloring key {e!r} is not an arc label "
+                             "(a positive decimal with no leading zero)")
+        gamma[int(e)] = decode_int(c)
+    return gamma
 
 
 def lattice_to_json(lattice) -> dict:

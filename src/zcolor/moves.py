@@ -99,13 +99,6 @@ class MoveTrace:
 
     stages: tuple[Stage, ...]
 
-    @property
-    def moves(self) -> list[tuple[Move, int]]:
-        return [mv for st in self.stages for mv in st.moves]
-
-    def __len__(self):
-        return sum(len(st.moves) for st in self.stages)
-
 
 def single_stage(moves: Sequence[tuple[Move, int]], disks: dict[int, frozenset[int]]) -> MoveTrace:
     return MoveTrace(stages=(Stage(moves=tuple(moves), disks=dict(disks)),))

@@ -62,7 +62,6 @@ class NoApplicableMoveError(ValueError):
 class BoundaryPattern:
     """Colors of one parallel family outside the crossing regions."""
 
-    k: int
     colors: tuple[int, ...]
 
     @staticmethod
@@ -72,7 +71,7 @@ class BoundaryPattern:
         colors = [0] * k
         colors[k // 2 - 1] = 1
         colors[k // 2] = 1
-        return BoundaryPattern(k=k, colors=tuple(colors))
+        return BoundaryPattern(colors=tuple(colors))
 
 
 # -- relation propagation ------------------------------------------------------

@@ -8,7 +8,13 @@ from typing import Optional, Sequence
 
 import pytest
 
-from zcolor.algebra import diagram_lattice, hermite_form, smith_normal_form, solve_integer
+from zcolor.algebra import (
+    ColoringMatrix,
+    diagram_lattice,
+    hermite_form,
+    smith_normal_form,
+    solve_integer,
+)
 from zcolor.cabling import CableError, CableSpec, parallel
 from zcolor.diagram import (
     INCONSISTENT,
@@ -58,6 +64,16 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def trace_moves(trace) -> list[tuple]:
+    """Every ``(move, disk)`` of a move trace, stage after stage."""
+    return [mv for stage in trace.stages for mv in stage.moves]
+
+
+def successors(diagram: Diagram) -> dict[int, int]:
+    """Arc -> the arc after it along its strand, read off the components."""
+    return {a: b for cyc in diagram.components for a, b in zip(cyc, cyc[1:] + cyc[:1])}
 
 
 def brute_force_fox_count(diagram: Diagram, n: int) -> int:
@@ -145,14 +161,51 @@ def dense_snf_oracle(rows, width: int) -> tuple[list[int], list[list[int]]]:
     return [S[i][i] for i in range(n)], hermite_form([[row[j] for row in V] for j in free])
 
 
-def reduced_determinant(matrix, drop_row: int, drop_col: int) -> int:
+def dense_coloring_matrix(diagram: Diagram) -> ColoringMatrix:
+    """One dense relation row per crossing on the arc-class columns.
+
+    The construction ``zcolor.algebra.coloring_matrix`` used before its
+    rows became sparse: coefficients fuse when classes coincide, so a
+    kink whose over and under arcs are one class gives the zero row.
+    """
+    cls = diagram.arc_classes()
+    cols = diagram.arc_class_reps()
+    idx = {c: i for i, c in enumerate(cols)}
+    rows = []
+    for x in diagram.crossings:
+        row = [0] * len(cols)
+        row[idx[cls[x.over_in]]] += 2
+        row[idx[cls[x.under_in]]] -= 1
+        row[idx[cls[x.under_out]]] -= 1
+        rows.append(tuple(row))
+    return ColoringMatrix(rows=tuple(rows), columns=cols)
+
+
+def densify(rows, width: int) -> list[list[int]]:
+    """Sparse ``{column: coefficient}`` rows as dense rows of ``width``."""
+    dense = []
+    for row in rows:
+        line = [0] * width
+        for j, v in row.items():
+            line[j] = v
+        dense.append(line)
+    return dense
+
+
+def sparse_rows(matrix) -> list[dict[int, int]]:
+    """Dense rows as sparse ``{column: coefficient}`` rows, zeros dropped."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def reduced_determinant(matrix: ColoringMatrix, drop_row: int, drop_col: int) -> int:
     """|det| of a coloring matrix with one row and one column deleted
     (Bareiss); 0 when the matrix is not square."""
     r, c = matrix.shape
     if r != c:
         return 0
+    dense = densify(matrix.rows, c)
     reduced = [
-        [matrix.rows[i][j] for j in range(c) if j != drop_col]
+        [dense[i][j] for j in range(c) if j != drop_col]
         for i in range(r) if i != drop_row
     ]
     return abs(det_int(reduced))

@@ -4,11 +4,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_fox_count,
+    dense_coloring_matrix,
     dense_snf_oracle,
+    densify,
     det_int,
     reduced_determinant,
     seeded_rng,
     solve_partial,
+    sparse_rows,
 )
 from zcolor import algebra
 from zcolor.algebra import (
@@ -96,7 +99,7 @@ def test_snf_random_non_unit(M):
 def test_matrix_trefoil():
     M = coloring_matrix(TREFOIL)
     assert M.shape == (3, 3)
-    for row in M.rows:
+    for row in densify(M.rows, 3):
         assert sorted(row) == [-1, -1, 2]
         assert sum(row) == 0
 
@@ -104,7 +107,7 @@ def test_matrix_trefoil():
 def test_matrix_hopf_doubled_under():
     M = coloring_matrix(parse_pd("X[4,1,3,2] X[2,3,1,4]"))
     assert M.shape == (2, 2)
-    for row in M.rows:
+    for row in densify(M.rows, 2):
         assert sorted(row) == [-2, 2]
 
 
@@ -112,7 +115,8 @@ def test_matrix_kink_degenerate():
     # the kink's over and under arcs coincide, giving the zero row
     M = coloring_matrix(parse_pd("X[1,1,2,2]"))
     assert M.shape == (1, 1)
-    assert M.rows == ((0,),)
+    assert densify(M.rows, 1) == [[0]]
+    assert M.rows == ({},)
 
 
 def test_matrix_empty():
@@ -122,7 +126,8 @@ def test_matrix_empty():
 
 def test_row_sums_zero(corpus):
     for d in corpus.values():
-        for row in coloring_matrix(d).rows:
+        M = coloring_matrix(d)
+        for row in densify(M.rows, M.shape[1]):
             assert sum(row) == 0
 
 
@@ -211,6 +216,19 @@ def differential_diagrams(corpus):
             yield f"{name} (2) twist {sign}", insert_full_twists(cabled, [TwistSite(base_edge, sign)])
 
 
+def test_sparse_rows_densify_to_the_dense_oracle(corpus):
+    """Sparse rows hold no zero coefficient and densify to the dense
+    construction, on the corpus, random knots, parallels and twists."""
+    checked = 0
+    for name, d in differential_diagrams(corpus):
+        M, dense = coloring_matrix(d), dense_coloring_matrix(d)
+        assert M.columns == dense.columns, name
+        assert densify(M.rows, M.shape[1]) == [list(row) for row in dense.rows], name
+        assert all(0 not in row.values() for row in M.rows), name
+        checked += 1
+    assert checked >= 120 + len(corpus)
+
+
 def test_determinant_matches_bareiss_minor(corpus):
     checked = 0
     for name, d in differential_diagrams(corpus):
@@ -223,8 +241,9 @@ def test_determinant_matches_bareiss_minor(corpus):
 
 
 def assert_matches_dense_oracle(rows, width, name=None):
-    diag, basis = dense_snf_oracle(rows, width)
-    assert snf_diagonal([list(row) for row in rows]) == diag, name
+    """The sparse ``rows`` (``width`` columns) against one dense SNF."""
+    diag, basis = dense_snf_oracle(densify(rows, width), width)
+    assert snf_diagonal(rows, width) == diag, name
     assert kernel_lattice(rows, width) == basis, name
 
 
@@ -249,7 +268,7 @@ def coloring_shaped(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(coloring_shaped(), matrices(st.integers(-2, 2))))
 def test_unit_pivots_match_dense_oracle(M):
-    assert_matches_dense_oracle(M, len(M[0]))
+    assert_matches_dense_oracle(sparse_rows(M), len(M[0]))
 
 
 # No unit entry anywhere: the pre-pass takes no pivot and the residual is
@@ -258,10 +277,10 @@ def test_unit_pivots_match_dense_oracle(M):
 @given(matrices(st.tuples(st.sampled_from([2, 3]), st.integers(-3, 3)).map(
     lambda mk: mk[0] * mk[1])))
 def test_unit_pivots_without_units_match_dense_oracle(M):
-    pivots, residual, cols = algebra._unit_pivots(M)
+    pivots, residual, cols = algebra._unit_pivots(sparse_rows(M), len(M[0]))
     assert pivots == [] and cols == list(range(len(M[0])))
     assert residual == [row for row in M if any(row)]
-    assert_matches_dense_oracle(M, len(M[0]))
+    assert_matches_dense_oracle(sparse_rows(M), len(M[0]))
 
 
 def test_kernel_of_no_rows_is_every_vector():

@@ -35,6 +35,15 @@ def test_validate_garbage_exits_2(tmp_path, capsys):
     assert "line" in doc["error"]
 
 
+def test_validate_prints_a_failed_euler_check(tmp_path, capsys):
+    pd = tmp_path / "no_embedding.pd"
+    pd.write_text("X[1,2,3,4] X[2,3,1,4]\n")
+    code, doc = run(capsys, "validate", str(pd))
+    assert code == 0
+    assert doc["valid"] is False
+    assert doc["diagnostics"] == ["face count 2 violates Euler formula (V=2, E=4, pieces=1)"]
+
+
 def test_missing_file_is_usage_error(capsys):
     code, doc = run(capsys, "invariants", "no-such-file.pd")
     assert code == 2
@@ -309,6 +318,18 @@ def _trace(move: dict, disk=0) -> dict:
      "ColoringError", "[99]"),
     (["simplify-coloring", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "99": 7}, 1,
      "ColoringError", "[99]"),
+    # coloring keys that int() reads but that are not arc labels as written:
+    # "01" would merge with "1", and "1_0" would name arc 10
+    (["verify", TREFOIL, "DOC"], {"1": 0, "01": 1, **{str(e): 0 for e in range(2, 7)}}, 2,
+     "usage", "doc.json"),
+    (["verify", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "1_0": 0}, 2, "usage",
+     "doc.json"),
+    (["verify", TREFOIL, "DOC"], {**{str(e): 0 for e in range(2, 7)}, " 1": 0}, 2, "usage",
+     "doc.json"),
+    (["verify", TREFOIL, "DOC"], {**{str(e): 0 for e in range(2, 7)}, "+1": 0}, 2, "usage",
+     "doc.json"),
+    (["simplify-coloring", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "0": 0}, 2,
+     "usage", "doc.json"),
 ])
 def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code, error_type,
                                          names):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import isomorphic, seeded_rng
+from conftest import isomorphic, seeded_rng, successors
 from zcolor.diagram import (
     Diagram,
     DiagramError,
@@ -59,6 +59,38 @@ def test_contradictory_header_rejected():
         parse_pd("% component: 1 3 2 4\nX[2,3,1,4] X[1,3,2,4]")
     with pytest.raises(DiagramError, match="orientation inconsistency"):
         parse_pd("X[1,3,2,4] X[1,4,2,3]")
+
+
+# (text, line, column, token) as the token-by-token reader reported them
+# before whole-line reading: the column counts from 1, tabs count as one.
+SYNTAX_ERRORS = [
+    ("X[1,4,2,5] X[1,4,2,5] junk", 1, 23, "junk"),
+    ("X[1,4,2,5] X[1,4,2,5] X[1,4,2,5]X", 1, 23, "X[1,4,2,5]X"),
+    ("  \tX[1,4,2,5]\t X[3,6,4,1]  \t bad", 1, 30, "bad"),
+    ("X[1,4,2,5]\n# only a comment\n  X[3,6,4,1] X[5,2,6,3] oops # tail", 3, 25, "oops"),
+    ("X[1,2,3]", 1, 1, "X[1,2,3]"),
+    ("X[1,2,3,4]junk", 1, 1, "X[1,2,3,4]junk"),
+    ("X[1,2,3,4] 2,3 X[1", 1, 12, "2,3"),
+    ("\tX[12,3,4,5]\tX[2,3,4,5 ]", 1, 14, "X[2,3,4,5"),
+    ("X[1,4,2,5] # X[ bad\nX[1, 2,3,4]", 2, 1, "X[1,"),
+    ("X[1,2,3,4] x[1,2,3,4]", 1, 12, "x[1,2,3,4]"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, token", SYNTAX_ERRORS)
+def test_syntax_error_positions(text, line, column, token):
+    with pytest.raises(PDSyntaxError) as err:
+        parse_pd(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: expected X[a,b,c,d], got {token!r}"
+
+
+def test_any_whitespace_separates_terms():
+    """Terms split where ``str.split`` splits, non-ASCII spaces included."""
+    rows = [x.slots for x in parse_pd(TREFOIL).crossings]
+    for sep in ("\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003", "\u3000", " \t "):
+        d = parse_pd(sep + TREFOIL.replace(" ", sep) + sep)
+        assert [x.slots for x in d.crossings] == rows, repr(sep)
 
 
 def test_comment_and_headers():
@@ -126,8 +158,7 @@ def _signed(d: Diagram, signs) -> Diagram:
 
 
 def _orientation(d: Diagram) -> tuple:
-    return ([x.sign for x in d.crossings], d.components,
-            {e: d.successor(e) for e in d.edges})
+    return ([x.sign for x in d.crossings], d.components, successors(d))
 
 
 def _random_bases() -> list[Diagram]:
@@ -200,6 +231,12 @@ def test_faces_euler(corpus):
         f = len(d.faces())
         pieces = 2 if name == "split_unlink" else 1
         assert v - e + f == 2 * pieces, name
+
+
+def test_validate_reports_a_table_with_no_planar_embedding():
+    """Both signs are consistent, but the corner orbits are too few."""
+    d = parse_pd("X[1,2,3,4] X[2,3,1,4]")
+    assert validate(d) == ["face count 2 violates Euler formula (V=2, E=4, pieces=1)"]
 
 
 def test_isomorphic():
@@ -372,7 +409,7 @@ def _reference_parse(rows, headers, loops):
         d = Diagram(rows, reference_orient(rows, headers), free_loops=loops)
     except DiagramError:
         return None
-    succ = {e: d.successor(e) for e in d.edges}
+    succ = successors(d)
     if any(succ.get(a) != b for cyc in headers for a, b in zip(cyc, cyc[1:] + cyc[:1])):
         return None
     return [x.sign for x in d.crossings]

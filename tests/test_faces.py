@@ -8,18 +8,28 @@ import random
 
 import pytest
 
-from conftest import pd_signs, reference_face_arcs, reference_faces, reference_r3, seeded_rng
+from conftest import (
+    pd_signs,
+    reference_face_arcs,
+    reference_faces,
+    reference_r3,
+    seeded_rng,
+    trace_moves,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zcolor.cabling import CableSpec, parallel
+from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
 from zcolor.diagram import (
     Diagram,
+    DiagramError,
     canonical,
+    crossing_graph_pieces,
     occurrence_index,
     parse_pd,
     serialize_pd,
     serialize_pd_raw,
+    validate,
     writhe,
 )
 from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
@@ -55,6 +65,56 @@ def test_random_diagram_faces_match_reference(seed, n_ops):
     check_builder(DiagramBuilder(d))
 
 
+def euler_diagnostics(d: Diagram) -> list[str]:
+    """The Euler line ``validate`` owes ``d``, from the reference face count."""
+    f = len(reference_faces({x.cid: x.slots for x in d.crossings}))
+    v, e = len(d.crossings), len(d.edges)
+    pieces = len([p for p in crossing_graph_pieces(d) if p])
+    if not d.crossings or v - e + f == 2 * pieces:
+        return []
+    return [f"face count {f} violates Euler formula (V={v}, E={e}, pieces={pieces})"]
+
+
+def assert_face_count_is_reference(d: Diagram, name=None) -> None:
+    """``validate``'s orbit count is the reference walk's face count: its
+    Euler line names that count when the check fails, and the check passes
+    only when that count satisfies it."""
+    assert [m for m in validate(d) if "Euler" in m] == euler_diagnostics(d), name
+
+
+def test_orbit_count_on_every_two_crossing_table():
+    """Every arrangement of the labels 1..4, each twice, over two rows that
+    parses; most of them have no planar embedding."""
+    parsed = failed = 0
+    for labels in sorted(set(itertools.permutations((1, 1, 2, 2, 3, 3, 4, 4)))):
+        try:
+            d = parse_pd("X[%d,%d,%d,%d] X[%d,%d,%d,%d]" % labels)
+        except DiagramError:
+            continue
+        assert_face_count_is_reference(d, labels)
+        parsed += 1
+        failed += bool(euler_diagnostics(d))
+    assert (parsed, failed) == (1680, 1128)
+
+
+def test_orbit_count_on_random_knots_and_parallels():
+    rng = seeded_rng()
+    std = standard_diagrams()
+    checked = []
+    for i in range(60):
+        checked.append(random_knot_diagram(rng, n_ops=2 + i % 9))
+    for name in ("hopf", "trefoil", "figure8", "split_unlink"):
+        base = std[name]
+        for k in (1, 2, 3):
+            checked.append(parallel(base, CableSpec(multiplicities=(k,) * len(base.components))))
+    cabled = parallel(std["trefoil"], CableSpec(multiplicities=(2,)))
+    base_edge = min(e for e, _ in cabled.cable.copy_edges)
+    checked.append(insert_full_twists(cabled, [TwistSite(base_edge, 1)]))
+    for d in checked:
+        assert_face_count_is_reference(d, d)
+        assert validate(d) == []
+
+
 @functools.lru_cache(maxsize=None)
 def recorded_run(name):
     """(source diagram, moves) of one delete_color_moves or to_simple_coloring run."""
@@ -62,19 +122,19 @@ def recorded_run(name):
     if name == "hopf-4,4 delete 3":
         cabled = parallel(std["hopf"], CableSpec((4, 4)))
         d, _, trace = delete_color_moves(cabled, color_even_parallel(cabled), 3)
-        return cabled, trace.moves
+        return cabled, trace_moves(trace)
     if name == "trefoil_writhe0-2 delete 4, -1":
         cabled, gamma = color_two_parallel(std["trefoil_writhe0"])
         d, moves = cabled, []
         for target in (4, -1):
             if target in gamma.values():
                 d, gamma, trace = delete_color_moves(d, gamma, target)
-                moves += trace.moves
+                moves += trace_moves(trace)
         return cabled, moves
     colors, kinks = {"chain-21-k1": ((2, 1), 1), "chain-31-k0": ((3, 1), 0),
                      "chain-421-k1": ((4, 2, 1), 1)}[name]
     d, gamma = diff_chain(colors, kinks)
-    return d, to_simple_coloring(d, gamma)[2].moves
+    return d, trace_moves(to_simple_coloring(d, gamma)[2])
 
 
 RUNS = ["hopf-4,4 delete 3", "trefoil_writhe0-2 delete 4, -1",

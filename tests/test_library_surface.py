@@ -4,12 +4,16 @@ Every public top-level function and class of a ``zcolor`` module must be
 used by something other than the tests: another module of the package, a
 later place in its own module, or the benchmark harness (``perfbench/``,
 its tests excepted).  A re-export from ``zcolor/__init__.py`` is not a use.
-Test oracles belong in ``tests/conftest.py``, not in the package.
+The same holds one level down: every public method, property and dataclass
+field of a public class must be read as an attribute somewhere in the
+package outside its own definition, or in the harness.  Test oracles
+belong in ``tests/conftest.py``, not in the package.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +28,14 @@ ALLOWED = {
                       "private _diff_paths on its move builder",
     "eliminate_max_diff": "the paper's elimination lemma; to_simple_coloring "
                           "runs the private _eliminate_rounds",
+}
+
+
+# Public class members kept although nothing outside the tests reads them
+# as an attribute; one reason per ``Class.member``.
+ALLOWED_MEMBERS = {
+    "Diagram.faces": "the face listing that the face tests compare with the "
+                     "reference walk; perfbench's traced run wraps it by name",
 }
 
 
@@ -69,6 +81,45 @@ def unreferenced_names() -> dict[str, str]:
     return out
 
 
+def _attributes(tree: ast.AST) -> Counter:
+    """How often ``tree`` looks up each attribute name."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _public_members(cls: ast.ClassDef):
+    """(name, node) of each public method, property and annotated field."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, node
+
+
+def unread_members() -> dict[str, str]:
+    """``Class.member`` -> its module, for public members of public classes
+    that nothing outside the tests reads as an attribute."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+               if p.stem != "__init__"}
+    reads = Counter()
+    for tree in modules.values():
+        reads += _attributes(tree)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        reads += _attributes(ast.parse(path.read_text()))
+    out = {}
+    for name, tree in modules.items():
+        for cls in _public_definitions(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member, node in _public_members(cls):
+                if reads[member] == _attributes(node)[member]:  # read only inside itself
+                    out[f"{cls.name}.{member}"] = name
+    return out
+
+
 def test_every_public_name_is_used_outside_the_tests():
     orphans = {n: m for n, m in unreferenced_names().items() if n not in ALLOWED}
     assert not orphans, (
@@ -79,3 +130,15 @@ def test_every_public_name_is_used_outside_the_tests():
 def test_allow_list_names_only_unused_public_names():
     assert set(ALLOWED) <= set(unreferenced_names()), \
         "an ALLOWED name is gone or now has a caller; drop it from the list"
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    orphans = {n: m for n, m in unread_members().items() if n not in ALLOWED_MEMBERS}
+    assert not orphans, (
+        "read only by tests (delete them, or give a reason in ALLOWED_MEMBERS): "
+        f"{orphans}")
+
+
+def test_member_allow_list_names_only_unread_members():
+    assert set(ALLOWED_MEMBERS) <= set(unread_members()), \
+        "an ALLOWED_MEMBERS entry is gone or now has a reader; drop it from the list"
