@@ -86,7 +86,7 @@ def coloring_matrix(diagram: Diagram) -> ColoringMatrix:
     """
     cols = diagram.arc_class_reps()
     idx = {c: i for i, c in enumerate(cols)}
-    col = {e: idx[c] for e, c in diagram.arc_classes().items()}
+    col = {e: idx[c] for e, c in diagram._arc_class.items()}
     rows = []
     for x in diagram.crossings:
         row = {col[x.over_in]: 2}

@@ -21,8 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class PDSyntaxError(ValueError):
@@ -88,7 +87,7 @@ class Diagram:
     ):
         if free_loops < 0:
             raise DiagramError("free loop count must be non-negative")
-        rows = list(map(tuple, rows))
+        rows = [tuple(map(int, r)) for r in rows]
         labels = list(chain.from_iterable(rows))
         if min(labels, default=1) <= 0 or not set(map(len, rows)) <= {4}:
             bad = next(r for r in rows if len(r) != 4 or any(x <= 0 for x in r))
@@ -127,37 +126,18 @@ class Diagram:
     def crossing(self, cid: int) -> Crossing:
         return self._by_cid[cid]
 
-    def arc_classes(self) -> Mapping[int, int]:
+    def arc_classes(self) -> dict[int, int]:
         """Map each edge to the representative of its Fox arc.
 
         Two edges belong to one Fox arc when they are the over-slot pair of
-        some crossing: the over strand runs through unbroken.  The map is
-        computed once per diagram and returned as a read-only view.
+        some crossing: the over strand runs through unbroken.
         """
-        return MappingProxyType(self._arc_class)
+        return dict(self._arc_class)
 
     def arc_class_reps(self) -> tuple[int, ...]:
         return tuple(sorted(set(self._arc_class.values())))
 
     # -- faces ------------------------------------------------------------
-
-    def faces(self) -> list[tuple[tuple[int, int], ...]]:
-        """Every face as a corner orbit from its smallest ``(cid, slot)``
-        corner, ordered by that corner."""
-        nxt = self._next_corners()
-        seen = bytearray(len(nxt))
-        faces = []
-        for k in sorted(range(len(self.crossings)), key=lambda k: self.crossings[k].cid):
-            for start in range(4 * k, 4 * k + 4):
-                walk = []
-                c = start
-                while not seen[c]:
-                    seen[c] = 1
-                    walk.append(c)
-                    c = nxt[c]
-                if walk:
-                    faces.append(tuple((self.crossings[c >> 2].cid, c & 3) for c in walk))
-        return faces
 
     def _next_corners(self) -> list[int]:
         """Corner ``4*k + i`` (after slot i of row k) -> the next corner of
@@ -438,11 +418,7 @@ def _orbit_count(nxt: list[int]) -> int:
 
 # -- PD text ----------------------------------------------------------------
 
-_TERM = re.compile(r"X\[\d+,\d+,\d+,\d+\]")
-# A line of whitespace-separated terms (``\s`` is ``str.split``'s whitespace),
-# and the labels in it.
-_TERMS = re.compile(r"\s*(?:X\[\d+,\d+,\d+,\d+\](?:\s+|$))*")
-_LABEL = re.compile(r"\d+")
+_TERM = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")
 
 
 def parse_pd(text: str) -> Diagram:
@@ -460,12 +436,10 @@ def parse_pd(text: str) -> Diagram:
     headers: list[list[int]] = []
     loops = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0]
-        if _TERMS.fullmatch(line):  # a blank line is a line of no terms
-            labels = map(int, _LABEL.findall(line))
-            rows.extend(zip(labels, labels, labels, labels))  # four per term
-            continue
+        line = raw.split("#", 1)[0]
         stripped = line.strip()
+        if not stripped:
+            continue
         if stripped.startswith("%"):
             body = stripped[1:].strip()
             if body.startswith("component:"):
@@ -484,8 +458,10 @@ def parse_pd(text: str) -> Diagram:
         col = 0
         for tok in line.split():
             col = line.index(tok, col)
-            if not _TERM.fullmatch(tok):
+            m = _TERM.fullmatch(tok)
+            if not m:
                 raise PDSyntaxError(f"expected X[a,b,c,d], got {tok!r}", ln, col + 1)
+            rows.append(tuple(map(int, m.groups())))
             col += len(tok)
     if rows:
         labels = set(chain.from_iterable(rows))

@@ -33,10 +33,7 @@ ALLOWED = {
 
 # Public class members kept although nothing outside the tests reads them
 # as an attribute; one reason per ``Class.member``.
-ALLOWED_MEMBERS = {
-    "Diagram.faces": "the face listing that the face tests compare with the "
-                     "reference walk; perfbench's traced run wraps it by name",
-}
+ALLOWED_MEMBERS: dict[str, str] = {}
 
 
 def _identifiers(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
