@@ -178,6 +178,8 @@ def cmd_simplify_coloring(args) -> int:
 
 
 def cmd_minimize(args) -> int:
+    if args.bound < 1:
+        raise UsageError(f"--bound {args.bound}: the coefficient bound must be at least 1")
     d = _load_diagram(args.pd)
     lat = algebra.diagram_lattice(d)
     best = coloring.minimize_palette_on_diagram(lat, args.bound)
@@ -300,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cable", help="build a parallel of the diagram")
     p.add_argument("pd")
-    p.add_argument("--spec", help="comma-separated multiplicities, e.g. 3,2")
-    p.add_argument("--two-parallel-untwisted", action="store_true")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--spec", help="comma-separated multiplicities, e.g. 3,2")
+    shape.add_argument("--two-parallel-untwisted", action="store_true")
     p.set_defaults(func=cmd_cable)
 
     p = sub.add_parser("color-parallel", help="color an even parallel or a 2-parallel")

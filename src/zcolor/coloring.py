@@ -9,6 +9,7 @@ is |b - a| = |b - c|; the equality is forced algebraically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, neg
 from typing import Optional
 
 from .algebra import ColoringLattice, solve_integer
@@ -133,47 +134,48 @@ def _split_off_ones(basis: list[list[int]]) -> list[list[int]]:
 
 
 def _scan_box(basis: list[list[int]], bound: int) -> Optional[list[int]]:
-    """Smallest-palette vector over the coefficient box, by vectorized scan."""
-    import numpy as np
+    """Smallest-palette vector over the coefficient box, by exact scan.
 
-    k = len(basis)
-    c = len(basis[0])
-    B = np.asarray(basis, dtype=np.int64)
-    span = 2 * bound + 1
-    total = span ** k
-    limit = int(np.abs(B).sum() * bound) + 1
-    if limit >= 2 ** 60:
-        raise ColoringError("coefficient box too large for exact int64 scan")
+    Among the non-constant vectors ``sum(a[t] * basis[t])`` with every
+    ``|a[t]| <= bound``, returns one with the fewest distinct values, ties
+    going to the lexicographically smallest vector; None if every such
+    vector is constant.  Two invariants let it visit less than the box:
 
-    best_size = None
-    best_vec: Optional[list[int]] = None
-    chunk = max(1, min(total, 200_000 // max(c, 1) + 1))
-    coeffs = np.arange(span, dtype=np.int64) - bound
-    idx = 0
-    while idx < total:
-        hi = min(idx + chunk, total)
-        ids = np.arange(idx, hi, dtype=np.int64)
-        T = np.empty((hi - idx, k), dtype=np.int64)
-        rem = ids
-        for t in range(k - 1, -1, -1):
-            T[:, t] = coeffs[rem % span]
-            rem = rem // span
-        vals = T @ B
-        sorted_vals = np.sort(vals, axis=1)
-        sizes = 1 + (np.diff(sorted_vals, axis=1) != 0).sum(axis=1)
-        nontrivial = sizes > 1
-        if nontrivial.any():
-            sub_sizes = np.where(nontrivial, sizes, c + 2)
-            j = int(np.argmin(sub_sizes))
-            size = int(sub_sizes[j])
-            if best_size is None or size < best_size:
-                # rescan this chunk for all minima to apply the total tie-break
-                best_size = size
-                best_vec = None
-            if size == best_size:
-                for jj in np.nonzero(sub_sizes == best_size)[0]:
-                    cand = [int(v) for v in vals[jj]]
-                    if best_vec is None or cand < best_vec:
-                        best_vec = cand
-        idx = hi
-    return best_vec
+    - half box: ``v`` and ``-v`` have the same palette and the box is
+      symmetric, so the first coefficient runs over ``[0, bound]`` and each
+      vector stands for the smaller of ``v`` and ``-v``;
+    - prune: the columns where the last row is zero do not change with the
+      last coefficient, so a prefix whose fixed columns already carry more
+      distinct values than the best palette so far is skipped.  The test is
+      strict, so prefixes that can only tie are still visited.
+    """
+    k, c = len(basis), len(basis[0])
+    multiples = [[[a * x for x in row] for a in range(-bound, bound + 1)]
+                 for row in basis]
+    multiples[0] = multiples[0][bound:]
+    last = basis[-1]
+    fixed_cols = [j for j in range(c) if last[j] == 0]
+    moving_cols = [j for j in range(c) if last[j] != 0]
+    last_steps = [(step, [step[j] for j in moving_cols]) for step in multiples[-1]]
+    best_size, best = c + 1, None
+
+    def visit(t: int, prefix: list[int]) -> None:
+        nonlocal best_size, best
+        if t < k - 1:
+            for step in multiples[t]:
+                visit(t + 1, list(map(add, prefix, step)))
+            return
+        fixed = {prefix[j] for j in fixed_cols}
+        if len(fixed) > best_size:
+            return
+        moving = [prefix[j] for j in moving_cols]
+        for step, moving_step in last_steps:
+            size = len(fixed.union(map(add, moving, moving_step)))
+            if 1 < size <= best_size:
+                vals = list(map(add, prefix, step))
+                cand = min(vals, list(map(neg, vals)))
+                if size < best_size or cand < best:
+                    best_size, best = size, cand
+
+    visit(0, [0] * c)
+    return best

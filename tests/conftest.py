@@ -161,6 +161,23 @@ def dense_snf_oracle(rows, width: int) -> tuple[list[int], list[list[int]]]:
     return [S[i][i] for i in range(n)], hermite_form([[row[j] for row in V] for j in free])
 
 
+def reference_scan_box(basis, bound: int) -> Optional[list[int]]:
+    """The non-constant vector of the coefficient box with the fewest
+    distinct values, ties to the lexicographically smallest; None if every
+    vector is constant.
+
+    Brute force over the whole box ``[-bound, bound]^k``: no sign symmetry,
+    no pruning.
+    """
+    best = None
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        vals = [sum(a * row[j] for a, row in zip(coeffs, basis)) for j in range(len(basis[0]))]
+        size = len(set(vals))
+        if size > 1 and (best is None or (size, vals) < best):
+            best = (size, vals)
+    return None if best is None else best[1]
+
+
 def dense_coloring_matrix(diagram: Diagram) -> ColoringMatrix:
     """One dense relation row per crossing on the arc-class columns.
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -174,16 +177,36 @@ def test_minimize(capsys):
     assert doc["palette_size"] >= 2
 
 
-@pytest.mark.parametrize("n, k", [(6, 9), (8, 13)])
-def test_minimize_refuses_an_oversized_box(tmp_path, capsys, n, k):
+def hopf_parallel_pd(tmp_path, n: int) -> str:
+    """The (n, n) parallel of the Hopf link, written as a PD file."""
     from zcolor.cabling import CableSpec, parallel
     from zcolor.diagram import parse_pd, serialize_pd
 
     hopf = parse_pd((CORPUS / "hopf.pd").read_text())
     pd_file = tmp_path / f"hopf-{n}.pd"
     pd_file.write_text(serialize_pd(parallel(hopf, CableSpec(multiplicities=(n, n)))))
+    return str(pd_file)
+
+
+def test_minimize_runs_without_numpy(tmp_path):
+    script = ("import sys; sys.modules['numpy'] = None\n"
+              "from zcolor.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(CORPUS.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "minimize", "--bound", "3", hopf_parallel_pd(tmp_path, 4)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout)["palette_size"] == 4
+
+
+@pytest.mark.parametrize("n, k", [(6, 9), (8, 13)])
+def test_minimize_refuses_an_oversized_box(tmp_path, capsys, n, k):
+    pd_file = hopf_parallel_pd(tmp_path, n)
     start = time.perf_counter()
-    code, doc = run(capsys, "minimize", "--bound", "3", str(pd_file))
+    code, doc = run(capsys, "minimize", "--bound", "3", pd_file)
     assert time.perf_counter() - start < 5
     assert code == 1
     assert doc["error"]["type"] == "ColoringError"
@@ -273,6 +296,7 @@ def test_colorability_omits_constant_witness(tmp_path, capsys):
 
 
 TREFOIL = str(CORPUS / "trefoil.pd")
+HOPF = str(CORPUS / "hopf.pd")
 NOT_A_TRACE = {"schema_version": 1}
 UNKNOWN_MOVE = {"stages": [{"moves": [{"kind": "R9", "disk": 0}], "disks": {}}]}
 MISSING_CROSSING = {"stages": [{"moves": [{"kind": "R1-", "crossing": 99, "disk": 0}],
@@ -330,6 +354,11 @@ def _trace(move: dict, disk=0) -> dict:
      "doc.json"),
     (["simplify-coloring", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "0": 0}, 2,
      "usage", "doc.json"),
+    # on hopf.pd (kernel rank 1) the library would refuse the rank before the bound
+    (["minimize", "--bound", "0", HOPF], None, 2, "usage", "--bound 0"),
+    (["minimize", "--bound", "-1", HOPF], None, 2, "usage", "--bound -1"),
+    (["cable", "--spec", "2,2", "--two-parallel-untwisted", HOPF], None, 2, "usage",
+     "not allowed with"),
 ])
 def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code, error_type,
                                          names):

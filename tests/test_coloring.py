@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import propagate_region
+from conftest import propagate_region, reference_scan_box
 from zcolor.algebra import diagram_lattice, is_z_colorable
 from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import (
     ColoringError,
+    _scan_box,
     diff_spectrum,
     is_simple,
     minimize_palette_on_diagram,
@@ -97,6 +98,40 @@ def test_translation_and_scaling_on_lattice_elements(shift, scale):
 def test_minimize_requires_rank_two():
     with pytest.raises(ColoringError):
         minimize_palette_on_diagram(diagram_lattice(TREFOIL), 2)
+
+
+def test_minimize_refuses_a_bound_below_one():
+    lat = diagram_lattice(parse_pd("X[1,1,2,2] X[3,3,4,4]"))
+    for bound in (0, -1):
+        with pytest.raises(ColoringError, match="bound must be positive"):
+            minimize_palette_on_diagram(lat, bound)
+
+
+@st.composite
+def scan_boxes(draw):
+    """A basis of 1-4 rows over 1-8 columns and a bound of 1-3.
+
+    Entries are zero about half the time, so the last row often fixes
+    columns the prune reads; a row may repeat an earlier one up to sign
+    or a factor 2, so many vectors tie on the best palette.
+    """
+    width = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if rows and draw(st.booleans()):
+            factor = draw(st.sampled_from([-2, -1, 1, 2]))
+            rows.append([factor * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    return rows, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_boxes())
+def test_scan_box_matches_the_full_box(box):
+    basis, bound = box
+    assert _scan_box(basis, bound) == reference_scan_box(basis, bound)
 
 
 def test_minimize_on_hopf44():
