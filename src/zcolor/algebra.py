@@ -2,27 +2,27 @@
 
 The coloring matrix has one row per crossing and one column per Fox arc
 (over-merged edge class): the row encodes 2*over - under_in - under_out = 0.
-Everything downstream is arbitrary-precision integer arithmetic, and one
-Smith normal form answers every question: the determinant is the product
-of all invariant factors but the last, the kernel lattice is read off the
-column transform, Fox counts are gcds of the invariant factors with n, and
-``solve_integer`` solves A x = b over Z.
+Everything downstream is arbitrary-precision integer arithmetic.  One
+Hermite form answers the lattice questions: the kernel lattice and
+``solve_left``, which writes a vector as an integer combination of rows.
+The Smith form gives the invariant factors: the determinant is the
+product of all of them but the last, and Fox counts are their gcds with n.
 
 The matrix is held as sparse rows, {column: coefficient} with at most
 three entries each.  Almost every coloring row offers a +-1 pivot, so the
-Smith form of a coloring matrix starts with a sparse pre-pass
-(``_unit_pivots``) on those rows and runs the dense elimination only on
-what is left.  The lemma behind it: if
-M[i][j] = s with s = +-1, subtracting multiples of row i clears column j
-from every other row, and subtracting multiples of column j clears the
-rest of row i.  Both are unimodular, so M is equivalent to diag(s, R),
-where R is M with row i and column j deleted after the row step.  After
-p such pivots, SNF(M) = diag(1, ..., 1, SNF(R)) with p ones.  For the
-kernel, row i reads s * x_j + sum(rest of row i) = 0, so
-x_j = -s * sum(rest) is an integer function of the columns still
-present.  Lifting ker R through the pivots in reverse order is therefore
-a bijection of integer kernels whose inverse forgets the pivot columns,
-so the lift of a saturated basis of ker R is a saturated basis of ker M.
+Smith form and the kernel of a coloring matrix start with a sparse
+pre-pass (``_unit_pivots``) on those rows and run the dense elimination
+only on what is left.  The lemma behind it: if M[i][j] = s with s = +-1,
+subtracting multiples of row i clears column j from every other row, and
+subtracting multiples of column j clears the rest of row i.  Both are
+unimodular, so M is equivalent to diag(s, R), where R is M with row i and
+column j deleted after the row step.  After p such pivots,
+SNF(M) = diag(1, ..., 1, SNF(R)) with p ones.  For the kernel, row i
+reads s * x_j + sum(rest of row i) = 0, so x_j = -s * sum(rest) is an
+integer function of the columns still present.  Lifting ker R through
+the pivots in reverse order is therefore a bijection of integer kernels
+whose inverse forgets the pivot columns, so the lift of a saturated
+basis of ker R is a saturated basis of ker M.
 """
 
 from __future__ import annotations
@@ -104,61 +104,45 @@ def coloring_matrix(diagram: Diagram) -> ColoringMatrix:
 # -- Smith normal form -------------------------------------------------------
 
 
-def smith_normal_form(matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return unimodular U, V and diagonal S with U*M*V = S and d1 | d2 | ...
+def smith_normal_form(matrix) -> list[int]:
+    """The min(rows, columns) invariant factors d1 | d2 | ... of ``matrix``.
 
     One dense elimination.  Step t pivots on the smallest nonzero entry of
     the remaining block (the first unit ends the search) and clears the
     pivot's column and row by division with remainder.  While the pivot
     fails to divide some entry of the block below it, the offending row is
     added to the pivot row and reduction resumes with a smaller pivot.  The
-    finished diagonal entry is made non-negative.  All arithmetic is exact.
+    finished diagonal entry is reported non-negative.  All arithmetic is
+    exact.
     """
     S = [list(map(int, row)) for row in matrix]
     r = len(S)
     c = len(S[0]) if r else 0
-    U = _identity(r)
-    V = _identity(c)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in S:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):  # row dst += q * row src
-        for k in range(c):
-            S[dst][k] += q * S[src][k]
-        for k in range(r):
-            U[dst][k] += q * U[src][k]
-
-    def add_col(dst, src, q):
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
 
     for t in range(min(r, c)):
         pivot = _smallest_entry(S, t)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        S[t], S[pivot[0]] = S[pivot[0]], S[t]
         swap_cols(t, pivot[1])
         while True:
             p = S[t][t]
             i = next((i for i in range(t + 1, r) if S[i][t]), None)
             if i is not None:
-                add_row(i, t, -(S[i][t] // p))
+                q = S[i][t] // p
+                S[i] = [a - q * b for a, b in zip(S[i], S[t])]
                 if S[i][t]:  # remainder smaller than pivot: promote it
-                    swap_rows(t, i)
+                    S[t], S[i] = S[i], S[t]
                 continue
             j = next((j for j in range(t + 1, c) if S[t][j]), None)
             if j is not None:
-                add_col(j, t, -(S[t][j] // p))
+                q = S[t][j] // p
+                for row in S:
+                    row[j] -= q * row[t]
                 if S[t][j]:
                     swap_cols(t, j)
                 continue
@@ -168,11 +152,8 @@ def smith_normal_form(matrix) -> tuple[Matrix, Matrix, Matrix]:
                       if any(S[i][j] % p for j in range(t + 1, c))), None)
             if i is None:
                 break
-            add_row(t, i, 1)
-        if S[t][t] < 0:
-            S[t][t] = -S[t][t]  # the rest of row t is already zero
-            U[t] = [-u for u in U[t]]
-    return U, S, V
+            S[t] = [a + b for a, b in zip(S[t], S[i])]
+    return [abs(S[t][t]) for t in range(min(r, c))]
 
 
 def _smallest_entry(S: Matrix, t: int) -> Optional[tuple[int, int]]:
@@ -190,27 +171,6 @@ def _smallest_entry(S: Matrix, t: int) -> Optional[tuple[int, int]]:
     return pivot
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    if not A or not B:
-        return []
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
-    return out
-
-
 def snf_diagonal(rows, width: int) -> list[int]:
     """The min(rows, columns) invariant factors d1 | d2 | ... of the sparse
     ``rows`` on ``width`` columns: one per unit pivot, then the residual's,
@@ -218,8 +178,7 @@ def snf_diagonal(rows, width: int) -> list[int]:
     pivots, residual, _ = _unit_pivots(rows, width)
     diag = [1] * len(pivots)
     if residual:
-        _, S, _ = smith_normal_form(residual)
-        diag += [S[t][t] for t in range(min(len(S), len(S[0])))]
+        diag += smith_normal_form(residual)
     return diag + [0] * (min(len(rows), width) - len(diag))
 
 
@@ -330,27 +289,23 @@ def kernel_lattice(rows, width: int) -> Matrix:
     """Saturated integer basis of the kernel of the sparse ``rows`` (``width``
     columns), canonicalized by Hermite reduction.
 
-    The unit pivots leave a residual R.  With U*R*V = S diagonal, ker(R)
-    is generated by the columns of V at positions where S has no (or a
-    zero) diagonal entry; those columns span every integer kernel vector
-    because V is unimodular.  With no residual rows, ker(R) is spanned by
-    the unit vectors.  Each vector is lifted to ker(M) by back-substitution
+    The unit pivots leave a residual R with m rows.  The vectors
+    (column j of R | unit vector e_j) generate the lattice of all (R y | y),
+    so the rows of its Hermite form that vanish on the first m entries are
+    a basis of ker(R).  Each such y is lifted to ker(M) by back-substitution
     through the pivots, last first (see the module docstring).
     """
-    if not rows:
-        return _identity(width)
     pivots, residual, cols = _unit_pivots(rows, width)
-    if residual:
-        _, S, V = smith_normal_form(residual)
-        n = min(len(S), len(cols))
-        kernel = [[row[j] for row in V] for j in range(len(cols)) if j >= n or S[j][j] == 0]
-    else:
-        kernel = _identity(len(cols))
+    m, n = len(residual), len(cols)
+    extended = [[row[j] for row in residual] + [int(i == j) for i in range(n)]
+                for j in range(n)]
     vectors = []
     last_first = pivots[::-1]
-    for x in kernel:
+    for h in hermite_form(extended):
+        if any(h[:m]):
+            continue
         v = [0] * width
-        for j, a in zip(cols, x):
+        for j, a in zip(cols, h[m:]):
             v[j] = a
         for j, s, rest in last_first:
             t = 0
@@ -359,6 +314,27 @@ def kernel_lattice(rows, width: int) -> Matrix:
             v[j] = -s * t
         vectors.append(v)
     return hermite_form(vectors)
+
+
+def solve_left(rows: Matrix, target: list[int]) -> Optional[list[int]]:
+    """Integer t with sum(t[i] * rows[i]) == target, or None if none exists.
+
+    The vectors (rows[i] | unit vector e_i) generate every
+    (sum t[i] * rows[i] | t).  Forward substitution on the pivots of their
+    Hermite form subtracts target away, and the unit part collects t.  When
+    the rows are independent, t is the only solution.
+    """
+    k, c = len(rows), len(target)
+    extended = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    rest, t = list(target), [0] * k
+    for h in hermite_form(extended):
+        j = next((j for j in range(c) if h[j]), None)
+        if j is None:  # this row and the rest vanish on the rows part
+            break
+        q = rest[j] // h[j]  # a remainder stays in rest: later rows vanish at j
+        rest = [a - q * b for a, b in zip(rest, h)]
+        t = [a + q * b for a, b in zip(t, h[c:])]
+    return None if any(rest) else t
 
 
 def diagram_lattice(diagram: Diagram) -> ColoringLattice:
@@ -448,25 +424,3 @@ def fox_coloring_count(diagram: Diagram, n: int) -> int:
     count *= n ** (c - len(diag))
     count *= n ** diagram.free_loops
     return count
-
-
-def solve_integer(A: Matrix, b: list[int], width: int) -> Optional[list[int]]:
-    """One integer solution x (of length ``width``) of A x = b, or None.
-
-    With U*A*V = S, x = V*y where S*y = U*b; coordinates of y on zero
-    invariant factors are set to zero, so the solution is the unique one
-    whenever the columns of A are independent.
-    """
-    if not A:
-        return [0] * width
-    U, S, V = smith_normal_form(A)
-    y = [0] * width
-    for i, (wi,) in enumerate(mat_mul(U, [[x] for x in b])):
-        d = S[i][i] if i < width else 0
-        if d:
-            if wi % d:
-                return None
-            y[i] = wi // d
-        elif wi:
-            return None
-    return [row[0] for row in mat_mul(V, [[v] for v in y])]

@@ -79,16 +79,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_invariants(args) -> int:
-    d = _load_diagram(args.pd)
+def _invariants(d: Diagram) -> dict:
+    """Writhe, determinant, components and colorability of ``d``."""
     det = algebra.determinant(d)
-    _emit({
+    return {
         "writhe": diagram.writhe(d),
-        "determinant": jsonio.encode_int(det),
+        "determinant": det,
         "components": d.num_components,
         # a non-empty diagram is Z-colorable exactly when its determinant is 0
         "z_colorable": det == 0,
-    }, args.pretty)
+    }
+
+
+def _encode_invariants(got: dict) -> dict:
+    return dict(got, determinant=jsonio.encode_int(got["determinant"]))
+
+
+def cmd_invariants(args) -> int:
+    _emit(_encode_invariants(_invariants(_load_diagram(args.pd))), args.pretty)
     return 0
 
 
@@ -232,16 +240,8 @@ def cmd_corpus(args) -> int:
     for pd_file in sorted(root.glob("*.pd")):
         entry = {"file": pd_file.name}
         try:
-            d = diagram.parse_pd(pd_file.read_text())
-            det = algebra.determinant(d)
-            got = {
-                "writhe": diagram.writhe(d),
-                "determinant": det,
-                "components": d.num_components,
-                "z_colorable": det == 0,
-            }
-            entry["invariants"] = {k: jsonio.encode_int(v) if isinstance(v, int) else v
-                                   for k, v in got.items()}
+            got = _invariants(diagram.parse_pd(pd_file.read_text()))
+            entry["invariants"] = _encode_invariants(got)
             sidecar = pd_file.with_suffix(".expected.json")
             if sidecar.exists():
                 expected = _load_expected(sidecar, got)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import add, neg
 from typing import Optional
 
-from .algebra import ColoringLattice, solve_integer
+from .algebra import ColoringLattice, solve_left
 from .diagram import Diagram
 
 Coloring = dict[int, int]
@@ -124,9 +124,7 @@ def _split_off_ones(basis: list[list[int]]) -> list[list[int]]:
 
     The basis is independent, so all-ones has at most one coefficient vector.
     """
-    k, c = len(basis), len(basis[0])
-    A = [[basis[t][j] for t in range(k)] for j in range(c)]
-    coeffs = solve_integer(A, [1] * c, k) or []
+    coeffs = solve_left(basis, [1] * len(basis[0])) or []
     for idx, coeff in enumerate(coeffs):
         if abs(coeff) == 1:
             return basis[:idx] + basis[idx + 1:]

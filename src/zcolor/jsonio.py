@@ -26,6 +26,7 @@ from .moves import (
 SCHEMA_VERSION = 1
 _SAFE = 2 ** 53 - 1
 _ARC_KEY = re.compile(r"[1-9][0-9]*")
+_INT = re.compile(r"0|-?[1-9][0-9]*")  # one spelling per integer
 
 
 def encode_int(n: int) -> Any:
@@ -33,10 +34,13 @@ def encode_int(n: int) -> Any:
 
 
 def decode_int(v: Any) -> int:
-    """An integer, given as a JSON integer or a string of one."""
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return int(v)
+    """An integer, given as a JSON integer or as a string of ASCII decimal
+    digits with an optional minus sign and no leading zero ("-0" refused)."""
+    if isinstance(v, str) and _INT.fullmatch(v):
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"expected an integer, got {v!r}")
 
 
 def coloring_to_json(gamma: Coloring) -> dict:
@@ -143,7 +147,12 @@ def trace_from_json(obj: dict) -> MoveTrace:
     stages = []
     for st in obj["stages"]:
         moves = tuple((_move_from_json(m), decode_int(m["disk"])) for m in st["moves"])
-        disks = {int(k): frozenset(map(decode_int, v)) for k, v in st["disks"].items()}
+        disks = {}
+        for k, v in st["disks"].items():
+            if not _INT.fullmatch(k):
+                raise ValueError(f"disk key {k!r} is not a disk id "
+                                 "(a decimal integer with no leading zero)")
+            disks[int(k)] = frozenset(map(decode_int, v))
         stages.append(Stage(moves=moves, disks=disks))
     return MoveTrace(stages=tuple(stages))
 

@@ -8,13 +8,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from zcolor.algebra import (
-    ColoringMatrix,
-    diagram_lattice,
-    hermite_form,
-    smith_normal_form,
-    solve_integer,
-)
+from zcolor.algebra import ColoringMatrix, diagram_lattice, hermite_form
 from zcolor.cabling import CableError, CableSpec, parallel
 from zcolor.diagram import (
     INCONSISTENT,
@@ -144,18 +138,150 @@ def det_int(A: list) -> int:
     return sign * M[-1][-1]
 
 
+def transform_snf(matrix) -> tuple[list, list, list]:
+    """Return unimodular U, V and diagonal S with U*M*V = S and d1 | d2 | ...
+
+    The reference Smith form: the pivot loop of
+    ``zcolor.algebra.smith_normal_form`` carrying both transforms, so the
+    kernel and integer solves can be read off V and checked independently
+    of the Hermite route.  Step t pivots on the smallest nonzero entry of
+    the remaining block (the first unit ends the search) and clears the
+    pivot's column and row by division with remainder.  While the pivot
+    fails to divide some entry of the block below it, the offending row is
+    added to the pivot row and reduction resumes with a smaller pivot.  The
+    finished diagonal entry is made non-negative.  All arithmetic is exact.
+    """
+    S = [list(map(int, row)) for row in matrix]
+    r = len(S)
+    c = len(S[0]) if r else 0
+    U = _identity(r)
+    V = _identity(c)
+
+    def swap_rows(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):  # row dst += q * row src
+        for k in range(c):
+            S[dst][k] += q * S[src][k]
+        for k in range(r):
+            U[dst][k] += q * U[src][k]
+
+    def add_col(dst, src, q):
+        for row in S:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    for t in range(min(r, c)):
+        pivot = _smallest_entry(S, t)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            p = S[t][t]
+            i = next((i for i in range(t + 1, r) if S[i][t]), None)
+            if i is not None:
+                add_row(i, t, -(S[i][t] // p))
+                if S[i][t]:  # remainder smaller than pivot: promote it
+                    swap_rows(t, i)
+                continue
+            j = next((j for j in range(t + 1, c) if S[t][j]), None)
+            if j is not None:
+                add_col(j, t, -(S[t][j] // p))
+                if S[t][j]:
+                    swap_cols(t, j)
+                continue
+            if abs(p) == 1:  # a unit divides the whole block
+                break
+            i = next((i for i in range(t + 1, r)
+                      if any(S[i][j] % p for j in range(t + 1, c))), None)
+            if i is None:
+                break
+            add_row(t, i, 1)
+        if S[t][t] < 0:
+            S[t][t] = -S[t][t]  # the rest of row t is already zero
+            U[t] = [-u for u in U[t]]
+    return U, S, V
+
+
+def _smallest_entry(S: list, t: int) -> Optional[tuple[int, int]]:
+    """Position of the first smallest nonzero |entry| in the block S[t:, t:]."""
+    pivot = None
+    best = 0
+    for i in range(t, len(S)):
+        row = S[i]
+        for j in range(t, len(row)):
+            v = abs(row[j])
+            if v and (pivot is None or v < best):
+                if v == 1:
+                    return i, j
+                best, pivot = v, (i, j)
+    return pivot
+
+
+def _identity(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(A: list, B: list) -> list:
+    if not A or not B:
+        return []
+    n, k, m = len(A), len(B), len(B[0])
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                row = out[i]
+                for j in range(m):
+                    row[j] += a * Bt[j]
+    return out
+
+
+def solve_integer(A: list, b: list[int], width: int) -> Optional[list[int]]:
+    """One integer solution x (of length ``width``) of A x = b, or None.
+
+    With U*A*V = S, x = V*y where S*y = U*b; coordinates of y on zero
+    invariant factors are set to zero, so the solution is the unique one
+    whenever the columns of A are independent.
+    """
+    if not A:
+        return [0] * width
+    U, S, V = transform_snf(A)
+    y = [0] * width
+    for i, (wi,) in enumerate(mat_mul(U, [[x] for x in b])):
+        d = S[i][i] if i < width else 0
+        if d:
+            if wi % d:
+                return None
+            y[i] = wi // d
+        elif wi:
+            return None
+    return [row[0] for row in mat_mul(V, [[v] for v in y])]
+
+
 def dense_snf_oracle(rows, width: int) -> tuple[list[int], list[list[int]]]:
     """Invariant factors and Hermite kernel basis of a ``width``-column
-    matrix, from one dense ``smith_normal_form`` of the whole matrix.
+    matrix, from one ``transform_snf`` of the whole matrix.
 
     Bypasses the unit-pivot pre-pass that ``snf_diagonal`` and
-    ``kernel_lattice`` run first: the kernel is read off the free columns
-    of V, as ``kernel_lattice`` did before the pre-pass existed.
+    ``kernel_lattice`` run first, and the Hermite route of the kernel: the
+    kernel is read off the free columns of V.
     """
     M = [list(row) for row in rows]
     if not M:
-        return [], hermite_form([[int(i == j) for i in range(width)] for j in range(width)])
-    _, S, V = smith_normal_form(M)
+        return [], hermite_form(_identity(width))
+    _, S, V = transform_snf(M)
     n = min(len(M), width)
     free = [j for j in range(width) if j >= n or S[j][j] == 0]
     return [S[i][i] for i in range(n)], hermite_form([[row[j] for row in V] for j in free])

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +11,13 @@ from conftest import (
     dense_snf_oracle,
     densify,
     det_int,
+    mat_mul,
     reduced_determinant,
     seeded_rng,
+    solve_integer,
     solve_partial,
     sparse_rows,
+    transform_snf,
 )
 from zcolor import algebra
 from zcolor.algebra import (
@@ -21,10 +27,9 @@ from zcolor.algebra import (
     fox_coloring_count,
     is_z_colorable,
     kernel_lattice,
-    mat_mul,
     smith_normal_form,
     snf_diagonal,
-    solve_integer,
+    solve_left,
 )
 from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
 from zcolor.coloring import verify_coloring
@@ -38,13 +43,23 @@ TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 
 
 def snf_invariants(M):
-    U, S, V = smith_normal_form(M)
+    """The reference Smith form's U*M*V = S certificate, checked; and
+    ``smith_normal_form`` reports the same invariant factors, whose first
+    k multiply to the gcd of the k x k minors (Bareiss), for every k."""
+    U, S, V = transform_snf(M)
     r = len(M)
     c = len(M[0]) if r else 0
     assert mat_mul(mat_mul(U, [list(row) for row in M]), V) == S
     assert abs(det_int(U)) == 1
     assert abs(det_int(V)) == 1
     diag = [S[i][i] for i in range(min(r, c))]
+    assert smith_normal_form(M) == diag
+    for k in range(1, len(diag) + 1):
+        minors = math.gcd(*(
+            det_int([[M[i][j] for j in cols] for i in rows])
+            for rows in itertools.combinations(range(r), k)
+            for cols in itertools.combinations(range(c), k)))
+        assert math.prod(diag[:k]) == minors, k
     for i in range(r):
         for j in range(c):
             if i != j:
@@ -150,19 +165,59 @@ def test_all_ones_in_every_kernel(corpus):
         if not d.crossings:
             continue
         lat = diagram_lattice(d)
-        cols = len(lat.columns)
-        target = [1] * cols
         # integer combination reaching all-ones must exist
-        A = [[lat.basis[t][j] for t in range(lat.rank)] for j in range(cols)]
-        assert solve_integer(A, target, lat.rank) is not None, name
+        assert solve_left(lat.basis, [1] * len(lat.columns)) is not None, name
 
 
 def test_solve_integer_exact():
+    """The reference solver, on hand-checked systems."""
     A = [[2, 0], [0, 3], [1, 1]]
     assert solve_integer(A, [4, 9, 5], 2) == [2, 3]
     assert solve_integer(A, [4, 9, 6], 2) is None   # inconsistent
     assert solve_integer([[2, 0], [0, 3]], [3, 9], 2) is None   # x = (3/2, 3)
     assert solve_integer([], [], 3) == [0, 0, 0]
+
+
+def test_solve_left_exact():
+    rows = [[2, 0, 1], [0, 3, 1]]
+    assert solve_left(rows, [4, 9, 5]) == [2, 3]
+    assert solve_left(rows, [4, 9, 6]) is None   # inconsistent
+    assert solve_left([[2, 0], [0, 3]], [3, 9]) is None   # t = (3/2, 3)
+    assert solve_left([], [0, 0]) == []
+    assert solve_left([], [1, 0]) is None
+    t = solve_left([[2], [3]], [1])   # dependent rows: one of many solutions
+    assert 2 * t[0] + 3 * t[1] == 1
+
+
+@st.composite
+def systems(draw):
+    """Rows of 1-4 vectors on 1-6 columns, entries in [-3, 3], and a target
+    that is half the time an integer combination of them."""
+    k, c = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entries = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        t = draw(st.lists(entries, min_size=k, max_size=k))
+        target = [sum(a * row[j] for a, row in zip(t, rows)) for j in range(c)]
+    else:
+        target = draw(st.lists(st.integers(-9, 9), min_size=c, max_size=c))
+    return rows, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_left_matches_the_reference_solver(system):
+    rows, target = system
+    k, c = len(rows), len(target)
+    got = solve_left(rows, target)
+    want = solve_integer([[row[j] for row in rows] for j in range(c)], target, k)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert [sum(a * row[j] for a, row in zip(got, rows)) for j in range(c)] == target
+    _, S, _ = transform_snf(rows)
+    if k <= c and all(S[i][i] for i in range(k)):   # independent rows
+        assert got == want
 
 
 # -- determinants --------------------------------------------------------------
@@ -309,22 +364,26 @@ def test_unit_pivots_match_dense_oracle_on_diagrams(corpus):
     assert checked >= 120 + len(corpus)
 
 
-def test_dense_elimination_sees_only_the_residual(corpus, monkeypatch):
-    shapes = []
-    dense = algebra.smith_normal_form
+def test_dense_elimination_sees_only_the_residual(corpus, count_calls):
+    """The dense steps see only what the unit pivots leave: the Smith form
+    gets the residual rows, and the kernel's first Hermite form gets one
+    row per residual column, made of that column's residual entries and
+    its unit vector."""
+    snf = count_calls(algebra, "smith_normal_form")
+    hermite = count_calls(algebra, "hermite_form")
 
-    def recording(M):
-        shapes.append((len(M), len(M[0]) if M else 0))
-        return dense(M)
+    def residual_rows():
+        (kernel_rows,), _ = hermite   # the kernel, then the lifted basis
+        return len(kernel_rows[0]) - len(kernel_rows)
 
-    monkeypatch.setattr(algebra, "smith_normal_form", recording)
-    lat = diagram_lattice(full_parallel(corpus, "figure8", 8))
-    assert lat.rank == 8
-    assert all(r == 0 for r, _ in shapes), shapes
-    shapes.clear()
-    lat = diagram_lattice(full_parallel(corpus, "hopf", 8))
-    assert lat.rank == 14
-    assert shapes and all(r <= 16 for r, _ in shapes), shapes
+    d = full_parallel(corpus, "figure8", 8)
+    assert diagram_lattice(d).rank == 8 and residual_rows() == 0
+    assert fox_coloring_count(d, 2) == 2 ** 8 and snf == []
+    hermite.clear()
+    d = full_parallel(corpus, "hopf", 8)
+    assert diagram_lattice(d).rank == 14 and 0 < residual_rows() <= 16
+    fox_coloring_count(d, 2)
+    assert len(snf) == 1 and 0 < len(snf[0][0]) <= 16, snf
 
 
 @pytest.mark.parametrize("name,k", [("figure8", 12), ("hopf", 12)])

@@ -359,6 +359,13 @@ def _trace(move: dict, disk=0) -> dict:
     (["minimize", "--bound", "-1", HOPF], None, 2, "usage", "--bound -1"),
     (["cable", "--spec", "2,2", "--two-parallel-untwisted", HOPF], None, 2, "usage",
      "not allowed with"),
+    # colors that int() reads but that are not integers as written: the
+    # trefoil would verify with palette [10]
+    *[(["verify", TREFOIL, "DOC"], {str(e): color for e in range(1, 7)}, 2, "usage",
+       "expected an integer") for color in ["1_0", " 10", "+10", "١٠", "010", "-0", ""]],
+    # disk keys that int() reads as one id would merge their crossings
+    *[(["replay", TREFOIL, "DOC"], {"stages": [{"moves": [], "disks": {a: [0], b: [1]}}]}, 2,
+       "usage", "disk key") for a, b in [("1", "01"), ("0", "-0"), ("1", " 1"), ("1", "+1")]],
 ])
 def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code, error_type,
                                          names):
@@ -462,3 +469,21 @@ def test_replay_text_keeps_a_two_arc_over_strand_direction(tmp_path, capsys):
     target.write_text(doc["pd"])
     code, doc = run(capsys, "replay", str(source), str(trace), "--check", str(target))
     assert (code, doc["equivalent"]) == (0, True)
+
+
+@pytest.mark.parametrize("color, palette", [("10", [10]), ("-10", [-10]), ("0", [0]),
+                                            (10, [10])])
+def test_verify_reads_integer_colors(tmp_path, capsys, color, palette):
+    doc = tmp_path / "coloring.json"
+    doc.write_text(json.dumps({str(e): color for e in range(1, 7)}))
+    code, out = run(capsys, "verify", TREFOIL, str(doc))
+    assert (code, out["valid"], out["palette"]) == (0, True, palette)
+
+
+def test_corpus_reports_what_invariants_prints(capsys):
+    code, report = run(capsys, "corpus", str(CORPUS))
+    assert code == 0
+    for entry in report["entries"]:
+        code, doc = run(capsys, "invariants", str(CORPUS / entry["file"]))
+        del doc["schema_version"]
+        assert (code, doc) == (0, entry["invariants"]), entry["file"]
