@@ -174,73 +174,6 @@ def _far_occurrences(rows) -> Optional[list[int]]:
     return None if first else far
 
 
-def occurrence_index(rows) -> dict[int, list[tuple[int, int]]]:
-    """Arc -> its ``(cid, slot)`` occurrences, from ``(cid, slots)`` pairs."""
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for cid, r in rows:
-        for s, e in enumerate(r):
-            occ.setdefault(e, []).append((cid, s))
-    return occ
-
-
-# -- faces (rotation-system combinatorics) -----------------------------------
-#
-# ``rows`` maps crossing ids to slot quadruples and ``occ`` is its
-# occurrence index.  A corner ``(X, i)`` sits counterclockwise after slot
-# ``i``; the face boundary leaves it along the arc at slot ``i+1`` and
-# arrives at that arc's far occurrence ``(Y, j)``, the next corner.
-
-
-def _leave(rows, corner) -> tuple[int, tuple[int, int]]:
-    """The arc a corner leaves along, and the occurrence it leaves from."""
-    cid, i = corner
-    s = (i + 1) % 4
-    return rows[cid][s], (cid, s)
-
-
-def _next_corner(rows, occ, corner) -> tuple[int, int]:
-    """The corner a face walk reaches from ``corner`` in one step."""
-    e, here = _leave(rows, corner)
-    a, b = occ[e]
-    return b if a == here else a
-
-
-def _from_smallest(walk) -> tuple[tuple[int, int], ...]:
-    """A closed corner walk, rotated to start at its smallest corner."""
-    k = walk.index(min(walk))
-    return tuple(walk[k:] + walk[:k])
-
-
-def face_walk(rows, occ, corner) -> tuple[tuple[int, int], ...]:
-    """The face through ``corner``, rotated to start at its smallest corner."""
-    walk = [corner]
-    while (nxt := _next_corner(rows, occ, walk[-1])) != corner:
-        walk.append(nxt)
-    return _from_smallest(walk)
-
-
-def triangle_face(rows, occ, cids) -> Optional[tuple[tuple[int, int], ...]]:
-    """The first triangle face, by smallest corner, with a corner at each
-    of three crossings.
-
-    Every such face has a corner at the first crossing, so only three
-    steps from each of that crossing's four corners are walked.
-    """
-    found = []
-    for i in range(4):
-        walk = [(cids[0], i)]
-        for _ in range(2):
-            walk.append(_next_corner(rows, occ, walk[-1]))
-        if _next_corner(rows, occ, walk[-1]) == walk[0] and {c for c, _ in walk} == set(cids):
-            found.append(_from_smallest(walk))
-    return min(found, default=None)
-
-
-def face_steps(rows, face) -> list[tuple[int, tuple[int, int]]]:
-    """(arc, departing occurrence) for each corner of ``face``, in walk order."""
-    return [_leave(rows, corner) for corner in face]
-
-
 INCONSISTENT = "orientation inconsistency: no consistent strand orientation exists"
 
 
@@ -418,7 +351,25 @@ def _orbit_count(nxt: list[int]) -> int:
 
 # -- PD text ----------------------------------------------------------------
 
-_TERM = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]")
+# Integers have one spelling: ASCII digits, no sign, no leading zero.
+_LABEL = "[1-9][0-9]*"
+_TERM = re.compile(rf"X\[({_LABEL}),({_LABEL}),({_LABEL}),({_LABEL})\]")
+_ARC = re.compile(_LABEL)
+_COUNT = re.compile(f"0|{_LABEL}")
+
+
+def _header_integers(line: str, pattern, header: str, ln: int) -> list[int]:
+    """The whitespace-separated integers after a header line's colon, each
+    spelled as ``pattern`` allows; a PDSyntaxError names the first that is not."""
+    col = line.index(":") + 1
+    tokens = line[col:].split()
+    if all(map(pattern.fullmatch, tokens)):
+        return list(map(int, tokens))
+    for tok in tokens:
+        col = line.index(tok, col)
+        if not pattern.fullmatch(tok):
+            raise PDSyntaxError(f"bad {header} header: got {tok!r}", ln, col + 1)
+        col += len(tok)
 
 
 def parse_pd(text: str) -> Diagram:
@@ -429,8 +380,10 @@ def parse_pd(text: str) -> Diagram:
     recording crossing-free circles.  A header must list a strand's arcs
     in the order they run, and it sets the direction of a strand that
     passes under nothing; a two-arc header of such a strand lists first
-    the arc that ends at the earlier of its two rows.  The signs are
-    solved here (``_solve_signs``) and nowhere else.
+    the arc that ends at the earlier of its two rows.  Arc labels are
+    written ``[1-9][0-9]*`` and the loop count ``0|[1-9][0-9]*``, in ASCII
+    digits; any other spelling is a PDSyntaxError at its token.  The signs
+    are solved here (``_solve_signs``) and nowhere else.
     """
     rows: list[tuple[int, int, int, int]] = []
     headers: list[list[int]] = []
@@ -443,15 +396,12 @@ def parse_pd(text: str) -> Diagram:
         if stripped.startswith("%"):
             body = stripped[1:].strip()
             if body.startswith("component:"):
-                try:
-                    headers.append([int(t) for t in body[len("component:"):].split()])
-                except ValueError:
-                    raise PDSyntaxError("bad component header", ln, line.index("%") + 1)
+                headers.append(_header_integers(line, _ARC, "component", ln))
             elif body.startswith("loops:"):
-                try:
-                    loops = int(body[len("loops:"):].strip())
-                except ValueError:
+                count = _header_integers(line, _COUNT, "loops", ln)
+                if len(count) != 1:
                     raise PDSyntaxError("bad loops header", ln, line.index("%") + 1)
+                loops = count[0]
             else:
                 raise PDSyntaxError(f"unknown header {body.split(':')[0]!r}", ln, line.index("%") + 1)
             continue

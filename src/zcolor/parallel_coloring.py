@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .cabling import CableSpec, CableStructure, Region, TwistSite, insert_full_twists, parallel
 from .coloring import Coloring, ColoringError, palette, verify_coloring
-from .diagram import Crossing, Diagram, crossing_graph_pieces, face_steps, writhe
+from .diagram import Crossing, Diagram, crossing_graph_pieces, writhe
 from .moves import (
     DiagramBuilder,
     MoveError,
@@ -96,12 +96,12 @@ def propagate_coloring(crossings: Sequence[Crossing], seeds: Coloring) -> Colori
 
     for e, v in seeds.items():
         assign(e, int(v))
+    # each crossing's arcs, read once rather than once per sweep
+    quads = [(x.over_in, x.over_out, x.under_in, x.under_out, x.cid) for x in crossings]
     changed = True
     while changed:
         changed = False
-        for x in crossings:
-            oi, oo = x.over_in, x.over_out
-            ui, uo = x.under_in, x.under_out
+        for oi, oo, ui, uo, cid in quads:
             if oi in gamma and oo not in gamma:
                 changed |= assign(oo, gamma[oi])
             if oo in gamma and oi not in gamma:
@@ -115,15 +115,14 @@ def propagate_coloring(crossings: Sequence[Crossing], seeds: Coloring) -> Colori
             elif ui in gamma and uo in gamma:
                 s = gamma[ui] + gamma[uo]
                 if s % 2:
-                    raise ConstructionError(f"propagation conflict at crossing {x.cid}")
+                    raise ConstructionError(f"propagation conflict at crossing {cid}")
                 changed |= assign(oi, s // 2)
-    missing = sorted({e for x in crossings for e in x.slots if e not in gamma})
+    missing = sorted({e for q in quads for e in q[:4] if e not in gamma})
     if missing:
         raise ConstructionError(f"seeds do not determine arcs {missing[:8]}")
-    for x in crossings:
-        if gamma[x.over_in] != gamma[x.over_out] or \
-                2 * gamma[x.over_in] != gamma[x.under_in] + gamma[x.under_out]:
-            raise ConstructionError(f"propagation conflict at crossing {x.cid}")
+    for oi, oo, ui, uo, cid in quads:
+        if gamma[oi] != gamma[oo] or 2 * gamma[oi] != gamma[ui] + gamma[uo]:
+            raise ConstructionError(f"propagation conflict at crossing {cid}")
     return gamma
 
 
@@ -134,7 +133,7 @@ def _rederive(builder: DiagramBuilder, gamma: Coloring, unknown: set[int]) -> li
     those crossings' other arcs, and writes the unknown arcs into ``gamma``.
     Returns the swept crossings, in id order; all their relations hold.
     """
-    cids = sorted({cid for e in unknown for cid, _ in builder.occurrences(e)})
+    cids = sorted({cid for e in unknown for cid in builder.incident(e)})
     crossings = [builder.crossing(cid) for cid in cids]
     local = propagate_coloring(crossings, {e: gamma[e] for x in crossings for e in x.slots
                                            if e not in unknown})
@@ -301,8 +300,9 @@ def _region_met_colors(builder: DiagramBuilder, gamma: Coloring, region: Region)
 def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
                  prefer_cids: set[int]) -> Optional[tuple[int, int]]:
     for face in builder.faces_through(e1):
-        if any(e == e2 for e, _ in face_steps(builder.rows, face)):
-            for cid, slot in face:
+        if e2 in builder.face_arcs(face):
+            for corner in face:
+                cid, slot = builder.corner_slot(corner)
                 if cid in prefer_cids:
                     return (cid, slot)
     return None

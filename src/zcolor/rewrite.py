@@ -32,12 +32,13 @@ undone on the shared builder, so it refuses the whole run.
 
 from __future__ import annotations
 
+import functools
 from collections import ChainMap, Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .coloring import Coloring, ColoringError, diff_spectrum, is_simple, verify_coloring
-from .diagram import Diagram, crossing_graph_pieces, face_steps
+from .diagram import Diagram, crossing_graph_pieces
 from .moves import (
     DiagramBuilder,
     MoveError,
@@ -73,8 +74,9 @@ class _Run:
     """One elimination run: a move builder with its coloring and diffs.
 
     ``gamma`` colors the builder's arcs, ``diffs`` maps each crossing to its
-    diff and ``histogram`` counts the crossings of each diff; stages update
-    all three only at the crossings they create or touch.
+    diff, ``histogram`` counts the crossings of each diff and ``at_diff``
+    holds them; stages update all four only at the crossings they create or
+    touch.
     """
 
     def __init__(self, diagram: Diagram, gamma: Coloring):
@@ -84,6 +86,9 @@ class _Run:
         self.gamma = {e: gamma[e] for e in diagram.edges}
         self.diffs = dict(spec.diffs)
         self.histogram = dict(spec.histogram)
+        self.at_diff: dict[int, set[int]] = {}
+        for cid, d in self.diffs.items():
+            self.at_diff.setdefault(d, set()).add(cid)
         self.stages: list[Stage] = []
 
     @property
@@ -94,10 +99,13 @@ class _Run:
         old = self.diffs.get(cid)
         if old is not None:
             self.histogram[old] -= 1
+            self.at_diff[old].discard(cid)
             if not self.histogram[old]:
                 del self.histogram[old]
+                del self.at_diff[old]
         self.diffs[cid] = d
         self.histogram[d] = self.histogram.get(d, 0) + 1
+        self.at_diff.setdefault(d, set()).add(cid)
 
     def finish(self) -> tuple[Diagram, Coloring, MoveTrace]:
         """The one diagram build and the checks of the whole run."""
@@ -112,45 +120,57 @@ class _Run:
         return result, gamma, trace
 
 
-def _diff_paths(builder: DiagramBuilder, gamma: Coloring, diffs: dict[int, int]
-                ) -> list[DiffPath]:
-    """``all_diff_paths`` on the builder's rows, given every crossing's diff.
+def _diff_paths(run: _Run) -> Iterator[DiffPath]:
+    """The run's diff paths in ``all_diff_paths`` order, one length at a time.
 
-    Incident crossings are read from the builder's occurrence index as the
-    search reaches an arc, in ascending id order.
+    A search runs from each arc of each maximal-diff crossing, all in step:
+    every search stops at the first length where it reaches a crossing of
+    smaller positive diff, so each length's paths, sorted by (end, start,
+    via), follow every shorter one, and a consumer that takes the first
+    usable path never runs the longer levels.  Incident crossings are read
+    from the builder as the searches reach an arc, in ascending id order.
+    The generator reads the builder as it goes: it must not be resumed
+    after a move.
     """
-    d_m = max(diffs.values(), default=0)
-    if not any(0 < d < d_m for d in diffs.values()):
+    d_m = run.d_m
+    if not any(0 < d < d_m for d in run.histogram):
         raise RewriteError("coloring has no smaller positive diff: nothing to route to")
+    return _paths_by_length(run, d_m)
 
-    def incident(arc: int) -> list[int]:
-        return sorted({cid for cid, _ in builder.occurrences(arc)})
 
-    found: list[DiffPath] = []
-    for start in sorted(c for c, d in diffs.items() if d == d_m):
-        for first in sorted(set(builder.rows[start])):
-            frontier = [(first,)]
-            seen = {first}
-            while frontier:
-                hits = [(cid, path) for path in frontier for cid in incident(path[-1])
-                        if 0 < diffs[cid] < d_m]
-                if hits:
-                    for end, via in sorted(hits):
-                        found.append(DiffPath(start=start, end=end, via=via,
-                                              color=gamma[via[0]]))
-                    break
-                nxt = []
-                for path in frontier:
-                    for cid in incident(path[-1]):
-                        if diffs[cid] != 0:
-                            continue
-                        for e in set(builder.rows[cid]):
-                            if e not in seen:
-                                seen.add(e)
-                                nxt.append(path + (e,))
-                frontier = nxt
-    found.sort(key=lambda p: (len(p.via), p.end, p.start, p.via))
-    return found
+def _paths_by_length(run: _Run, d_m: int) -> Iterator[DiffPath]:
+    """The generator behind ``_diff_paths``."""
+    rows, diffs = run.builder.rows, run.diffs
+    incident = functools.cache(run.builder.incident)
+    # (start, frontier of arc paths, arcs seen) per (start, first arc)
+    searches = [(start, [(first,)], {first}) for start in sorted(run.at_diff[d_m])
+                for first in sorted(set(rows[start]))]
+    while searches:
+        hits, misses = [], []
+        for search in searches:
+            start, frontier, _ = search
+            n = len(hits)
+            for path in frontier:
+                for end in incident(path[-1]):
+                    if 0 < diffs[end] < d_m:
+                        hits.append((end, start, path))
+            if len(hits) == n:
+                misses.append(search)
+        for end, start, via in sorted(hits):
+            yield DiffPath(start=start, end=end, via=via, color=run.gamma[via[0]])
+        searches = []
+        for start, frontier, seen in misses:
+            nxt = []
+            for path in frontier:
+                for cid in incident(path[-1]):
+                    if diffs[cid] != 0:
+                        continue
+                    for e in set(rows[cid]):
+                        if e not in seen:
+                            seen.add(e)
+                            nxt.append(path + (e,))
+            if nxt:
+                searches.append((start, nxt, seen))
 
 
 def all_diff_paths(diagram: Diagram, gamma: Coloring) -> list[DiffPath]:
@@ -161,13 +181,18 @@ def all_diff_paths(diagram: Diagram, gamma: Coloring) -> list[DiffPath]:
     smaller positive diff.  Results are ordered by path length, then end
     and start crossing ids, so the first entry is the canonical choice.
     """
-    return _diff_paths(DiagramBuilder(diagram), gamma, diff_spectrum(diagram, gamma).diffs)
+    return list(_diff_paths(_Run(diagram, gamma)))
 
 
 def find_diff_path(diagram: Diagram, gamma: Coloring) -> Optional[DiffPath]:
     """The canonical path: shortest, then lowest end-crossing id."""
     paths = all_diff_paths(diagram, gamma)
     return paths[0] if paths else None
+
+
+def _no_path() -> NoDiffPathError:
+    return NoDiffPathError("no path from a maximal-diff crossing through 0-diff crossings; "
+                           "noteworthy counter-instance")
 
 
 # -- the elimination -----------------------------------------------------------
@@ -237,12 +262,7 @@ def _eliminate_rounds(run: _Run, path: DiffPath) -> None:
         rounds += 1
         if rounds > budget:
             raise RewriteError("elimination exceeded its loop bound")
-        candidates = [path] if rounds == 1 else \
-            _diff_paths(run.builder, run.gamma, run.diffs)
-        if not candidates:
-            raise NoDiffPathError(
-                "no path from a maximal-diff crossing through 0-diff crossings; "
-                "noteworthy counter-instance")
+        candidates = [path] if rounds == 1 else _diff_paths(run)
         errors: list[str] = []
         for cand in candidates:
             d = run.diffs[cand.end]
@@ -252,6 +272,8 @@ def _eliminate_rounds(run: _Run, path: DiffPath) -> None:
                 break
             errors.append("no finger variant satisfies the diff postcondition")
         else:
+            if not errors:
+                raise _no_path()
             raise RewriteError(
                 f"no candidate path eliminates a {d_m}-diff crossing "
                 f"({errors[:2]})")
@@ -292,10 +314,7 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
     ext = ChainMap({}, run.gamma)
     x0 = builder.crossing(path.start)
     u_slots = [i for i, e in enumerate(x0.slots) if e == u_arc and i in (0, 2)]
-    goal_corners = set()
-    for s in u_slots:
-        goal_corners.add((path.start, s))
-        goal_corners.add((path.start, (s - 1) % 4))
+    goal_corners = {builder.corner(path.start, i) for s in u_slots for i in (s, (s - 1) % 4)}
 
     tip = w_arc
     w = run.gamma[w_arc]
@@ -315,7 +334,7 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
         while frontier and goal_face is None:
             nxt = []
             for f in frontier:
-                for e, _ in face_steps(builder.rows, f):
+                for e in builder.face_arcs(f):
                     if ext.get(e) != z:
                         continue
                     for f2 in builder.faces_through(e):
@@ -406,7 +425,7 @@ def _endgame(builder: DiagramBuilder, moves: list, disk: int,
     poke = next(((u, u_corner, o_slot, o_corner) for u in u_slots
                  for u_corner, o_slot, o_corner in (((t, u), (u - 1) % 4, (t, (u - 1) % 4)),
                                                     ((t, (u - 1) % 4), (u + 1) % 4, (t, u)))
-                 if u_corner in tip_corners), None)
+                 if builder.corner(*u_corner) in tip_corners), None)
     if poke is None:
         raise RewriteError(f"tip {tip} lies in no corner face of crossing {t}'s under arc")
     u, u_corner, o_slot, o_corner = poke
@@ -475,10 +494,8 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
         rounds += 1
         if rounds > initial_dm:
             raise RewriteError("simplification exceeded its loop bound")
-        paths = _diff_paths(run.builder, run.gamma, run.diffs)
-        if not paths:
-            raise NoDiffPathError(
-                "no path from a maximal-diff crossing through 0-diff crossings; "
-                "noteworthy counter-instance")
-        _eliminate_rounds(run, paths[0])
+        path = next(_diff_paths(run), None)
+        if path is None:
+            raise _no_path()
+        _eliminate_rounds(run, path)
     return run.finish()

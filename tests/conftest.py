@@ -19,14 +19,13 @@ from zcolor.diagram import (
     Diagram,
     DiagramError,
     canonical,
-    face_steps,
-    occurrence_index,
     linking_number,
     parse_pd,
     writhe,
 )
 from zcolor.generate import standard_diagrams
 from zcolor.moves import MoveError
+from zcolor.rewrite import DiffPath, RewriteError
 
 
 def seeded_rng(seed: Optional[int] = None) -> random.Random:
@@ -358,13 +357,10 @@ def reference_faces(rows: dict) -> list[tuple[tuple[int, int], ...]]:
     """Every face of a crossing table, by a full rescan from the smallest
     unvisited corner each time.
 
-    Independent of ``zcolor.diagram``'s walker: corner ``(X, i)`` leaves
+    Independent of the move builder's walker: corner ``(X, i)`` leaves
     along the arc at slot ``i+1`` and arrives at that arc's far occurrence.
     """
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for cid, row in rows.items():
-        for s, e in enumerate(row):
-            occ.setdefault(e, []).append((cid, s))
+    occ = occurrence_index(rows.items())
     corners = {(cid, i) for cid in rows for i in range(4)}
     faces = []
     while corners:
@@ -389,6 +385,54 @@ def reference_face_arcs(rows: dict, face) -> list[int]:
     return [rows[cid][(i + 1) % 4] for cid, i in face]
 
 
+def reference_diff_paths(builder, gamma, diffs: dict[int, int]) -> list[DiffPath]:
+    """Every diff path of a move builder's rows, found eagerly and sorted.
+
+    The search ``zcolor.rewrite`` ran before it went one length at a time:
+    a breadth-first search from each arc of each maximal-diff crossing, in
+    ascending ids, through 0-diff crossings, that stops at the first level
+    reaching a crossing of smaller positive diff; every hit of every search
+    is then sorted by (length, end, start, via).  Incident crossings come
+    from a scan of the rows, not from the builder's index.
+    """
+    d_m = max(diffs.values(), default=0)
+    if not any(0 < d < d_m for d in diffs.values()):
+        raise RewriteError("coloring has no smaller positive diff: nothing to route to")
+    meets: dict[int, set[int]] = {}
+    for cid, row in builder.rows.items():
+        for e in row:
+            meets.setdefault(e, set()).add(cid)
+
+    def incident(arc: int) -> list[int]:
+        return sorted(meets.get(arc, ()))
+
+    found: list[DiffPath] = []
+    for start in sorted(c for c, d in diffs.items() if d == d_m):
+        for first in sorted(set(builder.rows[start])):
+            frontier = [(first,)]
+            seen = {first}
+            while frontier:
+                hits = [(cid, path) for path in frontier for cid in incident(path[-1])
+                        if 0 < diffs[cid] < d_m]
+                if hits:
+                    for end, via in sorted(hits):
+                        found.append(DiffPath(start=start, end=end, via=via,
+                                              color=gamma[via[0]]))
+                    break
+                nxt = []
+                for path in frontier:
+                    for cid in incident(path[-1]):
+                        if diffs[cid] != 0:
+                            continue
+                        for e in set(builder.rows[cid]):
+                            if e not in seen:
+                                seen.add(e)
+                                nxt.append(path + (e,))
+                frontier = nxt
+    found.sort(key=lambda p: (len(p.via), p.end, p.start, p.via))
+    return found
+
+
 def reference_r3(builder, mv) -> dict:
     """An R3 move on a ``DiagramBuilder``, from each side's strand roles.
 
@@ -405,7 +449,7 @@ def reference_r3(builder, mv) -> dict:
         raise MoveError(f"crossings {cids} do not bound a triangle face")
 
     rows = {c: builder.rows[c] for c in cids}
-    inner_edges = [e for e, _ in face_steps(builder.rows, triangle)]
+    inner_edges = builder.face_arcs(triangle)
 
     def is_under_at(cid, e):
         row = rows[cid]
@@ -462,9 +506,17 @@ def reference_r3(builder, mv) -> dict:
         else:
             new_rows[cid] = (u_in, o_in, u_out, o_out)
     for cid, row in new_rows.items():
-        for slot, e in enumerate(row):
-            builder.replace_occurrence(cid, slot, e)
+        builder.set_row(cid, row)
     return {"created": [], "touched": list(cids)}
+
+
+def occurrence_index(rows) -> dict[int, list[tuple[int, int]]]:
+    """Arc -> its ``(cid, slot)`` occurrences, from ``(cid, slots)`` pairs."""
+    occ: dict[int, list[tuple[int, int]]] = {}
+    for cid, r in rows:
+        for s, e in enumerate(r):
+            occ.setdefault(e, []).append((cid, s))
+    return occ
 
 
 def reference_orient(rows, hints) -> list[int]:

@@ -38,6 +38,19 @@ def test_validate_garbage_exits_2(tmp_path, capsys):
     assert "line" in doc["error"]
 
 
+def test_validate_refuses_integers_pd_does_not_spell(tmp_path, capsys):
+    """Each spelling ``parse_pd`` refuses is a syntax error at its token (exit 2)."""
+    from test_diagram import BAD_INTEGERS
+
+    for k, (text, line, column, message) in enumerate(BAD_INTEGERS):
+        pd = tmp_path / f"bad{k}.pd"
+        pd.write_text(text, encoding="utf-8")
+        code, doc = run(capsys, "validate", str(pd))
+        assert code == 2, text
+        assert doc["error"] == {"type": "syntax", "line": line, "column": column,
+                                "message": f"line {line}, column {column}: {message}"}
+
+
 def test_validate_prints_a_failed_euler_check(tmp_path, capsys):
     pd = tmp_path / "no_embedding.pd"
     pd.write_text("X[1,2,3,4] X[2,3,1,4]\n")

@@ -86,6 +86,37 @@ def test_syntax_error_positions(text, line, column, token):
     assert str(err.value) == f"line {line}, column {column}: expected X[a,b,c,d], got {token!r}"
 
 
+# (text, line, column, message) of integers that ``int`` reads but that PD
+# does not spell: non-ASCII digits, leading zeros, signs and a zero label
+BAD_INTEGERS = [
+    ("X[\u0661,2,2,1]", 1, 1, "expected X[a,b,c,d], got 'X[\u0661,2,2,1]'"),
+    ("X[1,2,2,1] X[\uff13,4,4,3]", 1, 12, "expected X[a,b,c,d], got 'X[\uff13,4,4,3]'"),
+    ("X[01,2,2,1]", 1, 1, "expected X[a,b,c,d], got 'X[01,2,2,1]'"),
+    ("X[1,1,2,0]", 1, 1, "expected X[a,b,c,d], got 'X[1,1,2,0]'"),
+    ("% component: 1 +2\nX[1,2,2,1]", 1, 16, "bad component header: got '+2'"),
+    ("% component: 01 2\nX[1,2,2,1]", 1, 14, "bad component header: got '01'"),
+    ("X[1,2,2,1]\n % component:\t1 \u0662", 2, 17, "bad component header: got '\u0662'"),
+    ("% loops: \u0661", 1, 10, "bad loops header: got '\u0661'"),
+    ("% loops: +1", 1, 10, "bad loops header: got '+1'"),
+    ("% loops: 00", 1, 10, "bad loops header: got '00'"),
+    ("X[1,1,2,2]\n  % loops: -1 # a comment", 2, 12, "bad loops header: got '-1'"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", BAD_INTEGERS)
+def test_integers_have_one_spelling(text, line, column, message):
+    with pytest.raises(PDSyntaxError) as err:
+        parse_pd(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def test_integers_as_pd_writes_them():
+    d = parse_pd("% loops: 0\n% component: 1 2\nX[1,2,2,1]")
+    assert (d.free_loops, d.components) == (0, ((1, 2),))
+    assert parse_pd("% loops: 10\n").free_loops == 10
+
+
 def test_any_whitespace_separates_terms():
     """Terms split where ``str.split`` splits, non-ASCII spaces included."""
     rows = [x.slots for x in parse_pd(TREFOIL).crossings]

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from conftest import (
+    occurrence_index,
     pd_signs,
     reference_face_arcs,
     reference_faces,
@@ -25,7 +26,6 @@ from zcolor.diagram import (
     DiagramError,
     canonical,
     crossing_graph_pieces,
-    occurrence_index,
     parse_pd,
     serialize_pd,
     serialize_pd_raw,
@@ -63,15 +63,32 @@ def assert_face_count_is_reference(d: Diagram, name=None) -> None:
     assert [m for m in validate(d) if "Euler" in m] == euler_diagnostics(d), name
 
 
+def corner_pairs(builder: DiagramBuilder, face) -> tuple:
+    """A builder face as ``(cid, slot)`` corners, as the reference walk names them."""
+    return face if face is None else tuple(map(builder.corner_slot, face))
+
+
+def occurrence_lists(builder: DiagramBuilder) -> dict:
+    """The builder's occurrence index, each arc's list sorted."""
+    return {e: sorted(places) for e, places in builder._occ.items()}
+
+
 def check_builder(builder: DiagramBuilder) -> None:
+    """Faces, arcs and incident crossings against the reference walk, and an
+    occurrence index equal to the one a builder of the same rows makes."""
     rows = dict(builder.rows)
     ref = reference_faces(rows)
     arcs = {f: reference_face_arcs(rows, f) for f in ref}
     index = occurrence_index(rows.items())
     for e in index:
-        assert sorted(builder.occurrences(e)) == sorted(index[e])
-        assert builder.faces_through(e) == [f for f in ref if e in arcs[f]], e
-    assert_face_count_is_reference(builder.diagram())
+        assert builder.incident(e) == sorted({cid for cid, _ in index[e]})
+        faces = builder.faces_through(e)
+        assert [corner_pairs(builder, f) for f in faces] == [f for f in ref if e in arcs[f]], e
+        for f in faces:
+            assert builder.face_arcs(f) == arcs[corner_pairs(builder, f)]
+    built = builder.diagram()
+    assert occurrence_lists(builder) == occurrence_lists(DiagramBuilder(built))
+    assert_face_count_is_reference(built)
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,7 +279,7 @@ def test_bounded_triangle_search_matches_the_face_listing():
         faces = reference_faces(rows)
         for triple in probe_triples(rows, faces, rng):
             expected = reference_triangle(rows, triple)
-            assert builder.triangle(triple) == expected, (name, triple)
+            assert corner_pairs(builder, builder.triangle(triple)) == expected, (name, triple)
             triangles += expected is not None
             misses += expected is None
     assert triangles > 100 and misses > 100
@@ -270,14 +287,13 @@ def test_bounded_triangle_search_matches_the_face_listing():
 
 def r3_outcome(apply, builder: DiagramBuilder, triple) -> tuple:
     """What one R3 does to a copy of ``builder``: the result or the
-    ``MoveError`` text, then the rows, signs and every arc's occurrences."""
+    ``MoveError`` text, then the rows, signs and occurrence index."""
     builder = copy.deepcopy(builder)
     try:
         result = apply(builder, R3(triple))
     except MoveError as err:
         result = str(err)
-    arcs = sorted({e for row in builder.rows.values() for e in row})
-    return result, builder.rows, builder.signs, {e: builder.occurrences(e) for e in arcs}
+    return result, builder.rows, builder.signs, occurrence_lists(builder)
 
 
 def test_r3_from_slots_matches_the_reference():

@@ -3,8 +3,11 @@ import itertools
 import pytest
 
 from conftest import pd_signs, seeded_rng, solve_partial
+from zcolor import moves
+from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import verify_coloring
-from zcolor.diagram import parse_pd, same_diagram, validate, writhe
+from zcolor.diagram import Diagram, DiagramError, canonical, parse_pd, same_diagram, validate, writhe
+from zcolor.generate import diff_chain, standard_diagrams
 from zcolor.moves import (
     DiagramBuilder,
     MoveError,
@@ -19,6 +22,8 @@ from zcolor.moves import (
     single_stage,
     verify_local_equivalence,
 )
+from zcolor.parallel_coloring import color_even_parallel, delete_color_moves
+from zcolor.rewrite import to_simple_coloring
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 
@@ -226,3 +231,90 @@ def test_clasp_writhe_changes_by_twice_the_new_crossings_sign():
         assert sum(solved) - writhe(d) == 2 * new
         kept_sign.append(new == sign)
     assert len(kept_sign) >= 20 and any(kept_sign) and not all(kept_sign)
+
+
+def recorded_traces():
+    """(name, source, trace): a colour deletion, three simplifications, and
+    an R2- that leaves a two-arc strand passing under nothing."""
+    cabled = parallel(standard_diagrams()["hopf"], CableSpec(multiplicities=(4, 4)))
+    yield "hopf (4,4) delete 3", cabled, \
+        delete_color_moves(cabled, color_even_parallel(cabled), 3)[2]
+    for colors, kinks in (((2, 1), 1), ((3, 1), 0), ((4, 2, 1), 1)):
+        d, g = diff_chain(colors, kinks)
+        yield f"chain {colors} k{kinks}", d, to_simple_coloring(d, g)[2]
+    source = parse_pd("% component: 1 7 8 2\n% component: 3 6 5 4\n"
+                      "X[8,3,2,4] X[2,6,1,3] X[7,4,8,5] X[1,6,7,5]")
+    yield "over-only strand", source, single_stage([(R2Remove(2, 3), 0)], {0: frozenset({2, 3})})
+
+
+def rotated_copies(d: Diagram):
+    """For each of 1, 2, 3 quarter turns, the first row whose slots turned
+    that far, with its sign kept or flipped, still make a diagram."""
+    rows = [x.slots for x in d.crossings]
+    signs = [x.sign for x in d.crossings]
+    cids = [x.cid for x in d.crossings]
+    for k in (1, 2, 3):
+        for i, row in enumerate(rows):
+            turned = rows[:i] + [row[k:] + row[:k]] + rows[i + 1:]
+            for sign in (signs[i], -signs[i]):
+                try:
+                    yield f"row {i} turned {k}", Diagram(
+                        turned, signs[:i] + [sign] + signs[i + 1:], d.free_loops, cids=cids)
+                    break
+                except DiagramError:
+                    continue
+            else:
+                continue
+            break
+
+
+def reversed_over_only_strands(d: Diagram):
+    """The same rows with each strand that passes under nothing run the
+    other way: the signs of the crossings it passes over flip."""
+    unders = {x.under_in for x in d.crossings}
+    for cyc in d.components:
+        if unders.isdisjoint(cyc):
+            signs = [-x.sign if x.over_in in cyc else x.sign for x in d.crossings]
+            yield "strand reversed", Diagram([x.slots for x in d.crossings], signs,
+                                             d.free_loops, cids=[x.cid for x in d.crossings])
+
+
+def test_target_check_shortcut_keeps_the_same_diagram_verdict(count_calls):
+    """The replay check compares rows and signs crossing by crossing first;
+    its verdict is still ``same_diagram``'s on the replayed diagram, which
+    it calls only when the rows differ."""
+    def by_cid(d: Diagram) -> dict:
+        return {x.cid: (x.slots, x.sign) for x in d.crossings}
+
+    kinds = set()
+    calls = count_calls(moves, "same_diagram")
+    for name, source, trace in recorded_traces():
+        replayed = replay_trace(source, trace)
+        targets = [("replayed", replayed), ("canonical", canonical(replayed)[0]),
+                   *rotated_copies(replayed), *reversed_over_only_strands(replayed)]
+        for label, target in targets:
+            expected = same_diagram(replayed, target)
+            before = len(calls)
+            report = verify_local_equivalence(source, target, trace)
+            assert report.ok == expected, (name, label)
+            assert (moves.TARGET_MISMATCH in report.reasons) != expected, (name, label)
+            rows_differ = by_cid(target) != by_cid(replayed)
+            assert len(calls) - before == rows_differ, (name, label)
+            kinds.add((label.split()[0], expected, rows_differ))
+    # the shortcut decides the replayed diagram; a relabelled copy, a turned
+    # row and a reversed two-arc over strand (same rows, other signs, which
+    # ``same_diagram`` accepts) go through ``same_diagram``
+    assert kinds >= {("replayed", True, False), ("canonical", True, True),
+                     ("row", False, True), ("strand", True, True)}
+
+
+@pytest.mark.parametrize("corner", [(-1, 4), (1, -4), (0, 4), (2, -1), (99, 0)])
+def test_r2_corner_must_name_a_slot_of_a_crossing(corner):
+    """A corner whose slot is not 0..3, or whose crossing does not exist,
+    names no face, though ``4*cid + slot`` may equal a real corner's:
+    (-1, 4) and (1, -4) would read as (0, 0), where the move applies."""
+    b = DiagramBuilder(TREFOIL)
+    apply_move(b, R2Insert(push_edge=1, across_edge=4, push_over=True, corner=(0, 0)))
+    with pytest.raises(MoveError, match="do not co-bound a face through corner"):
+        apply_move(DiagramBuilder(TREFOIL),
+                   R2Insert(push_edge=1, across_edge=4, push_over=True, corner=corner))

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import seeded_rng, trace_moves
+from conftest import reference_diff_paths, seeded_rng, trace_moves
+from test_golden import diff_chain_grid
 from zcolor import rewrite
 from zcolor.algebra import is_z_colorable
 from zcolor.cabling import CableSpec, parallel
@@ -190,7 +191,9 @@ def test_random_chains_simplify_or_fail_explicitly():
 
 
 def test_one_run_builds_few_diagrams_and_verifies_once(count_calls):
-    """Rounds share one builder: no per-round Diagram, one trace check, diffs kept current."""
+    """Rounds share one builder: one Diagram (the output, which the trace
+    check compares row by row without building another), one trace check,
+    and diffs, histogram and per-diff crossings kept current."""
     cabled = parallel(standard_diagrams()["trefoil"], CableSpec(multiplicities=(8,)))
     _, witness = is_z_colorable(cabled)
     builds = count_calls(Diagram, "__init__")
@@ -198,12 +201,14 @@ def test_one_run_builds_few_diagrams_and_verifies_once(count_calls):
     finishes = count_calls(rewrite._Run, "finish")
     out_d, out_g, trace = to_simple_coloring(cabled, witness)
     assert len(trace.stages) > 100
-    assert len(builds) <= 2
+    assert len(builds) == 1
     assert len(verifications) == 1
     spec = diff_spectrum(out_d, out_g)
     run = finishes[0][0]
     assert run.diffs == spec.diffs
     assert run.histogram == spec.histogram
+    assert run.at_diff == {d: {c for c, e in spec.diffs.items() if e == d}
+                           for d in spec.histogram}
 
 
 def test_a_stage_failing_mid_run_refuses_the_whole_run(monkeypatch):
@@ -220,3 +225,41 @@ def test_a_stage_failing_mid_run_refuses_the_whole_run(monkeypatch):
     assert "round 1" in message
     assert f"target crossing {target}" in message
     assert "injected endgame failure" in message
+
+
+def test_lazy_diff_paths_yield_the_eager_reference_every_round(monkeypatch):
+    """At every round of every run, the search that goes one length at a
+    time yields, when run out, the eager search's sorted list, or refuses
+    with the same error."""
+    lazy = rewrite._diff_paths
+
+    def outcome(search, *args):
+        try:
+            return list(search(*args))
+        except RewriteError as err:
+            return f"{type(err).__name__}: {err}"
+
+    rounds = []
+
+    def checked(run):
+        expected = outcome(reference_diff_paths, run.builder, run.gamma, run.diffs)
+        assert outcome(lazy, run) == expected
+        rounds.append(expected if isinstance(expected, str) else len(expected))
+        return lazy(run)
+
+    monkeypatch.setattr(rewrite, "_diff_paths", checked)
+    inputs = [diff_chain(colors, kinks) for _, colors, kinks in diff_chain_grid()]
+    std = standard_diagrams()
+    for name, spec in (("hopf", (8, 8)), ("trefoil", (6,))):
+        cabled = parallel(std[name], CableSpec(multiplicities=spec))
+        inputs.append((cabled, is_z_colorable(cabled)[1]))
+    simplified = 0
+    for d, g in inputs:
+        try:
+            to_simple_coloring(d, g)
+            simplified += 1
+        except RewriteError:
+            pass
+    assert simplified == 181 + 2
+    counts = [n for n in rounds if isinstance(n, int)]
+    assert len(counts) > 2000 and max(counts) > 10
