@@ -25,6 +25,7 @@ import pytest
 
 from conftest import seeded_rng
 from zcolor import cli, generate
+from zcolor.algebra import is_z_colorable
 from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import is_simple, palette
 from zcolor.diagram import canonical, parse_pd, serialize_pd, serialize_pd_raw, writhe
@@ -129,6 +130,26 @@ def diff_chain_outputs(work: Path) -> dict[str, str]:
     return out
 
 
+# Parallels whose Z-colorability witness takes 48 to 108 elimination stages.
+WITNESS_CABLES = [("trefoil", (6,)), ("trefoil", (8,)), ("hopf", (8, 8))]
+
+
+def witness_outputs(work: Path) -> dict[str, str]:
+    """to_simple_coloring on the ``is_z_colorable`` witness of a few parallels.
+
+    The digest covers the raw PD, the coloring JSON and the trace JSON, as
+    for the chain grid, over runs of many more stages.
+    """
+    std = generate.standard_diagrams()
+    out = {}
+    for name, mult in WITNESS_CABLES:
+        cabled = parallel(std[name], CableSpec(multiplicities=mult))
+        _, witness = is_z_colorable(cabled)
+        out_d, out_g, trace = to_simple_coloring(cabled, witness)
+        out[f"{name} {mult}"] = _digest(out_d, out_g, trace_to_json(trace))
+    return out
+
+
 def _deleted(cabled, gamma, targets) -> str:
     """Digest of the deletion passes for ``targets`` in the palette, or the refusal."""
     traces = []
@@ -216,6 +237,7 @@ GROUPS = {
     "random_knots": random_knot_outputs,
     "twists": twist_outputs,
     "validate": validate_outputs,
+    "witnesses": witness_outputs,
 }
 
 
