@@ -566,5 +566,13 @@ def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:
 
 
 def same_diagram(d1: Diagram, d2: Diagram) -> bool:
-    """Equality after canonical relabelling (not full PD isomorphism)."""
-    return d1.free_loops == d2.free_loops and _canonical_rows(d1) == _canonical_rows(d2)
+    """Equality after canonical relabelling, signs included (not full PD isomorphism).
+
+    Rows alone do not fix the direction of a strand that passes under
+    nothing; the signs of the crossings it passes over do.
+    """
+    def signed_rows(d: Diagram) -> list:
+        mapping = _canonical_map(d)
+        return sorted((tuple(mapping[e] for e in x.slots), x.sign) for x in d.crossings)
+
+    return d1.free_loops == d2.free_loops and signed_rows(d1) == signed_rows(d2)

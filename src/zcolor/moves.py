@@ -21,7 +21,7 @@ the moves, so a check of a trace replays it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .diagram import (
     OVER_A,
@@ -94,10 +94,6 @@ class MoveTrace:
     """A sequence of stages, each a disk-localized batch of moves."""
 
     stages: tuple[Stage, ...]
-
-
-def single_stage(moves: Sequence[tuple[Move, int]], disks: dict[int, frozenset[int]]) -> MoveTrace:
-    return MoveTrace(stages=(Stage(moves=tuple(moves), disks=dict(disks)),))
 
 
 # -- mutable builder ---------------------------------------------------------

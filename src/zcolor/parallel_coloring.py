@@ -17,13 +17,14 @@ Deletions are verified local rewrites built from R2/R3 moves: conjugating
 a crossing region by a canceling twist pair toggles the over state, a
 bigon of one over line pushed across the region exchanges which line is
 met first, and rerouting a 0-line past the middle 1-pair fixes the parity
-that produces color 3.  A deletion pass runs on one move builder with the
-coloring beside it.  After each region rewrite it re-derives only the
-region's interior arcs (before and after the rewrite) and the arcs the
-rewrite created, by propagating over the crossings that meet them
-(``_rederive``, shared with ``rewrite``).  Once, at the end, the result is
-built, its coloring verified, its palette checked and its trace replayed;
-failures raise, never degrade.
+that produces color 3.  A deletion pass is one run (``_Run``, shared with
+``rewrite``): a move builder with the coloring beside it, through which
+every move goes.  Each move re-derives only the arcs it changed (an R2
+bigon's four new arcs, an R3 triangle's three side arcs) by propagating
+over the crossings that meet them, so the coloring is current after every
+move.  Once, at the end, the run builds the result, verifies its coloring
+and replays its trace, after the pass has checked its palette; failures
+raise, never degrade.
 """
 
 from __future__ import annotations
@@ -33,16 +34,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cabling import CableSpec, CableStructure, Region, TwistSite, insert_full_twists, parallel
-from .coloring import Coloring, ColoringError, palette, verify_coloring
-from .diagram import Crossing, Diagram, crossing_graph_pieces, writhe
+from .coloring import Coloring, ColoringError, diff_spectrum, palette, verify_coloring
+from .diagram import OVER_A, UNDER_IN, Crossing, Diagram, crossing_graph_pieces, writhe
 from .moves import (
     DiagramBuilder,
+    Move,
     MoveError,
     MoveTrace,
     R2Insert,
     R3,
+    Stage,
     apply_move,
-    single_stage,
     verify_local_equivalence,
 )
 
@@ -84,39 +86,43 @@ def propagate_coloring(crossings: Sequence[Crossing], seeds: Coloring) -> Colori
     the seeds do not determine every arc of the crossings; arcs elsewhere
     are neither read nor checked.
     """
-    gamma: dict[int, int] = {}
+    return _propagate([(x.over_in, x.over_out, x.under_in, x.under_out, x.cid)
+                       for x in crossings], seeds)
 
-    def assign(e, v):
-        if e in gamma:
-            if gamma[e] != v:
-                raise ConstructionError(f"propagation conflict at arc {e}: {gamma[e]} vs {v}")
-            return False
-        gamma[e] = v
-        return True
 
-    for e, v in seeds.items():
-        assign(e, int(v))
-    # each crossing's arcs, read once rather than once per sweep
-    quads = [(x.over_in, x.over_out, x.under_in, x.under_out, x.cid) for x in crossings]
+def _propagate(quads: list[tuple[int, int, int, int, int]], seeds: Coloring) -> Coloring:
+    """``propagate_coloring`` on (over_in, over_out, under_in, under_out, cid) quads.
+
+    Each step colors an arc that has no color yet; the closing check of
+    every relation catches contradictions.
+    """
+    gamma = {e: int(v) for e, v in seeds.items()}
     changed = True
     while changed:
         changed = False
         for oi, oo, ui, uo, cid in quads:
-            if oi in gamma and oo not in gamma:
-                changed |= assign(oo, gamma[oi])
-            if oo in gamma and oi not in gamma:
-                changed |= assign(oi, gamma[oo])
+            if oi in gamma:
+                if oo not in gamma:
+                    gamma[oo] = gamma[oi]
+                    changed = True
+            elif oo in gamma:
+                gamma[oi] = gamma[oo]
+                changed = True
             if oi in gamma:
                 o = gamma[oi]
-                if ui in gamma and uo not in gamma:
-                    changed |= assign(uo, 2 * o - gamma[ui])
-                elif uo in gamma and ui not in gamma:
-                    changed |= assign(ui, 2 * o - gamma[uo])
+                if ui in gamma:
+                    if uo not in gamma:
+                        gamma[uo] = 2 * o - gamma[ui]
+                        changed = True
+                elif uo in gamma:
+                    gamma[ui] = 2 * o - gamma[uo]
+                    changed = True
             elif ui in gamma and uo in gamma:
                 s = gamma[ui] + gamma[uo]
                 if s % 2:
                     raise ConstructionError(f"propagation conflict at crossing {cid}")
-                changed |= assign(oi, s // 2)
+                gamma[oi] = s // 2
+                changed = True
     missing = sorted({e for q in quads for e in q[:4] if e not in gamma})
     if missing:
         raise ConstructionError(f"seeds do not determine arcs {missing[:8]}")
@@ -126,20 +132,118 @@ def propagate_coloring(crossings: Sequence[Crossing], seeds: Coloring) -> Colori
     return gamma
 
 
-def _rederive(builder: DiagramBuilder, gamma: Coloring, unknown: set[int]) -> list[Crossing]:
+def _rederive(builder: DiagramBuilder, gamma: Coloring, unknown: set[int]) -> list[int]:
     """Re-derive the ``unknown`` arcs of ``gamma`` on the builder's rows.
 
     Propagates over every crossing that meets an unknown arc, seeded by
     those crossings' other arcs, and writes the unknown arcs into ``gamma``.
     Returns the swept crossings, in id order; all their relations hold.
     """
+    rows, signs = builder.rows, builder.signs
     cids = sorted({cid for e in unknown for cid in builder.incident(e)})
-    crossings = [builder.crossing(cid) for cid in cids]
-    local = propagate_coloring(crossings, {e: gamma[e] for x in crossings for e in x.slots
-                                           if e not in unknown})
+    quads = []
+    for cid in cids:
+        ui, oa, uo, ob = rows[cid]  # the over strand enters at OVER_B when positive
+        quads.append((ob, oa, ui, uo, cid) if signs[cid] > 0 else (oa, ob, ui, uo, cid))
+    local = _propagate(quads, {e: gamma[e] for q in quads for e in q[:4] if e not in unknown})
     for e in unknown:
         gamma[e] = local[e]
-    return crossings
+    return cids
+
+
+class _Run:
+    """A move builder with its coloring, each crossing's diff and the stages.
+
+    ``gamma`` colors the builder's arcs, ``diffs`` maps each crossing to its
+    diff, ``histogram`` counts the crossings of each diff and ``at_diff``
+    holds them.  ``apply`` is the only way a rewrite applies a move, and it
+    keeps all four current after every move.  The rewrites apply only R2
+    bigons and R3 slides, which remove no arc and no crossing, so ``gamma``
+    colors exactly the builder's arcs.  The input coloring is verified once,
+    by ``diff_spectrum``, which refuses an invalid one.
+    """
+
+    def __init__(self, diagram: Diagram, gamma: Coloring):
+        spec = diff_spectrum(diagram, gamma)
+        self.source = diagram
+        self.builder = DiagramBuilder(diagram)
+        self.gamma = {e: gamma[e] for e in diagram.edges}
+        self.diffs: dict[int, int] = {}
+        self.histogram: dict[int, int] = {}
+        self.at_diff: dict[int, set[int]] = {}
+        for cid, d in spec.diffs.items():
+            self.set_diff(cid, d)
+        # (moves, disks) of each stage; moves go into the last disk of the last stage
+        self.stages: list[tuple[list[tuple[Move, int]], dict[int, frozenset[int]]]] = []
+
+    @property
+    def d_m(self) -> int:
+        return max(self.histogram, default=0)
+
+    def set_diff(self, cid: int, d: int) -> None:
+        old = self.diffs.get(cid)
+        if old == d:
+            return
+        if old is not None:
+            self.histogram[old] -= 1
+            self.at_diff[old].discard(cid)
+            if not self.histogram[old]:
+                del self.histogram[old]
+                del self.at_diff[old]
+        self.diffs[cid] = d
+        self.histogram[d] = self.histogram.get(d, 0) + 1
+        self.at_diff.setdefault(d, set()).add(cid)
+
+    def open_stage(self) -> None:
+        self.stages.append(([], {}))
+
+    def open_disk(self, cids) -> None:
+        """Open the stage's next disk, over the source crossings ``cids``;
+        disk ids run from 1 within a stage."""
+        disks = self.stages[-1][1]
+        disks[len(disks) + 1] = frozenset(cids)
+
+    def apply(self, move: Move) -> list[int]:
+        """Apply ``move`` in the open disk and re-derive the arcs it changed.
+
+        An R2 bigon changes its four new arcs, an R3 triangle its three side
+        arcs (the arcs met twice among its crossings); every other arc keeps
+        its color, and colors are unique once those are fixed.  The
+        crossings ``_rederive`` sweeps get their diffs updated.  Returns the
+        crossings the move created.
+        """
+        builder = self.builder
+        first_edge = builder.next_edge
+        created = apply_move(builder, move)["created"]
+        moves, disks = self.stages[-1]
+        moves.append((move, len(disks)))
+        if isinstance(move, R3):
+            count = Counter(e for cid in move.cids for e in builder.rows[cid])
+            changed = {e for e, k in count.items() if k >= 2}
+        else:
+            changed = set(range(first_edge, builder.next_edge))
+        gamma = self.gamma
+        for cid in _rederive(builder, gamma, changed):
+            row = builder.rows[cid]
+            self.set_diff(cid, abs(gamma[row[OVER_A]] - gamma[row[UNDER_IN]]))
+        return created
+
+    def finish(self, cable: Optional[CableStructure] = None
+               ) -> tuple[Diagram, Coloring, MoveTrace]:
+        """The run's one diagram build, coloring check and trace replay.
+
+        Raises ConstructionError naming the check that failed.
+        """
+        result = self.builder.diagram(cable=cable)
+        gamma = {e: self.gamma[e] for e in result.edges}
+        if not verify_coloring(result, gamma):
+            raise ConstructionError("rewritten coloring does not verify")
+        trace = MoveTrace(stages=tuple(Stage(moves=tuple(moves), disks=disks)
+                                       for moves, disks in self.stages))
+        report = verify_local_equivalence(self.source, result, trace)
+        if not report.ok:
+            raise ConstructionError(f"trace verification failed: {report.reasons}")
+        return result, gamma, trace
 
 
 # -- even parallels ------------------------------------------------------------
@@ -292,9 +396,9 @@ def _region_interior_arcs(diagram: Diagram | DiagramBuilder, region: Region) -> 
     return {e for e, k in count.items() if k == 2}
 
 
-def _region_met_colors(builder: DiagramBuilder, gamma: Coloring, region: Region) -> list[int]:
+def _region_met_colors(run: _Run, region: Region) -> list[int]:
     """Over-line colors in the order the under strands meet them."""
-    return [gamma[_over_entry(builder, region, s)] for s in range(len(region.grid[0]))]
+    return [run.gamma[_over_entry(run.builder, region, s)] for s in range(len(region.grid[0]))]
 
 
 def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
@@ -308,56 +412,49 @@ def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
     return None
 
 
-def _push_bigon(builder: DiagramBuilder, region: Region, push_step: int,
-                across_step: int, push_over: bool, moves: list, disk: int) -> list[int]:
+def _push_bigon(run: _Run, region: Region, push_step: int, across_step: int,
+                push_over: bool) -> list[int]:
     """An R2 bigon west of the region: one over line pushed across another.
 
     The bigon sits in the face the two lines' entry arcs share at the
     region's first-met row.  Returns the two new crossings in the order the
     pushed line runs through them.
     """
-    push = _over_entry(builder, region, push_step)
-    across = _over_entry(builder, region, across_step)
+    push = _over_entry(run.builder, region, push_step)
+    across = _over_entry(run.builder, region, across_step)
     row = region.grid[_over_travel_rows(region)[0]]
-    corner = _find_corner(builder, push, across, {row[push_step], row[across_step]})
-    mv = R2Insert(push_edge=push, across_edge=across, push_over=push_over, corner=corner)
-    created = apply_move(builder, mv)["created"]
-    moves.append((mv, disk))
-    return created
+    corner = _find_corner(run.builder, push, across, {row[push_step], row[across_step]})
+    return run.apply(R2Insert(push_edge=push, across_edge=across, push_over=push_over,
+                              corner=corner))
 
 
-def _slide_east(builder: DiagramBuilder, slider: int, region: Region,
-                steps: tuple[int, int], moves: list, disk: int) -> None:
+def _slide_east(run: _Run, slider: int, region: Region, steps: tuple[int, int]) -> None:
     """R3 ``slider``, where the over lines at ``steps`` cross, across every row."""
     for r in _over_travel_rows(region):
         row = region.grid[r]
-        mv = R3(cids=(slider, row[min(steps)], row[max(steps)]))
         try:
-            apply_move(builder, mv)
+            run.apply(R3(cids=(slider, row[min(steps)], row[max(steps)])))
         except MoveError as err:
             raise NoApplicableMoveError(
                 f"cannot slide crossing {slider} across under row {r}: {err}") from err
-        moves.append((mv, disk))
 
 
 # -- the rewrite library ----------------------------------------------------------
 
 
-def _rewrite_swap_first_met(builder: DiagramBuilder, region: Region,
-                            clean_step: int, other_step: int,
-                            moves: list, disk: int) -> None:
+def _rewrite_swap_first_met(run: _Run, region: Region, clean_step: int,
+                            other_step: int) -> None:
     """Exchange which over line is met first, spanning the whole region.
 
     Pushes the desired-first line over its partner (an R2 bigon west of the
     region) and slides the far crossing east across every under strand; the
     partner is recolored to 2f - g between the bigon crossings.
     """
-    far = _push_bigon(builder, region, clean_step, other_step, True, moves, disk)[1]
-    _slide_east(builder, far, region, (clean_step, other_step), moves, disk)
+    far = _push_bigon(run, region, clean_step, other_step, True)[1]
+    _slide_east(run, far, region, (clean_step, other_step))
 
 
-def _rewrite_toggle_over_state(builder: DiagramBuilder, region: Region,
-                               moves: list, disk: int, flip_second: bool) -> None:
+def _rewrite_toggle_over_state(run: _Run, region: Region, flip_second: bool) -> None:
     """Conjugate the region by a canceling full-twist pair on its over cable.
 
     Two nested R2 bigons west of the region build twist+inverse; the two
@@ -366,21 +463,18 @@ def _rewrite_toggle_over_state(builder: DiagramBuilder, region: Region,
     ``flip_second`` selects the handedness of the twist pair.
     """
     x_step, y_step = (1, 0) if flip_second else (0, 1)
-    o1, o2 = _push_bigon(builder, region, x_step, y_step, True, moves, disk)
+    o1, o2 = _push_bigon(run, region, x_step, y_step, True)
     # inside the bigon: the mid segments are the over strand's new middle
     # (arc between o1 and o2) and the crossed strand's middle
-    x_mid, y_mid = builder.bigon_arcs(o1, o2)
-    mv2 = R2Insert(push_edge=y_mid, across_edge=x_mid, push_over=True)
-    i2 = apply_move(builder, mv2)["created"][1]
-    moves.append((mv2, disk))
+    x_mid, y_mid = run.builder.bigon_arcs(o1, o2)
+    i2 = run.apply(R2Insert(push_edge=y_mid, across_edge=x_mid, push_over=True))[1]
     # east pair = the far crossings of each insert
-    _slide_east(builder, o2, region, (0, 1), moves, disk)
-    _slide_east(builder, i2, region, (0, 1), moves, disk)
+    _slide_east(run, o2, region, (0, 1))
+    _slide_east(run, i2, region, (0, 1))
 
 
-def _rewrite_reroute_line(builder: DiagramBuilder, region: Region,
-                          mover_step: int, over_steps: tuple[int, int],
-                          moves: list, disk: int) -> None:
+def _rewrite_reroute_line(run: _Run, region: Region, mover_step: int,
+                          over_steps: tuple[int, int]) -> None:
     """Send the over line at ``mover_step`` around the two lines after it.
 
     Two spanning bigons (mover under each 1-line) move the line's passage
@@ -388,8 +482,8 @@ def _rewrite_reroute_line(builder: DiagramBuilder, region: Region,
     color 2 at each crossing and carries its own color through the middle.
     """
     for target_step in over_steps:
-        far = _push_bigon(builder, region, mover_step, target_step, False, moves, disk)[1]
-        _slide_east(builder, far, region, (mover_step, target_step), moves, disk)
+        far = _push_bigon(run, region, mover_step, target_step, False)[1]
+        _slide_east(run, far, region, (mover_step, target_step))
 
 
 # -- delete_color_moves -----------------------------------------------------------
@@ -400,80 +494,66 @@ def delete_color_moves(cabled: Diagram, gamma: Coloring, target: int
     """Remove one color from a parallel coloring by verified local moves.
 
     Every region whose interior uses the target color is rewritten inside
-    its own disk, on one move builder for the whole pass.  After each
-    rewrite (toggle, first-met swap, reroute) only the colors it can change
-    are re-derived, by propagation from the arcs around them: the region's
-    interior arcs before and after it and the arcs it created.  Once, at
-    the end, the result is built, its coloring verified, its palette
-    checked (target gone, no new colors) and the trace replayed.  Raises
-    NoApplicableMoveError when the move library has no rewrite for the
-    configuration.
+    its own disk of one stage, on one run for the whole pass; each move
+    re-derives the colors it changes.  Once, at the end, the palette is
+    checked (target gone, no new colors), the result built, its coloring
+    verified and the trace replayed.  Raises NoApplicableMoveError when the
+    move library has no rewrite for the configuration.
     """
     st: CableStructure = cabled.cable
     if st is None:
         raise NoApplicableMoveError("no cable structure: move library does not apply")
-    if not verify_coloring(cabled, gamma):
-        raise ColoringError("not a valid coloring")
+    run = _Run(cabled, gamma)
     values, _ = palette(gamma)
     if target not in values:
         raise ColoringError(f"color {target} is not in the palette")
 
-    builder = DiagramBuilder(cabled)
-    gamma = {e: gamma[e] for e in cabled.edges}
-    moves: list = []
-    disks: dict[int, frozenset[int]] = {}
+    run.open_stage()
+    disks = run.stages[-1][1]
     for base_cid in sorted(st.regions):
         region = st.regions[base_cid]
-        if target in {gamma[e] for e in _region_interior_arcs(builder, region)}:
-            disks[len(disks) + 1] = frozenset(c for row in region.grid for c in row)
-            _rewrite_region(builder, gamma, region, target, moves, len(disks))
+        if target in {run.gamma[e] for e in _region_interior_arcs(run.builder, region)}:
+            run.open_disk(c for row in region.grid for c in row)
+            _rewrite_region(run, region, target)
     if not disks:
         raise NoApplicableMoveError(
             f"color {target} does not appear in any rewritable region interior")
 
-    result = builder.diagram(cable=st)
-    new_gamma = {e: gamma[e] for e in result.edges}
-    if not verify_coloring(result, new_gamma):
-        raise NoApplicableMoveError("rewrite produced an invalid coloring")
-    new_values, _ = palette(new_gamma)
+    new_values, _ = palette(run.gamma)
     if target in new_values:
         raise NoApplicableMoveError(f"rewrite did not eliminate color {target}")
     if not new_values <= values - {target}:
         raise NoApplicableMoveError(
             f"rewrite introduced unexpected colors {sorted(new_values - values)}")
-
-    trace = single_stage(moves, disks)
-    report = verify_local_equivalence(cabled, result, trace)
-    if not report.ok:
-        raise NoApplicableMoveError(f"trace verification failed: {report.reasons}")
-    return result, new_gamma, trace
+    try:
+        return run.finish(cable=st)
+    except ConstructionError as err:
+        raise NoApplicableMoveError(str(err)) from err
 
 
-def _rewrite_region(builder: DiagramBuilder, gamma: Coloring, region: Region,
-                    target: int, moves: list, disk: int) -> None:
+def _rewrite_region(run: _Run, region: Region, target: int) -> None:
     q = len(region.grid)
     p = len(region.grid[0])
-    met = _region_met_colors(builder, gamma, region)
+    met = _region_met_colors(run, region)
 
     if p == q == 2:
-        u_state = min(gamma[builder.crossing(row[0]).under_in] for row in region.grid)
+        u_state = min(run.gamma[run.builder.crossing(row[0]).under_in] for row in region.grid)
         y_state = min(met)
         if target == 4:
             if y_state != 2:
                 raise NoApplicableMoveError("color-4 interior without a (2,3) over pair")
-            _toggle_verified(builder, gamma, region, y_state, moves, disk)
+            _toggle_verified(run, region, y_state)
             return
         if target == -1:
             if y_state == 2:
                 raise NoApplicableMoveError("expected a toggled (0,1) over pair")
             clean_color = 2 if u_state == 2 else 1
             if u_state == 2:
-                met = _toggle_verified(builder, gamma, region, y_state, moves, disk)
+                met = _toggle_verified(run, region, y_state)
             if clean_color not in met:
                 raise NoApplicableMoveError("no clean line to bring first")
             clean_step = met.index(clean_color)
-            _recolored(builder, gamma, region, _rewrite_swap_first_met,
-                       clean_step, 1 - clean_step, moves, disk)
+            _rewrite_swap_first_met(run, region, clean_step, 1 - clean_step)
             return
         raise NoApplicableMoveError(f"no 2-parallel rewrite deletes color {target}")
 
@@ -486,30 +566,12 @@ def _rewrite_region(builder: DiagramBuilder, gamma: Coloring, region: Region,
         mover = ones[0] - 1
         if mover < 0 or met[mover] != 0:
             raise NoApplicableMoveError("no 0-line before the 1-pair")
-        _recolored(builder, gamma, region, _rewrite_reroute_line,
-                   mover, (ones[0], ones[1]), moves, disk)
+        _rewrite_reroute_line(run, region, mover, (ones[0], ones[1]))
         return
     raise NoApplicableMoveError(f"no rewrite available for color {target} here")
 
 
-def _recolored(builder: DiagramBuilder, gamma: Coloring, region: Region,
-               rewrite, *args) -> list[int]:
-    """Apply one region rewrite and re-derive what it recolors; returns the met colors after.
-
-    Colors change only inside the region's disk: on the region's interior
-    arcs before the rewrite and after it (R3 slides move arcs in and out)
-    and on the arcs the rewrite creates.  Every other arc keeps its color.
-    """
-    before = _region_interior_arcs(builder, region)
-    first_edge = builder.next_edge
-    rewrite(builder, region, *args)
-    _rederive(builder, gamma, before | _region_interior_arcs(builder, region)
-              | set(range(first_edge, builder.next_edge)))
-    return _region_met_colors(builder, gamma, region)
-
-
-def _toggle_verified(builder: DiagramBuilder, gamma: Coloring, region: Region,
-                     y_state: int, moves: list, disk: int) -> list[int]:
+def _toggle_verified(run: _Run, region: Region, y_state: int) -> list[int]:
     """Toggle the over pair between states 0 and 2; returns the met colors after.
 
     The pair meets a full twist before the region and its inverse after it
@@ -520,12 +582,12 @@ def _toggle_verified(builder: DiagramBuilder, gamma: Coloring, region: Region,
     travel direction; the under strands cross the over lines from the side
     the region's sign gives, so that sign fixes the sides.  Pushing line 0
     over line 1 gives sign -base_sign, line 1 over line 0 gives +base_sign:
-    flip exactly when base_sign * (y_state - 1) > 0.  The re-derived met
-    colors must stay in 0..3; a wrong handedness would drive the pair to
-    (4,5) or (-2,-1).
+    flip exactly when base_sign * (y_state - 1) > 0.  The met colors after
+    must stay in 0..3; a wrong handedness would drive the pair to (4,5) or
+    (-2,-1).
     """
-    met_now = _recolored(builder, gamma, region, _rewrite_toggle_over_state, moves, disk,
-                         region.base_sign * (y_state - 1) > 0)
+    _rewrite_toggle_over_state(run, region, region.base_sign * (y_state - 1) > 0)
+    met_now = _region_met_colors(run, region)
     if not all(0 <= c <= 3 for c in met_now):
         raise NoApplicableMoveError(f"toggle drove the pair to {met_now}")
     return met_now

@@ -16,40 +16,32 @@ crossing and the finger's pair under the over strand carries |D - d|, so
 no new diff reaches D.  Iterating strictly reduces the maximum, ending in
 a coloring whose positive diffs are all equal.
 
-A run keeps one move builder for all its stages, with the coloring, each
-crossing's diff and the diff histogram beside the rows.  Each stage (one
-finger drag and slide) re-derives only the colors it changes: the arcs it
-creates and the triangle's inner arcs, by propagating the crossing
-relations over the crossings that meet them.  Those crossings' relations
-are re-checked and their diffs updated; no other crossing's row or arc
-colors change.  The stage is then accepted only if its target lost the
-maximal diff and no diff outside {0, existing below maximum, |D-d|,
-|D-2d|} grew.  Once, at the end of the run, the whole coloring is verified
-on the emitted diagram and the whole trace is replayed by
-``verify_local_equivalence``.  A stage that fails after its moves cannot be
-undone on the shared builder, so it refuses the whole run.
+A simplification is one run (``parallel_coloring._Run``, shared with color
+deletion): one move builder for all its stages, with the coloring, each
+crossing's diff and the diff histogram beside the rows.  Every move goes
+through the run and re-derives only the arcs it changed (an R2 bigon's
+four new arcs, an R3 triangle's three side arcs) by propagating the
+crossing relations over the crossings that meet them; those crossings'
+relations are re-checked and their diffs updated, so the coloring the
+finger routing reads is current after every move.  A stage (one finger
+drag and slide) is accepted only if its target lost the maximal diff and
+no diff outside {0, existing below maximum, |D-d|, |D-2d|} grew.  Once, at
+the end of the run, the whole coloring is verified on the emitted diagram
+and the whole trace is replayed by ``verify_local_equivalence``.  A stage
+that fails after its moves cannot be undone on the shared builder, so it
+refuses the whole run.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import ChainMap, Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .coloring import Coloring, ColoringError, diff_spectrum, is_simple, verify_coloring
+from .coloring import Coloring
 from .diagram import Diagram, crossing_graph_pieces
-from .moves import (
-    DiagramBuilder,
-    MoveError,
-    MoveTrace,
-    R2Insert,
-    R3,
-    Stage,
-    apply_move,
-    verify_local_equivalence,
-)
-from .parallel_coloring import ConstructionError, _rederive
+from .moves import DiagramBuilder, MoveError, MoveTrace, R2Insert, R3
+from .parallel_coloring import ConstructionError, _Run
 
 
 class RewriteError(ValueError):
@@ -70,54 +62,12 @@ class DiffPath:
     color: int                 # the shared arc color z
 
 
-class _Run:
-    """One elimination run: a move builder with its coloring and diffs.
-
-    ``gamma`` colors the builder's arcs, ``diffs`` maps each crossing to its
-    diff, ``histogram`` counts the crossings of each diff and ``at_diff``
-    holds them; stages update all four only at the crossings they create or
-    touch.
-    """
-
-    def __init__(self, diagram: Diagram, gamma: Coloring):
-        spec = diff_spectrum(diagram, gamma)
-        self.source = diagram
-        self.builder = DiagramBuilder(diagram)
-        self.gamma = {e: gamma[e] for e in diagram.edges}
-        self.diffs = dict(spec.diffs)
-        self.histogram = dict(spec.histogram)
-        self.at_diff: dict[int, set[int]] = {}
-        for cid, d in self.diffs.items():
-            self.at_diff.setdefault(d, set()).add(cid)
-        self.stages: list[Stage] = []
-
-    @property
-    def d_m(self) -> int:
-        return max(self.histogram, default=0)
-
-    def set_diff(self, cid: int, d: int) -> None:
-        old = self.diffs.get(cid)
-        if old is not None:
-            self.histogram[old] -= 1
-            self.at_diff[old].discard(cid)
-            if not self.histogram[old]:
-                del self.histogram[old]
-                del self.at_diff[old]
-        self.diffs[cid] = d
-        self.histogram[d] = self.histogram.get(d, 0) + 1
-        self.at_diff.setdefault(d, set()).add(cid)
-
-    def finish(self) -> tuple[Diagram, Coloring, MoveTrace]:
-        """The one diagram build and the checks of the whole run."""
-        result = self.builder.diagram()
-        gamma = {e: self.gamma[e] for e in result.edges}
-        if not verify_coloring(result, gamma):
-            raise RewriteError("rewritten coloring does not verify")
-        trace = MoveTrace(stages=tuple(self.stages))
-        report = verify_local_equivalence(self.source, result, trace)
-        if not report.ok:
-            raise RewriteError(f"trace verification failed: {report.reasons}")
-        return result, gamma, trace
+def _finish(run: _Run) -> tuple[Diagram, Coloring, MoveTrace]:
+    """The run's one build and checks, refusing as a RewriteError."""
+    try:
+        return run.finish()
+    except ConstructionError as err:
+        raise RewriteError(str(err)) from err
 
 
 def _diff_paths(run: _Run) -> Iterator[DiffPath]:
@@ -243,7 +193,7 @@ def eliminate_max_diff(diagram: Diagram, gamma: Coloring, path: DiffPath
     """
     run = _Run(diagram, gamma)
     _eliminate_rounds(run, path)
-    return run.finish()
+    return _finish(run)
 
 
 def _eliminate_rounds(run: _Run, path: DiffPath) -> None:
@@ -303,21 +253,19 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
     pair has diff |w - z|, already in the allowed set), until its face
     touches the target crossing next to the chosen under arc; there it
     crosses the under arc, then the over strand, and the triangle slide
-    fires.  The moves go onto the run's builder and the stage onto its
-    stages.
+    fires.  The moves go through the run, in a stage of their own, so the
+    colors the routing reads are current after every push.
     """
-    builder = run.builder
-    first_edge = builder.next_edge
-    moves: list = []
-    disk = 1
+    builder, gamma = run.builder, run.gamma
+    before = dict(run.histogram)
+    run.open_stage()
+    run.open_disk({path.start})
     z = path.color
-    ext = ChainMap({}, run.gamma)
     x0 = builder.crossing(path.start)
     u_slots = [i for i, e in enumerate(x0.slots) if e == u_arc and i in (0, 2)]
     goal_corners = {builder.corner(path.start, i) for s in u_slots for i in (s, (s - 1) % 4)}
 
     tip = w_arc
-    w = run.gamma[w_arc]
     cap = 4 * len(builder.rows) + 8
     for _step in range(cap):
         if tip == w_arc:
@@ -335,7 +283,7 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
             nxt = []
             for f in frontier:
                 for e in builder.face_arcs(f):
-                    if ext.get(e) != z:
+                    if gamma[e] != z:
                         continue
                     for f2 in builder.faces_through(e):
                         if f2 in seen:
@@ -358,55 +306,23 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
         while prev.get(step_face, (None, None))[0] not in near:
             step_face = prev[step_face][0]
         cross_arc = prev[step_face][1]
-        mv = R2Insert(push_edge=tip, across_edge=cross_arc, push_over=True)
-        info = apply_move(builder, mv)
-        moves.append((mv, disk))
-        c1, c2 = info["created"]
-        _record_push_colors(builder, ext, c1, c2, w)
+        c1, c2 = run.apply(R2Insert(push_edge=tip, across_edge=cross_arc, push_over=True))
         tip = builder.bigon_arcs(c1, c2)[0]
     else:
         raise RewriteError("finger exceeded its step budget")
 
     # endgame: cross the under arc at the corner whose face holds the tip,
     # then the over arc the crossing leads to, and fire the triangle
-    triangle = _endgame(builder, moves, disk, path.start, u_slots, tip)
+    _endgame(run, path.start, u_slots, tip)
 
-    before = dict(run.histogram)
-    _recolor_after_slide(run, triangle, first_edge)
     if run.diffs[path.start] == d_m:
         raise RewriteError("slide left the target's diff unchanged")
     bad = {v for v in run.histogram if v not in allowed and v != 0}
     if any(run.histogram.get(v, 0) > before.get(v, 0) for v in bad | {d_m}):
         raise RewriteError("slide created diffs outside the allowed set")
-    run.stages.append(Stage(moves=tuple(moves), disks={disk: frozenset({path.start})}))
 
 
-def _record_push_colors(builder: DiagramBuilder, ext: Coloring,
-                        c1: int, c2: int, w: int) -> None:
-    """Track colors over a fresh over-push bigon for the corridor test.
-
-    The tongue keeps w on its new pieces; the crossed strand's far piece
-    keeps its old color and its middle becomes 2w - old.  Final colors are
-    recomputed by propagation; this only keeps crossability decisions
-    accurate while routing.
-    """
-    r1, r2 = builder.rows[c1], builder.rows[c2]
-    shared = set(r1) & set(r2)
-    for row in (r1, r2):
-        for e in (row[1], row[3]):
-            ext.setdefault(e, w)
-    for row in (r1, r2):
-        u_in, u_out = row[0], row[2]
-        known = [e for e in (u_in, u_out) if e in ext]
-        if known:
-            g_old = ext[known[0]]
-            for e in (u_in, u_out):
-                if e not in ext:
-                    ext[e] = (2 * w - g_old) if e in shared else g_old
-
-
-def _endgame(builder: DiagramBuilder, moves: list, disk: int,
-             target_cid: int, u_slots: list[int], tip: int) -> tuple[int, int, int]:
+def _endgame(run: _Run, target_cid: int, u_slots: list[int], tip: int) -> None:
     """Poke over the under arc, under the over strand, slide the target.
 
     The under arc at slot u of the target t runs between the faces of
@@ -417,9 +333,9 @@ def _endgame(builder: DiagramBuilder, moves: list, disk: int,
     first corner whose face carries the tip names both pokes, and the
     triangle is the one the target bounds with the first or with the
     second crossing of both bigons.  Arcs are re-read from the builder at
-    push time, since routing may have split them.  Returns the triangle's
-    crossings.
+    push time, since routing may have split them.
     """
+    builder = run.builder
     t = target_cid
     tip_corners = {c for f in builder.faces_through(tip) for c in f}
     poke = next(((u, u_corner, o_slot, o_corner) for u in u_slots
@@ -429,40 +345,16 @@ def _endgame(builder: DiagramBuilder, moves: list, disk: int,
     if poke is None:
         raise RewriteError(f"tip {tip} lies in no corner face of crossing {t}'s under arc")
     u, u_corner, o_slot, o_corner = poke
-    mv1 = R2Insert(push_edge=tip, across_edge=builder.rows[t][u],
-                   push_over=True, corner=u_corner)
-    cu1, cu2 = apply_move(builder, mv1)["created"]
-    moves.append((mv1, disk))
+    cu1, cu2 = run.apply(R2Insert(push_edge=tip, across_edge=builder.rows[t][u],
+                                  push_over=True, corner=u_corner))
     mid = builder.bigon_arcs(cu1, cu2)[0]
-    mv2 = R2Insert(push_edge=mid, across_edge=builder.rows[t][o_slot],
-                   push_over=False, corner=o_corner)
-    co1, co2 = apply_move(builder, mv2)["created"]
-    moves.append((mv2, disk))
+    co1, co2 = run.apply(R2Insert(push_edge=mid, across_edge=builder.rows[t][o_slot],
+                                  push_over=False, corner=o_corner))
     pair = next(((cu, co) for cu, co in ((cu1, co1), (cu2, co2))
                  if builder.triangle((t, cu, co)) is not None), None)
     if pair is None:
         raise RewriteError("finger reached the target but no triangle formed")
-    mv3 = R3(cids=(t, *pair))
-    apply_move(builder, mv3)
-    moves.append((mv3, disk))
-    return mv3.cids
-
-
-def _recolor_after_slide(run: _Run, triangle: tuple[int, int, int], first_edge: int) -> None:
-    """Re-derive the stage's colors; only the triangle's inner arcs move.
-
-    A triangle move recolors exactly its three side arcs, the arcs met
-    twice among its crossings; every surviving arc outside the triangle
-    keeps its color and the tongue's new arcs (ids from ``first_edge`` on)
-    are derived by ``_rederive``.  The crossings it sweeps, those meeting an
-    arc to derive, are re-checked there and get their diffs updated here.
-    """
-    builder = run.builder
-    count = Counter(e for cid in triangle for e in builder.rows[cid])
-    unknown = {e for e, k in count.items() if k >= 2} | \
-        set(range(first_edge, builder.next_edge))
-    for x in _rederive(builder, run.gamma, unknown):
-        run.set_diff(x.cid, abs(run.gamma[x.over_in] - run.gamma[x.under_in]))
+    run.apply(R3(cids=(t, *pair)))
 
 
 # -- full simplification ---------------------------------------------------------
@@ -474,20 +366,18 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
 
     The maximum diff strictly decreases each round, so the loop runs at
     most d_m(initial) times; already-simple colorings return unchanged with
-    an empty trace.  All rounds share one run: one builder, one diagram
-    build and one trace verification at the end.
+    an empty trace.  All rounds share one run, which verifies the input
+    coloring: one builder, one diagram build and one trace verification at
+    the end.
     """
-    if not verify_coloring(diagram, gamma):
-        raise ColoringError("not a valid coloring")
+    run = _Run(diagram, gamma)
     if len(set(gamma.values())) <= 1:
         raise RewriteError("coloring is trivial; nothing to simplify")
     if len([p for p in crossing_graph_pieces(diagram) if p]) > 1:
         raise RewriteError("diagram must be connected")
-    simple, _ = is_simple(diagram, gamma)
-    if simple:
+    if sum(d > 0 for d in run.histogram) == 1:
         return diagram, dict(gamma), MoveTrace(stages=())
 
-    run = _Run(diagram, gamma)
     initial_dm = run.d_m
     rounds = 0
     while sum(d > 0 for d in run.histogram) > 1:
@@ -498,4 +388,4 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
         if path is None:
             raise _no_path()
         _eliminate_rounds(run, path)
-    return run.finish()
+    return _finish(run)

@@ -24,7 +24,7 @@ from zcolor.diagram import (
     writhe,
 )
 from zcolor.generate import standard_diagrams
-from zcolor.moves import MoveError
+from zcolor.moves import MoveError, MoveTrace, Stage
 from zcolor.rewrite import DiffPath, RewriteError
 
 
@@ -57,6 +57,11 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def single_stage(moves, disks) -> MoveTrace:
+    """A one-stage trace of ``(move, disk)`` pairs over ``disks``."""
+    return MoveTrace(stages=(Stage(moves=tuple(moves), disks=dict(disks)),))
 
 
 def trace_moves(trace) -> list[tuple]:

@@ -484,6 +484,25 @@ def test_replay_text_keeps_a_two_arc_over_strand_direction(tmp_path, capsys):
     assert (code, doc["equivalent"]) == (0, True)
 
 
+def test_replay_check_refuses_a_two_arc_over_strand_run_backwards(tmp_path, capsys):
+    """The same rows with the strand that passes under nothing reversed are
+    the mirror-writhe diagram, and ``--check`` against it is not equivalent."""
+    from zcolor.diagram import parse_pd, writhe
+
+    source = tmp_path / "source.pd"
+    source.write_text("% component: 1 7 8 2\n% component: 3 6 5 4\n"
+                      "X[8,3,2,4] X[2,6,1,3] X[7,4,8,5] X[1,6,7,5]\n")
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"schema_version": 1, "stages": [
+        {"moves": [{"kind": "R2-", "crossings": [2, 3], "disk": 0}], "disks": {"0": [2, 3]}}]}))
+    target = tmp_path / "target.pd"
+    target.write_text("% component: 1 2\n% component: 3 4\nX[1,3,2,4]\nX[2,4,1,3]\n")
+    assert writhe(parse_pd(target.read_text())) == -2
+    code, doc = run(capsys, "replay", str(source), str(trace), "--check", str(target))
+    assert (code, doc["equivalent"]) == (0, False)
+    assert doc["reasons"] == ["replayed diagram does not match the target"]
+
+
 @pytest.mark.parametrize("color, palette", [("10", [10]), ("-10", [-10]), ("0", [0]),
                                             (10, [10])])
 def test_verify_reads_integer_colors(tmp_path, capsys, color, palette):

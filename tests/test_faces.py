@@ -15,6 +15,7 @@ from conftest import (
     reference_faces,
     reference_r3,
     seeded_rng,
+    single_stage,
     trace_moves,
 )
 from hypothesis import given, settings
@@ -40,7 +41,6 @@ from zcolor.moves import (
     R2Remove,
     apply_move,
     replay_trace,
-    single_stage,
 )
 from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
 from zcolor.rewrite import to_simple_coloring

@@ -269,21 +269,26 @@ def test_simplify_traces_replay_onto_the_emitted_pd():
 
 
 def test_simplify_moves_are_named_not_tried(monkeypatch):
-    """On the simplify golden inputs, no move the rewrite search makes is rejected."""
-    from zcolor import rewrite
+    """On the simplify golden inputs, no move the rewrite search makes is rejected.
+
+    Every rewrite move goes through the run of ``parallel_coloring``, so
+    that module's ``apply_move`` sees them all.
+    """
+    from zcolor import parallel_coloring, rewrite
     from zcolor.moves import MoveError
 
-    rejected = []
-    apply = rewrite.apply_move
+    applied, rejected = [], []
+    apply = parallel_coloring.apply_move
 
     def recording(builder, move):
+        applied.append(move)
         try:
             return apply(builder, move)
         except MoveError:
             rejected.append(move)
             raise
 
-    monkeypatch.setattr(rewrite, "apply_move", recording)
+    monkeypatch.setattr(parallel_coloring, "apply_move", recording)
     simplified = 0
     for case, pd, gamma in simplify_inputs():
         try:
@@ -293,6 +298,7 @@ def test_simplify_moves_are_named_not_tried(monkeypatch):
             pass
         assert not rejected, (case, rejected[:3])
     assert simplified == 20
+    assert applied
 
 
 def test_stagewise_eliminations_match_one_run():

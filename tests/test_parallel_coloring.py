@@ -293,31 +293,78 @@ def test_each_toggled_region_is_conjugated_once(corpus, count_calls):
     assert toggled > 0
 
 
-def test_a_deletion_pass_builds_two_diagrams_and_verifies_once(corpus, count_calls):
+def test_a_deletion_pass_builds_one_diagram_and_verifies_once(corpus, count_calls):
     """Regions are recolored on the move builder, never on a built diagram.
 
-    Each pass builds its result and the trace check builds the replay:
-    at most two ``Diagram``s per call, however many regions it rewrites,
-    and one trace verification.
+    Each pass builds its result once, however many regions it rewrites; the
+    trace check compares the replay with it row by row and builds none.  The
+    input and output colorings are verified once each, and the trace once.
     """
+    import zcolor.coloring as coloring
     import zcolor.parallel_coloring as pc
     from zcolor.diagram import Diagram
 
     colored = [color_two_parallel(base) for base in _toggle_bases(corpus)]
     builds = count_calls(Diagram, "__init__")
     verifications = count_calls(pc, "verify_local_equivalence")
+    colorings = count_calls(coloring, "verify_coloring")
+    outputs = count_calls(pc, "verify_coloring")
     most_regions = 0
     for i, (cur_d, cur_g) in enumerate(colored):
         for target in (4, -1):
             if target not in palette(cur_g)[0]:
                 continue
-            builds.clear()
-            verifications.clear()
+            for calls in (builds, verifications, colorings, outputs):
+                calls.clear()
             cur_d, cur_g, trace = delete_color_moves(cur_d, cur_g, target)
-            assert len(builds) <= 2, (i, target, len(builds))
+            assert len(builds) == 1, (i, target, len(builds))
             assert len(verifications) == 1, (i, target)
+            assert (len(colorings), len(outputs)) == (1, 1), (i, target)
             most_regions = max(most_regions, len(trace.stages[0].disks))
     assert most_regions >= 3
+
+
+def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch, count_calls):
+    """After every move a run applies, its coloring verifies on the builder's
+    rows and its diffs, histogram and per-diff crossings are those rows'.
+
+    Covers a 3-deletion, both passes of a toggled 2-parallel, two diff
+    chains and the trefoil (6) witness.
+    """
+    import zcolor.parallel_coloring as pc
+    from zcolor.algebra import is_z_colorable
+    from zcolor.coloring import diff_spectrum
+    from zcolor.generate import diff_chain
+    from zcolor.rewrite import to_simple_coloring
+
+    checked = []
+    apply = pc._Run.apply
+
+    def checking(run, move):
+        created = apply(run, move)
+        d = run.builder.diagram()
+        assert verify_coloring(d, run.gamma), move
+        spec = diff_spectrum(d, run.gamma)
+        assert (run.diffs, run.histogram) == (spec.diffs, spec.histogram), move
+        assert run.at_diff == {v: {c for c, e in spec.diffs.items() if e == v}
+                               for v in spec.histogram}, move
+        checked.append(move)
+        return created
+
+    monkeypatch.setattr(pc._Run, "apply", checking)
+    toggles = count_calls(pc, "_rewrite_toggle_over_state")
+    hopf = parallel(corpus["hopf"], CableSpec(multiplicities=(4, 4)))
+    delete_color_moves(hopf, color_even_parallel(hopf), 3)
+    cur_d, cur_g = color_two_parallel(corpus["unknot_writhe0"])
+    for target in (4, -1):
+        cur_d, cur_g, _ = delete_color_moves(cur_d, cur_g, target)
+    assert toggles
+    for colors, kinks in (((2, 1), 1), ((4, 2, 1), 1)):
+        to_simple_coloring(*diff_chain(colors, kinks))
+    cabled = parallel(corpus["trefoil"], CableSpec(multiplicities=(6,)))
+    to_simple_coloring(cabled, is_z_colorable(cabled)[1])
+    assert {type(mv).__name__ for mv in checked} == {"R2Insert", "R3"}
+    assert len(checked) > 200
 
 
 def test_a_two_parallel_builds_two_diagrams_however_many_twists(count_calls):

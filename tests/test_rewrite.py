@@ -2,10 +2,11 @@ import pytest
 
 from conftest import reference_diff_paths, seeded_rng, trace_moves
 from test_golden import diff_chain_grid
-from zcolor import rewrite
+from zcolor import coloring, rewrite
+from zcolor import parallel_coloring as pc
 from zcolor.algebra import is_z_colorable
 from zcolor.cabling import CableSpec, parallel
-from zcolor.coloring import diff_spectrum, is_simple, verify_coloring
+from zcolor.coloring import ColoringError, diff_spectrum, is_simple, verify_coloring
 from zcolor.diagram import Diagram, validate
 from zcolor.generate import diff_chain, standard_diagrams
 from zcolor.moves import MoveError, verify_local_equivalence
@@ -197,8 +198,8 @@ def test_one_run_builds_few_diagrams_and_verifies_once(count_calls):
     cabled = parallel(standard_diagrams()["trefoil"], CableSpec(multiplicities=(8,)))
     _, witness = is_z_colorable(cabled)
     builds = count_calls(Diagram, "__init__")
-    verifications = count_calls(rewrite, "verify_local_equivalence")
-    finishes = count_calls(rewrite._Run, "finish")
+    verifications = count_calls(pc, "verify_local_equivalence")
+    finishes = count_calls(pc._Run, "finish")
     out_d, out_g, trace = to_simple_coloring(cabled, witness)
     assert len(trace.stages) > 100
     assert len(builds) == 1
@@ -209,6 +210,30 @@ def test_one_run_builds_few_diagrams_and_verifies_once(count_calls):
     assert run.histogram == spec.histogram
     assert run.at_diff == {d: {c for c, e in spec.diffs.items() if e == d}
                            for d in spec.histogram}
+
+
+def test_a_simplification_verifies_its_input_and_output_once(count_calls):
+    """The run's spectrum is the input check and its finish the output check."""
+    inputs = count_calls(coloring, "verify_coloring")
+    outputs = count_calls(pc, "verify_coloring")
+    d, g = diff_chain((3, 1, 2), 1)
+    out_d, out_g, _ = to_simple_coloring(d, g)
+    assert len(inputs) + len(outputs) == 2
+    assert inputs[0][0] is d and outputs[0][0] is out_d
+
+
+def test_an_invalid_input_is_refused_by_the_run():
+    """Simplification and color deletion refuse a coloring that breaks a
+    relation through the run's one input check."""
+    d, g = diff_chain((3, 1, 2), 1)
+    g[min(g)] += 1
+    cabled = parallel(standard_diagrams()["hopf"], CableSpec(multiplicities=(4, 4)))
+    gamma = pc.color_even_parallel(cabled)
+    gamma[min(gamma)] += 1
+    for call in (lambda: to_simple_coloring(d, g),
+                 lambda: pc.delete_color_moves(cabled, gamma, 3)):
+        with pytest.raises(ColoringError, match="^not a valid coloring$"):
+            call()
 
 
 def test_a_stage_failing_mid_run_refuses_the_whole_run(monkeypatch):
