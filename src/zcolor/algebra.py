@@ -3,10 +3,11 @@
 The coloring matrix has one row per crossing and one column per Fox arc
 (over-merged edge class): the row encodes 2*over - under_in - under_out = 0.
 Everything downstream is arbitrary-precision integer arithmetic.  One
-Hermite form answers the lattice questions: the kernel lattice and
-``solve_left``, which writes a vector as an integer combination of rows.
-The Smith form gives the invariant factors: the determinant is the
-product of all of them but the last, and Fox counts are their gcds with n.
+dense elimination, ``hermite_form``, serves every question: the kernel
+lattice, ``solve_left``, which writes a vector as an integer combination
+of rows, and the invariant factors of the Smith form, read off Hermite
+forms of alternate transposes.  The determinant is the product of all
+invariant factors but the last, and Fox counts are their gcds with n.
 
 The matrix is held as sparse rows, {column: coefficient} with at most
 three entries each.  Almost every coloring row offers a +-1 pivot, so the
@@ -101,74 +102,61 @@ def coloring_matrix(diagram: Diagram) -> ColoringMatrix:
     return ColoringMatrix(rows=tuple(rows), columns=cols)
 
 
-# -- Smith normal form -------------------------------------------------------
+# -- Hermite and Smith forms -------------------------------------------------
+
+
+def hermite_form(rows: Matrix) -> Matrix:
+    """Row-style Hermite normal form with positive pivots; zero rows dropped.
+
+    Column by column, Euclid on the pivot row and each row below it, one
+    pair at a time, clears the column below the pivot; the rows above are
+    then reduced into [0, pivot).  The form is unique for the row lattice.
+    """
+    M = [list(map(int, r)) for r in rows]
+    pr = 0
+    for j in range(len(M[0]) if M else 0):
+        for i in range(pr + 1, len(M)):
+            while M[i][j]:
+                q = M[pr][j] // M[i][j]
+                M[pr], M[i] = M[i], [a - q * b for a, b in zip(M[pr], M[i])]
+        if not M[pr][j]:
+            continue
+        if M[pr][j] < 0:
+            M[pr] = [-a for a in M[pr]]
+        for i in range(pr):
+            q = M[i][j] // M[pr][j]
+            if q:
+                M[i] = [a - q * b for a, b in zip(M[i], M[pr])]
+        pr += 1
+        if pr == len(M):
+            break
+    return [r for r in M if any(r)]
 
 
 def smith_normal_form(matrix) -> list[int]:
     """The min(rows, columns) invariant factors d1 | d2 | ... of ``matrix``.
 
-    One dense elimination.  Step t pivots on the smallest nonzero entry of
-    the remaining block (the first unit ends the search) and clears the
-    pivot's column and row by division with remainder.  While the pivot
-    fails to divide some entry of the block below it, the offending row is
-    added to the pivot row and reduction resumes with a smaller pivot.  The
-    finished diagonal entry is reported non-negative.  All arithmetic is
-    exact.
+    Hermite forms, of ``matrix`` and then of the transpose of the last
+    form, until one is diagonal; row operations and transposing keep the
+    invariant factors.  After two passes the form is square and
+    nonsingular.  Each later pass takes the gcd of the last form's first
+    row as its first pivot.  Either that pivot shrinks, or it divides the
+    row while the column below it is clear, and then the new form's first
+    row and column are both clear, because a Hermite form is unique for its
+    lattice.  So the pivots settle one at a time.  Pairwise gcd/lcm
+    exchanges sort the diagonal into a divisibility chain, and zeros pad it
+    to min(rows, columns).
     """
-    S = [list(map(int, row)) for row in matrix]
-    r = len(S)
-    c = len(S[0]) if r else 0
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-
-    for t in range(min(r, c)):
-        pivot = _smallest_entry(S, t)
-        if pivot is None:
-            break
-        S[t], S[pivot[0]] = S[pivot[0]], S[t]
-        swap_cols(t, pivot[1])
-        while True:
-            p = S[t][t]
-            i = next((i for i in range(t + 1, r) if S[i][t]), None)
-            if i is not None:
-                q = S[i][t] // p
-                S[i] = [a - q * b for a, b in zip(S[i], S[t])]
-                if S[i][t]:  # remainder smaller than pivot: promote it
-                    S[t], S[i] = S[i], S[t]
-                continue
-            j = next((j for j in range(t + 1, c) if S[t][j]), None)
-            if j is not None:
-                q = S[t][j] // p
-                for row in S:
-                    row[j] -= q * row[t]
-                if S[t][j]:
-                    swap_cols(t, j)
-                continue
-            if abs(p) == 1:  # a unit divides the whole block
-                break
-            i = next((i for i in range(t + 1, r)
-                      if any(S[i][j] % p for j in range(t + 1, c))), None)
-            if i is None:
-                break
-            S[t] = [a + b for a, b in zip(S[t], S[i])]
-    return [abs(S[t][t]) for t in range(min(r, c))]
-
-
-def _smallest_entry(S: Matrix, t: int) -> Optional[tuple[int, int]]:
-    """Position of the first smallest nonzero |entry| in the block S[t:, t:]."""
-    pivot = None
-    best = 0
-    for i in range(t, len(S)):
-        row = S[i]
-        for j in range(t, len(row)):
-            v = abs(row[j])
-            if v and (pivot is None or v < best):
-                if v == 1:
-                    return i, j
-                best, pivot = v, (i, j)
-    return pivot
+    H = hermite_form(matrix)
+    while any(v for i, row in enumerate(H) for j, v in enumerate(row) if i != j):
+        H = hermite_form(list(zip(*H)))
+    diag = [H[i][i] for i in range(len(H))]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    width = len(matrix[0]) if matrix else 0
+    return diag + [0] * (min(len(matrix), width) - len(diag))
 
 
 def snf_diagonal(rows, width: int) -> list[int]:
@@ -245,44 +233,6 @@ def _unit_pivots(rows, width: int) -> tuple[list[tuple[int, int, dict[int, int]]
 
 
 # -- kernel lattice ----------------------------------------------------------
-
-
-def hermite_form(rows: Matrix) -> Matrix:
-    """Row-style Hermite normal form with positive pivots; zero rows dropped."""
-    M = [list(map(int, r)) for r in rows]
-    if not M:
-        return []
-    c = len(M[0])
-    pivot_row = 0
-    for j in range(c):
-        best = None
-        for i in range(pivot_row, len(M)):
-            if M[i][j] and (best is None or abs(M[i][j]) < abs(M[best][j])):
-                best = i
-        if best is None:
-            continue
-        M[pivot_row], M[best] = M[best], M[pivot_row]
-        # clear below by gcd steps
-        changed = True
-        while changed:
-            changed = False
-            for i in range(pivot_row + 1, len(M)):
-                if M[i][j]:
-                    q = M[i][j] // M[pivot_row][j]
-                    M[i] = [a - q * b for a, b in zip(M[i], M[pivot_row])]
-                    if M[i][j]:
-                        M[pivot_row], M[i] = M[i], M[pivot_row]
-                        changed = True
-        if M[pivot_row][j] < 0:
-            M[pivot_row] = [-a for a in M[pivot_row]]
-        for i in range(pivot_row):
-            q = M[i][j] // M[pivot_row][j]
-            if q:
-                M[i] = [a - q * b for a, b in zip(M[i], M[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(M):
-            break
-    return [r for r in M if any(r)]
 
 
 def kernel_lattice(rows, width: int) -> Matrix:

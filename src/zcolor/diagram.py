@@ -484,7 +484,8 @@ def serialize_pd(diagram: Diagram) -> str:
     lines = [f"% loops: {diagram.free_loops}"] if diagram.free_loops else []
     for cyc in _header_cycles(diagram, lambda x: [mapping[e] for e in x.slots]):
         lines.append("% component: " + " ".join(str(mapping[e]) for e in cyc))
-    lines += ["X[%d,%d,%d,%d]" % row for row in _canonical_rows(diagram, mapping)]
+    rows = sorted(tuple(mapping[e] for e in x.slots) for x in diagram.crossings)
+    lines += ["X[%d,%d,%d,%d]" % row for row in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -544,12 +545,6 @@ def _canonical_map(diagram: Diagram) -> dict[int, int]:
         for e in cyc[k:] + cyc[:k]:
             mapping[e] = len(mapping) + 1
     return mapping
-
-
-def _canonical_rows(diagram: Diagram, mapping=None) -> list[tuple[int, ...]]:
-    """The sorted crossing rows of ``canonical(diagram)``, without building it."""
-    mapping = mapping or _canonical_map(diagram)
-    return sorted(tuple(mapping[e] for e in x.slots) for x in diagram.crossings)
 
 
 def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from zcolor.algebra import ColoringMatrix, diagram_lattice, hermite_form
+from zcolor.algebra import ColoringMatrix, diagram_lattice
 from zcolor.cabling import CableError, CableSpec, parallel
 from zcolor.diagram import (
     INCONSISTENT,
@@ -145,15 +145,16 @@ def det_int(A: list) -> int:
 def transform_snf(matrix) -> tuple[list, list, list]:
     """Return unimodular U, V and diagonal S with U*M*V = S and d1 | d2 | ...
 
-    The reference Smith form: the pivot loop of
-    ``zcolor.algebra.smith_normal_form`` carrying both transforms, so the
-    kernel and integer solves can be read off V and checked independently
-    of the Hermite route.  Step t pivots on the smallest nonzero entry of
-    the remaining block (the first unit ends the search) and clears the
-    pivot's column and row by division with remainder.  While the pivot
-    fails to divide some entry of the block below it, the offending row is
-    added to the pivot row and reduction resumes with a smaller pivot.  The
-    finished diagonal entry is made non-negative.  All arithmetic is exact.
+    The independent Smith reference: a pivot loop carrying both transforms,
+    so the invariant factors, kernels and integer solves can be read off S
+    and V and checked against the Hermite route of ``zcolor.algebra``,
+    which shares none of this code.  Step t pivots on the smallest nonzero
+    entry of the remaining block (the first unit ends the search) and
+    clears the pivot's column and row by division with remainder.  While
+    the pivot fails to divide some entry of the block below it, the
+    offending row is added to the pivot row and reduction resumes with a
+    smaller pivot.  The finished diagonal entry is made non-negative.  All
+    arithmetic is exact.
     """
     S = [list(map(int, row)) for row in matrix]
     r = len(S)
@@ -274,21 +275,66 @@ def solve_integer(A: list, b: list[int], width: int) -> Optional[list[int]]:
     return [row[0] for row in mat_mul(V, [[v] for v in y])]
 
 
+def reference_hermite_form(rows: list) -> list:
+    """Row-style Hermite normal form with positive pivots; zero rows dropped.
+
+    The reference for ``zcolor.algebra.hermite_form``, by another route:
+    each column's pivot is the row of smallest nonzero entry, and the rows
+    below are reduced against it, with a smaller remainder promoted to
+    pivot, until a whole pass changes nothing.  The rows above are then
+    reduced into [0, pivot).
+    """
+    M = [list(map(int, r)) for r in rows]
+    if not M:
+        return []
+    c = len(M[0])
+    pivot_row = 0
+    for j in range(c):
+        best = None
+        for i in range(pivot_row, len(M)):
+            if M[i][j] and (best is None or abs(M[i][j]) < abs(M[best][j])):
+                best = i
+        if best is None:
+            continue
+        M[pivot_row], M[best] = M[best], M[pivot_row]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(pivot_row + 1, len(M)):
+                if M[i][j]:
+                    q = M[i][j] // M[pivot_row][j]
+                    M[i] = [a - q * b for a, b in zip(M[i], M[pivot_row])]
+                    if M[i][j]:
+                        M[pivot_row], M[i] = M[i], M[pivot_row]
+                        changed = True
+        if M[pivot_row][j] < 0:
+            M[pivot_row] = [-a for a in M[pivot_row]]
+        for i in range(pivot_row):
+            q = M[i][j] // M[pivot_row][j]
+            if q:
+                M[i] = [a - q * b for a, b in zip(M[i], M[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(M):
+            break
+    return [r for r in M if any(r)]
+
+
 def dense_snf_oracle(rows, width: int) -> tuple[list[int], list[list[int]]]:
     """Invariant factors and Hermite kernel basis of a ``width``-column
     matrix, from one ``transform_snf`` of the whole matrix.
 
     Bypasses the unit-pivot pre-pass that ``snf_diagonal`` and
     ``kernel_lattice`` run first, and the Hermite route of the kernel: the
-    kernel is read off the free columns of V.
+    kernel is read off the free columns of V and canonicalised by
+    ``reference_hermite_form``, so no step calls ``zcolor.algebra``.
     """
     M = [list(row) for row in rows]
     if not M:
-        return [], hermite_form(_identity(width))
+        return [], reference_hermite_form(_identity(width))
     _, S, V = transform_snf(M)
     n = min(len(M), width)
     free = [j for j in range(width) if j >= n or S[j][j] == 0]
-    return [S[i][i] for i in range(n)], hermite_form([[row[j] for row in V] for j in free])
+    return [S[i][i] for i in range(n)], reference_hermite_form([[row[j] for row in V] for j in free])
 
 
 def reference_scan_box(basis, bound: int) -> Optional[list[int]]:

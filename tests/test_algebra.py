@@ -1,5 +1,11 @@
 import itertools
+import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +19,7 @@ from conftest import (
     det_int,
     mat_mul,
     reduced_determinant,
+    reference_hermite_form,
     seeded_rng,
     solve_integer,
     solve_partial,
@@ -25,6 +32,7 @@ from zcolor.algebra import (
     determinant,
     diagram_lattice,
     fox_coloring_count,
+    hermite_form,
     is_z_colorable,
     kernel_lattice,
     smith_normal_form,
@@ -33,7 +41,7 @@ from zcolor.algebra import (
 )
 from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
 from zcolor.coloring import verify_coloring
-from zcolor.diagram import crossing_graph_pieces, parse_pd
+from zcolor.diagram import canonical, crossing_graph_pieces, parse_pd
 from zcolor.generate import random_knot_diagram
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
@@ -83,6 +91,25 @@ def test_snf_diag23():
 
 def test_snf_row():
     assert snf_invariants([[2, -1, -1]]) == [1]
+
+
+def test_snf_of_no_rows_and_of_zero_rows():
+    assert smith_normal_form([]) == []
+    assert smith_normal_form([[0, 0, 0]]) == [0]
+
+
+@pytest.mark.parametrize("M,passes", [
+    ([[2, 1], [0, 2]], 3),
+    ([[9, 6], [9, -4]], 4),
+    ([[6, 4], [0, 3]], 3),
+    ([[2 ** 70, 0], [0, 3 * 2 ** 70]], 1),
+    ([[0, 0], [0, 0]], 1),
+])
+def test_snf_alternates_hermite_forms_until_diagonal(M, passes, count_calls):
+    """Each pass is one Hermite form, of the input and then of transposes."""
+    hermite = count_calls(algebra, "hermite_form")
+    snf_invariants(M)
+    assert len(hermite) == passes
 
 
 def matrices(entries):
@@ -321,6 +348,13 @@ def coloring_shaped(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.one_of(coloring_shaped(), matrices(st.integers(-9, 9)),
+                 matrices(st.integers(-10 ** 6, 10 ** 6))))
+def test_hermite_form_matches_the_reference(M):
+    assert hermite_form(M) == reference_hermite_form(M)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.one_of(coloring_shaped(), matrices(st.integers(-2, 2))))
 def test_unit_pivots_match_dense_oracle(M):
     assert_matches_dense_oracle(sparse_rows(M), len(M[0]))
@@ -382,8 +416,10 @@ def test_dense_elimination_sees_only_the_residual(corpus, count_calls):
     hermite.clear()
     d = full_parallel(corpus, "hopf", 8)
     assert diagram_lattice(d).rank == 14 and 0 < residual_rows() <= 16
+    hermite.clear()
     fox_coloring_count(d, 2)
     assert len(snf) == 1 and 0 < len(snf[0][0]) <= 16, snf
+    assert hermite and all(len(m) <= 16 and len(m[0]) <= 16 for (m,) in hermite)
 
 
 @pytest.mark.parametrize("name,k", [("figure8", 12), ("hopf", 12)])
@@ -394,6 +430,34 @@ def test_large_parallel_lattice_is_colorings(corpus, name, k):
     for v in lat.basis:
         assert verify_coloring(d, lat.expand(v))
     assert determinant(d) == 0
+
+
+RAW_ODD_PARALLEL = """
+import json, random
+from zcolor.algebra import diagram_lattice
+from zcolor.cabling import CableSpec, parallel
+from zcolor.generate import random_knot_diagram
+d = parallel(random_knot_diagram(random.Random(69), n_ops=20), CableSpec(multiplicities=(5,)))
+print(json.dumps(diagram_lattice(d).basis))
+"""
+
+
+def test_raw_labelled_odd_parallel_lattice_does_not_stall():
+    """The 700-crossing 5-parallel of a random knot, with the arc labels
+    that ``parallel`` gives it.  Those labels fix the residual's column
+    order, on which the elimination once ran for minutes; a subprocess
+    bounds the run."""
+    src = str(Path(algebra.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", RAW_ODD_PARALLEL], env=env,
+                          capture_output=True, text=True, timeout=10, check=True)
+    d = parallel(random_knot_diagram(random.Random(69), n_ops=20), CableSpec(multiplicities=(5,)))
+    assert len(d.crossings) == 700
+    lat = diagram_lattice(d)
+    assert [list(v) for v in lat.basis] == json.loads(done.stdout)
+    for v in lat.basis:
+        assert verify_coloring(d, lat.expand(v))
+    assert lat.rank == diagram_lattice(canonical(d)[0]).rank >= 2
 
 
 def test_determinant_empty_rejected():
