@@ -85,7 +85,7 @@ def _move_to_json(move: Move) -> dict:
         return {"kind": "R1-", "crossing": move.cid}
     if isinstance(move, R2Insert):
         out = {"kind": "R2+", "push": move.push_edge, "across": move.across_edge,
-               "over": move.push_over, "lean_forward": move.lean_forward}
+               "over": move.push_over}
         if move.corner is not None:
             out["corner"] = list(move.corner)
         return out
@@ -119,8 +119,7 @@ def _move_from_json(obj: dict) -> Move:
         corner = obj.get("corner")
         return R2Insert(push_edge=decode_int(obj["push"]), across_edge=decode_int(obj["across"]),
                         push_over=_flag(obj["over"], "over"),
-                        corner=None if corner is None else _ints(corner, 2, "corner"),
-                        lean_forward=_flag(obj.get("lean_forward", True), "lean_forward"))
+                        corner=None if corner is None else _ints(corner, 2, "corner"))
     if kind == "R2-":
         a, b = _ints(obj["crossings"], 2, "crossings")
         return R2Remove(cid1=a, cid2=b)

@@ -64,7 +64,6 @@ class R2Insert:
     across_edge: int
     push_over: bool
     corner: Optional[tuple[int, int]] = None
-    lean_forward: bool = True
 
 
 @dataclass(frozen=True)

@@ -463,6 +463,25 @@ def test_replay_check_reports_the_reasons_of_verify_local_equivalence(tmp_path, 
         assert any(kind in r for r in doc["reasons"]), kind
 
 
+def test_a_trace_with_the_dropped_lean_forward_key_replays_the_same(tmp_path, capsys):
+    """Older traces carry ``"lean_forward": true`` on every R2+ move, a key
+    that no move read; ``replay`` ignores it."""
+    source, trace, target = _reduced_hopf(tmp_path, capsys)
+    pushes = [m for stage in trace["stages"] for m in stage["moves"] if m["kind"] == "R2+"]
+    assert pushes and not any("lean_forward" in m for m in pushes)
+    docs = []
+    for lean in (False, True):
+        if lean:
+            for m in pushes:
+                m["lean_forward"] = True
+        trace_file = tmp_path / f"trace-{lean}.json"
+        trace_file.write_text(json.dumps(trace))
+        code, doc = run(capsys, "replay", str(source), str(trace_file), "--check", str(target))
+        assert (code, doc["equivalent"]) == (0, True)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_replay_text_keeps_a_two_arc_over_strand_direction(tmp_path, capsys):
     """The signs of a Hopf link whose over component has two arcs survive
     ``replay``'s emitted text, and its ``--check`` against that text."""
