@@ -30,16 +30,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagram import Diagram, DiagramError, crossing_graph_pieces
 
 Matrix = list[list[int]]
 
 
-@dataclass(frozen=True)
-class ColoringMatrix:
+class ColoringMatrix(NamedTuple):
     """Crossing-relation matrix over the arc classes of a diagram."""
 
     rows: tuple[dict[int, int], ...]    # one per crossing, in crossing order:
@@ -51,8 +49,7 @@ class ColoringMatrix:
         return (len(self.rows), len(self.columns))
 
 
-@dataclass(frozen=True)
-class ColoringLattice:
+class ColoringLattice(NamedTuple):
     """Integer basis of the kernel of a coloring matrix.
 
     Basis vectors are indexed by arc class; ``expand`` turns a class vector

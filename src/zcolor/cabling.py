@@ -11,8 +11,7 @@ which is why the untwisted 2-parallel demands writhe 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagram import Diagram, linking_number, writhe
 from .moves import DiagramBuilder
@@ -22,25 +21,20 @@ class CableError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TwistSite:
+class TwistSite(NamedTuple):
     """A full-twist insertion point on the copies 1 and 2 of a base arc."""
 
     base_edge: int
     sign: int
 
 
-@dataclass(frozen=True)
-class CableSpec:
+class CableSpec(NamedTuple):
+    """One multiplicity per component; ``parallel`` refuses any below 1."""
+
     multiplicities: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(n < 1 for n in self.multiplicities):
-            raise CableError("multiplicities must be positive")
 
-
-@dataclass
-class Region:
+class Region(NamedTuple):
     """The grid of crossings a single base crossing expands into.
 
     ``grid[r][s]`` is the crossing id met by under-strand copy r + 1 at its
@@ -51,8 +45,7 @@ class Region:
     grid: list[list[int]]
 
 
-@dataclass
-class CableStructure:
+class CableStructure(NamedTuple):
     """Construction metadata kept alongside a cabled diagram."""
 
     multiplicities: tuple[int, ...]
@@ -75,6 +68,8 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
     carries a CableStructure for the coloring constructions.
     """
     mult = spec.multiplicities
+    if any(n < 1 for n in mult):
+        raise CableError("multiplicities must be positive")
     if len(mult) != diagram.num_components:
         raise CableError(
             f"need {diagram.num_components} multiplicities, got {len(mult)}")

@@ -8,9 +8,8 @@ is |b - a| = |b - c|; the equality is forced algebraically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, neg
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import ColoringLattice, solve_left
 from .diagram import Diagram
@@ -25,8 +24,7 @@ class ColoringError(ValueError):
     """Raised when a coloring is not usable (not total, not valid, ...)."""
 
 
-@dataclass(frozen=True)
-class DiffSpectrum:
+class DiffSpectrum(NamedTuple):
     diffs: dict[int, int]       # crossing id -> diff
     histogram: dict[int, int]   # diff -> count
     d_m: int                    # maximum diff, 0 for (per-piece) trivial colorings

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class PDSyntaxError(ValueError):
@@ -40,8 +39,7 @@ class DiagramError(ValueError):
 UNDER_IN, OVER_A, UNDER_OUT, OVER_B = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing: slot quadruple (ccw from incoming under-arc) and sign."""
 
     cid: int

@@ -20,8 +20,7 @@ the moves, so a check of a trace replays it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagram import (
     OVER_A,
@@ -41,22 +40,19 @@ class MoveError(ValueError):
 # -- move records ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class R1Insert:
+class R1Insert(NamedTuple):
     kind = "R1+"
     edge: int
     sign: int
     over_first: bool = False
 
 
-@dataclass(frozen=True)
-class R1Remove:
+class R1Remove(NamedTuple):
     kind = "R1-"
     cid: int
 
 
-@dataclass(frozen=True)
-class R2Insert:
+class R2Insert(NamedTuple):
     """Push ``push_edge`` across ``across_edge`` inside a shared face."""
 
     kind = "R2+"
@@ -66,15 +62,13 @@ class R2Insert:
     corner: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
-class R2Remove:
+class R2Remove(NamedTuple):
     kind = "R2-"
     cid1: int
     cid2: int
 
 
-@dataclass(frozen=True)
-class R3:
+class R3(NamedTuple):
     kind = "R3"
     cids: tuple[int, int, int]
 
@@ -82,14 +76,12 @@ class R3:
 Move = R1Insert | R1Remove | R2Insert | R2Remove | R3
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     moves: tuple[tuple[Move, int], ...]          # (move, disk id)
     disks: dict[int, frozenset[int]]             # disk id -> source crossing ids
 
 
-@dataclass(frozen=True)
-class MoveTrace:
+class MoveTrace(NamedTuple):
     """A sequence of stages, each a disk-localized batch of moves."""
 
     stages: tuple[Stage, ...]
@@ -625,8 +617,7 @@ def _same_rows(builder: DiagramBuilder, target: Diagram) -> bool:
                     for x in target.crossings))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     ok: bool
     reasons: tuple[str, ...] = ()
 

@@ -30,8 +30,7 @@ raise, never degrade.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cabling import CableSpec, CableStructure, Region, TwistSite, insert_full_twists, parallel
 from .coloring import Coloring, ColoringError, diff_spectrum, palette, verify_coloring
@@ -60,8 +59,7 @@ class NoApplicableMoveError(ValueError):
 # -- boundary patterns -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryPattern:
+class BoundaryPattern(NamedTuple):
     """Colors of one parallel family outside the crossing regions."""
 
     colors: tuple[int, ...]

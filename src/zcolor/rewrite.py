@@ -35,8 +35,7 @@ refuses the whole run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .coloring import Coloring
 from .diagram import Diagram, crossing_graph_pieces
@@ -52,8 +51,7 @@ class NoDiffPathError(RewriteError):
     """A connected non-simple coloring without a usable path: noteworthy."""
 
 
-@dataclass(frozen=True)
-class DiffPath:
+class DiffPath(NamedTuple):
     """A route from a maximal-diff crossing to a smaller-diff crossing."""
 
     start: int                 # crossing id with diff d_m

@@ -62,6 +62,14 @@ def test_multiplicity_length_checked():
         parallel(TREFOIL, CableSpec(multiplicities=(2, 2)))
 
 
+@pytest.mark.parametrize("base", [HOPF, TREFOIL])
+def test_nonpositive_multiplicity_refused_before_the_count(base):
+    """``parallel`` refuses a multiplicity below 1 first, whether or not the
+    count matches the base's components."""
+    with pytest.raises(CableError, match="^multiplicities must be positive$"):
+        parallel(base, CableSpec((0, 1)))
+
+
 def test_grid_signs_inherit_base(corpus):
     for d in corpus.values():
         if not d.crossings or d.num_components > 2:

@@ -13,6 +13,13 @@ from zcolor.cli import main
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "zcolor" / "corpus"
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src/`` first on PYTHONPATH."""
+    src = str(CORPUS.parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -85,6 +92,27 @@ def test_cable_spec(capsys):
     assert doc["crossings"] == 12
 
 
+@pytest.mark.parametrize("spec", ["0,1", "-1,2", "0"])
+def test_cable_refuses_a_nonpositive_multiplicity(capsys, spec):
+    """Positivity is checked before the count: ``0`` is one multiplicity for
+    hopf's two components.  ``--spec=`` keeps ``-1,2`` from reading as an
+    option."""
+    code, doc = run(capsys, "cable", f"--spec={spec}", str(CORPUS / "hopf.pd"))
+    assert code == 1
+    assert doc["error"] == {"type": "CableError", "message": "multiplicities must be positive"}
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    """A command's start-up imports neither ``dataclasses`` nor ``inspect``
+    (with ``ast``, ``dis`` and ``tokenize`` behind it)."""
+    script = ("import sys, zcolor.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_color_parallel_reduce(capsys):
     code, doc = run(capsys, "color-parallel", "--spec", "4,4", "--reduce",
                     str(CORPUS / "hopf.pd"))
@@ -135,6 +163,7 @@ def test_replay_round_trip(tmp_path, capsys, count_calls):
     trace_file.write_text(json.dumps(trace))
     applied = count_calls(moves, "apply_move")
     builds = count_calls(Diagram, "__init__")
+    compared = count_calls(diagram, "same_diagram")
     code, doc = run(capsys, "replay", str(source), str(trace_file), "--check", str(target))
     assert code == 0
     assert doc["equivalent"] is True
@@ -142,6 +171,23 @@ def test_replay_round_trip(tmp_path, capsys, count_calls):
     # the two parsed files and the one replayed result
     assert len(builds) == 3
     assert merges == []
+    # the replay holds the target's rows, so no canonical relabelling runs
+    assert compared == []
+
+
+def test_replay_check_relabelled_target_is_equivalent(tmp_path, capsys, count_calls):
+    """A target written with canonical labels misses the rows-and-signs
+    match and is still found equivalent, by ``same_diagram``."""
+    source, trace, target = _reduced_hopf(tmp_path, capsys)
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace))
+    relabelled = tmp_path / "relabelled.pd"
+    relabelled.write_text(diagram.serialize_pd(diagram.parse_pd(target.read_text())))
+    assert relabelled.read_text() != target.read_text()
+    compared = count_calls(diagram, "same_diagram")
+    code, doc = run(capsys, "replay", str(source), str(trace_file), "--check", str(relabelled))
+    assert (code, doc["equivalent"], doc["reasons"]) == (0, True, [])
+    assert len(compared) == 1
 
 
 def test_corpus_runner(capsys):
@@ -205,12 +251,9 @@ def test_minimize_runs_without_numpy(tmp_path):
     script = ("import sys; sys.modules['numpy'] = None\n"
               "from zcolor.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
-    src = str(CORPUS.parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", script, "minimize", "--bound", "3", hopf_parallel_pd(tmp_path, 4)],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert json.loads(done.stdout)["palette_size"] == 4
 

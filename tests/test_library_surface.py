@@ -4,7 +4,7 @@ Every public top-level function and class of a ``zcolor`` module must be
 used by something other than the tests: another module of the package, a
 later place in its own module, or the benchmark harness (``perfbench/``,
 its tests excepted).  A re-export from ``zcolor/__init__.py`` is not a use.
-The same holds one level down: every public method, property and dataclass
+The same holds one level down: every public method, property and record
 field of a public class must be read as an attribute somewhere in the
 package outside its own definition, or in the harness.  Test oracles
 belong in ``tests/conftest.py``, not in the package.
