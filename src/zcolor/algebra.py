@@ -327,10 +327,10 @@ def is_z_colorable(diagram: Diagram) -> tuple[bool, Optional[dict[int, int]]]:
     constants already uses two colors.  Connected diagrams are colorable
     exactly when the kernel lattice has rank at least 2.
     """
-    return _colorability(diagram, diagram_lattice(diagram))
+    return colorability(diagram, diagram_lattice(diagram))
 
 
-def _colorability(diagram: Diagram, lat: ColoringLattice) -> tuple[bool, Optional[dict[int, int]]]:
+def colorability(diagram: Diagram, lat: ColoringLattice) -> tuple[bool, Optional[dict[int, int]]]:
     """``is_z_colorable`` of ``diagram`` given its kernel lattice ``lat``.
 
     The witness is None when every arc would get the same color, as on a

@@ -120,22 +120,20 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
         # ones. Over copy l meets the under copies in index order when the
         # base crossing is positive, reversed otherwise.
         met_over = list(range(p, 0, -1)) if x.sign > 0 else list(range(1, p + 1))
-        grid = [[0] * p for _ in range(q)]
+        grid = []
         for k in range(1, q + 1):
-            for s in range(p):
-                l = met_over[s]
-                t = k - 1 if x.sign > 0 else q - k  # over copy's step count so far
-                u_in = under_seg[k][s]
-                u_out = under_seg[k][s + 1]
-                o_in = over_seg[l][t]
-                o_out = over_seg[l][t + 1]
-                if x.sign > 0:
-                    row = (u_in, o_out, u_out, o_in)
-                else:
-                    row = (u_in, o_in, u_out, o_out)
-                grid[k - 1][s] = len(rows)
-                rows.append(row)
-                signs.append(x.sign)
+            t = k - 1 if x.sign > 0 else q - k  # each over copy's step count so far
+            o_in = [over_seg[l][t] for l in met_over]
+            o_out = [over_seg[l][t + 1] for l in met_over]
+            u = under_seg[k]
+            # row s of the under copy: (u_in, slot 1, u_out, slot 3)
+            if x.sign > 0:
+                rows_k = zip(u[:-1], o_out, u[1:], o_in)
+            else:
+                rows_k = zip(u[:-1], o_in, u[1:], o_out)
+            grid.append(list(range(len(rows), len(rows) + p)))
+            rows.extend(rows_k)
+        signs += [x.sign] * (p * q)
         regions[x.cid] = Region(base_sign=x.sign, grid=grid)
 
     free = sum(mult[n_cycles:])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -21,7 +22,16 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises bad arguments as a UsageError, so they print one JSON error."""
+    """Raises bad arguments as a UsageError, so they print one JSON error.
+
+    An argument that looks like a negative number, or like a comma list of
+    integers that starts with one (``--spec -1,2``), is a value, not an
+    option; argparse itself reads only the negative number that way.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d[\d,]*$|^-\d*\.\d+$")
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -103,7 +113,7 @@ def cmd_invariants(args) -> int:
 def cmd_colorability(args) -> int:
     d = _load_diagram(args.pd)
     lat = algebra.diagram_lattice(d)
-    colorable, witness = algebra._colorability(d, lat)
+    colorable, witness = algebra.colorability(d, lat)
     doc = {"z_colorable": colorable,
            "kernel_rank": lat.rank,
            "lattice": jsonio.lattice_to_json(lat)}
@@ -223,10 +233,7 @@ def cmd_replay(args) -> int:
     result = builder.diagram()
     doc = {"pd": diagram.serialize_pd(result)}
     if args.check:
-        # the rows-and-signs match skips canonical relabelling; only a
-        # relabelled target falls through to same_diagram
-        target = _load_diagram(args.check)
-        if not moves._same_rows(builder, target) and not diagram.same_diagram(result, target):
+        if not moves.holds_diagram(builder, _load_diagram(args.check)):
             reasons.append(moves.TARGET_MISMATCH)
         doc["equivalent"] = not reasons
         doc["reasons"] = reasons

@@ -9,6 +9,15 @@ signs, and checks only that they orient each arc one way.  PD text does
 not carry the signs, so ``parse_pd`` is the one place that solves them,
 from the rows and the ``% component:`` headers (``_solve_signs``).
 
+Reading a diagram is one linear pass.  ``parse_pd`` checks every term with
+one regular-expression match, converts the labels with one ``map(int, ...)``
+and builds the arc-occurrence index once (``_far_occurrences``: slot
+``4*k + s`` -> the slot of the same arc's other occurrence).  The sign
+walk reads that index, ``Diagram`` takes it as its "every arc exactly
+twice" check and keeps it, and ``validate``'s Euler count walks the faces
+through it.  Every other writer of rows hands over int tuples, and
+``Diagram`` builds the index from them once.
+
 Arc labels are the PD edge labels 1..2n.  The arcs of Fox/integer coloring
 theory (maximal overpasses) are the equivalence classes of edge labels
 under merging the two over-slots of every crossing; see ``arc_classes``.
@@ -19,7 +28,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -82,11 +92,16 @@ class Diagram:
         free_loops: int = 0,
         cable=None,
         cids: Optional[Sequence[int]] = None,
+        *,
+        _far: Optional[list[int]] = None,
     ):
         if free_loops < 0:
             raise DiagramError("free loop count must be non-negative")
-        rows = [tuple(map(int, r)) for r in rows]
+        rows = list(rows)
         labels = list(chain.from_iterable(rows))
+        if not ({tuple}.issuperset(map(type, rows)) and {int}.issuperset(map(type, labels))):
+            rows = [tuple(map(int, r)) for r in rows]
+            labels = list(chain.from_iterable(rows))
         if min(labels, default=1) <= 0 or not set(map(len, rows)) <= {4}:
             bad = next(r for r in rows if len(r) != 4 or any(x <= 0 for x in r))
             raise DiagramError(f"crossing {bad} is not a quadruple of positive labels")
@@ -97,13 +112,17 @@ class Diagram:
 
         self.free_loops = free_loops
         self.cable = cable
-        counts = Counter(labels)
-        if not set(counts.values()) <= {2}:
-            e, k = next((e, k) for e, k in counts.items() if k != 2)
+        # ``parse_pd`` hands over the index it built from these rows
+        far = _far_occurrences(labels) if _far is None else _far
+        if far is None:
+            e, k = next((e, k) for e, k in Counter(labels).items() if k != 2)
             raise DiagramError(f"arc {e} appears {k} times; every arc must appear exactly twice")
+        self._far = far
 
-        self._succ = _successors(rows, signs, len(counts))
-        self.crossings: tuple[Crossing, ...] = tuple(map(Crossing, cids, rows, signs))
+        self._succ = _successors(rows, signs, len(far) // 2)
+        # tuple.__new__ straight from C, not Crossing's Python-level __new__
+        self.crossings: tuple[Crossing, ...] = tuple(
+            map(tuple.__new__, repeat(Crossing), zip(cids, rows, signs)))
         self._by_cid = dict(zip(cids, self.crossings))
         self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
 
@@ -141,11 +160,14 @@ class Diagram:
         """Corner ``4*k + i`` (after slot i of row k) -> the next corner of
         its face.
 
-        The corner leaves along the arc at slot i+1 and arrives at the
-        arc's far occurrence (row k', slot s'), which is corner ``4*k' + s'``.
+        The corner leaves along the arc at slot i+1 (slot 0 after slot 3)
+        and arrives at the arc's far occurrence (row k', slot s'), which is
+        corner ``4*k' + s'``.
         """
-        far = _far_occurrences([x.slots for x in self.crossings])
-        return [far[c + 1 if c & 3 != 3 else c - 3] for c in range(len(far))]
+        far = self._far
+        nxt = far[1:] + far[:1]
+        nxt[3::4] = far[0::4]
+        return nxt
 
     # -- invariants --------------------------------------------------------
 
@@ -153,11 +175,10 @@ class Diagram:
         return f"Diagram({len(self.crossings)} crossings, {self.num_components} components)"
 
 
-def _far_occurrences(rows) -> Optional[list[int]]:
+def _far_occurrences(labels: list[int]) -> Optional[list[int]]:
     """Slot ``4*k + s`` (slot s of row k) -> the slot of the same arc's
-    other occurrence, in one pass over the rows; None unless every arc
-    occurs exactly twice."""
-    labels = list(chain.from_iterable(rows))
+    other occurrence, in one pass over the rows' labels, row after row;
+    None unless every arc occurs exactly twice."""
     if 2 * len(set(labels)) != len(labels):
         return None
     far = [0] * len(labels)
@@ -271,8 +292,21 @@ def crossing_graph_pieces(diagram: Diagram) -> list[set[int]]:
     Free loops each count as their own piece (returned as empty sets after
     the labelled pieces).
     """
-    n = len(diagram.components)
-    parent = list(range(n))
+    groups: dict[int, set[int]] = {}
+    for cyc, root in zip(diagram.components, _piece_roots(diagram)):
+        groups.setdefault(root, set()).update(cyc)
+    pieces = [groups[r] for r in sorted(groups)]
+    pieces += [set() for _ in range(diagram.free_loops)]
+    return pieces
+
+
+def _piece_roots(diagram: Diagram) -> list[int]:
+    """Component k -> the smallest component of its connected piece.
+
+    A crossing glues its under strand's component to its over strand's,
+    which slot 1 lies on whatever the sign.
+    """
+    parent = list(range(len(diagram.components)))
 
     def find(x):
         while parent[x] != x:
@@ -280,30 +314,26 @@ def crossing_graph_pieces(diagram: Diagram) -> list[set[int]]:
             x = parent[x]
         return x
 
-    comp = {}
-    for k, cyc in enumerate(diagram.components):
-        for e in cyc:
-            comp[e] = k
+    comp = {e: k for k, cyc in enumerate(diagram.components) for e in cyc}
     for x in diagram.crossings:
-        a, b = find(comp[x.under_in]), find(comp[x.over_in])
+        a, b = find(comp[x.slots[UNDER_IN]]), find(comp[x.slots[OVER_A]])
         if a != b:
             parent[max(a, b)] = min(a, b)
-    groups: dict[int, set[int]] = {}
-    for k in range(n):
-        groups.setdefault(find(k), set()).add(k)
-    pieces = [set().union(*(set(diagram.components[k]) for k in g)) for g in
-              (groups[r] for r in sorted(groups))]
-    pieces += [set() for _ in range(diagram.free_loops)]
-    return pieces
+    return list(map(find, range(len(parent))))
 
 
 # -- validation ------------------------------------------------------------
 
 
 def validate(diagram: Diagram) -> list[str]:
-    """Re-check every structural invariant; diagnostics are data, not errors."""
+    """Re-check every structural invariant; diagnostics are data, not errors.
+
+    Each check reads the crossings' rows and signs and the component
+    cycles afresh; only the Euler count's face walk reads the occurrence
+    index that the diagram was built with.
+    """
     diags: list[str] = []
-    occ = Counter(chain.from_iterable(x.slots for x in diagram.crossings))
+    occ = Counter(chain.from_iterable([x.slots for x in diagram.crossings]))
     for e, k in occ.items():
         if k != 2:
             diags.append(f"arc {e} appears {k} times (expected 2)")
@@ -324,12 +354,12 @@ def validate(diagram: Diagram) -> list[str]:
             diags.append(f"crossing {x.cid}: stored sign disagrees with traversal")
     # planar Euler count, per connected piece of the crossing graph
     if diagram.crossings:
-        pieces = [p for p in crossing_graph_pieces(diagram) if p]
+        pieces = len(set(_piece_roots(diagram)))
         v = len(diagram.crossings)
         e = len(diagram.edges)
         f = _orbit_count(diagram._next_corners())
-        if v - e + f != 2 * len(pieces):
-            diags.append(f"face count {f} violates Euler formula (V={v}, E={e}, pieces={len(pieces)})")
+        if v - e + f != 2 * pieces:
+            diags.append(f"face count {f} violates Euler formula (V={v}, E={e}, pieces={pieces})")
     return diags
 
 
@@ -352,8 +382,12 @@ def _orbit_count(nxt: list[int]) -> int:
 # Integers have one spelling: ASCII digits, no sign, no leading zero.
 _LABEL = "[1-9][0-9]*"
 _TERM = re.compile(rf"X\[({_LABEL}),({_LABEL}),({_LABEL}),({_LABEL})\]")
+# whitespace-separated terms and nothing else, as ``str.split`` cuts tokens
+_TERMS = re.compile(rf"\s*(?:X\[{_LABEL},{_LABEL},{_LABEL},{_LABEL}\](?:\s+|\Z))*")
 _ARC = re.compile(_LABEL)
 _COUNT = re.compile(f"0|{_LABEL}")
+_COMPONENT_LINE = re.compile(rf"\s*%\s*component:\s*(?:{_LABEL}(?:\s+{_LABEL})*)?\s*")
+_LOOPS_LINE = re.compile(rf"\s*%\s*loops:\s*(0|{_LABEL})\s*")
 
 
 def _header_integers(line: str, pattern, header: str, ln: int) -> list[int]:
@@ -381,9 +415,63 @@ def parse_pd(text: str) -> Diagram:
     the arc that ends at the earlier of its two rows.  Arc labels are
     written ``[1-9][0-9]*`` and the loop count ``0|[1-9][0-9]*``, in ASCII
     digits; any other spelling is a PDSyntaxError at its token.  The signs
-    are solved here (``_solve_signs``) and nowhere else.
+    are solved here (``_solve_signs``) and nowhere else, from the one
+    arc-occurrence index that the built ``Diagram`` keeps.
     """
-    rows: list[tuple[int, int, int, int]] = []
+    labels, headers, loops = _read_pd(text)
+    it = iter(labels)
+    rows = list(zip(it, it, it, it))
+    far = _far_occurrences(labels)
+    n = 2 * len(rows)
+    # positive labels, each occurring twice and none above 2n, are 1..2n
+    if rows and (far is None or max(labels) != n) and set(labels) != set(range(1, n + 1)):
+        raise DiagramError(f"arc labels must be exactly 1..{n}; got {sorted(set(labels))}")
+    d = Diagram(rows, _solve_signs(rows, headers, far), free_loops=loops, _far=far)
+    for cyc in headers:
+        nxt = cyc[1:] + cyc[:1]
+        wrong = list(map(ne, map(d._succ.get, cyc), nxt))
+        if any(wrong):
+            k = wrong.index(True)
+            raise DiagramError(f"orientation header contradicts the diagram: "
+                               f"arc {cyc[k]} is not followed by arc {nxt[k]}")
+    return d
+
+
+def _read_pd(text: str) -> tuple[list[int], list[list[int]], int]:
+    """The labels of PD text's terms, row after row, its component headers
+    and its loop count.
+
+    Comments are cut and header lines matched whole; then one match checks
+    that the other lines hold whitespace-separated terms and nothing else,
+    and one ``map(int, ...)`` reads their labels.  Otherwise ``_scan_pd``
+    reads the text token by token and names the first bad one.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    headers: list[list[int]] = []
+    loops = 0
+    body = []
+    for line in lines:
+        if "%" not in line:
+            body.append(line)
+        elif _COMPONENT_LINE.fullmatch(line):
+            headers.append(list(map(int, line[line.index(":") + 1:].split())))
+        elif m := _LOOPS_LINE.fullmatch(line):
+            loops = int(m[1])
+        else:
+            return _scan_pd(text)
+    terms = "\n".join(body)
+    if not _TERMS.fullmatch(terms):
+        return _scan_pd(text)
+    labels = terms.replace("X[", " ").replace(",", " ").replace("]", " ").split()
+    return list(map(int, labels)), headers, loops
+
+
+def _scan_pd(text: str) -> tuple[list[int], list[list[int]], int]:
+    """``_read_pd`` line by line and token by token: a PDSyntaxError names
+    the line and column of the first token or header that is not PD."""
+    labels: list[int] = []
     headers: list[list[int]] = []
     loops = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -409,23 +497,12 @@ def parse_pd(text: str) -> Diagram:
             m = _TERM.fullmatch(tok)
             if not m:
                 raise PDSyntaxError(f"expected X[a,b,c,d], got {tok!r}", ln, col + 1)
-            rows.append(tuple(map(int, m.groups())))
+            labels += map(int, m.groups())
             col += len(tok)
-    if rows:
-        labels = set(chain.from_iterable(rows))
-        if labels != set(range(1, 2 * len(rows) + 1)):
-            raise DiagramError(
-                f"arc labels must be exactly 1..{2 * len(rows)}; got {sorted(labels)}")
-    d = Diagram(rows, _solve_signs(rows, headers), free_loops=loops)
-    for cyc in headers:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if d._succ.get(a) != b:
-                raise DiagramError(f"orientation header contradicts the diagram: "
-                                   f"arc {a} is not followed by arc {b}")
-    return d
+    return labels, headers, loops
 
 
-def _solve_signs(rows, headers) -> list[int]:
+def _solve_signs(rows, headers, far: Optional[list[int]]) -> list[int]:
     """The crossing signs that PD rows and their component headers imply.
 
     A strand that passes under something is walked in from each under
@@ -435,30 +512,30 @@ def _solve_signs(rows, headers) -> list[int]:
     entered by the arc its header says ends there (for a two-arc header,
     the first arc) or, with no such header, by the smaller label.  A walk
     stops where the rows contradict it, and ``Diagram`` refuses the signs.
+    The walk steps through ``far``, the rows' arc-occurrence index.
     """
-    far = _far_occurrences(rows)
     signs = [0] * len(rows)
     if far is None:
         return signs  # Diagram refuses the arc counts
     walked = [False] * len(rows)
 
-    def walk(c, s):
-        while s != UNDER_OUT:
+    def walk(p):
+        """Walk on from slot ``p``, where the strand enters a row."""
+        while True:
+            c, s = p >> 2, p & 3
             if s == UNDER_IN:
                 if walked[c]:
                     return
                 walked[c] = True
-                s = UNDER_OUT
+            elif s == UNDER_OUT or signs[c]:
+                return
             else:
-                if signs[c]:
-                    return
                 signs[c] = 1 if s == OVER_B else -1
-                s = 4 - s
-            c, s = divmod(far[4 * c + s], 4)
+            p = far[p ^ 2]  # leave by the opposite slot: 0 -> 2, 1 <-> 3
 
     for c in range(len(rows)):
         if not walked[c]:
-            walk(c, UNDER_IN)
+            walk(4 * c + UNDER_IN)
     follows = {}
     for cyc in headers:
         follows.update(zip(cyc, cyc[1:] if len(cyc) == 2 else cyc[1:] + cyc[:1]))
@@ -466,7 +543,7 @@ def _solve_signs(rows, headers) -> list[int]:
         if not signs[c]:
             x, y = r[OVER_A], r[OVER_B]
             fwd, bwd = follows.get(x) == y, follows.get(y) == x
-            walk(c, OVER_A if (fwd and not bwd) or (fwd == bwd and x < y) else OVER_B)
+            walk(4 * c + (OVER_A if (fwd and not bwd) or (fwd == bwd and x < y) else OVER_B))
     return signs
 
 
@@ -478,12 +555,12 @@ def serialize_pd(diagram: Diagram) -> str:
     previous component's, starting at its smallest arc.  Headers are
     written as ``_header_cycles`` orders them.
     """
-    mapping = _canonical_map(diagram)
+    new = _canonical_map(diagram).__getitem__
     lines = [f"% loops: {diagram.free_loops}"] if diagram.free_loops else []
-    for cyc in _header_cycles(diagram, lambda x: [mapping[e] for e in x.slots]):
-        lines.append("% component: " + " ".join(str(mapping[e]) for e in cyc))
-    rows = sorted(tuple(mapping[e] for e in x.slots) for x in diagram.crossings)
-    lines += ["X[%d,%d,%d,%d]" % row for row in rows]
+    for cyc in _header_cycles(diagram, lambda x: list(map(new, x.slots))):
+        lines.append("% component: " + " ".join(map(str, map(new, cyc))))
+    labels = map(new, chain.from_iterable([x.slots for x in diagram.crossings]))
+    lines += map("X[%d,%d,%d,%d]".__mod__, sorted(zip(labels, labels, labels, labels)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -537,12 +614,11 @@ def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
 
 def _canonical_map(diagram: Diagram) -> dict[int, int]:
     """Arc labels 1..2n along each component traversal (see ``canonical``)."""
-    mapping: dict[int, int] = {}
+    order: list[int] = []
     for cyc in sorted(diagram.components, key=min):
         k = cyc.index(min(cyc))
-        for e in cyc[k:] + cyc[:k]:
-            mapping[e] = len(mapping) + 1
-    return mapping
+        order += cyc[k:] + cyc[:k]
+    return dict(zip(order, range(1, len(order) + 1)))
 
 
 def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:

@@ -607,14 +607,20 @@ def replay_trace(diagram: Diagram, trace: MoveTrace) -> Diagram:
     return builder.diagram()
 
 
-def _same_rows(builder: DiagramBuilder, target: Diagram) -> bool:
-    """Does the builder hold the target's rows and signs under its crossing
-    ids, and its free loops?  Then ``same_diagram`` holds without building
-    either diagram's canonical rows."""
+def holds_diagram(builder: DiagramBuilder, target: Diagram) -> bool:
+    """Does the builder hold ``target``, as ``same_diagram`` compares them?
+
+    When the builder holds the target's rows and signs under its crossing
+    ids, and its free loops, that holds without building either diagram's
+    canonical rows; only otherwise (a relabelled target, say) is the
+    builder's ``Diagram`` built and compared by ``same_diagram``.
+    """
     rows, signs = builder.rows, builder.signs
-    return (builder.free_loops == target.free_loops and len(rows) == len(target.crossings)
+    if (builder.free_loops == target.free_loops and len(rows) == len(target.crossings)
             and all(rows.get(x.cid) == x.slots and signs[x.cid] == x.sign
-                    for x in target.crossings))
+                    for x in target.crossings)):
+        return True
+    return same_diagram(builder.diagram(), target)
 
 
 class EquivalenceReport(NamedTuple):
@@ -629,9 +635,7 @@ def verify_local_equivalence(source: Diagram, target: Diagram, trace: MoveTrace)
     must be in the move's declared disk or created earlier by the same
     disk.  Disks are checked for pairwise disjointness within each stage;
     stages are independent localizations applied in sequence.  The end
-    diagram equals the target when the replay holds the target's rows and
-    signs crossing by crossing; only otherwise (a relabelled target, say)
-    is the replayed ``Diagram`` built and compared by ``same_diagram``.
+    diagram must equal the target (``holds_diagram``).
     """
     reasons: list[str] = []
     builder = DiagramBuilder(source)
@@ -639,6 +643,6 @@ def verify_local_equivalence(source: Diagram, target: Diagram, trace: MoveTrace)
         apply_trace(builder, trace, reasons)
     except MoveError as err:
         return EquivalenceReport(False, tuple(reasons + [f"replay failed: {err}"]))
-    if not _same_rows(builder, target) and not same_diagram(builder.diagram(), target):
+    if not holds_diagram(builder, target):
         reasons.append(TARGET_MISMATCH)
     return EquivalenceReport(ok=not reasons, reasons=tuple(reasons))

@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,6 +19,7 @@ from zcolor.diagram import (
     UNDER_OUT,
     Diagram,
     DiagramError,
+    PDSyntaxError,
     canonical,
     linking_number,
     parse_pd,
@@ -642,6 +644,58 @@ def reference_orient(rows, hints) -> list[int]:
         propagate(set_role((i, head_slot), True))
 
     return [1 if heads[(i, OVER_B)] else -1 for i in range(len(rows))]
+
+
+_PD_LABEL = "[1-9][0-9]*"
+_PD_TERM = re.compile(rf"X\[({_PD_LABEL}),({_PD_LABEL}),({_PD_LABEL}),({_PD_LABEL})\]")
+
+
+def _pd_header_integers(line: str, spelling: str, header: str, ln: int) -> list[int]:
+    col = line.index(":") + 1
+    out = []
+    for tok in line[col:].split():
+        col = line.index(tok, col)
+        if not re.fullmatch(spelling, tok):
+            raise PDSyntaxError(f"bad {header} header: got {tok!r}", ln, col + 1)
+        out.append(int(tok))
+        col += len(tok)
+    return out
+
+
+def reference_read_pd(text: str) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+    """The rows, component headers and loop count of PD text, read line by
+    line and token by token, as ``parse_pd`` read it before it read every
+    term in one scan; a PDSyntaxError names the first token that is not PD."""
+    rows: list[tuple[int, ...]] = []
+    headers: list[list[int]] = []
+    loops = 0
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("%"):
+            body = stripped[1:].strip()
+            if body.startswith("component:"):
+                headers.append(_pd_header_integers(line, _PD_LABEL, "component", ln))
+            elif body.startswith("loops:"):
+                count = _pd_header_integers(line, f"0|{_PD_LABEL}", "loops", ln)
+                if len(count) != 1:
+                    raise PDSyntaxError("bad loops header", ln, line.index("%") + 1)
+                loops = count[0]
+            else:
+                raise PDSyntaxError(f"unknown header {body.split(':')[0]!r}", ln,
+                                    line.index("%") + 1)
+            continue
+        col = 0
+        for tok in line.split():
+            col = line.index(tok, col)
+            m = _PD_TERM.fullmatch(tok)
+            if not m:
+                raise PDSyntaxError(f"expected X[a,b,c,d], got {tok!r}", ln, col + 1)
+            rows.append(tuple(map(int, m.groups())))
+            col += len(tok)
+    return rows, headers, loops
 
 
 def pd_signs(rows) -> list[int]:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import isomorphic, seeded_rng, successors
 from zcolor.diagram import (
@@ -496,3 +498,89 @@ def test_two_arc_header_of_an_over_strand_starts_at_the_earlier_row():
     flipped = parse_pd("% component: 4 3\n" + rows)
     assert [x.sign for x in flipped.crossings] == [1, -1]
     assert [x.over_in for x in flipped.crossings] == [4, 3]
+
+
+# -- the one-scan reader against the token scanner ----------------------------
+
+# Separators as ``str.splitlines`` and ``str.split`` read them: line breaks
+# (\v, \f, \x1c-\x1e, \x85 and \u2028 among them), spaces that break no
+# line (\t, \x1f, \xa0), comments, and nothing at all (glued terms).
+SEPARATORS = ["\n", "\r\n", " ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\x85", "\xa0", "\u2028", " # X[1,2 %\n", "#\n", ""]
+# What an edit inserts: digits PD does not spell (a leading zero, non-ASCII
+# digits, signs), the grammar's punctuation and more separators.
+EDITS = ["0", "\u0661", "\uff13", "+", "-", "X", "[", "]", ",", ":", "%", "#", " ", "\xa0"]
+
+
+@pytest.fixture(scope="module")
+def reader_bases(corpus) -> list[tuple[list[str], list[str]]]:
+    """(header lines, term lines) of small PD texts; ZCOLOR_SEED draws the
+    random knot and its parallel."""
+    from zcolor.cabling import CableSpec, parallel
+    from zcolor.generate import random_knot_diagram
+
+    knot = random_knot_diagram(seeded_rng(), 4)
+    texts = [serialize_pd(d) for d in corpus.values()]
+    texts += ["% loops: 2\n" + TREFOIL, serialize_pd(knot),
+              serialize_pd(parallel(knot, CableSpec((2,))))]
+    out = []
+    for text in texts:
+        lines = text.splitlines()
+        out.append(([x for x in lines if x.startswith("%")],
+                    [x for x in lines if not x.startswith("%")]))
+    return out
+
+
+def _read_like_the_scanner(text: str) -> str:
+    """``parse_pd`` refuses ``text`` exactly as the token scanner does, or
+    reads the scanner's rows, headers and loop count."""
+    from conftest import reference_read_pd
+    from zcolor.diagram import _read_pd
+
+    try:
+        rows, headers, loops = reference_read_pd(text)
+    except PDSyntaxError as err:
+        with pytest.raises(PDSyntaxError) as got:
+            parse_pd(text)
+        assert (got.value.line, got.value.column, str(got.value)) == \
+            (err.line, err.column, str(err))
+        return "refused"
+    assert _read_pd(text) == ([e for r in rows for e in r], headers, loops)
+    try:
+        d = parse_pd(text)
+    except DiagramError:
+        return "not a diagram"
+    assert ([x.slots for x in d.crossings], d.free_loops) == (rows, loops)
+    return "parsed"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_scan_reader_matches_the_token_scanner(reader_bases, data):
+    headers, terms = data.draw(st.sampled_from(reader_bases))
+    chunks = list(terms)
+    for line in headers:  # headers may land between term lines
+        chunks.insert(data.draw(st.integers(0, len(chunks))), line)
+    seps = data.draw(st.lists(st.sampled_from(SEPARATORS),
+                              min_size=len(chunks), max_size=len(chunks)))
+    text = "".join(sep + chunk for sep, chunk in zip(seps, chunks))
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(EDITS)) + text[at:]
+    event(_read_like_the_scanner(text))
+
+
+def test_validate_of_a_parsed_diagram_builds_one_occurrence_index(corpus, count_calls):
+    """``parse_pd`` builds the arc-occurrence index once: the sign walk,
+    ``Diagram`` and ``validate``'s face walk all read that one.  A valid
+    diagram is built with no ``Counter``."""
+    from zcolor import diagram
+    from zcolor.cabling import CableSpec, parallel
+
+    counters = count_calls(diagram, "Counter")
+    text = serialize_pd(parallel(corpus["hopf"], CableSpec((50, 50))))
+    indexes = count_calls(diagram, "_far_occurrences")
+    d = parse_pd(text)
+    assert counters == []
+    assert validate(d) == []
+    assert (len(d.crossings), len(indexes)) == (5000, 1)

@@ -23,7 +23,7 @@ PACKAGE = ROOT / "src" / "zcolor"
 # private cores instead; one reason per name.
 ALLOWED = {
     "is_z_colorable": "the paper's colorability decision; the CLI reuses "
-                      "the lattice it builds through the private _colorability",
+                      "the lattice it builds through colorability",
     "find_diff_path": "the paper's path lemma; to_simple_coloring runs the "
                       "private _diff_paths on its move builder",
     "eliminate_max_diff": "the paper's elimination lemma; to_simple_coloring "
@@ -139,3 +139,27 @@ def test_every_public_member_is_read_outside_the_tests():
 def test_member_allow_list_names_only_unread_members():
     assert set(ALLOWED_MEMBERS) <= set(unread_members()), \
         "an ALLOWED_MEMBERS entry is gone or now has a reader; drop it from the list"
+
+
+def private_names_in_cli() -> list[str]:
+    """``module.name`` for each ``_``-prefixed name that ``cli.py`` reads
+    off, or imports from, another ``zcolor`` module."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    modules: set[str] = set()   # local names of the package's modules
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    out.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            out.append(f"{node.value.id}.{node.attr}")
+    return out
+
+
+def test_cli_uses_only_public_library_names():
+    assert private_names_in_cli() == [], "give the name a public spelling in its module"
