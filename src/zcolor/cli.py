@@ -233,7 +233,7 @@ def cmd_replay(args) -> int:
     result = builder.diagram()
     doc = {"pd": diagram.serialize_pd(result)}
     if args.check:
-        if not moves.holds_diagram(builder, _load_diagram(args.check)):
+        if not diagram.same_diagram(result, _load_diagram(args.check)):
             reasons.append(moves.TARGET_MISMATCH)
         doc["equivalent"] = not reasons
         doc["reasons"] = reasons

@@ -9,14 +9,18 @@ signs, and checks only that they orient each arc one way.  PD text does
 not carry the signs, so ``parse_pd`` is the one place that solves them,
 from the rows and the ``% component:`` headers (``_solve_signs``).
 
-Reading a diagram is one linear pass.  ``parse_pd`` checks every term with
-one regular-expression match, converts the labels with one ``map(int, ...)``
-and builds the arc-occurrence index once (``_far_occurrences``: slot
-``4*k + s`` -> the slot of the same arc's other occurrence).  The sign
-walk reads that index, ``Diagram`` takes it as its "every arc exactly
-twice" check and keeps it, and ``validate``'s Euler count walks the faces
-through it.  Every other writer of rows hands over int tuples, and
-``Diagram`` builds the index from them once.
+Reading a diagram is one linear pass: ``parse_pd`` checks every term with
+one regular-expression match and converts the labels with one ``map(int,
+...)``.  The planar map is encoded here and nowhere else: slot s of
+crossing c is the position ``4*c + s``, and so is the corner
+counterclockwise after it.  ``occurrences`` maps each arc to the positions
+of its two occurrences; ``parse_pd`` builds it once for the sign walk and
+for ``Diagram``, which keeps it.  ``next_corner`` is the one face step, and
+``validate``'s Euler count lays it out for every corner at once.  The move
+builder (``zcolor.moves``) starts from a copy of a diagram's index and
+hands its own to the ``Diagram`` it builds.  Both carry ``rows`` and
+``signs`` keyed by crossing id and ``free_loops``, all that
+``same_diagram`` reads, so it compares either.
 
 Arc labels are the PD edge labels 1..2n.  The arcs of Fox/integer coloring
 theory (maximal overpasses) are the equivalence classes of edge labels
@@ -93,7 +97,7 @@ class Diagram:
         cable=None,
         cids: Optional[Sequence[int]] = None,
         *,
-        _far: Optional[list[int]] = None,
+        _occ: Optional[dict[int, list[int]]] = None,
     ):
         if free_loops < 0:
             raise DiagramError("free loop count must be non-negative")
@@ -112,19 +116,29 @@ class Diagram:
 
         self.free_loops = free_loops
         self.cable = cable
-        # ``parse_pd`` hands over the index it built from these rows
-        far = _far_occurrences(labels) if _far is None else _far
-        if far is None:
+        # ``parse_pd`` and the move builder hand over the index of these rows
+        occ = occurrences(cids, labels) if _occ is None else _occ
+        if occ is None or not {2}.issuperset(map(len, occ.values())):
             e, k = next((e, k) for e, k in Counter(labels).items() if k != 2)
             raise DiagramError(f"arc {e} appears {k} times; every arc must appear exactly twice")
-        self._far = far
+        self._occ = occ
 
-        self._succ = _successors(rows, signs, len(far) // 2)
+        self._succ = _successors(rows, signs)
         # tuple.__new__ straight from C, not Crossing's Python-level __new__
         self.crossings: tuple[Crossing, ...] = tuple(
             map(tuple.__new__, repeat(Crossing), zip(cids, rows, signs)))
         self._by_cid = dict(zip(cids, self.crossings))
         self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
+
+    @cached_property
+    def rows(self) -> dict[int, tuple[int, int, int, int]]:
+        """Crossing id -> slot quadruple."""
+        return {x.cid: x.slots for x in self.crossings}
+
+    @cached_property
+    def signs(self) -> dict[int, int]:
+        """Crossing id -> crossing sign."""
+        return {x.cid: x.sign for x in self.crossings}
 
     @cached_property
     def _arc_class(self) -> dict[int, int]:
@@ -154,54 +168,58 @@ class Diagram:
     def arc_class_reps(self) -> tuple[int, ...]:
         return tuple(sorted(set(self._arc_class.values())))
 
-    # -- faces ------------------------------------------------------------
-
-    def _next_corners(self) -> list[int]:
-        """Corner ``4*k + i`` (after slot i of row k) -> the next corner of
-        its face.
-
-        The corner leaves along the arc at slot i+1 (slot 0 after slot 3)
-        and arrives at the arc's far occurrence (row k', slot s'), which is
-        corner ``4*k' + s'``.
-        """
-        far = self._far
-        nxt = far[1:] + far[:1]
-        nxt[3::4] = far[0::4]
-        return nxt
-
-    # -- invariants --------------------------------------------------------
-
     def __repr__(self):
         return f"Diagram({len(self.crossings)} crossings, {self.num_components} components)"
 
 
-def _far_occurrences(labels: list[int]) -> Optional[list[int]]:
-    """Slot ``4*k + s`` (slot s of row k) -> the slot of the same arc's
-    other occurrence, in one pass over the rows' labels, row after row;
-    None unless every arc occurs exactly twice."""
-    if 2 * len(set(labels)) != len(labels):
-        return None
-    far = [0] * len(labels)
-    first: dict[int, int] = {}
-    for p, e in enumerate(labels):
-        q = first.pop(e, None)
-        if q is None:
-            first[e] = p
-        else:
-            far[p] = q
-            far[q] = p
-    return None if first else far
+# -- the planar map ----------------------------------------------------------
+
+
+def occurrences(cids: Sequence[int], labels: Sequence[int]) -> Optional[dict[int, list[int]]]:
+    """Arc -> the positions ``4*cid + slot`` of its occurrences, for rows
+    with ids ``cids`` whose labels run row after row in ``labels``; None
+    unless every arc occurs exactly twice."""
+    if cids == range(len(cids)):  # positions 0, 1, 2, ... row after row
+        positions = range(len(labels))
+    else:
+        positions = chain.from_iterable(range(4 * c, 4 * c + 4) for c in cids)
+    occ: dict[int, list[int]] = {}
+    for p, e in zip(positions, labels):
+        occ.setdefault(e, []).append(p)
+    return occ if {2}.issuperset(map(len, occ.values())) else None
+
+
+def next_corner(rows, occ: dict[int, list[int]], c: int) -> int:
+    """The corner a face walk reaches from corner ``c`` of ``rows`` (crossing
+    id -> slots) and their ``occurrences``: it leaves along the arc at the
+    next slot (slot 0 after slot 3) and arrives at that arc's other
+    occurrence, whose position is the next corner."""
+    p = c - 3 if c & 3 == 3 else c + 1
+    a, b = occ[rows[p >> 2][p & 3]]
+    return b if a == p else a
+
+
+def _corner_successors(occ: dict[int, list[int]]) -> list[int]:
+    """``next_corner`` at every corner at once, as one list indexed by
+    corner; entries at positions of no crossing are 0."""
+    far = [0] * (max(chain.from_iterable(occ.values()), default=-1) + 1)
+    for a, b in occ.values():
+        far[a] = b
+        far[b] = a
+    nxt = far[1:] + far[:1]
+    nxt[3::4] = far[0::4]
+    return nxt
 
 
 INCONSISTENT = "orientation inconsistency: no consistent strand orientation exists"
 
 
-def _successors(rows, signs, n_arcs: int) -> dict[int, int]:
+def _successors(rows: list, signs) -> dict[int, int]:
     """Arc -> the arc after it along its strand, read off the signs.
 
     Each row's incoming arcs are its under slot 0 and, by its sign, over
-    slot 3 (+1) or 1 (-1).  Raises unless every one of the ``n_arcs`` arcs
-    is incoming exactly once, so has exactly one head and one tail; a sign
+    slot 3 (+1) or 1 (-1).  Raises unless every arc, two per row, is
+    incoming exactly once, so has exactly one head and one tail; a sign
     other than +1 or -1 gives its row no incoming over-arc.
     """
     succ = {}
@@ -211,7 +229,7 @@ def _successors(rows, signs, n_arcs: int) -> dict[int, int]:
             succ[r[OVER_B]] = r[OVER_A]
         elif sign == -1:
             succ[r[OVER_A]] = r[OVER_B]
-    if len(succ) != n_arcs:
+    if len(succ) != 2 * len(rows):
         raise DiagramError(INCONSISTENT)
     return succ
 
@@ -328,9 +346,11 @@ def _piece_roots(diagram: Diagram) -> list[int]:
 def validate(diagram: Diagram) -> list[str]:
     """Re-check every structural invariant; diagnostics are data, not errors.
 
-    Each check reads the crossings' rows and signs and the component
-    cycles afresh; only the Euler count's face walk reads the occurrence
-    index that the diagram was built with.
+    Each check reads the crossings' rows and the component cycles afresh;
+    only the Euler count's face walk reads the occurrence index that the
+    diagram was built with.  The signs are not re-checked: they are the
+    orientation, ``Diagram`` refuses signs that do not orient every arc one
+    way, and a diagram holds no other data to check them against.
     """
     diags: list[str] = []
     occ = Counter(chain.from_iterable([x.slots for x in diagram.crossings]))
@@ -348,26 +368,22 @@ def validate(diagram: Diagram) -> list[str]:
             seen.add(e)
     if seen != set(occ):
         diags.append("component traversal does not cover every arc")
-    for x in diagram.crossings:
-        recomputed = 1 if x.over_in == x.slots[OVER_B] else -1
-        if recomputed != x.sign:
-            diags.append(f"crossing {x.cid}: stored sign disagrees with traversal")
     # planar Euler count, per connected piece of the crossing graph
     if diagram.crossings:
         pieces = len(set(_piece_roots(diagram)))
         v = len(diagram.crossings)
         e = len(diagram.edges)
-        f = _orbit_count(diagram._next_corners())
+        f = _orbit_count(_corner_successors(diagram._occ), chain.from_iterable(diagram._occ.values()))
         if v - e + f != 2 * pieces:
             diags.append(f"face count {f} violates Euler formula (V={v}, E={e}, pieces={pieces})")
     return diags
 
 
-def _orbit_count(nxt: list[int]) -> int:
-    """The number of cycles of the permutation ``nxt``."""
+def _orbit_count(nxt: list[int], corners) -> int:
+    """The number of cycles of the permutation ``nxt`` through ``corners``."""
     seen = bytearray(len(nxt))
     count = 0
-    for start in range(len(nxt)):
+    for start in corners:
         if not seen[start]:
             count += 1
             c = start
@@ -416,17 +432,17 @@ def parse_pd(text: str) -> Diagram:
     written ``[1-9][0-9]*`` and the loop count ``0|[1-9][0-9]*``, in ASCII
     digits; any other spelling is a PDSyntaxError at its token.  The signs
     are solved here (``_solve_signs``) and nowhere else, from the one
-    arc-occurrence index that the built ``Diagram`` keeps.
+    arc-occurrence index (``occurrences``) that the built ``Diagram`` keeps.
     """
     labels, headers, loops = _read_pd(text)
     it = iter(labels)
     rows = list(zip(it, it, it, it))
-    far = _far_occurrences(labels)
+    occ = occurrences(range(len(rows)), labels)
     n = 2 * len(rows)
     # positive labels, each occurring twice and none above 2n, are 1..2n
-    if rows and (far is None or max(labels) != n) and set(labels) != set(range(1, n + 1)):
+    if rows and (occ is None or max(labels) != n) and set(labels) != set(range(1, n + 1)):
         raise DiagramError(f"arc labels must be exactly 1..{n}; got {sorted(set(labels))}")
-    d = Diagram(rows, _solve_signs(rows, headers, far), free_loops=loops, _far=far)
+    d = Diagram(rows, _solve_signs(labels, headers, occ), free_loops=loops, _occ=occ)
     for cyc in headers:
         nxt = cyc[1:] + cyc[:1]
         wrong = list(map(ne, map(d._succ.get, cyc), nxt))
@@ -502,8 +518,9 @@ def _scan_pd(text: str) -> tuple[list[int], list[list[int]], int]:
     return labels, headers, loops
 
 
-def _solve_signs(rows, headers, far: Optional[list[int]]) -> list[int]:
-    """The crossing signs that PD rows and their component headers imply.
+def _solve_signs(labels: list[int], headers, occ: Optional[dict[int, list[int]]]) -> list[int]:
+    """The crossing signs that PD rows (``labels``, row after row) and their
+    component headers imply.
 
     A strand that passes under something is walked in from each under
     passage: an arc arrives at slot 0 and the next leaves from slot 2, and
@@ -512,12 +529,13 @@ def _solve_signs(rows, headers, far: Optional[list[int]]) -> list[int]:
     entered by the arc its header says ends there (for a two-arc header,
     the first arc) or, with no such header, by the smaller label.  A walk
     stops where the rows contradict it, and ``Diagram`` refuses the signs.
-    The walk steps through ``far``, the rows' arc-occurrence index.
+    The walk steps through ``occ``, the rows' ``occurrences`` index.
     """
-    signs = [0] * len(rows)
-    if far is None:
+    n = len(labels) // 4
+    signs = [0] * n
+    if occ is None:
         return signs  # Diagram refuses the arc counts
-    walked = [False] * len(rows)
+    walked = [False] * n
 
     def walk(p):
         """Walk on from slot ``p``, where the strand enters a row."""
@@ -531,17 +549,19 @@ def _solve_signs(rows, headers, far: Optional[list[int]]) -> list[int]:
                 return
             else:
                 signs[c] = 1 if s == OVER_B else -1
-            p = far[p ^ 2]  # leave by the opposite slot: 0 -> 2, 1 <-> 3
+            p ^= 2  # leave by the opposite slot: 0 -> 2, 1 <-> 3
+            a, b = occ[labels[p]]
+            p = b if a == p else a
 
-    for c in range(len(rows)):
+    for c in range(n):
         if not walked[c]:
             walk(4 * c + UNDER_IN)
     follows = {}
     for cyc in headers:
         follows.update(zip(cyc, cyc[1:] if len(cyc) == 2 else cyc[1:] + cyc[:1]))
-    for c, r in enumerate(rows):
+    for c in range(n):
         if not signs[c]:
-            x, y = r[OVER_A], r[OVER_B]
+            x, y = labels[4 * c + OVER_A], labels[4 * c + OVER_B]
             fwd, bwd = follows.get(x) == y, follows.get(y) == x
             walk(4 * c + (OVER_A if (fwd and not bwd) or (fwd == bwd and x < y) else OVER_B))
     return signs
@@ -555,7 +575,7 @@ def serialize_pd(diagram: Diagram) -> str:
     previous component's, starting at its smallest arc.  Headers are
     written as ``_header_cycles`` orders them.
     """
-    new = _canonical_map(diagram).__getitem__
+    new = _canonical_map(diagram.components).__getitem__
     lines = [f"% loops: {diagram.free_loops}"] if diagram.free_loops else []
     for cyc in _header_cycles(diagram, lambda x: list(map(new, x.slots))):
         lines.append("% component: " + " ".join(map(str, map(new, cyc))))
@@ -612,10 +632,10 @@ def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
                    cable=cable, cids=[x.cid for x in diagram.crossings])
 
 
-def _canonical_map(diagram: Diagram) -> dict[int, int]:
-    """Arc labels 1..2n along each component traversal (see ``canonical``)."""
+def _canonical_map(components) -> dict[int, int]:
+    """Arc labels 1..2n along each of the component cycles (see ``canonical``)."""
     order: list[int] = []
-    for cyc in sorted(diagram.components, key=min):
+    for cyc in sorted(components, key=min):
         k = cyc.index(min(cyc))
         order += cyc[k:] + cyc[:k]
     return dict(zip(order, range(1, len(order) + 1)))
@@ -628,20 +648,31 @@ def canonical(diagram: Diagram) -> tuple[Diagram, dict[int, int]]:
     started at that label, so the output is deterministic for a given
     diagram and succession becomes n -> n+1 within components.
     """
-    mapping = _canonical_map(diagram)
+    mapping = _canonical_map(diagram.components)
     if not mapping:
         return diagram, {}
     return relabel(diagram, mapping), mapping
 
 
-def same_diagram(d1: Diagram, d2: Diagram) -> bool:
+def same_diagram(a, b) -> bool:
     """Equality after canonical relabelling, signs included (not full PD isomorphism).
 
-    Rows alone do not fix the direction of a strand that passes under
-    nothing; the signs of the crossings it passes over do.
+    ``a`` and ``b`` are each a ``Diagram`` or a move builder: only their
+    ``rows``, ``signs`` and ``free_loops`` are read.  The same rows and
+    signs under the same crossing ids decide at once; otherwise the
+    canonically relabelled signed rows are compared.  Rows alone do not fix
+    the direction of a strand that passes under nothing; the signs of the
+    crossings it passes over do.
     """
-    def signed_rows(d: Diagram) -> list:
-        mapping = _canonical_map(d)
-        return sorted((tuple(mapping[e] for e in x.slots), x.sign) for x in d.crossings)
+    if a.free_loops != b.free_loops:
+        return False
+    return (a.rows == b.rows and a.signs == b.signs) or _canonical_rows(a) == _canonical_rows(b)
 
-    return d1.free_loops == d2.free_loops and signed_rows(d1) == signed_rows(d2)
+
+def _canonical_rows(d) -> list[tuple[tuple[int, ...], int]]:
+    """The signed rows of ``d``'s rows and signs, relabelled as ``canonical``
+    relabels them, sorted."""
+    rows = list(d.rows.values())
+    signs = [d.signs[c] for c in d.rows]
+    new = _canonical_map(strand_cycles(_successors(rows, signs))).__getitem__
+    return sorted((tuple(map(new, r)), s) for r, s in zip(rows, signs))

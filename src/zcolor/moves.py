@@ -5,9 +5,10 @@ its location by current arc/crossing ids; replaying a trace re-executes the
 edits with deterministic id allocation, so a trace can be checked by
 replaying it and comparing the result with the claimed target.
 
-``DiagramBuilder`` carries each crossing's sign: a move sets the signs of
-the crossings it creates and leaves every other sign alone, so no move
-rebuilds a ``Diagram``, and ``diagram()`` hands the signs to ``Diagram``.
+``DiagramBuilder`` carries a ``Diagram``'s rows, signs and free loops and
+a copy of its occurrence index.  A move sets the signs of the crossings it
+creates and leaves every other sign alone, so no move rebuilds a
+``Diagram``, and ``same_diagram`` compares a builder as it stands.
 
 Locality is tracked through disks: a disk is declared as a set of crossing
 ids of the stage's source diagram, moves are tagged with a disk, and every
@@ -29,6 +30,7 @@ from .diagram import (
     UNDER_OUT,
     Crossing,
     Diagram,
+    next_corner,
     same_diagram,
 )
 
@@ -95,32 +97,28 @@ class DiagramBuilder:
 
     ``rows`` maps crossing ids to slot quadruples and ``signs`` to crossing
     signs; both are read-only outside this class.  The mutators below are
-    their only writers and keep an arc -> occurrences index current, so
-    face and bigon queries walk only the faces they need.
+    their only writers and keep the arc-occurrence index current, so face
+    and bigon queries walk only the faces they need.
 
-    Only this class knows how it names slots and corners: slot s of
-    crossing c is the position ``4*c + s``, and the corner after slot i is
-    ``4*c + i``.  A face is the tuple of its corners in walk order, from the
+    Slots, corners and the index are encoded as in ``zcolor.diagram``: slot
+    s of crossing c is the position ``4*c + s``, and so is the corner after
+    it.  A face is the tuple of its corners in walk order, from the
     smallest; integers order like ``(cid, slot)`` pairs, so faces order as
     their pair spellings would.  Callers convert with ``corner`` and
     ``corner_slot`` and read crossings off arcs with ``incident``.
     """
 
     def __init__(self, diagram: Diagram):
-        self.rows: dict[int, tuple[int, int, int, int]] = {
-            x.cid: x.slots for x in diagram.crossings
-        }
-        self.signs: dict[int, int] = {x.cid: x.sign for x in diagram.crossings}
-        self._occ: dict[int, list[int]] = {}
-        for cid, row in self.rows.items():
-            self._index(cid, row)
+        self.rows: dict[int, tuple[int, int, int, int]] = dict(diagram.rows)
+        self.signs: dict[int, int] = dict(diagram.signs)
+        self._occ: dict[int, list[int]] = {e: places.copy() for e, places in diagram._occ.items()}
         self.free_loops = diagram.free_loops
         self.next_cid = max(self.rows, default=-1) + 1
         self.next_edge = max(self._occ, default=0) + 1
 
     def diagram(self, cable=None) -> Diagram:
         """A new ``Diagram`` of the current rows with the builder's signs,
-        which ``Diagram`` checks are consistent."""
+        which ``Diagram`` checks are consistent, and a copy of its index."""
         cids = sorted(self.rows)
         return Diagram(
             [self.rows[c] for c in cids],
@@ -128,14 +126,10 @@ class DiagramBuilder:
             cable=cable,
             cids=cids,
             signs=[self.signs[c] for c in cids],
+            _occ={e: places.copy() for e, places in self._occ.items()},
         )
 
     # -- mutators -------------------------------------------------------------
-
-    def _index(self, cid: int, row) -> None:
-        occ = self._occ
-        for p, e in enumerate(row, 4 * cid):
-            occ.setdefault(e, []).append(p)
 
     def _unindex(self, edge: int, p: int) -> None:
         places = self._occ[edge]
@@ -180,7 +174,8 @@ class DiagramBuilder:
         self.next_cid += 1
         self.rows[cid] = row
         self.signs[cid] = sign
-        self._index(cid, row)
+        for p, e in enumerate(row, 4 * cid):
+            self._occ.setdefault(e, []).append(p)
         return cid
 
     def remove_crossing(self, cid: int):
@@ -231,27 +226,14 @@ class DiagramBuilder:
         raise MoveError(f"arc {edge} has no head")
 
     def face(self, corner: int) -> tuple[int, ...]:
-        """The face through ``corner``, from its smallest corner.
-
-        Each step leaves along the arc at the next slot and arrives at that
-        arc's far occurrence, whose position is the next corner.
-        """
+        """The face through ``corner``, from its smallest corner."""
         rows, occ = self.rows, self._occ
-        walk = []
-        c = corner
-        while True:  # ``_next_corner``, inline
+        walk = [corner]
+        c = next_corner(rows, occ, corner)
+        while c != corner:
             walk.append(c)
-            p = c - 3 if c & 3 == 3 else c + 1
-            a, b = occ[rows[p >> 2][p & 3]]
-            c = b if a == p else a
-            if c == corner:
-                return _from_smallest(walk)
-
-    def _next_corner(self, c: int) -> int:
-        """The corner a face walk reaches from corner ``c`` in one step."""
-        p = c - 3 if c & 3 == 3 else c + 1
-        a, b = self._occ[self.rows[p >> 2][p & 3]]
-        return b if a == p else a
+            c = next_corner(rows, occ, c)
+        return _from_smallest(walk)
 
     def faces_through(self, arc: int) -> list[tuple[int, ...]]:
         """The at most two faces whose boundary runs along ``arc``.
@@ -288,14 +270,15 @@ class DiagramBuilder:
         steps from each of that crossing's four corners are walked.
         """
         want = set(cids)
+        rows, occ = self.rows, self._occ
         found = []
         for start in range(4 * cids[0], 4 * cids[0] + 4):
-            second = self._next_corner(start)
+            second = next_corner(rows, occ, start)
             if second >> 2 not in want:
                 continue
-            third = self._next_corner(second)
+            third = next_corner(rows, occ, second)
             walk = [start, second, third]
-            if self._next_corner(third) == start and {c >> 2 for c in walk} == want:
+            if next_corner(rows, occ, third) == start and {c >> 2 for c in walk} == want:
                 found.append(_from_smallest(walk))
         return min(found, default=None)
 
@@ -607,22 +590,6 @@ def replay_trace(diagram: Diagram, trace: MoveTrace) -> Diagram:
     return builder.diagram()
 
 
-def holds_diagram(builder: DiagramBuilder, target: Diagram) -> bool:
-    """Does the builder hold ``target``, as ``same_diagram`` compares them?
-
-    When the builder holds the target's rows and signs under its crossing
-    ids, and its free loops, that holds without building either diagram's
-    canonical rows; only otherwise (a relabelled target, say) is the
-    builder's ``Diagram`` built and compared by ``same_diagram``.
-    """
-    rows, signs = builder.rows, builder.signs
-    if (builder.free_loops == target.free_loops and len(rows) == len(target.crossings)
-            and all(rows.get(x.cid) == x.slots and signs[x.cid] == x.sign
-                    for x in target.crossings)):
-        return True
-    return same_diagram(builder.diagram(), target)
-
-
 class EquivalenceReport(NamedTuple):
     ok: bool
     reasons: tuple[str, ...] = ()
@@ -635,7 +602,8 @@ def verify_local_equivalence(source: Diagram, target: Diagram, trace: MoveTrace)
     must be in the move's declared disk or created earlier by the same
     disk.  Disks are checked for pairwise disjointness within each stage;
     stages are independent localizations applied in sequence.  The end
-    diagram must equal the target (``holds_diagram``).
+    diagram must equal the target (``same_diagram``, on the builder, so
+    no ``Diagram`` is built).
     """
     reasons: list[str] = []
     builder = DiagramBuilder(source)
@@ -643,6 +611,6 @@ def verify_local_equivalence(source: Diagram, target: Diagram, trace: MoveTrace)
         apply_trace(builder, trace, reasons)
     except MoveError as err:
         return EquivalenceReport(False, tuple(reasons + [f"replay failed: {err}"]))
-    if not holds_diagram(builder, target):
+    if not same_diagram(builder, target):
         reasons.append(TARGET_MISMATCH)
     return EquivalenceReport(ok=not reasons, reasons=tuple(reasons))

@@ -165,7 +165,7 @@ def test_replay_round_trip(tmp_path, capsys, count_calls):
     trace_file.write_text(json.dumps(trace))
     applied = count_calls(moves, "apply_move")
     builds = count_calls(Diagram, "__init__")
-    compared = count_calls(moves, "same_diagram")
+    relabellings = count_calls(diagram, "_canonical_rows")
     code, doc = run(capsys, "replay", str(source), str(trace_file), "--check", str(target))
     assert code == 0
     assert doc["equivalent"] is True
@@ -174,22 +174,29 @@ def test_replay_round_trip(tmp_path, capsys, count_calls):
     assert len(builds) == 3
     assert merges == []
     # the replay holds the target's rows, so no canonical relabelling runs
-    assert compared == []
+    assert relabellings == []
 
 
 def test_replay_check_relabelled_target_is_equivalent(tmp_path, capsys, count_calls):
     """A target written with canonical labels misses the rows-and-signs
-    match and is still found equivalent, by ``same_diagram``."""
+    match and is still found equivalent, by comparing both sides' canonical
+    rows; the replayed ``Diagram`` is built once, for the output and the
+    check alike."""
+    from zcolor.diagram import Diagram
+
     source, trace, target = _reduced_hopf(tmp_path, capsys)
     trace_file = tmp_path / "trace.json"
     trace_file.write_text(json.dumps(trace))
     relabelled = tmp_path / "relabelled.pd"
     relabelled.write_text(diagram.serialize_pd(diagram.parse_pd(target.read_text())))
     assert relabelled.read_text() != target.read_text()
-    compared = count_calls(moves, "same_diagram")
+    builds = count_calls(Diagram, "__init__")
+    relabellings = count_calls(diagram, "_canonical_rows")
     code, doc = run(capsys, "replay", str(source), str(trace_file), "--check", str(relabelled))
     assert (code, doc["equivalent"], doc["reasons"]) == (0, True, [])
-    assert len(compared) == 1
+    # the two parsed files and the one replayed result
+    assert len(builds) == 3
+    assert len(relabellings) == 2
 
 
 def test_corpus_runner(capsys):

@@ -1,3 +1,6 @@
+import json
+from itertools import chain
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from zcolor.diagram import (
     Diagram,
     DiagramError,
     PDSyntaxError,
+    _corner_successors,
     _orbit_count,
     canonical,
     crossing_graph_pieces,
@@ -262,7 +266,7 @@ def test_faces_euler(corpus):
             continue
         v = len(d.crossings)
         e = len(d.edges)
-        f = _orbit_count(d._next_corners())
+        f = _orbit_count(_corner_successors(d._occ), chain.from_iterable(d._occ.values()))
         pieces = 2 if name == "split_unlink" else 1
         assert v - e + f == 2 * pieces, name
 
@@ -572,15 +576,26 @@ def test_one_scan_reader_matches_the_token_scanner(reader_bases, data):
 
 def test_validate_of_a_parsed_diagram_builds_one_occurrence_index(corpus, count_calls):
     """``parse_pd`` builds the arc-occurrence index once: the sign walk,
-    ``Diagram`` and ``validate``'s face walk all read that one.  A valid
-    diagram is built with no ``Counter``."""
+    ``Diagram`` and ``validate``'s face walk all read that one, and so does
+    a replay, whose builder starts from a copy of it and hands its own to
+    the result.  A valid diagram is built with no ``Counter``."""
+    from test_golden import GOLDEN
     from zcolor import diagram
     from zcolor.cabling import CableSpec, parallel
+    from zcolor.jsonio import trace_from_json
+    from zcolor.moves import replay_trace
 
     counters = count_calls(diagram, "Counter")
     text = serialize_pd(parallel(corpus["hopf"], CableSpec((50, 50))))
-    indexes = count_calls(diagram, "_far_occurrences")
+    indexes = count_calls(diagram, "occurrences")
     d = parse_pd(text)
     assert counters == []
     assert validate(d) == []
     assert (len(d.crossings), len(indexes)) == (5000, 1)
+
+    recorded = json.loads(GOLDEN.joinpath("reduce.json").read_text())["hopf-4,4 color-parallel"]
+    doc = json.loads(recorded.split("\n", 1)[1])
+    trace = trace_from_json(doc["traces"][0])
+    indexes.clear()
+    assert validate(replay_trace(parse_pd(doc["pd"]), trace)) == []
+    assert len(indexes) == 1

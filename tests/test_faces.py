@@ -25,8 +25,10 @@ from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
 from zcolor.diagram import (
     Diagram,
     DiagramError,
+    _corner_successors,
     canonical,
     crossing_graph_pieces,
+    next_corner,
     parse_pd,
     serialize_pd,
     serialize_pd_raw,
@@ -68,14 +70,29 @@ def corner_pairs(builder: DiagramBuilder, face) -> tuple:
     return face if face is None else tuple(map(builder.corner_slot, face))
 
 
-def occurrence_lists(builder: DiagramBuilder) -> dict:
-    """The builder's occurrence index, each arc's list sorted."""
-    return {e: sorted(places) for e, places in builder._occ.items()}
+def occurrence_lists(d: DiagramBuilder | Diagram) -> dict:
+    """The occurrence index of a builder or a diagram, each arc's list sorted."""
+    return {e: sorted(places) for e, places in d._occ.items()}
+
+
+def reference_positions(rows: dict) -> dict:
+    """The reference occurrence index of ``rows``, as sorted positions ``4*cid + slot``."""
+    return {e: sorted(4 * c + s for c, s in places)
+            for e, places in occurrence_index(rows.items()).items()}
+
+
+def assert_corner_successors_step_faces(d: Diagram, name=None) -> None:
+    """``validate``'s successor list holds ``next_corner`` at every corner."""
+    nxt = _corner_successors(d._occ)
+    rows = d.rows
+    corners = [4 * c + s for c in rows for s in range(4)]
+    assert [nxt[c] for c in corners] == [next_corner(rows, d._occ, c) for c in corners], name
 
 
 def check_builder(builder: DiagramBuilder) -> None:
-    """Faces, arcs and incident crossings against the reference walk, and an
-    occurrence index equal to the one a builder of the same rows makes."""
+    """Faces, arcs and incident crossings against the reference walk, and
+    the occurrence index of the builder and of the diagram it builds
+    against the reference index."""
     rows = dict(builder.rows)
     ref = reference_faces(rows)
     arcs = {f: reference_face_arcs(rows, f) for f in ref}
@@ -87,8 +104,9 @@ def check_builder(builder: DiagramBuilder) -> None:
         for f in faces:
             assert builder.face_arcs(f) == arcs[corner_pairs(builder, f)]
     built = builder.diagram()
-    assert occurrence_lists(builder) == occurrence_lists(DiagramBuilder(built))
+    assert occurrence_lists(builder) == occurrence_lists(built) == reference_positions(rows)
     assert_face_count_is_reference(built)
+    assert_corner_successors_step_faces(built)
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,7 +114,13 @@ def check_builder(builder: DiagramBuilder) -> None:
 def test_random_diagram_faces_match_reference(seed, n_ops):
     d = random_knot_diagram(random.Random(seed), n_ops)
     assert_face_count_is_reference(d)
+    assert_corner_successors_step_faces(d)
     check_builder(DiagramBuilder(d))
+
+
+def test_corner_successors_step_faces_on_the_corpus(corpus):
+    for name, d in corpus.items():
+        assert_corner_successors_step_faces(d, name)
 
 
 def test_orbit_count_on_every_two_crossing_table():
@@ -129,6 +153,7 @@ def test_orbit_count_on_random_knots_and_parallels():
     checked.append(insert_full_twists(cabled, [TwistSite(base_edge, 1)]))
     for d in checked:
         assert_face_count_is_reference(d, d)
+        assert_corner_successors_step_faces(d, d)
         assert validate(d) == []
 
 
