@@ -80,15 +80,17 @@ def coloring_matrix(diagram: Diagram) -> ColoringMatrix:
     Coefficients fuse when classes coincide and zero coefficients are
     dropped: a crossing whose under-arcs belong to one class gives the
     {+2, -2} row, and a kink whose over and under arcs are the same class
-    gives the empty row.
+    gives the empty row.  The 2 goes in the column of slot 1, which lies in
+    one class with slot 3, so no sign is read.
     """
     cols = diagram.arc_class_reps()
     idx = {c: i for i, c in enumerate(cols)}
     col = {e: idx[c] for e, c in diagram._arc_class.items()}
     rows = []
     for x in diagram.crossings:
-        row = {col[x.over_in]: 2}
-        for e in (x.under_in, x.under_out):
+        ui, oa, uo, _ = x.slots
+        row = {col[oa]: 2}
+        for e in (ui, uo):
             j = col[e]
             v = row.get(j, 0) - 1
             if v:

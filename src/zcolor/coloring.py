@@ -1,9 +1,11 @@
 """Verify colorings, classify crossings by diff, search for small palettes.
 
 A coloring is a total map from arc labels to integers.  At a crossing with
-over color b and under colors a, c, validity means 2b = a + c (and the two
-over-slot arcs agree, since they are one Fox arc).  The diff of a crossing
-is |b - a| = |b - c|; the equality is forced algebraically.
+over color b (slots 1 and 3) and under colors a, c (slots 0 and 2),
+validity means 2b = a + c and that the two over slots agree, since they
+are one Fox arc.  Neither pair's order matters, so no check reads a sign.
+The diff of a crossing is |b - a| = |b - c|; the equality is forced
+algebraically.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ def verify_coloring(diagram: Diagram, gamma: Coloring) -> bool:
     """True iff every crossing relation holds exactly (over Z)."""
     _require_total(diagram, gamma)
     for x in diagram.crossings:
-        if gamma[x.over_in] != gamma[x.over_out]:
-            return False
-        if 2 * gamma[x.over_in] != gamma[x.under_in] + gamma[x.under_out]:
+        a, b, c, d = x.slots
+        if gamma[b] != gamma[d] or 2 * gamma[b] != gamma[a] + gamma[c]:
             return False
     return True
 
@@ -59,12 +60,10 @@ def diff_spectrum(diagram: Diagram, gamma: Coloring) -> DiffSpectrum:
     diffs = {}
     hist: dict[int, int] = {}
     for x in diagram.crossings:
-        b = gamma[x.over_in]
-        d1 = abs(b - gamma[x.under_in])
-        d2 = abs(b - gamma[x.under_out])
-        assert d1 == d2, "2b = a + c forces |b-a| = |b-c|"
-        diffs[x.cid] = d1
-        hist[d1] = hist.get(d1, 0) + 1
+        a, b, _, _ = x.slots
+        d = abs(gamma[b] - gamma[a])
+        diffs[x.cid] = d
+        hist[d] = hist.get(d, 0) + 1
     return DiffSpectrum(diffs=diffs, histogram=hist, d_m=max(hist) if hist else 0)
 
 

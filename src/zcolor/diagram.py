@@ -127,7 +127,6 @@ class Diagram:
         # tuple.__new__ straight from C, not Crossing's Python-level __new__
         self.crossings: tuple[Crossing, ...] = tuple(
             map(tuple.__new__, repeat(Crossing), zip(cids, rows, signs)))
-        self._by_cid = dict(zip(cids, self.crossings))
         self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
 
     @cached_property
@@ -153,9 +152,6 @@ class Diagram:
     @property
     def num_components(self) -> int:
         return len(self.components) + self.free_loops
-
-    def crossing(self, cid: int) -> Crossing:
-        return self._by_cid[cid]
 
     def arc_classes(self) -> dict[int, int]:
         """Map each edge to the representative of its Fox arc.

@@ -297,7 +297,9 @@ class DiagramBuilder:
         return over, under
 
     def insert_twist(self, f: int, g: int, sign: int) -> tuple[list[int], tuple[int, int]]:
-        """Clasp two co-face parallel arcs with a two-crossing full twist.
+        """Clasp two co-face parallel arcs with a two-crossing full twist:
+        the R2 bigon of ``f`` pushed over ``g`` (``sign`` > 0) or under it,
+        with its second crossing changed.
 
         Requires the arcs to run parallel along a shared face; raises
         MoveError otherwise.  Both new crossings get ``sign`` if ``f`` runs
@@ -315,22 +317,13 @@ class DiagramBuilder:
                     break
         else:
             raise MoveError(f"arcs {f} and {g} do not run parallel along a face")
-        f_m, f_b = self.fresh_edge(), self.fresh_edge()
-        g_m, g_b = self.fresh_edge(), self.fresh_edge()
-        self.replace_head(f, f_b)
-        self.replace_head(g, g_b)
-        if sign > 0:
-            # left strand passes over at both crossings of a positive twist
-            c1 = (g, f_m, g_m, f)
-            c2 = (f_m, g_b, f_b, g_m)
-        else:
-            c1 = (f, g, f_m, g_m)
-            c2 = (g_m, f_m, g_b, f_b)
-        if not f_fwd:
-            c1 = (c1[0], c1[3], c1[2], c1[1])
-            c2 = (c2[0], c2[3], c2[2], c2[1])
-            sign = -sign
-        return [self.add_crossing(c1, sign), self.add_crossing(c2, sign)], (f_b, g_b)
+        c1, c2, f_b, g_b = _insert_bigon(self, f, g, f_fwd, True, sign > 0)
+        # the crossing change: the incoming over arc moves to slot 0, the sign flips
+        row, s = self.rows[c2], self.signs[c2]
+        k = OVER_B if s > 0 else OVER_A
+        self.set_row(c2, row[k:] + row[:k])
+        self.signs[c2] = -s
+        return [c1, c2], (f_b, g_b)
 
 
 def _from_smallest(walk: list[int]) -> tuple[int, ...]:
@@ -388,12 +381,8 @@ def _apply_r1_remove(builder: DiagramBuilder, mv: R1Remove) -> dict:
                 break
     if loop is None:
         raise MoveError(f"crossing {mv.cid} is not a removable kink")
-    outer = [e for e in row if e != loop]
+    e_a, e_b = [e for e in row if e != loop]
     builder.remove_crossing(mv.cid)
-    if not outer:  # the loop was the whole component
-        builder.free_loops += 1
-        return {"created": [], "touched": [mv.cid]}
-    e_a, e_b = outer[0], outer[1] if len(outer) > 1 else outer[0]
     if e_a == e_b:
         # isolated kink on its own circle
         if not builder.incident(e_a):
@@ -422,27 +411,34 @@ def _locate_r2_face(builder: DiagramBuilder, mv: R2Insert):
 
 
 def _apply_r2_insert(builder: DiagramBuilder, mv: R2Insert) -> dict:
-    """Insert the bigon of ``push_edge`` poked across ``across_edge``.
-
-    The face walk keeps its interior on the walker's right, so the walk
-    direction of each edge relative to its strand direction decides whether
-    the two strands run parallel or antiparallel across the face; the slot
-    quadruples below are the four resulting layouts.
-    """
+    """Insert the bigon of ``push_edge`` poked across ``across_edge``."""
     f, g = mv.push_edge, mv.across_edge
     if f == g:
         raise MoveError("cannot push an arc across itself")
     face, arcs = _locate_r2_face(builder, mv)
     f_fwd, g_fwd = (builder._walks_forward(face, arcs, e) for e in (f, g))
-    parallel = f_fwd != g_fwd
+    c1, c2, _, _ = _insert_bigon(builder, f, g, f_fwd, f_fwd != g_fwd, mv.push_over)
+    return {"created": [c1, c2], "touched": []}
 
+
+def _insert_bigon(builder: DiagramBuilder, f: int, g: int, f_fwd: bool, parallel: bool,
+                  push_over: bool) -> tuple[int, int, int, int]:
+    """Lay the R2 bigon of ``f`` pushed over (or under) ``g``; returns its
+    two crossings, in the order ``f`` runs through them, and the arcs that
+    continue ``f`` and ``g``.
+
+    The face walk keeps its interior on the walker's right, so the walk
+    direction of each arc relative to its strand direction (``f_fwd`` for
+    ``f``) decides whether the two strands run parallel or antiparallel
+    across the face; the slot quadruples below are the four layouts.
+    """
     f_m, f_b = builder.fresh_edge(), builder.fresh_edge()
     g_m, g_b = builder.fresh_edge(), builder.fresh_edge()
     builder.replace_head(f, f_b)
     builder.replace_head(g, g_b)
     f_a, g_a = f, g
 
-    if mv.push_over:
+    if push_over:
         if parallel:
             first = (g_a, f_m, g_m, f_a)
             second = (g_m, f_m, g_b, f_b)
@@ -462,10 +458,9 @@ def _apply_r2_insert(builder: DiagramBuilder, mv: R2Insert) -> dict:
         first = (first[0], first[3], first[2], first[1])
         second = (second[0], second[3], second[2], second[1])
     # the over strand enters ``first`` at slot OVER_B exactly when it is positive
-    over_in = f_a if mv.push_over else (g_a if parallel else g_m)
+    over_in = f_a if push_over else (g_a if parallel else g_m)
     sign = 1 if first[OVER_B] == over_in else -1
-    c1, c2 = builder.add_crossing(first, sign), builder.add_crossing(second, -sign)
-    return {"created": [c1, c2], "touched": []}
+    return builder.add_crossing(first, sign), builder.add_crossing(second, -sign), f_b, g_b
 
 
 def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:

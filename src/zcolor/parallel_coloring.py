@@ -22,19 +22,20 @@ that produces color 3.  A deletion pass is one run (``_Run``, shared with
 every move goes.  Each move re-derives only the arcs it changed (an R2
 bigon's four new arcs, an R3 triangle's three side arcs) by propagating
 over the crossings that meet them, so the coloring is current after every
-move.  Once, at the end, the run builds the result, verifies its coloring
-and replays its trace, after the pass has checked its palette; failures
-raise, never degrade.
+move; the relation is symmetric in the over slots and in the under slots,
+so propagation reads no crossing sign.  Once, at the end, the run builds
+the result, verifies its coloring and replays its trace, after the pass
+has checked its palette; failures raise, never degrade.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .cabling import CableSpec, CableStructure, Region, TwistSite, insert_full_twists, parallel
 from .coloring import Coloring, ColoringError, diff_spectrum, palette, verify_coloring
-from .diagram import OVER_A, UNDER_IN, Crossing, Diagram, crossing_graph_pieces, writhe
+from .diagram import OVER_A, UNDER_IN, Diagram, crossing_graph_pieces, writhe
 from .moves import (
     DiagramBuilder,
     Move,
@@ -77,37 +78,28 @@ class BoundaryPattern(NamedTuple):
 # -- relation propagation ------------------------------------------------------
 
 
-def propagate_coloring(crossings: Sequence[Crossing], seeds: Coloring) -> Coloring:
-    """Extend seed arc colors over ``crossings`` by their relations.
+def propagate_coloring(rows: dict[int, tuple[int, int, int, int]], seeds: Coloring) -> Coloring:
+    """Extend seed colors over ``rows`` (crossing id -> slots) by their relations.
 
-    Fixpoint propagation in all directions.  Raises on contradiction or if
-    the seeds do not determine every arc of the crossings; arcs elsewhere
-    are neither read nor checked.
-    """
-    return _propagate([(x.over_in, x.over_out, x.under_in, x.under_out, x.cid)
-                       for x in crossings], seeds)
-
-
-def _propagate(quads: list[tuple[int, int, int, int, int]], seeds: Coloring) -> Coloring:
-    """``propagate_coloring`` on (over_in, over_out, under_in, under_out, cid) quads.
-
-    Each step colors an arc that has no color yet; the closing check of
-    every relation catches contradictions.
+    Fixpoint propagation in all directions: each step colors an arc that
+    has no color yet, and the closing check of every relation catches
+    contradictions.  Raises if the seeds do not determine every arc of the
+    rows; arcs elsewhere are neither read nor checked.
     """
     gamma = {e: int(v) for e, v in seeds.items()}
     changed = True
     while changed:
         changed = False
-        for oi, oo, ui, uo, cid in quads:
-            if oi in gamma:
-                if oo not in gamma:
-                    gamma[oo] = gamma[oi]
+        for cid, (ui, oa, uo, ob) in rows.items():
+            if oa in gamma:
+                if ob not in gamma:
+                    gamma[ob] = gamma[oa]
                     changed = True
-            elif oo in gamma:
-                gamma[oi] = gamma[oo]
+            elif ob in gamma:
+                gamma[oa] = gamma[ob]
                 changed = True
-            if oi in gamma:
-                o = gamma[oi]
+            if oa in gamma:
+                o = gamma[oa]
                 if ui in gamma:
                     if uo not in gamma:
                         gamma[uo] = 2 * o - gamma[ui]
@@ -119,13 +111,13 @@ def _propagate(quads: list[tuple[int, int, int, int, int]], seeds: Coloring) -> 
                 s = gamma[ui] + gamma[uo]
                 if s % 2:
                     raise ConstructionError(f"propagation conflict at crossing {cid}")
-                gamma[oi] = s // 2
+                gamma[oa] = s // 2
                 changed = True
-    missing = sorted({e for q in quads for e in q[:4] if e not in gamma})
+    missing = sorted({e for row in rows.values() for e in row if e not in gamma})
     if missing:
         raise ConstructionError(f"seeds do not determine arcs {missing[:8]}")
-    for oi, oo, ui, uo, cid in quads:
-        if gamma[oi] != gamma[oo] or 2 * gamma[oi] != gamma[ui] + gamma[uo]:
+    for cid, (ui, oa, uo, ob) in rows.items():
+        if gamma[oa] != gamma[ob] or 2 * gamma[oa] != gamma[ui] + gamma[uo]:
             raise ConstructionError(f"propagation conflict at crossing {cid}")
     return gamma
 
@@ -137,13 +129,10 @@ def _rederive(builder: DiagramBuilder, gamma: Coloring, unknown: set[int]) -> li
     those crossings' other arcs, and writes the unknown arcs into ``gamma``.
     Returns the swept crossings, in id order; all their relations hold.
     """
-    rows, signs = builder.rows, builder.signs
     cids = sorted({cid for e in unknown for cid in builder.incident(e)})
-    quads = []
-    for cid in cids:
-        ui, oa, uo, ob = rows[cid]  # the over strand enters at OVER_B when positive
-        quads.append((ob, oa, ui, uo, cid) if signs[cid] > 0 else (oa, ob, ui, uo, cid))
-    local = _propagate(quads, {e: gamma[e] for q in quads for e in q[:4] if e not in unknown})
+    rows = {cid: builder.rows[cid] for cid in cids}
+    local = propagate_coloring(
+        rows, {e: gamma[e] for row in rows.values() for e in row if e not in unknown})
     for e in unknown:
         gamma[e] = local[e]
     return cids
@@ -153,12 +142,12 @@ class _Run:
     """A move builder with its coloring, each crossing's diff and the stages.
 
     ``gamma`` colors the builder's arcs, ``diffs`` maps each crossing to its
-    diff, ``histogram`` counts the crossings of each diff and ``at_diff``
-    holds them.  ``apply`` is the only way a rewrite applies a move, and it
-    keeps all four current after every move.  The rewrites apply only R2
-    bigons and R3 slides, which remove no arc and no crossing, so ``gamma``
-    colors exactly the builder's arcs.  The input coloring is verified once,
-    by ``diff_spectrum``, which refuses an invalid one.
+    diff and ``at_diff`` each diff to its crossings.  ``apply`` is the only
+    way a rewrite applies a move, and it keeps all three current after
+    every move.  The rewrites apply only R2 bigons and R3 slides, which
+    remove no arc and no crossing, so ``gamma`` colors exactly the
+    builder's arcs.  The input coloring is verified once, by
+    ``diff_spectrum``, which refuses an invalid one.
     """
 
     def __init__(self, diagram: Diagram, gamma: Coloring):
@@ -167,7 +156,6 @@ class _Run:
         self.builder = DiagramBuilder(diagram)
         self.gamma = {e: gamma[e] for e in diagram.edges}
         self.diffs: dict[int, int] = {}
-        self.histogram: dict[int, int] = {}
         self.at_diff: dict[int, set[int]] = {}
         for cid, d in spec.diffs.items():
             self.set_diff(cid, d)
@@ -176,20 +164,18 @@ class _Run:
 
     @property
     def d_m(self) -> int:
-        return max(self.histogram, default=0)
+        return max(self.at_diff, default=0)
 
     def set_diff(self, cid: int, d: int) -> None:
         old = self.diffs.get(cid)
         if old == d:
             return
         if old is not None:
-            self.histogram[old] -= 1
-            self.at_diff[old].discard(cid)
-            if not self.histogram[old]:
-                del self.histogram[old]
+            cids = self.at_diff[old]
+            cids.discard(cid)
+            if not cids:
                 del self.at_diff[old]
         self.diffs[cid] = d
-        self.histogram[d] = self.histogram.get(d, 0) + 1
         self.at_diff.setdefault(d, set()).add(cid)
 
     def open_stage(self) -> None:
@@ -271,7 +257,7 @@ def color_even_parallel(cabled: Diagram) -> Coloring:
     patterns = {n: BoundaryPattern.standard(n) for n in set(mult)}
     seeds = {arc: patterns[width[base_edge]].colors[copy - 1]
              for (base_edge, copy), arc in st.copy_edges.items()}
-    gamma = propagate_coloring(cabled.crossings, seeds)
+    gamma = propagate_coloring(cabled.rows, seeds)
     if not verify_coloring(cabled, gamma):
         raise ConstructionError("internal: even-parallel coloring failed verification")
     values, _ = palette(gamma)
@@ -367,7 +353,7 @@ def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
         state = states[e]
         seeds[pre_twist_arcs[(e, 1)]] = state
         seeds[pre_twist_arcs[(e, 2)]] = state + 1
-    gamma = propagate_coloring(cabled.crossings, seeds)
+    gamma = propagate_coloring(cabled.rows, seeds)
     if not verify_coloring(cabled, gamma):
         raise ConstructionError("internal: 2-parallel coloring failed verification")
     values, _ = palette(gamma)
@@ -389,8 +375,8 @@ def _over_entry(builder: DiagramBuilder, region: Region, step: int) -> int:
     return builder.crossing(region.grid[_over_travel_rows(region)[0]][step]).over_in
 
 
-def _region_interior_arcs(diagram: Diagram | DiagramBuilder, region: Region) -> set[int]:
-    count = Counter(e for row in region.grid for c in row for e in diagram.crossing(c).slots)
+def _region_interior_arcs(builder: DiagramBuilder, region: Region) -> set[int]:
+    count = Counter(e for row in region.grid for c in row for e in builder.rows[c])
     return {e for e, k in count.items() if k == 2}
 
 

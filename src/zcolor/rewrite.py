@@ -18,10 +18,10 @@ a coloring whose positive diffs are all equal.
 
 A simplification is one run (``parallel_coloring._Run``, shared with color
 deletion): one move builder for all its stages, with the coloring, each
-crossing's diff and the diff histogram beside the rows.  Every move goes
-through the run and re-derives only the arcs it changed (an R2 bigon's
-four new arcs, an R3 triangle's three side arcs) by propagating the
-crossing relations over the crossings that meet them; those crossings'
+crossing's diff and the crossings of each diff beside the rows.  Every
+move goes through the run and re-derives only the arcs it changed (an R2
+bigon's four new arcs, an R3 triangle's three side arcs) by propagating
+the crossing relations over the crossings that meet them; those crossings'
 relations are re-checked and their diffs updated, so the coloring the
 finger routing reads is current after every move.  A stage (one finger
 drag and slide) is accepted only if its target lost the maximal diff and
@@ -38,7 +38,7 @@ import functools
 from typing import Iterator, NamedTuple, Optional
 
 from .coloring import Coloring
-from .diagram import Diagram, crossing_graph_pieces
+from .diagram import OVER_A, UNDER_IN, UNDER_OUT, Diagram, crossing_graph_pieces
 from .moves import DiagramBuilder, MoveError, MoveTrace, R2Insert, R3
 from .parallel_coloring import ConstructionError, _Run
 
@@ -81,7 +81,7 @@ def _diff_paths(run: _Run) -> Iterator[DiffPath]:
     after a move.
     """
     d_m = run.d_m
-    if not any(0 < d < d_m for d in run.histogram):
+    if not any(0 < d < d_m for d in run.at_diff):
         raise RewriteError("coloring has no smaller positive diff: nothing to route to")
     return _paths_by_length(run, d_m)
 
@@ -168,12 +168,12 @@ def _finger_candidates(builder: DiagramBuilder, gamma: Coloring, path: DiffPath,
 def _finger_variant(run: _Run, path: DiffPath, d: int, allowed: set[int]
                     ) -> Optional[tuple[int, int]]:
     """The first (finger arc, target under arc) whose slide keeps every diff allowed."""
-    x0 = run.builder.crossing(path.start)
-    b = run.gamma[x0.over_in]
+    row = run.builder.rows[path.start]
+    b = run.gamma[row[OVER_A]]
     for w_arc in _finger_candidates(run.builder, run.gamma, path, d, allowed):
         w = run.gamma[w_arc]
         # the slide turns the target's diff |b - u| into |b + u - 2w|
-        for u_arc in dict.fromkeys((x0.under_in, x0.under_out)):
+        for u_arc in dict.fromkeys((row[UNDER_IN], row[UNDER_OUT])):
             if abs(b + run.gamma[u_arc] - 2 * w) in allowed and abs(b - w) in allowed:
                 return w_arc, u_arc
     return None
@@ -203,10 +203,10 @@ def _eliminate_rounds(run: _Run, path: DiffPath) -> None:
     d_m = run.d_m
     if run.diffs.get(path.start) != d_m:
         raise RewriteError("path does not start at a maximal-diff crossing")
-    budget = run.histogram[d_m]
-    allowed_new: set[int] = {0} | {v for v in run.histogram if v < d_m}
+    budget = len(run.at_diff[d_m])
+    allowed_new: set[int] = {0} | {v for v in run.at_diff if v < d_m}
     rounds = 0
-    while d_m in run.histogram:
+    while d_m in run.at_diff:
         rounds += 1
         if rounds > budget:
             raise RewriteError("elimination exceeded its loop bound")
@@ -254,13 +254,12 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
     fires.  The moves go through the run, in a stage of their own, so the
     colors the routing reads are current after every push.
     """
-    builder, gamma = run.builder, run.gamma
-    before = dict(run.histogram)
+    builder = run.builder
+    before = {v: len(cids) for v, cids in run.at_diff.items()}
     run.open_stage()
     run.open_disk({path.start})
-    z = path.color
-    x0 = builder.crossing(path.start)
-    u_slots = [i for i, e in enumerate(x0.slots) if e == u_arc and i in (0, 2)]
+    row = builder.rows[path.start]
+    u_slots = [i for i, e in enumerate(row) if e == u_arc and i in (0, 2)]
     goal_corners = {builder.corner(path.start, i) for s in u_slots for i in (s, (s - 1) % 4)}
 
     tip = w_arc
@@ -272,38 +271,7 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
             near = [_poke_face(builder, tip)]
         if any(set(f) & goal_corners for f in near):
             break
-        # dual BFS crossing only z-colored arcs, each to the face beyond it
-        prev: dict = {}
-        frontier = list(near)
-        seen = set(frontier)
-        goal_face = None
-        while frontier and goal_face is None:
-            nxt = []
-            for f in frontier:
-                for e in builder.face_arcs(f):
-                    if gamma[e] != z:
-                        continue
-                    for f2 in builder.faces_through(e):
-                        if f2 in seen:
-                            continue
-                        prev[f2] = (f, e)
-                        seen.add(f2)
-                        if set(f2) & goal_corners:
-                            goal_face = f2
-                            break
-                        nxt.append(f2)
-                    if goal_face:
-                        break
-                if goal_face:
-                    break
-            frontier = nxt
-        if goal_face is None:
-            raise RewriteError("no corridor of path-colored arcs reaches the target")
-        # first arc to cross on the route
-        step_face = goal_face
-        while prev.get(step_face, (None, None))[0] not in near:
-            step_face = prev[step_face][0]
-        cross_arc = prev[step_face][1]
+        cross_arc = _first_route_arc(builder, run.gamma, path.color, near, goal_corners)
         c1, c2 = run.apply(R2Insert(push_edge=tip, across_edge=cross_arc, push_over=True))
         tip = builder.bigon_arcs(c1, c2)[0]
     else:
@@ -315,9 +283,37 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
 
     if run.diffs[path.start] == d_m:
         raise RewriteError("slide left the target's diff unchanged")
-    bad = {v for v in run.histogram if v not in allowed and v != 0}
-    if any(run.histogram.get(v, 0) > before.get(v, 0) for v in bad | {d_m}):
+    bad = {v for v in run.at_diff if v not in allowed and v != 0}
+    if any(len(run.at_diff.get(v, ())) > before.get(v, 0) for v in bad | {d_m}):
         raise RewriteError("slide created diffs outside the allowed set")
+
+
+def _first_route_arc(builder: DiagramBuilder, gamma: Coloring, z: int, near: list,
+                     goal_corners: set[int]) -> int:
+    """The first arc to cross on the tongue's route from the faces ``near``:
+    a breadth-first search over faces, crossing only ``z``-colored arcs, to
+    the first face with a corner in ``goal_corners``."""
+    prev: dict = {}
+    frontier = list(near)
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for e in builder.face_arcs(f):
+                if gamma[e] != z:
+                    continue
+                for f2 in builder.faces_through(e):
+                    if f2 in seen:
+                        continue
+                    prev[f2] = (f, e)
+                    seen.add(f2)
+                    if set(f2) & goal_corners:
+                        while prev[f2][0] not in near:
+                            f2 = prev[f2][0]
+                        return prev[f2][1]
+                    nxt.append(f2)
+        frontier = nxt
+    raise RewriteError("no corridor of path-colored arcs reaches the target")
 
 
 def _endgame(run: _Run, target_cid: int, u_slots: list[int], tip: int) -> None:
@@ -373,12 +369,12 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
         raise RewriteError("coloring is trivial; nothing to simplify")
     if len([p for p in crossing_graph_pieces(diagram) if p]) > 1:
         raise RewriteError("diagram must be connected")
-    if sum(d > 0 for d in run.histogram) == 1:
+    if sum(d > 0 for d in run.at_diff) == 1:
         return diagram, dict(gamma), MoveTrace(stages=())
 
     initial_dm = run.d_m
     rounds = 0
-    while sum(d > 0 for d in run.histogram) > 1:
+    while sum(d > 0 for d in run.at_diff) > 1:
         rounds += 1
         if rounds > initial_dm:
             raise RewriteError("simplification exceeded its loop bound")

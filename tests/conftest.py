@@ -116,6 +116,27 @@ def brute_force_integer_kernel_rank(diagram: Diagram, box: int = 3) -> int:
     return 2 if non_constant else (1 if reps else 0)
 
 
+def oriented_relations_hold(diagram: Diagram, gamma: dict[int, int]) -> bool:
+    """Every crossing relation, read through the oriented accessors: the
+    over arc's incoming and outgoing colors agree, and twice the incoming
+    one is the sum of the under arc's incoming and outgoing colors."""
+    return all(gamma[x.over_in] == gamma[x.over_out]
+               and 2 * gamma[x.over_in] == gamma[x.under_in] + gamma[x.under_out]
+               for x in diagram.crossings)
+
+
+def oriented_diffs(diagram: Diagram, gamma: dict[int, int]) -> dict[int, int]:
+    """Crossing id -> its diff under a valid coloring, read through the
+    oriented accessors: the distance from the incoming over color to the
+    incoming under color, which equals that to the outgoing one."""
+    diffs = {}
+    for x in diagram.crossings:
+        d = abs(gamma[x.over_in] - gamma[x.under_in])
+        assert d == abs(gamma[x.over_in] - gamma[x.under_out]), x
+        diffs[x.cid] = d
+    return diffs
+
+
 def det_int(A: list) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination).
 

@@ -80,7 +80,7 @@ def test_grid_signs_inherit_base(corpus):
         for region in cabled.cable.regions.values():
             for row in region.grid:
                 for cid in row:
-                    assert cabled.crossing(cid).sign == region.base_sign
+                    assert cabled.signs[cid] == region.base_sign
 
 
 def test_two_parallel_needs_writhe_zero(corpus):
@@ -195,11 +195,12 @@ def test_twist_recolors_pair_affinely():
     while changed:  # propagate across the twist crossings only
         changed = False
         for cid in cids:
-            x = tw.crossing(cid)
-            if x.over_in in gamma and x.over_out not in gamma:
-                gamma[x.over_out] = gamma[x.over_in]
+            under_in, a, under_out, b = tw.rows[cid]
+            over_in, over_out = (b, a) if tw.signs[cid] > 0 else (a, b)
+            if over_in in gamma and over_out not in gamma:
+                gamma[over_out] = gamma[over_in]
                 changed = True
-            if x.over_in in gamma and x.under_in in gamma and x.under_out not in gamma:
-                gamma[x.under_out] = 2 * gamma[x.over_in] - gamma[x.under_in]
+            if over_in in gamma and under_in in gamma and under_out not in gamma:
+                gamma[under_out] = 2 * gamma[over_in] - gamma[under_in]
                 changed = True
     assert gamma[post1] == -2 and gamma[post2] == -1

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import propagate_region, reference_scan_box
+from conftest import (
+    oriented_diffs,
+    oriented_relations_hold,
+    propagate_region,
+    reference_scan_box,
+    seeded_rng,
+)
 from zcolor.algebra import diagram_lattice, is_z_colorable
 from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import (
@@ -17,6 +23,13 @@ from zcolor.coloring import (
     verify_coloring,
 )
 from zcolor.diagram import parse_pd
+from zcolor.generate import random_knot_diagram
+from zcolor.parallel_coloring import (
+    ConstructionError,
+    color_even_parallel,
+    color_two_parallel,
+    propagate_coloring,
+)
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 
@@ -33,6 +46,66 @@ def test_three_color_patterns_fail_over_z():
         val = dict(zip(reps, perm))
         gamma = {e: val[cls[e]] for e in TREFOIL.edges}
         assert not verify_coloring(TREFOIL, gamma)
+
+
+def _colorings_to_check(corpus, rng):
+    """(name, diagram, coloring) on the corpus, random knots and parallels:
+    each diagram's lattice basis colorings and one random combination of
+    them, the parallels' constructed colorings, and each of those with one
+    arc's color raised by 1."""
+    diagrams = list(corpus.items())
+    diagrams += [(f"random knot {i}", random_knot_diagram(rng, n_ops=2 + i % 7))
+                 for i in range(40)]
+    for name in ("hopf", "trefoil", "figure8"):
+        base = corpus[name]
+        spec = CableSpec(multiplicities=(2,) * len(base.components))
+        diagrams.append((f"{name} (2)", parallel(base, spec)))
+    hopf = parallel(corpus["hopf"], CableSpec(multiplicities=(4, 4)))
+    diagrams.append(("hopf (4,4)", hopf))
+    two, two_gamma = color_two_parallel(corpus["unknot_writhe0"])
+    built = {"hopf (4,4)": color_even_parallel(hopf), "unknot_writhe0 (2)": two_gamma}
+    diagrams.append(("unknot_writhe0 (2)", two))
+    for name, d in diagrams:
+        lat = diagram_lattice(d)
+        gammas = lat.edge_vectors()
+        coeffs = [rng.randint(-2, 2) for _ in gammas]
+        gammas.append({e: sum(k * g[e] for k, g in zip(coeffs, gammas)) for e in d.edges})
+        if name in built:
+            gammas.append(built[name])
+        for gamma in gammas:
+            yield name, d, gamma
+            if d.edges:
+                bumped = dict(gamma)
+                bumped[rng.choice(d.edges)] += 1
+                yield name, d, bumped
+
+
+def test_sign_free_checks_match_the_oriented_reference(corpus):
+    """``verify_coloring``, ``diff_spectrum`` and ``propagate_coloring`` read
+    slots and no sign; they agree with the relations read through
+    ``over_in``, ``over_out``, ``under_in`` and ``under_out``."""
+    rng = seeded_rng()
+    valid = invalid = nontrivial = 0
+    for name, d, gamma in _colorings_to_check(corpus, rng):
+        if oriented_relations_hold(d, gamma):
+            valid += 1
+            assert verify_coloring(d, gamma), name
+            diffs = oriented_diffs(d, gamma)
+            assert diff_spectrum(d, gamma).diffs == diffs, name
+            nontrivial += any(diffs.values())
+            if d.rows:
+                # an over arc follows from its partner, or from 2b = a + c
+                dropped = d.rows[rng.choice(list(d.rows))][1]
+                seeds = {e: v for e, v in gamma.items() if e != dropped}
+                assert propagate_coloring(d.rows, seeds) == gamma, name
+        else:
+            invalid += 1
+            assert not verify_coloring(d, gamma), name
+            with pytest.raises(ColoringError):
+                diff_spectrum(d, gamma)
+            with pytest.raises(ConstructionError, match="propagation conflict"):
+                propagate_coloring(d.rows, gamma)
+    assert valid > 100 and invalid > 100 and nontrivial >= 10, (valid, invalid, nontrivial)
 
 
 def test_partial_coloring_is_an_error_not_false():

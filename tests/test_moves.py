@@ -80,6 +80,33 @@ def test_r2_self_push_rejected():
         apply_move(b, R2Insert(push_edge=1, across_edge=1, push_over=True))
 
 
+def test_r2_remove_refuses_what_is_not_a_bigon(corpus):
+    """A missing crossing, two crossings that share one arc, and the clasp
+    of a full twist, where each strand passes over once, are refused."""
+    f8 = corpus["figure8"]
+    assert set(f8.rows[0]) & set(f8.rows[2]) == {4}
+    with pytest.raises(MoveError, match="no such crossing"):
+        apply_move(DiagramBuilder(f8), R2Remove(cid1=0, cid2=99))
+    with pytest.raises(MoveError, match="do not bound a bigon"):
+        apply_move(DiagramBuilder(f8), R2Remove(cid1=0, cid2=2))
+    cabled = parallel(corpus["unknot_writhe0"], CableSpec(multiplicities=(2,)))
+    base_edge = min(e for e, _ in cabled.cable.copy_edges)
+    f, g = (cabled.cable.copy_edges[(base_edge, k)] for k in (1, 2))
+    for sign in (1, -1):
+        b = DiagramBuilder(cabled)
+        created, _ = b.insert_twist(f, g, sign)
+        with pytest.raises(MoveError, match="bigon is clasped"):
+            apply_move(b, R2Remove(*created))
+
+
+def test_a_trace_that_does_not_replay_is_reported(corpus):
+    """A move that does not apply ends the replay with a reason, not a raise."""
+    f8 = corpus["figure8"]
+    report = verify_local_equivalence(
+        f8, f8, single_stage([(R1Remove(cid=0), 0)], {0: frozenset({0})}))
+    assert report == (False, ("replay failed: crossing 0 is not a removable kink",))
+
+
 def test_r3_requires_movable_pattern():
     # the alternating trefoil triangle has no top strand
     b = DiagramBuilder(TREFOIL)

@@ -129,6 +129,18 @@ def test_delete_missing_color_is_an_error():
         delete_color_moves(cabled, gamma, 3)
 
 
+def test_a_width_4_parallel_refuses_colors_without_a_rewrite(corpus):
+    """The figure8 (4) coloring uses -1..3; the move library has a rewrite
+    for its color-3 regions only, and refuses every other color by name."""
+    cabled = parallel(corpus["figure8"], CableSpec(multiplicities=(4,)))
+    gamma = color_even_parallel(cabled)
+    assert palette(gamma)[0] == {-1, 0, 1, 2, 3}
+    for target in (2, 0, -1, 1):
+        with pytest.raises(NoApplicableMoveError,
+                           match=f"^no rewrite available for color {target} here$"):
+            delete_color_moves(cabled, gamma, target)
+
+
 def test_delete_without_structure_is_explicit():
     gamma = {e: 0 for e in TREFOIL.edges}
     with pytest.raises(NoApplicableMoveError):
@@ -326,7 +338,8 @@ def test_a_deletion_pass_builds_one_diagram_and_verifies_once(corpus, count_call
 
 def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch, count_calls):
     """After every move a run applies, its coloring verifies on the builder's
-    rows and its diffs, histogram and per-diff crossings are those rows'.
+    rows and its diffs and per-diff crossings (counted, and listed) are
+    those rows'.
 
     Covers a 3-deletion, both passes of a toggled 2-parallel, two diff
     chains and the trefoil (6) witness.
@@ -345,7 +358,8 @@ def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch
         d = run.builder.diagram()
         assert verify_coloring(d, run.gamma), move
         spec = diff_spectrum(d, run.gamma)
-        assert (run.diffs, run.histogram) == (spec.diffs, spec.histogram), move
+        assert run.diffs == spec.diffs, move
+        assert {v: len(cids) for v, cids in run.at_diff.items()} == spec.histogram, move
         assert run.at_diff == {v: {c for c, e in spec.diffs.items() if e == v}
                                for v in spec.histogram}, move
         checked.append(move)
