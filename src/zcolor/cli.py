@@ -377,20 +377,14 @@ def main(argv=None) -> int:
             return 2 if err.code not in (0, None) else 0
         return args.func(args)
     except UsageError as err:
-        sys.stdout.write(jsonio.dumps(
-            {"error": {"type": "usage", "message": str(err)},
-             "schema_version": jsonio.SCHEMA_VERSION}) + "\n")
+        _emit({"error": {"type": "usage", "message": str(err)}}, False)
         return 2
     except PDSyntaxError as err:
-        sys.stdout.write(jsonio.dumps(
-            {"error": {"type": "syntax", "message": str(err),
-                       "line": err.line, "column": err.column},
-             "schema_version": jsonio.SCHEMA_VERSION}) + "\n")
+        _emit({"error": {"type": "syntax", "message": str(err),
+                         "line": err.line, "column": err.column}}, False)
         return 2
     except DOMAIN_ERRORS as err:
-        sys.stdout.write(jsonio.dumps(
-            {"error": {"type": type(err).__name__, "message": str(err)},
-             "schema_version": jsonio.SCHEMA_VERSION}) + "\n")
+        _emit({"error": {"type": type(err).__name__, "message": str(err)}}, False)
         return 1
 
 

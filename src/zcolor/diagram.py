@@ -249,7 +249,14 @@ def strand_cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
 
 
 def _merge_over_pairs(rows) -> dict[int, int]:
-    parent: dict[int, int] = {}
+    """Edge -> the smallest edge of its Fox arc: a row's over slots are one arc."""
+    return _union_roots(chain.from_iterable(rows), ((r[OVER_A], r[OVER_B]) for r in rows))
+
+
+def _union_roots(nodes, pairs) -> dict:
+    """Each of ``nodes``, in first-seen order, -> the smallest node of its
+    class, where each of ``pairs`` joins two classes."""
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -257,14 +264,11 @@ def _merge_over_pairs(rows) -> dict[int, int]:
             x = parent[x]
         return x
 
-    for r in rows:
-        for e in r:
-            parent.setdefault(e, e)
-    for r in rows:
-        a, b = find(r[OVER_A]), find(r[OVER_B])
+    for a, b in pairs:
+        a, b = find(a), find(b)
         if a != b:
             parent[max(a, b)] = min(a, b)
-    return {e: find(e) for e in parent}
+    return {x: find(x) for x in parent}
 
 
 # -- measures --------------------------------------------------------------
@@ -320,20 +324,9 @@ def _piece_roots(diagram: Diagram) -> list[int]:
     A crossing glues its under strand's component to its over strand's,
     which slot 1 lies on whatever the sign.
     """
-    parent = list(range(len(diagram.components)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     comp = {e: k for k, cyc in enumerate(diagram.components) for e in cyc}
-    for x in diagram.crossings:
-        a, b = find(comp[x.slots[UNDER_IN]]), find(comp[x.slots[OVER_A]])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return list(map(find, range(len(parent))))
+    pairs = ((comp[x.slots[UNDER_IN]], comp[x.slots[OVER_A]]) for x in diagram.crossings)
+    return list(_union_roots(range(len(diagram.components)), pairs).values())
 
 
 # -- validation ------------------------------------------------------------
@@ -342,11 +335,14 @@ def _piece_roots(diagram: Diagram) -> list[int]:
 def validate(diagram: Diagram) -> list[str]:
     """Re-check every structural invariant; diagnostics are data, not errors.
 
-    Each check reads the crossings' rows and the component cycles afresh;
-    only the Euler count's face walk reads the occurrence index that the
-    diagram was built with.  The signs are not re-checked: they are the
-    orientation, ``Diagram`` refuses signs that do not orient every arc one
-    way, and a diagram holds no other data to check them against.
+    Three checks: every arc occurs twice in the rows, which are read afresh,
+    not through the occurrence index the diagram was built with; the labels
+    are 1..2n; and the Euler count, whose face walk reads that index, holds
+    per connected piece.  The strand cycles are not re-walked: ``Diagram``
+    refuses signs unless every arc is incoming exactly once, so where every
+    arc occurs twice the successor map is a permutation and its cycles
+    partition the arcs.  The signs are not re-checked: they are the
+    orientation, and a diagram holds no other data to check them against.
     """
     diags: list[str] = []
     occ = Counter(chain.from_iterable([x.slots for x in diagram.crossings]))
@@ -356,14 +352,6 @@ def validate(diagram: Diagram) -> list[str]:
     n = len(diagram.crossings)
     if occ and set(occ) != set(range(1, 2 * n + 1)):
         diags.append(f"arc labels are not canonical 1..{2 * n}")
-    seen = set()
-    for cyc in diagram.components:
-        for e in cyc:
-            if e in seen:
-                diags.append(f"arc {e} visited twice in component traversal")
-            seen.add(e)
-    if seen != set(occ):
-        diags.append("component traversal does not cover every arc")
     # planar Euler count, per connected piece of the crossing graph
     if diagram.crossings:
         pieces = len(set(_piece_roots(diagram)))
@@ -625,7 +613,8 @@ def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
     rows = [tuple(mapping[e] for e in x.slots) for x in diagram.crossings]
     cable = diagram.cable.relabel(mapping) if diagram.cable is not None else None
     return Diagram(rows, [x.sign for x in diagram.crossings], free_loops=diagram.free_loops,
-                   cable=cable, cids=[x.cid for x in diagram.crossings])
+                   cable=cable, cids=[x.cid for x in diagram.crossings],
+                   _occ={mapping[e]: places for e, places in diagram._occ.items()})
 
 
 def _canonical_map(components) -> dict[int, int]:

@@ -10,8 +10,12 @@ Untwisted 2-parallels of writhe-0 knot diagrams are colored in pairs
 (a, a+1): passing under a cable shifts a pair by -2*sign, so along the
 strand the pair state alternates between (0,1) and (2,3) provided the
 underpass signs alternate; full twists are inserted between same-sign
-underpasses to restore the alternation.  The raw palette is inside
--1..4 and two deletion passes (4 then -1) reach exactly {0,1,2,3}.
+underpasses to restore the alternation.  So a pair enters a positive
+underpass in state 2 and a negative one in state 0, and leaves in the
+other; the copies of each base arc are seeded with the state their next
+underpass wants, or with 2 minus it ahead of a twist, which toggles the
+state.  The raw palette is inside -1..4 and two deletion passes (4 then -1)
+reach exactly {0,1,2,3}.
 
 Deletions are verified local rewrites built from R2/R3 moves: conjugating
 a crossing region by a canceling twist pair toggles the over state, a
@@ -270,8 +274,8 @@ def color_even_parallel(cabled: Diagram) -> Coloring:
 # -- 2-parallel construction -----------------------------------------------------
 
 
-def plan_drift_twists(diagram: Diagram) -> list[tuple[int, int]]:
-    """(base arc, twist sign) sites between consecutive same-sign underpasses.
+def plan_drift_twists(diagram: Diagram) -> list[TwistSite]:
+    """Twist sites between consecutive same-sign underpasses.
 
     Walking the knot, a pair coloring exits an underpass in the state the
     opposite-sign underpass expects; between two same-sign underpasses one
@@ -289,43 +293,8 @@ def plan_drift_twists(diagram: Diagram) -> list[tuple[int, int]]:
             # after a positive underpass the pair sits at state 0 and the
             # next positive underpass wants 2: raise with a negative twist;
             # mirrored for negative underpasses
-            plan.append((x.under_out, -1 if x.sign > 0 else 1))
+            plan.append(TwistSite(base_edge=x.under_out, sign=-1 if x.sign > 0 else 1))
     return plan
-
-
-def _underpass_states(diagram: Diagram, plan: list[tuple[int, int]]) -> dict[int, int]:
-    """Pair state (0 or 2) at the start of every base arc, before twists.
-
-    Anchored at the first underpass (a positive crossing wants state 2, a
-    negative one state 0) and simulated forward: each underpass shifts the
-    state by -2*sign, each planned twist toggles it.  The walk must close
-    up; an unbalanced twist plan raises.
-    """
-    cyc = diagram.components[0]
-    n = len(cyc)
-    twist_edges = {e: s for e, s in plan}
-    under_sign = {x.under_in: x.sign for x in diagram.crossings}
-
-    anchor = None
-    for idx, e in enumerate(cyc):
-        if e in under_sign:
-            anchor = (idx, 2 if under_sign[e] > 0 else 0)
-            break
-    if anchor is None:
-        return {e: 0 for e in cyc}
-    idx0, st = anchor
-    order = [cyc[(idx0 + i) % n] for i in range(n)]
-    state_at: dict[int, int] = {}
-    cur = st
-    for e in order:
-        state_at[e] = cur
-        if e in twist_edges:
-            cur = cur - 2 * twist_edges[e]  # a positive twist lowers the state
-        if e in under_sign:
-            cur = cur - 2 * under_sign[e]
-    if cur != state_at[order[0]]:
-        raise ConstructionError("pair states do not close up; twist plan is unbalanced")
-    return state_at
 
 
 def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
@@ -335,22 +304,32 @@ def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
     parallel pair (a, a+1) with a in {0, 2}; region and twist interiors
     follow by propagation.  The palette is inside {-1,0,1,2,3,4}; the two
     deletion passes of ``delete_color_moves`` then reach exactly {0,1,2,3}.
+
+    A base arc's copies are seeded with the state its next underpass
+    wants (2 before a positive one, 0 before a negative one); on a twist
+    arc the seeded copies lie before the twist, which toggles the state,
+    so they get 2 minus that.
     """
     if len(diagram.components) != 1 or diagram.free_loops:
         raise ConstructionError("needs a one-component knot diagram")
     w = writhe(diagram)
     if w != 0:
         raise ConstructionError(f"writhe is {w}; the construction needs writhe 0")
-    plan = plan_drift_twists(diagram)
-    states = _underpass_states(diagram, plan)
-
+    sites = plan_drift_twists(diagram)
     cabled = parallel(diagram, CableSpec(multiplicities=(2,)))
     pre_twist_arcs = cabled.cable.copy_edges
-    cabled = insert_full_twists(cabled, [TwistSite(base_edge=e, sign=sign) for e, sign in plan])
+    cabled = insert_full_twists(cabled, sites)
 
+    twisted = {site.base_edge for site in sites}
+    wants = {x.under_in: 2 if x.sign > 0 else 0 for x in diagram.crossings}
+    cyc = diagram.components[0]
+    # walked backward, ``want`` is the next underpass's; the last arc's
+    # next underpass is the first one
+    want = next(wants[e] for e in cyc if e in wants)
     seeds: Coloring = {}
-    for e in diagram.components[0]:
-        state = states[e]
+    for e in reversed(cyc):
+        want = wants.get(e, want)
+        state = 2 - want if e in twisted else want
         seeds[pre_twist_arcs[(e, 1)]] = state
         seeds[pre_twist_arcs[(e, 2)]] = state + 1
     gamma = propagate_coloring(cabled.rows, seeds)

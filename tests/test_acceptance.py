@@ -31,6 +31,7 @@ from zcolor.coloring import (
     palette,
     verify_coloring,
 )
+from zcolor.diagram import writhe
 from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
 from zcolor.moves import verify_local_equivalence
 from zcolor.parallel_coloring import (
@@ -246,3 +247,39 @@ def test_criterion_8_telescoping():
             checked += 1
     report("criterion 8: telescoping invariant", checked == 84,
            f"{checked} (width, input) pairs, exact")
+
+
+def test_criterion_9_parallel_theorem(corpus):
+    """Even parallels of knots: determinant 0 unless a 2-parallel links.
+
+    The paper: an even parallel is Z-colorable unless it is a 2-parallel
+    with non-zero linking number.  For a knot diagram, the two strands of
+    its blackboard 2-parallel link as often as the diagram writhes
+    (criterion 3), so the 2-parallel has determinant 0 exactly when the
+    writhe is 0, and then ``color_two_parallel`` colors it; the 4- and
+    6-parallels have determinant 0 whatever the writhe, and
+    ``color_even_parallel`` colors them.  Corpus knots plus 60 seeded
+    random knots.
+    """
+    t0 = time.time()
+    knots = [(name, d) for name, d in corpus.items()
+             if len(d.components) == 1 and not d.free_loops]
+    rng = seeded_rng()
+    knots += [(f"random {i}", random_knot_diagram(rng, n_ops=3 + i % 6)) for i in range(60)]
+    untwisted = 0
+    for name, d in knots:
+        w = writhe(d)
+        det = determinant(parallel(d, CableSpec(multiplicities=(2,))))
+        assert (det == 0) == (w == 0), (name, w, det)
+        if w == 0:
+            cabled, gamma = color_two_parallel(d)
+            assert verify_coloring(cabled, gamma), name
+            untwisted += 1
+        for k in (4, 6):
+            cabled = parallel(d, CableSpec(multiplicities=(k,)))
+            assert determinant(cabled) == 0, (name, k)
+            assert verify_coloring(cabled, color_even_parallel(cabled)), (name, k)
+    elapsed = time.time() - t0
+    report("criterion 9: even parallels are Z-colorable unless a 2-parallel links",
+           untwisted >= 2 and elapsed < 5,
+           f"{len(knots)} knots, {untwisted} of writhe 0, {elapsed:.1f}s")
