@@ -9,18 +9,24 @@ signs, and checks only that they orient each arc one way.  PD text does
 not carry the signs, so ``parse_pd`` is the one place that solves them,
 from the rows and the ``% component:`` headers (``_solve_signs``).
 
-Reading a diagram is one linear pass: ``parse_pd`` checks every term with
-one regular-expression match and converts the labels with one ``map(int,
-...)``.  The planar map is encoded here and nowhere else: slot s of
-crossing c is the position ``4*c + s``, and so is the corner
-counterclockwise after it.  ``occurrences`` maps each arc to the positions
-of its two occurrences; ``parse_pd`` builds it once for the sign walk and
-for ``Diagram``, which keeps it.  ``next_corner`` is the one face step, and
-``validate``'s Euler count lays it out for every corner at once.  The move
-builder (``zcolor.moves``) starts from a copy of a diagram's index and
-hands its own to the ``Diagram`` it builds.  Both carry ``rows`` and
-``signs`` keyed by crossing id and ``free_loops``, all that
-``same_diagram`` reads, so it compares either.
+PD text has one reader and one writer.  ``parse_pd`` checks every term
+with one regular-expression match and converts the labels with one
+``map(int, ...)``; a bad token is named where that match stops, unless a
+bad header on an earlier line comes first.  ``serialize_pd`` and
+``serialize_pd_raw`` differ only in the labels and the row order they
+hand to one writer, ``_write_pd``, which orders a two-arc header by the
+text positions of its rows.
+
+The planar map is encoded here and nowhere else: slot s of crossing c is
+the position ``4*c + s``, and so is the corner counterclockwise after it.
+``occurrences`` maps each arc to the positions of its two occurrences;
+``parse_pd`` builds it once for the sign walk and for ``Diagram``, which
+keeps it.  ``_next_corner`` is the one face step, and ``validate``'s Euler
+count lays it out for every corner at once.  The move builder
+(``zcolor.moves``) starts from a copy of a diagram's index and hands its
+own to the ``Diagram`` it builds.  Both carry ``rows`` and ``signs`` keyed
+by crossing id and ``free_loops``, all that ``same_diagram`` reads, so it
+compares either.
 
 Arc labels are the PD edge labels 1..2n.  The arcs of Fox/integer coloring
 theory (maximal overpasses) are the equivalence classes of edge labels
@@ -185,7 +191,7 @@ def occurrences(cids: Sequence[int], labels: Sequence[int]) -> Optional[dict[int
     return occ if {2}.issuperset(map(len, occ.values())) else None
 
 
-def next_corner(rows, occ: dict[int, list[int]], c: int) -> int:
+def _next_corner(rows, occ: dict[int, list[int]], c: int) -> int:
     """The corner a face walk reaches from corner ``c`` of ``rows`` (crossing
     id -> slots) and their ``occurrences``: it leaves along the arc at the
     next slot (slot 0 after slot 3) and arrives at that arc's other
@@ -196,7 +202,7 @@ def next_corner(rows, occ: dict[int, list[int]], c: int) -> int:
 
 
 def _corner_successors(occ: dict[int, list[int]]) -> list[int]:
-    """``next_corner`` at every corner at once, as one list indexed by
+    """``_next_corner`` at every corner at once, as one list indexed by
     corner; entries at positions of no crossing are 0."""
     far = [0] * (max(chain.from_iterable(occ.values()), default=-1) + 1)
     for a, b in occ.values():
@@ -381,27 +387,13 @@ def _orbit_count(nxt: list[int], corners) -> int:
 
 # Integers have one spelling: ASCII digits, no sign, no leading zero.
 _LABEL = "[1-9][0-9]*"
-_TERM = re.compile(rf"X\[({_LABEL}),({_LABEL}),({_LABEL}),({_LABEL})\]")
-# whitespace-separated terms and nothing else, as ``str.split`` cuts tokens
+# whitespace-separated terms, as ``str.split`` cuts tokens: a match stops
+# at the first token that is not a term
 _TERMS = re.compile(rf"\s*(?:X\[{_LABEL},{_LABEL},{_LABEL},{_LABEL}\](?:\s+|\Z))*")
 _ARC = re.compile(_LABEL)
 _COUNT = re.compile(f"0|{_LABEL}")
 _COMPONENT_LINE = re.compile(rf"\s*%\s*component:\s*(?:{_LABEL}(?:\s+{_LABEL})*)?\s*")
 _LOOPS_LINE = re.compile(rf"\s*%\s*loops:\s*(0|{_LABEL})\s*")
-
-
-def _header_integers(line: str, pattern, header: str, ln: int) -> list[int]:
-    """The whitespace-separated integers after a header line's colon, each
-    spelled as ``pattern`` allows; a PDSyntaxError names the first that is not."""
-    col = line.index(":") + 1
-    tokens = line[col:].split()
-    if all(map(pattern.fullmatch, tokens)):
-        return list(map(int, tokens))
-    for tok in tokens:
-        col = line.index(tok, col)
-        if not pattern.fullmatch(tok):
-            raise PDSyntaxError(f"bad {header} header: got {tok!r}", ln, col + 1)
-        col += len(tok)
 
 
 def parse_pd(text: str) -> Diagram:
@@ -414,7 +406,8 @@ def parse_pd(text: str) -> Diagram:
     passes under nothing; a two-arc header of such a strand lists first
     the arc that ends at the earlier of its two rows.  Arc labels are
     written ``[1-9][0-9]*`` and the loop count ``0|[1-9][0-9]*``, in ASCII
-    digits; any other spelling is a PDSyntaxError at its token.  The signs
+    digits; any other spelling is a PDSyntaxError at its token, and of
+    several bad tokens or headers, the first in the text is named.  The signs
     are solved here (``_solve_signs``) and nowhere else, from the one
     arc-occurrence index (``occurrences``) that the built ``Diagram`` keeps.
     """
@@ -441,65 +434,57 @@ def _read_pd(text: str) -> tuple[list[int], list[list[int]], int]:
     """The labels of PD text's terms, row after row, its component headers
     and its loop count.
 
-    Comments are cut and header lines matched whole; then one match checks
-    that the other lines hold whitespace-separated terms and nothing else,
-    and one ``map(int, ...)`` reads their labels.  Otherwise ``_scan_pd``
-    reads the text token by token and names the first bad one.
+    Comments are cut, and each ``%`` line is set aside for an empty line.
+    One match reads the terms on the other lines, and where it stops is
+    the first token that is not a term.  The header lines before that
+    token's line are matched whole, in order, so the first bad token or
+    header in the text is named.  One ``map(int, ...)`` reads the labels.
     """
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.split("#", 1)[0] for raw in lines]
+    # header lines: their first non-blank character is "%"
+    marked = [(ln, x) for ln, x in enumerate(lines) if "%" in x and x.lstrip()[0] == "%"]
+    for ln, _ in marked:
+        lines[ln] = ""
+    terms = "\n".join(lines)
+    stop = _TERMS.match(terms).end()
+    bad_ln = terms.count("\n", 0, stop) if stop < len(terms) else len(lines)
     headers: list[list[int]] = []
     loops = 0
-    body = []
-    for line in lines:
-        if "%" not in line:
-            body.append(line)
-        elif _COMPONENT_LINE.fullmatch(line):
+    for ln, line in marked:
+        if ln >= bad_ln:
+            break
+        if _COMPONENT_LINE.fullmatch(line):
             headers.append(list(map(int, line[line.index(":") + 1:].split())))
         elif m := _LOOPS_LINE.fullmatch(line):
             loops = int(m[1])
         else:
-            return _scan_pd(text)
-    terms = "\n".join(body)
-    if not _TERMS.fullmatch(terms):
-        return _scan_pd(text)
+            raise _header_error(line, ln + 1)
+    if stop < len(terms):
+        column = stop - terms.rfind("\n", 0, stop)
+        raise PDSyntaxError(f"expected X[a,b,c,d], got {terms[stop:].split(None, 1)[0]!r}",
+                            bad_ln + 1, column)
     labels = terms.replace("X[", " ").replace(",", " ").replace("]", " ").split()
     return list(map(int, labels)), headers, loops
 
 
-def _scan_pd(text: str) -> tuple[list[int], list[list[int]], int]:
-    """``_read_pd`` line by line and token by token: a PDSyntaxError names
-    the line and column of the first token or header that is not PD."""
-    labels: list[int] = []
-    headers: list[list[int]] = []
-    loops = 0
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("%"):
-            body = stripped[1:].strip()
-            if body.startswith("component:"):
-                headers.append(_header_integers(line, _ARC, "component", ln))
-            elif body.startswith("loops:"):
-                count = _header_integers(line, _COUNT, "loops", ln)
-                if len(count) != 1:
-                    raise PDSyntaxError("bad loops header", ln, line.index("%") + 1)
-                loops = count[0]
-            else:
-                raise PDSyntaxError(f"unknown header {body.split(':')[0]!r}", ln, line.index("%") + 1)
-            continue
-        col = 0
-        for tok in line.split():
-            col = line.index(tok, col)
-            m = _TERM.fullmatch(tok)
-            if not m:
-                raise PDSyntaxError(f"expected X[a,b,c,d], got {tok!r}", ln, col + 1)
-            labels += map(int, m.groups())
-            col += len(tok)
-    return labels, headers, loops
+def _header_error(line: str, ln: int) -> PDSyntaxError:
+    """The PDSyntaxError of a ``%`` line that neither header pattern
+    matches: an unknown header, the first integer that is not spelled as
+    the header spells it, or else a loops header without one count."""
+    at = line.index("%") + 1
+    name = line[at:].strip()
+    for header, pattern in (("component", _ARC), ("loops", _COUNT)):
+        if name.startswith(header + ":"):
+            col = line.index(":") + 1
+            for tok in line[col:].split():
+                col = line.index(tok, col)
+                if not pattern.fullmatch(tok):
+                    return PDSyntaxError(f"bad {header} header: got {tok!r}", ln, col + 1)
+                col += len(tok)
+            return PDSyntaxError("bad loops header", ln, at)
+    return PDSyntaxError(f"unknown header {name.split(':')[0]!r}", ln, at)
 
 
 def _solve_signs(labels: list[int], headers, occ: Optional[dict[int, list[int]]]) -> list[int]:
@@ -556,16 +541,13 @@ def serialize_pd(diagram: Diagram) -> str:
 
     The text of ``canonical(diagram)``, written from the canonical map
     without building that diagram: each component's labels run on from the
-    previous component's, starting at its smallest arc.  Headers are
-    written as ``_header_cycles`` orders them.
+    previous component's, starting at its smallest arc.
     """
     new = _canonical_map(diagram.components).__getitem__
-    lines = [f"% loops: {diagram.free_loops}"] if diagram.free_loops else []
-    for cyc in _header_cycles(diagram, lambda x: list(map(new, x.slots))):
-        lines.append("% component: " + " ".join(map(str, map(new, cyc))))
     labels = map(new, chain.from_iterable([x.slots for x in diagram.crossings]))
-    lines += map("X[%d,%d,%d,%d]".__mod__, sorted(zip(labels, labels, labels, labels)))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _write_pd(diagram.free_loops, [tuple(map(new, cyc)) for cyc in diagram.components],
+                     sorted(zip(labels, labels, labels, labels)),
+                     ((tuple(map(new, x.slots)), x.sign) for x in diagram.crossings))
 
 
 def serialize_pd_raw(diagram: Diagram) -> str:
@@ -576,36 +558,35 @@ def serialize_pd_raw(diagram: Diagram) -> str:
     Requires the label set to be 1..2n, which every constructed diagram in
     this package maintains.
     """
-    lines = []
-    if diagram.free_loops:
-        lines.append(f"% loops: {diagram.free_loops}")
-    for cyc in _header_cycles(diagram, lambda x: x.cid):
-        lines.append("% component: " + " ".join(str(e) for e in cyc))
-    for x in sorted(diagram.crossings, key=lambda x: x.cid):
-        a, b, c, d = x.slots
-        lines.append(f"X[{a},{b},{c},{d}]")
-    return "\n".join(lines) + ("\n" if lines else "")
+    crossings = sorted(diagram.crossings)  # by id, the first field
+    return _write_pd(diagram.free_loops, diagram.components, [x.slots for x in crossings],
+                     ((x.slots, x.sign) for x in crossings))
 
 
-def _header_cycles(diagram: Diagram, row_key) -> list[tuple[int, ...]]:
-    """Each component cycle as its ``% component:`` header lists it.
+def _write_pd(free_loops: int, cycles, rows: list, signed) -> str:
+    """PD text: a ``% loops:`` header, one ``% component:`` header per
+    strand cycle in ``cycles``, and ``rows`` in text order.
 
-    Two arcs read the same cycle either way round.  For a strand of two
-    arcs that passes under nothing, the rows do not say which way it runs
-    either, so its header starts at the arc that ends at the earlier of
-    its two rows, ordered by ``row_key``; ``parse_pd`` reads it that way.
+    A header of two arcs reads the same cycle either way round.  For a
+    strand of two arcs that passes under nothing, the rows do not say which
+    way it runs either, so its header starts at the arc that ends at the
+    earlier of its two rows in the text; ``parse_pd`` reads it that way.
+    That takes the signs: ``signed`` yields each row with its sign, and is
+    read only when some cycle has two arcs.
     """
+    lines = [f"% loops: {free_loops}"] if free_loops else []
     ends = None
-    cycles = []
-    for cyc in diagram.components:
+    for cyc in cycles:
         if len(cyc) == 2:
-            if ends is None:
-                ends = {x.over_in: x for x in diagram.crossings}
+            if ends is None:  # each row's incoming over-arc -> the row's text position
+                sign = dict(signed)
+                ends = {r[OVER_B if sign[r] > 0 else OVER_A]: i for i, r in enumerate(rows)}
             a, b = cyc
-            if a in ends and b in ends and row_key(ends[b]) < row_key(ends[a]):
+            if a in ends and b in ends and ends[b] < ends[a]:
                 cyc = (b, a)
-        cycles.append(cyc)
-    return cycles
+        lines.append("% component: " + " ".join(map(str, cyc)))
+    lines += map("X[%d,%d,%d,%d]".__mod__, rows)
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:

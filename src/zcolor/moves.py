@@ -30,7 +30,7 @@ from .diagram import (
     UNDER_OUT,
     Crossing,
     Diagram,
-    next_corner,
+    _next_corner,
     same_diagram,
 )
 
@@ -229,10 +229,10 @@ class DiagramBuilder:
         """The face through ``corner``, from its smallest corner."""
         rows, occ = self.rows, self._occ
         walk = [corner]
-        c = next_corner(rows, occ, corner)
+        c = _next_corner(rows, occ, corner)
         while c != corner:
             walk.append(c)
-            c = next_corner(rows, occ, c)
+            c = _next_corner(rows, occ, c)
         return _from_smallest(walk)
 
     def faces_through(self, arc: int) -> list[tuple[int, ...]]:
@@ -273,12 +273,12 @@ class DiagramBuilder:
         rows, occ = self.rows, self._occ
         found = []
         for start in range(4 * cids[0], 4 * cids[0] + 4):
-            second = next_corner(rows, occ, start)
+            second = _next_corner(rows, occ, start)
             if second >> 2 not in want:
                 continue
-            third = next_corner(rows, occ, second)
+            third = _next_corner(rows, occ, second)
             walk = [start, second, third]
-            if next_corner(rows, occ, third) == start and {c >> 2 for c in walk} == want:
+            if _next_corner(rows, occ, third) == start and {c >> 2 for c in walk} == want:
                 found.append(_from_smallest(walk))
         return min(found, default=None)
 

@@ -117,6 +117,22 @@ def test_linking_equals_writhe_random():
         assert equal, (w, lk)
 
 
+def test_two_parallel_determinant_is_twice_the_writhe(corpus):
+    """The determinant of a knot diagram's untwisted 2-parallel is 2|w|,
+    for w the diagram's writhe.
+
+    An observation with no proof: it is checked here on the corpus knots
+    and on 60 seeded random knots, not derived from the paper.
+    """
+    from zcolor.algebra import determinant
+
+    rng = seeded_rng()
+    knots = [(name, d) for name, d in corpus.items() if d.num_components == 1]
+    knots += [(f"random {i}", random_knot_diagram(rng, n_ops=2 + i % 7)) for i in range(60)]
+    for name, d in knots:
+        assert determinant(parallel(d, CableSpec((2,)))) == 2 * abs(writhe(d)), name
+
+
 def test_inter_component_grid_crossings_carry_base_sign():
     u2 = parallel(parse_pd("X[1,1,2,2]"), CableSpec(multiplicities=(2,)))
     comp = comp_of(u2)

@@ -117,6 +117,27 @@ def test_integers_have_one_spelling(text, line, column, message):
     assert str(err.value) == f"line {line}, column {column}: {message}"
 
 
+# (text, line, column, message) of texts with two errors: the first in the
+# text is named, whether it is a term or a header
+FIRST_ERROR = [
+    ("X[1,2,3,x]\n% bogus: 1", 1, 1, "expected X[a,b,c,d], got 'X[1,2,3,x]'"),
+    ("% bogus: 1\nX[1,2,3,x]", 1, 1, "unknown header 'bogus'"),
+    ("% loops: 1 2\nX[1,2,2,1]X[3,4,4,3]", 1, 1, "bad loops header"),
+    ("X[1,2,2,1]X[3,4,4,3]\n% loops: 1 2", 1, 1, "expected X[a,b,c,d], got 'X[1,2,2,1]X[3,4,4,3]'"),
+    ("% component: 1 x\nX[1,2,2,1] %", 1, 16, "bad component header: got 'x'"),
+    ("X[1,2,2,1] %\n% component: 1 x", 1, 12, "expected X[a,b,c,d], got '%'"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", FIRST_ERROR)
+def test_the_first_error_in_the_text_is_named(text, line, column, message):
+    with pytest.raises(PDSyntaxError) as err:
+        parse_pd(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert _read_like_the_scanner(text) == "refused"
+
+
 def test_integers_as_pd_writes_them():
     d = parse_pd("% loops: 0\n% component: 1 2\nX[1,2,2,1]")
     assert (d.free_loops, d.components) == (0, ((1, 2),))

@@ -26,9 +26,9 @@ from zcolor.diagram import (
     Diagram,
     DiagramError,
     _corner_successors,
+    _next_corner,
     canonical,
     crossing_graph_pieces,
-    next_corner,
     parse_pd,
     serialize_pd,
     serialize_pd_raw,
@@ -82,11 +82,11 @@ def reference_positions(rows: dict) -> dict:
 
 
 def assert_corner_successors_step_faces(d: Diagram, name=None) -> None:
-    """``validate``'s successor list holds ``next_corner`` at every corner."""
+    """``validate``'s successor list holds ``_next_corner`` at every corner."""
     nxt = _corner_successors(d._occ)
     rows = d.rows
     corners = [4 * c + s for c in rows for s in range(4)]
-    assert [nxt[c] for c in corners] == [next_corner(rows, d._occ, c) for c in corners], name
+    assert [nxt[c] for c in corners] == [_next_corner(rows, d._occ, c) for c in corners], name
 
 
 def check_builder(builder: DiagramBuilder) -> None:
