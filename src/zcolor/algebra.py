@@ -13,7 +13,10 @@ The matrix is held as sparse rows, {column: coefficient} with at most
 three entries each.  Almost every coloring row offers a +-1 pivot, so the
 Smith form and the kernel of a coloring matrix start with a sparse
 pre-pass (``_unit_pivots``) on those rows and run the dense elimination
-only on what is left.  The lemma behind it: if M[i][j] = s with s = +-1,
+only on what is left.  The pre-pass works in sweeps: each sorts the unit
+entries once by Markowitz cost and pivots them in that order; costs are
+not kept current within a sweep, so an entry whose cost moved waits for
+the next one.  The lemma behind it: if M[i][j] = s with s = +-1,
 subtracting multiples of row i clears column j from every other row, and
 subtracting multiples of column j clears the rest of row i.  Both are
 unimodular, so M is equivalent to diag(s, R), where R is M with row i and
@@ -28,7 +31,6 @@ basis of ker R is a saturated basis of ker M.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import NamedTuple, Optional
 
@@ -170,61 +172,57 @@ def snf_diagonal(rows, width: int) -> list[int]:
 
 
 def _unit_pivots(rows, width: int) -> tuple[list[tuple[int, int, dict[int, int]]], Matrix, list[int]]:
-    """Eliminate on +-1 entries of the sparse ``rows``, cheapest Markowitz
-    cost first.
+    """Eliminate on +-1 entries of the sparse ``rows``, in sweeps of
+    cheapest Markowitz cost first.
 
     Works on copies of the rows with a column -> rows index.  The cost of
-    entry (i, j) is (nnz of row i - 1) * (nnz of column j - 1).  Candidates
-    wait in a heap keyed by (cost, row, column); a popped entry whose cost
-    has changed goes back with its current cost, and every row an
-    elimination touches pushes its unit entries again, so the order is
-    deterministic.  Returns the pivots in order as (column, sign, rest of
-    the pivot row), the dense residual (the nonzero rows left, in row
-    order) and the columns no pivot took, which index the residual.
+    entry (i, j) is (nnz of row i - 1) * (nnz of column j - 1).  Each sweep
+    sorts the open rows' unit entries once by (cost, row, column) and
+    pivots them in that order, skipping an entry that an earlier pivot of
+    the sweep made stale: its row was pivoted or changed, or its cost
+    moved.  The first entry of a sweep is never stale, and sweeps repeat
+    while some open row has a unit entry, so the order is deterministic.
+    Returns the pivots in order as (column, sign, rest of the pivot row),
+    the dense residual (the nonzero rows left, in row order) and the
+    columns no pivot took, which index the residual.
     """
     rows = {i: dict(row) for i, row in enumerate(rows) if row}
     col_rows: list[set[int]] = [set() for _ in range(width)]
     for i, row in rows.items():
         for j in row:
             col_rows[j].add(i)
-    heap: list[tuple[int, int, int]] = []
-
-    def push(i):
-        row = rows[i]
-        for j, v in row.items():
-            if v == 1 or v == -1:
-                heapq.heappush(heap, ((len(row) - 1) * (len(col_rows[j]) - 1), i, j))
-
-    for i in rows:
-        push(i)
     pivots = []
-    while heap:
-        cost, i, j = heapq.heappop(heap)
-        row = rows.get(i)
-        if row is None or row.get(j) not in (1, -1):
-            continue
-        now = (len(row) - 1) * (len(col_rows[j]) - 1)
-        if now != cost:
-            heapq.heappush(heap, (now, i, j))
-            continue
-        del rows[i]
-        s = row.pop(j)
-        for k in row:
-            col_rows[k].discard(i)
-        col_rows[j].discard(i)
-        for t in col_rows[j]:  # row t -= (M[t][j] / s) * row i
-            other = rows[t]
-            q = other.pop(j) * s
-            for k, v in row.items():
-                w = other.get(k, 0) - q * v
-                if w:
-                    other[k] = w
-                    col_rows[k].add(t)
-                else:
-                    del other[k]
-                    col_rows[k].discard(t)
-            push(t)
-        pivots.append((j, s, row))
+    while True:
+        sweep = sorted(((len(row) - 1) * (len(col_rows[j]) - 1), i, j)
+                       for i, row in rows.items() for j, v in row.items() if v == 1 or v == -1)
+        if not sweep:
+            break
+        stale: set[int] = set()
+        for cost, i, j in sweep:
+            if i in stale:
+                continue
+            row = rows[i]
+            if (len(row) - 1) * (len(col_rows[j]) - 1) != cost:
+                continue
+            del rows[i]
+            s = row.pop(j)
+            for k in row:
+                col_rows[k].discard(i)
+            col_rows[j].discard(i)
+            stale.add(i)
+            stale.update(col_rows[j])
+            for t in col_rows[j]:  # row t -= (M[t][j] / s) * row i
+                other = rows[t]
+                q = other.pop(j) * s
+                for k, v in row.items():
+                    w = other.get(k, 0) - q * v
+                    if w:
+                        other[k] = w
+                        col_rows[k].add(t)
+                    else:
+                        del other[k]
+                        col_rows[k].discard(t)
+            pivots.append((j, s, row))
     taken = {j for j, _, _ in pivots}
     cols = [j for j in range(width) if j not in taken]
     residual = [[row.get(j, 0) for j in cols] for row in rows.values() if row]

@@ -139,10 +139,12 @@ def _scan_box(basis: list[list[int]], bound: int) -> Optional[list[int]]:
     - half box: ``v`` and ``-v`` have the same palette and the box is
       symmetric, so the first coefficient runs over ``[0, bound]`` and each
       vector stands for the smaller of ``v`` and ``-v``;
-    - prune: the columns where the last row is zero do not change with the
-      last coefficient, so a prefix whose fixed columns already carry more
-      distinct values than the best palette so far is skipped.  The test is
-      strict, so prefixes that can only tie are still visited.
+    - prune: once row t is chosen, the columns where rows t+1..k-1 are all
+      zero are settled, since no later coefficient moves them, so a prefix
+      whose settled columns already carry more distinct values than the
+      best palette so far is skipped.  The settled columns of each level
+      are found once per scan.  The test is strict, so prefixes that can
+      only tie are still visited.
     """
     k, c = len(basis), len(basis[0])
     multiples = [[[a * x for x in row] for a in range(-bound, bound + 1)]
@@ -151,18 +153,25 @@ def _scan_box(basis: list[list[int]], bound: int) -> Optional[list[int]]:
     last = basis[-1]
     fixed_cols = [j for j in range(c) if last[j] == 0]
     moving_cols = [j for j in range(c) if last[j] != 0]
+    settled = []  # settled[t]: the columns where rows t+1..k-1 are all zero
+    zero = fixed_cols
+    for row in reversed(basis[:-1]):
+        settled.append(zero)
+        zero = [j for j in zero if row[j] == 0]
+    settled.reverse()
     last_steps = [(step, [step[j] for j in moving_cols]) for step in multiples[-1]]
     best_size, best = c + 1, None
 
     def visit(t: int, prefix: list[int]) -> None:
         nonlocal best_size, best
         if t < k - 1:
+            cols = settled[t]
             for step in multiples[t]:
-                visit(t + 1, list(map(add, prefix, step)))
+                vals = list(map(add, prefix, step))
+                if len({vals[j] for j in cols}) <= best_size:
+                    visit(t + 1, vals)
             return
         fixed = {prefix[j] for j in fixed_cols}
-        if len(fixed) > best_size:
-            return
         moving = [prefix[j] for j in moving_cols]
         for step, moving_step in last_steps:
             size = len(fixed.union(map(add, moving, moving_step)))

@@ -60,11 +60,22 @@ def coloring_from_json(obj: dict) -> Coloring:
 
 
 def lattice_to_json(lattice) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "rank": lattice.rank,
-        "basis": [coloring_to_json(v) for v in lattice.edge_vectors()],
-    }
+    """Each basis vector as ``coloring_to_json`` writes its per-arc coloring.
+
+    The arc keys and each arc's class column are found once per lattice;
+    a vector's entries are encoded one by one only when one of them lies
+    outside the 53-bit safe range.
+    """
+    col = {c: i for i, c in enumerate(lattice.columns)}
+    keys = [str(e) for e, _ in lattice.edge_class]
+    index = [col[rep] for _, rep in lattice.edge_class]
+    basis = []
+    for v in lattice.basis:
+        values = map(v.__getitem__, index)
+        if min(v) < -_SAFE or max(v) > _SAFE:
+            values = map(encode_int, values)
+        basis.append(dict(zip(keys, values)))
+    return {"schema_version": SCHEMA_VERSION, "rank": lattice.rank, "basis": basis}
 
 
 def spectrum_to_json(spec: DiffSpectrum, gamma: Coloring) -> dict:

@@ -26,6 +26,7 @@ from zcolor.diagram import (
     writhe,
 )
 from zcolor.generate import standard_diagrams
+from zcolor.jsonio import SCHEMA_VERSION, coloring_to_json
 from zcolor.moves import MoveError, MoveTrace, Stage
 from zcolor.rewrite import DiffPath, RewriteError
 
@@ -375,6 +376,17 @@ def reference_scan_box(basis, bound: int) -> Optional[list[int]]:
         if size > 1 and (best is None or (size, vals) < best):
             best = (size, vals)
     return None if best is None else best[1]
+
+
+def reference_lattice_json(lattice) -> dict:
+    """``zcolor.jsonio.lattice_to_json`` as first written: each basis vector
+    expanded to a per-arc coloring, then sorted and encoded entry by entry
+    by ``coloring_to_json``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "rank": lattice.rank,
+        "basis": [coloring_to_json(lattice.expand(v)) for v in lattice.basis],
+    }
 
 
 def dense_coloring_matrix(diagram: Diagram) -> ColoringMatrix:

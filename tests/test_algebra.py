@@ -422,6 +422,21 @@ def test_dense_elimination_sees_only_the_residual(corpus, count_calls):
     assert hermite and all(len(m) <= 16 and len(m[0]) <= 16 for (m,) in hermite)
 
 
+@pytest.mark.parametrize("name,k,rows,cols", [
+    ("figure8", 8, 0, 8), ("figure8", 12, 0, 12), ("figure8", 16, 0, 16),
+    ("trefoil", 8, 8, 8), ("trefoil", 16, 17, 17),
+    ("hopf", 8, 16, 16), ("hopf", 12, 24, 24), ("hopf", 16, 32, 32),
+])
+def test_unit_pivot_residual_is_no_larger_than_recorded(corpus, name, k, rows, cols):
+    """The residual that the pivot sweeps leave on full parallels has no
+    more rows and no more columns than the one-pivot-at-a-time order
+    (cheapest Markowitz cost first, costs kept current) left."""
+    M = coloring_matrix(full_parallel(corpus, name, k))
+    pivots, residual, left = algebra._unit_pivots(M.rows, M.shape[1])
+    assert len(residual) <= rows and len(left) <= cols
+    assert len(pivots) + len(left) == M.shape[1]
+
+
 @pytest.mark.parametrize("name,k", [("figure8", 12), ("hopf", 12)])
 def test_large_parallel_lattice_is_colorings(corpus, name, k):
     d = full_parallel(corpus, name, k)

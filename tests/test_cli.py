@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from zcolor import algebra, diagram, moves
+from conftest import reference_lattice_json
+from zcolor import algebra, diagram, jsonio, moves
+from zcolor.cabling import CableSpec, parallel
 from zcolor.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "zcolor" / "corpus"
@@ -310,6 +312,31 @@ def test_colorability_emits_lattice(capsys):
     assert doc["kernel_rank"] == 1
     assert doc["lattice"]["rank"] == 1
     assert doc["z_colorable"] is False
+
+
+def test_lattice_json_matches_the_reference_writer(corpus):
+    """One key list per lattice writes what expanding and encoding each
+    basis vector wrote, as objects and as ``dumps`` text."""
+    lattices = [algebra.diagram_lattice(d) for d in corpus.values()]
+    for name in ("figure8", "trefoil", "hopf"):
+        base = corpus[name]
+        for k in (2, 4):
+            spec = CableSpec(multiplicities=(k,) * len(base.components))
+            lattices.append(algebra.diagram_lattice(parallel(base, spec)))
+    lattices += [algebra.diagram_lattice(diagram.parse_pd(text)) for text in ("", "X[1,1,2,2]")]
+    safe = 2 ** 53 - 1
+    lattices.append(algebra.ColoringLattice(
+        basis=((1, -1, 0), (safe, -safe, 7), (safe + 1, -3, 0), (0, -2 ** 70, 5)),
+        columns=(1, 4, 9),
+        edge_class=((1, 1), (2, 9), (3, 4), (4, 4), (9, 9), (11, 1))))
+    assert [lat.rank for lat in lattices[-3:]] == [0, 1, 4]
+    for lat in lattices:
+        got, want = jsonio.lattice_to_json(lat), reference_lattice_json(lat)
+        assert got == want
+        assert jsonio.dumps(got) == jsonio.dumps(want)
+    encoded = jsonio.lattice_to_json(lattices[-1])["basis"]
+    assert encoded[1]["1"] == safe and encoded[2]["1"] == str(safe + 1) and encoded[2]["2"] == 0
+    assert encoded[3]["3"] == str(-2 ** 70) and encoded[3]["9"] == 5
 
 
 def test_colorability_eliminates_once(capsys, count_calls):

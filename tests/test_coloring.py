@@ -182,22 +182,26 @@ def test_minimize_refuses_a_bound_below_one():
 
 @st.composite
 def scan_boxes(draw):
-    """A basis of 1-4 rows over 1-8 columns and a bound of 1-3.
+    """A basis of 1-5 rows over 1-8 columns and a bound of 1-3 (1 for five
+    rows).
 
-    Entries are zero about half the time, so the last row often fixes
-    columns the prune reads; a row may repeat an earlier one up to sign
-    or a factor 2, so many vectors tie on the best palette.
+    Entries are zero about half the time, and each column is zero in every
+    row after a drawn one, so the prune finds settled columns at every
+    level; a row may repeat an earlier one up to sign or a factor 2 (on
+    the columns it still reaches), so many vectors tie on the best palette.
     """
-    width = draw(st.integers(1, 8))
+    width, k = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    last = draw(st.lists(st.integers(0, k - 1), min_size=width, max_size=width))
     entry = st.one_of(st.just(0), st.integers(-3, 3))
     rows = []
-    for _ in range(draw(st.integers(1, 4))):
+    for t in range(k):
         if rows and draw(st.booleans()):
             factor = draw(st.sampled_from([-2, -1, 1, 2]))
-            rows.append([factor * x for x in draw(st.sampled_from(rows))])
+            row = [factor * x for x in draw(st.sampled_from(rows))]
         else:
-            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
-    return rows, draw(st.integers(1, 3))
+            row = draw(st.lists(entry, min_size=width, max_size=width))
+        rows.append([x if t <= last[j] else 0 for j, x in enumerate(row)])
+    return rows, draw(st.integers(1, 3 if k < 5 else 1))
 
 
 @settings(max_examples=300, deadline=None)

@@ -33,7 +33,11 @@ ALLOWED = {
 
 # Public class members kept although nothing outside the tests reads them
 # as an attribute; one reason per ``Class.member``.
-ALLOWED_MEMBERS: dict[str, str] = {}
+ALLOWED_MEMBERS: dict[str, str] = {
+    "ColoringLattice.edge_vectors": "the benchmark's own tests (perfbench/tests) read "
+                                    "it to check lattice vectors; the pipeline writes "
+                                    "lattices through jsonio.lattice_to_json",
+}
 
 
 def _identifiers(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
