@@ -153,11 +153,9 @@ def cmd_color_parallel(args) -> int:
     mult = _parse_spec(args.spec)
     if mult == (2,):
         cabled, gamma = parallel_coloring.color_two_parallel(d)
-        targets = [4, -1]
     else:
         cabled = cabling.parallel(d, cabling.CableSpec(multiplicities=mult))
         gamma = parallel_coloring.color_even_parallel(cabled)
-        targets = [3]
     # verbatim serialization keeps arc labels and crossing ids stable so the
     # emitted traces replay against the emitted pd
     doc = {
@@ -166,18 +164,11 @@ def cmd_color_parallel(args) -> int:
         "palette": [jsonio.encode_int(v) for v in sorted(set(gamma.values()))],
     }
     if args.reduce:
-        traces = []
-        cur_d, cur_g = cabled, gamma
-        for target in targets:
-            if target not in set(cur_g.values()):
-                continue
-            cur_d, cur_g, trace = parallel_coloring.delete_color_moves(
-                cur_d, cur_g, target)
-            traces.append(jsonio.trace_to_json(trace))
+        cur_d, cur_g, traces = parallel_coloring.delete_color_moves(cabled, gamma)
         doc["reduced_pd"] = diagram.serialize_pd_raw(cur_d)
         doc["reduced_coloring"] = jsonio.coloring_to_json(cur_g)
         doc["palette"] = [jsonio.encode_int(v) for v in sorted(set(cur_g.values()))]
-        doc["traces"] = traces
+        doc["traces"] = [jsonio.trace_to_json(trace) for trace in traces]
     _emit(doc, args.pretty)
     return 0
 

@@ -14,22 +14,23 @@ underpasses to restore the alternation.  So a pair enters a positive
 underpass in state 2 and a negative one in state 0, and leaves in the
 other; the copies of each base arc are seeded with the state their next
 underpass wants, or with 2 minus it ahead of a twist, which toggles the
-state.  The raw palette is inside -1..4 and two deletion passes (4 then -1)
-reach exactly {0,1,2,3}.
+state.  The raw palette is inside -1..4.  The 4-pass may bring in -1 and
+the -1 pass removes it: together they reach exactly {0,1,2,3}, checked once
+per reduction (``tests/test_lemmas.py::test_deletion_reaches_four_colors``).
 
 Deletions are verified local rewrites built from R2/R3 moves: conjugating
 a crossing region by a canceling twist pair toggles the over state, a
 bigon of one over line pushed across the region exchanges which line is
 met first, and rerouting a 0-line past the middle 1-pair fixes the parity
-that produces color 3.  A deletion pass is one run (``_Run``, shared with
-``rewrite``): a move builder with the coloring beside it, through which
-every move goes.  Each move re-derives only the arcs it changed (an R2
-bigon's four new arcs, an R3 triangle's three side arcs) by propagating
-over the crossings that meet them, so the coloring is current after every
-move; the relation is symmetric in the over slots and in the under slots,
-so propagation reads no crossing sign.  Once, at the end, the run builds
-the result, verifies its coloring and replays its trace, after the pass
-has checked its palette; failures raise, never degrade.
+that produces color 3.  A reduction (``delete_color_moves``) runs all its
+passes on one ``_Run``, shared with ``rewrite``: a move builder with the
+coloring beside it, through which every move goes.  Each move re-derives
+only the arcs it changed (an R2 bigon's four new arcs, an R3 triangle's
+three side arcs) by propagating over the crossings that meet them, so the
+coloring is current after every move; the relation is symmetric in the
+over slots and in the under slots, so propagation reads no crossing sign.
+Once, at the end, it checks the palette, builds the result, verifies its
+coloring and replays its trace; failures raise, never degrade.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import Counter
 from typing import NamedTuple, Optional
 
 from .cabling import CableSpec, CableStructure, Region, TwistSite, insert_full_twists, parallel
-from .coloring import Coloring, ColoringError, diff_spectrum, palette, verify_coloring
+from .coloring import Coloring, diff_spectrum, palette, verify_coloring
 from .diagram import OVER_A, UNDER_IN, Diagram, crossing_graph_pieces, writhe
 from .moves import (
     DiagramBuilder,
@@ -302,8 +303,9 @@ def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
 
     Builds the 2-parallel with drift-balancing full twists and colors each
     parallel pair (a, a+1) with a in {0, 2}; region and twist interiors
-    follow by propagation.  The palette is inside {-1,0,1,2,3,4}; the two
-    deletion passes of ``delete_color_moves`` then reach exactly {0,1,2,3}.
+    follow by propagation.  The palette is inside {-1,0,1,2,3,4};
+    ``delete_color_moves`` then runs the 4 and -1 passes, which together
+    reach exactly {0,1,2,3}, and checks that palette once, after both.
 
     A base arc's copies are seeded with the state its next underpass
     wants (2 before a positive one, 0 before a negative one); on a twist
@@ -452,46 +454,52 @@ def _rewrite_reroute_line(run: _Run, region: Region, mover_step: int,
 # -- delete_color_moves -----------------------------------------------------------
 
 
-def delete_color_moves(cabled: Diagram, gamma: Coloring, target: int
-                       ) -> tuple[Diagram, Coloring, MoveTrace]:
-    """Remove one color from a parallel coloring by verified local moves.
+def delete_color_moves(cabled: Diagram, gamma: Coloring
+                       ) -> tuple[Diagram, Coloring, list[MoveTrace]]:
+    """Reduce a parallel's coloring to four colors by verified local moves.
 
-    Every region whose interior uses the target color is rewritten inside
-    its own disk of one stage, on one run for the whole pass; each move
-    re-derives the colors it changes.  Once, at the end, the palette is
-    checked (target gone, no new colors), the result built, its coloring
-    verified and the trace replayed.  Raises NoApplicableMoveError when the
-    move library has no rewrite for the configuration.
+    The cable sets the passes: 4 then -1 on a 2-parallel, 3 otherwise.  All
+    go on one run; each pass whose color is present is one stage, with one
+    disk per rewritten region.  The palette is checked once per reduction,
+    not per pass: exactly {0,1,2,3} on a 2-parallel, the input's without 3
+    otherwise.  Then the result is built, its coloring verified and the
+    trace replayed, once.  Returns a one-stage trace per pass run (none,
+    and the input, when no pass runs).  Raises NoApplicableMoveError when
+    no rewrite applies or the palette is wrong.
     """
     st: CableStructure = cabled.cable
     if st is None:
         raise NoApplicableMoveError("no cable structure: move library does not apply")
     run = _Run(cabled, gamma)
-    values, _ = palette(gamma)
-    if target not in values:
-        raise ColoringError(f"color {target} is not in the palette")
+    two = st.multiplicities == (2,)
+    want = {0, 1, 2, 3} if two else set(run.gamma.values()) - {3}
+    for target in (4, -1) if two else (3,):
+        if target in run.gamma.values():
+            _delete_color(run, target)
+    reached = set(run.gamma.values())
+    if reached != want:
+        raise NoApplicableMoveError(
+            f"deletion reached palette {sorted(reached)}, not {sorted(want)}")
+    if not run.stages:
+        return cabled, gamma, []
+    try:
+        result, out, trace = run.finish(cable=st)
+    except ConstructionError as err:
+        raise NoApplicableMoveError(str(err)) from err
+    return result, out, [MoveTrace(stages=(stage,)) for stage in trace.stages]
 
+
+def _delete_color(run: _Run, target: int) -> None:
+    """One deletion pass: a stage that rewrites, each in its own disk, the
+    regions of the run's cable whose interior carries ``target``."""
     run.open_stage()
-    disks = run.stages[-1][1]
-    for base_cid in sorted(st.regions):
-        region = st.regions[base_cid]
+    for _, region in sorted(run.source.cable.regions.items()):
         if target in {run.gamma[e] for e in _region_interior_arcs(run.builder, region)}:
             run.open_disk(c for row in region.grid for c in row)
             _rewrite_region(run, region, target)
-    if not disks:
+    if not run.stages[-1][1]:
         raise NoApplicableMoveError(
             f"color {target} does not appear in any rewritable region interior")
-
-    new_values, _ = palette(run.gamma)
-    if target in new_values:
-        raise NoApplicableMoveError(f"rewrite did not eliminate color {target}")
-    if not new_values <= values - {target}:
-        raise NoApplicableMoveError(
-            f"rewrite introduced unexpected colors {sorted(new_values - values)}")
-    try:
-        return run.finish(cable=st)
-    except ConstructionError as err:
-        raise NoApplicableMoveError(str(err)) from err
 
 
 def _rewrite_region(run: _Run, region: Region, target: int) -> None:

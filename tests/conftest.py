@@ -25,9 +25,9 @@ from zcolor.diagram import (
     parse_pd,
     writhe,
 )
-from zcolor.generate import standard_diagrams
+from zcolor.generate import random_knot_diagram, standard_diagrams
 from zcolor.jsonio import SCHEMA_VERSION, coloring_to_json
-from zcolor.moves import MoveError, MoveTrace, Stage
+from zcolor.moves import DiagramBuilder, MoveError, MoveTrace, R1Insert, Stage, apply_move
 from zcolor.rewrite import DiffPath, RewriteError
 
 
@@ -70,6 +70,25 @@ def single_stage(moves, disks) -> MoveTrace:
 def trace_moves(trace) -> list[tuple]:
     """Every ``(move, disk)`` of a move trace, stage after stage."""
     return [mv for stage in trace.stages for mv in stage.moves]
+
+
+def chained(traces) -> MoveTrace:
+    """The one trace that runs ``traces`` one after another."""
+    return MoveTrace(stages=tuple(stage for trace in traces for stage in trace.stages))
+
+
+def balanced_random_knot(rng: random.Random, n_ops: int) -> Diagram:
+    """A random knot diagram brought to writhe 0 by kinks on random arcs."""
+    d = random_knot_diagram(rng, n_ops=n_ops)
+    w = writhe(d)
+    b = DiagramBuilder(d)
+    while w != 0:
+        edges = sorted({e for row in b.rows.values() for e in row})
+        s = -1 if w > 0 else 1
+        apply_move(b, R1Insert(edge=rng.choice(edges), sign=s,
+                               over_first=rng.random() < 0.5))
+        w += s
+    return canonical(b.diagram())[0]
 
 
 def successors(diagram: Diagram) -> dict[int, int]:

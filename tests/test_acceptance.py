@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     brute_force_fox_count,
+    chained,
     linking_equals_writhe,
     propagate_region,
     reduced_determinant,
@@ -124,11 +125,9 @@ def test_criterion_4_even_parallel_construction(corpus):
         assert verify_coloring(cabled, gamma), label
         values, _ = palette(gamma)
         assert values <= allowed, (label, sorted(values))
-        cur_d, cur_g = cabled, gamma
-        if 3 in values:
-            cur_d, cur_g, trace = delete_color_moves(cabled, gamma, 3)
-            rep = verify_local_equivalence(cabled, cur_d, trace)
-            assert rep.ok, (label, rep.reasons)
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        rep = verify_local_equivalence(cabled, cur_d, chained(traces))
+        assert rep.ok, (label, rep.reasons)
         final_values, size = palette(cur_g)
         assert size == 4, (label, sorted(final_values))
         assert is_simple(cur_d, cur_g) == (True, 1), label
@@ -146,13 +145,8 @@ def test_criterion_5_two_parallel_construction(corpus):
         assert verify_coloring(cabled, gamma), name
         values, _ = palette(gamma)
         assert values <= {-1, 0, 1, 2, 3, 4}, (name, sorted(values))
-        cur_d, cur_g = cabled, gamma
-        for target in (4, -1):
-            if target not in palette(cur_g)[0]:
-                continue
-            new_d, new_g, trace = delete_color_moves(cur_d, cur_g, target)
-            assert verify_local_equivalence(cur_d, new_d, trace).ok, name
-            cur_d, cur_g = new_d, new_g
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        assert verify_local_equivalence(cabled, cur_d, chained(traces)).ok, name
         assert palette(cur_g)[0] == {0, 1, 2, 3}, (name, sorted(palette(cur_g)[0]))
         assert is_simple(cur_d, cur_g) == (True, 1), name
     with pytest.raises(ConstructionError):
@@ -213,12 +207,8 @@ def test_criterion_7_four_color_floor(corpus):
     searchable["trefoil_w0_2par"] = (
         two_parallel_untwisted(corpus["trefoil_writhe0"]), False)
     for name in ("unknot_writhe0", "trefoil_writhe0"):
-        cabled, gamma = color_two_parallel(corpus[name])
-        cur_d, cur_g = cabled, gamma
-        for target in (4, -1):
-            if target in palette(cur_g)[0]:
-                cur_d, cur_g, _ = delete_color_moves(cur_d, cur_g, target)
-        searchable[name + "_reduced"] = (cur_d, True)
+        reduced, _, _ = delete_color_moves(*color_two_parallel(corpus[name]))
+        searchable[name + "_reduced"] = (reduced, True)
 
     for name, (d, four_expected) in searchable.items():
         colorable, _ = is_z_colorable(d)

@@ -364,18 +364,31 @@ def test_invariants_eliminates_once(capsys, count_calls):
         assert len(merges) <= 1, name
 
 
-@pytest.mark.xfail(strict=True, reason="deleting color 4 creates -1 on this base")
 def test_two_kink_writhe0_unknot_reduces_to_four_colors(tmp_path, capsys):
     """A writhe-0 unknot of two opposite kinks on one arc.
 
-    Deleting color 4 creates -1 today, and the deletion refuses with
-    "rewrite introduced unexpected colors [-1]".
+    Its 4-pass creates -1 and its -1 pass removes it; the palette is checked
+    once, after both, so the reduction reaches {0,1,2,3}.  ``verify``
+    accepts the reduced pair, and the two traces, run one after the other,
+    replay to the reduced diagram.
     """
     pd = tmp_path / "two_kinks.pd"
     pd.write_text("% component: 1 2 3 4\nX[1,1,2,4] X[2,3,3,4]\n")
     code, doc = run(capsys, "color-parallel", "--spec", "2", "--reduce", str(pd))
     assert code == 0, doc
     assert doc["palette"] == [0, 1, 2, 3]
+    assert len(doc["traces"]) == 2
+    source, target = tmp_path / "raw.pd", tmp_path / "reduced.pd"
+    coloring, trace = tmp_path / "reduced.json", tmp_path / "trace.json"
+    source.write_text(doc["pd"])
+    target.write_text(doc["reduced_pd"])
+    coloring.write_text(json.dumps(doc["reduced_coloring"]))
+    trace.write_text(json.dumps(
+        {"schema_version": 1, "stages": [s for t in doc["traces"] for s in t["stages"]]}))
+    code, out = run(capsys, "verify", str(target), str(coloring))
+    assert (code, out["valid"], out["palette"]) == (0, True, [0, 1, 2, 3])
+    code, out = run(capsys, "replay", str(source), str(trace), "--check", str(target))
+    assert (code, out["equivalent"], out["reasons"]) == (0, True, [])
 
 
 def test_colorability_omits_constant_witness(tmp_path, capsys):

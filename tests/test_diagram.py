@@ -398,6 +398,7 @@ def _emitted_diagrams(corpus):
     from test_golden import diff_chain_grid
     from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
     from zcolor.generate import diff_chain, random_knot_diagram
+    from zcolor.moves import replay_trace
     from zcolor.parallel_coloring import (
         NoApplicableMoveError,
         color_even_parallel,
@@ -424,22 +425,21 @@ def _emitted_diagrams(corpus):
             for sign in (1, -1):
                 sites = [TwistSite(e, sign) for e in d.components[0][:2]]
                 yield f"{name} (2) twists {sign}", insert_full_twists(cabled, sites)
-    passes = []
+    colored = []
     for name in ("unknot_writhe0", "trefoil_writhe0", "figure8"):
-        passes.append((f"{name} (2)", *color_two_parallel(corpus[name]), (4, -1)))
+        colored.append((f"{name} (2)", *color_two_parallel(corpus[name])))
     for name in ("trefoil", "figure8", "hopf"):
         cabled = parallel(corpus[name], CableSpec((4,) * corpus[name].num_components))
-        passes.append((f"{name} (4)", cabled, color_even_parallel(cabled), (3,)))
-    for name, d, gamma, targets in passes:
+        colored.append((f"{name} (4)", cabled, color_even_parallel(cabled)))
+    for name, d, gamma in colored:
         yield name, d
-        for target in targets:
-            if target not in gamma.values():
-                continue
-            try:
-                d, gamma, _ = delete_color_moves(d, gamma, target)
-            except NoApplicableMoveError:
-                break
-            yield f"{name} without {target}", d
+        try:
+            reduced, _, traces = delete_color_moves(d, gamma)
+        except NoApplicableMoveError:
+            continue
+        if len(traces) == 2:  # a 2-parallel between its 4-pass and its -1 pass
+            yield f"{name} without 4", replay_trace(d, traces[0])
+        yield f"{name} reduced", reduced
 
 
 def test_pd_round_trips_keep_signs(corpus):
@@ -457,7 +457,7 @@ def test_pd_round_trips_keep_signs(corpus):
         assert signed_rows(parse_pd(serialize_pd_raw(d))) == expected, name
         names.append(name)
     assert sum(" simple" in n for n in names) > 150
-    assert sum(" without " in n for n in names) >= 6
+    assert sum(n.endswith((" without 4", " reduced")) for n in names) >= 6
 
 
 def _reference_parse(rows, headers, loops):

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from conftest import (
+    chained,
     occurrence_index,
     pd_signs,
     reference_face_arcs,
@@ -163,16 +164,11 @@ def recorded_run(name):
     std = standard_diagrams()
     if name == "hopf-4,4 delete 3":
         cabled = parallel(std["hopf"], CableSpec((4, 4)))
-        d, _, trace = delete_color_moves(cabled, color_even_parallel(cabled), 3)
-        return cabled, trace_moves(trace)
+        _, _, traces = delete_color_moves(cabled, color_even_parallel(cabled))
+        return cabled, trace_moves(chained(traces))
     if name == "trefoil_writhe0-2 delete 4, -1":
         cabled, gamma = color_two_parallel(std["trefoil_writhe0"])
-        d, moves = cabled, []
-        for target in (4, -1):
-            if target in gamma.values():
-                d, gamma, trace = delete_color_moves(d, gamma, target)
-                moves += trace_moves(trace)
-        return cabled, moves
+        return cabled, trace_moves(chained(delete_color_moves(cabled, gamma)[2]))
     colors, kinks = {"chain-21-k1": ((2, 1), 1), "chain-31-k0": ((3, 1), 0),
                      "chain-421-k1": ((4, 2, 1), 1)}[name]
     d, gamma = diff_chain(colors, kinks)

@@ -27,7 +27,7 @@ from conftest import seeded_rng
 from zcolor import cli, generate
 from zcolor.algebra import is_z_colorable
 from zcolor.cabling import CableSpec, parallel
-from zcolor.coloring import is_simple, palette
+from zcolor.coloring import is_simple
 from zcolor.diagram import canonical, parse_pd, serialize_pd, serialize_pd_raw, writhe
 from zcolor.jsonio import coloring_to_json, dumps, trace_from_json, trace_to_json
 from zcolor.moves import replay_trace
@@ -150,14 +150,10 @@ def witness_outputs(work: Path) -> dict[str, str]:
     return out
 
 
-def _deleted(cabled, gamma, targets) -> str:
-    """Digest of the deletion passes for ``targets`` in the palette, or the refusal."""
-    traces = []
+def _deleted(cabled, gamma) -> str:
+    """Digest of ``delete_color_moves``'s outputs, or its refusal."""
     try:
-        for target in targets:
-            if target in palette(gamma)[0]:
-                cabled, gamma, trace = delete_color_moves(cabled, gamma, target)
-                traces.append(trace)
+        cabled, gamma, traces = delete_color_moves(cabled, gamma)
     except ValueError as err:
         return f"{type(err).__name__}: {err}"
     return _digest(cabled, gamma, [trace_to_json(t) for t in traces])
@@ -177,14 +173,13 @@ def deletion_outputs(work: Path) -> dict[str, str]:
     for draw in range(1500):
         base = generate.random_knot_diagram(rng, n_ops=rng.randint(2, 8))
         if writhe(base) == 0:
-            out[f"two-parallel draw {draw}"] = _deleted(*color_two_parallel(base), (4, -1))
+            out[f"two-parallel draw {draw}"] = _deleted(*color_two_parallel(base))
     rng = seeded_rng(21)
     bases = [generate.random_knot_diagram(rng, n_ops=1 + i % 6) for i in range(40)]
     for width in (4, 6, 8):
         for i, base in enumerate(bases):
             cabled = parallel(base, CableSpec(multiplicities=(width,)))
-            out[f"({width}) parallel base {i}"] = _deleted(
-                cabled, color_even_parallel(cabled), (3,))
+            out[f"({width}) parallel base {i}"] = _deleted(cabled, color_even_parallel(cabled))
     return out
 
 

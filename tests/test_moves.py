@@ -264,7 +264,7 @@ def recorded_traces():
     an R2- that leaves a two-arc strand passing under nothing."""
     cabled = parallel(standard_diagrams()["hopf"], CableSpec(multiplicities=(4, 4)))
     yield "hopf (4,4) delete 3", cabled, \
-        delete_color_moves(cabled, color_even_parallel(cabled), 3)[2]
+        delete_color_moves(cabled, color_even_parallel(cabled))[2][0]
     for colors, kinks in (((2, 1), 1), ((3, 1), 0), ((4, 2, 1), 1)):
         d, g = diff_chain(colors, kinks)
         yield f"chain {colors} k{kinks}", d, to_simple_coloring(d, g)[2]

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
-from conftest import propagate_region, seeded_rng
+from conftest import balanced_random_knot, chained, propagate_region, seeded_rng
+from zcolor import parallel_coloring as pc
 from zcolor.cabling import CableSpec, parallel
-from zcolor.coloring import ColoringError, is_simple, palette, verify_coloring
+from zcolor.coloring import is_simple, palette, verify_coloring
 from zcolor.diagram import parse_pd, validate
 from zcolor.moves import verify_local_equivalence
 from zcolor.parallel_coloring import (
@@ -114,37 +117,63 @@ def test_canonical_relabels_the_cable_structure(corpus):
 def test_delete_color_3():
     cabled = parallel(HOPF, CableSpec(multiplicities=(4, 4)))
     gamma = color_even_parallel(cabled)
-    out_d, out_g, trace = delete_color_moves(cabled, gamma, 3)
+    out_d, out_g, traces = delete_color_moves(cabled, gamma)
     assert verify_coloring(out_d, out_g)
     assert palette(out_g)[0] == {-1, 0, 1, 2}
     assert is_simple(out_d, out_g) == (True, 1)
-    assert verify_local_equivalence(cabled, out_d, trace).ok
+    assert len(traces) == 1
+    assert verify_local_equivalence(cabled, out_d, traces[0]).ok
     assert structural(out_d) == []
 
 
-def test_delete_missing_color_is_an_error():
+def test_a_width_2_mod_4_parallel_runs_no_pass():
+    """Its coloring lacks 3, so it comes back as it was, with no trace."""
     cabled = parallel(HOPF, CableSpec(multiplicities=(6, 6)))
     gamma = color_even_parallel(cabled)
-    with pytest.raises(ColoringError):
-        delete_color_moves(cabled, gamma, 3)
+    out_d, out_g, traces = delete_color_moves(cabled, gamma)
+    assert out_d is cabled and out_g is gamma and traces == []
 
 
 def test_a_width_4_parallel_refuses_colors_without_a_rewrite(corpus):
     """The figure8 (4) coloring uses -1..3; the move library has a rewrite
-    for its color-3 regions only, and refuses every other color by name."""
+    for its color-3 regions only, and a pass refuses every other color by
+    name."""
     cabled = parallel(corpus["figure8"], CableSpec(multiplicities=(4,)))
     gamma = color_even_parallel(cabled)
     assert palette(gamma)[0] == {-1, 0, 1, 2, 3}
     for target in (2, 0, -1, 1):
         with pytest.raises(NoApplicableMoveError,
                            match=f"^no rewrite available for color {target} here$"):
-            delete_color_moves(cabled, gamma, target)
+            pc._delete_color(pc._Run(cabled, gamma), target)
+
+
+def test_a_reduction_that_misses_its_palette_is_refused(corpus, monkeypatch, count_calls):
+    """The palette is checked once, after every pass and before the one
+    build; passes that leave a color behind are refused, naming the palette
+    they reached and the one they had to reach."""
+    from zcolor.diagram import Diagram
+
+    monkeypatch.setattr(pc, "_rewrite_region", lambda run, region, target: None)
+    cabled = parallel(HOPF, CableSpec(multiplicities=(4, 4)))
+    two = color_two_parallel(corpus["unknot_writhe0"])
+    builds = count_calls(Diagram, "__init__")
+    for (d, gamma), want in (((cabled, color_even_parallel(cabled)), [-1, 0, 1, 2]),
+                             (two, [0, 1, 2, 3])):
+        reached = sorted(set(gamma.values()))
+        with pytest.raises(NoApplicableMoveError,
+                           match=rf"^deletion reached palette {re.escape(str(reached))}, "
+                                 rf"not {re.escape(str(want))}$"):
+            delete_color_moves(d, gamma)
+    assert builds == []
 
 
 def test_delete_without_structure_is_explicit():
+    """The passes are read off the cable, so a diagram without one is
+    refused before any pass runs."""
     gamma = {e: 0 for e in TREFOIL.edges}
-    with pytest.raises(NoApplicableMoveError):
-        delete_color_moves(TREFOIL, gamma, 0)
+    with pytest.raises(NoApplicableMoveError,
+                       match="^no cable structure: move library does not apply$"):
+        delete_color_moves(TREFOIL, gamma)
 
 
 # -- 2-parallels --------------------------------------------------------------------
@@ -172,13 +201,8 @@ def test_color_two_parallel_rejects_nonzero_writhe():
 def test_two_parallel_reduction_pipeline(corpus):
     for name in ("unknot_writhe0", "trefoil_writhe0"):
         cabled, gamma = color_two_parallel(corpus[name])
-        cur_d, cur_g = cabled, gamma
-        for target in (4, -1):
-            if target not in palette(cur_g)[0]:
-                continue
-            new_d, new_g, trace = delete_color_moves(cur_d, cur_g, target)
-            assert verify_local_equivalence(cur_d, new_d, trace).ok, name
-            cur_d, cur_g = new_d, new_g
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        assert verify_local_equivalence(cabled, cur_d, chained(traces)).ok, name
         assert palette(cur_g)[0] == {0, 1, 2, 3}, name
         assert is_simple(cur_d, cur_g) == (True, 1), name
         assert structural(cur_d) == [], name
@@ -187,29 +211,12 @@ def test_two_parallel_reduction_pipeline(corpus):
 def test_deletion_traces_have_disjoint_disks():
     cabled = parallel(HOPF, CableSpec(multiplicities=(4, 4)))
     gamma = color_even_parallel(cabled)
-    _, _, trace = delete_color_moves(cabled, gamma, 3)
-    for stage in trace.stages:
+    _, _, traces = delete_color_moves(cabled, gamma)
+    for stage in chained(traces).stages:
         ids = sorted(stage.disks)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 assert not (stage.disks[a] & stage.disks[b])
-
-
-def _balanced_random_knot(rng, n_ops):
-    from zcolor.diagram import canonical, writhe
-    from zcolor.generate import random_knot_diagram
-    from zcolor.moves import DiagramBuilder, R1Insert, apply_move
-
-    d = random_knot_diagram(rng, n_ops=n_ops)
-    w = writhe(d)
-    b = DiagramBuilder(d)
-    while w != 0:
-        edges = sorted({e for row in b.rows.values() for e in row})
-        s = -1 if w > 0 else 1
-        apply_move(b, R1Insert(edge=rng.choice(edges), sign=s,
-                               over_first=rng.random() < 0.5))
-        w += s
-    return canonical(b.diagram())[0]
 
 
 def test_two_parallel_pipeline_on_random_writhe0_diagrams():
@@ -217,17 +224,12 @@ def test_two_parallel_pipeline_on_random_writhe0_diagrams():
 
     rng = seeded_rng(7)
     for trial in range(8):
-        base = _balanced_random_knot(rng, n_ops=2 + trial % 5)
+        base = balanced_random_knot(rng, n_ops=2 + trial % 5)
         cabled, gamma = color_two_parallel(base)
         assert verify_coloring(cabled, gamma), trial
         assert palette(gamma)[0] <= {-1, 0, 1, 2, 3, 4}, trial
-        cur_d, cur_g = cabled, gamma
-        for target in (4, -1):
-            if target not in palette(cur_g)[0]:
-                continue
-            new_d, new_g, trace = delete_color_moves(cur_d, cur_g, target)
-            assert verify_local_equivalence(cur_d, new_d, trace).ok, trial
-            cur_d, cur_g = new_d, new_g
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        assert verify_local_equivalence(cabled, cur_d, chained(traces)).ok, trial
         assert palette(cur_g)[0] == {0, 1, 2, 3}, trial
         assert is_simple(cur_d, cur_g) == (True, 1), trial
 
@@ -242,10 +244,7 @@ def test_two_parallel_with_same_sign_adjacent_underpasses():
     cabled, gamma = color_two_parallel(base)
     assert verify_coloring(cabled, gamma)
     assert palette(gamma)[0] <= {-1, 0, 1, 2, 3, 4}
-    cur_d, cur_g = cabled, gamma
-    for target in (4, -1):
-        if target in palette(cur_g)[0]:
-            cur_d, cur_g, _ = delete_color_moves(cur_d, cur_g, target)
+    cur_d, cur_g, _ = delete_color_moves(cabled, gamma)
     assert palette(cur_g)[0] == {0, 1, 2, 3}
     assert is_simple(cur_d, cur_g) == (True, 1)
 
@@ -260,10 +259,8 @@ def test_even_parallel_pipeline_on_random_bases():
         cabled = parallel(base, CableSpec(multiplicities=(4,)))
         gamma = color_even_parallel(cabled)
         assert verify_coloring(cabled, gamma), trial
-        cur_d, cur_g = cabled, gamma
-        if 3 in palette(gamma)[0]:
-            cur_d, cur_g, trace = delete_color_moves(cabled, gamma, 3)
-            assert verify_local_equivalence(cabled, cur_d, trace).ok, trial
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        assert verify_local_equivalence(cabled, cur_d, chained(traces)).ok, trial
         assert palette(cur_g)[0] == {-1, 0, 1, 2}, trial
         assert is_simple(cur_d, cur_g) == (True, 1), trial
 
@@ -273,47 +270,53 @@ def _toggle_bases(corpus):
 
     rng = seeded_rng(7)
     bases = [corpus["unknot_writhe0"], corpus["trefoil_writhe0"]]
-    return bases + [_balanced_random_knot(rng, n_ops=2 + trial % 5) for trial in range(8)]
+    return bases + [balanced_random_knot(rng, n_ops=2 + trial % 5) for trial in range(8)]
 
 
-def test_each_toggled_region_is_conjugated_once(corpus, count_calls):
+def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
     """The twist handedness is read from the region, never found by retrying.
 
     Over the 2-parallel reduce cases and the random writhe-0 bases above,
-    every deletion pass conjugates each region it toggles exactly once, and
-    the 4-pass toggles exactly the regions whose interior carries 4.
+    every deletion pass (one stage of the reduction's run) conjugates each
+    region it toggles exactly once, and the 4-pass toggles exactly the
+    regions whose interior carries 4.
     """
-    import zcolor.parallel_coloring as pc
+    toggle = pc._rewrite_toggle_over_state
+    toggles = []
 
-    toggles = count_calls(pc, "_rewrite_toggle_over_state")
+    def recording(run, region, flip_second):
+        toggles.append((len(run.stages), region))
+        return toggle(run, region, flip_second)
+
+    monkeypatch.setattr(pc, "_rewrite_toggle_over_state", recording)
     toggled = 0
     for i, base in enumerate(_toggle_bases(corpus)):
-        cur_d, cur_g = color_two_parallel(base)
-        for target in (4, -1):
-            if target not in palette(cur_g)[0]:
-                continue
-            carrying_4 = {cid for cid, region in cur_d.cable.regions.items()
-                          if 4 in {cur_g[e] for e in pc._region_interior_arcs(cur_d, region)}}
-            toggles.clear()
-            cur_d, cur_g, _ = delete_color_moves(cur_d, cur_g, target)
-            base_cid = {id(region): cid for cid, region in cur_d.cable.regions.items()}
-            calls = [base_cid[id(region)] for _, region, *_ in toggles]
+        cabled, gamma = color_two_parallel(base)
+        regions = cabled.cable.regions
+        carrying_4 = {cid for cid, region in regions.items()
+                      if 4 in {gamma[e] for e in pc._region_interior_arcs(cabled, region)}}
+        toggles.clear()
+        _, out_g, traces = delete_color_moves(cabled, gamma)
+        base_cid = {id(region): cid for cid, region in regions.items()}
+        targets = [4, -1] if 4 in gamma.values() else [-1]
+        for stage, target in enumerate(targets[:len(traces)], 1):
+            calls = [base_cid[id(region)] for at, region in toggles if at == stage]
             assert len(calls) == len(set(calls)), (i, target, calls)
             assert target != 4 or set(calls) == carrying_4, (i, calls)
             toggled += len(calls)
-        assert palette(cur_g)[0] == {0, 1, 2, 3}, i
+        assert palette(out_g)[0] == {0, 1, 2, 3}, i
     assert toggled > 0
 
 
-def test_a_deletion_pass_builds_one_diagram_and_verifies_once(corpus, count_calls):
+def test_a_reduction_builds_one_diagram_and_verifies_once(corpus, count_calls):
     """Regions are recolored on the move builder, never on a built diagram.
 
-    Each pass builds its result once, however many regions it rewrites; the
-    trace check compares the replay with it row by row and builds none.  The
-    input and output colorings are verified once each, and the trace once.
+    A reduction builds its result once, however many passes it runs and
+    regions it rewrites; the trace check compares the replay with it row
+    by row and builds none.  The input and output colorings are verified
+    once each, and the whole trace once.
     """
     import zcolor.coloring as coloring
-    import zcolor.parallel_coloring as pc
     from zcolor.diagram import Diagram
 
     colored = [color_two_parallel(base) for base in _toggle_bases(corpus)]
@@ -321,19 +324,17 @@ def test_a_deletion_pass_builds_one_diagram_and_verifies_once(corpus, count_call
     verifications = count_calls(pc, "verify_local_equivalence")
     colorings = count_calls(coloring, "verify_coloring")
     outputs = count_calls(pc, "verify_coloring")
-    most_regions = 0
-    for i, (cur_d, cur_g) in enumerate(colored):
-        for target in (4, -1):
-            if target not in palette(cur_g)[0]:
-                continue
-            for calls in (builds, verifications, colorings, outputs):
-                calls.clear()
-            cur_d, cur_g, trace = delete_color_moves(cur_d, cur_g, target)
-            assert len(builds) == 1, (i, target, len(builds))
-            assert len(verifications) == 1, (i, target)
-            assert (len(colorings), len(outputs)) == (1, 1), (i, target)
-            most_regions = max(most_regions, len(trace.stages[0].disks))
-    assert most_regions >= 3
+    most_regions = both_passes = 0
+    for i, (cabled, gamma) in enumerate(colored):
+        for calls in (builds, verifications, colorings, outputs):
+            calls.clear()
+        _, _, traces = delete_color_moves(cabled, gamma)
+        assert len(builds) == 1, (i, len(builds))
+        assert len(verifications) == 1, i
+        assert (len(colorings), len(outputs)) == (1, 1), i
+        both_passes += len(traces) == 2
+        most_regions = max([most_regions] + [len(t.stages[0].disks) for t in traces])
+    assert most_regions >= 3 and both_passes >= 1
 
 
 def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch, count_calls):
@@ -344,7 +345,6 @@ def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch
     Covers a 3-deletion, both passes of a toggled 2-parallel, two diff
     chains and the trefoil (6) witness.
     """
-    import zcolor.parallel_coloring as pc
     from zcolor.algebra import is_z_colorable
     from zcolor.coloring import diff_spectrum
     from zcolor.generate import diff_chain
@@ -368,10 +368,8 @@ def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch
     monkeypatch.setattr(pc._Run, "apply", checking)
     toggles = count_calls(pc, "_rewrite_toggle_over_state")
     hopf = parallel(corpus["hopf"], CableSpec(multiplicities=(4, 4)))
-    delete_color_moves(hopf, color_even_parallel(hopf), 3)
-    cur_d, cur_g = color_two_parallel(corpus["unknot_writhe0"])
-    for target in (4, -1):
-        cur_d, cur_g, _ = delete_color_moves(cur_d, cur_g, target)
+    delete_color_moves(hopf, color_even_parallel(hopf))
+    assert len(delete_color_moves(*color_two_parallel(corpus["unknot_writhe0"]))[2]) == 2
     assert toggles
     for colors, kinks in (((2, 1), 1), ((4, 2, 1), 1)):
         to_simple_coloring(*diff_chain(colors, kinks))
@@ -386,7 +384,7 @@ def test_a_two_parallel_builds_two_diagrams_however_many_twists(count_calls):
     from zcolor.diagram import Diagram
 
     rng = seeded_rng(11)
-    bases = [_balanced_random_knot(rng, n_ops=3 + trial) for trial in range(6)]
+    bases = [balanced_random_knot(rng, n_ops=3 + trial) for trial in range(6)]
     builds = count_calls(Diagram, "__init__")
     most_twists = 0
     for i, base in enumerate(bases):

@@ -231,7 +231,7 @@ def test_an_invalid_input_is_refused_by_the_run():
     gamma = pc.color_even_parallel(cabled)
     gamma[min(gamma)] += 1
     for call in (lambda: to_simple_coloring(d, g),
-                 lambda: pc.delete_color_moves(cabled, gamma, 3)):
+                 lambda: pc.delete_color_moves(cabled, gamma)):
         with pytest.raises(ColoringError, match="^not a valid coloring$"):
             call()
 
