@@ -58,11 +58,8 @@ from .parallel_coloring import (
     delete_color_moves,
 )
 from .rewrite import (
-    DiffPath,
     NoDiffPathError,
     RewriteError,
-    eliminate_max_diff,
-    find_diff_path,
     to_simple_coloring,
 )
 
@@ -78,7 +75,6 @@ __all__ = [
     "Crossing",
     "Diagram",
     "DiagramError",
-    "DiffPath",
     "DiffSpectrum",
     "MoveTrace",
     "NoApplicableMoveError",
@@ -93,8 +89,6 @@ __all__ = [
     "determinant",
     "diagram_lattice",
     "diff_spectrum",
-    "eliminate_max_diff",
-    "find_diff_path",
     "fox_coloring_count",
     "is_simple",
     "is_z_colorable",

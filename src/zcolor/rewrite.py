@@ -14,27 +14,33 @@ triangle move.  The slide sends the target's diff |a + b| to |a - b|:
 with the right sign choices the D-diff crossing becomes a |D - 2d|-diff
 crossing and the finger's pair under the over strand carries |D - d|, so
 no new diff reaches D.  Iterating strictly reduces the maximum, ending in
-a coloring whose positive diffs are all equal.
+a coloring whose positive diffs are all equal
+(``tests/test_lemmas.py::test_elimination_grows_no_diff_outside_the_lemma``).
 
-A simplification is one run (``parallel_coloring._Run``, shared with color
-deletion): one move builder for all its stages, with the coloring, each
-crossing's diff and the crossings of each diff beside the rows.  Every
-move goes through the run and re-derives only the arcs it changed (an R2
-bigon's four new arcs, an R3 triangle's three side arcs) by propagating
-the crossing relations over the crossings that meet them; those crossings'
-relations are re-checked and their diffs updated, so the coloring the
-finger routing reads is current after every move.  A stage (one finger
-drag and slide) is accepted only if its target lost the maximal diff and
-no diff outside {0, existing below maximum, |D-d|, |D-2d|} grew.  Once, at
-the end of the run, the whole coloring is verified on the emitted diagram
-and the whole trace is replayed by ``verify_local_equivalence``.  A stage
-that fails after its moves cannot be undone on the shared builder, so it
-refuses the whole run.
+``to_simple_coloring`` is the module's one entry point and runs one loop:
+each round searches the current diff paths and runs one stage, and a level
+ends when its maximum D is gone.  The first round of a level tries only
+the first path, which is stricter than the lemma and refuses some inputs
+the lemma covers.  A simplification is one run
+(``parallel_coloring._Run``, shared with color deletion): one move builder
+for all its stages, with the coloring, each crossing's diff and the
+crossings of each diff beside the rows.  Every move goes through the run
+and re-derives only the arcs it changed (an R2 bigon's four new arcs, an
+R3 triangle's three side arcs) by propagating the crossing relations over
+the crossings that meet them; those crossings' relations are re-checked
+and their diffs updated, so the coloring the finger routing reads is
+current after every move.  A stage (one finger drag and slide) is accepted
+only if its target lost the maximal diff and no diff outside {0, existing
+below maximum, |D-d|, |D-2d|} grew.  Once, at the end of the run, the
+whole coloring is verified on the emitted diagram and the whole trace is
+replayed by ``verify_local_equivalence``.  A stage that fails after its
+moves cannot be undone on the shared builder, so it refuses the whole run.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .coloring import Coloring
@@ -60,35 +66,19 @@ class DiffPath(NamedTuple):
     color: int                 # the shared arc color z
 
 
-def _finish(run: _Run) -> tuple[Diagram, Coloring, MoveTrace]:
-    """The run's one build and checks, refusing as a RewriteError."""
-    try:
-        return run.finish()
-    except ConstructionError as err:
-        raise RewriteError(str(err)) from err
-
-
 def _diff_paths(run: _Run) -> Iterator[DiffPath]:
-    """The run's diff paths in ``all_diff_paths`` order, one length at a time.
+    """The run's diff paths, shortest first, one length at a time.
 
-    A search runs from each arc of each maximal-diff crossing, all in step:
-    every search stops at the first length where it reaches a crossing of
-    smaller positive diff, so each length's paths, sorted by (end, start,
-    via), follow every shorter one, and a consumer that takes the first
-    usable path never runs the longer levels.  Incident crossings are read
-    from the builder as the searches reach an arc, in ascending id order.
-    The generator reads the builder as it goes: it must not be resumed
-    after a move.
+    A search runs from each arc of each maximal-diff crossing, all in step,
+    through 0-diff crossings: every search stops at the first length where
+    it reaches a crossing of smaller positive diff, so each length's paths,
+    sorted by (end, start, via), follow every shorter one, and a consumer
+    that takes the first usable path never runs the longer levels.
+    Incident crossings are read from the builder as the searches reach an
+    arc, in ascending id order.  The generator reads the builder as it
+    goes: it must not be resumed after a move.
     """
-    d_m = run.d_m
-    if not any(0 < d < d_m for d in run.at_diff):
-        raise RewriteError("coloring has no smaller positive diff: nothing to route to")
-    return _paths_by_length(run, d_m)
-
-
-def _paths_by_length(run: _Run, d_m: int) -> Iterator[DiffPath]:
-    """The generator behind ``_diff_paths``."""
-    rows, diffs = run.builder.rows, run.diffs
+    rows, diffs, d_m = run.builder.rows, run.diffs, run.d_m
     incident = functools.cache(run.builder.incident)
     # (start, frontier of arc paths, arcs seen) per (start, first arc)
     searches = [(start, [(first,)], {first}) for start in sorted(run.at_diff[d_m])
@@ -119,28 +109,6 @@ def _paths_by_length(run: _Run, d_m: int) -> Iterator[DiffPath]:
                             nxt.append(path + (e,))
             if nxt:
                 searches.append((start, nxt, seen))
-
-
-def all_diff_paths(diagram: Diagram, gamma: Coloring) -> list[DiffPath]:
-    """All shortest paths through 0-diff crossings, per start arc.
-
-    From each arc of each maximal-diff crossing a breadth-first search runs
-    through 0-diff crossings until it reaches arcs incident to crossings of
-    smaller positive diff.  Results are ordered by path length, then end
-    and start crossing ids, so the first entry is the canonical choice.
-    """
-    return list(_diff_paths(_Run(diagram, gamma)))
-
-
-def find_diff_path(diagram: Diagram, gamma: Coloring) -> Optional[DiffPath]:
-    """The canonical path: shortest, then lowest end-crossing id."""
-    paths = all_diff_paths(diagram, gamma)
-    return paths[0] if paths else None
-
-
-def _no_path() -> NoDiffPathError:
-    return NoDiffPathError("no path from a maximal-diff crossing through 0-diff crossings; "
-                           "noteworthy counter-instance")
 
 
 # -- the elimination -----------------------------------------------------------
@@ -177,60 +145,6 @@ def _finger_variant(run: _Run, path: DiffPath, d: int, allowed: set[int]
             if abs(b + run.gamma[u_arc] - 2 * w) in allowed and abs(b - w) in allowed:
                 return w_arc, u_arc
     return None
-
-
-def eliminate_max_diff(diagram: Diagram, gamma: Coloring, path: DiffPath
-                       ) -> tuple[Diagram, Coloring, MoveTrace]:
-    """Remove every maximal-diff crossing; returns the rewritten pair.
-
-    The supplied path seeds the first elimination; paths for the remaining
-    maximal-diff crossings are found internally.  Each stage checks its
-    target's new diff and that every diff it grows lies in {0, existing
-    below maximum, |D-d|, |D-2d|}; the coloring and the whole trace are
-    verified once, at the end.
-    """
-    run = _Run(diagram, gamma)
-    _eliminate_rounds(run, path)
-    return _finish(run)
-
-
-def _eliminate_rounds(run: _Run, path: DiffPath) -> None:
-    """One stage per maximal-diff crossing of the run, until none is left.
-
-    The first stage tries only the seeded path; later ones try every path
-    the builder offers, in order, and take the first with a finger variant.
-    """
-    d_m = run.d_m
-    if run.diffs.get(path.start) != d_m:
-        raise RewriteError("path does not start at a maximal-diff crossing")
-    budget = len(run.at_diff[d_m])
-    allowed_new: set[int] = {0} | {v for v in run.at_diff if v < d_m}
-    rounds = 0
-    while d_m in run.at_diff:
-        rounds += 1
-        if rounds > budget:
-            raise RewriteError("elimination exceeded its loop bound")
-        candidates = [path] if rounds == 1 else _diff_paths(run)
-        errors: list[str] = []
-        for cand in candidates:
-            d = run.diffs[cand.end]
-            allowed = allowed_new | {abs(d_m - d), abs(d_m - 2 * d)}
-            variant = _finger_variant(run, cand, d, allowed)
-            if variant is not None:
-                break
-            errors.append("no finger variant satisfies the diff postcondition")
-        else:
-            if not errors:
-                raise _no_path()
-            raise RewriteError(
-                f"no candidate path eliminates a {d_m}-diff crossing "
-                f"({errors[:2]})")
-        try:
-            _drag_and_slide(run, cand, *variant, allowed, d_m)
-        except (MoveError, RewriteError, ConstructionError) as err:
-            raise RewriteError(
-                f"round {rounds} at diff {d_m}: the stage at target crossing "
-                f"{cand.start} failed and the run is refused ({err})") from err
 
 
 def _poke_face(builder: DiagramBuilder, tip: int):
@@ -356,13 +270,15 @@ def _endgame(run: _Run, target_cid: int, u_slots: list[int], tip: int) -> None:
 
 def to_simple_coloring(diagram: Diagram, gamma: Coloring
                        ) -> tuple[Diagram, Coloring, MoveTrace]:
-    """Iterate eliminations until every positive diff is one fixed value.
+    """Eliminate maximal-diff crossings until every positive diff is one value.
 
-    The maximum diff strictly decreases each round, so the loop runs at
-    most d_m(initial) times; already-simple colorings return unchanged with
-    an empty trace.  All rounds share one run, which verifies the input
-    coloring: one builder, one diagram build and one trace verification at
-    the end.
+    One loop runs one stage per round.  A level lasts while its maximum D
+    is present; a stage grows no diff at or above D, so D strictly
+    decreases from level to level and there are at most d_m(initial)
+    levels, each with at most as many rounds as it starts with D-diff
+    crossings.  Already-simple colorings return unchanged with an empty
+    trace.  All stages share one run, which verifies the input coloring:
+    one builder, one diagram build and one trace verification at the end.
     """
     run = _Run(diagram, gamma)
     if len(set(gamma.values())) <= 1:
@@ -372,14 +288,43 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
     if sum(d > 0 for d in run.at_diff) == 1:
         return diagram, dict(gamma), MoveTrace(stages=())
 
-    initial_dm = run.d_m
-    rounds = 0
+    initial_dm, levels, d_m = run.d_m, 0, 0
     while sum(d > 0 for d in run.at_diff) > 1:
+        if run.d_m != d_m:
+            levels += 1
+            if levels > initial_dm:
+                raise RewriteError("simplification exceeded its loop bound")
+            d_m = run.d_m
+            budget = len(run.at_diff[d_m])
+            allowed_new = {0} | {v for v in run.at_diff if v < d_m}
+            rounds = 0
         rounds += 1
-        if rounds > initial_dm:
-            raise RewriteError("simplification exceeded its loop bound")
-        path = next(_diff_paths(run), None)
-        if path is None:
-            raise _no_path()
-        _eliminate_rounds(run, path)
-    return _finish(run)
+        if rounds > budget:
+            raise RewriteError("elimination exceeded its loop bound")
+        # round 1 of a level tries the first path only: stricter than the lemma
+        candidates = islice(_diff_paths(run), 1) if rounds == 1 else _diff_paths(run)
+        errors: list[str] = []
+        for path in candidates:
+            d = run.diffs[path.end]
+            allowed = allowed_new | {abs(d_m - d), abs(d_m - 2 * d)}
+            variant = _finger_variant(run, path, d, allowed)
+            if variant is not None:
+                break
+            errors.append("no finger variant satisfies the diff postcondition")
+        else:
+            if not errors:
+                raise NoDiffPathError("no path from a maximal-diff crossing through 0-diff "
+                                      "crossings; noteworthy counter-instance")
+            raise RewriteError(
+                f"no candidate path eliminates a {d_m}-diff crossing "
+                f"({errors[:2]})")
+        try:
+            _drag_and_slide(run, path, *variant, allowed, d_m)
+        except (MoveError, RewriteError, ConstructionError) as err:
+            raise RewriteError(
+                f"round {rounds} at diff {d_m}: the stage at target crossing "
+                f"{path.start} failed and the run is refused ({err})") from err
+    try:
+        return run.finish()
+    except ConstructionError as err:
+        raise RewriteError(str(err)) from err

@@ -4,11 +4,13 @@ import itertools
 import os
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import pytest
 
+from zcolor import rewrite
 from zcolor.algebra import ColoringMatrix, diagram_lattice
 from zcolor.cabling import CableError, CableSpec, parallel
 from zcolor.diagram import (
@@ -536,6 +538,119 @@ def reference_diff_paths(builder, gamma, diffs: dict[int, int]) -> list[DiffPath
                 frontier = nxt
     found.sort(key=lambda p: (len(p.via), p.end, p.start, p.via))
     return found
+
+
+def checked_diffs(rows: dict, gamma) -> dict[int, int]:
+    """Each crossing's diff in a crossing table, after checking every
+    crossing relation: both over slots carry one color, and the two under
+    colors sum to twice it.  Independent of ``verify_coloring``."""
+    diffs = {}
+    for cid, (under_in, over_a, under_out, over_b) in rows.items():
+        over = gamma[over_a]
+        assert gamma[over_b] == over, (cid, rows[cid])
+        assert gamma[under_in] + gamma[under_out] == 2 * over, (cid, rows[cid])
+        diffs[cid] = abs(over - gamma[under_in])
+    return diffs
+
+
+@dataclass
+class StageState:
+    """A simplification's diffs before a stage, or at its end, with the
+    number of crossings of each diff and the last path the search before
+    that stage yielded: the stage's."""
+
+    diffs: dict[int, int]
+    counts: dict[int, int]
+    path: Optional[DiffPath] = None
+
+    @property
+    def d_m(self) -> int:
+        return max(self.counts)
+
+
+class StageRecorder:
+    """Records ``to_simple_coloring`` stage by stage, through its one search.
+
+    The loop calls ``rewrite._diff_paths`` once before each stage and runs
+    the last path that call yielded.  The recorder wraps the search: each
+    call checks the run's rows under its coloring with ``checked_diffs``,
+    checks ``run.diffs`` and ``run.at_diff`` against them, snapshots them,
+    and remembers the last path it passes on.  ``simplify`` adds the
+    output's state at the end.
+    """
+
+    def __init__(self, monkeypatch):
+        self.states: list[StageState] = []
+        search = rewrite._diff_paths
+
+        def recording(run):
+            diffs = checked_diffs(run.builder.rows, run.gamma)
+            assert diffs == run.diffs
+            for d, cids in run.at_diff.items():
+                assert set(map(diffs.__getitem__, cids)) == {d}, d
+            counts = {d: len(cids) for d, cids in run.at_diff.items()}
+            assert sum(counts.values()) == len(diffs)
+            state = StageState(diffs, counts)
+            self.states.append(state)
+            return self._remembering(search(run), state)
+
+        monkeypatch.setattr(rewrite, "_diff_paths", recording)
+
+    @staticmethod
+    def _remembering(paths, state: StageState):
+        for path in paths:
+            state.path = path
+            yield path
+
+    def simplify(self, diagram: Diagram, gamma):
+        """``to_simple_coloring`` on a fresh record, the output's state last."""
+        self.states = []
+        out_d, out_g, trace = rewrite.to_simple_coloring(diagram, gamma)
+        diffs = checked_diffs(out_d.rows, out_g)
+        self.states.append(StageState(diffs, dict(Counter(diffs.values()))))
+        return out_d, out_g, trace
+
+    def check_lemma(self, finished: bool = True) -> list[int]:
+        """Assert the elimination lemma on every recorded stage; returns each
+        level's maximum D, in order.
+
+        A stage's target loses D, and every diff whose count grows is 0, an
+        existing one below D, |D - d| or |D - 2d| for the stage's path diff d.
+        A level (the stages at one D) runs at most as many stages as it
+        starts with D-diff crossings and ends without D, its diffs all 0, one
+        below D at its start, or |D - d| or |D - 2d| for one of those; D
+        strictly decreases.  Only the last level may stop with D left, and
+        only when ``finished`` is false: a refused run.
+        """
+        levels: list[tuple[int, StageState, list[StageState]]] = []
+        for before, after in zip(self.states, self.states[1:]):
+            big, path = before.d_m, before.path
+            d = before.diffs[path.end]
+            assert before.diffs[path.start] == big and 0 < d < big, (path, d, big)
+            assert after.diffs[path.start] != big, path
+            allowed = ({0, abs(big - d), abs(big - 2 * d)}
+                       | {v for v in before.counts if v < big})
+            grown = {v for v, n in after.counts.items() if n > before.counts.get(v, 0)}
+            assert grown <= allowed, (big, d, grown, allowed)
+            if not levels or levels[-1][0] != big:
+                levels.append((big, before, []))
+            levels[-1][2].append(after)
+        maxima = [big for big, _, _ in levels]
+        assert maxima == sorted(set(maxima), reverse=True), maxima
+        for i, (big, start, ends) in enumerate(levels):
+            assert len(ends) <= start.counts[big], (big, len(ends))
+            if big in ends[-1].counts:
+                assert not finished and i == len(levels) - 1, (big, "left at level end")
+                continue
+            smaller = {v for v in start.counts if 0 < v < big}
+            allowed = {0} | smaller | {abs(big - k * d) for d in smaller for k in (1, 2)}
+            assert set(ends[-1].counts) <= allowed, (big, sorted(ends[-1].counts), allowed)
+        return maxima
+
+
+@pytest.fixture
+def stage_recorder(monkeypatch) -> StageRecorder:
+    return StageRecorder(monkeypatch)
 
 
 def reference_r3(builder, mv) -> dict:

@@ -41,7 +41,6 @@ from zcolor.parallel_coloring import (
     color_two_parallel,
     delete_color_moves,
 )
-from zcolor.rewrite import eliminate_max_diff, find_diff_path
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -155,39 +154,25 @@ def test_criterion_5_two_parallel_construction(corpus):
            "writhe-0 unknot and trefoil; nonzero writhe rejected")
 
 
-def test_criterion_6_rewriting_to_simple():
+def test_criterion_6_rewriting_to_simple(stage_recorder):
     """>=5 synthetic diagrams with max diff 2..4 simplify within bounds."""
     t0 = time.time()
     cases = [([2, 1], 0), ([2, 1], 1), ([3, 1], 0), ([3, 2], 1),
              ([4, 3], 2), ([4, 2], 1)]
     for colors, kinks in cases:
         d, g = diff_chain(colors, kinks)
-        spec0 = diff_spectrum(d, g)
-        d_m = spec0.d_m
+        d_m = diff_spectrum(d, g).d_m
         assert d_m in (2, 3, 4)
-        # step-level checks: each elimination leaves no maximal diff and
-        # every new diff is 0, an existing smaller one, |D-d| or |D-2d|
-        cur_d, cur_g = d, g
-        rounds = 0
-        while not is_simple(cur_d, cur_g)[0]:
-            rounds += 1
-            assert rounds <= d_m, (colors, kinks, "outer bound exceeded")
-            spec = diff_spectrum(cur_d, cur_g)
-            path = find_diff_path(cur_d, cur_g)
-            assert path is not None, (colors, kinks)
-            smaller = {v for v in spec.histogram if 0 < v < spec.d_m}
-            allowed = {0} | smaller
-            for dval in smaller:
-                allowed |= {abs(spec.d_m - dval), abs(spec.d_m - 2 * dval)}
-            new_d, new_g, trace = eliminate_max_diff(cur_d, cur_g, path)
-            assert verify_coloring(new_d, new_g), (colors, kinks)
-            new_spec = diff_spectrum(new_d, new_g)
-            assert spec.d_m not in new_spec.histogram, (colors, kinks)
-            assert set(new_spec.histogram) <= allowed, (
-                colors, kinks, new_spec.histogram, allowed)
-            assert verify_local_equivalence(cur_d, new_d, trace).ok
-            cur_d, cur_g = new_d, new_g
-        assert is_simple(cur_d, cur_g)[0], (colors, kinks)
+        out_d, out_g, trace = stage_recorder.simplify(d, g)
+        # stage- and level-wise checks: every stage's target loses D and every
+        # grown diff is 0, an existing smaller one, |D-d| or |D-2d|; each
+        # level leaves no D and only such diffs; D strictly decreases, at
+        # most d_m levels; every crossing relation holds before every stage
+        levels = stage_recorder.check_lemma()
+        assert levels[0] == d_m and len(levels) <= d_m, (colors, kinks, levels)
+        assert verify_coloring(out_d, out_g), (colors, kinks)
+        assert verify_local_equivalence(d, out_d, trace).ok, (colors, kinks)
+        assert is_simple(out_d, out_g)[0], (colors, kinks)
     elapsed = time.time() - t0
     report("criterion 6: max-diff elimination to simple colorings",
            len(cases) >= 5 and elapsed < 120,

@@ -19,15 +19,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "zcolor"
 
-# The paper's lemmas, kept as library API although the pipeline runs their
-# private cores instead; one reason per name.
+# Public names kept as library API although nothing outside the tests calls
+# them; one reason per name.
 ALLOWED = {
     "is_z_colorable": "the paper's colorability decision; the CLI reuses "
                       "the lattice it builds through colorability",
-    "find_diff_path": "the paper's path lemma; to_simple_coloring runs the "
-                      "private _diff_paths on its move builder",
-    "eliminate_max_diff": "the paper's elimination lemma; to_simple_coloring "
-                          "runs the private _eliminate_rounds",
 }
 
 

@@ -10,17 +10,16 @@ from zcolor.coloring import ColoringError, diff_spectrum, is_simple, verify_colo
 from zcolor.diagram import Diagram, validate
 from zcolor.generate import diff_chain, standard_diagrams
 from zcolor.moves import MoveError, verify_local_equivalence
-from zcolor.rewrite import (
-    RewriteError,
-    all_diff_paths,
-    eliminate_max_diff,
-    find_diff_path,
-    to_simple_coloring,
-)
+from zcolor.rewrite import RewriteError, to_simple_coloring
 
 
 def structural(d):
     return [x for x in validate(d) if "canonical" not in x]
+
+
+def diff_paths(d, g):
+    """Every diff path of a fresh run on ``d`` and ``g``, in search order."""
+    return list(rewrite._diff_paths(pc._Run(d, g)))
 
 
 def test_chain_construction():
@@ -34,8 +33,7 @@ def test_chain_construction():
 
 def test_find_diff_path_basic():
     d, g = diff_chain([2, 1])
-    p = find_diff_path(d, g)
-    assert p is not None
+    p = diff_paths(d, g)[0]
     spec = diff_spectrum(d, g)
     assert spec.diffs[p.start] == 2
     assert spec.diffs[p.end] == 1
@@ -44,8 +42,7 @@ def test_find_diff_path_basic():
 
 def test_path_through_kinks():
     d, g = diff_chain([2, 1], kinks_between=2)
-    p = find_diff_path(d, g)
-    assert p is not None
+    p = diff_paths(d, g)[0]
     assert len(p.via) >= 1
     spec = diff_spectrum(d, g)
     # intermediate crossings along the path all have diff 0
@@ -70,19 +67,18 @@ def test_no_path_when_pieces_split():
     gamma = dict(g1)
     gamma.update({e + shift_e: c for e, c in g2.items()})
     assert verify_coloring(both, gamma)
-    assert find_diff_path(both, gamma) is None
+    assert diff_paths(both, gamma) == []
 
 
 def test_simple_input_has_no_route():
     d, g = diff_chain([2, 2])
-    with pytest.raises(RewriteError):
-        find_diff_path(d, g)
+    assert diff_paths(d, g) == []
 
 
-def test_eliminate_removes_all_max_diffs():
+def test_eliminate_removes_all_max_diffs(stage_recorder):
     d, g = diff_chain([2, 1])
-    p = find_diff_path(d, g)
-    out_d, out_g, trace = eliminate_max_diff(d, g, p)
+    out_d, out_g, trace = stage_recorder.simplify(d, g)
+    assert stage_recorder.check_lemma() == [2]
     spec = diff_spectrum(out_d, out_g)
     assert 2 not in spec.histogram
     assert set(spec.histogram) <= {0, 1}
@@ -91,14 +87,14 @@ def test_eliminate_removes_all_max_diffs():
     assert structural(out_d) == []
 
 
-def test_eliminate_diff_arithmetic():
+def test_eliminate_diff_arithmetic(stage_recorder):
     # removing a 3-diff crossing via a 1-diff target may create 2s and 1s
     d, g = diff_chain([3, 1])
-    p = find_diff_path(d, g)
-    out_d, out_g, _ = eliminate_max_diff(d, g, p)
-    spec = diff_spectrum(out_d, out_g)
-    assert 3 not in spec.histogram
-    assert set(spec.histogram) <= {0, 1, 2}
+    stage_recorder.simplify(d, g)
+    assert stage_recorder.check_lemma()[0] == 3
+    level_end = next(s for s in stage_recorder.states if s.d_m < 3)
+    assert 3 not in level_end.counts
+    assert set(level_end.counts) <= {0, 1, 2}
 
 
 @pytest.mark.parametrize("colors,kinks", [
@@ -128,16 +124,12 @@ def test_already_simple_returns_identity():
     assert out_g == g
 
 
-def test_intermediate_colorings_verify():
+def test_intermediate_colorings_verify(stage_recorder):
+    """The recorder checks every crossing relation before every stage."""
     d, g = diff_chain([3, 2], kinks_between=1)
-    cur_d, cur_g = d, g
-    while True:
-        simple, _ = is_simple(cur_d, cur_g)
-        if simple:
-            break
-        p = find_diff_path(cur_d, cur_g)
-        cur_d, cur_g, _ = eliminate_max_diff(cur_d, cur_g, p)
-        assert verify_coloring(cur_d, cur_g)
+    out_d, out_g, _ = stage_recorder.simplify(d, g)
+    assert stage_recorder.check_lemma() == [3, 2]
+    assert verify_coloring(out_d, out_g)
 
 
 def test_trivial_rejected():
@@ -156,8 +148,10 @@ def test_known_limitation_is_explicit():
 
 def test_all_paths_sorted():
     d, g = diff_chain([2, 1], kinks_between=1)
-    paths = all_diff_paths(d, g)
+    run = pc._Run(d, g)
+    paths = list(rewrite._diff_paths(run))
     assert paths
+    assert paths == reference_diff_paths(run.builder, run.gamma, run.diffs)
     lengths = [len(p.via) for p in paths]
     assert lengths == sorted(lengths)
 
@@ -238,7 +232,7 @@ def test_an_invalid_input_is_refused_by_the_run():
 
 def test_a_stage_failing_mid_run_refuses_the_whole_run(monkeypatch):
     d, g = diff_chain([2, 1], kinks_between=1)
-    target = find_diff_path(d, g).start
+    target = diff_paths(d, g)[0].start
 
     def failing_endgame(*args):
         raise MoveError("injected endgame failure")
