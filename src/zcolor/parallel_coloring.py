@@ -24,12 +24,12 @@ bigon of one over line pushed across the region exchanges which line is
 met first, and rerouting a 0-line past the middle 1-pair fixes the parity
 that produces color 3.  A reduction (``delete_color_moves``) runs all its
 passes on one ``_Run``, shared with ``rewrite``: a move builder with the
-coloring beside it, through which every move goes.  Each move re-derives
-only the arcs it changed (an R2 bigon's four new arcs, an R3 triangle's
-three side arcs) by propagating over the crossings that meet them, so the
-coloring is current after every move; the relation is symmetric in the
-over slots and in the under slots, so propagation reads no crossing sign.
-Once, at the end, it checks the palette, builds the result, verifies its
+coloring beside it, through which every move goes.  Each move recolors
+only the arcs it changed, by the crossing rule and without propagation:
+an R2 bigon's four new arcs from the colors of its two arcs, an R3
+triangle's three sides from the outer arcs across from them at the new
+triangle's corners.  So the coloring is current after every move.  Once,
+at the end, it checks the palette, builds the result, verifies its
 coloring and replays its trace; failures raise, never degrade.
 """
 
@@ -127,32 +127,19 @@ def propagate_coloring(rows: dict[int, tuple[int, int, int, int]], seeds: Colori
     return gamma
 
 
-def _rederive(builder: DiagramBuilder, gamma: Coloring, unknown: set[int]) -> list[int]:
-    """Re-derive the ``unknown`` arcs of ``gamma`` on the builder's rows.
-
-    Propagates over every crossing that meets an unknown arc, seeded by
-    those crossings' other arcs, and writes the unknown arcs into ``gamma``.
-    Returns the swept crossings, in id order; all their relations hold.
-    """
-    cids = sorted({cid for e in unknown for cid in builder.incident(e)})
-    rows = {cid: builder.rows[cid] for cid in cids}
-    local = propagate_coloring(
-        rows, {e: gamma[e] for row in rows.values() for e in row if e not in unknown})
-    for e in unknown:
-        gamma[e] = local[e]
-    return cids
-
-
 class _Run:
     """A move builder with its coloring, each crossing's diff and the stages.
 
     ``gamma`` colors the builder's arcs, ``diffs`` maps each crossing to its
     diff and ``at_diff`` each diff to its crossings.  ``apply`` is the only
     way a rewrite applies a move, and it keeps all three current after
-    every move.  The rewrites apply only R2 bigons and R3 slides, which
-    remove no arc and no crossing, so ``gamma`` colors exactly the
-    builder's arcs.  The input coloring is verified once, by
-    ``diff_spectrum``, which refuses an invalid one.
+    every move by the crossing rule, reading only the move's own crossings.
+    ``changed`` collects the crossings whose rows or diffs a move changed,
+    for a reader that keeps state between moves (the kept diff-path
+    searches of ``rewrite``) and clears it.  The rewrites apply only R2
+    bigons and R3 slides, which remove no arc and no crossing, so ``gamma``
+    colors exactly the builder's arcs.  The input coloring is verified
+    once, by ``diff_spectrum``, which refuses an invalid one.
     """
 
     def __init__(self, diagram: Diagram, gamma: Coloring):
@@ -164,6 +151,7 @@ class _Run:
         self.at_diff: dict[int, set[int]] = {}
         for cid, d in spec.diffs.items():
             self.set_diff(cid, d)
+        self.changed: set[int] = set()
         # (moves, disks) of each stage; moves go into the last disk of the last stage
         self.stages: list[tuple[list[tuple[Move, int]], dict[int, frozenset[int]]]] = []
 
@@ -193,29 +181,61 @@ class _Run:
         disks[len(disks) + 1] = frozenset(cids)
 
     def apply(self, move: Move) -> list[int]:
-        """Apply ``move`` in the open disk and re-derive the arcs it changed.
+        """Apply ``move`` in the open disk and recolor by the crossing rule.
 
-        An R2 bigon changes its four new arcs, an R3 triangle its three side
-        arcs (the arcs met twice among its crossings); every other arc keeps
-        its color, and colors are unique once those are fixed.  The
-        crossings ``_rederive`` sweeps get their diffs updated.  Returns the
-        crossings the move created.
+        An R2 bigon of ``push_edge`` (color a) pushed over ``across_edge``
+        (color b) gives its new arcs f_m, f_b, g_m, g_b the colors
+        (a, a, 2a - b, b), and pushed under (2b - a, a, b, b); both new
+        crossings get diff |a - b|, and the head crossings of both arcs now
+        hold f_b and g_b, of unchanged colors.  An R3 recolors the
+        triangle's three sides (``_slide_colors``) and re-diffs its three
+        crossings.  Every other arc keeps its color.  Returns the crossings
+        the move created.
         """
-        builder = self.builder
+        builder, gamma = self.builder, self.gamma
         first_edge = builder.next_edge
         created = apply_move(builder, move)["created"]
         moves, disks = self.stages[-1]
         moves.append((move, len(disks)))
         if isinstance(move, R3):
-            count = Counter(e for cid in move.cids for e in builder.rows[cid])
-            changed = {e for e, k in count.items() if k >= 2}
+            gamma.update(self._slide_colors(move.cids))
+            for cid in move.cids:
+                row = builder.rows[cid]
+                self.set_diff(cid, abs(gamma[row[OVER_A]] - gamma[row[UNDER_IN]]))
+            self.changed.update(move.cids)
         else:
-            changed = set(range(first_edge, builder.next_edge))
-        gamma = self.gamma
-        for cid in _rederive(builder, gamma, changed):
-            row = builder.rows[cid]
-            self.set_diff(cid, abs(gamma[row[OVER_A]] - gamma[row[UNDER_IN]]))
+            a, b = gamma[move.push_edge], gamma[move.across_edge]
+            colors = (a, a, 2 * a - b, b) if move.push_over else (2 * b - a, a, b, b)
+            gamma.update(zip(range(first_edge, builder.next_edge), colors))
+            for cid in created:
+                self.set_diff(cid, abs(a - b))
+            # f_b and g_b run from the bigon to the arcs' old head crossings
+            self.changed.update(builder.incident(first_edge + 1))
+            self.changed.update(builder.incident(first_edge + 3))
         return created
+
+    def _slide_colors(self, cids: tuple[int, int, int]) -> dict[int, int]:
+        """The colors of an R3's three sides, read on the new triangle.
+
+        Corner (c, i) of the triangle meets two sides at slots i and i + 1,
+        one over and one under; across from them sit outer arcs, whose
+        colors the move keeps.  The over side takes the outer over color o,
+        the under side 2o minus the outer under color.  Each side is read at
+        both of its corners, and the readings agree exactly when the three
+        crossings' relations hold; raises ConstructionError otherwise.
+        """
+        builder, gamma = self.builder, self.gamma
+        colors: dict[int, int] = {}
+        for corner in builder.triangle(cids):
+            cid, i = builder.corner_slot(corner)
+            row = builder.rows[cid]
+            over, under = (i, (i + 1) % 4) if i % 2 else ((i + 1) % 4, i)
+            o = gamma[row[over ^ 2]]
+            for e, reading in ((row[over], o), (row[under], 2 * o - gamma[row[under ^ 2]])):
+                if colors.setdefault(e, reading) != reading:
+                    raise ConstructionError(
+                        f"R3 on {cids}: side arc {e} reads {colors[e]} and {reading}")
+        return colors
 
     def finish(self, cable: Optional[CableStructure] = None
                ) -> tuple[Diagram, Coloring, MoveTrace]:

@@ -18,28 +18,30 @@ a coloring whose positive diffs are all equal
 (``tests/test_lemmas.py::test_elimination_grows_no_diff_outside_the_lemma``).
 
 ``to_simple_coloring`` is the module's one entry point and runs one loop:
-each round searches the current diff paths and runs one stage, and a level
+each round reads the current diff paths and runs one stage, and a level
 ends when its maximum D is gone.  The first round of a level tries only
 the first path, which is stricter than the lemma and refuses some inputs
-the lemma covers.  A simplification is one run
-(``parallel_coloring._Run``, shared with color deletion): one move builder
+the lemma covers.  A simplification is one run (``_Simplification``, a
+``parallel_coloring._Run``, shared with color deletion): one move builder
 for all its stages, with the coloring, each crossing's diff and the
 crossings of each diff beside the rows.  Every move goes through the run
-and re-derives only the arcs it changed (an R2 bigon's four new arcs, an
-R3 triangle's three side arcs) by propagating the crossing relations over
-the crossings that meet them; those crossings' relations are re-checked
-and their diffs updated, so the coloring the finger routing reads is
-current after every move.  A stage (one finger drag and slide) is accepted
-only if its target lost the maximal diff and no diff outside {0, existing
-below maximum, |D-d|, |D-2d|} grew.  Once, at the end of the run, the
-whole coloring is verified on the emitted diagram and the whole trace is
-replayed by ``verify_local_equivalence``.  A stage that fails after its
-moves cannot be undone on the shared builder, so it refuses the whole run.
+and recolors only the arcs it changed by the crossing rule (an R2 bigon's
+four new arcs, an R3 triangle's three sides), so the coloring the finger
+routing reads is current after every move.  The path searches are kept
+on the run between the rounds of a level: after a stage only those that
+read a crossing the stage created, rewrote or re-diffed are redone.  A
+stage (one finger drag and slide) is accepted only if its target lost the
+maximal diff and no diff outside {0, existing below maximum, |D-d|,
+|D-2d|} grew.  Once, at the end of the run, the whole coloring is verified
+on the emitted diagram and the whole trace is replayed by
+``verify_local_equivalence``.  A stage that fails after its moves cannot
+be undone on the shared builder, so it refuses the whole run.
 """
 
 from __future__ import annotations
 
-import functools
+from bisect import bisect_left, insort
+from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
@@ -66,49 +68,130 @@ class DiffPath(NamedTuple):
     color: int                 # the shared arc color z
 
 
-def _diff_paths(run: _Run) -> Iterator[DiffPath]:
+class _Simplification(_Run):
+    """A run that keeps its diff-path searches between the rounds of a level.
+
+    ``searches`` maps each (start, first arc) to its ``_Search`` for the
+    maximal diff ``level``.  ``hits`` holds the hits of all of them, each
+    (length, end, start, via), sorted; ``pending`` is a heap of the
+    (length, key) of the searches with no hit yet that can still grow; and
+    ``readers`` maps each crossing to the searches that read its row or
+    diff.  ``_diff_paths`` keeps them current.
+    """
+
+    def __init__(self, diagram: Diagram, gamma: Coloring):
+        super().__init__(diagram, gamma)
+        self.level: Optional[int] = None
+        self.searches: dict[tuple[int, int], _Search] = {}
+        self.hits: list[tuple[int, int, int, tuple[int, ...]]] = []
+        self.pending: list[tuple[int, tuple[int, int]]] = []
+        self.readers: dict[int, list[_Search]] = {}
+
+
+class _Search:
+    """One (start, first arc) search of ``_diff_paths``, kept between rounds.
+
+    At its current ``length`` in arcs it holds ``hits``, the (length, end,
+    start, via) of its arc paths that end at a crossing of positive diff
+    below the maximum, and ``steps``, the (via, crossing) of those that end
+    at a 0-diff crossing, which the next length grows through; ``seen``
+    holds the arcs its paths reached.  It stops at its first hits.
+    """
+
+    __slots__ = ("key", "length", "seen", "hits", "steps")
+
+    def __init__(self, start: int, first: int):
+        self.key = (start, first)
+        self.length, self.seen, self.hits, self.steps = 0, {first}, [], []
+
+
+def _diff_paths(run: _Simplification) -> Iterator[DiffPath]:
     """The run's diff paths, shortest first, one length at a time.
 
-    A search runs from each arc of each maximal-diff crossing, all in step,
-    through 0-diff crossings: every search stops at the first length where
-    it reaches a crossing of smaller positive diff, so each length's paths,
-    sorted by (end, start, via), follow every shorter one, and a consumer
-    that takes the first usable path never runs the longer levels.
-    Incident crossings are read from the builder as the searches reach an
-    arc, in ascending id order.  The generator reads the builder as it
-    goes: it must not be resumed after a move.
+    A search runs from each arc of each maximal-diff crossing through 0-diff
+    crossings and stops at the first length where it reaches a crossing of
+    smaller positive diff.  Paths come sorted by (length, end, start, via),
+    and a search grows to a length only once every shorter path has been
+    taken, so a consumer that takes the first usable path never runs the
+    longer lengths.
+
+    The searches are kept on the run between the rounds of a level, and
+    every crossing a search reads, a row or a diff, lists it in the run's
+    ``readers``.  A search is redone only when a move created, rewrote or
+    re-diffed one of them (the run's ``changed``), which covers a start
+    that lost the maximum; all start over when the maximum changes.  So
+    every round yields what a fresh search would, and a search read again
+    with no move between yields the same.  Incident crossings are read
+    from the builder as the searches reach an arc, in ascending id order.
+    The generator reads the builder as it goes: it must not be resumed
+    after a move.
     """
     rows, diffs, d_m = run.builder.rows, run.diffs, run.d_m
-    incident = functools.cache(run.builder.incident)
-    # (start, frontier of arc paths, arcs seen) per (start, first arc)
-    searches = [(start, [(first,)], {first}) for start in sorted(run.at_diff[d_m])
-                for first in sorted(set(rows[start]))]
-    while searches:
-        hits, misses = [], []
-        for search in searches:
-            start, frontier, _ = search
-            n = len(hits)
-            for path in frontier:
-                for end in incident(path[-1]):
-                    if 0 < diffs[end] < d_m:
-                        hits.append((end, start, path))
-            if len(hits) == n:
-                misses.append(search)
-        for end, start, via in sorted(hits):
-            yield DiffPath(start=start, end=end, via=via, color=run.gamma[via[0]])
-        searches = []
-        for start, frontier, seen in misses:
-            nxt = []
-            for path in frontier:
-                for cid in incident(path[-1]):
-                    if diffs[cid] != 0:
-                        continue
+    searches, hits, pending, readers = run.searches, run.hits, run.pending, run.readers
+    if run.level != d_m:
+        run.level = d_m
+        for kept in (searches, hits, pending, readers):
+            kept.clear()
+        starts = set(run.at_diff[d_m])
+    else:
+        starts = {cid for cid in run.changed if diffs[cid] == d_m}
+        for cid in run.changed:
+            for search in readers.pop(cid, ()):
+                if searches.get(search.key) is search:
+                    del searches[search.key]
+                    for hit in search.hits:
+                        del hits[bisect_left(hits, hit)]
+                    if diffs[search.key[0]] == d_m:
+                        starts.add(search.key[0])
+    run.changed.clear()
+    incident: dict[int, list[int]] = {}
+
+    def reach(search: _Search, paths: list[tuple[int, ...]]) -> None:
+        """Read the crossings at the ends of ``paths``, one arc longer."""
+        length, start = search.length + 1, search.key[0]
+        found, steps = [], []
+        for path in paths:
+            cids = incident.get(path[-1])
+            if cids is None:
+                cids = incident[path[-1]] = run.builder.incident(path[-1])
+            for cid in cids:
+                readers.setdefault(cid, []).append(search)
+                d = diffs[cid]
+                if d == 0:
+                    steps.append((path, cid))
+                elif d < d_m:
+                    found.append((length, cid, start, path))
+        search.length, search.hits, search.steps = length, found, steps
+        for hit in found:
+            insort(hits, hit)
+        if steps and not found:
+            heappush(pending, (length, search.key))
+
+    for start in starts:
+        for first in set(rows[start]):
+            if (start, first) not in searches:
+                search = searches[start, first] = _Search(start, first)
+                reach(search, [(first,)])
+    i = 0
+    while True:
+        if pending and (i == len(hits) or hits[i][0] > pending[0][0]):
+            # no hit of this length or shorter is left: grow the shortest search
+            length, key = heappop(pending)
+            search = searches.get(key)
+            if search is not None and search.length == length and not search.hits:
+                paths, seen = [], search.seen
+                for path, cid in search.steps:
                     for e in set(rows[cid]):
                         if e not in seen:
                             seen.add(e)
-                            nxt.append(path + (e,))
-            if nxt:
-                searches.append((start, nxt, seen))
+                            paths.append(path + (e,))
+                reach(search, paths)
+            continue
+        if i == len(hits):
+            return
+        _, end, start, via = hits[i]
+        i += 1
+        yield DiffPath(start=start, end=end, via=via, color=run.gamma[via[0]])
 
 
 # -- the elimination -----------------------------------------------------------
@@ -147,16 +230,6 @@ def _finger_variant(run: _Run, path: DiffPath, d: int, allowed: set[int]
     return None
 
 
-def _poke_face(builder: DiagramBuilder, tip: int):
-    """The face the tongue tip currently points into (not its bigon face)."""
-    faces = builder.faces_through(tip)
-    if not faces:
-        raise RewriteError(f"tip {tip} lies on no face")
-    # the bigon face has exactly two corners and carries the tip twice or
-    # alongside only the crossed arc; the poke face is the larger one
-    return sorted(faces, key=len)[-1]
-
-
 def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
                     allowed: set[int], d_m: int) -> None:
     """Route the finger by breadth-first search over faces.
@@ -179,10 +252,9 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
     tip = w_arc
     cap = 4 * len(builder.rows) + 8
     for _step in range(cap):
-        if tip == w_arc:
-            near = builder.faces_through(tip)
-        else:
-            near = [_poke_face(builder, tip)]
+        faces = builder.faces_through(tip)
+        # past the first push the tip points into the larger face, not its bigon
+        near = faces if tip == w_arc else sorted(faces, key=len)[-1:]
         if any(set(f) & goal_corners for f in near):
             break
         cross_arc = _first_route_arc(builder, run.gamma, path.color, near, goal_corners)
@@ -193,7 +265,7 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
 
     # endgame: cross the under arc at the corner whose face holds the tip,
     # then the over arc the crossing leads to, and fire the triangle
-    _endgame(run, path.start, u_slots, tip)
+    _endgame(run, path.start, u_slots, tip, faces)
 
     if run.diffs[path.start] == d_m:
         raise RewriteError("slide left the target's diff unchanged")
@@ -230,7 +302,8 @@ def _first_route_arc(builder: DiagramBuilder, gamma: Coloring, z: int, near: lis
     raise RewriteError("no corridor of path-colored arcs reaches the target")
 
 
-def _endgame(run: _Run, target_cid: int, u_slots: list[int], tip: int) -> None:
+def _endgame(run: _Run, target_cid: int, u_slots: list[int], tip: int,
+             tip_faces: list[tuple[int, ...]]) -> None:
     """Poke over the under arc, under the over strand, slide the target.
 
     The under arc at slot u of the target t runs between the faces of
@@ -241,11 +314,12 @@ def _endgame(run: _Run, target_cid: int, u_slots: list[int], tip: int) -> None:
     first corner whose face carries the tip names both pokes, and the
     triangle is the one the target bounds with the first or with the
     second crossing of both bigons.  Arcs are re-read from the builder at
-    push time, since routing may have split them.
+    push time, since routing may have split them.  ``tip_faces`` are the
+    faces through the tip, as the routing last read them.
     """
     builder = run.builder
     t = target_cid
-    tip_corners = {c for f in builder.faces_through(tip) for c in f}
+    tip_corners = {c for f in tip_faces for c in f}
     poke = next(((u, u_corner, o_slot, o_corner) for u in u_slots
                  for u_corner, o_slot, o_corner in (((t, u), (u - 1) % 4, (t, (u - 1) % 4)),
                                                     ((t, (u - 1) % 4), (u + 1) % 4, (t, u)))
@@ -280,7 +354,7 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
     trace.  All stages share one run, which verifies the input coloring:
     one builder, one diagram build and one trace verification at the end.
     """
-    run = _Run(diagram, gamma)
+    run = _Simplification(diagram, gamma)
     if len(set(gamma.values())) <= 1:
         raise RewriteError("coloring is trivial; nothing to simplify")
     if len([p for p in crossing_graph_pieces(diagram) if p]) > 1:

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from conftest import balanced_random_knot, chained, propagate_region, seeded_rng
+from conftest import balanced_random_knot, chained, checked_diffs, propagate_region, seeded_rng
 from zcolor import parallel_coloring as pc
 from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import is_simple, palette, verify_coloring
@@ -338,45 +338,47 @@ def test_a_reduction_builds_one_diagram_and_verifies_once(corpus, count_calls):
 
 
 def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch, count_calls):
-    """After every move a run applies, its coloring verifies on the builder's
-    rows and its diffs and per-diff crossings (counted, and listed) are
-    those rows'.
+    """After every move a run applies, its coloring colors exactly the
+    builder's arcs and satisfies every crossing relation of the builder's
+    rows, and its diffs and per-diff crossings are those rows', all read by
+    the independent ``checked_diffs``.
 
-    Covers a 3-deletion, both passes of a toggled 2-parallel, two diff
-    chains and the trefoil (6) witness.
+    Covers a 3-deletion, whose reroute pushes lines under, both passes of a
+    toggled 2-parallel, two diff chains and the trefoil (6) witness: bigons
+    pushed over and under, and R3 slides.
     """
     from zcolor.algebra import is_z_colorable
-    from zcolor.coloring import diff_spectrum
     from zcolor.generate import diff_chain
     from zcolor.rewrite import to_simple_coloring
 
-    checked = []
+    kinds = []
     apply = pc._Run.apply
 
     def checking(run, move):
         created = apply(run, move)
-        d = run.builder.diagram()
-        assert verify_coloring(d, run.gamma), move
-        spec = diff_spectrum(d, run.gamma)
-        assert run.diffs == spec.diffs, move
-        assert {v: len(cids) for v, cids in run.at_diff.items()} == spec.histogram, move
-        assert run.at_diff == {v: {c for c, e in spec.diffs.items() if e == v}
-                               for v in spec.histogram}, move
-        checked.append(move)
+        rows = run.builder.rows
+        assert set(run.gamma) == {e for row in rows.values() for e in row}, move
+        diffs = checked_diffs(rows, run.gamma)
+        assert run.diffs == diffs, move
+        assert run.at_diff == {v: {c for c, e in diffs.items() if e == v}
+                               for v in set(diffs.values())}, move
+        kinds.append((move.kind, getattr(move, "push_over", None)))
         return created
 
     monkeypatch.setattr(pc._Run, "apply", checking)
     toggles = count_calls(pc, "_rewrite_toggle_over_state")
+    reroutes = count_calls(pc, "_rewrite_reroute_line")
     hopf = parallel(corpus["hopf"], CableSpec(multiplicities=(4, 4)))
     delete_color_moves(hopf, color_even_parallel(hopf))
+    assert reroutes and ("R2+", False) in kinds
     assert len(delete_color_moves(*color_two_parallel(corpus["unknot_writhe0"]))[2]) == 2
     assert toggles
     for colors, kinks in (((2, 1), 1), ((4, 2, 1), 1)):
         to_simple_coloring(*diff_chain(colors, kinks))
     cabled = parallel(corpus["trefoil"], CableSpec(multiplicities=(6,)))
     to_simple_coloring(cabled, is_z_colorable(cabled)[1])
-    assert {type(mv).__name__ for mv in checked} == {"R2Insert", "R3"}
-    assert len(checked) > 200
+    assert set(kinds) == {("R2+", True), ("R2+", False), ("R3", None)}
+    assert len(kinds) > 200
 
 
 def test_a_two_parallel_builds_two_diagrams_however_many_twists(count_calls):

@@ -1,0 +1,42 @@
+"""Scaling gates on counts of work, not on the clock.
+
+Wall time moves with the machine; counts of the work a run does are exact.
+Each test runs a fixed ladder of growing inputs and bounds the log-log
+slope of a count against the input size.
+"""
+
+import math
+
+from zcolor import rewrite
+from zcolor.algebra import is_z_colorable
+from zcolor.cabling import CableSpec, parallel
+from zcolor.moves import DiagramBuilder
+
+
+def loglog_slope(points) -> float:
+    """The least-squares slope of log(count) against log(size)."""
+    xs = [math.log(size) for size, _ in points]
+    ys = [math.log(count) for _, count in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+def test_path_search_grows_with_the_stages(corpus, count_calls):
+    """Simplifying the trefoil (6), (8), (10) and (12) witnesses (108 to 432
+    crossings, 48 to 300 stages): ``DiagramBuilder.incident`` lookups plus
+    path searches opened or redone grow with slope at most 1.4 against the
+    crossings; stages alone grow with slope 1.32.  A search kept between the
+    rounds of a level costs nothing until a move changes what it read;
+    searching afresh every round gave slope 2.55."""
+    lookups = count_calls(DiagramBuilder, "incident")
+    searches = count_calls(rewrite._Search, "__init__")
+    points = []
+    for n in (6, 8, 10, 12):
+        cabled = parallel(corpus["trefoil"], CableSpec(multiplicities=(n,)))
+        witness = is_z_colorable(cabled)[1]
+        lookups.clear()
+        searches.clear()
+        rewrite.to_simple_coloring(cabled, witness)
+        points.append((len(cabled.crossings), len(lookups) + len(searches)))
+    assert loglog_slope(points) <= 1.4, points
