@@ -58,8 +58,7 @@ def diff_chain(loop_colors: Sequence[int], kinks_between: int = 0
             base_arc = 2 * i + 1
             for j in range(kinks_between):
                 info = apply_move(builder, R1Insert(edge=base_arc, sign=(-1) ** j))
-                for e in builder.rows[info["created"][0]]:
-                    gamma.setdefault(e, gamma[base_arc])
+                gamma.update(dict.fromkeys(info["arcs"], gamma[base_arc]))
         diagram = builder.diagram()
     return diagram, gamma
 

@@ -10,6 +10,10 @@ a copy of its occurrence index.  A move sets the signs of the crossings it
 creates and leaves every other sign alone, so no move rebuilds a
 ``Diagram``, and ``same_diagram`` compares a builder as it stands.
 
+``apply_move`` reports what each move built: the new arcs of a kink or a
+bigon, and the corners of an R3's new triangle (``c ^ 2``, each old corner
+with its slot moved by two), so no caller works them out again.
+
 Locality is tracked through disks: a disk is declared as a set of crossing
 ids of the stage's source diagram, moves are tagged with a disk, and every
 crossing a move modifies or removes must belong to the disk or have been
@@ -98,7 +102,7 @@ class DiagramBuilder:
     ``rows`` maps crossing ids to slot quadruples and ``signs`` to crossing
     signs; both are read-only outside this class.  The mutators below are
     their only writers and keep the arc-occurrence index current, so face
-    and bigon queries walk only the faces they need.
+    queries walk only the faces they need.
 
     Slots, corners and the index are encoded as in ``zcolor.diagram``: slot
     s of crossing c is the position ``4*c + s``, and so is the corner after
@@ -282,20 +286,6 @@ class DiagramBuilder:
                 found.append(_from_smallest(walk))
         return min(found, default=None)
 
-    def bigon_arcs(self, c1: int, c2: int) -> tuple[int, int]:
-        """(over arc, under arc) joining the two crossings of a bigon."""
-        r1, r2 = self.rows[c1], self.rows[c2]
-        over = under = None
-        for e in set(r1) & set(r2):
-            s1, s2 = r1.index(e), r2.index(e)
-            if s1 in (OVER_A, OVER_B) and s2 in (OVER_A, OVER_B):
-                over = e
-            elif s1 in (UNDER_IN, UNDER_OUT) and s2 in (UNDER_IN, UNDER_OUT):
-                under = e
-        if over is None or under is None:
-            raise MoveError(f"crossings {c1},{c2} do not bound a bigon")
-        return over, under
-
     def insert_twist(self, f: int, g: int, sign: int) -> tuple[list[int], tuple[int, int]]:
         """Clasp two co-face parallel arcs with a two-crossing full twist:
         the R2 bigon of ``f`` pushed over ``g`` (``sign`` > 0) or under it,
@@ -317,7 +307,7 @@ class DiagramBuilder:
                     break
         else:
             raise MoveError(f"arcs {f} and {g} do not run parallel along a face")
-        c1, c2, f_b, g_b = _insert_bigon(self, f, g, f_fwd, True, sign > 0)
+        c1, c2, (_, f_b, _, g_b) = _insert_bigon(self, f, g, f_fwd, True, sign > 0)
         # the crossing change: the incoming over arc moves to slot 0, the sign flips
         row, s = self.rows[c2], self.signs[c2]
         k = OVER_B if s > 0 else OVER_A
@@ -336,7 +326,17 @@ def _from_smallest(walk: list[int]) -> tuple[int, ...]:
 
 
 def apply_move(builder: DiagramBuilder, move: Move) -> dict:
-    """Apply one move; returns {"created": [...], "touched": [...]} crossing ids."""
+    """Apply one move and report what it built.
+
+    Every report holds ``created`` and ``touched``, lists of crossing ids.
+    An R1+ adds ``arcs``: the kink's loop and the arc after it.  An R2+ of
+    push arc f across arc g adds ``arcs``: (f_m, f_b, g_m, g_b), the
+    middles of f and g between the two new crossings, then the arcs that
+    continue them past the bigon.  An R3 adds ``triangle``: the corners of
+    the new triangle face, each the old corner with its slot moved by two
+    (``c ^ 2``), because at every corner both sides move to the opposite
+    slot of their strand.
+    """
     if isinstance(move, R1Insert):
         return _apply_r1_insert(builder, move)
     if isinstance(move, R1Remove):
@@ -364,7 +364,7 @@ def _apply_r1_insert(builder: DiagramBuilder, mv: R1Insert) -> dict:
     else:
         row = (loop, loop, e_b, e_a) if mv.sign > 0 else (loop, e_a, e_b, loop)
     cid = builder.add_crossing(row, mv.sign)
-    return {"created": [cid], "touched": []}
+    return {"created": [cid], "touched": [], "arcs": [loop, e_b]}
 
 
 def _apply_r1_remove(builder: DiagramBuilder, mv: R1Remove) -> dict:
@@ -417,15 +417,16 @@ def _apply_r2_insert(builder: DiagramBuilder, mv: R2Insert) -> dict:
         raise MoveError("cannot push an arc across itself")
     face, arcs = _locate_r2_face(builder, mv)
     f_fwd, g_fwd = (builder._walks_forward(face, arcs, e) for e in (f, g))
-    c1, c2, _, _ = _insert_bigon(builder, f, g, f_fwd, f_fwd != g_fwd, mv.push_over)
-    return {"created": [c1, c2], "touched": []}
+    c1, c2, arcs = _insert_bigon(builder, f, g, f_fwd, f_fwd != g_fwd, mv.push_over)
+    return {"created": [c1, c2], "touched": [], "arcs": list(arcs)}
 
 
 def _insert_bigon(builder: DiagramBuilder, f: int, g: int, f_fwd: bool, parallel: bool,
-                  push_over: bool) -> tuple[int, int, int, int]:
+                  push_over: bool) -> tuple[int, int, tuple[int, int, int, int]]:
     """Lay the R2 bigon of ``f`` pushed over (or under) ``g``; returns its
-    two crossings, in the order ``f`` runs through them, and the arcs that
-    continue ``f`` and ``g``.
+    two crossings, in the order ``f`` runs through them, and its new arcs
+    (f_m, f_b, g_m, g_b): the middles of ``f`` and ``g`` between the two
+    crossings and the arcs that continue them past the bigon.
 
     The face walk keeps its interior on the walker's right, so the walk
     direction of each arc relative to its strand direction (``f_fwd`` for
@@ -460,7 +461,8 @@ def _insert_bigon(builder: DiagramBuilder, f: int, g: int, f_fwd: bool, parallel
     # the over strand enters ``first`` at slot OVER_B exactly when it is positive
     over_in = f_a if push_over else (g_a if parallel else g_m)
     sign = 1 if first[OVER_B] == over_in else -1
-    return builder.add_crossing(first, sign), builder.add_crossing(second, -sign), f_b, g_b
+    return (builder.add_crossing(first, sign), builder.add_crossing(second, -sign),
+            (f_m, f_b, g_m, g_b))
 
 
 def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
@@ -541,7 +543,7 @@ def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
         new_rows[c2][s2], new_rows[c2][(s2 + 2) % 4] = rows[c1][(s1 + 2) % 4], side
     for cid in cids:
         builder.set_row(cid, new_rows[cid])
-    return {"created": [], "touched": list(cids)}
+    return {"created": [], "touched": list(cids), "triangle": [c ^ 2 for c in triangle]}
 
 
 # -- replay and verification ---------------------------------------------------

@@ -133,7 +133,7 @@ class _Run:
     ``gamma`` colors the builder's arcs, ``diffs`` maps each crossing to its
     diff and ``at_diff`` each diff to its crossings.  ``apply`` is the only
     way a rewrite applies a move, and it keeps all three current after
-    every move by the crossing rule, reading only the move's own crossings.
+    every move by the crossing rule, reading the move's report and crossings.
     ``changed`` collects the crossings whose rows or diffs a move changed,
     for a reader that keeps state between moves (the kept diff-path
     searches of ``rewrite``) and clears it.  The rewrites apply only R2
@@ -180,25 +180,23 @@ class _Run:
         disks = self.stages[-1][1]
         disks[len(disks) + 1] = frozenset(cids)
 
-    def apply(self, move: Move) -> list[int]:
+    def apply(self, move: Move) -> dict:
         """Apply ``move`` in the open disk and recolor by the crossing rule.
 
         An R2 bigon of ``push_edge`` (color a) pushed over ``across_edge``
-        (color b) gives its new arcs f_m, f_b, g_m, g_b the colors
-        (a, a, 2a - b, b), and pushed under (2b - a, a, b, b); both new
-        crossings get diff |a - b|, and the head crossings of both arcs now
-        hold f_b and g_b, of unchanged colors.  An R3 recolors the
-        triangle's three sides (``_slide_colors``) and re-diffs its three
-        crossings.  Every other arc keeps its color.  Returns the crossings
-        the move created.
+        (color b) gives the new arcs f_m, f_b, g_m, g_b the move reports the
+        colors (a, a, 2a - b, b), and pushed under (2b - a, a, b, b); both
+        new crossings get diff |a - b|, and the head crossings of both arcs
+        now hold f_b and g_b, of unchanged colors.  An R3 recolors the sides
+        of its reported triangle (``_slide_colors``) and re-diffs its three
+        crossings.  Every other arc keeps its color.  Returns the report.
         """
         builder, gamma = self.builder, self.gamma
-        first_edge = builder.next_edge
-        created = apply_move(builder, move)["created"]
+        report = apply_move(builder, move)
         moves, disks = self.stages[-1]
         moves.append((move, len(disks)))
         if isinstance(move, R3):
-            gamma.update(self._slide_colors(move.cids))
+            gamma.update(self._slide_colors(move.cids, report["triangle"]))
             for cid in move.cids:
                 row = builder.rows[cid]
                 self.set_diff(cid, abs(gamma[row[OVER_A]] - gamma[row[UNDER_IN]]))
@@ -206,16 +204,17 @@ class _Run:
         else:
             a, b = gamma[move.push_edge], gamma[move.across_edge]
             colors = (a, a, 2 * a - b, b) if move.push_over else (2 * b - a, a, b, b)
-            gamma.update(zip(range(first_edge, builder.next_edge), colors))
-            for cid in created:
+            gamma.update(zip(report["arcs"], colors))
+            for cid in report["created"]:
                 self.set_diff(cid, abs(a - b))
             # f_b and g_b run from the bigon to the arcs' old head crossings
-            self.changed.update(builder.incident(first_edge + 1))
-            self.changed.update(builder.incident(first_edge + 3))
-        return created
+            _, f_b, _, g_b = report["arcs"]
+            self.changed.update(builder.incident(f_b))
+            self.changed.update(builder.incident(g_b))
+        return report
 
-    def _slide_colors(self, cids: tuple[int, int, int]) -> dict[int, int]:
-        """The colors of an R3's three sides, read on the new triangle.
+    def _slide_colors(self, cids: tuple[int, int, int], triangle: list[int]) -> dict[int, int]:
+        """The colors of an R3's three sides, read on the ``triangle`` it reported.
 
         Corner (c, i) of the triangle meets two sides at slots i and i + 1,
         one over and one under; across from them sit outer arcs, whose
@@ -226,7 +225,7 @@ class _Run:
         """
         builder, gamma = self.builder, self.gamma
         colors: dict[int, int] = {}
-        for corner in builder.triangle(cids):
+        for corner in triangle:
             cid, i = builder.corner_slot(corner)
             row = builder.rows[cid]
             over, under = (i, (i + 1) % 4) if i % 2 else ((i + 1) % 4, i)
@@ -398,12 +397,12 @@ def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
 
 
 def _push_bigon(run: _Run, region: Region, push_step: int, across_step: int,
-                push_over: bool) -> list[int]:
+                push_over: bool) -> dict:
     """An R2 bigon west of the region: one over line pushed across another.
 
     The bigon sits in the face the two lines' entry arcs share at the
-    region's first-met row.  Returns the two new crossings in the order the
-    pushed line runs through them.
+    region's first-met row.  Returns the move's report; it lists the new
+    crossings in the order the pushed line runs through them.
     """
     push = _over_entry(run.builder, region, push_step)
     across = _over_entry(run.builder, region, across_step)
@@ -435,7 +434,7 @@ def _rewrite_swap_first_met(run: _Run, region: Region, clean_step: int,
     region) and slides the far crossing east across every under strand; the
     partner is recolored to 2f - g between the bigon crossings.
     """
-    far = _push_bigon(run, region, clean_step, other_step, True)[1]
+    far = _push_bigon(run, region, clean_step, other_step, True)["created"][1]
     _slide_east(run, far, region, (clean_step, other_step))
 
 
@@ -448,13 +447,12 @@ def _rewrite_toggle_over_state(run: _Run, region: Region, flip_second: bool) -> 
     ``flip_second`` selects the handedness of the twist pair.
     """
     x_step, y_step = (1, 0) if flip_second else (0, 1)
-    o1, o2 = _push_bigon(run, region, x_step, y_step, True)
-    # inside the bigon: the mid segments are the over strand's new middle
-    # (arc between o1 and o2) and the crossed strand's middle
-    x_mid, y_mid = run.builder.bigon_arcs(o1, o2)
-    i2 = run.apply(R2Insert(push_edge=y_mid, across_edge=x_mid, push_over=True))[1]
+    report = _push_bigon(run, region, x_step, y_step, True)
+    # inside the bigon: the over strand's new middle and the crossed strand's
+    x_mid, _, y_mid, _ = report["arcs"]
+    i2 = run.apply(R2Insert(push_edge=y_mid, across_edge=x_mid, push_over=True))["created"][1]
     # east pair = the far crossings of each insert
-    _slide_east(run, o2, region, (0, 1))
+    _slide_east(run, report["created"][1], region, (0, 1))
     _slide_east(run, i2, region, (0, 1))
 
 
@@ -467,7 +465,7 @@ def _rewrite_reroute_line(run: _Run, region: Region, mover_step: int,
     color 2 at each crossing and carries its own color through the middle.
     """
     for target_step in over_steps:
-        far = _push_bigon(run, region, mover_step, target_step, False)[1]
+        far = _push_bigon(run, region, mover_step, target_step, False)["created"][1]
         _slide_east(run, far, region, (mover_step, target_step))
 
 

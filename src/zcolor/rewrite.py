@@ -258,8 +258,7 @@ def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
         if any(set(f) & goal_corners for f in near):
             break
         cross_arc = _first_route_arc(builder, run.gamma, path.color, near, goal_corners)
-        c1, c2 = run.apply(R2Insert(push_edge=tip, across_edge=cross_arc, push_over=True))
-        tip = builder.bigon_arcs(c1, c2)[0]
+        tip = run.apply(R2Insert(push_edge=tip, across_edge=cross_arc, push_over=True))["arcs"][0]
     else:
         raise RewriteError("finger exceeded its step budget")
 
@@ -327,12 +326,11 @@ def _endgame(run: _Run, target_cid: int, u_slots: list[int], tip: int,
     if poke is None:
         raise RewriteError(f"tip {tip} lies in no corner face of crossing {t}'s under arc")
     u, u_corner, o_slot, o_corner = poke
-    cu1, cu2 = run.apply(R2Insert(push_edge=tip, across_edge=builder.rows[t][u],
-                                  push_over=True, corner=u_corner))
-    mid = builder.bigon_arcs(cu1, cu2)[0]
-    co1, co2 = run.apply(R2Insert(push_edge=mid, across_edge=builder.rows[t][o_slot],
-                                  push_over=False, corner=o_corner))
-    pair = next(((cu, co) for cu, co in ((cu1, co1), (cu2, co2))
+    under = run.apply(R2Insert(push_edge=tip, across_edge=builder.rows[t][u],
+                               push_over=True, corner=u_corner))
+    over = run.apply(R2Insert(push_edge=under["arcs"][0], across_edge=builder.rows[t][o_slot],
+                              push_over=False, corner=o_corner))
+    pair = next(((cu, co) for cu, co in zip(under["created"], over["created"])
                  if builder.triangle((t, cu, co)) is not None), None)
     if pair is None:
         raise RewriteError("finger reached the target but no triangle formed")

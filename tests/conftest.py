@@ -659,7 +659,9 @@ def reference_r3(builder, mv) -> dict:
     Independent of ``zcolor.moves``' slot arithmetic: it finds which
     crossings each side of the triangle joins, whether it passes under or
     over at each, and the order in which its strand meets them, and writes
-    the rows of the flipped triangle from those roles.
+    the rows of the flipped triangle from those roles.  It reports the new
+    ``triangle`` as ``(cid, slot)`` corners, read off the full face listing
+    of the rewritten rows: the one triangle face through the three crossings.
     """
     cids = tuple(mv.cids)
     if len(set(cids)) != 3 or any(c not in builder.rows for c in cids):
@@ -727,7 +729,36 @@ def reference_r3(builder, mv) -> dict:
             new_rows[cid] = (u_in, o_in, u_out, o_out)
     for cid, row in new_rows.items():
         builder.set_row(cid, row)
-    return {"created": [], "touched": list(cids)}
+    flipped = [f for f in reference_faces(dict(builder.rows))
+               if len(f) == 3 and {c for c, _ in f} == set(cids)]
+    assert len(flipped) == 1, flipped
+    return {"created": [], "touched": list(cids), "triangle": list(flipped[0])}
+
+
+def reference_bigon_arcs(rows: dict, c1: int, c2: int) -> tuple[int, int]:
+    """(over arc, under arc) joining the two crossings of a bigon: the
+    shared arc at an over slot of both rows, and the one at an under slot
+    of both."""
+    r1, r2 = rows[c1], rows[c2]
+    over = under = None
+    for e in set(r1) & set(r2):
+        s1, s2 = r1.index(e), r2.index(e)
+        if s1 in (OVER_A, OVER_B) and s2 in (OVER_A, OVER_B):
+            over = e
+        elif s1 in (UNDER_IN, UNDER_OUT) and s2 in (UNDER_IN, UNDER_OUT):
+            under = e
+    assert over is not None and under is not None, (c1, c2, r1, r2)
+    return over, under
+
+
+def reference_head(builder, arc: int) -> tuple[int, int]:
+    """The ``(cid, slot)`` where ``arc`` ends: the under-in slot, or the
+    over slot that the crossing's sign makes incoming."""
+    for cid, row in builder.rows.items():
+        for slot in (UNDER_IN, OVER_B if builder.signs[cid] > 0 else OVER_A):
+            if row[slot] == arc:
+                return cid, slot
+    raise AssertionError(f"arc {arc} has no head")
 
 
 def occurrence_index(rows) -> dict[int, list[tuple[int, int]]]:

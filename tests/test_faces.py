@@ -14,6 +14,8 @@ from conftest import (
     pd_signs,
     reference_face_arcs,
     reference_faces,
+    reference_bigon_arcs,
+    reference_head,
     reference_r3,
     seeded_rng,
     single_stage,
@@ -36,11 +38,13 @@ from zcolor.diagram import (
     validate,
     writhe,
 )
+from zcolor import generate
 from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
 from zcolor.moves import (
     R3,
     DiagramBuilder,
     MoveError,
+    R2Insert,
     R2Remove,
     apply_move,
     replay_trace,
@@ -191,6 +195,50 @@ def test_faces_match_reference_after_every_move(name):
         check_builder(builder)
 
 
+def test_bigon_report_names_the_arcs_the_move_laid():
+    """Every R2+ of the recorded runs reports (f_m, f_b, g_m, g_b): f_m and
+    g_m join its two new crossings, over and under as the reference reads
+    them (under and over when f is pushed under), and f_b and g_b sit where
+    the old heads of f and g were."""
+    pushes = collections.Counter()
+    for name in RUNS:
+        source, moves = recorded_run(name)
+        builder = DiagramBuilder(source)
+        for move, _disk in moves:
+            if isinstance(move, R2Insert):
+                heads = [reference_head(builder, e) for e in (move.push_edge, move.across_edge)]
+            report = apply_move(builder, move)
+            if not isinstance(move, R2Insert):
+                continue
+            f_m, f_b, g_m, g_b = report["arcs"]
+            over, under = reference_bigon_arcs(builder.rows, *report["created"])
+            assert (f_m, g_m) == ((over, under) if move.push_over else (under, over)), move
+            assert [builder.rows[cid][slot] for cid, slot in heads] == [f_b, g_b], move
+            pushes[move.push_over] += 1
+    assert pushes[True] > 20 and pushes[False] > 20, pushes
+
+
+def test_kink_report_names_the_loop_and_the_arc_after_it(monkeypatch):
+    """Every R1+ that ``diff_chain`` makes reports its loop, which occurs
+    twice in the new row, and the arc after the kink, which sits where the
+    old head of the kinked arc was."""
+    kinks = []
+
+    def recorded(builder, move):
+        head = reference_head(builder, move.edge)
+        report = apply_move(builder, move)
+        loop, after = report["arcs"]
+        assert builder.rows[report["created"][0]].count(loop) == 2, (move, report)
+        assert builder.rows[head[0]][head[1]] == after, (move, report)
+        kinks.append(move.sign)
+        return report
+
+    monkeypatch.setattr(generate, "apply_move", recorded)
+    for colors, kinks_between in (((2, 1), 1), ((3, 1), 2), ((4, 2, 1), 3)):
+        diff_chain(colors, kinks_between)
+    assert sorted(set(kinks)) == [-1, 1] and len(kinks) == 2 + 4 + 9
+
+
 def diagram_signs(d: Diagram) -> dict[int, int]:
     return {x.cid: x.sign for x in d.crossings}
 
@@ -307,11 +355,14 @@ def test_bounded_triangle_search_matches_the_face_listing():
 
 
 def r3_outcome(apply, builder: DiagramBuilder, triple) -> tuple:
-    """What one R3 does to a copy of ``builder``: the result or the
-    ``MoveError`` text, then the rows, signs and occurrence index."""
+    """What one R3 does to a copy of ``builder``: the report, with its new
+    triangle as a set of ``(cid, slot)`` corners, or the ``MoveError`` text,
+    then the rows, signs and occurrence index."""
     builder = copy.deepcopy(builder)
     try:
         result = apply(builder, R3(triple))
+        result["triangle"] = {c if isinstance(c, tuple) else builder.corner_slot(c)
+                              for c in result["triangle"]}
     except MoveError as err:
         result = str(err)
     return result, builder.rows, builder.signs, occurrence_lists(builder)
