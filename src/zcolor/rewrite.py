@@ -30,7 +30,9 @@ four new arcs, an R3 triangle's three sides), so the coloring the finger
 routing reads is current after every move.  The path searches are kept
 on the run between the rounds of a level: after a stage only those that
 read a crossing the stage created, rewrote or re-diffed are redone.  A
-stage (one finger drag and slide) is accepted only if its target lost the
+path whose finger verdict failed is dropped from its search's hits, so it
+is not tried again until its search is redone: the verdict reads only
+crossings the search read, and the level's allowed diffs.  A stage (one finger drag and slide) is accepted only if its target lost the
 maximal diff and no diff outside {0, existing below maximum, |D-d|,
 |D-2d|} grew.  Once, at the end of the run, the whole coloring is verified
 on the emitted diagram and the whole trace is replayed by
@@ -119,8 +121,11 @@ def _diff_paths(run: _Simplification) -> Iterator[DiffPath]:
     every crossing a search reads, a row or a diff, lists it in the run's
     ``readers``.  A search is redone only when a move created, rewrote or
     re-diffed one of them (the run's ``changed``), which covers a start
-    that lost the maximum; all start over when the maximum changes.  So
-    every round yields what a fresh search would, and a search read again
+    that lost the maximum; all start over when the maximum changes.  A hit
+    the consumer drops from ``hits`` and from its search, as
+    ``to_simple_coloring`` does with a path whose finger verdict failed,
+    stays out until its search is redone.  So every round yields what a
+    fresh search would, less the dropped hits, and a search read again
     with no move between yields the same.  Incident crossings are read
     from the builder as the searches reach an arc, in ascending id order.
     The generator reads the builder as it goes: it must not be resumed
@@ -189,9 +194,11 @@ def _diff_paths(run: _Simplification) -> Iterator[DiffPath]:
             continue
         if i == len(hits):
             return
-        _, end, start, via = hits[i]
-        i += 1
+        hit = hits[i]
+        _, end, start, via = hit
         yield DiffPath(start=start, end=end, via=via, color=run.gamma[via[0]])
+        if i < len(hits) and hits[i] is hit:  # the consumer may have dropped it
+            i += 1
 
 
 # -- the elimination -----------------------------------------------------------
@@ -382,6 +389,10 @@ def to_simple_coloring(diagram: Diagram, gamma: Coloring
             variant = _finger_variant(run, path, d, allowed)
             if variant is not None:
                 break
+            # the verdict holds until the path's search is redone
+            hit = (len(path.via), path.end, path.start, path.via)
+            del run.hits[bisect_left(run.hits, hit)]
+            run.searches[path.start, path.via[0]].hits.remove(hit)
             errors.append("no finger variant satisfies the diff postcondition")
         else:
             if not errors:

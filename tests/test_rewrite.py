@@ -248,7 +248,10 @@ def test_a_stage_failing_mid_run_refuses_the_whole_run(monkeypatch):
 
 def test_lazy_diff_paths_yield_the_eager_reference_every_round(monkeypatch):
     """At every round of every run, the searches kept between rounds yield
-    the eager search's sorted list, or refuse with the same error.
+    the eager search's sorted list with some paths left out, in the same
+    order, or refuse with the same error.  Each path left out had its
+    finger verdict fail earlier in the same level, with the same end diff,
+    and fails it again now.
 
     Every other round runs them out, then hands the run a second search
     with no move between; the rounds in between check only the paths the
@@ -256,7 +259,15 @@ def test_lazy_diff_paths_yield_the_eager_reference_every_round(monkeypatch):
     check.  The trefoil (6) and (8) witnesses run 48 and 108 rounds at one
     maximum, so most searches are kept across many moves.
     """
-    lazy = rewrite._diff_paths
+    lazy, finger = rewrite._diff_paths, rewrite._finger_variant
+    rejected = {}  # path -> (level, end diff, allowed) of its failed verdict
+    current = [None]
+
+    def verdict(run, path, d, allowed):
+        variant = finger(run, path, d, allowed)
+        if variant is None:
+            rejected[path] = (run.d_m, d, allowed)
+        return variant
 
     def outcome(search, *args):
         try:
@@ -264,21 +275,45 @@ def test_lazy_diff_paths_yield_the_eager_reference_every_round(monkeypatch):
         except RewriteError as err:
             return f"{type(err).__name__}: {err}"
 
-    def prefix_of(expected, paths):
-        for i, path in enumerate(paths):
-            assert path == expected[i]
-            yield path
+    def left_out(run, path):
+        level, d, allowed = rejected.get(path, (None, None, None))
+        assert (level, d) == (run.d_m, run.diffs[path.end]), path
+        assert finger(run, path, d, allowed) is None, path
+        left[0] += 1
 
-    rounds = []
+    def with_left_out(run, expected, paths, full):
+        """``paths``, checked to be ``expected`` with left-out paths dropped,
+        up to the last path taken, or to the end when ``full``."""
+        rest = iter(expected)
+        for path in paths:
+            for reference in rest:
+                if reference == path:
+                    break
+                left_out(run, reference)
+            else:
+                raise AssertionError(f"{path} is not in the reference, in order")
+            yield path
+        if full:
+            for reference in rest:
+                left_out(run, reference)
+
+    rounds, left = [], [0]
 
     def checked(run):
+        if current[0] is not run:
+            current[0] = run
+            rejected.clear()
         expected = outcome(reference_diff_paths, run.builder, run.gamma, run.diffs)
         rounds.append(expected if isinstance(expected, str) else len(expected))
-        if len(rounds) % 2:
+        if isinstance(expected, str):
             assert outcome(lazy, run) == expected
             return lazy(run)
-        return prefix_of(expected, lazy(run))
+        if len(rounds) % 2:
+            list(with_left_out(run, expected, lazy(run), True))
+            return lazy(run)
+        return with_left_out(run, expected, lazy(run), False)
 
+    monkeypatch.setattr(rewrite, "_finger_variant", verdict)
     monkeypatch.setattr(rewrite, "_diff_paths", checked)
     inputs = [diff_chain(colors, kinks) for _, colors, kinks in diff_chain_grid()]
     std = standard_diagrams()
@@ -295,3 +330,4 @@ def test_lazy_diff_paths_yield_the_eager_reference_every_round(monkeypatch):
     assert simplified == 181 + 3
     counts = [n for n in rounds if isinstance(n, int)]
     assert len(counts) > 2000 and max(counts) > 10
+    assert left[0] > 50, left

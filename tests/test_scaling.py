@@ -10,6 +10,7 @@ import math
 from zcolor import rewrite
 from zcolor.algebra import is_z_colorable
 from zcolor.cabling import CableSpec, parallel
+from zcolor.generate import diff_chain
 from zcolor.moves import DiagramBuilder
 
 
@@ -40,3 +41,18 @@ def test_path_search_grows_with_the_stages(corpus, count_calls):
         rewrite.to_simple_coloring(cabled, witness)
         points.append((len(cabled.crossings), len(lookups) + len(searches)))
     assert loglog_slope(points) <= 1.4, points
+
+
+def test_finger_verdicts_grow_with_the_stages(count_calls):
+    """Simplifying the [k, 2k - 1] chains with one kink, k = 5 to 8 (154 to
+    2,206 stages): ``_finger_variant`` calls grow with slope at most 1.1
+    against the stages.  A path whose verdict failed is not tried again
+    until its search is redone; trying every kept path again each round
+    gave slope 1.85."""
+    verdicts = count_calls(rewrite, "_finger_variant")
+    points = []
+    for k in (5, 6, 7, 8):
+        verdicts.clear()
+        stages = rewrite.to_simple_coloring(*diff_chain((k, 2 * k - 1), 1))[2].stages
+        points.append((len(stages), len(verdicts)))
+    assert loglog_slope(points) <= 1.1, points
