@@ -28,9 +28,10 @@ coloring beside it, through which every move goes.  Each move recolors
 only the arcs it changed, by the crossing rule and without propagation:
 an R2 bigon's four new arcs from the colors of its two arcs, an R3
 triangle's three sides from the outer arcs across from them at the new
-triangle's corners.  So the coloring is current after every move.  Once,
-at the end, it checks the palette, builds the result, verifies its
-coloring and replays its trace; failures raise, never degrade.
+triangle's corners, arcs and corners as the move reports them.  So the
+coloring is current after every move.  Once, at the end, it checks the
+palette, builds the result, verifies its coloring and replays its trace;
+failures raise, never degrade.
 """
 
 from __future__ import annotations

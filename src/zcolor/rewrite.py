@@ -32,9 +32,10 @@ on the run between the rounds of a level: after a stage only those that
 read a crossing the stage created, rewrote or re-diffed are redone.  A
 path whose finger verdict failed is dropped from its search's hits, so it
 is not tried again until its search is redone: the verdict reads only
-crossings the search read, and the level's allowed diffs.  A stage (one finger drag and slide) is accepted only if its target lost the
-maximal diff and no diff outside {0, existing below maximum, |D-d|,
-|D-2d|} grew.  Once, at the end of the run, the whole coloring is verified
+crossings the search read, and the level's allowed diffs.  A stage (one
+finger drag and slide) is accepted only if its target lost the maximal
+diff and no diff outside {0, existing below maximum, |D-d|, |D-2d|}
+grew.  Once, at the end of the run, the whole coloring is verified
 on the emitted diagram and the whole trace is replayed by
 ``verify_local_equivalence``.  A stage that fails after its moves cannot
 be undone on the shared builder, so it refuses the whole run.

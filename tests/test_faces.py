@@ -12,9 +12,9 @@ from conftest import (
     chained,
     occurrence_index,
     pd_signs,
+    reference_bigon_arcs,
     reference_face_arcs,
     reference_faces,
-    reference_bigon_arcs,
     reference_head,
     reference_r3,
     seeded_rng,
@@ -24,6 +24,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zcolor import generate
 from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
 from zcolor.diagram import (
     Diagram,
@@ -38,7 +39,6 @@ from zcolor.diagram import (
     validate,
     writhe,
 )
-from zcolor import generate
 from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
 from zcolor.moves import (
     R3,
