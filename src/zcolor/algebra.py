@@ -4,10 +4,11 @@ The coloring matrix has one row per crossing and one column per Fox arc
 (over-merged edge class): the row encodes 2*over - under_in - under_out = 0.
 Everything downstream is arbitrary-precision integer arithmetic.  One
 dense elimination, ``hermite_form``, serves every question: the kernel
-lattice, ``solve_left``, which writes a vector as an integer combination
-of rows, and the invariant factors of the Smith form, read off Hermite
-forms of alternate transposes.  The determinant is the product of all
-invariant factors but the last, and Fox counts are their gcds with n.
+lattice, whose Hermite basis writes a vector as an integer combination of
+its rows by forward substitution alone (``_solve_hermite``), and the
+invariant factors of the Smith form, read off Hermite forms of alternate
+transposes.  The determinant is the product of all invariant factors but
+the last, and Fox counts are their gcds with n.
 
 The matrix is held as sparse rows, {column: coefficient} with at most
 three entries each.  Almost every coloring row offers a +-1 pivot, so the
@@ -132,6 +133,26 @@ def hermite_form(rows: Matrix) -> Matrix:
         if pr == len(M):
             break
     return [r for r in M if any(r)]
+
+
+def _solve_hermite(basis: Matrix, target: list[int]) -> Optional[list[int]]:
+    """Integer t with sum(t[i] * basis[i]) == target, or None if none exists,
+    for a ``basis`` in Hermite form.
+
+    Forward substitution along the pivot columns: the rows below row i
+    vanish at its pivot, so t[i] is what the rows above leave of the target
+    there, over the pivot, which must divide it.  The rows are independent,
+    so t is the only solution.
+    """
+    rest, t = list(target), []
+    for h in basis:
+        j = next(j for j, a in enumerate(h) if a)
+        q, r = divmod(rest[j], h[j])
+        if r:
+            return None
+        rest = [a - q * b for a, b in zip(rest, h)]
+        t.append(q)
+    return None if any(rest) else t
 
 
 def smith_normal_form(matrix) -> list[int]:
@@ -261,27 +282,6 @@ def kernel_lattice(rows, width: int) -> Matrix:
             v[j] = -s * t
         vectors.append(v)
     return hermite_form(vectors)
-
-
-def solve_left(rows: Matrix, target: list[int]) -> Optional[list[int]]:
-    """Integer t with sum(t[i] * rows[i]) == target, or None if none exists.
-
-    The vectors (rows[i] | unit vector e_i) generate every
-    (sum t[i] * rows[i] | t).  Forward substitution on the pivots of their
-    Hermite form subtracts target away, and the unit part collects t.  When
-    the rows are independent, t is the only solution.
-    """
-    k, c = len(rows), len(target)
-    extended = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
-    rest, t = list(target), [0] * k
-    for h in hermite_form(extended):
-        j = next((j for j in range(c) if h[j]), None)
-        if j is None:  # this row and the rest vanish on the rows part
-            break
-        q = rest[j] // h[j]  # a remainder stays in rest: later rows vanish at j
-        rest = [a - q * b for a, b in zip(rest, h)]
-        t = [a + q * b for a, b in zip(t, h[c:])]
-    return None if any(rest) else t
 
 
 def diagram_lattice(diagram: Diagram) -> ColoringLattice:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import add, neg
 from typing import NamedTuple, Optional
 
-from .algebra import ColoringLattice, solve_left
+from .algebra import ColoringLattice, _solve_hermite
 from .diagram import Diagram
 
 Coloring = dict[int, int]
@@ -119,9 +119,10 @@ def minimize_palette_on_diagram(lattice: ColoringLattice, coeff_bound: int) -> C
 def _split_off_ones(basis: list[list[int]]) -> list[list[int]]:
     """Drop one basis vector in favor of all-ones when a unit coefficient allows it.
 
-    The basis is independent, so all-ones has at most one coefficient vector.
+    The lattice basis is in Hermite form, so forward substitution reads
+    off the coefficients of all-ones, unique since the basis is independent.
     """
-    coeffs = solve_left(basis, [1] * len(basis[0])) or []
+    coeffs = _solve_hermite(basis, [1] * len(basis[0])) or []
     for idx, coeff in enumerate(coeffs):
         if abs(coeff) == 1:
             return basis[:idx] + basis[idx + 1:]

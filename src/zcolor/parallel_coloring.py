@@ -265,7 +265,7 @@ def color_even_parallel(cabled: Diagram) -> Coloring:
     interiors follow by propagation and exits telescope back to the
     entering colors, so the assignment is globally consistent.  The palette
     is inside {-1,0,1,2,3}, and inside {-1,0,1,2} when every width is
-    2 mod 4.
+    2 mod 4.  Propagation's closing check is the coloring's verification.
     """
     st: CableStructure = cabled.cable
     if st is None:
@@ -283,8 +283,6 @@ def color_even_parallel(cabled: Diagram) -> Coloring:
     seeds = {arc: patterns[width[base_edge]].colors[copy - 1]
              for (base_edge, copy), arc in st.copy_edges.items()}
     gamma = propagate_coloring(cabled.rows, seeds)
-    if not verify_coloring(cabled, gamma):
-        raise ConstructionError("internal: even-parallel coloring failed verification")
     values, _ = palette(gamma)
     allowed = {-1, 0, 1, 2, 3} if any(n % 4 == 0 for n in mult) else {-1, 0, 1, 2}
     if not values <= allowed:
@@ -330,7 +328,8 @@ def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
     A base arc's copies are seeded with the state its next underpass
     wants (2 before a positive one, 0 before a negative one); on a twist
     arc the seeded copies lie before the twist, which toggles the state,
-    so they get 2 minus that.
+    so they get 2 minus that.  Propagation's closing check is the
+    coloring's verification.
     """
     if len(diagram.components) != 1 or diagram.free_loops:
         raise ConstructionError("needs a one-component knot diagram")
@@ -355,8 +354,6 @@ def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
         seeds[pre_twist_arcs[(e, 1)]] = state
         seeds[pre_twist_arcs[(e, 2)]] = state + 1
     gamma = propagate_coloring(cabled.rows, seeds)
-    if not verify_coloring(cabled, gamma):
-        raise ConstructionError("internal: 2-parallel coloring failed verification")
     values, _ = palette(gamma)
     if not values <= {-1, 0, 1, 2, 3, 4}:
         raise ConstructionError(f"internal: palette {sorted(values)} exceeds -1..4")

@@ -896,6 +896,23 @@ def reference_read_pd(text: str) -> tuple[list[tuple[int, ...]], list[list[int]]
     return rows, headers, loops
 
 
+def reference_coloring_faults(text: str, coloring: dict) -> list[str]:
+    """What is wrong with a (PD text, JSON coloring) pair, read with
+    ``reference_read_pd`` and no check of ``zcolor``: arcs the coloring
+    misses or names beyond the rows, and each row whose over slots 1 and 3
+    differ or whose 2 * slot 1 is not slot 0 + slot 2.  No sign is read,
+    since the relation is symmetric in each pair; empty when it verifies."""
+    rows, _, _ = reference_read_pd(text)
+    gamma = {int(e): int(v) for e, v in coloring.items()}
+    arcs = {e for row in rows for e in row}
+    faults = [f"arc {e} is uncolored" for e in sorted(arcs - set(gamma))]
+    faults += [f"arc {e} is not in the PD" for e in sorted(set(gamma) - arcs)]
+    if faults:
+        return faults
+    return [f"X[{a},{b},{c},{d}] fails" for a, b, c, d in rows
+            if gamma[b] != gamma[d] or 2 * gamma[b] != gamma[a] + gamma[c]]
+
+
 def pd_signs(rows) -> list[int]:
     """The signs ``parse_pd`` solves for ``rows``, written as headerless PD
     text with the arc labels renumbered 1..2n in the same order."""

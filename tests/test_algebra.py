@@ -28,6 +28,7 @@ from conftest import (
 )
 from zcolor import algebra
 from zcolor.algebra import (
+    _solve_hermite,
     coloring_matrix,
     determinant,
     diagram_lattice,
@@ -37,7 +38,6 @@ from zcolor.algebra import (
     kernel_lattice,
     smith_normal_form,
     snf_diagonal,
-    solve_left,
 )
 from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
 from zcolor.coloring import verify_coloring
@@ -193,7 +193,7 @@ def test_all_ones_in_every_kernel(corpus):
             continue
         lat = diagram_lattice(d)
         # integer combination reaching all-ones must exist
-        assert solve_left(lat.basis, [1] * len(lat.columns)) is not None, name
+        assert _solve_hermite(lat.basis, [1] * len(lat.columns)) is not None, name
 
 
 def test_solve_integer_exact():
@@ -203,17 +203,6 @@ def test_solve_integer_exact():
     assert solve_integer(A, [4, 9, 6], 2) is None   # inconsistent
     assert solve_integer([[2, 0], [0, 3]], [3, 9], 2) is None   # x = (3/2, 3)
     assert solve_integer([], [], 3) == [0, 0, 0]
-
-
-def test_solve_left_exact():
-    rows = [[2, 0, 1], [0, 3, 1]]
-    assert solve_left(rows, [4, 9, 5]) == [2, 3]
-    assert solve_left(rows, [4, 9, 6]) is None   # inconsistent
-    assert solve_left([[2, 0], [0, 3]], [3, 9]) is None   # t = (3/2, 3)
-    assert solve_left([], [0, 0]) == []
-    assert solve_left([], [1, 0]) is None
-    t = solve_left([[2], [3]], [1])   # dependent rows: one of many solutions
-    assert 2 * t[0] + 3 * t[1] == 1
 
 
 @st.composite
@@ -233,18 +222,21 @@ def systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(systems())
-def test_solve_left_matches_the_reference_solver(system):
+def test_hermite_solve_matches_the_reference_solver(system):
+    """Forward substitution on the Hermite form of the rows: solvable
+    exactly when the reference solver finds a solution, then the only
+    one, which rebuilds the target."""
     rows, target = system
-    k, c = len(rows), len(target)
-    got = solve_left(rows, target)
-    want = solve_integer([[row[j] for row in rows] for j in range(c)], target, k)
+    c = len(target)
+    basis = hermite_form(rows)
+    got = _solve_hermite(basis, target)
+    want = solve_integer([[row[j] for row in rows] for j in range(c)], target, len(rows))
     assert (got is None) == (want is None)
     if got is None:
         return
-    assert [sum(a * row[j] for a, row in zip(got, rows)) for j in range(c)] == target
-    _, S, _ = transform_snf(rows)
-    if k <= c and all(S[i][i] for i in range(k)):   # independent rows
-        assert got == want
+    assert [sum(a * row[j] for a, row in zip(got, basis)) for j in range(c)] == target
+    assert got == solve_integer([[row[j] for row in basis] for j in range(c)], target,
+                                len(basis))
 
 
 # -- determinants --------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_lattice_json
+from conftest import reference_coloring_faults, reference_lattice_json
 from zcolor import algebra, diagram, jsonio, moves
 from zcolor.cabling import CableSpec, parallel
 from zcolor.cli import main
@@ -627,3 +627,61 @@ def test_corpus_reports_what_invariants_prints(capsys):
         code, doc = run(capsys, "invariants", str(CORPUS / entry["file"]))
         del doc["schema_version"]
         assert (code, doc) == (0, entry["invariants"]), entry["file"]
+
+
+# -- emitted (pd, coloring) pairs, checked on the PD text alone -------------------
+
+CABLES = [("hopf", "4,4"), ("trefoil", "4"), ("figure8", "4"), ("trefoil_writhe0", "2")]
+
+
+@pytest.mark.parametrize("name, spec", CABLES)
+def test_color_parallel_and_minimize_emit_pairs_that_verify(tmp_path, capsys, name, spec):
+    """``color-parallel``, with and without ``--reduce``, and ``minimize
+    --bound 3`` on the cable it emits: every (pd, coloring) pair satisfies
+    each crossing relation of the emitted PD text."""
+    base = str(CORPUS / f"{name}.pd")
+    code, plain = run(capsys, "color-parallel", "--spec", spec, base)
+    assert code == 0
+    assert reference_coloring_faults(plain["pd"], plain["coloring"]) == []
+    code, reduced = run(capsys, "color-parallel", "--spec", spec, "--reduce", base)
+    assert code == 0
+    assert reference_coloring_faults(reduced["pd"], reduced["coloring"]) == []
+    assert reference_coloring_faults(reduced["reduced_pd"], reduced["reduced_coloring"]) == []
+    cable = tmp_path / "cable.pd"
+    cable.write_text(plain["pd"])
+    code, best = run(capsys, "minimize", "--bound", "3", str(cable))
+    assert code == 0
+    assert reference_coloring_faults(plain["pd"], best["coloring"]) == []
+    assert best["palette_size"] == len(set(best["coloring"].values()))
+
+
+@pytest.mark.parametrize("pd_file", sorted(CORPUS.glob("*.pd")), ids=lambda p: p.stem)
+def test_colorability_emits_colorings_that_verify(capsys, pd_file):
+    """``colorability``'s witness and every lattice basis vector satisfy each
+    crossing relation of the input PD text."""
+    code, doc = run(capsys, "colorability", str(pd_file))
+    assert code == 0
+    text = pd_file.read_text()
+    witness = [doc["witness"]] if "witness" in doc else []
+    for gamma in doc["lattice"]["basis"] + witness:
+        assert reference_coloring_faults(text, gamma) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: simplify-coloring writes its coloring on "
+                          "the arcs of its result before the PD's relabelling")
+def test_simplify_coloring_emits_pairs_that_verify(tmp_path, capsys):
+    """``simplify-coloring`` on the inputs of ``tests/golden/simplify.json``:
+    each emitted (pd, coloring) pair satisfies the emitted PD's relations."""
+    from test_golden import simplify_inputs
+
+    faults = {}
+    for case, pd, gamma in simplify_inputs():
+        (tmp_path / "in.pd").write_text(pd)
+        (tmp_path / "in.json").write_text(json.dumps(gamma))
+        code, doc = run(capsys, "simplify-coloring", str(tmp_path / "in.pd"),
+                        str(tmp_path / "in.json"))
+        if code == 0:
+            faults[case] = reference_coloring_faults(doc["pd"], doc["coloring"])
+    assert len(faults) == 20
+    assert {case: f for case, f in faults.items() if f} == {}

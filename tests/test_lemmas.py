@@ -7,17 +7,21 @@ the recorded refusal class it still accepts.
 """
 
 import random
+from collections import Counter
 
 from hypothesis import HealthCheck, example, given, note, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_random_knot, chained
+from zcolor import parallel_coloring as pc
+from zcolor.algebra import determinant, is_z_colorable
+from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import is_simple, palette, verify_coloring
 from zcolor.diagram import parse_pd, serialize_pd
 from zcolor.generate import diff_chain
-from zcolor.moves import verify_local_equivalence
-from zcolor.parallel_coloring import color_two_parallel, delete_color_moves
-from zcolor.rewrite import RewriteError
+from zcolor.moves import R3, verify_local_equivalence
+from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
+from zcolor.rewrite import RewriteError, to_simple_coloring
 
 # writhe-0 knot diagrams of up to 14 crossings
 WRITHE0_KNOTS = st.builds(
@@ -32,6 +36,24 @@ DIFF_CHAINS = st.tuples(
 )
 
 TWO_KINK_UNKNOT = parse_pd("% component: 1 2 3 4\nX[1,1,2,4] X[2,3,3,4]\n")
+HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
+
+# links: hopf, or a diff chain of 2-4 bights colored 1..4 with 0-2 kinks
+# after each, whose bights are components of their own
+LINKS = st.one_of(
+    st.just(HOPF),
+    st.builds(lambda colors, kinks: diff_chain(colors, kinks)[0],
+              st.lists(st.integers(1, 4), min_size=2, max_size=4), st.integers(0, 2)),
+)
+
+
+@st.composite
+def even_link_parallels(draw):
+    """A link and a multiplicity from {4, 6} for each of its components."""
+    link = draw(LINKS)
+    widths = draw(st.lists(st.sampled_from((4, 6)), min_size=len(link.components),
+                           max_size=len(link.components)))
+    return link, tuple(widths)
 
 
 @settings(max_examples=100, deadline=None)
@@ -82,3 +104,60 @@ def test_elimination_grows_no_diff_outside_the_lemma(stage_recorder, chain):
     assert verify_coloring(out_d, out_g)
     report = verify_local_equivalence(d, out_d, trace)
     assert report.ok, report.reasons
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_link_parallels())
+@example((HOPF, (4, 6)))
+def test_even_parallels_of_links_are_four_colored(case):
+    """The paper's parallel theorem at even multiplicities, on links: a
+    parallel whose multiplicities, one per component, are even and at least
+    4 has determinant 0, and ``color_even_parallel`` colors it, checked by
+    ``verify_coloring``, inside -1..3, and inside -1..2 when every width is
+    2 mod 4.  The multiplicity-2 half for links is open (ROADMAP item 10)."""
+    link, widths = case
+    note(f"{serialize_pd(link)} {widths}")
+    cabled = parallel(link, CableSpec(multiplicities=widths))
+    assert determinant(cabled) == 0
+    gamma = color_even_parallel(cabled)
+    assert verify_coloring(cabled, gamma)
+    allowed = set(range(-1, 4)) if any(n % 4 == 0 for n in widths) else set(range(-1, 3))
+    assert palette(gamma)[0] <= allowed
+
+
+def test_crossing_rule_recoloring_matches_propagation(corpus, monkeypatch):
+    """``parallel_coloring._Run.apply``: after every move, the run's
+    coloring is what propagation gives when every arc but those the move
+    reports (an R2 bigon's four new arcs, the three sides of an R3
+    triangle) keeps its color from before the move.  Covers the deletion
+    passes on the corpus parallels and simplification of diff chains and
+    of the trefoil (6) witness: bigons pushed over and under, and R3
+    slides."""
+    apply = pc._Run.apply
+    kinds = Counter()
+
+    def checking(run, move):
+        before = dict(run.gamma)
+        report = apply(run, move)
+        builder = run.builder
+        if isinstance(move, R3):
+            corners = map(builder.corner_slot, report["triangle"])
+            fresh = {builder.rows[cid][j % 4] for cid, i in corners for j in (i, i + 1)}
+        else:
+            fresh = set(report["arcs"])
+        seeds = {e: before[e] for e in run.gamma if e not in fresh}
+        assert pc.propagate_coloring(builder.rows, seeds) == run.gamma, move
+        kinds[move.kind, getattr(move, "push_over", None)] += 1
+        return report
+
+    monkeypatch.setattr(pc._Run, "apply", checking)
+    for name, widths in (("hopf", (4, 4)), ("trefoil", (4,)), ("figure8", (4,))):
+        cabled = parallel(corpus[name], CableSpec(multiplicities=widths))
+        delete_color_moves(cabled, color_even_parallel(cabled))
+    for name in ("unknot_writhe0", "trefoil_writhe0"):
+        delete_color_moves(*color_two_parallel(corpus[name]))
+    for colors, kinks in (((2, 1), 1), ((3, 1, 2), 1), ((4, 2, 1), 1), ((2, 6, 1), 2)):
+        to_simple_coloring(*diff_chain(colors, kinks))
+    cabled = parallel(corpus["trefoil"], CableSpec(multiplicities=(6,)))
+    to_simple_coloring(cabled, is_z_colorable(cabled)[1])
+    assert set(kinds) == {("R2+", True), ("R2+", False), ("R3", None)}, kinds
