@@ -10,9 +10,9 @@ a copy of its occurrence index.  A move sets the signs of the crossings it
 creates and leaves every other sign alone, so no move rebuilds a
 ``Diagram``, and ``same_diagram`` compares a builder as it stands.
 
-``apply_move`` reports what each move built: the new arcs of a kink or a
-bigon, and the corners of an R3's new triangle (``c ^ 2``, each old corner
-with its slot moved by two), so no caller works them out again.
+``apply_move`` reports the rows each move changed and what it built: the
+new arcs of a kink or a bigon, and the corners of an R3's new triangle
+(``c ^ 2``, each old corner with its slot moved by two).
 
 Locality is tracked through disks: a disk is declared as a set of crossing
 ids of the stage's source diagram, moves are tagged with a disk, and every
@@ -141,13 +141,14 @@ class DiagramBuilder:
         if not places:
             del self._occ[edge]
 
-    def _replace(self, p: int, new_edge: int) -> None:
+    def _replace(self, p: int, new_edge: int) -> int:
         cid, slot = p >> 2, p & 3
         row = list(self.rows[cid])
         self._unindex(row[slot], p)
         self._occ.setdefault(new_edge, []).append(p)
         row[slot] = new_edge
         self.rows[cid] = tuple(row)
+        return cid
 
     def set_row(self, cid: int, row: tuple[int, int, int, int]) -> None:
         """Write a whole row of an existing crossing; its sign stays."""
@@ -163,15 +164,14 @@ class DiagramBuilder:
             p += 1
         self.rows[cid] = tuple(row)
 
-    def replace_head(self, edge: int, new_edge: int) -> None:
-        """Write ``new_edge`` at the occurrence where ``edge`` ends."""
-        self._replace(self._head(edge), new_edge)
+    def replace_head(self, edge: int, new_edge: int) -> int:
+        """Write ``new_edge`` where ``edge`` ends; returns that crossing."""
+        return self._replace(self._head(edge), new_edge)
 
-    def rename_arc(self, old: int, new: int, skip=()) -> None:
-        """Write ``new`` at every occurrence of ``old`` outside the crossings ``skip``."""
-        for p in list(self._occ.get(old, ())):
-            if p >> 2 not in skip:
-                self._replace(p, new)
+    def rename_arc(self, old: int, new: int, skip=()) -> list[int]:
+        """Write ``new`` for ``old`` outside the crossings ``skip``; returns those written."""
+        places = [p for p in self._occ.get(old, ()) if p >> 2 not in skip]
+        return list(dict.fromkeys([self._replace(p, new) for p in places]))
 
     def add_crossing(self, row: tuple[int, int, int, int], sign: int) -> int:
         cid = self.next_cid
@@ -307,7 +307,8 @@ class DiagramBuilder:
                     break
         else:
             raise MoveError(f"arcs {f} and {g} do not run parallel along a face")
-        c1, c2, (_, f_b, _, g_b) = _insert_bigon(self, f, g, f_fwd, True, sign > 0)
+        report = _insert_bigon(self, f, g, f_fwd, True, sign > 0)
+        (c1, c2), (_, f_b, _, g_b) = report["created"], report["arcs"]
         # the crossing change: the incoming over arc moves to slot 0, the sign flips
         row, s = self.rows[c2], self.signs[c2]
         k = OVER_B if s > 0 else OVER_A
@@ -326,9 +327,12 @@ def _from_smallest(walk: list[int]) -> tuple[int, ...]:
 
 
 def apply_move(builder: DiagramBuilder, move: Move) -> dict:
-    """Apply one move and report what it built.
+    """Apply one move and report the rows it changed and what it built.
 
-    Every report holds ``created`` and ``touched``, lists of crossing ids.
+    Each crossing whose row or sign changed is in one list: ``created``;
+    ``touched``, the rows an R3 rewrote and an R1- or R2- removed; or
+    ``relabelled``, rows changed by arc labels only: the heads of the arcs
+    an R1+ or R2+ splits, the rows of the arc an R1- or R2- merges away.
     An R1+ adds ``arcs``: the kink's loop and the arc after it.  An R2+ of
     push arc f across arc g adds ``arcs``: (f_m, f_b, g_m, g_b), the
     middles of f and g between the two new crossings, then the arcs that
@@ -358,13 +362,13 @@ def _apply_r1_insert(builder: DiagramBuilder, mv: R1Insert) -> dict:
     e_a = mv.edge
     loop = builder.fresh_edge()
     e_b = builder.fresh_edge()
-    builder.replace_head(e_a, e_b)
+    head = builder.replace_head(e_a, e_b)
     if not mv.over_first:
         row = (e_a, e_b, loop, loop) if mv.sign > 0 else (e_a, loop, loop, e_b)
     else:
         row = (loop, loop, e_b, e_a) if mv.sign > 0 else (loop, e_a, e_b, loop)
     cid = builder.add_crossing(row, mv.sign)
-    return {"created": [cid], "touched": [], "arcs": [loop, e_b]}
+    return {"created": [cid], "touched": [], "relabelled": [head], "arcs": [loop, e_b]}
 
 
 def _apply_r1_remove(builder: DiagramBuilder, mv: R1Remove) -> dict:
@@ -387,10 +391,9 @@ def _apply_r1_remove(builder: DiagramBuilder, mv: R1Remove) -> dict:
         # isolated kink on its own circle
         if not builder.incident(e_a):
             builder.free_loops += 1
-        return {"created": [], "touched": [mv.cid]}
+        return {"created": [], "touched": [mv.cid], "relabelled": []}
     keep, drop = min(e_a, e_b), max(e_a, e_b)
-    builder.rename_arc(drop, keep)
-    return {"created": [], "touched": [mv.cid]}
+    return {"created": [], "touched": [mv.cid], "relabelled": builder.rename_arc(drop, keep)}
 
 
 def _locate_r2_face(builder: DiagramBuilder, mv: R2Insert):
@@ -417,16 +420,15 @@ def _apply_r2_insert(builder: DiagramBuilder, mv: R2Insert) -> dict:
         raise MoveError("cannot push an arc across itself")
     face, arcs = _locate_r2_face(builder, mv)
     f_fwd, g_fwd = (builder._walks_forward(face, arcs, e) for e in (f, g))
-    c1, c2, arcs = _insert_bigon(builder, f, g, f_fwd, f_fwd != g_fwd, mv.push_over)
-    return {"created": [c1, c2], "touched": [], "arcs": list(arcs)}
+    return _insert_bigon(builder, f, g, f_fwd, f_fwd != g_fwd, mv.push_over)
 
 
 def _insert_bigon(builder: DiagramBuilder, f: int, g: int, f_fwd: bool, parallel: bool,
-                  push_over: bool) -> tuple[int, int, tuple[int, int, int, int]]:
+                  push_over: bool) -> dict:
     """Lay the R2 bigon of ``f`` pushed over (or under) ``g``; returns its
-    two crossings, in the order ``f`` runs through them, and its new arcs
-    (f_m, f_b, g_m, g_b): the middles of ``f`` and ``g`` between the two
-    crossings and the arcs that continue them past the bigon.
+    report: its crossings, in the order ``f`` runs through them, the heads
+    of ``f`` and ``g``, and its new arcs (f_m, f_b, g_m, g_b): the middles
+    of ``f`` and ``g`` between the crossings and their arcs past the bigon.
 
     The face walk keeps its interior on the walker's right, so the walk
     direction of each arc relative to its strand direction (``f_fwd`` for
@@ -435,8 +437,7 @@ def _insert_bigon(builder: DiagramBuilder, f: int, g: int, f_fwd: bool, parallel
     """
     f_m, f_b = builder.fresh_edge(), builder.fresh_edge()
     g_m, g_b = builder.fresh_edge(), builder.fresh_edge()
-    builder.replace_head(f, f_b)
-    builder.replace_head(g, g_b)
+    heads = dict.fromkeys((builder.replace_head(f, f_b), builder.replace_head(g, g_b)))
     f_a, g_a = f, g
 
     if push_over:
@@ -461,8 +462,8 @@ def _insert_bigon(builder: DiagramBuilder, f: int, g: int, f_fwd: bool, parallel
     # the over strand enters ``first`` at slot OVER_B exactly when it is positive
     over_in = f_a if push_over else (g_a if parallel else g_m)
     sign = 1 if first[OVER_B] == over_in else -1
-    return (builder.add_crossing(first, sign), builder.add_crossing(second, -sign),
-            (f_m, f_b, g_m, g_b))
+    return {"created": [builder.add_crossing(first, sign), builder.add_crossing(second, -sign)],
+            "touched": [], "relabelled": list(heads), "arcs": [f_m, f_b, g_m, g_b]}
 
 
 def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
@@ -493,6 +494,7 @@ def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
             return (row[UNDER_IN], row[UNDER_OUT])
         return (row[OVER_A], row[OVER_B])
 
+    renamed = []
     for mid in inner:
         a1, b1 = strand_edges(r1, mid)
         o1 = a1 if b1 == mid else b1
@@ -504,10 +506,11 @@ def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
                 builder.free_loops += 1
         else:
             keep, drop = sorted((o1, o2))
-            builder.rename_arc(drop, keep, skip=(mv.cid1, mv.cid2))
+            renamed += builder.rename_arc(drop, keep, skip=(mv.cid1, mv.cid2))
     builder.remove_crossing(mv.cid1)
     builder.remove_crossing(mv.cid2)
-    return {"created": [], "touched": [mv.cid1, mv.cid2]}
+    return {"created": [], "touched": [mv.cid1, mv.cid2],
+            "relabelled": list(dict.fromkeys(renamed))}
 
 
 def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
@@ -543,7 +546,8 @@ def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:
         new_rows[c2][s2], new_rows[c2][(s2 + 2) % 4] = rows[c1][(s1 + 2) % 4], side
     for cid in cids:
         builder.set_row(cid, new_rows[cid])
-    return {"created": [], "touched": list(cids), "triangle": [c ^ 2 for c in triangle]}
+    return {"created": [], "touched": list(cids), "relabelled": [],
+            "triangle": [c ^ 2 for c in triangle]}
 
 
 # -- replay and verification ---------------------------------------------------
@@ -558,8 +562,10 @@ def apply_trace(builder: DiagramBuilder, trace: MoveTrace, reasons: list[str]) -
     Appends to ``reasons`` each pair of overlapping disks of a stage, each
     move naming an unknown disk, and each crossing a move modifies or
     removes that is neither in the move's disk nor created earlier by the
-    same disk.  Raises MoveError at the first move that does not apply; the
-    faults found before it stay in ``reasons``.
+    same disk, read off the report's ``touched`` and ``created`` only: a
+    relabel is not a geometric change and may lie outside the disk.  Raises
+    MoveError at the first move that does not apply; the faults found
+    before it stay in ``reasons``.
     """
     for si, stage in enumerate(trace.stages):
         ids = sorted(stage.disks)
@@ -596,6 +602,7 @@ def verify_local_equivalence(source: Diagram, target: Diagram, trace: MoveTrace)
     """Check disk disjointness, per-move locality, and end-diagram equality.
 
     Locality is crossing-based: every crossing a move modifies or removes
+    (``touched``; a relabel is no geometric change and may leave the disk)
     must be in the move's declared disk or created earlier by the same
     disk.  Disks are checked for pairwise disjointness within each stage;
     stages are independent localizations applied in sequence.  The end

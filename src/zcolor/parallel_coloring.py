@@ -40,8 +40,8 @@ from collections import Counter
 from typing import NamedTuple, Optional
 
 from .cabling import CableSpec, CableStructure, Region, TwistSite, insert_full_twists, parallel
-from .coloring import Coloring, diff_spectrum, palette, verify_coloring
-from .diagram import OVER_A, UNDER_IN, Diagram, crossing_graph_pieces, writhe
+from .coloring import Coloring, ColoringError, palette, verify_coloring
+from .diagram import Diagram, crossing_graph_pieces, writhe
 from .moves import (
     DiagramBuilder,
     Move,
@@ -129,48 +129,22 @@ def propagate_coloring(rows: dict[int, tuple[int, int, int, int]], seeds: Colori
 
 
 class _Run:
-    """A move builder with its coloring, each crossing's diff and the stages.
+    """A move builder with its coloring, the stages and their certificate.
 
-    ``gamma`` colors the builder's arcs, ``diffs`` maps each crossing to its
-    diff and ``at_diff`` each diff to its crossings.  ``apply`` is the only
-    way a rewrite applies a move, and it keeps all three current after
-    every move by the crossing rule, reading the move's report and crossings.
-    ``changed`` collects the crossings whose rows or diffs a move changed,
-    for a reader that keeps state between moves (the kept diff-path
-    searches of ``rewrite``) and clears it.  The rewrites apply only R2
-    bigons and R3 slides, which remove no arc and no crossing, so ``gamma``
-    colors exactly the builder's arcs.  The input coloring is verified
-    once, by ``diff_spectrum``, which refuses an invalid one.
+    ``apply`` is the only way a rewrite applies a move; it recolors by the
+    crossing rule from the move's report.  The rewrites apply only R2
+    bigons and R3 slides, which remove no arc, so ``gamma`` colors exactly
+    the builder's arcs.  The input is verified here, the output by ``finish``.
     """
 
     def __init__(self, diagram: Diagram, gamma: Coloring):
-        spec = diff_spectrum(diagram, gamma)
+        if not verify_coloring(diagram, gamma):
+            raise ColoringError("not a valid coloring")
         self.source = diagram
         self.builder = DiagramBuilder(diagram)
         self.gamma = {e: gamma[e] for e in diagram.edges}
-        self.diffs: dict[int, int] = {}
-        self.at_diff: dict[int, set[int]] = {}
-        for cid, d in spec.diffs.items():
-            self.set_diff(cid, d)
-        self.changed: set[int] = set()
         # (moves, disks) of each stage; moves go into the last disk of the last stage
         self.stages: list[tuple[list[tuple[Move, int]], dict[int, frozenset[int]]]] = []
-
-    @property
-    def d_m(self) -> int:
-        return max(self.at_diff, default=0)
-
-    def set_diff(self, cid: int, d: int) -> None:
-        old = self.diffs.get(cid)
-        if old == d:
-            return
-        if old is not None:
-            cids = self.at_diff[old]
-            cids.discard(cid)
-            if not cids:
-                del self.at_diff[old]
-        self.diffs[cid] = d
-        self.at_diff.setdefault(d, set()).add(cid)
 
     def open_stage(self) -> None:
         self.stages.append(([], {}))
@@ -186,32 +160,19 @@ class _Run:
 
         An R2 bigon of ``push_edge`` (color a) pushed over ``across_edge``
         (color b) gives the new arcs f_m, f_b, g_m, g_b the move reports the
-        colors (a, a, 2a - b, b), and pushed under (2b - a, a, b, b); both
-        new crossings get diff |a - b|, and the head crossings of both arcs
-        now hold f_b and g_b, of unchanged colors.  An R3 recolors the sides
-        of its reported triangle (``_slide_colors``) and re-diffs its three
-        crossings.  Every other arc keeps its color.  Returns the report.
+        colors (a, a, 2a - b, b), and pushed under (2b - a, a, b, b).  An R3
+        recolors the sides of its reported triangle (``_slide_colors``).
+        Every other arc keeps its color.  Returns the report.
         """
-        builder, gamma = self.builder, self.gamma
-        report = apply_move(builder, move)
+        report = apply_move(self.builder, move)
         moves, disks = self.stages[-1]
         moves.append((move, len(disks)))
         if isinstance(move, R3):
-            gamma.update(self._slide_colors(move.cids, report["triangle"]))
-            for cid in move.cids:
-                row = builder.rows[cid]
-                self.set_diff(cid, abs(gamma[row[OVER_A]] - gamma[row[UNDER_IN]]))
-            self.changed.update(move.cids)
+            self.gamma.update(self._slide_colors(move.cids, report["triangle"]))
         else:
-            a, b = gamma[move.push_edge], gamma[move.across_edge]
+            a, b = self.gamma[move.push_edge], self.gamma[move.across_edge]
             colors = (a, a, 2 * a - b, b) if move.push_over else (2 * b - a, a, b, b)
-            gamma.update(zip(report["arcs"], colors))
-            for cid in report["created"]:
-                self.set_diff(cid, abs(a - b))
-            # f_b and g_b run from the bigon to the arcs' old head crossings
-            _, f_b, _, g_b = report["arcs"]
-            self.changed.update(builder.incident(f_b))
-            self.changed.update(builder.incident(g_b))
+            self.gamma.update(zip(report["arcs"], colors))
         return report
 
     def _slide_colors(self, cids: tuple[int, int, int], triangle: list[int]) -> dict[int, int]:

@@ -22,14 +22,14 @@ each round reads the current diff paths and runs one stage, and a level
 ends when its maximum D is gone.  The first round of a level tries only
 the first path, which is stricter than the lemma and refuses some inputs
 the lemma covers.  A simplification is one run (``_Simplification``, a
-``parallel_coloring._Run``, shared with color deletion): one move builder
-for all its stages, with the coloring, each crossing's diff and the
-crossings of each diff beside the rows.  Every move goes through the run
-and recolors only the arcs it changed by the crossing rule (an R2 bigon's
-four new arcs, an R3 triangle's three sides), so the coloring the finger
-routing reads is current after every move.  The path searches are kept
-on the run between the rounds of a level: after a stage only those that
-read a crossing the stage created, rewrote or re-diffed are redone.  A
+``parallel_coloring._Run``, shared with color deletion, that also keeps
+each crossing's diff and the crossings of each diff): one move builder
+for all its stages.  Every move goes through the run, which recolors the
+arcs it changed by the crossing rule and re-diffs the rows it created or
+rewrote, as the move's report names them, so what the finger routing
+reads is current after every move.  The path searches are kept on the
+run between the rounds of a level: after a stage only those that read a
+row the stage created, rewrote or relabelled are redone.  A
 path whose finger verdict failed is dropped from its search's hits, so it
 is not tried again until its search is redone: the verdict reads only
 crossings the search read, and the level's allowed diffs.  A stage (one
@@ -50,7 +50,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .coloring import Coloring
 from .diagram import OVER_A, UNDER_IN, UNDER_OUT, Diagram, crossing_graph_pieces
-from .moves import DiagramBuilder, MoveError, MoveTrace, R2Insert, R3
+from .moves import DiagramBuilder, Move, MoveError, MoveTrace, R2Insert, R3
 from .parallel_coloring import ConstructionError, _Run
 
 
@@ -72,8 +72,11 @@ class DiffPath(NamedTuple):
 
 
 class _Simplification(_Run):
-    """A run that keeps its diff-path searches between the rounds of a level.
+    """A run that keeps crossing diffs, and path searches between rounds.
 
+    ``diffs`` maps each crossing to its diff and ``at_diff`` each diff to
+    its crossings; ``apply`` re-diffs the rows a move created or touched
+    and adds all three lists of its report to ``changed``.
     ``searches`` maps each (start, first arc) to its ``_Search`` for the
     maximal diff ``level``.  ``hits`` holds the hits of all of them, each
     (length, end, start, via), sorted; ``pending`` is a heap of the
@@ -84,11 +87,38 @@ class _Simplification(_Run):
 
     def __init__(self, diagram: Diagram, gamma: Coloring):
         super().__init__(diagram, gamma)
+        self.diffs: dict[int, int] = {}
+        self.at_diff: dict[int, set[int]] = {}
+        self.set_diffs(self.builder.rows)
+        self.changed: set[int] = set()
         self.level: Optional[int] = None
         self.searches: dict[tuple[int, int], _Search] = {}
         self.hits: list[tuple[int, int, int, tuple[int, ...]]] = []
         self.pending: list[tuple[int, tuple[int, int]]] = []
         self.readers: dict[int, list[_Search]] = {}
+
+    @property
+    def d_m(self) -> int:
+        return max(self.at_diff, default=0)
+
+    def set_diffs(self, cids) -> None:
+        rows, gamma, diffs, at_diff = self.builder.rows, self.gamma, self.diffs, self.at_diff
+        for cid in cids:
+            row = rows[cid]
+            d, old = abs(gamma[row[OVER_A]] - gamma[row[UNDER_IN]]), diffs.get(cid)
+            if old != d:
+                if old is not None:
+                    at_diff[old].discard(cid)
+                    if not at_diff[old]:
+                        del at_diff[old]
+                diffs[cid] = d
+                at_diff.setdefault(d, set()).add(cid)
+
+    def apply(self, move: Move) -> dict:
+        report = super().apply(move)
+        self.set_diffs(report["created"] + report["touched"])
+        self.changed.update(report["created"], report["touched"], report["relabelled"])
+        return report
 
 
 class _Search:
@@ -121,7 +151,7 @@ def _diff_paths(run: _Simplification) -> Iterator[DiffPath]:
     The searches are kept on the run between the rounds of a level, and
     every crossing a search reads, a row or a diff, lists it in the run's
     ``readers``.  A search is redone only when a move created, rewrote or
-    re-diffed one of them (the run's ``changed``), which covers a start
+    relabelled one of them (the run's ``changed``), which covers a start
     that lost the maximum; all start over when the maximum changes.  A hit
     the consumer drops from ``hits`` and from its search, as
     ``to_simple_coloring`` does with a path whose finger verdict failed,
@@ -238,7 +268,7 @@ def _finger_variant(run: _Run, path: DiffPath, d: int, allowed: set[int]
     return None
 
 
-def _drag_and_slide(run: _Run, path: DiffPath, w_arc: int, u_arc: int,
+def _drag_and_slide(run: _Simplification, path: DiffPath, w_arc: int, u_arc: int,
                     allowed: set[int], d_m: int) -> None:
     """Route the finger by breadth-first search over faces.
 

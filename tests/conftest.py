@@ -732,7 +732,7 @@ def reference_r3(builder, mv) -> dict:
     flipped = [f for f in reference_faces(dict(builder.rows))
                if len(f) == 3 and {c for c, _ in f} == set(cids)]
     assert len(flipped) == 1, flipped
-    return {"created": [], "touched": list(cids), "triangle": list(flipped[0])}
+    return {"created": [], "touched": list(cids), "relabelled": [], "triangle": list(flipped[0])}
 
 
 def reference_bigon_arcs(rows: dict, c1: int, c2: int) -> tuple[int, int]:

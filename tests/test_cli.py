@@ -306,6 +306,31 @@ def test_simplify_coloring_command(tmp_path, capsys):
     assert doc["trace"]["stages"]
 
 
+def test_a_rewriting_command_verifies_its_input_and_output_once(tmp_path, capsys, count_calls):
+    """``simplify-coloring`` and ``color-parallel --reduce`` each run
+    ``verify_coloring`` twice: on the input coloring and on the output's.
+    ``simple`` is read off the output's diffs, not verified again."""
+    from zcolor import coloring, parallel_coloring
+    from zcolor.diagram import serialize_pd_raw
+    from zcolor.generate import diff_chain
+
+    d, g = diff_chain((3, 1, 2), 1)
+    pd_file = tmp_path / "chain.pd"
+    pd_file.write_text(serialize_pd_raw(d))
+    coloring_file = tmp_path / "chain.json"
+    coloring_file.write_text(json.dumps(jsonio.coloring_to_json(g)))
+    calls = [count_calls(module, "verify_coloring") for module in (coloring, parallel_coloring)]
+    for argv, key, want in (
+            (["simplify-coloring", str(pd_file), str(coloring_file)], "simple", [True, 1]),
+            (["color-parallel", "--spec", "4,4", "--reduce", str(CORPUS / "hopf.pd")],
+             "palette", [-1, 0, 1, 2])):
+        for counted in calls:
+            counted.clear()
+        code, doc = run(capsys, *argv)
+        assert (code, doc[key]) == (0, want), argv
+        assert sum(map(len, calls)) == 2, argv
+
+
 def test_colorability_emits_lattice(capsys):
     code, doc = run(capsys, "colorability", str(CORPUS / "trefoil.pd"))
     assert code == 0

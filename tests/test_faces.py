@@ -44,6 +44,8 @@ from zcolor.moves import (
     R3,
     DiagramBuilder,
     MoveError,
+    R1Insert,
+    R1Remove,
     R2Insert,
     R2Remove,
     apply_move,
@@ -237,6 +239,76 @@ def test_kink_report_names_the_loop_and_the_arc_after_it(monkeypatch):
     for colors, kinks_between in (((2, 1), 1), ((3, 1), 2), ((4, 2, 1), 3)):
         diff_chain(colors, kinks_between)
     assert sorted(set(kinks)) == [-1, 1] and len(kinks) == 2 + 4 + 9
+
+
+def checked_report(builder: DiagramBuilder, move) -> dict:
+    """Apply ``move`` and check that its report names every row it changed.
+
+    Each crossing whose row or sign differs before and after the move is in
+    exactly one of ``created``, ``touched`` and ``relabelled``.  A
+    relabelled row changed, keeps its sign, and differs only where the move
+    replaced a label: an arc an R1+ or R2+ split, by a fresh label, or an
+    arc an R1- or R2- merged away, by a label the diagram had.
+    """
+    rows, signs = dict(builder.rows), dict(builder.signs)
+    labels = {e for row in rows.values() for e in row}
+    report = apply_move(builder, move)
+    changed = {cid for cid in rows.keys() | builder.rows.keys()
+               if (rows.get(cid), signs.get(cid))
+               != (builder.rows.get(cid), builder.signs.get(cid))}
+    lists = (report["created"], report["touched"], report["relabelled"])
+    for cid in changed:
+        assert sum(cid in named for named in lists) == 1, (move, cid, report)
+    removal = isinstance(move, (R1Remove, R2Remove))
+    if removal:
+        replaced = labels - {e for row in builder.rows.values() for e in row}
+    else:
+        replaced = {getattr(move, key) for key in ("edge", "push_edge", "across_edge")
+                    if hasattr(move, key)}
+    for cid in report["relabelled"]:
+        assert cid in changed and builder.signs[cid] == signs[cid], (move, cid)
+        for old, new in zip(rows[cid], builder.rows[cid]):
+            if old != new:
+                assert old in replaced and (new in labels) == removal, (move, cid, old, new)
+    return report
+
+
+def test_every_report_names_every_row_its_move_changed(corpus):
+    """Every move of the recorded runs, and kinks and bigons laid and
+    removed again on every arc and arc pair of the corpus diagrams, with the
+    bigon laid and cancelled on ``unknot_writhe0`` and its two kinks then
+    removed: ``checked_report`` holds after each."""
+    kinds = collections.Counter()
+
+    def check(builder, move) -> list[int]:
+        report = checked_report(builder, move)
+        kinds[move.kind, bool(report["relabelled"])] += 1
+        return report["created"]
+
+    for name in RUNS:
+        source, moves = recorded_run(name)
+        builder = DiagramBuilder(source)
+        for move, _disk in moves:
+            check(builder, move)
+    for d in corpus.values():
+        edges = sorted(d.edges)
+        for edge, sign, over_first in itertools.product(edges, (1, -1), (False, True)):
+            builder = DiagramBuilder(d)
+            check(builder, R1Remove(*check(builder, R1Insert(edge, sign, over_first))))
+        for f, g in itertools.permutations(edges, 2):
+            for over in (True, False):
+                builder = DiagramBuilder(d)
+                try:
+                    created = check(builder, R2Insert(f, g, over))
+                except MoveError:
+                    continue
+                check(builder, R2Remove(*created))
+    builder = DiagramBuilder(corpus["unknot_writhe0"])
+    for move in (R2Remove(*check(builder, R2Insert(1, 3, True))), R1Remove(0), R1Remove(1)):
+        check(builder, move)
+    assert builder.rows == {} and builder.free_loops == 1
+    assert {kind for kind, relabelled in kinds if relabelled} == {"R1+", "R1-", "R2+", "R2-"}
+    assert kinds["R3", False] > 50 and ("R3", True) not in kinds, kinds
 
 
 def diagram_signs(d: Diagram) -> dict[int, int]:

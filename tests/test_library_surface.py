@@ -24,6 +24,8 @@ PACKAGE = ROOT / "src" / "zcolor"
 ALLOWED = {
     "is_z_colorable": "the paper's colorability decision; the CLI reuses "
                       "the lattice it builds through colorability",
+    "is_simple": "the paper's simplicity predicate; simplify-coloring reads "
+                 "the diffs of an output its run has already verified",
 }
 
 

@@ -331,7 +331,7 @@ def test_a_reduction_builds_one_diagram_and_verifies_once(corpus, count_calls):
         _, _, traces = delete_color_moves(cabled, gamma)
         assert len(builds) == 1, (i, len(builds))
         assert len(verifications) == 1, i
-        assert (len(colorings), len(outputs)) == (1, 1), i
+        assert len(colorings) + len(outputs) == 2 and outputs[0][0] is cabled, i
         both_passes += len(traces) == 2
         most_regions = max([most_regions] + [len(t.stages[0].disks) for t in traces])
     assert most_regions >= 3 and both_passes >= 1
@@ -340,32 +340,41 @@ def test_a_reduction_builds_one_diagram_and_verifies_once(corpus, count_calls):
 def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch, count_calls):
     """After every move a run applies, its coloring colors exactly the
     builder's arcs and satisfies every crossing relation of the builder's
-    rows, and its diffs and per-diff crossings are those rows', all read by
-    the independent ``checked_diffs``.
+    rows, read by the independent ``checked_diffs``.  On a simplification
+    run the diffs and per-diff crossings are those rows' too; a deletion
+    run keeps none.
 
     Covers a 3-deletion, whose reroute pushes lines under, both passes of a
     toggled 2-parallel, two diff chains and the trefoil (6) witness: bigons
     pushed over and under, and R3 slides.
     """
+    from zcolor import rewrite
     from zcolor.algebra import is_z_colorable
     from zcolor.generate import diff_chain
     from zcolor.rewrite import to_simple_coloring
 
-    kinds = []
-    apply = pc._Run.apply
+    kinds, rediffed = [], []
+    apply, rediff = pc._Run.apply, rewrite._Simplification.apply
 
     def checking(run, move):
-        created = apply(run, move)
+        report = apply(run, move)
         rows = run.builder.rows
         assert set(run.gamma) == {e for row in rows.values() for e in row}, move
-        diffs = checked_diffs(rows, run.gamma)
+        checked_diffs(rows, run.gamma)
+        kinds.append((move.kind, getattr(move, "push_over", None)))
+        return report
+
+    def checking_diffs(run, move):
+        report = rediff(run, move)
+        diffs = checked_diffs(run.builder.rows, run.gamma)
         assert run.diffs == diffs, move
         assert run.at_diff == {v: {c for c, e in diffs.items() if e == v}
                                for v in set(diffs.values())}, move
-        kinds.append((move.kind, getattr(move, "push_over", None)))
-        return created
+        rediffed.append(move)
+        return report
 
     monkeypatch.setattr(pc._Run, "apply", checking)
+    monkeypatch.setattr(rewrite._Simplification, "apply", checking_diffs)
     toggles = count_calls(pc, "_rewrite_toggle_over_state")
     reroutes = count_calls(pc, "_rewrite_reroute_line")
     hopf = parallel(corpus["hopf"], CableSpec(multiplicities=(4, 4)))
@@ -378,7 +387,7 @@ def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch
     cabled = parallel(corpus["trefoil"], CableSpec(multiplicities=(6,)))
     to_simple_coloring(cabled, is_z_colorable(cabled)[1])
     assert set(kinds) == {("R2+", True), ("R2+", False), ("R3", None)}
-    assert len(kinds) > 200
+    assert len(kinds) > 200 and len(rediffed) > 100
 
 
 def test_a_two_parallel_builds_two_diagrams_however_many_twists(count_calls):

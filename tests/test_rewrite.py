@@ -207,13 +207,13 @@ def test_one_run_builds_few_diagrams_and_verifies_once(count_calls):
 
 
 def test_a_simplification_verifies_its_input_and_output_once(count_calls):
-    """The run's spectrum is the input check and its finish the output check."""
+    """The run checks its input once and its finish checks the output once."""
     inputs = count_calls(coloring, "verify_coloring")
     outputs = count_calls(pc, "verify_coloring")
     d, g = diff_chain((3, 1, 2), 1)
     out_d, out_g, _ = to_simple_coloring(d, g)
     assert len(inputs) + len(outputs) == 2
-    assert inputs[0][0] is d and outputs[0][0] is out_d
+    assert outputs[0][0] is d and outputs[1][0] is out_d
 
 
 def test_an_invalid_input_is_refused_by_the_run():

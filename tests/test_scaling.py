@@ -25,14 +25,12 @@ def loglog_slope(points) -> float:
 
 def test_path_search_grows_with_the_stages(corpus, count_calls):
     """Simplifying the trefoil (6), (8), (10) and (12) witnesses (108 to 432
-    crossings, 48 to 300 stages): ``DiagramBuilder.incident`` lookups plus
-    path searches opened or redone grow with slope at most 1.4 against the
-    crossings; stages alone grow with slope 1.32.  The lookups include the 4
-    per stage that ``parallel_coloring._Run.apply`` makes to find the
-    crossings of each bigon's f_b and g_b, which grow with the stages, not
-    with the search.  A search kept between the rounds of a level costs
-    nothing until a move changes what it read; searching afresh every round
-    gave slope 2.55."""
+    crossings, 48 to 300 stages): ``DiagramBuilder.incident`` lookups, which
+    only the path searches make, plus path searches opened or redone grow
+    with slope at most 1.45 against the crossings (549 to 3,945, slope
+    1.42); stages alone grow with slope 1.32.  A search kept between the
+    rounds of a level costs nothing until a move changes what it read;
+    searching afresh every round gave slope 2.59."""
     lookups = count_calls(DiagramBuilder, "incident")
     searches = count_calls(rewrite._Search, "__init__")
     points = []
@@ -43,7 +41,7 @@ def test_path_search_grows_with_the_stages(corpus, count_calls):
         searches.clear()
         rewrite.to_simple_coloring(cabled, witness)
         points.append((len(cabled.crossings), len(lookups) + len(searches)))
-    assert loglog_slope(points) <= 1.4, points
+    assert loglog_slope(points) <= 1.45, points
 
 
 def test_finger_verdicts_grow_with_the_stages(count_calls):
