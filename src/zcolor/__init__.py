@@ -50,11 +50,9 @@ from .moves import (
     verify_local_equivalence,
 )
 from .parallel_coloring import (
-    BoundaryPattern,
     ConstructionError,
     NoApplicableMoveError,
-    color_even_parallel,
-    color_two_parallel,
+    color_parallel,
     delete_color_moves,
 )
 from .rewrite import (
@@ -64,7 +62,6 @@ from .rewrite import (
 )
 
 __all__ = [
-    "BoundaryPattern",
     "CableError",
     "CableSpec",
     "Coloring",
@@ -82,8 +79,7 @@ __all__ = [
     "PDSyntaxError",
     "RewriteError",
     "canonical",
-    "color_even_parallel",
-    "color_two_parallel",
+    "color_parallel",
     "coloring_matrix",
     "delete_color_moves",
     "determinant",

@@ -46,26 +46,20 @@ class Region(NamedTuple):
 
 
 class CableStructure(NamedTuple):
-    """Construction metadata kept alongside a cabled diagram."""
+    """How a cabled diagram was built, returned beside it by ``cable``."""
 
     multiplicities: tuple[int, ...]
     regions: dict[int, Region]
     copy_edges: dict[tuple[int, int], int]   # (base edge, copy) -> entry arc id
 
-    def relabel(self, mapping: dict[int, int]) -> "CableStructure":
-        return CableStructure(
-            multiplicities=self.multiplicities,
-            regions=self.regions,
-            copy_edges={k: mapping[e] for k, e in self.copy_edges.items()},
-        )
 
-
-def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
-    """The (n_1,...,n_c)-parallel of a diagram.
+def cable(diagram: Diagram, spec: CableSpec) -> tuple[Diagram, CableStructure]:
+    """The (n_1,...,n_c)-parallel of a diagram and how it was built.
 
     Crossing count is the sum over base crossings of n_over * n_under; all
-    grid crossings inherit the base sign and orientation.  The result
-    carries a CableStructure for the coloring constructions.
+    grid crossings inherit the base sign and orientation.  The structure
+    names the grid each base crossing became and the entry arc of every
+    copy of every base arc, for the coloring constructions.
     """
     mult = spec.multiplicities
     if any(n < 1 for n in mult):
@@ -138,7 +132,12 @@ def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
 
     free = sum(mult[n_cycles:])
     structure = CableStructure(multiplicities=mult, regions=regions, copy_edges=copy_edges)
-    return Diagram(rows, signs, free_loops=free, cable=structure)
+    return Diagram(rows, signs, free_loops=free), structure
+
+
+def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:
+    """The (n_1,...,n_c)-parallel of a diagram, without its structure."""
+    return cable(diagram, spec)[0]
 
 
 def two_parallel_untwisted(diagram: Diagram) -> Diagram:
@@ -155,21 +154,21 @@ def two_parallel_untwisted(diagram: Diagram) -> Diagram:
     return out
 
 
-def insert_full_twists(cabled: Diagram, sites: Sequence[TwistSite]) -> Diagram:
+def insert_full_twists(cabled: Diagram, structure: CableStructure,
+                       sites: Sequence[TwistSite]) -> tuple[Diagram, CableStructure]:
     """Insert a 2-crossing full twist at each site in turn, on one move builder.
 
-    A site is named by base-diagram arc, so it survives relabelling of the
-    cabled diagram.  A positive full twist has two positive crossings (left
-    copy passing over first); each site adds exactly 2 crossings.  One
-    ``Diagram`` is built (none when there is no site).
+    A site is named by base-diagram arc and found through ``structure``, the
+    cabled diagram's.  A positive full twist has two positive crossings (left
+    copy passing over first); each site adds exactly 2 crossings.  Returns
+    the twisted diagram, on which copies 1 and 2 of a site's arc continue
+    past the twist on new arcs, and its structure.  One ``Diagram`` is built
+    (none when there is no site).
     """
-    st: CableStructure = cabled.cable
-    if st is None:
-        raise CableError("diagram carries no cable structure")
     if not sites:
-        return cabled
+        return cabled, structure
     builder = DiagramBuilder(cabled)
-    copy_edges = dict(st.copy_edges)
+    copy_edges = dict(structure.copy_edges)
     for site in sites:
         if site.sign not in (1, -1):
             raise CableError("twist sign must be +1 or -1")
@@ -180,8 +179,4 @@ def insert_full_twists(cabled: Diagram, sites: Sequence[TwistSite]) -> Diagram:
             copy_edges[key1], copy_edges[key2], site.sign)
         # downstream of the twist the pair continues on the new arc ids
         copy_edges[key1], copy_edges[key2] = left_out, right_out
-    return builder.diagram(cable=CableStructure(
-        multiplicities=st.multiplicities,
-        regions=st.regions,
-        copy_edges=copy_edges,
-    ))
+    return builder.diagram(), structure._replace(copy_edges=copy_edges)

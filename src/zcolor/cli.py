@@ -150,12 +150,7 @@ def cmd_cable(args) -> int:
 
 def cmd_color_parallel(args) -> int:
     d = _load_diagram(args.pd)
-    mult = _parse_spec(args.spec)
-    if mult == (2,):
-        cabled, gamma = parallel_coloring.color_two_parallel(d)
-    else:
-        cabled = cabling.parallel(d, cabling.CableSpec(multiplicities=mult))
-        gamma = parallel_coloring.color_even_parallel(cabled)
+    cabled, gamma, structure = parallel_coloring.color_parallel(d, _parse_spec(args.spec))
     # verbatim serialization keeps arc labels and crossing ids stable so the
     # emitted traces replay against the emitted pd
     doc = {
@@ -164,7 +159,7 @@ def cmd_color_parallel(args) -> int:
         "palette": [jsonio.encode_int(v) for v in sorted(set(gamma.values()))],
     }
     if args.reduce:
-        cur_d, cur_g, traces = parallel_coloring.delete_color_moves(cabled, gamma)
+        cur_d, cur_g, traces = parallel_coloring.delete_color_moves(cabled, gamma, structure)
         doc["reduced_pd"] = diagram.serialize_pd_raw(cur_d)
         doc["reduced_coloring"] = jsonio.coloring_to_json(cur_g)
         doc["palette"] = [jsonio.encode_int(v) for v in sorted(set(cur_g.values()))]

@@ -87,9 +87,7 @@ class Diagram:
     """A validated oriented link diagram.
 
     Immutable after construction; all operations on diagrams are pure
-    functions returning new values.  ``cable`` holds optional construction
-    metadata attached by the cabling module; it does not participate in
-    equality or serialization.  ``signs``, one per row, give the
+    functions returning new values.  ``signs``, one per row, give the
     orientation: each row's incoming arcs are its slot 0 and, by its sign,
     slot 3 (+1) or slot 1 (-1).  Signs that do not make every arc incoming
     exactly once are refused.
@@ -100,7 +98,6 @@ class Diagram:
         rows: Sequence[tuple[int, int, int, int]],
         signs: Sequence[int],
         free_loops: int = 0,
-        cable=None,
         cids: Optional[Sequence[int]] = None,
         *,
         _occ: Optional[dict[int, list[int]]] = None,
@@ -121,7 +118,6 @@ class Diagram:
             raise DiagramError("crossing ids must be distinct")
 
         self.free_loops = free_loops
-        self.cable = cable
         # ``parse_pd`` and the move builder hand over the index of these rows
         occ = occurrences(cids, labels) if _occ is None else _occ
         if occ is None or not {2}.issuperset(map(len, occ.values())):
@@ -590,11 +586,10 @@ def _write_pd(free_loops: int, cycles, rows: list, signed) -> str:
 
 
 def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
-    """Apply an arc-label bijection; preserves structure and metadata."""
+    """Apply an arc-label bijection; keeps crossing ids, signs and free loops."""
     rows = [tuple(mapping[e] for e in x.slots) for x in diagram.crossings]
-    cable = diagram.cable.relabel(mapping) if diagram.cable is not None else None
     return Diagram(rows, [x.sign for x in diagram.crossings], free_loops=diagram.free_loops,
-                   cable=cable, cids=[x.cid for x in diagram.crossings],
+                   cids=[x.cid for x in diagram.crossings],
                    _occ={mapping[e]: places for e, places in diagram._occ.items()})
 
 

@@ -120,14 +120,13 @@ class DiagramBuilder:
         self.next_cid = max(self.rows, default=-1) + 1
         self.next_edge = max(self._occ, default=0) + 1
 
-    def diagram(self, cable=None) -> Diagram:
+    def diagram(self) -> Diagram:
         """A new ``Diagram`` of the current rows with the builder's signs,
         which ``Diagram`` checks are consistent, and a copy of its index."""
         cids = sorted(self.rows)
         return Diagram(
             [self.rows[c] for c in cids],
             free_loops=self.free_loops,
-            cable=cable,
             cids=cids,
             signs=[self.signs[c] for c in cids],
             _occ={e: places.copy() for e, places in self._occ.items()},

@@ -1,45 +1,60 @@
 """Small-palette colorings of parallels, and verified color deletion.
 
-Even parallels (all multiplicities even, at least 4) are colored by a fixed
-boundary pattern: in every parallel family of k arcs the middle two copies
-get 1 and the rest 0.  Under strands crossing a cable telescope back to
-their entering color, so the pattern closes up globally; region interiors
-use colors -1..3 (width divisible by 4) or -1..2 (width 2 mod 4).
+``color_parallel(diagram, widths)`` builds the parallel and colors it by
+one of three rules, which the widths choose.  Each seeds the entry arcs of
+the copies and propagates over the cable's rows (``propagate_coloring``),
+whose closing check verifies the coloring.
 
-Untwisted 2-parallels of writhe-0 knot diagrams are colored in pairs
-(a, a+1): passing under a cable shifts a pair by -2*sign, so along the
-strand the pair state alternates between (0,1) and (2,3) provided the
-underpass signs alternate; full twists are inserted between same-sign
-underpasses to restore the alternation.  So a pair enters a positive
-underpass in state 2 and a negative one in state 0, and leaves in the
-other; the copies of each base arc are seeded with the state their next
-underpass wants, or with 2 minus it ahead of a twist, which toggles the
-state.  The raw palette is inside -1..4.  The 4-pass may bring in -1 and
-the -1 pass removes it: together they reach exactly {0,1,2,3}, checked once
-per reduction (``tests/test_lemmas.py::test_deletion_reaches_four_colors``).
+- Every width even and at least 4: in every parallel family of k arcs the
+  middle two copies get 1 and the rest 0.  Under strands crossing a cable
+  telescope back to their entering color, so the pattern closes up
+  globally; region interiors use colors -1..3 (width divisible by 4) or
+  -1..2 (every width 2 mod 4).
+- Width 2 on a writhe-0 knot diagram: each parallel pair is colored
+  (a, a+1).  Passing under a cable shifts a pair by -2*sign, so along the
+  strand the pair state alternates between (0,1) and (2,3) provided the
+  underpass signs alternate; full twists are inserted between same-sign
+  underpasses to restore the alternation.  So a pair enters a positive
+  underpass in state 2 and a negative one in state 0, and leaves in the
+  other; the copies of each base arc are seeded with the state their next
+  underpass wants, or with 2 minus it ahead of a twist, which toggles the
+  state.  The raw palette is inside -1..4.
+- Two or more components, every width even and some width 2: every copy
+  of the first component gets 1 and every copy of the others 2.  An even
+  cable of constant color c sends an under strand of color u out as u,
+  through interior arcs 2c - u, so the palette is inside {0,1,2,3} and
+  every diff is 0 or 1.
 
-Deletions are verified local rewrites built from R2/R3 moves: conjugating
-a crossing region by a canceling twist pair toggles the over state, a
-bigon of one over line pushed across the region exchanges which line is
-met first, and rerouting a 0-line past the middle 1-pair fixes the parity
-that produces color 3.  A reduction (``delete_color_moves``) runs all its
-passes on one ``_Run``, shared with ``rewrite``: a move builder with the
-coloring beside it, through which every move goes.  Each move recolors
-only the arcs it changed, by the crossing rule and without propagation:
-an R2 bigon's four new arcs from the colors of its two arcs, an R3
-triangle's three sides from the outer arcs across from them at the new
-triangle's corners, arcs and corners as the move reports them.  So the
-coloring is current after every move.  Once, at the end, it checks the
-palette, builds the result, verifies its coloring and replays its trace;
-failures raise, never degrade.
+Odd widths, split bases and 2-parallels of links or of knot diagrams with
+nonzero writhe are refused.
+
+``delete_color_moves`` reduces the palette to four colors by verified
+local rewrites built from R2/R3 moves, in passes the widths choose: 3 on
+the first rule, 4 then -1 on the second, none on the third.  The 4-pass
+may bring in -1 and the -1 pass removes it: together they reach exactly
+{0,1,2,3}, checked once per reduction
+(``tests/test_lemmas.py::test_deletion_reaches_four_colors``).
+Conjugating a crossing region by a canceling twist pair toggles the over
+state, a bigon of one over line pushed across the region exchanges which
+line is met first, and rerouting a 0-line past the middle 1-pair fixes the
+parity that produces color 3.  A reduction runs all its passes on one
+``_Run``, shared with ``rewrite``: a move builder with the coloring beside
+it, through which every move goes.  Each move recolors only the arcs it
+changed, by the crossing rule and without propagation: an R2 bigon's four
+new arcs from the colors of its two arcs, an R3 triangle's three sides
+from the outer arcs across from them at the new triangle's corners, arcs
+and corners as the move reports them.  So the coloring is current after
+every move.  Once, at the end, it checks the palette, builds the result,
+verifies its coloring and replays its trace; failures raise, never
+degrade.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Optional
+from typing import Optional, Sequence
 
-from .cabling import CableSpec, CableStructure, Region, TwistSite, insert_full_twists, parallel
+from .cabling import CableSpec, CableStructure, Region, TwistSite, cable, insert_full_twists
 from .coloring import Coloring, ColoringError, palette, verify_coloring
 from .diagram import Diagram, crossing_graph_pieces, writhe
 from .moves import (
@@ -61,24 +76,6 @@ class ConstructionError(ValueError):
 
 class NoApplicableMoveError(ValueError):
     """No move in the library can remove the requested color."""
-
-
-# -- boundary patterns -------------------------------------------------------
-
-
-class BoundaryPattern(NamedTuple):
-    """Colors of one parallel family outside the crossing regions."""
-
-    colors: tuple[int, ...]
-
-    @staticmethod
-    def standard(k: int) -> "BoundaryPattern":
-        if k < 2 or k % 2:
-            raise ConstructionError("pattern width must be even and at least 2")
-        colors = [0] * k
-        colors[k // 2 - 1] = 1
-        colors[k // 2] = 1
-        return BoundaryPattern(colors=tuple(colors))
 
 
 # -- relation propagation ------------------------------------------------------
@@ -198,13 +195,12 @@ class _Run:
                         f"R3 on {cids}: side arc {e} reads {colors[e]} and {reading}")
         return colors
 
-    def finish(self, cable: Optional[CableStructure] = None
-               ) -> tuple[Diagram, Coloring, MoveTrace]:
+    def finish(self) -> tuple[Diagram, Coloring, MoveTrace]:
         """The run's one diagram build, coloring check and trace replay.
 
         Raises ConstructionError naming the check that failed.
         """
-        result = self.builder.diagram(cable=cable)
+        result = self.builder.diagram()
         gamma = {e: self.gamma[e] for e in result.edges}
         if not verify_coloring(result, gamma):
             raise ConstructionError("rewritten coloring does not verify")
@@ -216,39 +212,43 @@ class _Run:
         return result, gamma, trace
 
 
-# -- even parallels ------------------------------------------------------------
+# -- colored parallels ---------------------------------------------------------
 
 
-def color_even_parallel(cabled: Diagram) -> Coloring:
-    """The explicit coloring of an even parallel with all widths >= 4.
+def color_parallel(diagram: Diagram, multiplicities: Sequence[int]
+                   ) -> tuple[Diagram, Coloring, CableStructure]:
+    """The parallel of ``diagram`` with widths ``multiplicities``, colored
+    by the rule the widths choose (see the module docstring).
 
-    Every parallel family carries the standard boundary pattern; region
-    interiors follow by propagation and exits telescope back to the
-    entering colors, so the assignment is globally consistent.  The palette
-    is inside {-1,0,1,2,3}, and inside {-1,0,1,2} when every width is
-    2 mod 4.  Propagation's closing check is the coloring's verification.
+    Returns the cabled diagram, its coloring and its structure, which
+    ``delete_color_moves`` takes.  Raises CableError for widths the base
+    cannot take, ConstructionError for odd widths, split bases and a
+    2-parallel of anything but a writhe-0 knot diagram.
     """
-    st: CableStructure = cabled.cable
-    if st is None:
-        raise ConstructionError("diagram carries no cable structure")
-    mult = st.multiplicities
-    if any(n % 2 or n < 4 for n in mult):
+    mult = tuple(multiplicities)
+    if mult == (2,):
+        return _color_two_parallel(diagram)
+    cabled, st = cable(diagram, CableSpec(multiplicities=mult))
+    if any(n % 2 for n in mult):
         raise ConstructionError("all multiplicities must be even and at least 4")
     if len(crossing_graph_pieces(cabled)) > 1:
         raise ConstructionError("base diagram must be non-split")
 
-    width: dict[int, int] = {}
-    for base_edge, copy in st.copy_edges:
-        width[base_edge] = max(width.get(base_edge, 0), copy)
-    patterns = {n: BoundaryPattern.standard(n) for n in set(mult)}
-    seeds = {arc: patterns[width[base_edge]].colors[copy - 1]
-             for (base_edge, copy), arc in st.copy_edges.items()}
+    # the colors of each component's copies 1..n where they enter a grid
+    if 2 in mult:
+        entering = [[1 if k == 0 else 2] * n for k, n in enumerate(mult)]
+        allowed = {0, 1, 2, 3}
+    else:
+        entering = [[int(c in (n // 2, n // 2 + 1)) for c in range(1, n + 1)] for n in mult]
+        allowed = {-1, 0, 1, 2, 3} if any(n % 4 == 0 for n in mult) else {-1, 0, 1, 2}
+    seeds = {st.copy_edges[e, c]: color
+             for colors, cyc in zip(entering, diagram.components)
+             for e in cyc for c, color in enumerate(colors, 1)}
     gamma = propagate_coloring(cabled.rows, seeds)
     values, _ = palette(gamma)
-    allowed = {-1, 0, 1, 2, 3} if any(n % 4 == 0 for n in mult) else {-1, 0, 1, 2}
     if not values <= allowed:
         raise ConstructionError(f"internal: palette {sorted(values)} exceeds {sorted(allowed)}")
-    return gamma
+    return cabled, gamma, st
 
 
 # -- 2-parallel construction -----------------------------------------------------
@@ -277,8 +277,8 @@ def plan_drift_twists(diagram: Diagram) -> list[TwistSite]:
     return plan
 
 
-def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
-    """Colored 2-parallel of a writhe-0 knot diagram.
+def _color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring, CableStructure]:
+    """Colored 2-parallel of a writhe-0 knot diagram, and its structure.
 
     Builds the 2-parallel with drift-balancing full twists and colors each
     parallel pair (a, a+1) with a in {0, 2}; region and twist interiors
@@ -298,9 +298,9 @@ def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
     if w != 0:
         raise ConstructionError(f"writhe is {w}; the construction needs writhe 0")
     sites = plan_drift_twists(diagram)
-    cabled = parallel(diagram, CableSpec(multiplicities=(2,)))
-    pre_twist_arcs = cabled.cable.copy_edges
-    cabled = insert_full_twists(cabled, sites)
+    cabled, st = cable(diagram, CableSpec(multiplicities=(2,)))
+    pre_twist_arcs = st.copy_edges
+    cabled, st = insert_full_twists(cabled, st, sites)
 
     twisted = {site.base_edge for site in sites}
     wants = {x.under_in: 2 if x.sign > 0 else 0 for x in diagram.crossings}
@@ -318,7 +318,7 @@ def color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring]:
     values, _ = palette(gamma)
     if not values <= {-1, 0, 1, 2, 3, 4}:
         raise ConstructionError(f"internal: palette {sorted(values)} exceeds -1..4")
-    return cabled, gamma
+    return cabled, gamma, st
 
 
 # -- region geometry helpers -----------------------------------------------------
@@ -431,28 +431,28 @@ def _rewrite_reroute_line(run: _Run, region: Region, mover_step: int,
 # -- delete_color_moves -----------------------------------------------------------
 
 
-def delete_color_moves(cabled: Diagram, gamma: Coloring
+def delete_color_moves(cabled: Diagram, gamma: Coloring, structure: CableStructure
                        ) -> tuple[Diagram, Coloring, list[MoveTrace]]:
     """Reduce a parallel's coloring to four colors by verified local moves.
 
-    The cable sets the passes: 4 then -1 on a 2-parallel, 3 otherwise.  All
-    go on one run; each pass whose color is present is one stage, with one
-    disk per rewritten region.  The palette is checked once per reduction,
-    not per pass: exactly {0,1,2,3} on a 2-parallel, the input's without 3
-    otherwise.  Then the result is built, its coloring verified and the
-    trace replayed, once.  Returns a one-stage trace per pass run (none,
-    and the input, when no pass runs).  Raises NoApplicableMoveError when
-    no rewrite applies or the palette is wrong.
+    ``structure`` is the cable's, as ``color_parallel`` returns it; its
+    widths set the passes: 4 then -1 on a 2-parallel, none when some width
+    of a link is 2, 3 otherwise.  All go on one run; each pass whose color
+    is present is one stage, with one disk per rewritten region.  The
+    palette is checked once per reduction, not per pass: exactly {0,1,2,3}
+    on a 2-parallel, the input's without the passes' colors otherwise.
+    Then the result is built, its coloring verified and the trace replayed,
+    once.  Returns a one-stage trace per pass run (none, and the input,
+    when no pass runs).  Raises NoApplicableMoveError when no rewrite
+    applies or the palette is wrong.
     """
-    st: CableStructure = cabled.cable
-    if st is None:
-        raise NoApplicableMoveError("no cable structure: move library does not apply")
     run = _Run(cabled, gamma)
-    two = st.multiplicities == (2,)
-    want = {0, 1, 2, 3} if two else set(run.gamma.values()) - {3}
-    for target in (4, -1) if two else (3,):
+    mult = structure.multiplicities
+    passes = (4, -1) if mult == (2,) else () if 2 in mult else (3,)
+    want = {0, 1, 2, 3} if mult == (2,) else set(run.gamma.values()) - set(passes)
+    for target in passes:
         if target in run.gamma.values():
-            _delete_color(run, target)
+            _delete_color(run, structure.regions, target)
     reached = set(run.gamma.values())
     if reached != want:
         raise NoApplicableMoveError(
@@ -460,17 +460,17 @@ def delete_color_moves(cabled: Diagram, gamma: Coloring
     if not run.stages:
         return cabled, gamma, []
     try:
-        result, out, trace = run.finish(cable=st)
+        result, out, trace = run.finish()
     except ConstructionError as err:
         raise NoApplicableMoveError(str(err)) from err
     return result, out, [MoveTrace(stages=(stage,)) for stage in trace.stages]
 
 
-def _delete_color(run: _Run, target: int) -> None:
+def _delete_color(run: _Run, regions: dict[int, Region], target: int) -> None:
     """One deletion pass: a stage that rewrites, each in its own disk, the
-    regions of the run's cable whose interior carries ``target``."""
+    ``regions`` whose interior carries ``target``."""
     run.open_stage()
-    for _, region in sorted(run.source.cable.regions.items()):
+    for _, region in sorted(regions.items()):
         if target in {run.gamma[e] for e in _region_interior_arcs(run.builder, region)}:
             run.open_disk(c for row in region.grid for c in row)
             _rewrite_region(run, region, target)

@@ -120,24 +120,6 @@ def brute_force_fox_count(diagram: Diagram, n: int) -> int:
     return count * n ** diagram.free_loops
 
 
-def brute_force_integer_kernel_rank(diagram: Diagram, box: int = 3) -> int:
-    """Rank proxy: spot that non-constant integer colorings exist (or not)
-    by enumerating small integer colorings over arc classes."""
-    cls = diagram.arc_classes()
-    reps = sorted(set(cls.values()))
-    non_constant = False
-    for values in itertools.product(range(-box, box + 1), repeat=len(reps)):
-        val = dict(zip(reps, values))
-        ok = all(
-            2 * val[cls[x.over_in]] == val[cls[x.under_in]] + val[cls[x.under_out]]
-            for x in diagram.crossings
-        )
-        if ok and len(set(values)) > 1:
-            non_constant = True
-            break
-    return 2 if non_constant else (1 if reps else 0)
-
-
 def oriented_relations_hold(diagram: Diagram, gamma: dict[int, int]) -> bool:
     """Every crossing relation, read through the oriented accessors: the
     over arc's incoming and outgoing colors agree, and twice the incoming
@@ -991,6 +973,12 @@ class RegionColoring:
     under_in: tuple[int, ...]
     interior: tuple[tuple[int, ...], ...]
     under_out: tuple[int, ...]
+
+
+def standard_pattern(k: int) -> tuple[int, ...]:
+    """The colors of a width-k parallel family where it enters a region:
+    the middle two copies 1, the rest 0."""
+    return tuple(int(c in (k // 2, k // 2 + 1)) for c in range(1, k + 1))
 
 
 def propagate_region(over: Sequence[int], under_in) -> RegionColoring:

@@ -16,6 +16,7 @@ from conftest import (
     propagate_region,
     reduced_determinant,
     seeded_rng,
+    standard_pattern,
 )
 from zcolor.algebra import (
     coloring_matrix,
@@ -35,12 +36,7 @@ from zcolor.coloring import (
 from zcolor.diagram import writhe
 from zcolor.generate import diff_chain, random_knot_diagram, standard_diagrams
 from zcolor.moves import verify_local_equivalence
-from zcolor.parallel_coloring import (
-    ConstructionError,
-    color_even_parallel,
-    color_two_parallel,
-    delete_color_moves,
-)
+from zcolor.parallel_coloring import ConstructionError, color_parallel, delete_color_moves
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -112,19 +108,16 @@ def test_criterion_4_even_parallel_construction(corpus):
     """Even parallels: valid colorings, claimed palettes, 4-color reduction."""
     t0 = time.time()
     cases = [
-        ("hopf (4,4)", parallel(corpus["hopf"], CableSpec(multiplicities=(4, 4))),
-         {-1, 0, 1, 2, 3}),
-        ("hopf (6,6)", parallel(corpus["hopf"], CableSpec(multiplicities=(6, 6))),
-         {-1, 0, 1, 2}),
-        ("trefoil 4-parallel", parallel(corpus["trefoil"], CableSpec(multiplicities=(4,))),
-         {-1, 0, 1, 2, 3}),
+        ("hopf (4,4)", corpus["hopf"], (4, 4), {-1, 0, 1, 2, 3}),
+        ("hopf (6,6)", corpus["hopf"], (6, 6), {-1, 0, 1, 2}),
+        ("trefoil 4-parallel", corpus["trefoil"], (4,), {-1, 0, 1, 2, 3}),
     ]
-    for label, cabled, allowed in cases:
-        gamma = color_even_parallel(cabled)
+    for label, base, widths, allowed in cases:
+        cabled, gamma, structure = color_parallel(base, widths)
         assert verify_coloring(cabled, gamma), label
         values, _ = palette(gamma)
         assert values <= allowed, (label, sorted(values))
-        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma, structure)
         rep = verify_local_equivalence(cabled, cur_d, chained(traces))
         assert rep.ok, (label, rep.reasons)
         final_values, size = palette(cur_g)
@@ -140,16 +133,16 @@ def test_criterion_5_two_parallel_construction(corpus):
     """2-parallel pipeline: palette in -1..4, reduced to exactly 0..3."""
     for name in ("unknot_writhe0", "trefoil_writhe0"):
         base = corpus[name]
-        cabled, gamma = color_two_parallel(base)
+        cabled, gamma, structure = color_parallel(base, (2,))
         assert verify_coloring(cabled, gamma), name
         values, _ = palette(gamma)
         assert values <= {-1, 0, 1, 2, 3, 4}, (name, sorted(values))
-        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma, structure)
         assert verify_local_equivalence(cabled, cur_d, chained(traces)).ok, name
         assert palette(cur_g)[0] == {0, 1, 2, 3}, (name, sorted(palette(cur_g)[0]))
         assert is_simple(cur_d, cur_g) == (True, 1), name
     with pytest.raises(ConstructionError):
-        color_two_parallel(corpus["trefoil"])
+        color_parallel(corpus["trefoil"], (2,))
     report("criterion 5: 2-parallel colorings reduce to {0,1,2,3}", True,
            "writhe-0 unknot and trefoil; nonzero writhe rejected")
 
@@ -192,7 +185,7 @@ def test_criterion_7_four_color_floor(corpus):
     searchable["trefoil_w0_2par"] = (
         two_parallel_untwisted(corpus["trefoil_writhe0"]), False)
     for name in ("unknot_writhe0", "trefoil_writhe0"):
-        reduced, _, _ = delete_color_moves(*color_two_parallel(corpus[name]))
+        reduced, _, _ = delete_color_moves(*color_parallel(corpus[name], (2,)))
         searchable[name + "_reduced"] = (reduced, True)
 
     for name, (d, four_expected) in searchable.items():
@@ -211,11 +204,9 @@ def test_criterion_7_four_color_floor(corpus):
 
 def test_criterion_8_telescoping():
     """under_out = under_in for every pattern width 4..10, inputs -10..10."""
-    from zcolor.parallel_coloring import BoundaryPattern
-
     checked = 0
     for k in (4, 6, 8, 10):
-        over = BoundaryPattern.standard(k).colors
+        over = standard_pattern(k)
         for u in range(-10, 11):
             rc = propagate_region(over, u)
             assert rc.under_out == (u,), (k, u)
@@ -231,9 +222,9 @@ def test_criterion_9_parallel_theorem(corpus):
     with non-zero linking number.  For a knot diagram, the two strands of
     its blackboard 2-parallel link as often as the diagram writhes
     (criterion 3), so the 2-parallel has determinant 0 exactly when the
-    writhe is 0, and then ``color_two_parallel`` colors it; the 4- and
+    writhe is 0, and then ``color_parallel`` colors it; the 4- and
     6-parallels have determinant 0 whatever the writhe, and
-    ``color_even_parallel`` colors them.  Corpus knots plus 60 seeded
+    ``color_parallel`` colors them.  Corpus knots plus 60 seeded
     random knots.
     """
     t0 = time.time()
@@ -247,13 +238,13 @@ def test_criterion_9_parallel_theorem(corpus):
         det = determinant(parallel(d, CableSpec(multiplicities=(2,))))
         assert (det == 0) == (w == 0), (name, w, det)
         if w == 0:
-            cabled, gamma = color_two_parallel(d)
+            cabled, gamma, _ = color_parallel(d, (2,))
             assert verify_coloring(cabled, gamma), name
             untwisted += 1
         for k in (4, 6):
-            cabled = parallel(d, CableSpec(multiplicities=(k,)))
+            cabled, gamma, _ = color_parallel(d, (k,))
             assert determinant(cabled) == 0, (name, k)
-            assert verify_coloring(cabled, color_even_parallel(cabled)), (name, k)
+            assert verify_coloring(cabled, gamma), (name, k)
     elapsed = time.time() - t0
     report("criterion 9: even parallels are Z-colorable unless a 2-parallel links",
            untwisted >= 2 and elapsed < 5,

@@ -39,7 +39,7 @@ from zcolor.algebra import (
     smith_normal_form,
     snf_diagonal,
 )
-from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
+from zcolor.cabling import CableSpec, TwistSite, cable, insert_full_twists, parallel
 from zcolor.coloring import verify_coloring
 from zcolor.diagram import canonical, crossing_graph_pieces, parse_pd
 from zcolor.generate import random_knot_diagram
@@ -284,10 +284,11 @@ def differential_diagrams(corpus):
             spec = CableSpec(multiplicities=(k,) * len(base.components))
             yield f"{name} ({k})", parallel(base, spec)
     for name in ("trefoil", "figure8"):
-        cabled = parallel(corpus[name], CableSpec(multiplicities=(2,)))
-        base_edge = min(e for e, _ in cabled.cable.copy_edges)
+        cabled, structure = cable(corpus[name], CableSpec(multiplicities=(2,)))
+        base_edge = min(e for e, _ in structure.copy_edges)
         for sign in (1, -1):
-            yield f"{name} (2) twist {sign}", insert_full_twists(cabled, [TwistSite(base_edge, sign)])
+            twisted, _ = insert_full_twists(cabled, structure, [TwistSite(base_edge, sign)])
+            yield f"{name} (2) twist {sign}", twisted
 
 
 def test_sparse_rows_densify_to_the_dense_oracle(corpus):

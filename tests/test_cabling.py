@@ -4,6 +4,7 @@ from zcolor.cabling import (
     CableError,
     CableSpec,
     TwistSite,
+    cable,
     insert_full_twists,
     parallel,
     two_parallel_untwisted,
@@ -18,9 +19,10 @@ TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
 
 
-def twist(cabled, base_edge, sign):
-    """``cabled`` with one full twist on the copies of ``base_edge``."""
-    return insert_full_twists(cabled, [TwistSite(base_edge, sign)])
+def twist(cabled, structure, base_edge, sign):
+    """``cabled`` with one full twist on the copies of ``base_edge``, and
+    its structure."""
+    return insert_full_twists(cabled, structure, [TwistSite(base_edge, sign)])
 
 
 def added_crossings(before, after):
@@ -52,6 +54,19 @@ def test_component_counts():
     assert parallel(HOPF, CableSpec(multiplicities=(3, 2))).num_components == 5
 
 
+def test_the_structure_is_returned_beside_the_diagram_not_on_it():
+    """``cable`` returns the diagram ``parallel`` builds and its structure;
+    a ``Diagram`` carries no cable metadata."""
+    cabled, structure = cable(HOPF, CableSpec(multiplicities=(4, 2)))
+    assert serialize_pd_raw(cabled) == serialize_pd_raw(parallel(HOPF, CableSpec((4, 2))))
+    assert structure.multiplicities == (4, 2) and len(structure.regions) == 2
+    entries = set(structure.copy_edges.values())
+    assert len(entries) == len(structure.copy_edges) == 2 * 4 + 2 * 2
+    assert entries <= set(cabled.edges)
+    for d in (cabled, HOPF):
+        assert not hasattr(d, "cable")
+
+
 def test_identity_cabling_isomorphic():
     one = parallel(TREFOIL, CableSpec(multiplicities=(1,)))
     assert isomorphic(one, TREFOIL)
@@ -75,9 +90,9 @@ def test_grid_signs_inherit_base(corpus):
         if not d.crossings or d.num_components > 2:
             continue
         spec = CableSpec(multiplicities=(2,) * d.num_components)
-        cabled = parallel(d, spec)
+        cabled, structure = cable(d, spec)
         assert validate(cabled) == []
-        for region in cabled.cable.regions.values():
+        for region in structure.regions.values():
             for row in region.grid:
                 for cid in row:
                     assert cabled.signs[cid] == region.base_sign
@@ -143,12 +158,13 @@ def test_inter_component_grid_crossings_carry_base_sign():
 
 
 def test_full_twist_insertion():
-    u2 = two_parallel_untwisted(parse_pd("X[1,3,2,2] X[3,4,4,1]"))
-    tw = twist(u2, base_edge=1, sign=1)
+    u2, st = cable(parse_pd("X[1,3,2,2] X[3,4,4,1]"), CableSpec((2,)))
+    assert linking_number(u2, 0, 1) == 0
+    tw, tw_st = twist(u2, st, base_edge=1, sign=1)
     assert len(tw.crossings) == len(u2.crossings) + 2
     assert validate(tw) == []
     assert linking_number(tw, 0, 1) == 1
-    back = twist(tw, base_edge=1, sign=-1)
+    back, _ = twist(tw, tw_st, base_edge=1, sign=-1)
     assert linking_number(back, 0, 1) == 0
 
 
@@ -157,36 +173,36 @@ def test_full_twist_changes_writhe_by_twice_its_sign():
     rng = seeded_rng(17)
     for trial in range(6):
         base = random_knot_diagram(rng, n_ops=1 + trial % 5)
-        cabled = parallel(base, CableSpec(multiplicities=(2,)))
+        cabled, st = cable(base, CableSpec(multiplicities=(2,)))
         for e in base.edges:
             for sign in (1, -1):
-                tw = twist(cabled, e, sign)
+                tw, _ = twist(cabled, st, e, sign)
                 assert writhe(tw) - writhe(cabled) == 2 * sign, (trial, e, sign)
 
 
 def test_twists_on_one_builder_match_one_insertion_per_site():
-    """Same rows, arc labels, crossing ids and cable metadata as site by site."""
+    """Same rows, arc labels, crossing ids and structure as site by site."""
     rng = seeded_rng(19)
     for trial in range(6):
         base = random_knot_diagram(rng, n_ops=2 + trial)
-        cabled = parallel(base, CableSpec(multiplicities=(2,)))
+        cabled, st = cable(base, CableSpec(multiplicities=(2,)))
         sites = [TwistSite(base_edge=rng.choice(base.edges), sign=rng.choice((1, -1)))
                  for _ in range(2 + trial)]
-        one_by_one = cabled
+        one_by_one = cabled, st
         for site in sites:
-            one_by_one = twist(one_by_one, site.base_edge, site.sign)
-        at_once = insert_full_twists(cabled, sites)
-        assert serialize_pd_raw(at_once) == serialize_pd_raw(one_by_one), trial
-        assert [x.cid for x in at_once.crossings] == [x.cid for x in one_by_one.crossings]
-        assert at_once.cable.copy_edges == one_by_one.cable.copy_edges, trial
-        assert len(at_once.crossings) == len(cabled.crossings) + 2 * len(sites), trial
-    assert insert_full_twists(cabled, []) is cabled
+            one_by_one = twist(*one_by_one, site.base_edge, site.sign)
+        at_once = insert_full_twists(cabled, st, sites)
+        assert serialize_pd_raw(at_once[0]) == serialize_pd_raw(one_by_one[0]), trial
+        assert [x.cid for x in at_once[0].crossings] == [x.cid for x in one_by_one[0].crossings]
+        assert at_once[1] == one_by_one[1], trial
+        assert len(at_once[0].crossings) == len(cabled.crossings) + 2 * len(sites), trial
+    assert insert_full_twists(cabled, st, []) == (cabled, st)
 
 
 def test_twist_then_mirror_cancels_by_two_r2_moves():
-    u2 = two_parallel_untwisted(parse_pd("X[1,3,2,2] X[3,4,4,1]"))
-    tw = twist(u2, base_edge=1, sign=1)
-    both = twist(tw, base_edge=1, sign=-1)
+    u2, st = cable(parse_pd("X[1,3,2,2] X[3,4,4,1]"), CableSpec((2,)))
+    tw, tw_st = twist(u2, st, base_edge=1, sign=1)
+    both, _ = twist(tw, tw_st, base_edge=1, sign=-1)
     pair1, pair2 = added_crossings(u2, tw), added_crossings(tw, both)
     # the adjacent opposite twists cancel: the middle two crossings form a
     # bigon, and removing it exposes a second one
@@ -198,12 +214,11 @@ def test_twist_then_mirror_cancels_by_two_r2_moves():
 
 def test_twist_recolors_pair_affinely():
     """A positive full twist sends the pair (a, a+1) to (a-2, a-1)."""
-    u2 = two_parallel_untwisted(parse_pd("X[1,3,2,2] X[3,4,4,1]"))
-    st = u2.cable
+    u2, st = cable(parse_pd("X[1,3,2,2] X[3,4,4,1]"), CableSpec((2,)))
     pre1, pre2 = st.copy_edges[(2, 1)], st.copy_edges[(2, 2)]
-    tw = twist(u2, base_edge=2, sign=1)
-    post1 = tw.cable.copy_edges[(2, 1)]
-    post2 = tw.cable.copy_edges[(2, 2)]
+    tw, tw_st = twist(u2, st, base_edge=2, sign=1)
+    post1 = tw_st.copy_edges[(2, 1)]
+    post2 = tw_st.copy_edges[(2, 2)]
     cids = set(added_crossings(u2, tw))
 
     gamma = {pre1: 0, pre2: 1}

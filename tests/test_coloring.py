@@ -24,12 +24,7 @@ from zcolor.coloring import (
 )
 from zcolor.diagram import parse_pd
 from zcolor.generate import random_knot_diagram
-from zcolor.parallel_coloring import (
-    ConstructionError,
-    color_even_parallel,
-    color_two_parallel,
-    propagate_coloring,
-)
+from zcolor.parallel_coloring import ConstructionError, color_parallel, propagate_coloring
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 
@@ -60,11 +55,11 @@ def _colorings_to_check(corpus, rng):
         base = corpus[name]
         spec = CableSpec(multiplicities=(2,) * len(base.components))
         diagrams.append((f"{name} (2)", parallel(base, spec)))
-    hopf = parallel(corpus["hopf"], CableSpec(multiplicities=(4, 4)))
-    diagrams.append(("hopf (4,4)", hopf))
-    two, two_gamma = color_two_parallel(corpus["unknot_writhe0"])
-    built = {"hopf (4,4)": color_even_parallel(hopf), "unknot_writhe0 (2)": two_gamma}
-    diagrams.append(("unknot_writhe0 (2)", two))
+    built = {}
+    for name, widths in (("hopf", (4, 4)), ("unknot_writhe0", (2,))):
+        label = f"{name} ({','.join(map(str, widths))})"
+        d, built[label], _ = color_parallel(corpus[name], widths)
+        diagrams.append((label, d))
     for name, d in diagrams:
         lat = diagram_lattice(d)
         gammas = lat.edge_vectors()

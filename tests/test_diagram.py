@@ -263,7 +263,7 @@ def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
     """Only ``parse_pd`` solves signs: the generators, cabling, relabelling,
     the move builder and twist insertion all pass the signs they hold."""
     from zcolor import diagram
-    from zcolor.cabling import TwistSite, insert_full_twists
+    from zcolor.cabling import CableSpec, TwistSite, cable, insert_full_twists
     from zcolor.generate import diff_chain
     from zcolor.moves import DiagramBuilder, R1Insert, apply_move
 
@@ -276,8 +276,8 @@ def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
         if d.crossings:
             apply_move(builder, R1Insert(edge=d.crossings[0].under_in, sign=1))
         builder.diagram()
-        if name == "trefoil_writhe0 (2)":
-            insert_full_twists(d, [TwistSite(base_edge=1, sign=1)])
+    insert_full_twists(*cable(corpus["trefoil_writhe0"], CableSpec((2,))),
+                       [TwistSite(base_edge=1, sign=1)])
     assert solves == []
 
 
@@ -396,15 +396,10 @@ def _emitted_diagrams(corpus):
     random knots, the corpus's parallels and twisted 2-parallels, and the
     outputs of the color-deletion passes on them."""
     from test_golden import diff_chain_grid
-    from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
+    from zcolor.cabling import CableSpec, TwistSite, cable, insert_full_twists, parallel
     from zcolor.generate import diff_chain, random_knot_diagram
     from zcolor.moves import replay_trace
-    from zcolor.parallel_coloring import (
-        NoApplicableMoveError,
-        color_even_parallel,
-        color_two_parallel,
-        delete_color_moves,
-    )
+    from zcolor.parallel_coloring import NoApplicableMoveError, color_parallel, delete_color_moves
     from zcolor.rewrite import RewriteError, to_simple_coloring
 
     for case, colors, kinks in diff_chain_grid():
@@ -421,20 +416,20 @@ def _emitted_diagrams(corpus):
         for width in (2, 3):
             yield f"{name} ({width})", parallel(d, CableSpec((width,) * d.num_components))
         if len(d.components) == 1 and not d.free_loops:
-            cabled = parallel(d, CableSpec((2,)))
+            cabled, structure = cable(d, CableSpec((2,)))
             for sign in (1, -1):
                 sites = [TwistSite(e, sign) for e in d.components[0][:2]]
-                yield f"{name} (2) twists {sign}", insert_full_twists(cabled, sites)
+                yield f"{name} (2) twists {sign}", insert_full_twists(cabled, structure, sites)[0]
     colored = []
     for name in ("unknot_writhe0", "trefoil_writhe0", "figure8"):
-        colored.append((f"{name} (2)", *color_two_parallel(corpus[name])))
+        colored.append((f"{name} (2)", *color_parallel(corpus[name], (2,))))
     for name in ("trefoil", "figure8", "hopf"):
-        cabled = parallel(corpus[name], CableSpec((4,) * corpus[name].num_components))
-        colored.append((f"{name} (4)", cabled, color_even_parallel(cabled)))
-    for name, d, gamma in colored:
+        widths = (4,) * corpus[name].num_components
+        colored.append((f"{name} (4)", *color_parallel(corpus[name], widths)))
+    for name, d, gamma, structure in colored:
         yield name, d
         try:
-            reduced, _, traces = delete_color_moves(d, gamma)
+            reduced, _, traces = delete_color_moves(d, gamma, structure)
         except NoApplicableMoveError:
             continue
         if len(traces) == 2:  # a 2-parallel between its 4-pass and its -1 pass

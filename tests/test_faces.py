@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcolor import generate
-from zcolor.cabling import CableSpec, TwistSite, insert_full_twists, parallel
+from zcolor.cabling import CableSpec, TwistSite, cable, insert_full_twists, parallel
 from zcolor.diagram import (
     Diagram,
     DiagramError,
@@ -51,7 +51,7 @@ from zcolor.moves import (
     apply_move,
     replay_trace,
 )
-from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
+from zcolor.parallel_coloring import color_parallel, delete_color_moves
 from zcolor.rewrite import to_simple_coloring
 
 
@@ -155,9 +155,9 @@ def test_orbit_count_on_random_knots_and_parallels():
         base = std[name]
         for k in (1, 2, 3):
             checked.append(parallel(base, CableSpec(multiplicities=(k,) * len(base.components))))
-    cabled = parallel(std["trefoil"], CableSpec(multiplicities=(2,)))
-    base_edge = min(e for e, _ in cabled.cable.copy_edges)
-    checked.append(insert_full_twists(cabled, [TwistSite(base_edge, 1)]))
+    cabled, structure = cable(std["trefoil"], CableSpec(multiplicities=(2,)))
+    base_edge = min(e for e, _ in structure.copy_edges)
+    checked.append(insert_full_twists(cabled, structure, [TwistSite(base_edge, 1)])[0])
     for d in checked:
         assert_face_count_is_reference(d, d)
         assert_corner_successors_step_faces(d, d)
@@ -168,13 +168,11 @@ def test_orbit_count_on_random_knots_and_parallels():
 def recorded_run(name):
     """(source diagram, moves) of one delete_color_moves or to_simple_coloring run."""
     std = standard_diagrams()
-    if name == "hopf-4,4 delete 3":
-        cabled = parallel(std["hopf"], CableSpec((4, 4)))
-        _, _, traces = delete_color_moves(cabled, color_even_parallel(cabled))
-        return cabled, trace_moves(chained(traces))
-    if name == "trefoil_writhe0-2 delete 4, -1":
-        cabled, gamma = color_two_parallel(std["trefoil_writhe0"])
-        return cabled, trace_moves(chained(delete_color_moves(cabled, gamma)[2]))
+    if name in ("hopf-4,4 delete 3", "trefoil_writhe0-2 delete 4, -1"):
+        base, widths = {"hopf-4,4 delete 3": ("hopf", (4, 4)),
+                        "trefoil_writhe0-2 delete 4, -1": ("trefoil_writhe0", (2,))}[name]
+        colored = color_parallel(std[base], widths)
+        return colored[0], trace_moves(chained(delete_color_moves(*colored)[2]))
     colors, kinks = {"chain-21-k1": ((2, 1), 1), "chain-31-k0": ((3, 1), 0),
                      "chain-421-k1": ((4, 2, 1), 1)}[name]
     d, gamma = diff_chain(colors, kinks)

@@ -30,7 +30,7 @@ from zcolor.cabling import CableSpec, parallel
 from zcolor.diagram import canonical, parse_pd, serialize_pd, serialize_pd_raw, writhe
 from zcolor.jsonio import coloring_to_json, dumps, trace_from_json, trace_to_json
 from zcolor.moves import replay_trace
-from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
+from zcolor.parallel_coloring import color_parallel, delete_color_moves
 from zcolor.rewrite import RewriteError, to_simple_coloring
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -149,10 +149,10 @@ def witness_outputs(work: Path) -> dict[str, str]:
     return out
 
 
-def _deleted(cabled, gamma) -> str:
+def _deleted(cabled, gamma, structure) -> str:
     """Digest of ``delete_color_moves``'s outputs, or its refusal."""
     try:
-        cabled, gamma, traces = delete_color_moves(cabled, gamma)
+        cabled, gamma, traces = delete_color_moves(cabled, gamma, structure)
     except ValueError as err:
         return f"{type(err).__name__}: {err}"
     return _digest(cabled, gamma, [trace_to_json(t) for t in traces])
@@ -162,7 +162,7 @@ def deletion_outputs(work: Path) -> dict[str, str]:
     """delete_color_moves on 2-parallels and on even parallels of random knots.
 
     2-parallels: every writhe-0 knot among 1,500 seeded draws, colored by
-    ``color_two_parallel``, then its 4 pass and -1 pass.  Even parallels:
+    ``color_parallel``, then its 4 pass and -1 pass.  Even parallels:
     the (4), (6) and (8) parallels of 40 seeded knots, each with its
     3-deletion.  The seeds are explicit, so ``ZCOLOR_SEED`` does not move
     the cases.
@@ -172,13 +172,12 @@ def deletion_outputs(work: Path) -> dict[str, str]:
     for draw in range(1500):
         base = generate.random_knot_diagram(rng, n_ops=rng.randint(2, 8))
         if writhe(base) == 0:
-            out[f"two-parallel draw {draw}"] = _deleted(*color_two_parallel(base))
+            out[f"two-parallel draw {draw}"] = _deleted(*color_parallel(base, (2,)))
     rng = seeded_rng(21)
     bases = [generate.random_knot_diagram(rng, n_ops=1 + i % 6) for i in range(40)]
     for width in (4, 6, 8):
         for i, base in enumerate(bases):
-            cabled = parallel(base, CableSpec(multiplicities=(width,)))
-            out[f"({width}) parallel base {i}"] = _deleted(cabled, color_even_parallel(cabled))
+            out[f"({width}) parallel base {i}"] = _deleted(*color_parallel(base, (width,)))
     return out
 
 
@@ -188,7 +187,7 @@ def random_knot_outputs(work: Path) -> dict[str, str]:
 
 
 def twist_outputs(work: Path) -> dict[str, str]:
-    cabled, gamma = color_two_parallel(generate.standard_diagrams()["trefoil_writhe0"])
+    cabled, gamma, _ = color_parallel(generate.standard_diagrams()["trefoil_writhe0"], (2,))
     return {"trefoil_writhe0 pd": serialize_pd_raw(cabled),
             "trefoil_writhe0 coloring": dumps(coloring_to_json(gamma))}
 

@@ -12,15 +12,16 @@ from collections import Counter
 from hypothesis import HealthCheck, example, given, note, settings
 from hypothesis import strategies as st
 
-from conftest import balanced_random_knot, chained
+from conftest import balanced_random_knot, chained, reference_coloring_faults
 from zcolor import parallel_coloring as pc
 from zcolor.algebra import determinant, is_z_colorable
 from zcolor.cabling import CableSpec, parallel
 from zcolor.coloring import is_simple, palette, verify_coloring
-from zcolor.diagram import parse_pd, serialize_pd
+from zcolor.diagram import parse_pd, serialize_pd, serialize_pd_raw
 from zcolor.generate import diff_chain
 from zcolor.moves import R3, verify_local_equivalence
-from zcolor.parallel_coloring import color_even_parallel, color_two_parallel, delete_color_moves
+from zcolor.jsonio import coloring_to_json
+from zcolor.parallel_coloring import color_parallel, delete_color_moves
 from zcolor.rewrite import RewriteError, to_simple_coloring
 
 # writhe-0 knot diagrams of up to 14 crossings
@@ -56,6 +57,16 @@ def even_link_parallels(draw):
     return link, tuple(widths)
 
 
+@st.composite
+def width_two_link_parallels(draw):
+    """A link and a multiplicity from {2, 4, 6} for each of its components,
+    at least one of them 2."""
+    link = draw(LINKS)
+    widths = draw(st.lists(st.sampled_from((2, 4, 6)), min_size=len(link.components),
+                           max_size=len(link.components)).filter(lambda w: 2 in w))
+    return link, tuple(widths)
+
+
 @settings(max_examples=100, deadline=None)
 @given(WRITHE0_KNOTS)
 @example(TWO_KINK_UNKNOT)
@@ -64,8 +75,8 @@ def test_deletion_reaches_four_colors(base):
     and -1 passes together reach exactly {0,1,2,3}, with a simple coloring
     of diff 1 that verifies and traces that replay to the result."""
     note(serialize_pd(base))
-    cabled, gamma = color_two_parallel(base)
-    reduced, coloring, traces = delete_color_moves(cabled, gamma)
+    cabled, gamma, structure = color_parallel(base, (2,))
+    reduced, coloring, traces = delete_color_moves(cabled, gamma, structure)
     assert palette(coloring)[0] == {0, 1, 2, 3}
     assert is_simple(reduced, coloring) == (True, 1)
     assert verify_coloring(reduced, coloring)
@@ -112,17 +123,45 @@ def test_elimination_grows_no_diff_outside_the_lemma(stage_recorder, chain):
 def test_even_parallels_of_links_are_four_colored(case):
     """The paper's parallel theorem at even multiplicities, on links: a
     parallel whose multiplicities, one per component, are even and at least
-    4 has determinant 0, and ``color_even_parallel`` colors it, checked by
+    4 has determinant 0, and ``color_parallel`` colors it, checked by
     ``verify_coloring``, inside -1..3, and inside -1..2 when every width is
-    2 mod 4.  The multiplicity-2 half for links is open (ROADMAP item 10)."""
+    2 mod 4.  Widths with a 2 are the next property's; four colors with no
+    move at these widths is open (ROADMAP item 21, step 2)."""
     link, widths = case
     note(f"{serialize_pd(link)} {widths}")
-    cabled = parallel(link, CableSpec(multiplicities=widths))
+    cabled, gamma, _ = color_parallel(link, widths)
     assert determinant(cabled) == 0
-    gamma = color_even_parallel(cabled)
     assert verify_coloring(cabled, gamma)
     allowed = set(range(-1, 4)) if any(n % 4 == 0 for n in widths) else set(range(-1, 3))
     assert palette(gamma)[0] <= allowed
+
+
+@settings(max_examples=60, deadline=None)
+@given(width_two_link_parallels())
+@example((HOPF, (2, 2)))
+@example((HOPF, (2, 6)))
+def test_width_two_parallels_of_links_are_four_colored(case):
+    """``parallel_coloring``'s third rule: a parallel of a link whose
+    widths are even, one of them 2, has determinant 0, and
+    ``color_parallel`` colors it, every copy of the first component 1 and
+    of the others 2 where they enter, with a simple coloring of diff 1
+    that verifies, read both by ``verify_coloring`` and by the reference
+    reader.  Its palette is exactly {0,1,2,3} on hopf and inside it on
+    diff chains, so ``delete_color_moves`` runs no pass and returns its
+    input with no trace."""
+    link, widths = case
+    note(f"{serialize_pd(link)} {widths}")
+    cabled, gamma, structure = color_parallel(link, widths)
+    assert determinant(cabled) == 0
+    assert verify_coloring(cabled, gamma)
+    assert reference_coloring_faults(serialize_pd_raw(cabled), coloring_to_json(gamma)) == []
+    assert is_simple(cabled, gamma) == (True, 1)
+    if link is HOPF:
+        assert palette(gamma)[0] == {0, 1, 2, 3}
+    else:
+        assert palette(gamma)[0] <= {0, 1, 2, 3}
+    reduced, coloring, traces = delete_color_moves(cabled, gamma, structure)
+    assert reduced is cabled and coloring is gamma and traces == []
 
 
 def test_crossing_rule_recoloring_matches_propagation(corpus, monkeypatch):
@@ -151,11 +190,9 @@ def test_crossing_rule_recoloring_matches_propagation(corpus, monkeypatch):
         return report
 
     monkeypatch.setattr(pc._Run, "apply", checking)
-    for name, widths in (("hopf", (4, 4)), ("trefoil", (4,)), ("figure8", (4,))):
-        cabled = parallel(corpus[name], CableSpec(multiplicities=widths))
-        delete_color_moves(cabled, color_even_parallel(cabled))
-    for name in ("unknot_writhe0", "trefoil_writhe0"):
-        delete_color_moves(*color_two_parallel(corpus[name]))
+    for name, widths in (("hopf", (4, 4)), ("trefoil", (4,)), ("figure8", (4,)),
+                         ("unknot_writhe0", (2,)), ("trefoil_writhe0", (2,))):
+        delete_color_moves(*color_parallel(corpus[name], widths))
     for colors, kinks in (((2, 1), 1), ((3, 1, 2), 1), ((4, 2, 1), 1), ((2, 6, 1), 2)):
         to_simple_coloring(*diff_chain(colors, kinks))
     cabled = parallel(corpus["trefoil"], CableSpec(multiplicities=(6,)))

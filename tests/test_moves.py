@@ -4,7 +4,7 @@ import pytest
 
 from conftest import pd_signs, seeded_rng, single_stage, solve_partial
 from zcolor import diagram, moves
-from zcolor.cabling import CableSpec, parallel
+from zcolor.cabling import CableSpec, cable
 from zcolor.coloring import verify_coloring
 from zcolor.diagram import Diagram, DiagramError, canonical, parse_pd, same_diagram, validate, writhe
 from zcolor.generate import diff_chain, standard_diagrams
@@ -21,7 +21,7 @@ from zcolor.moves import (
     replay_trace,
     verify_local_equivalence,
 )
-from zcolor.parallel_coloring import color_even_parallel, delete_color_moves
+from zcolor.parallel_coloring import color_parallel, delete_color_moves
 from zcolor.rewrite import to_simple_coloring
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
@@ -89,9 +89,9 @@ def test_r2_remove_refuses_what_is_not_a_bigon(corpus):
         apply_move(DiagramBuilder(f8), R2Remove(cid1=0, cid2=99))
     with pytest.raises(MoveError, match="do not bound a bigon"):
         apply_move(DiagramBuilder(f8), R2Remove(cid1=0, cid2=2))
-    cabled = parallel(corpus["unknot_writhe0"], CableSpec(multiplicities=(2,)))
-    base_edge = min(e for e, _ in cabled.cable.copy_edges)
-    f, g = (cabled.cable.copy_edges[(base_edge, k)] for k in (1, 2))
+    cabled, structure = cable(corpus["unknot_writhe0"], CableSpec(multiplicities=(2,)))
+    base_edge = min(e for e, _ in structure.copy_edges)
+    f, g = (structure.copy_edges[(base_edge, k)] for k in (1, 2))
     for sign in (1, -1):
         b = DiagramBuilder(cabled)
         created, _ = b.insert_twist(f, g, sign)
@@ -262,9 +262,8 @@ def test_clasp_writhe_changes_by_twice_the_new_crossings_sign():
 def recorded_traces():
     """(name, source, trace): a colour deletion, three simplifications, and
     an R2- that leaves a two-arc strand passing under nothing."""
-    cabled = parallel(standard_diagrams()["hopf"], CableSpec(multiplicities=(4, 4)))
-    yield "hopf (4,4) delete 3", cabled, \
-        delete_color_moves(cabled, color_even_parallel(cabled))[2][0]
+    colored = color_parallel(standard_diagrams()["hopf"], (4, 4))
+    yield "hopf (4,4) delete 3", colored[0], delete_color_moves(*colored)[2][0]
     for colors, kinks in (((2, 1), 1), ((3, 1), 0), ((4, 2, 1), 1)):
         d, g = diff_chain(colors, kinks)
         yield f"chain {colors} k{kinks}", d, to_simple_coloring(d, g)[2]

@@ -2,24 +2,30 @@ import re
 
 import pytest
 
-from conftest import balanced_random_knot, chained, checked_diffs, propagate_region, seeded_rng
+from conftest import (
+    balanced_random_knot,
+    chained,
+    checked_diffs,
+    propagate_region,
+    seeded_rng,
+    standard_pattern,
+)
 from zcolor import parallel_coloring as pc
-from zcolor.cabling import CableSpec, parallel
+from zcolor.cabling import CableError, CableSpec, parallel
 from zcolor.coloring import is_simple, palette, verify_coloring
-from zcolor.diagram import parse_pd, validate
+from zcolor.diagram import Diagram, parse_pd, validate
 from zcolor.moves import verify_local_equivalence
 from zcolor.parallel_coloring import (
-    BoundaryPattern,
     ConstructionError,
     NoApplicableMoveError,
-    color_even_parallel,
-    color_two_parallel,
+    color_parallel,
     delete_color_moves,
     plan_drift_twists,
 )
 
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+SPLIT = parse_pd("X[1,1,2,2] X[3,3,4,4]")
 
 
 def structural(d):
@@ -30,12 +36,16 @@ def structural(d):
 
 
 def test_boundary_pattern():
-    p = BoundaryPattern.standard(4)
-    assert p.colors == (0, 1, 1, 0)
-    p6 = BoundaryPattern.standard(6)
-    assert p6.colors == (0, 0, 1, 1, 0, 0)
-    with pytest.raises(ConstructionError):
-        BoundaryPattern.standard(3)
+    """The copies of every base arc enter its grid in the standard pattern
+    of their component's width."""
+    assert standard_pattern(4) == (0, 1, 1, 0)
+    assert standard_pattern(6) == (0, 0, 1, 1, 0, 0)
+    for mult in ((4, 4), (6, 6), (4, 6), (8, 4)):
+        _, gamma, st = color_parallel(HOPF, mult)
+        for k, cyc in enumerate(HOPF.components):
+            for e in cyc:
+                entering = tuple(gamma[st.copy_edges[e, c]] for c in range(1, mult[k] + 1))
+                assert entering == standard_pattern(mult[k]), (mult, e)
 
 
 def test_propagate_region_examples():
@@ -48,7 +58,7 @@ def test_propagate_region_examples():
 
 def test_telescoping_all_patterns():
     for k in (4, 6, 8, 10):
-        over = BoundaryPattern.standard(k).colors
+        over = standard_pattern(k)
         for u in range(-10, 11):
             assert propagate_region(over, u).under_out == (u,)
 
@@ -73,8 +83,7 @@ def test_region_palettes_match_construction():
     ((4, 6), {-1, 0, 1, 2, 3}),
 ])
 def test_color_even_parallel_hopf(mult, allowed):
-    cabled = parallel(HOPF, CableSpec(multiplicities=mult))
-    gamma = color_even_parallel(cabled)
+    cabled, gamma, _ = color_parallel(HOPF, mult)
     assert verify_coloring(cabled, gamma)
     values, _ = palette(gamma)
     assert values <= allowed
@@ -82,42 +91,46 @@ def test_color_even_parallel_hopf(mult, allowed):
 
 
 def test_color_even_parallel_trefoil4():
-    cabled = parallel(TREFOIL, CableSpec(multiplicities=(4,)))
-    gamma = color_even_parallel(cabled)
+    cabled, gamma, _ = color_parallel(TREFOIL, (4,))
     assert verify_coloring(cabled, gamma)
     assert palette(gamma)[0] <= {-1, 0, 1, 2, 3}
 
 
-def test_even_parallel_rejects_odd_or_small():
-    with pytest.raises(ConstructionError):
-        color_even_parallel(parallel(TREFOIL, CableSpec(multiplicities=(3,))))
-    with pytest.raises(ConstructionError):
-        color_even_parallel(parallel(TREFOIL, CableSpec(multiplicities=(2,))))
-
-
 def test_even_parallel_rejects_split_base():
-    split = parse_pd("X[1,1,2,2] X[3,3,4,4]")
-    cabled = parallel(split, CableSpec(multiplicities=(4, 4)))
-    with pytest.raises(ConstructionError):
-        color_even_parallel(cabled)
+    """A split base is refused by the split check, at widths with a 2 as
+    at widths of at least 4."""
+    for mult in ((4, 4), (2, 2), (2, 4)):
+        with pytest.raises(ConstructionError, match="^base diagram must be non-split$"):
+            color_parallel(SPLIT, mult)
 
 
-def test_canonical_relabels_the_cable_structure(corpus):
-    """canonical() carries copy_edges through the relabelling."""
-    from zcolor.diagram import canonical
-
-    cabled = parallel(corpus["figure8"], CableSpec((4,)))
-    canon, mapping = canonical(cabled)
-    assert canon.cable.copy_edges == {k: mapping[e] for k, e in cabled.cable.copy_edges.items()}
-    gamma = color_even_parallel(canon)
-    assert verify_coloring(canon, gamma)
-    assert gamma == {mapping[e]: c for e, c in color_even_parallel(cabled).items()}
+@pytest.mark.parametrize("base,mult,error,message", [
+    pytest.param(TREFOIL, (3,), ConstructionError,
+                 "all multiplicities must be even and at least 4", id="trefoil-3"),
+    pytest.param(TREFOIL, (2,), ConstructionError,
+                 "writhe is -3; the construction needs writhe 0", id="trefoil-2"),
+    pytest.param(TREFOIL, (4, 4), CableError, "need 1 multiplicities, got 2", id="trefoil-4,4"),
+    pytest.param(HOPF, (4,), CableError, "need 2 multiplicities, got 1", id="hopf-4"),
+    pytest.param(HOPF, (2,), ConstructionError, "needs a one-component knot diagram",
+                 id="hopf-2"),
+    pytest.param(HOPF, (2, 3), ConstructionError,
+                 "all multiplicities must be even and at least 4", id="hopf-2,3"),
+    pytest.param(HOPF, (0, 2), CableError, "multiplicities must be positive", id="hopf-0,2"),
+    pytest.param(SPLIT, (4, 4), ConstructionError, "base diagram must be non-split",
+                 id="split-4,4"),
+])
+def test_color_parallel_refusals(base, mult, error, message):
+    """Widths the base cannot take, odd widths, a 2-parallel of a link or
+    of a knot of nonzero writhe, and a split base, each refused with its
+    own exception type and message."""
+    with pytest.raises(error) as info:
+        color_parallel(base, mult)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_delete_color_3():
-    cabled = parallel(HOPF, CableSpec(multiplicities=(4, 4)))
-    gamma = color_even_parallel(cabled)
-    out_d, out_g, traces = delete_color_moves(cabled, gamma)
+    cabled, gamma, st = color_parallel(HOPF, (4, 4))
+    out_d, out_g, traces = delete_color_moves(cabled, gamma, st)
     assert verify_coloring(out_d, out_g)
     assert palette(out_g)[0] == {-1, 0, 1, 2}
     assert is_simple(out_d, out_g) == (True, 1)
@@ -128,9 +141,8 @@ def test_delete_color_3():
 
 def test_a_width_2_mod_4_parallel_runs_no_pass():
     """Its coloring lacks 3, so it comes back as it was, with no trace."""
-    cabled = parallel(HOPF, CableSpec(multiplicities=(6, 6)))
-    gamma = color_even_parallel(cabled)
-    out_d, out_g, traces = delete_color_moves(cabled, gamma)
+    cabled, gamma, st = color_parallel(HOPF, (6, 6))
+    out_d, out_g, traces = delete_color_moves(cabled, gamma, st)
     assert out_d is cabled and out_g is gamma and traces == []
 
 
@@ -138,42 +150,28 @@ def test_a_width_4_parallel_refuses_colors_without_a_rewrite(corpus):
     """The figure8 (4) coloring uses -1..3; the move library has a rewrite
     for its color-3 regions only, and a pass refuses every other color by
     name."""
-    cabled = parallel(corpus["figure8"], CableSpec(multiplicities=(4,)))
-    gamma = color_even_parallel(cabled)
+    cabled, gamma, st = color_parallel(corpus["figure8"], (4,))
     assert palette(gamma)[0] == {-1, 0, 1, 2, 3}
     for target in (2, 0, -1, 1):
         with pytest.raises(NoApplicableMoveError,
                            match=f"^no rewrite available for color {target} here$"):
-            pc._delete_color(pc._Run(cabled, gamma), target)
+            pc._delete_color(pc._Run(cabled, gamma), st.regions, target)
 
 
 def test_a_reduction_that_misses_its_palette_is_refused(corpus, monkeypatch, count_calls):
     """The palette is checked once, after every pass and before the one
     build; passes that leave a color behind are refused, naming the palette
     they reached and the one they had to reach."""
-    from zcolor.diagram import Diagram
-
     monkeypatch.setattr(pc, "_rewrite_region", lambda run, region, target: None)
-    cabled = parallel(HOPF, CableSpec(multiplicities=(4, 4)))
-    two = color_two_parallel(corpus["unknot_writhe0"])
+    colored = [color_parallel(HOPF, (4, 4)), color_parallel(corpus["unknot_writhe0"], (2,))]
     builds = count_calls(Diagram, "__init__")
-    for (d, gamma), want in (((cabled, color_even_parallel(cabled)), [-1, 0, 1, 2]),
-                             (two, [0, 1, 2, 3])):
+    for (d, gamma, st), want in zip(colored, ([-1, 0, 1, 2], [0, 1, 2, 3])):
         reached = sorted(set(gamma.values()))
         with pytest.raises(NoApplicableMoveError,
                            match=rf"^deletion reached palette {re.escape(str(reached))}, "
                                  rf"not {re.escape(str(want))}$"):
-            delete_color_moves(d, gamma)
+            delete_color_moves(d, gamma, st)
     assert builds == []
-
-
-def test_delete_without_structure_is_explicit():
-    """The passes are read off the cable, so a diagram without one is
-    refused before any pass runs."""
-    gamma = {e: 0 for e in TREFOIL.edges}
-    with pytest.raises(NoApplicableMoveError,
-                       match="^no cable structure: move library does not apply$"):
-        delete_color_moves(TREFOIL, gamma)
 
 
 # -- 2-parallels --------------------------------------------------------------------
@@ -188,20 +186,20 @@ def test_plan_drift_twists_balanced(corpus):
 
 
 def test_color_two_parallel_unknot(corpus):
-    cabled, gamma = color_two_parallel(corpus["unknot_writhe0"])
+    cabled, gamma, _ = color_parallel(corpus["unknot_writhe0"], (2,))
     assert verify_coloring(cabled, gamma)
     assert palette(gamma)[0] <= {-1, 0, 1, 2, 3, 4}
 
 
 def test_color_two_parallel_rejects_nonzero_writhe():
     with pytest.raises(ConstructionError):
-        color_two_parallel(TREFOIL)
+        color_parallel(TREFOIL, (2,))
 
 
 def test_two_parallel_reduction_pipeline(corpus):
     for name in ("unknot_writhe0", "trefoil_writhe0"):
-        cabled, gamma = color_two_parallel(corpus[name])
-        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        cabled, gamma, st = color_parallel(corpus[name], (2,))
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma, st)
         assert verify_local_equivalence(cabled, cur_d, chained(traces)).ok, name
         assert palette(cur_g)[0] == {0, 1, 2, 3}, name
         assert is_simple(cur_d, cur_g) == (True, 1), name
@@ -209,9 +207,7 @@ def test_two_parallel_reduction_pipeline(corpus):
 
 
 def test_deletion_traces_have_disjoint_disks():
-    cabled = parallel(HOPF, CableSpec(multiplicities=(4, 4)))
-    gamma = color_even_parallel(cabled)
-    _, _, traces = delete_color_moves(cabled, gamma)
+    _, _, traces = delete_color_moves(*color_parallel(HOPF, (4, 4)))
     for stage in chained(traces).stages:
         ids = sorted(stage.disks)
         for i, a in enumerate(ids):
@@ -225,10 +221,10 @@ def test_two_parallel_pipeline_on_random_writhe0_diagrams():
     rng = seeded_rng(7)
     for trial in range(8):
         base = balanced_random_knot(rng, n_ops=2 + trial % 5)
-        cabled, gamma = color_two_parallel(base)
+        cabled, gamma, st = color_parallel(base, (2,))
         assert verify_coloring(cabled, gamma), trial
         assert palette(gamma)[0] <= {-1, 0, 1, 2, 3, 4}, trial
-        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma, st)
         assert verify_local_equivalence(cabled, cur_d, chained(traces)).ok, trial
         assert palette(cur_g)[0] == {0, 1, 2, 3}, trial
         assert is_simple(cur_d, cur_g) == (True, 1), trial
@@ -241,10 +237,10 @@ def test_two_parallel_with_same_sign_adjacent_underpasses():
     plan = plan_drift_twists(base)
     assert len(plan) == 2
     assert sum(s for _, s in plan) == 0
-    cabled, gamma = color_two_parallel(base)
+    cabled, gamma, st = color_parallel(base, (2,))
     assert verify_coloring(cabled, gamma)
     assert palette(gamma)[0] <= {-1, 0, 1, 2, 3, 4}
-    cur_d, cur_g, _ = delete_color_moves(cabled, gamma)
+    cur_d, cur_g, _ = delete_color_moves(cabled, gamma, st)
     assert palette(cur_g)[0] == {0, 1, 2, 3}
     assert is_simple(cur_d, cur_g) == (True, 1)
 
@@ -256,10 +252,9 @@ def test_even_parallel_pipeline_on_random_bases():
     rng = seeded_rng(21)
     for trial in range(6):
         base = random_knot_diagram(rng, n_ops=1 + trial % 4)
-        cabled = parallel(base, CableSpec(multiplicities=(4,)))
-        gamma = color_even_parallel(cabled)
+        cabled, gamma, st = color_parallel(base, (4,))
         assert verify_coloring(cabled, gamma), trial
-        cur_d, cur_g, traces = delete_color_moves(cabled, gamma)
+        cur_d, cur_g, traces = delete_color_moves(cabled, gamma, st)
         assert verify_local_equivalence(cabled, cur_d, chained(traces)).ok, trial
         assert palette(cur_g)[0] == {-1, 0, 1, 2}, trial
         assert is_simple(cur_d, cur_g) == (True, 1), trial
@@ -291,12 +286,12 @@ def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
     monkeypatch.setattr(pc, "_rewrite_toggle_over_state", recording)
     toggled = 0
     for i, base in enumerate(_toggle_bases(corpus)):
-        cabled, gamma = color_two_parallel(base)
-        regions = cabled.cable.regions
+        cabled, gamma, st = color_parallel(base, (2,))
+        regions = st.regions
         carrying_4 = {cid for cid, region in regions.items()
                       if 4 in {gamma[e] for e in pc._region_interior_arcs(cabled, region)}}
         toggles.clear()
-        _, out_g, traces = delete_color_moves(cabled, gamma)
+        _, out_g, traces = delete_color_moves(cabled, gamma, st)
         base_cid = {id(region): cid for cid, region in regions.items()}
         targets = [4, -1] if 4 in gamma.values() else [-1]
         for stage, target in enumerate(targets[:len(traces)], 1):
@@ -317,18 +312,17 @@ def test_a_reduction_builds_one_diagram_and_verifies_once(corpus, count_calls):
     once each, and the whole trace once.
     """
     import zcolor.coloring as coloring
-    from zcolor.diagram import Diagram
 
-    colored = [color_two_parallel(base) for base in _toggle_bases(corpus)]
+    colored = [color_parallel(base, (2,)) for base in _toggle_bases(corpus)]
     builds = count_calls(Diagram, "__init__")
     verifications = count_calls(pc, "verify_local_equivalence")
     colorings = count_calls(coloring, "verify_coloring")
     outputs = count_calls(pc, "verify_coloring")
     most_regions = both_passes = 0
-    for i, (cabled, gamma) in enumerate(colored):
+    for i, (cabled, gamma, st) in enumerate(colored):
         for calls in (builds, verifications, colorings, outputs):
             calls.clear()
-        _, _, traces = delete_color_moves(cabled, gamma)
+        _, _, traces = delete_color_moves(cabled, gamma, st)
         assert len(builds) == 1, (i, len(builds))
         assert len(verifications) == 1, i
         assert len(colorings) + len(outputs) == 2 and outputs[0][0] is cabled, i
@@ -377,10 +371,9 @@ def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch
     monkeypatch.setattr(rewrite._Simplification, "apply", checking_diffs)
     toggles = count_calls(pc, "_rewrite_toggle_over_state")
     reroutes = count_calls(pc, "_rewrite_reroute_line")
-    hopf = parallel(corpus["hopf"], CableSpec(multiplicities=(4, 4)))
-    delete_color_moves(hopf, color_even_parallel(hopf))
+    delete_color_moves(*color_parallel(corpus["hopf"], (4, 4)))
     assert reroutes and ("R2+", False) in kinds
-    assert len(delete_color_moves(*color_two_parallel(corpus["unknot_writhe0"]))[2]) == 2
+    assert len(delete_color_moves(*color_parallel(corpus["unknot_writhe0"], (2,)))[2]) == 2
     assert toggles
     for colors, kinks in (((2, 1), 1), ((4, 2, 1), 1)):
         to_simple_coloring(*diff_chain(colors, kinks))
@@ -392,15 +385,13 @@ def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch
 
 def test_a_two_parallel_builds_two_diagrams_however_many_twists(count_calls):
     """The parallel and its twisted form: every drift twist goes on one builder."""
-    from zcolor.diagram import Diagram
-
     rng = seeded_rng(11)
     bases = [balanced_random_knot(rng, n_ops=3 + trial) for trial in range(6)]
     builds = count_calls(Diagram, "__init__")
     most_twists = 0
     for i, base in enumerate(bases):
         builds.clear()
-        cabled, _ = color_two_parallel(base)
+        cabled, _, _ = color_parallel(base, (2,))
         twists = (len(cabled.crossings) - 4 * len(base.crossings)) // 2
         most_twists = max(most_twists, twists)
         assert len(builds) <= 2, (i, twists, len(builds))

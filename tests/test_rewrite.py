@@ -221,11 +221,10 @@ def test_an_invalid_input_is_refused_by_the_run():
     relation through the run's one input check."""
     d, g = diff_chain((3, 1, 2), 1)
     g[min(g)] += 1
-    cabled = parallel(standard_diagrams()["hopf"], CableSpec(multiplicities=(4, 4)))
-    gamma = pc.color_even_parallel(cabled)
+    cabled, gamma, structure = pc.color_parallel(standard_diagrams()["hopf"], (4, 4))
     gamma[min(gamma)] += 1
     for call in (lambda: to_simple_coloring(d, g),
-                 lambda: pc.delete_color_moves(cabled, gamma)):
+                 lambda: pc.delete_color_moves(cabled, gamma, structure)):
         with pytest.raises(ColoringError, match="^not a valid coloring$"):
             call()
 
