@@ -34,25 +34,30 @@ the first rule, 4 then -1 on the second, none on the third.  The 4-pass
 may bring in -1 and the -1 pass removes it: together they reach exactly
 {0,1,2,3}, checked once per reduction
 (``tests/test_lemmas.py::test_deletion_reaches_four_colors``).
-Conjugating a crossing region by a canceling twist pair toggles the over
-state, a bigon of one over line pushed across the region exchanges which
-line is met first, and rerouting a 0-line past the middle 1-pair fixes the
-parity that produces color 3.  A reduction runs all its passes on one
-``_Run``, shared with ``rewrite``: a move builder with the coloring beside
-it, through which every move goes.  Each move recolors only the arcs it
-changed, by the crossing rule and without propagation: an R2 bigon's four
-new arcs from the colors of its two arcs, an R3 triangle's three sides
-from the outer arcs across from them at the new triangle's corners, arcs
-and corners as the move reports them.  So the coloring is current after
-every move.  Once, at the end, it checks the palette, builds the result,
-verifies its coloring and replays its trace; failures raise, never
-degrade.
+Every rewrite is one span of a crossing region (``_span``): an R2 bigon
+pushes one over line across another west of the region and R3 slides its
+far crossing east across every under row, which exchanges which of the two
+lines the under strands meet first.  The -1 pass brings a clean line
+first; the 3-pass moves the 0-line met just before the middle 1-pair to
+just after it, one span under each 1-line, which fixes the parity that
+produces color 3.  A twisted span nests a second bigon in the first and
+slides both far crossings, conjugating the region by a full twist and its
+inverse: that toggles the over pair's state.  A reduction runs all its
+passes on one ``_Run``, shared with ``rewrite``: a move builder with the
+coloring beside it, through which every move goes.  Each move recolors
+only the arcs it changed, by the crossing rule and without propagation: an
+R2 bigon's four new arcs from the colors of its two arcs, an R3 triangle's
+three sides from the outer arcs across from them at the new triangle's
+corners, arcs and corners as the move reports them.  So the coloring is
+current after every move.  Once, at the end, it checks the palette, builds
+the result, verifies its coloring and replays its trace; failures raise,
+never degrade.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cabling import CableSpec, CableStructure, Region, TwistSite, cable, insert_full_twists
 from .coloring import Coloring, ColoringError, palette, verify_coloring
@@ -230,7 +235,7 @@ def color_parallel(diagram: Diagram, multiplicities: Sequence[int]
         return _color_two_parallel(diagram)
     cabled, st = cable(diagram, CableSpec(multiplicities=mult))
     if any(n % 2 for n in mult):
-        raise ConstructionError("all multiplicities must be even and at least 4")
+        raise ConstructionError("all multiplicities must be even")
     if len(crossing_graph_pieces(cabled)) > 1:
         raise ConstructionError("base diagram must be non-split")
 
@@ -329,11 +334,6 @@ def _over_travel_rows(region: Region) -> list[int]:
     return list(range(q)) if region.base_sign > 0 else list(range(q - 1, -1, -1))
 
 
-def _over_entry(builder: DiagramBuilder, region: Region, step: int) -> int:
-    """The arc on which the over line at ``step`` enters the region."""
-    return builder.crossing(region.grid[_over_travel_rows(region)[0]][step]).over_in
-
-
 def _region_interior_arcs(builder: DiagramBuilder, region: Region) -> set[int]:
     count = Counter(e for row in region.grid for c in row for e in builder.rows[c])
     return {e for e, k in count.items() if k == 2}
@@ -341,91 +341,47 @@ def _region_interior_arcs(builder: DiagramBuilder, region: Region) -> set[int]:
 
 def _region_met_colors(run: _Run, region: Region) -> list[int]:
     """Over-line colors in the order the under strands meet them."""
-    return [run.gamma[_over_entry(run.builder, region, s)] for s in range(len(region.grid[0]))]
+    first = region.grid[_over_travel_rows(region)[0]]
+    return [run.gamma[run.builder.crossing(c).over_in] for c in first]
 
 
-def _find_corner(builder: DiagramBuilder, e1: int, e2: int,
-                 prefer_cids: set[int]) -> Optional[tuple[int, int]]:
-    for face in builder.faces_through(e1):
-        if e2 in builder.face_arcs(face):
-            for corner in face:
-                cid, slot = builder.corner_slot(corner)
-                if cid in prefer_cids:
-                    return (cid, slot)
-    return None
+# -- the span rewrite -------------------------------------------------------------
 
 
-def _push_bigon(run: _Run, region: Region, push_step: int, across_step: int,
-                push_over: bool) -> dict:
-    """An R2 bigon west of the region: one over line pushed across another.
+def _span(run: _Run, region: Region, push_step: int, across_step: int, push_over: bool,
+          twist: bool = False) -> None:
+    """Exchange which of two over lines the region's under strands meet first.
 
-    The bigon sits in the face the two lines' entry arcs share at the
-    region's first-met row.  Returns the move's report; it lists the new
-    crossings in the order the pushed line runs through them.
+    Pushes the over line at ``push_step`` over (or under) the one at
+    ``across_step``: an R2 bigon in the face their entry arcs share at the
+    first-met row, west of the region.  With ``twist``, a second bigon
+    nested in the first pushes the crossed line back over the pushed one.
+    Then each far crossing, the outer bigon's before the nested one's,
+    slides east by R3 across every under row in over-travel order; a
+    twisted span so leaves a full twist before the region and its inverse
+    after it.
     """
-    push = _over_entry(run.builder, region, push_step)
-    across = _over_entry(run.builder, region, across_step)
-    row = region.grid[_over_travel_rows(region)[0]]
-    corner = _find_corner(run.builder, push, across, {row[push_step], row[across_step]})
-    return run.apply(R2Insert(push_edge=push, across_edge=across, push_over=push_over,
-                              corner=corner))
-
-
-def _slide_east(run: _Run, slider: int, region: Region, steps: tuple[int, int]) -> None:
-    """R3 ``slider``, where the over lines at ``steps`` cross, across every row."""
-    for r in _over_travel_rows(region):
-        row = region.grid[r]
-        try:
-            run.apply(R3(cids=(slider, row[min(steps)], row[max(steps)])))
-        except MoveError as err:
-            raise NoApplicableMoveError(
-                f"cannot slide crossing {slider} across under row {r}: {err}") from err
-
-
-# -- the rewrite library ----------------------------------------------------------
-
-
-def _rewrite_swap_first_met(run: _Run, region: Region, clean_step: int,
-                            other_step: int) -> None:
-    """Exchange which over line is met first, spanning the whole region.
-
-    Pushes the desired-first line over its partner (an R2 bigon west of the
-    region) and slides the far crossing east across every under strand; the
-    partner is recolored to 2f - g between the bigon crossings.
-    """
-    far = _push_bigon(run, region, clean_step, other_step, True)["created"][1]
-    _slide_east(run, far, region, (clean_step, other_step))
-
-
-def _rewrite_toggle_over_state(run: _Run, region: Region, flip_second: bool) -> None:
-    """Conjugate the region by a canceling full-twist pair on its over cable.
-
-    Two nested R2 bigons west of the region build twist+inverse; the two
-    crossings nearest the region slide east across the under strands,
-    leaving one full twist before the region and its inverse after.
-    ``flip_second`` selects the handedness of the twist pair.
-    """
-    x_step, y_step = (1, 0) if flip_second else (0, 1)
-    report = _push_bigon(run, region, x_step, y_step, True)
-    # inside the bigon: the over strand's new middle and the crossed strand's
-    x_mid, _, y_mid, _ = report["arcs"]
-    i2 = run.apply(R2Insert(push_edge=y_mid, across_edge=x_mid, push_over=True))["created"][1]
-    # east pair = the far crossings of each insert
-    _slide_east(run, report["created"][1], region, (0, 1))
-    _slide_east(run, i2, region, (0, 1))
-
-
-def _rewrite_reroute_line(run: _Run, region: Region, mover_step: int,
-                          over_steps: tuple[int, int]) -> None:
-    """Send the over line at ``mover_step`` around the two lines after it.
-
-    Two spanning bigons (mover under each 1-line) move the line's passage
-    across the region from before the pair to after it; the mover dips to
-    color 2 at each crossing and carries its own color through the middle.
-    """
-    for target_step in over_steps:
-        far = _push_bigon(run, region, mover_step, target_step, False)["created"][1]
-        _slide_east(run, far, region, (mover_step, target_step))
+    builder, travel = run.builder, _over_travel_rows(region)
+    ends = region.grid[travel[0]][push_step], region.grid[travel[0]][across_step]
+    push, across = (builder.crossing(c).over_in for c in ends)
+    corner = next((builder.corner_slot(c) for face in builder.faces_through(push)
+                   if across in builder.face_arcs(face) for c in face if c >> 2 in ends), None)
+    report = run.apply(R2Insert(push_edge=push, across_edge=across, push_over=push_over,
+                                corner=corner))
+    sliders = [report["created"][1]]
+    if twist:
+        # inside the bigon: the pushed line's new middle and the crossed line's
+        pushed_mid, _, crossed_mid, _ = report["arcs"]
+        sliders.append(run.apply(R2Insert(push_edge=crossed_mid, across_edge=pushed_mid,
+                                          push_over=push_over))["created"][1])
+    lo, hi = sorted((push_step, across_step))
+    for slider in sliders:
+        for r in travel:
+            try:
+                run.apply(R3(cids=(slider, region.grid[r][lo], region.grid[r][hi])))
+            except MoveError as err:
+                raise NoApplicableMoveError(
+                    f"cannot slide crossing {slider} across under row {r}: {err}") from err
 
 
 # -- delete_color_moves -----------------------------------------------------------
@@ -501,7 +457,7 @@ def _rewrite_region(run: _Run, region: Region, target: int) -> None:
             if clean_color not in met:
                 raise NoApplicableMoveError("no clean line to bring first")
             clean_step = met.index(clean_color)
-            _rewrite_swap_first_met(run, region, clean_step, 1 - clean_step)
+            _span(run, region, clean_step, 1 - clean_step, True)
             return
         raise NoApplicableMoveError(f"no 2-parallel rewrite deletes color {target}")
 
@@ -514,7 +470,8 @@ def _rewrite_region(run: _Run, region: Region, target: int) -> None:
         mover = ones[0] - 1
         if mover < 0 or met[mover] != 0:
             raise NoApplicableMoveError("no 0-line before the 1-pair")
-        _rewrite_reroute_line(run, region, mover, (ones[0], ones[1]))
+        for one in ones:
+            _span(run, region, mover, one, False)
         return
     raise NoApplicableMoveError(f"no rewrite available for color {target} here")
 
@@ -523,18 +480,18 @@ def _toggle_verified(run: _Run, region: Region, y_state: int) -> list[int]:
     """Toggle the over pair between states 0 and 2; returns the met colors after.
 
     The pair meets a full twist before the region and its inverse after it
-    (``_rewrite_toggle_over_state``).  A twist of sign s shifts a pair's
-    state by -2s, so state 2 needs a positive twist to drop to 0 and state
-    0 a negative one to rise to 2.  The twist's sign is fixed by which line
-    is pushed over the other and by the side each line lies on of their
-    travel direction; the under strands cross the over lines from the side
-    the region's sign gives, so that sign fixes the sides.  Pushing line 0
-    over line 1 gives sign -base_sign, line 1 over line 0 gives +base_sign:
-    flip exactly when base_sign * (y_state - 1) > 0.  The met colors after
-    must stay in 0..3; a wrong handedness would drive the pair to (4,5) or
-    (-2,-1).
+    (a twisted ``_span``).  A twist of sign s shifts a pair's state by -2s,
+    so state 2 needs a positive twist to drop to 0 and state 0 a negative
+    one to rise to 2.  The twist's sign is fixed by which line is pushed
+    over the other and by the side each line lies on of their travel
+    direction; the under strands cross the over lines from the side the
+    region's sign gives, so that sign fixes the sides.  Pushing line 0 over
+    line 1 gives sign -base_sign, line 1 over line 0 gives +base_sign: flip
+    exactly when base_sign * (y_state - 1) > 0.  The met colors after must
+    stay in 0..3; a wrong handedness would drive the pair to (4,5) or (-2,-1).
     """
-    _rewrite_toggle_over_state(run, region, region.base_sign * (y_state - 1) > 0)
+    x_step, y_step = (1, 0) if region.base_sign * (y_state - 1) > 0 else (0, 1)
+    _span(run, region, x_step, y_step, True, twist=True)
     met_now = _region_met_colors(run, region)
     if not all(0 <= c <= 3 for c in met_now):
         raise NoApplicableMoveError(f"toggle drove the pair to {met_now}")

@@ -9,6 +9,7 @@ the recorded refusal class it still accepts.
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, example, given, note, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,12 @@ WRITHE0_KNOTS = st.builds(
     lambda seed, n_ops: balanced_random_knot(random.Random(seed), n_ops),
     st.integers(0, 2**32 - 1), st.integers(0, 6),
 ).filter(lambda d: len(d.crossings) <= 14)
+
+# writhe-0 knot diagrams from 2 to 8 random operations
+TOGGLE_KNOTS = st.builds(
+    lambda seed, n_ops: balanced_random_knot(random.Random(seed), n_ops),
+    st.integers(0, 2**32 - 1), st.integers(2, 8),
+)
 
 # non-constant diff chains: 2-4 bights colored 1..6, 0-2 kinks after each
 DIFF_CHAINS = st.tuples(
@@ -82,6 +89,34 @@ def test_deletion_reaches_four_colors(base):
     assert verify_coloring(reduced, coloring)
     report = verify_local_equivalence(cabled, reduced, chained(traces))
     assert report.ok, report.reasons
+
+
+@settings(max_examples=100, deadline=None)
+@given(TOGGLE_KNOTS)
+@example(TWO_KINK_UNKNOT)
+def test_a_twisted_span_toggles_the_over_pair(base):
+    """``parallel_coloring._toggle_verified``: on the 2-parallel of a
+    writhe-0 knot, every region that a twisted span conjugates has its over
+    pair met as {y, y+1} before, with y in {0, 2}, and as {2-y, 3-y} after:
+    the handedness read off ``base_sign * (y_state - 1)`` moves the pair
+    to the other state, never to (4,5) or (-2,-1).  A refusal fails it."""
+    note(serialize_pd(base))
+    span, toggles = pc._span, []
+
+    def recording(run, region, push_step, across_step, push_over, twist=False):
+        before = pc._region_met_colors(run, region)
+        span(run, region, push_step, across_step, push_over, twist)
+        if twist:
+            toggles.append((before, pc._region_met_colors(run, region)))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pc, "_span", recording)
+        delete_color_moves(*color_parallel(base, (2,)))
+    note(f"{len(toggles)} toggles")
+    for before, after in toggles:
+        y = min(before)
+        assert y in (0, 2) and sorted(before) == [y, y + 1], before
+        assert sorted(after) == [2 - y, 3 - y], (before, after)
 
 
 @settings(max_examples=30, deadline=None,

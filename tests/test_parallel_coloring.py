@@ -106,7 +106,7 @@ def test_even_parallel_rejects_split_base():
 
 @pytest.mark.parametrize("base,mult,error,message", [
     pytest.param(TREFOIL, (3,), ConstructionError,
-                 "all multiplicities must be even and at least 4", id="trefoil-3"),
+                 "all multiplicities must be even", id="trefoil-3"),
     pytest.param(TREFOIL, (2,), ConstructionError,
                  "writhe is -3; the construction needs writhe 0", id="trefoil-2"),
     pytest.param(TREFOIL, (4, 4), CableError, "need 1 multiplicities, got 2", id="trefoil-4,4"),
@@ -114,7 +114,7 @@ def test_even_parallel_rejects_split_base():
     pytest.param(HOPF, (2,), ConstructionError, "needs a one-component knot diagram",
                  id="hopf-2"),
     pytest.param(HOPF, (2, 3), ConstructionError,
-                 "all multiplicities must be even and at least 4", id="hopf-2,3"),
+                 "all multiplicities must be even", id="hopf-2,3"),
     pytest.param(HOPF, (0, 2), CableError, "multiplicities must be positive", id="hopf-0,2"),
     pytest.param(SPLIT, (4, 4), ConstructionError, "base diagram must be non-split",
                  id="split-4,4"),
@@ -276,14 +276,15 @@ def test_each_toggled_region_is_conjugated_once(corpus, monkeypatch):
     region it toggles exactly once, and the 4-pass toggles exactly the
     regions whose interior carries 4.
     """
-    toggle = pc._rewrite_toggle_over_state
+    span = pc._span
     toggles = []
 
-    def recording(run, region, flip_second):
-        toggles.append((len(run.stages), region))
-        return toggle(run, region, flip_second)
+    def recording(run, region, push_step, across_step, push_over, twist=False):
+        if twist:
+            toggles.append((len(run.stages), region))
+        return span(run, region, push_step, across_step, push_over, twist)
 
-    monkeypatch.setattr(pc, "_rewrite_toggle_over_state", recording)
+    monkeypatch.setattr(pc, "_span", recording)
     toggled = 0
     for i, base in enumerate(_toggle_bases(corpus)):
         cabled, gamma, st = color_parallel(base, (2,))
@@ -331,7 +332,7 @@ def test_a_reduction_builds_one_diagram_and_verifies_once(corpus, count_calls):
     assert most_regions >= 3 and both_passes >= 1
 
 
-def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch, count_calls):
+def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch):
     """After every move a run applies, its coloring colors exactly the
     builder's arcs and satisfies every crossing relation of the builder's
     rows, read by the independent ``checked_diffs``.  On a simplification
@@ -347,8 +348,8 @@ def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch
     from zcolor.generate import diff_chain
     from zcolor.rewrite import to_simple_coloring
 
-    kinds, rediffed = [], []
-    apply, rediff = pc._Run.apply, rewrite._Simplification.apply
+    kinds, rediffed, spans = [], [], []
+    apply, rediff, span = pc._Run.apply, rewrite._Simplification.apply, pc._span
 
     def checking(run, move):
         report = apply(run, move)
@@ -367,14 +368,18 @@ def test_the_run_keeps_the_coloring_current_after_every_move(corpus, monkeypatch
         rediffed.append(move)
         return report
 
+    def recording(run, region, push_step, across_step, push_over, twist=False):
+        spans.append((push_over, twist))
+        return span(run, region, push_step, across_step, push_over, twist)
+
     monkeypatch.setattr(pc._Run, "apply", checking)
     monkeypatch.setattr(rewrite._Simplification, "apply", checking_diffs)
-    toggles = count_calls(pc, "_rewrite_toggle_over_state")
-    reroutes = count_calls(pc, "_rewrite_reroute_line")
+    monkeypatch.setattr(pc, "_span", recording)
     delete_color_moves(*color_parallel(corpus["hopf"], (4, 4)))
-    assert reroutes and ("R2+", False) in kinds
+    # a reroute spans with the mover pushed under, a toggle with a twist
+    assert any(not over for over, _ in spans) and ("R2+", False) in kinds
     assert len(delete_color_moves(*color_parallel(corpus["unknot_writhe0"], (2,)))[2]) == 2
-    assert toggles
+    assert any(twist for _, twist in spans)
     for colors, kinks in (((2, 1), 1), ((4, 2, 1), 1)):
         to_simple_coloring(*diff_chain(colors, kinks))
     cabled = parallel(corpus["trefoil"], CableSpec(multiplicities=(6,)))

@@ -7,11 +7,12 @@ slope of a count against the input size.
 
 import math
 
-from zcolor import rewrite
+from zcolor import moves, parallel_coloring, rewrite
 from zcolor.algebra import is_z_colorable
 from zcolor.cabling import CableSpec, parallel
 from zcolor.generate import diff_chain
 from zcolor.moves import DiagramBuilder
+from zcolor.parallel_coloring import color_parallel, delete_color_moves
 
 
 def loglog_slope(points) -> float:
@@ -56,4 +57,22 @@ def test_finger_verdicts_grow_with_the_stages(count_calls):
         verdicts.clear()
         stages = rewrite.to_simple_coloring(*diff_chain((k, 2 * k - 1), 1))[2].stages
         points.append((len(stages), len(verdicts)))
+    assert loglog_slope(points) <= 1.1, points
+
+
+def test_deletion_walks_a_bounded_face_per_move(corpus, count_calls):
+    """Deleting color 3 from the (4), (8) and (12) parallels of figure8 (64
+    to 576 crossings, 40 to 104 moves): face-walk steps
+    (``moves._next_corner`` calls) grow with slope at most 1.1 against the
+    ``apply_move`` calls (646 to 1,672 steps, 16.1 per move at every width,
+    slope 1.00).  Each move walks only the faces along the arcs it names."""
+    steps = count_calls(moves, "_next_corner")
+    applied = count_calls(parallel_coloring, "apply_move")
+    points = []
+    for w in (4, 8, 12):
+        colored = color_parallel(corpus["figure8"], (w,))
+        steps.clear()
+        applied.clear()
+        delete_color_moves(*colored)
+        points.append((len(applied), len(steps)))
     assert loglog_slope(points) <= 1.1, points
