@@ -25,6 +25,7 @@ the moves, so a check of a trace replays it once.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .diagram import (
@@ -35,6 +36,7 @@ from .diagram import (
     Crossing,
     Diagram,
     _next_corner,
+    _union_roots,
     same_diagram,
 )
 
@@ -493,21 +495,23 @@ def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
             return (row[UNDER_IN], row[UNDER_OUT])
         return (row[OVER_A], row[OVER_B])
 
-    renamed = []
+    # each strand's two outer arcs become one arc; the strands' outer arcs
+    # may share an arc (one strand leaves the bigon and runs straight back
+    # in as the other), so the merge is transitive
+    outer = []
     for mid in inner:
         a1, b1 = strand_edges(r1, mid)
-        o1 = a1 if b1 == mid else b1
         a2, b2 = strand_edges(r2, mid)
-        o2 = a2 if b2 == mid else b2
-        if o1 == o2:
-            # strand closes up through the bigon alone
-            if set(builder.incident(o1)) <= {mv.cid1, mv.cid2}:
-                builder.free_loops += 1
-        else:
-            keep, drop = sorted((o1, o2))
-            renamed += builder.rename_arc(drop, keep, skip=(mv.cid1, mv.cid2))
+        outer.append((a1 if b1 == mid else b1, a2 if b2 == mid else b2))
+    keep = _union_roots(chain.from_iterable(outer), outer)
+    renamed = []
+    for arc, root in keep.items():
+        if arc != root:
+            renamed += builder.rename_arc(arc, root, skip=(mv.cid1, mv.cid2))
     builder.remove_crossing(mv.cid1)
     builder.remove_crossing(mv.cid2)
+    # a merged arc that meets no crossing closed up through the bigon alone
+    builder.free_loops += sum(not builder.incident(root) for root in set(keep.values()))
     return {"created": [], "touched": [mv.cid1, mv.cid2],
             "relabelled": list(dict.fromkeys(renamed))}
 

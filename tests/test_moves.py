@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import pd_signs, seeded_rng, single_stage, solve_partial
+from conftest import balanced_random_knot, pd_signs, seeded_rng, single_stage, solve_partial
 from zcolor import diagram, moves
 from zcolor.cabling import CableSpec, cable
 from zcolor.coloring import verify_coloring
@@ -352,3 +355,66 @@ def test_r2_corner_must_name_a_slot_of_a_crossing(corner):
     with pytest.raises(MoveError, match="do not co-bound a face through corner"):
         apply_move(DiagramBuilder(TREFOIL),
                    R2Insert(push_edge=1, across_edge=4, push_over=True, corner=corner))
+
+
+# sources: the corpus, and random knots brought to writhe 0 by kinks
+MOVE_SOURCES = st.one_of(
+    st.sampled_from(sorted(standard_diagrams().items())).map(lambda item: item[1]),
+    st.builds(lambda seed, n_ops: balanced_random_knot(random.Random(seed), n_ops),
+              st.integers(0, 2**32 - 1), st.integers(1, 4)),
+)
+
+# each move is a kind and two picks, resolved against the builder as it
+# stands (``picked_move``), so that every drawn sequence names real arcs
+MOVE_PICKS = st.lists(st.tuples(st.sampled_from(("R1+", "R1-", "R2+", "R2-", "R3")),
+                                st.integers(0, 63), st.integers(0, 63), st.booleans()),
+                      max_size=12)
+
+
+def picked_move(b: DiagramBuilder, kind: str, i: int, j: int, flag: bool):
+    """The move a pick names on ``b``: arcs and crossings by index in sorted
+    order; an R2- or R3 at crossing i's 2-face or triangle j.  None where
+    the builder has nothing to pick."""
+    arcs = sorted({e for row in b.rows.values() for e in row})
+    if kind == "R1+" and arcs:
+        return R1Insert(edge=arcs[i % len(arcs)], sign=1 if flag else -1, over_first=j % 2 == 1)
+    if kind == "R2+" and arcs:
+        return R2Insert(push_edge=arcs[i % len(arcs)], across_edge=arcs[j % len(arcs)],
+                        push_over=flag)
+    cids = sorted(b.rows)
+    if kind not in ("R1-", "R2-", "R3") or not cids:
+        return None
+    c = cids[i % len(cids)]
+    if kind == "R1-":
+        return R1Remove(cid=c)
+    faces = {b.face(corner) for corner in range(4 * c, 4 * c + 4)}
+    if kind == "R2-":
+        partners = sorted({k >> 2 for f in faces if len(f) == 2 for k in f} - {c})
+        return R2Remove(c, partners[j % len(partners)]) if partners else None
+    triangles = sorted(f for f in faces if len({k >> 2 for k in f}) == len(f) == 3)
+    return R3(cids=tuple(k >> 2 for k in triangles[j % len(triangles)])) if triangles else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(MOVE_SOURCES, MOVE_PICKS)
+@example(parse_pd("X[1,3,2,2] X[3,4,4,1]"), [("R1+", 1, 0, False), ("R2-", 0, 0, False)])
+def test_every_accepted_move_leaves_a_planar_map(source, picks):
+    """After every move that applies, the builder's diagram builds, passes
+    ``validate`` but for its labels, and the moves so far replay to it as one
+    verified trace.  The example is an R2- whose bigon's two strands share
+    an outer arc: a kink's loop runs out of the bigon and straight back in."""
+    b = DiagramBuilder(source)
+    applied = []
+    for pick in picks:
+        move = picked_move(b, *pick)
+        if move is None:
+            continue
+        try:
+            apply_move(b, move)
+        except MoveError:
+            continue
+        applied.append((move, 1))
+        d = b.diagram()
+        assert structural(d) == [], applied
+        trace = single_stage(applied, {1: frozenset(source.rows)})
+        assert verify_local_equivalence(source, d, trace).ok, applied
