@@ -37,6 +37,12 @@ TOGGLE_KNOTS = st.builds(
     st.integers(0, 2**32 - 1), st.integers(2, 8),
 )
 
+# writhe-0 knot diagrams from 2 to 10 random operations
+SEEDED_KNOTS = st.builds(
+    lambda seed, n_ops: balanced_random_knot(random.Random(seed), n_ops),
+    st.integers(0, 2**32 - 1), st.integers(2, 10),
+)
+
 # non-constant diff chains: 2-4 bights colored 1..6, 0-2 kinks after each
 DIFF_CHAINS = st.tuples(
     st.lists(st.integers(1, 6), min_size=2, max_size=4).filter(lambda c: len(set(c)) > 1),
@@ -89,6 +95,23 @@ def test_deletion_reaches_four_colors(base):
     assert verify_coloring(reduced, coloring)
     report = verify_local_equivalence(cabled, reduced, chained(traces))
     assert report.ok, report.reasons
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDED_KNOTS)
+@example(TWO_KINK_UNKNOT)
+def test_two_parallel_pairs_enter_in_a_seeded_state(base):
+    """``parallel_coloring._color_two_parallel``: on the 2-parallel of a
+    writhe-0 knot, every parallel pair the structure names, twist arcs
+    included, is colored (s, s+1) with s in {0, 2}; the palette is inside
+    -1..4; and the coloring has no fault under the reference reader."""
+    note(serialize_pd(base))
+    cabled, gamma, structure = color_parallel(base, (2,))
+    for e in {e for e, _ in structure.copy_edges}:
+        s = gamma[structure.copy_edges[e, 1]]
+        assert s in (0, 2) and gamma[structure.copy_edges[e, 2]] == s + 1, e
+    assert palette(gamma)[0] <= set(range(-1, 5))
+    assert reference_coloring_faults(serialize_pd_raw(cabled), coloring_to_json(gamma)) == []
 
 
 @settings(max_examples=100, deadline=None)
