@@ -86,12 +86,12 @@ def coloring_matrix(diagram: Diagram) -> ColoringMatrix:
     gives the empty row.  The 2 goes in the column of slot 1, which lies in
     one class with slot 3, so no sign is read.
     """
-    cols = diagram.arc_class_reps()
+    classes = diagram.arc_classes
+    cols = tuple(sorted(set(classes.values())))
     idx = {c: i for i, c in enumerate(cols)}
-    col = {e: idx[c] for e, c in diagram._arc_class.items()}
+    col = {e: idx[c] for e, c in classes.items()}
     rows = []
-    for x in diagram.crossings:
-        ui, oa, uo, _ = x.slots
+    for ui, oa, uo, _ in diagram.rows.values():
         row = {col[oa]: 2}
         for e in (ui, uo):
             j = col[e]
@@ -289,7 +289,7 @@ def diagram_lattice(diagram: Diagram) -> ColoringLattice:
     return ColoringLattice(
         basis=tuple(map(tuple, kernel_lattice(M.rows, len(M.columns)))),
         columns=M.columns,
-        edge_class=tuple(sorted(diagram.arc_classes().items())),
+        edge_class=tuple(sorted(diagram.arc_classes.items())),
     )
 
 
@@ -306,7 +306,7 @@ def determinant(diagram: Diagram) -> int:
     relation matrix is not square (some component never passes under) is
     reported 0: such diagrams always have extra coloring freedom.
     """
-    if not diagram.crossings and not diagram.free_loops:
+    if not diagram.rows and not diagram.free_loops:
         raise DiagramError("determinant requires a non-empty diagram")
     pieces = crossing_graph_pieces(diagram)
     if len(pieces) > 1:

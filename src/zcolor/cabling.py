@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .diagram import Diagram, linking_number, writhe
+from .diagram import UNDER_IN, UNDER_OUT, Diagram, linking_number, over_in_slot, writhe
 from .moves import DiagramBuilder
 
 
@@ -92,43 +92,46 @@ def cable(diagram: Diagram, spec: CableSpec) -> tuple[Diagram, CableStructure]:
     signs: list[int] = []
     regions: dict[int, Region] = {}
 
-    for x in diagram.crossings:
-        q = mult[comp_of[x.under_in]]   # under cable width
-        p = mult[comp_of[x.over_in]]    # over cable width
+    for cid, row in diagram.rows.items():
+        sign = diagram.signs[cid]
+        o = over_in_slot(sign)
+        under_in, under_out, over_in, over_out = row[UNDER_IN], row[UNDER_OUT], row[o], row[o ^ 2]
+        q = mult[comp_of[under_in]]   # under cable width
+        p = mult[comp_of[over_in]]    # over cable width
         # interior arc names
         under_seg = {}
         for k in range(1, q + 1):
-            segs = [copy_edges[(x.under_in, k)]]
+            segs = [copy_edges[(under_in, k)]]
             segs += [fresh() for _ in range(p - 1)]
-            segs.append(copy_edges[(x.under_out, k)])
+            segs.append(copy_edges[(under_out, k)])
             under_seg[k] = segs
         over_seg = {}
         for l in range(1, p + 1):
-            segs = [copy_edges[(x.over_in, l)]]
+            segs = [copy_edges[(over_in, l)]]
             segs += [fresh() for _ in range(q - 1)]
-            segs.append(copy_edges[(x.over_out, l)])
+            segs.append(copy_edges[(over_out, l)])
             over_seg[l] = segs
 
         # under copy k travels "north"; over copies are met in reversed
         # index order at positive crossings and in index order at negative
         # ones. Over copy l meets the under copies in index order when the
         # base crossing is positive, reversed otherwise.
-        met_over = list(range(p, 0, -1)) if x.sign > 0 else list(range(1, p + 1))
+        met_over = list(range(p, 0, -1)) if sign > 0 else list(range(1, p + 1))
         grid = []
         for k in range(1, q + 1):
-            t = k - 1 if x.sign > 0 else q - k  # each over copy's step count so far
+            t = k - 1 if sign > 0 else q - k  # each over copy's step count so far
             o_in = [over_seg[l][t] for l in met_over]
             o_out = [over_seg[l][t + 1] for l in met_over]
             u = under_seg[k]
             # row s of the under copy: (u_in, slot 1, u_out, slot 3)
-            if x.sign > 0:
+            if sign > 0:
                 rows_k = zip(u[:-1], o_out, u[1:], o_in)
             else:
                 rows_k = zip(u[:-1], o_in, u[1:], o_out)
             grid.append(list(range(len(rows), len(rows) + p)))
             rows.extend(rows_k)
-        signs += [x.sign] * (p * q)
-        regions[x.cid] = Region(base_sign=x.sign, grid=grid)
+        signs += [sign] * (p * q)
+        regions[cid] = Region(base_sign=sign, grid=grid)
 
     free = sum(mult[n_cycles:])
     structure = CableStructure(multiplicities=mult, regions=regions, copy_edges=copy_edges)

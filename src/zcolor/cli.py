@@ -82,7 +82,7 @@ def cmd_validate(args) -> int:
     _emit({
         "valid": not diags,
         "diagnostics": diags,
-        "crossings": len(d.crossings),
+        "crossings": len(d.rows),
         "components": d.num_components,
         "free_loops": d.free_loops,
     }, args.pretty)
@@ -143,7 +143,7 @@ def cmd_cable(args) -> int:
         mult = _parse_spec(args.spec)
         out = cabling.parallel(d, cabling.CableSpec(multiplicities=mult))
     _emit({"pd": diagram.serialize_pd(out),
-           "crossings": len(out.crossings),
+           "crossings": len(out.rows),
            "components": out.num_components}, args.pretty)
     return 0
 

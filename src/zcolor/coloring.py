@@ -47,8 +47,7 @@ def _require_total(diagram: Diagram, gamma: Coloring) -> None:
 def verify_coloring(diagram: Diagram, gamma: Coloring) -> bool:
     """True iff every crossing relation holds exactly (over Z)."""
     _require_total(diagram, gamma)
-    for x in diagram.crossings:
-        a, b, c, d = x.slots
+    for a, b, c, d in diagram.rows.values():
         if gamma[b] != gamma[d] or 2 * gamma[b] != gamma[a] + gamma[c]:
             return False
     return True
@@ -59,10 +58,9 @@ def diff_spectrum(diagram: Diagram, gamma: Coloring) -> DiffSpectrum:
         raise ColoringError("not a valid coloring")
     diffs = {}
     hist: dict[int, int] = {}
-    for x in diagram.crossings:
-        a, b, _, _ = x.slots
+    for cid, (a, b, _, _) in diagram.rows.items():
         d = abs(gamma[b] - gamma[a])
-        diffs[x.cid] = d
+        diffs[cid] = d
         hist[d] = hist.get(d, 0) + 1
     return DiffSpectrum(diffs=diffs, histogram=hist, d_m=max(hist) if hist else 0)
 

@@ -3,9 +3,10 @@
 A diagram is a set of crossings, each a counterclockwise quadruple of arc
 labels starting from the incoming under-arc.  Slot 0 is the incoming
 under-arc, slot 2 the outgoing under-arc; slots 1 and 3 carry the over
-strand, and the crossing sign says which one is incoming (incoming
-over-arc at slot 3 means sign +1).  Every ``Diagram`` is built from its
-signs, and checks only that they orient each arc one way.  PD text does
+strand, and the crossing sign says which one is incoming: slot 3 at sign
++1, else slot 1.  ``over_in_slot`` is the one place that rule is written.
+Every ``Diagram`` is built from its signs, and checks only that they
+orient each arc one way.  PD text does
 not carry the signs, so ``parse_pd`` is the one place that solves them,
 from the rows and the ``% component:`` headers (``_solve_signs``).
 
@@ -17,20 +18,23 @@ bad header on an earlier line comes first.  ``serialize_pd`` and
 hand to one writer, ``_write_pd``, which orders a two-arc header by the
 text positions of its rows.
 
-The planar map is encoded here and nowhere else: slot s of crossing c is
-the position ``4*c + s``, and so is the corner counterclockwise after it.
+The planar map is encoded here and nowhere else.  A ``Diagram`` stores it
+as the move builder (``zcolor.moves``) does: ``rows`` maps each crossing
+id to its slots and ``signs`` to its sign, and every reader in the
+package reads those two dicts.  Slot s of crossing c is the position
+``4*c + s``, and so is the corner counterclockwise after it.
 ``occurrences`` maps each arc to the positions of its two occurrences;
 ``parse_pd`` builds it once for the sign walk and for ``Diagram``, which
 keeps it.  ``_next_corner`` is the one face step, and ``validate``'s Euler
-count lays it out for every corner at once.  The move builder
-(``zcolor.moves``) starts from a copy of a diagram's index and hands its
-own to the ``Diagram`` it builds.  Both carry ``rows`` and ``signs`` keyed
-by crossing id and ``free_loops``, all that ``same_diagram`` reads, so it
-compares either.
+count lays it out for every corner at once.  The builder starts from
+copies of a diagram's maps and index and hands its own to the
+``Diagram`` it builds; ``same_diagram`` reads only ``rows``, ``signs``
+and ``free_loops``, so it compares either.
 
 Arc labels are the PD edge labels 1..2n.  The arcs of Fox/integer coloring
 theory (maximal overpasses) are the equivalence classes of edge labels
-under merging the two over-slots of every crossing; see ``arc_classes``.
+under merging the two over-slots of every crossing; see
+``Diagram.arc_classes``.
 """
 
 from __future__ import annotations
@@ -60,37 +64,28 @@ UNDER_IN, OVER_A, UNDER_OUT, OVER_B = 0, 1, 2, 3
 
 
 class Crossing(NamedTuple):
-    """One crossing: slot quadruple (ccw from incoming under-arc) and sign."""
+    """One crossing: its id, slot quadruple (ccw from incoming under-arc) and sign."""
 
     cid: int
     slots: tuple[int, int, int, int]
     sign: int
 
-    @property
-    def under_in(self) -> int:
-        return self.slots[UNDER_IN]
 
-    @property
-    def under_out(self) -> int:
-        return self.slots[UNDER_OUT]
-
-    @property
-    def over_in(self) -> int:
-        return self.slots[OVER_B] if self.sign > 0 else self.slots[OVER_A]
-
-    @property
-    def over_out(self) -> int:
-        return self.slots[OVER_A] if self.sign > 0 else self.slots[OVER_B]
+def over_in_slot(sign: int) -> int:
+    """The slot of a crossing's incoming over-arc: slot 3 at sign +1, else
+    slot 1.  Its outgoing over-arc sits at the other over slot, ``^ 2``."""
+    return OVER_B if sign > 0 else OVER_A
 
 
 class Diagram:
     """A validated oriented link diagram.
 
     Immutable after construction; all operations on diagrams are pure
-    functions returning new values.  ``signs``, one per row, give the
-    orientation: each row's incoming arcs are its slot 0 and, by its sign,
-    slot 3 (+1) or slot 1 (-1).  Signs that do not make every arc incoming
-    exactly once are refused.
+    functions returning new values.  ``rows`` and ``signs`` map each
+    crossing id, in the order given, to its slots and its sign.  The signs
+    give the orientation: each row's incoming arcs are its slot 0 and its
+    ``over_in_slot``.  Signs that do not make every arc incoming exactly
+    once are refused.
     """
 
     def __init__(
@@ -126,24 +121,25 @@ class Diagram:
         self._occ = occ
 
         self._succ = _successors(rows, signs)
-        # tuple.__new__ straight from C, not Crossing's Python-level __new__
-        self.crossings: tuple[Crossing, ...] = tuple(
-            map(tuple.__new__, repeat(Crossing), zip(cids, rows, signs)))
+        self.rows: dict[int, tuple[int, int, int, int]] = dict(zip(cids, rows))
+        self.signs: dict[int, int] = dict(zip(cids, signs))
         self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
 
     @cached_property
-    def rows(self) -> dict[int, tuple[int, int, int, int]]:
-        """Crossing id -> slot quadruple."""
-        return {x.cid: x.slots for x in self.crossings}
+    def crossings(self) -> tuple[Crossing, ...]:
+        """The crossings as records, in row order."""
+        # tuple.__new__ straight from C, not Crossing's Python-level __new__
+        return tuple(map(tuple.__new__, repeat(Crossing),
+                         zip(self.rows, self.rows.values(), self.signs.values())))
 
     @cached_property
-    def signs(self) -> dict[int, int]:
-        """Crossing id -> crossing sign."""
-        return {x.cid: x.sign for x in self.crossings}
+    def arc_classes(self) -> dict[int, int]:
+        """Each edge -> the smallest edge of its Fox arc.
 
-    @cached_property
-    def _arc_class(self) -> dict[int, int]:
-        return _merge_over_pairs([x.slots for x in self.crossings])
+        Two edges belong to one Fox arc when they are the over-slot pair of
+        some crossing: the over strand runs through unbroken.  Read-only.
+        """
+        return _merge_over_pairs(self.rows.values())
 
     # -- basic views ------------------------------------------------------
 
@@ -155,19 +151,8 @@ class Diagram:
     def num_components(self) -> int:
         return len(self.components) + self.free_loops
 
-    def arc_classes(self) -> dict[int, int]:
-        """Map each edge to the representative of its Fox arc.
-
-        Two edges belong to one Fox arc when they are the over-slot pair of
-        some crossing: the over strand runs through unbroken.
-        """
-        return dict(self._arc_class)
-
-    def arc_class_reps(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self._arc_class.values())))
-
     def __repr__(self):
-        return f"Diagram({len(self.crossings)} crossings, {self.num_components} components)"
+        return f"Diagram({len(self.rows)} crossings, {self.num_components} components)"
 
 
 # -- the planar map ----------------------------------------------------------
@@ -215,18 +200,17 @@ INCONSISTENT = "orientation inconsistency: no consistent strand orientation exis
 def _successors(rows: list, signs) -> dict[int, int]:
     """Arc -> the arc after it along its strand, read off the signs.
 
-    Each row's incoming arcs are its under slot 0 and, by its sign, over
-    slot 3 (+1) or 1 (-1).  Raises unless every arc, two per row, is
-    incoming exactly once, so has exactly one head and one tail; a sign
-    other than +1 or -1 gives its row no incoming over-arc.
+    Each row's incoming arcs are its under slot 0 and its ``over_in_slot``.
+    Raises unless every arc, two per row, is incoming exactly once, so has
+    exactly one head and one tail; a sign other than +1 or -1 gives its row
+    no incoming over-arc.
     """
     succ = {}
     for r, sign in zip(rows, signs):
         succ[r[UNDER_IN]] = r[UNDER_OUT]
-        if sign == 1:
-            succ[r[OVER_B]] = r[OVER_A]
-        elif sign == -1:
-            succ[r[OVER_A]] = r[OVER_B]
+        if sign in (1, -1):
+            k = over_in_slot(sign)
+            succ[r[k]] = r[k ^ 2]
     if len(succ) != 2 * len(rows):
         raise DiagramError(INCONSISTENT)
     return succ
@@ -278,7 +262,7 @@ def _union_roots(nodes, pairs) -> dict:
 
 def writhe(diagram: Diagram) -> int:
     """Sum of crossing signs."""
-    return sum(x.sign for x in diagram.crossings)
+    return sum(diagram.signs.values())
 
 
 def linking_number(diagram: Diagram, i: int, j: int) -> int:
@@ -291,16 +275,12 @@ def linking_number(diagram: Diagram, i: int, j: int) -> int:
     n_cycles = len(diagram.components)
     if i >= n_cycles or j >= n_cycles:
         return 0  # free loops share no crossings
-    comp = {}
-    for k, cyc in enumerate(diagram.components):
-        for e in cyc:
-            comp[e] = k
+    comp = {e: k for k, cyc in enumerate(diagram.components) for e in cyc}
+    # slot 1 lies on the over strand whatever the sign
     total = 0
-    for x in diagram.crossings:
-        cu = comp[x.under_in]
-        co = comp[x.over_in]
-        if {cu, co} == {i, j}:
-            total += x.sign
+    for cid, r in diagram.rows.items():
+        if {comp[r[UNDER_IN]], comp[r[OVER_A]]} == {i, j}:
+            total += diagram.signs[cid]
     if total % 2:
         raise DiagramError("inter-component crossing count is odd; diagram is inconsistent")
     return total // 2
@@ -327,7 +307,7 @@ def _piece_roots(diagram: Diagram) -> list[int]:
     which slot 1 lies on whatever the sign.
     """
     comp = {e: k for k, cyc in enumerate(diagram.components) for e in cyc}
-    pairs = ((comp[x.slots[UNDER_IN]], comp[x.slots[OVER_A]]) for x in diagram.crossings)
+    pairs = ((comp[r[UNDER_IN]], comp[r[OVER_A]]) for r in diagram.rows.values())
     return list(_union_roots(range(len(diagram.components)), pairs).values())
 
 
@@ -347,17 +327,16 @@ def validate(diagram: Diagram) -> list[str]:
     orientation, and a diagram holds no other data to check them against.
     """
     diags: list[str] = []
-    occ = Counter(chain.from_iterable([x.slots for x in diagram.crossings]))
+    occ = Counter(chain.from_iterable(diagram.rows.values()))
     for e, k in occ.items():
         if k != 2:
             diags.append(f"arc {e} appears {k} times (expected 2)")
-    n = len(diagram.crossings)
-    if occ and set(occ) != set(range(1, 2 * n + 1)):
-        diags.append(f"arc labels are not canonical 1..{2 * n}")
+    v = len(diagram.rows)
+    if occ and set(occ) != set(range(1, 2 * v + 1)):
+        diags.append(f"arc labels are not canonical 1..{2 * v}")
     # planar Euler count, per connected piece of the crossing graph
-    if diagram.crossings:
+    if v:
         pieces = len(set(_piece_roots(diagram)))
-        v = len(diagram.crossings)
         e = len(diagram.edges)
         f = _orbit_count(_corner_successors(diagram._occ), chain.from_iterable(diagram._occ.values()))
         if v - e + f != 2 * pieces:
@@ -540,10 +519,11 @@ def serialize_pd(diagram: Diagram) -> str:
     previous component's, starting at its smallest arc.
     """
     new = _canonical_map(diagram.components).__getitem__
-    labels = map(new, chain.from_iterable([x.slots for x in diagram.crossings]))
+    labels = map(new, chain.from_iterable(diagram.rows.values()))
     return _write_pd(diagram.free_loops, [tuple(map(new, cyc)) for cyc in diagram.components],
                      sorted(zip(labels, labels, labels, labels)),
-                     ((tuple(map(new, x.slots)), x.sign) for x in diagram.crossings))
+                     (Crossing(c, tuple(map(new, r)), diagram.signs[c])
+                      for c, r in diagram.rows.items()))
 
 
 def serialize_pd_raw(diagram: Diagram) -> str:
@@ -554,12 +534,13 @@ def serialize_pd_raw(diagram: Diagram) -> str:
     Requires the label set to be 1..2n, which every constructed diagram in
     this package maintains.
     """
-    crossings = sorted(diagram.crossings)  # by id, the first field
-    return _write_pd(diagram.free_loops, diagram.components, [x.slots for x in crossings],
-                     ((x.slots, x.sign) for x in crossings))
+    cids = sorted(diagram.rows)
+    rows = list(map(diagram.rows.__getitem__, cids))
+    return _write_pd(diagram.free_loops, diagram.components, rows,
+                     map(Crossing, cids, rows, map(diagram.signs.__getitem__, cids)))
 
 
-def _write_pd(free_loops: int, cycles, rows: list, signed) -> str:
+def _write_pd(free_loops: int, cycles, rows: list, crossings) -> str:
     """PD text: a ``% loops:`` header, one ``% component:`` header per
     strand cycle in ``cycles``, and ``rows`` in text order.
 
@@ -567,16 +548,16 @@ def _write_pd(free_loops: int, cycles, rows: list, signed) -> str:
     strand of two arcs that passes under nothing, the rows do not say which
     way it runs either, so its header starts at the arc that ends at the
     earlier of its two rows in the text; ``parse_pd`` reads it that way.
-    That takes the signs: ``signed`` yields each row with its sign, and is
-    read only when some cycle has two arcs.
+    That takes the signs: ``crossings`` yields the ``Crossing`` of each row,
+    with the text's labels, and is read only when some cycle has two arcs.
     """
     lines = [f"% loops: {free_loops}"] if free_loops else []
     ends = None
     for cyc in cycles:
         if len(cyc) == 2:
             if ends is None:  # each row's incoming over-arc -> the row's text position
-                sign = dict(signed)
-                ends = {r[OVER_B if sign[r] > 0 else OVER_A]: i for i, r in enumerate(rows)}
+                sign = {x.slots: x.sign for x in crossings}
+                ends = {r[over_in_slot(sign[r])]: i for i, r in enumerate(rows)}
             a, b = cyc
             if a in ends and b in ends and ends[b] < ends[a]:
                 cyc = (b, a)
@@ -587,9 +568,9 @@ def _write_pd(free_loops: int, cycles, rows: list, signed) -> str:
 
 def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
     """Apply an arc-label bijection; keeps crossing ids, signs and free loops."""
-    rows = [tuple(mapping[e] for e in x.slots) for x in diagram.crossings]
-    return Diagram(rows, [x.sign for x in diagram.crossings], free_loops=diagram.free_loops,
-                   cids=[x.cid for x in diagram.crossings],
+    rows = [tuple(mapping[e] for e in r) for r in diagram.rows.values()]
+    return Diagram(rows, list(diagram.signs.values()), free_loops=diagram.free_loops,
+                   cids=list(diagram.rows),
                    _occ={mapping[e]: places for e, places in diagram._occ.items()})
 
 

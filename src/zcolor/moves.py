@@ -33,10 +33,10 @@ from .diagram import (
     OVER_B,
     UNDER_IN,
     UNDER_OUT,
-    Crossing,
     Diagram,
     _next_corner,
     _union_roots,
+    over_in_slot,
     same_diagram,
 )
 
@@ -102,9 +102,10 @@ class DiagramBuilder:
     """Mutable planar map used while applying moves.
 
     ``rows`` maps crossing ids to slot quadruples and ``signs`` to crossing
-    signs; both are read-only outside this class.  The mutators below are
-    their only writers and keep the arc-occurrence index current, so face
-    queries walk only the faces they need.
+    signs, both in one order, as ``Diagram`` stores them: a new crossing's
+    id is above every earlier one.  Both are read-only outside this class;
+    the mutators below are their only writers and keep the arc-occurrence
+    index current, so face queries walk only the faces they need.
 
     Slots, corners and the index are encoded as in ``zcolor.diagram``: slot
     s of crossing c is the position ``4*c + s``, and so is the corner after
@@ -125,14 +126,8 @@ class DiagramBuilder:
     def diagram(self) -> Diagram:
         """A new ``Diagram`` of the current rows with the builder's signs,
         which ``Diagram`` checks are consistent, and a copy of its index."""
-        cids = sorted(self.rows)
-        return Diagram(
-            [self.rows[c] for c in cids],
-            free_loops=self.free_loops,
-            cids=cids,
-            signs=[self.signs[c] for c in cids],
-            _occ={e: places.copy() for e, places in self._occ.items()},
-        )
+        return Diagram(self.rows.values(), self.signs.values(), self.free_loops,
+                       cids=list(self.rows), _occ={e: p.copy() for e, p in self._occ.items()})
 
     # -- mutators -------------------------------------------------------------
 
@@ -203,9 +198,6 @@ class DiagramBuilder:
             return [a] if a == b else [a, b] if a < b else [b, a]
         return sorted({p >> 2 for p in places})
 
-    def crossing(self, cid: int) -> Crossing:
-        return Crossing(cid, self.rows[cid], self.signs[cid])
-
     def corner(self, cid: int, slot: int) -> Optional[int]:
         """The corner after ``slot`` of crossing ``cid``; None if there is no such slot."""
         return 4 * cid + slot if cid in self.rows and 0 <= slot < 4 else None
@@ -217,11 +209,7 @@ class DiagramBuilder:
 
     def is_head(self, cid: int, slot: int) -> bool:
         """Does the edge at this slot terminate here (point into the crossing)?"""
-        if slot == UNDER_IN:
-            return True
-        if slot == UNDER_OUT:
-            return False
-        return slot == (OVER_B if self.signs[cid] > 0 else OVER_A)
+        return slot == UNDER_IN or slot == over_in_slot(self.signs[cid])
 
     def _head(self, edge: int) -> int:
         """The position where ``edge`` ends."""
@@ -312,7 +300,7 @@ class DiagramBuilder:
         (c1, c2), (_, f_b, _, g_b) = report["created"], report["arcs"]
         # the crossing change: the incoming over arc moves to slot 0, the sign flips
         row, s = self.rows[c2], self.signs[c2]
-        k = OVER_B if s > 0 else OVER_A
+        k = over_in_slot(s)
         self.set_row(c2, row[k:] + row[:k])
         self.signs[c2] = -s
         return [c1, c2], (f_b, g_b)

@@ -61,7 +61,15 @@ from typing import Sequence
 
 from .cabling import CableSpec, CableStructure, Region, TwistSite, cable, insert_full_twists
 from .coloring import Coloring, ColoringError, palette, verify_coloring
-from .diagram import Diagram, crossing_graph_pieces, writhe
+from .diagram import (
+    OVER_A,
+    UNDER_IN,
+    UNDER_OUT,
+    Diagram,
+    crossing_graph_pieces,
+    over_in_slot,
+    writhe,
+)
 from .moves import (
     DiagramBuilder,
     Move,
@@ -269,16 +277,16 @@ def plan_drift_twists(diagram: Diagram) -> list[TwistSite]:
     """
     if len(diagram.components) != 1 or diagram.free_loops:
         raise ConstructionError("twist planning needs a one-component knot diagram")
-    under_at = {x.under_in: x for x in diagram.crossings}
+    under_at = {row[UNDER_IN]: cid for cid, row in diagram.rows.items()}
     unders = [under_at[e] for e in diagram.components[0] if e in under_at]
     plan = []
-    for i, x in enumerate(unders):
-        nxt = unders[(i + 1) % len(unders)]
-        if x.sign == nxt.sign:
+    for i, c in enumerate(unders):
+        sign = diagram.signs[c]
+        if sign == diagram.signs[unders[(i + 1) % len(unders)]]:
             # after a positive underpass the pair sits at state 0 and the
             # next positive underpass wants 2: raise with a negative twist;
             # mirrored for negative underpasses
-            plan.append(TwistSite(base_edge=x.under_out, sign=-1 if x.sign > 0 else 1))
+            plan.append(TwistSite(base_edge=diagram.rows[c][UNDER_OUT], sign=-1 if sign > 0 else 1))
     return plan
 
 
@@ -308,7 +316,7 @@ def _color_two_parallel(diagram: Diagram) -> tuple[Diagram, Coloring, CableStruc
     cabled, st = insert_full_twists(cabled, st, sites)
 
     twisted = {site.base_edge for site in sites}
-    wants = {x.under_in: 2 if x.sign > 0 else 0 for x in diagram.crossings}
+    wants = {row[UNDER_IN]: 2 if diagram.signs[c] > 0 else 0 for c, row in diagram.rows.items()}
     cyc = diagram.components[0]
     # walked backward, ``want`` is the next underpass's; the last arc's
     # next underpass is the first one
@@ -340,9 +348,10 @@ def _region_interior_arcs(builder: DiagramBuilder, region: Region) -> set[int]:
 
 
 def _region_met_colors(run: _Run, region: Region) -> list[int]:
-    """Over-line colors in the order the under strands meet them."""
+    """Over-line colors in the order the under strands meet them; both over
+    slots of a crossing carry its over-line's color."""
     first = region.grid[_over_travel_rows(region)[0]]
-    return [run.gamma[run.builder.crossing(c).over_in] for c in first]
+    return [run.gamma[run.builder.rows[c][OVER_A]] for c in first]
 
 
 # -- the span rewrite -------------------------------------------------------------
@@ -363,7 +372,7 @@ def _span(run: _Run, region: Region, push_step: int, across_step: int, push_over
     """
     builder, travel = run.builder, _over_travel_rows(region)
     ends = region.grid[travel[0]][push_step], region.grid[travel[0]][across_step]
-    push, across = (builder.crossing(c).over_in for c in ends)
+    push, across = (builder.rows[c][over_in_slot(builder.signs[c])] for c in ends)
     corner = next((builder.corner_slot(c) for face in builder.faces_through(push)
                    if across in builder.face_arcs(face) for c in face if c >> 2 in ends), None)
     report = run.apply(R2Insert(push_edge=push, across_edge=across, push_over=push_over,
@@ -441,7 +450,7 @@ def _rewrite_region(run: _Run, region: Region, target: int) -> None:
     met = _region_met_colors(run, region)
 
     if p == q == 2:
-        u_state = min(run.gamma[run.builder.crossing(row[0]).under_in] for row in region.grid)
+        u_state = min(run.gamma[run.builder.rows[row[0]][UNDER_IN]] for row in region.grid)
         y_state = min(met)
         if target == 4:
             if y_state != 2:

@@ -98,21 +98,30 @@ def successors(diagram: Diagram) -> dict[int, int]:
     return {a: b for cyc in diagram.components for a, b in zip(cyc, cyc[1:] + cyc[:1])}
 
 
+def oriented(row, sign: int) -> tuple[int, int, int, int]:
+    """(under in, under out, over in, over out) of a crossing's slots and
+    sign, by the PD convention written out here, apart from ``zcolor``'s:
+    the under strand enters at slot 0 and leaves at slot 2, and the over
+    strand enters at slot 3 when the sign is +1 and at slot 1 when it is -1."""
+    under_in, a, under_out, b = row
+    return (under_in, under_out, b, a) if sign > 0 else (under_in, under_out, a, b)
+
+
 def brute_force_fox_count(diagram: Diagram, n: int) -> int:
     """Count colorings mod n by direct enumeration over arc classes.
 
     Independent of the matrix/SNF route: checks the crossing relation
     2*over = under_in + under_out (mod n) on every candidate map.
     """
-    cls = diagram.arc_classes()
+    cls = diagram.arc_classes
     reps = sorted(set(cls.values()))
     count = 0
     for values in itertools.product(range(n), repeat=len(reps)):
         val = dict(zip(reps, values))
         ok = True
-        for x in diagram.crossings:
-            over = val[cls[x.over_in]]
-            if (2 * over - val[cls[x.under_in]] - val[cls[x.under_out]]) % n:
+        for cid, row in diagram.rows.items():
+            under_in, under_out, over_in, _ = oriented(row, diagram.signs[cid])
+            if (2 * val[cls[over_in]] - val[cls[under_in]] - val[cls[under_out]]) % n:
                 ok = False
                 break
         if ok:
@@ -121,23 +130,27 @@ def brute_force_fox_count(diagram: Diagram, n: int) -> int:
 
 
 def oriented_relations_hold(diagram: Diagram, gamma: dict[int, int]) -> bool:
-    """Every crossing relation, read through the oriented accessors: the
-    over arc's incoming and outgoing colors agree, and twice the incoming
-    one is the sum of the under arc's incoming and outgoing colors."""
-    return all(gamma[x.over_in] == gamma[x.over_out]
-               and 2 * gamma[x.over_in] == gamma[x.under_in] + gamma[x.under_out]
-               for x in diagram.crossings)
+    """Every crossing relation, read through ``oriented``: the over arc's
+    incoming and outgoing colors agree, and twice the incoming one is the
+    sum of the under arc's incoming and outgoing colors."""
+    for cid, row in diagram.rows.items():
+        under_in, under_out, over_in, over_out = oriented(row, diagram.signs[cid])
+        if (gamma[over_in] != gamma[over_out]
+                or 2 * gamma[over_in] != gamma[under_in] + gamma[under_out]):
+            return False
+    return True
 
 
 def oriented_diffs(diagram: Diagram, gamma: dict[int, int]) -> dict[int, int]:
-    """Crossing id -> its diff under a valid coloring, read through the
-    oriented accessors: the distance from the incoming over color to the
-    incoming under color, which equals that to the outgoing one."""
+    """Crossing id -> its diff under a valid coloring, read through
+    ``oriented``: the distance from the incoming over color to the incoming
+    under color, which equals that to the outgoing one."""
     diffs = {}
-    for x in diagram.crossings:
-        d = abs(gamma[x.over_in] - gamma[x.under_in])
-        assert d == abs(gamma[x.over_in] - gamma[x.under_out]), x
-        diffs[x.cid] = d
+    for cid, row in diagram.rows.items():
+        under_in, under_out, over_in, _ = oriented(row, diagram.signs[cid])
+        d = abs(gamma[over_in] - gamma[under_in])
+        assert d == abs(gamma[over_in] - gamma[under_out]), (cid, row)
+        diffs[cid] = d
     return diffs
 
 
@@ -399,15 +412,16 @@ def dense_coloring_matrix(diagram: Diagram) -> ColoringMatrix:
     rows became sparse: coefficients fuse when classes coincide, so a
     kink whose over and under arcs are one class gives the zero row.
     """
-    cls = diagram.arc_classes()
-    cols = diagram.arc_class_reps()
+    cls = diagram.arc_classes
+    cols = tuple(sorted(set(cls.values())))
     idx = {c: i for i, c in enumerate(cols)}
     rows = []
-    for x in diagram.crossings:
+    for cid, slots in diagram.rows.items():
+        under_in, under_out, over_in, _ = oriented(slots, diagram.signs[cid])
         row = [0] * len(cols)
-        row[idx[cls[x.over_in]]] += 2
-        row[idx[cls[x.under_in]]] -= 1
-        row[idx[cls[x.under_out]]] -= 1
+        row[idx[cls[over_in]]] += 2
+        row[idx[cls[under_in]]] -= 1
+        row[idx[cls[under_out]]] -= 1
         rows.append(tuple(row))
     return ColoringMatrix(rows=tuple(rows), columns=cols)
 
@@ -679,8 +693,8 @@ def reference_r3(builder, mv) -> dict:
     def strand_route(inner):
         """(c_first, c_second, x_in, x_out): strand order through the triangle."""
         def in_out(cid):
-            x = builder.crossing(cid)
-            return (x.under_in, x.under_out) if is_under_at(cid, inner) else (x.over_in, x.over_out)
+            under_in, under_out, over_in, over_out = oriented(rows[cid], builder.signs[cid])
+            return (under_in, under_out) if is_under_at(cid, inner) else (over_in, over_out)
 
         # inner is the strand's out-edge at its first crossing
         c_first, c_second = strands[inner]
@@ -937,7 +951,7 @@ def solve_partial(diagram: Diagram, partial: dict[int, int]) -> Optional[dict[in
     if unknown:
         raise DiagramError(f"assignment names unknown arcs: {sorted(unknown)}")
     lat = diagram_lattice(diagram)
-    cls = diagram.arc_classes()
+    cls = diagram.arc_classes
     pinned: dict[int, int] = {}
     for e, v in partial.items():
         rep = cls[e]

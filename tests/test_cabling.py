@@ -152,7 +152,7 @@ def test_inter_component_grid_crossings_carry_base_sign():
     u2 = parallel(parse_pd("X[1,1,2,2]"), CableSpec(multiplicities=(2,)))
     comp = comp_of(u2)
     inter = [x for x in u2.crossings
-             if comp[x.under_in] != comp[x.over_in]]
+             if comp[x.slots[0]] != comp[x.slots[1]]]
     assert len(inter) == 2
     assert all(x.sign == 1 for x in inter)
 

@@ -35,7 +35,7 @@ def test_constant_colorings_always_valid(corpus):
 
 
 def test_three_color_patterns_fail_over_z():
-    cls = TREFOIL.arc_classes()
+    cls = TREFOIL.arc_classes
     reps = sorted(set(cls.values()))
     for perm in itertools.permutations([0, 1, 2]):
         val = dict(zip(reps, perm))
@@ -77,8 +77,8 @@ def _colorings_to_check(corpus, rng):
 
 def test_sign_free_checks_match_the_oriented_reference(corpus):
     """``verify_coloring``, ``diff_spectrum`` and ``propagate_coloring`` read
-    slots and no sign; they agree with the relations read through
-    ``over_in``, ``over_out``, ``under_in`` and ``under_out``."""
+    slots and no sign; they agree with the relations read through each
+    crossing's incoming and outgoing arcs (``conftest.oriented``)."""
     rng = seeded_rng()
     valid = invalid = nontrivial = 0
     for name, d, gamma in _colorings_to_check(corpus, rng):

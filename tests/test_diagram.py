@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import isomorphic, seeded_rng, successors
+from conftest import isomorphic, oriented, seeded_rng, successors
 from zcolor.diagram import (
     Diagram,
     DiagramError,
@@ -201,10 +201,10 @@ def test_writhe_invariant_under_relabeling(corpus):
 
 def test_arc_classes_merge_over_pairs():
     d = parse_pd(TREFOIL)
-    cls = d.arc_classes()
+    cls = d.arc_classes
     assert len(set(cls.values())) == 3
     k = parse_pd("X[1,1,2,2]")
-    assert len(set(k.arc_classes().values())) == 1
+    assert len(set(k.arc_classes.values())) == 1
 
 
 INCONSISTENT = "orientation inconsistency: no consistent strand orientation exists"
@@ -274,7 +274,7 @@ def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
         canonical(d)
         builder = DiagramBuilder(d)
         if d.crossings:
-            apply_move(builder, R1Insert(edge=d.crossings[0].under_in, sign=1))
+            apply_move(builder, R1Insert(edge=d.crossings[0].slots[0], sign=1))
         builder.diagram()
     insert_full_twists(*cable(corpus["trefoil_writhe0"], CableSpec((2,))),
                        [TwistSite(base_edge=1, sign=1)])
@@ -306,10 +306,13 @@ def test_isomorphic():
 
 
 def test_signs_recomputed_from_traversal(corpus):
+    """Each crossing's sign, read by ``conftest.oriented``, runs both its
+    strands the way the components run."""
     for d in corpus.values():
-        for x in d.crossings:
-            expected = 1 if x.over_in == x.slots[3] else -1
-            assert x.sign == expected
+        succ = successors(d)
+        for cid, row in d.rows.items():
+            under_in, under_out, over_in, over_out = oriented(row, d.signs[cid])
+            assert (succ[under_in], succ[over_in]) == (under_out, over_out), (cid, row)
 
 
 def _relabelled_text(d: Diagram) -> str:
@@ -517,7 +520,7 @@ def test_two_arc_header_of_an_over_strand_starts_at_the_earlier_row():
     assert [x.sign for x in parse_pd("% component: 3 4\n" + rows).crossings] == [-1, 1]
     flipped = parse_pd("% component: 4 3\n" + rows)
     assert [x.sign for x in flipped.crossings] == [1, -1]
-    assert [x.over_in for x in flipped.crossings] == [4, 3]
+    assert [oriented(x.slots, x.sign)[2] for x in flipped.crossings] == [4, 3]
 
 
 # -- the one-scan reader against the token scanner ----------------------------

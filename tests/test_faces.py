@@ -327,7 +327,7 @@ def test_builder_signs_orient_its_diagram(name):
         apply_move(builder, move)
         d = builder.diagram()
         assert diagram_signs(d) == builder.signs, move
-        unders = {x.under_in for x in d.crossings}
+        unders = {row[0] for row in d.rows.values()}
         if all(unders.intersection(cyc) for cyc in d.components):
             cids = sorted(builder.rows)
             solved = pd_signs([builder.rows[c] for c in cids])

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import balanced_random_knot, pd_signs, seeded_rng, single_stage, solve_partial
+from conftest import (
+    balanced_random_knot,
+    pd_signs,
+    seeded_rng,
+    single_stage,
+    solve_partial,
+)
 from zcolor import diagram, moves
 from zcolor.cabling import CableSpec, cable
 from zcolor.coloring import verify_coloring
@@ -299,10 +305,11 @@ def rotated_copies(d: Diagram):
 def reversed_over_only_strands(d: Diagram):
     """The same rows with each strand that passes under nothing run the
     other way: the signs of the crossings it passes over flip."""
-    unders = {x.under_in for x in d.crossings}
+    unders = {x.slots[0] for x in d.crossings}
     for cyc in d.components:
         if unders.isdisjoint(cyc):
-            signs = [-x.sign if x.over_in in cyc else x.sign for x in d.crossings]
+            # both over slots lie on the over strand
+            signs = [-x.sign if x.slots[1] in cyc else x.sign for x in d.crossings]
             yield "strand reversed", Diagram([x.slots for x in d.crossings], signs,
                                              d.free_loops, cids=[x.cid for x in d.crossings])
 
