@@ -6,9 +6,9 @@ under-arc, slot 2 the outgoing under-arc; slots 1 and 3 carry the over
 strand, and the crossing sign says which one is incoming: slot 3 at sign
 +1, else slot 1.  ``over_in_slot`` is the one place that rule is written.
 Every ``Diagram`` is built from its signs, and checks only that they
-orient each arc one way.  PD text does
-not carry the signs, so ``parse_pd`` is the one place that solves them,
-from the rows and the ``% component:`` headers (``_solve_signs``).
+orient each arc one way.  PD text does not carry the signs, so
+``parse_pd`` is the one place that solves them, from the rows and the
+``% component:`` headers (``_solve_signs``).
 
 PD text has one reader and one writer.  ``parse_pd`` checks every term
 with one regular-expression match and converts the labels with one

@@ -100,9 +100,9 @@ def successors(diagram: Diagram) -> dict[int, int]:
 
 def oriented(row, sign: int) -> tuple[int, int, int, int]:
     """(under in, under out, over in, over out) of a crossing's slots and
-    sign, by the PD convention written out here, apart from ``zcolor``'s:
-    the under strand enters at slot 0 and leaves at slot 2, and the over
-    strand enters at slot 3 when the sign is +1 and at slot 1 when it is -1."""
+    sign, by the PD convention written out here rather than read through
+    ``zcolor``: the under strand enters at slot 0 and leaves at slot 2, and
+    the over strand enters at slot 3 when the sign is +1, else at slot 1."""
     under_in, a, under_out, b = row
     return (under_in, under_out, b, a) if sign > 0 else (under_in, under_out, a, b)
 

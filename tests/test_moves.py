@@ -405,11 +405,15 @@ def picked_move(b: DiagramBuilder, kind: str, i: int, j: int, flag: bool):
 @settings(max_examples=300, deadline=None)
 @given(MOVE_SOURCES, MOVE_PICKS)
 @example(parse_pd("X[1,3,2,2] X[3,4,4,1]"), [("R1+", 1, 0, False), ("R2-", 0, 0, False)])
+@example(parse_pd("X[3,1,4,4] X[2,1,3,2]"), [("R2-", 1, 0, False)])
 def test_every_accepted_move_leaves_a_planar_map(source, picks):
     """After every move that applies, the builder's diagram builds, passes
-    ``validate`` but for its labels, and the moves so far replay to it as one
-    verified trace.  The example is an R2- whose bigon's two strands share
-    an outer arc: a kink's loop runs out of the bigon and straight back in."""
+    ``validate`` but for its labels, keeps the source's number of
+    components, and the moves so far replay to it as one verified trace.
+    The examples are R2- moves whose bigon's two strands share outer arcs:
+    a kink's loop runs out of the bigon and straight back in, and, in the
+    second, each strand runs from the bigon back into the other, so that
+    removing the bigon leaves one free loop."""
     b = DiagramBuilder(source)
     applied = []
     for pick in picks:
@@ -423,5 +427,6 @@ def test_every_accepted_move_leaves_a_planar_map(source, picks):
         applied.append((move, 1))
         d = b.diagram()
         assert structural(d) == [], applied
+        assert d.num_components == source.num_components, applied
         trace = single_stage(applied, {1: frozenset(source.rows)})
         assert verify_local_equivalence(source, d, trace).ok, applied
