@@ -202,10 +202,9 @@ def cmd_minimize(args) -> int:
 def cmd_verify(args) -> int:
     d = _load_diagram(args.pd)
     gamma = _decode_json(args.coloring, jsonio.coloring_from_json, "coloring")
-    ok = coloring.verify_coloring(d, gamma)
-    doc = {"valid": ok}
-    if ok:
-        spec = coloring.diff_spectrum(d, gamma)
+    spec = coloring.valid_spectrum(d, gamma)
+    doc = {"valid": spec is not None}
+    if spec is not None:
         doc.update(jsonio.spectrum_to_json(spec, gamma))
     _emit(doc, args.pretty)
     return 0

@@ -54,8 +54,18 @@ def verify_coloring(diagram: Diagram, gamma: Coloring) -> bool:
 
 
 def diff_spectrum(diagram: Diagram, gamma: Coloring) -> DiffSpectrum:
-    if not verify_coloring(diagram, gamma):
+    spec = valid_spectrum(diagram, gamma)
+    if spec is None:
         raise ColoringError("not a valid coloring")
+    return spec
+
+
+def valid_spectrum(diagram: Diagram, gamma: Coloring) -> Optional[DiffSpectrum]:
+    """``gamma``'s diff spectrum if it is a valid coloring of ``diagram``,
+    else None.  It is checked once, by ``verify_coloring``, which raises
+    ColoringError unless ``gamma`` is total."""
+    if not verify_coloring(diagram, gamma):
+        return None
     diffs = {}
     hist: dict[int, int] = {}
     for cid, (a, b, _, _) in diagram.rows.items():

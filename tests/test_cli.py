@@ -331,6 +331,35 @@ def test_a_rewriting_command_verifies_its_input_and_output_once(tmp_path, capsys
         assert sum(map(len, calls)) == 2, argv
 
 
+def test_verify_checks_the_coloring_once(tmp_path, capsys, count_calls):
+    """``verify`` runs ``verify_coloring`` once and reads the spectrum of
+    the coloring it verified; an invalid coloring still prints
+    ``"valid": false``, and a coloring that is not total still exits 1."""
+    from zcolor import coloring
+
+    code, doc = run(capsys, "color-parallel", "--spec", "4,4", str(CORPUS / "hopf.pd"))
+    assert code == 0
+    pd_file = tmp_path / "hopf-44.pd"
+    pd_file.write_text(doc["pd"])
+    gamma = jsonio.coloring_from_json(doc["coloring"])
+    calls = count_calls(coloring, "verify_coloring")
+    bad = dict(gamma)
+    bad[min(bad)] += 1
+    for name, g, want in (("valid", gamma, 0), ("invalid", bad, 0), ("partial", {1: 0}, 1)):
+        calls.clear()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(jsonio.coloring_to_json(g)))
+        code, out = run(capsys, "verify", str(pd_file), str(path))
+        assert (code, len(calls)) == (want, 1), name
+        if name == "valid":
+            assert out["valid"] is True and out["palette"] == doc["palette"]
+            assert len(out["diffs"]) == 32
+        elif name == "invalid":
+            assert out == {"schema_version": 1, "valid": False}
+        else:
+            assert out["error"]["type"] == "ColoringError"
+
+
 def test_colorability_emits_lattice(capsys):
     code, doc = run(capsys, "colorability", str(CORPUS / "trefoil.pd"))
     assert code == 0
@@ -610,7 +639,7 @@ def test_replay_text_keeps_a_two_arc_over_strand_direction(tmp_path, capsys):
     code, doc = run(capsys, "replay", str(source), str(trace))
     assert code == 0
     out = parse_pd(doc["pd"])
-    assert [x.sign for x in out.crossings] == [1, 1] and writhe(out) == 2
+    assert list(out.signs.values()) == [1, 1] and writhe(out) == 2
     target = tmp_path / "target.pd"
     target.write_text(doc["pd"])
     code, doc = run(capsys, "replay", str(source), str(trace), "--check", str(target))
