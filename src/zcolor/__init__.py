@@ -33,7 +33,6 @@ from .coloring import (
     verify_coloring,
 )
 from .diagram import (
-    Crossing,
     Diagram,
     DiagramError,
     PDSyntaxError,
@@ -69,7 +68,6 @@ __all__ = [
     "ColoringLattice",
     "ColoringMatrix",
     "ConstructionError",
-    "Crossing",
     "Diagram",
     "DiagramError",
     "DiffSpectrum",

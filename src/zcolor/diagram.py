@@ -18,18 +18,20 @@ bad header on an earlier line comes first.  ``serialize_pd`` and
 hand to one writer, ``_write_pd``, which orders a two-arc header by the
 text positions of its rows.
 
-The planar map is encoded here and nowhere else.  A ``Diagram`` stores it
-as the move builder (``zcolor.moves``) does: ``rows`` maps each crossing
-id to its slots and ``signs`` to its sign, and every reader in the
-package reads those two dicts.  Slot s of crossing c is the position
-``4*c + s``, and so is the corner counterclockwise after it.
-``occurrences`` maps each arc to the positions of its two occurrences;
-``parse_pd`` builds it once for the sign walk and for ``Diagram``, which
-keeps it.  ``_next_corner`` is the one face step, and ``validate``'s Euler
-count lays it out for every corner at once.  The builder starts from
-copies of a diagram's maps and index and hands its own to the
-``Diagram`` it builds; ``same_diagram`` reads only ``rows``, ``signs``
-and ``free_loops``, so it compares either.
+The planar map is encoded here and nowhere else, in one representation,
+the one the move builder (``zcolor.moves``) keeps: ``rows`` maps each
+crossing id to its slots and ``signs`` to its sign, and every reader in the
+package reads those two dicts.  There are no crossing records;
+``Diagram.crossings`` is ``rows`` under another name, kept only because the
+benchmark harness sizes diagrams by ``len(d.crossings)``.  Slot s of
+crossing c is the position ``4*c + s``, and so is the corner
+counterclockwise after it.  ``occurrences`` maps each arc to the positions
+of its two occurrences; ``parse_pd`` builds it once for the sign walk and
+for ``Diagram``, which keeps it.  ``_next_corner`` is the one face step,
+and ``validate``'s Euler count lays it out for every corner at once.  The
+builder starts from copies of a diagram's maps and index and hands its own
+to the ``Diagram`` it builds; ``same_diagram`` reads only ``rows``,
+``signs`` and ``free_loops``, so it compares either.
 
 Arc labels are the PD edge labels 1..2n.  The arcs of Fox/integer coloring
 theory (maximal overpasses) are the equivalence classes of edge labels
@@ -42,9 +44,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from operator import ne
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class PDSyntaxError(ValueError):
@@ -61,14 +63,6 @@ class DiagramError(ValueError):
 
 
 UNDER_IN, OVER_A, UNDER_OUT, OVER_B = 0, 1, 2, 3
-
-
-class Crossing(NamedTuple):
-    """One crossing: its id, slot quadruple (ccw from incoming under-arc) and sign."""
-
-    cid: int
-    slots: tuple[int, int, int, int]
-    sign: int
 
 
 def over_in_slot(sign: int) -> int:
@@ -125,12 +119,11 @@ class Diagram:
         self.signs: dict[int, int] = dict(zip(cids, signs))
         self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
 
-    @cached_property
-    def crossings(self) -> tuple[Crossing, ...]:
-        """The crossings as records, in row order."""
-        # tuple.__new__ straight from C, not Crossing's Python-level __new__
-        return tuple(map(tuple.__new__, repeat(Crossing),
-                         zip(self.rows, self.rows.values(), self.signs.values())))
+    @property
+    def crossings(self) -> dict[int, tuple[int, int, int, int]]:
+        """``rows``, for the benchmark harness, which reads ``len(d.crossings)``
+        (``perfbench/workloads.py``, ``tracing._size``) until it reads ``len(d.rows)``."""
+        return self.rows
 
     @cached_property
     def arc_classes(self) -> dict[int, int]:
@@ -522,8 +515,8 @@ def serialize_pd(diagram: Diagram) -> str:
     labels = map(new, chain.from_iterable(diagram.rows.values()))
     return _write_pd(diagram.free_loops, [tuple(map(new, cyc)) for cyc in diagram.components],
                      sorted(zip(labels, labels, labels, labels)),
-                     (Crossing(c, tuple(map(new, r)), diagram.signs[c])
-                      for c, r in diagram.rows.items()))
+                     ((tuple(map(new, r)), s)
+                      for r, s in zip(diagram.rows.values(), diagram.signs.values())))
 
 
 def serialize_pd_raw(diagram: Diagram) -> str:
@@ -537,10 +530,10 @@ def serialize_pd_raw(diagram: Diagram) -> str:
     cids = sorted(diagram.rows)
     rows = list(map(diagram.rows.__getitem__, cids))
     return _write_pd(diagram.free_loops, diagram.components, rows,
-                     map(Crossing, cids, rows, map(diagram.signs.__getitem__, cids)))
+                     zip(rows, map(diagram.signs.__getitem__, cids)))
 
 
-def _write_pd(free_loops: int, cycles, rows: list, crossings) -> str:
+def _write_pd(free_loops: int, cycles, rows: list, signs) -> str:
     """PD text: a ``% loops:`` header, one ``% component:`` header per
     strand cycle in ``cycles``, and ``rows`` in text order.
 
@@ -548,15 +541,15 @@ def _write_pd(free_loops: int, cycles, rows: list, crossings) -> str:
     strand of two arcs that passes under nothing, the rows do not say which
     way it runs either, so its header starts at the arc that ends at the
     earlier of its two rows in the text; ``parse_pd`` reads it that way.
-    That takes the signs: ``crossings`` yields the ``Crossing`` of each row,
-    with the text's labels, and is read only when some cycle has two arcs.
+    That takes the signs: ``signs`` yields each row, in the text's labels,
+    with its sign, and is read only when some cycle has two arcs.
     """
     lines = [f"% loops: {free_loops}"] if free_loops else []
     ends = None
     for cyc in cycles:
         if len(cyc) == 2:
             if ends is None:  # each row's incoming over-arc -> the row's text position
-                sign = {x.slots: x.sign for x in crossings}
+                sign = dict(signs)
                 ends = {r[over_in_slot(sign[r])]: i for i, r in enumerate(rows)}
             a, b = cyc
             if a in ends and b in ends and ends[b] < ends[a]:

@@ -6,9 +6,12 @@ edits with deterministic id allocation, so a trace can be checked by
 replaying it and comparing the result with the claimed target.
 
 ``DiagramBuilder`` carries a ``Diagram``'s rows, signs and free loops and
-a copy of its occurrence index.  A move sets the signs of the crossings it
-creates and leaves every other sign alone, so no move rebuilds a
-``Diagram``, and ``same_diagram`` compares a builder as it stands.
+a copy of its occurrence index.  ``DiagramBuilder.set_row`` is the one
+writer of the rows and the index: every move adds, rewrites and removes
+rows through it, and R1- and R2- then join arcs through ``_join_arcs``.  A
+move sets the signs of the crossings it creates and leaves every other
+sign alone, so no move rebuilds a ``Diagram``, and ``same_diagram``
+compares a builder as it stands.
 
 ``apply_move`` reports the rows each move changed and what it built: the
 new arcs of a kink or a bigon, and the corners of an R3's new triangle
@@ -29,10 +32,8 @@ from itertools import chain
 from typing import NamedTuple, Optional
 
 from .diagram import (
-    OVER_A,
     OVER_B,
     UNDER_IN,
-    UNDER_OUT,
     Diagram,
     _next_corner,
     _union_roots,
@@ -103,9 +104,10 @@ class DiagramBuilder:
 
     ``rows`` maps crossing ids to slot quadruples and ``signs`` to crossing
     signs, both in one order, as ``Diagram`` stores them: a new crossing's
-    id is above every earlier one.  Both are read-only outside this class;
-    the mutators below are their only writers and keep the arc-occurrence
-    index current, so face queries walk only the faces they need.
+    id is above every earlier one.  Both are read-only outside this class.
+    ``set_row`` is the one writer of ``rows`` and of the arc-occurrence
+    index, which it keeps current, so face queries walk only the faces
+    they need; the other mutators write rows through it.
 
     Slots, corners and the index are encoded as in ``zcolor.diagram``: slot
     s of crossing c is the position ``4*c + s``, and so is the corner after
@@ -131,57 +133,54 @@ class DiagramBuilder:
 
     # -- mutators -------------------------------------------------------------
 
-    def _unindex(self, edge: int, p: int) -> None:
-        places = self._occ[edge]
-        places.remove(p)
-        if not places:
-            del self._occ[edge]
+    def set_row(self, cid: int, row: Optional[tuple[int, int, int, int]]) -> None:
+        """Write crossing ``cid``'s row: a new crossing's, a rewrite of an
+        existing one's (its sign stays), or ``None`` to remove the row.  The
+        one writer of ``rows`` and of the occurrence index, which changes
+        only at the slots whose label changes."""
+        occ = self._occ
+        if row is None:
+            old, row = self.rows.pop(cid), (0, 0, 0, 0)  # no label is 0
+        else:
+            old = self.rows.get(cid, (0, 0, 0, 0))
+            self.rows[cid] = row = tuple(row)
+        p = 4 * cid
+        for a, b in zip(old, row):
+            if a != b:
+                if a:
+                    places = occ[a]
+                    places.remove(p)
+                    if not places:
+                        del occ[a]
+                if b:
+                    occ.setdefault(b, []).append(p)
+            p += 1
 
     def _replace(self, p: int, new_edge: int) -> int:
         cid, slot = p >> 2, p & 3
         row = list(self.rows[cid])
-        self._unindex(row[slot], p)
-        self._occ.setdefault(new_edge, []).append(p)
         row[slot] = new_edge
-        self.rows[cid] = tuple(row)
+        self.set_row(cid, row)
         return cid
-
-    def set_row(self, cid: int, row: tuple[int, int, int, int]) -> None:
-        """Write a whole row of an existing crossing; its sign stays."""
-        occ = self._occ
-        p = 4 * cid
-        for old, new in zip(self.rows[cid], row):
-            if old != new:  # ``_unindex``, inline: every R3 writes three rows
-                places = occ[old]
-                places.remove(p)
-                if not places:
-                    del occ[old]
-                occ.setdefault(new, []).append(p)
-            p += 1
-        self.rows[cid] = tuple(row)
 
     def replace_head(self, edge: int, new_edge: int) -> int:
         """Write ``new_edge`` where ``edge`` ends; returns that crossing."""
         return self._replace(self._head(edge), new_edge)
 
-    def rename_arc(self, old: int, new: int, skip=()) -> list[int]:
-        """Write ``new`` for ``old`` outside the crossings ``skip``; returns those written."""
-        places = [p for p in self._occ.get(old, ()) if p >> 2 not in skip]
-        return list(dict.fromkeys([self._replace(p, new) for p in places]))
+    def rename_arc(self, old: int, new: int) -> list[int]:
+        """Write ``new`` for ``old`` wherever it occurs; returns the crossings written."""
+        return list(dict.fromkeys([self._replace(p, new) for p in list(self._occ.get(old, ()))]))
 
     def add_crossing(self, row: tuple[int, int, int, int], sign: int) -> int:
         cid = self.next_cid
         self.next_cid += 1
-        self.rows[cid] = row
         self.signs[cid] = sign
-        for p, e in enumerate(row, 4 * cid):
-            self._occ.setdefault(e, []).append(p)
+        self.set_row(cid, row)
         return cid
 
     def remove_crossing(self, cid: int):
         del self.signs[cid]
-        for p, e in enumerate(self.rows.pop(cid), 4 * cid):
-            self._unindex(e, p)
+        self.set_row(cid, None)
 
     def fresh_edge(self) -> int:
         e = self.next_edge
@@ -364,25 +363,29 @@ def _apply_r1_remove(builder: DiagramBuilder, mv: R1Remove) -> dict:
     row = builder.rows.get(mv.cid)
     if row is None:
         raise MoveError(f"no such crossing: {mv.cid}")
-    loop = None
-    for e in row:
-        if row.count(e) == 2:
-            pairs = [s for s, x in enumerate(row) if x == e]
-            # a kink loop occupies one under slot and one over slot
-            if (pairs[0] in (UNDER_IN, UNDER_OUT)) != (pairs[1] in (UNDER_IN, UNDER_OUT)):
-                loop = e
-                break
+    # a kink loop occupies one under slot and one over slot: two adjacent ones
+    loop = next((e for s, e in enumerate(row) if e in (row[s - 1], row[(s + 1) % 4])), None)
     if loop is None:
         raise MoveError(f"crossing {mv.cid} is not a removable kink")
-    e_a, e_b = [e for e in row if e != loop]
     builder.remove_crossing(mv.cid)
-    if e_a == e_b:
-        # isolated kink on its own circle
-        if not builder.incident(e_a):
-            builder.free_loops += 1
-        return {"created": [], "touched": [mv.cid], "relabelled": []}
-    keep, drop = min(e_a, e_b), max(e_a, e_b)
-    return {"created": [], "touched": [mv.cid], "relabelled": builder.rename_arc(drop, keep)}
+    # the arcs into and out of the kink become one; on an isolated kink
+    # they are one arc already, which now meets no crossing
+    outer = [tuple(e for e in row if e != loop)]
+    return {"created": [], "touched": [mv.cid], "relabelled": _join_arcs(builder, outer)}
+
+
+def _join_arcs(builder: DiagramBuilder, pairs: list[tuple[int, int]]) -> list[int]:
+    """Join the arcs of each of ``pairs``, whose crossings between them are
+    removed: each class of the pairs' union takes its smallest arc's label,
+    and a class left on no crossing is a free loop.  Returns the crossings
+    relabelled."""
+    roots = _union_roots(chain.from_iterable(pairs), pairs)
+    renamed = []
+    for arc, root in roots.items():
+        if arc != root:
+            renamed += builder.rename_arc(arc, root)
+    builder.free_loops += sum(not builder.incident(root) for root in set(roots.values()))
+    return list(dict.fromkeys(renamed))
 
 
 def _locate_r2_face(builder: DiagramBuilder, mv: R2Insert):
@@ -466,42 +469,18 @@ def _apply_r2_remove(builder: DiagramBuilder, mv: R2Remove) -> dict:
     if len(inner) != 2:
         raise MoveError(f"crossings {mv.cid1},{mv.cid2} do not bound a bigon")
 
-    def is_under(s):
-        return s in (UNDER_IN, UNDER_OUT)
-
-    # one inner edge is under at both crossings, the other over at both
-    unders = [e for e in inner if is_under(r1.index(e)) and is_under(r2.index(e))]
-    overs = [e for e in inner if not is_under(r1.index(e)) and not is_under(r2.index(e))]
-    if len(unders) != 1 or len(overs) != 1:
+    # one inner edge is under (an even slot) at both crossings, the other over at both
+    if {(r1.index(e) & 1, r2.index(e) & 1) for e in inner} != {(0, 0), (1, 1)}:
         raise MoveError("bigon is clasped (same strand not over at both crossings)")
     if builder.signs[mv.cid1] + builder.signs[mv.cid2] != 0:
         raise MoveError("bigon crossings do not have opposite signs")
-
-    def strand_edges(row, e):
-        s = row.index(e)
-        if is_under(s):
-            return (row[UNDER_IN], row[UNDER_OUT])
-        return (row[OVER_A], row[OVER_B])
-
-    # each strand's two outer arcs become one arc; the strands' outer arcs
-    # may share an arc (one strand leaves the bigon and runs straight back
-    # in as the other), so the merge is transitive
-    outer = []
-    for mid in inner:
-        a1, b1 = strand_edges(r1, mid)
-        a2, b2 = strand_edges(r2, mid)
-        outer.append((a1 if b1 == mid else b1, a2 if b2 == mid else b2))
-    keep = _union_roots(chain.from_iterable(outer), outer)
-    renamed = []
-    for arc, root in keep.items():
-        if arc != root:
-            renamed += builder.rename_arc(arc, root, skip=(mv.cid1, mv.cid2))
+    # each strand's outer arcs, at the slots opposite its inner edge, become
+    # one arc; the strands' outer arcs may share an arc (one strand leaves
+    # the bigon and runs straight back in as the other)
+    outer = [(r1[r1.index(e) ^ 2], r2[r2.index(e) ^ 2]) for e in inner]
     builder.remove_crossing(mv.cid1)
     builder.remove_crossing(mv.cid2)
-    # a merged arc that meets no crossing closed up through the bigon alone
-    builder.free_loops += sum(not builder.incident(root) for root in set(keep.values()))
-    return {"created": [], "touched": [mv.cid1, mv.cid2],
-            "relabelled": list(dict.fromkeys(renamed))}
+    return {"created": [], "touched": [mv.cid1, mv.cid2], "relabelled": _join_arcs(builder, outer)}
 
 
 def _apply_r3(builder: DiagramBuilder, mv: R3) -> dict:

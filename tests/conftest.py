@@ -731,6 +731,59 @@ def reference_r3(builder, mv) -> dict:
     return {"created": [], "touched": list(cids), "relabelled": [], "triangle": list(flipped[0])}
 
 
+def _glued(rows: dict, signs: dict, free_loops: int, gone, pairs):
+    """``rows``, ``signs`` and ``free_loops`` without the crossings ``gone``,
+    the two arcs of each of ``pairs`` made one by substituting the first
+    label for the second everywhere, pair after pair; a joined arc that no
+    row is left on is a circle of its own."""
+    rows = {c: list(r) for c, r in rows.items() if c not in gone}
+    pairs = [list(p) for p in pairs]
+    for keep, drop in pairs:
+        for labels in [*rows.values(), *pairs]:
+            labels[:] = [keep if e == drop else e for e in labels]
+    ends = {keep for keep, _ in pairs}
+    free_loops += sum(all(e not in r for r in rows.values()) for e in ends)
+    return ({c: tuple(r) for c, r in rows.items()},
+            {c: s for c, s in signs.items() if c not in gone}, free_loops)
+
+
+def reference_r1_remove(rows: dict, signs: dict, free_loops: int, cid: int):
+    """An R1- on plain rows (crossing id -> four arc labels), signs and free
+    loops, or None unless ``cid`` is a kink: one label at an under slot (0
+    or 2) and at an over slot (1 or 3) of its row.  The kink goes, and its
+    two other labels, the arcs into and out of it, become one arc."""
+    row = rows.get(cid)
+    if row is None:
+        return None
+    loops = [e for e in row if {s % 2 for s, x in enumerate(row) if x == e} == {0, 1}]
+    if not loops:
+        return None
+    outer = [e for e in row if e != loops[0]]
+    return _glued(rows, signs, free_loops, {cid}, [outer])
+
+
+def reference_r2_remove(rows: dict, signs: dict, free_loops: int, c1: int, c2: int):
+    """An R2- on plain rows, signs and free loops, or None unless ``c1`` and
+    ``c2`` bound a bigon: two labels occur once in each row, one at under
+    slots (0 or 2) of both, the other at over slots (1 or 3) of both, and
+    the signs are opposite.  Both crossings go, and at each inner arc the
+    labels on its strand beyond the two crossings become one arc."""
+    if c1 == c2 or c1 not in rows or c2 not in rows or signs[c1] + signs[c2]:
+        return None
+    r1, r2 = rows[c1], rows[c2]
+    inner = [e for e in set(r1) & set(r2) if r1.count(e) == r2.count(e) == 1]
+    if len(inner) != 2 or {(r1.index(e) % 2, r2.index(e) % 2) for e in inner} != {(0, 0), (1, 1)}:
+        return None
+
+    def beyond(row, e):
+        """The other label on ``e``'s strand: under slots 0 and 2, over 1 and 3."""
+        s = row.index(e)
+        return row[{0: 2, 2: 0, 1: 3, 3: 1}[s]]
+
+    outer = [[beyond(r1, e), beyond(r2, e)] for e in inner]
+    return _glued(rows, signs, free_loops, {c1, c2}, outer)
+
+
 def reference_bigon_arcs(rows: dict, c1: int, c2: int) -> tuple[int, int]:
     """(over arc, under arc) joining the two crossings of a bigon: the
     shared arc at an over slot of both rows, and the one at an under slot
@@ -914,7 +967,7 @@ def pd_signs(rows) -> list[int]:
     text with the arc labels renumbered 1..2n in the same order."""
     labels = {e: k for k, e in enumerate(sorted({e for r in rows for e in r}), start=1)}
     text = " ".join("X[%d,%d,%d,%d]" % tuple(labels[e] for e in r) for r in rows)
-    return [x.sign for x in parse_pd(text).crossings]
+    return list(parse_pd(text).signs.values())
 
 
 def isomorphic(d1: Diagram, d2: Diagram) -> bool:
@@ -924,17 +977,17 @@ def isomorphic(d1: Diagram, d2: Diagram) -> bool:
     each, numbering the arcs 1..2n along them, against ``d2``'s canonical
     rows.
     """
-    if d1.free_loops != d2.free_loops or len(d1.crossings) != len(d2.crossings):
+    if d1.free_loops != d2.free_loops or len(d1.rows) != len(d2.rows):
         return False
     if sorted(map(len, d1.components)) != sorted(map(len, d2.components)):
         return False
-    target = sorted(x.slots for x in canonical(d2)[0].crossings)
+    target = sorted(canonical(d2)[0].rows.values())
     comps = d1.components
     for perm in itertools.permutations(comps):
         rotations = [[cyc[k:] + cyc[:k] for k in range(len(cyc))] for cyc in perm]
         for choice in itertools.product(*rotations):
             mapping = {e: k for k, e in enumerate(itertools.chain(*choice), start=1)}
-            if sorted(tuple(mapping[e] for e in x.slots) for x in d1.crossings) == target:
+            if sorted(tuple(mapping[e] for e in r) for r in d1.rows.values()) == target:
                 return True
     return False
 

@@ -55,7 +55,7 @@ def test_criterion_1_fox_oracle_equivalence(corpus):
     t0 = time.time()
     checked = 0
     for name, d in corpus.items():
-        if len(d.crossings) > 4:
+        if len(d.rows) > 4:
             continue
         for n in range(2, 8):
             snf = fox_coloring_count(d, n)

@@ -189,7 +189,7 @@ def test_kernel_empty():
 
 def test_all_ones_in_every_kernel(corpus):
     for name, d in corpus.items():
-        if not d.crossings:
+        if not d.rows:
             continue
         lat = diagram_lattice(d)
         # integer combination reaching all-ones must exist
@@ -384,7 +384,7 @@ def test_unit_pivots_match_dense_oracle_on_diagrams(corpus):
     for name, k in (("hopf", 6), ("hopf", 8), ("trefoil", 4), ("trefoil", 6), ("figure8", 4),
                     ("figure8", 5)):
         d = full_parallel(corpus, name, k)
-        assert len(d.crossings) <= 128
+        assert len(d.rows) <= 128
         M = coloring_matrix(d)
         assert_matches_dense_oracle(M.rows, M.shape[1], (name, k))
         checked += 1
@@ -459,7 +459,7 @@ def test_raw_labelled_odd_parallel_lattice_does_not_stall():
                    timeout=10, check=True)
     base = random_knot_diagram(random.Random(69), n_ops=20)
     d = parallel(base, CableSpec(multiplicities=(5,)))
-    assert len(d.crossings) == 700
+    assert len(d.rows) == 700
     lat = diagram_lattice(d)
     for v in lat.basis:
         assert verify_coloring(d, lat.expand(v))
@@ -534,7 +534,7 @@ def test_fox_rejects_small_modulus():
 
 def test_fox_matches_brute_force(corpus):
     for name, d in corpus.items():
-        if len(d.crossings) > 4:
+        if len(d.rows) > 4:
             continue
         for n in range(2, 8):
             assert fox_coloring_count(d, n) == brute_force_fox_count(d, n), (name, n)

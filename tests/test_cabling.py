@@ -28,8 +28,7 @@ def twist(cabled, structure, base_edge, sign):
 def added_crossings(before, after):
     """The ids of ``after``'s crossings that ``before`` lacks, in creation
     order: a twist's two crossings, as ``insert_twist`` adds them."""
-    old = {x.cid for x in before.crossings}
-    return sorted(x.cid for x in after.crossings if x.cid not in old)
+    return sorted(c for c in after.rows if c not in before.rows)
 
 
 def comp_of(d):
@@ -42,11 +41,11 @@ def comp_of(d):
 
 def test_crossing_count_formula():
     t2 = parallel(TREFOIL, CableSpec(multiplicities=(2,)))
-    assert len(t2.crossings) == 12
+    assert len(t2.rows) == 12
     h32 = parallel(HOPF, CableSpec(multiplicities=(3, 2)))
-    assert len(h32.crossings) == 12
+    assert len(h32.rows) == 12
     h44 = parallel(HOPF, CableSpec(multiplicities=(4, 4)))
-    assert len(h44.crossings) == 32
+    assert len(h44.rows) == 32
 
 
 def test_component_counts():
@@ -87,7 +86,7 @@ def test_nonpositive_multiplicity_refused_before_the_count(base):
 
 def test_grid_signs_inherit_base(corpus):
     for d in corpus.values():
-        if not d.crossings or d.num_components > 2:
+        if not d.rows or d.num_components > 2:
             continue
         spec = CableSpec(multiplicities=(2,) * d.num_components)
         cabled, structure = cable(d, spec)
@@ -105,7 +104,7 @@ def test_two_parallel_needs_writhe_zero(corpus):
     u2 = two_parallel_untwisted(corpus["unknot_writhe0"])
     assert linking_number(u2, 0, 1) == 0
     t2 = two_parallel_untwisted(corpus["trefoil_writhe0"])
-    assert len(t2.crossings) == 24
+    assert len(t2.rows) == 24
     assert linking_number(t2, 0, 1) == 0
 
 
@@ -151,17 +150,16 @@ def test_two_parallel_determinant_is_twice_the_writhe(corpus):
 def test_inter_component_grid_crossings_carry_base_sign():
     u2 = parallel(parse_pd("X[1,1,2,2]"), CableSpec(multiplicities=(2,)))
     comp = comp_of(u2)
-    inter = [x for x in u2.crossings
-             if comp[x.slots[0]] != comp[x.slots[1]]]
+    inter = [c for c, r in u2.rows.items() if comp[r[0]] != comp[r[1]]]
     assert len(inter) == 2
-    assert all(x.sign == 1 for x in inter)
+    assert all(u2.signs[c] == 1 for c in inter)
 
 
 def test_full_twist_insertion():
     u2, st = cable(parse_pd("X[1,3,2,2] X[3,4,4,1]"), CableSpec((2,)))
     assert linking_number(u2, 0, 1) == 0
     tw, tw_st = twist(u2, st, base_edge=1, sign=1)
-    assert len(tw.crossings) == len(u2.crossings) + 2
+    assert len(tw.rows) == len(u2.rows) + 2
     assert validate(tw) == []
     assert linking_number(tw, 0, 1) == 1
     back, _ = twist(tw, tw_st, base_edge=1, sign=-1)
@@ -193,9 +191,9 @@ def test_twists_on_one_builder_match_one_insertion_per_site():
             one_by_one = twist(*one_by_one, site.base_edge, site.sign)
         at_once = insert_full_twists(cabled, st, sites)
         assert serialize_pd_raw(at_once[0]) == serialize_pd_raw(one_by_one[0]), trial
-        assert [x.cid for x in at_once[0].crossings] == [x.cid for x in one_by_one[0].crossings]
+        assert list(at_once[0].rows) == list(one_by_one[0].rows)
         assert at_once[1] == one_by_one[1], trial
-        assert len(at_once[0].crossings) == len(cabled.crossings) + 2 * len(sites), trial
+        assert len(at_once[0].rows) == len(cabled.rows) + 2 * len(sites), trial
     assert insert_full_twists(cabled, st, []) == (cabled, st)
 
 

@@ -28,14 +28,21 @@ HOPF = "X[4,1,3,2] X[2,3,1,4]"
 
 def test_parse_trefoil():
     d = parse_pd(TREFOIL)
-    assert len(d.crossings) == 3
+    assert len(d.rows) == 3
     assert len(d.components) == 1
     assert validate(d) == []
 
 
+def test_crossings_view_has_the_crossing_count(corpus):
+    """The benchmark harness sizes a diagram by ``len(d.crossings)``; that
+    view is the rows, so its length is the crossing count."""
+    for d in [*corpus.values(), parse_pd(""), parse_pd("% loops: 2 \nX[1,2,2,1]")]:
+        assert len(d.crossings) == len(d.rows), d
+
+
 def test_parse_empty():
     d = parse_pd("")
-    assert len(d.crossings) == 0
+    assert len(d.rows) == 0
     assert d.num_components == 0
     assert writhe(d) == 0
 
@@ -146,16 +153,16 @@ def test_integers_as_pd_writes_them():
 
 def test_any_whitespace_separates_terms():
     """Terms split where ``str.split`` splits, non-ASCII spaces included."""
-    rows = [x.slots for x in parse_pd(TREFOIL).crossings]
+    rows = list(parse_pd(TREFOIL).rows.values())
     for sep in ("\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003", "\u3000", " \t "):
         d = parse_pd(sep + TREFOIL.replace(" ", sep) + sep)
-        assert [x.slots for x in d.crossings] == rows, repr(sep)
+        assert list(d.rows.values()) == rows, repr(sep)
 
 
 def test_comment_and_headers():
     text = "# a trefoil\n% component: 1 2 3 4 5 6\n" + TREFOIL.replace(" ", "\n")
     d = parse_pd(text)
-    assert len(d.crossings) == 3
+    assert len(d.rows) == 3
     d2 = parse_pd("% loops: 2\n")
     assert d2.free_loops == 2
     assert d2.num_components == 2
@@ -212,12 +219,12 @@ INCONSISTENT = "orientation inconsistency: no consistent strand orientation exis
 
 def _signed(d: Diagram, signs) -> Diagram:
     """``d``'s rows, crossing ids and free loops, built from ``signs``."""
-    return Diagram([x.slots for x in d.crossings], signs, free_loops=d.free_loops,
-                   cids=[x.cid for x in d.crossings])
+    return Diagram(list(d.rows.values()), signs, free_loops=d.free_loops,
+                   cids=list(d.rows))
 
 
 def _orientation(d: Diagram) -> tuple:
-    return ([x.sign for x in d.crossings], d.components, successors(d))
+    return (list(d.signs.values()), d.components, successors(d))
 
 
 def _random_bases() -> list[Diagram]:
@@ -241,7 +248,7 @@ def _parallels(corpus, random_bases):
 @pytest.mark.parametrize("wrong", [lambda sign: -sign, lambda sign: 0], ids=["flipped", "zero"])
 def test_signed_build_refuses_a_wrong_sign(corpus, wrong):
     for name, d in corpus.items():
-        signs = [x.sign for x in d.crossings]
+        signs = list(d.signs.values())
         for k in range(len(signs)):
             with pytest.raises(DiagramError) as err:
                 _signed(d, signs[:k] + [wrong(signs[k])] + signs[k + 1:])
@@ -254,7 +261,7 @@ def test_signed_build_equals_the_solved_build(corpus):
 
     cases = list(corpus.items()) + list(_parallels(corpus, _random_bases()))
     for name, d in cases:
-        signed = _signed(d, [x.sign for x in d.crossings])
+        signed = _signed(d, list(d.signs.values()))
         solved = parse_pd(serialize_pd_raw(d))
         assert _orientation(signed) == _orientation(solved) == _orientation(d), name
 
@@ -273,8 +280,8 @@ def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
     for name, d in _parallels(corpus, _random_bases()):
         canonical(d)
         builder = DiagramBuilder(d)
-        if d.crossings:
-            apply_move(builder, R1Insert(edge=d.crossings[0].slots[0], sign=1))
+        if d.rows:
+            apply_move(builder, R1Insert(edge=next(iter(d.rows.values()))[0], sign=1))
         builder.diagram()
     insert_full_twists(*cable(corpus["trefoil_writhe0"], CableSpec((2,))),
                        [TwistSite(base_edge=1, sign=1)])
@@ -283,9 +290,9 @@ def test_signed_writers_do_not_solve_orientation(corpus, count_calls):
 
 def test_faces_euler(corpus):
     for name, d in corpus.items():
-        if not d.crossings:
+        if not d.rows:
             continue
-        v = len(d.crossings)
+        v = len(d.rows)
         e = len(d.edges)
         f = _orbit_count(_corner_successors(d._occ), chain.from_iterable(d._occ.values()))
         pieces = 2 if name == "split_unlink" else 1
@@ -320,7 +327,7 @@ def _relabelled_text(d: Diagram) -> str:
     canon, _ = canonical(d)
     lines = [f"% loops: {canon.free_loops}"] if canon.free_loops else []
     lines += ["% component: " + " ".join(map(str, cyc)) for cyc in canon.components]
-    lines += [f"X[{a},{b},{c},{e}]" for a, b, c, e in sorted(x.slots for x in canon.crossings)]
+    lines += [f"X[{a},{b},{c},{e}]" for a, b, c, e in sorted(canon.rows.values())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -349,7 +356,7 @@ def _serialized_cases(corpus):
 
 def test_serialize_pd_is_the_canonical_text_without_a_build(corpus, count_calls):
     cases = list(_serialized_cases(corpus))
-    assert any(d.free_loops and d.crossings for _, d in cases)
+    assert any(d.free_loops and d.rows for _, d in cases)
     builds = count_calls(Diagram, "__init__")
     for name, d in cases:
         expected = _relabelled_text(d)
@@ -446,7 +453,8 @@ def test_pd_round_trips_keep_signs(corpus):
     from zcolor.diagram import serialize_pd_raw
 
     def signed_rows(d):
-        return sorted((x.slots, x.sign) for x in canonical(d)[0].crossings)
+        canon = canonical(d)[0]
+        return sorted(zip(canon.rows.values(), canon.signs.values()))
 
     names = []
     for name, d in _emitted_diagrams(corpus):
@@ -469,12 +477,12 @@ def _reference_parse(rows, headers, loops):
     succ = successors(d)
     if any(succ.get(a) != b for cyc in headers for a, b in zip(cyc, cyc[1:] + cyc[:1])):
         return None
-    return [x.sign for x in d.crossings]
+    return list(d.signs.values())
 
 
 def _solved(text: str):
     try:
-        return [x.sign for x in parse_pd(text).crossings]
+        return list(parse_pd(text).signs.values())
     except DiagramError:
         return None
 
@@ -516,11 +524,12 @@ def test_two_arc_header_of_an_over_strand_starts_at_the_earlier_row():
     at the earlier of its two rows, so the header, not the labels, says
     which way it runs."""
     rows = "X[2,3,1,4] X[1,3,2,4]"
-    assert [x.sign for x in parse_pd(rows).crossings] == [-1, 1]
-    assert [x.sign for x in parse_pd("% component: 3 4\n" + rows).crossings] == [-1, 1]
+    assert list(parse_pd(rows).signs.values()) == [-1, 1]
+    assert list(parse_pd("% component: 3 4\n" + rows).signs.values()) == [-1, 1]
     flipped = parse_pd("% component: 4 3\n" + rows)
-    assert [x.sign for x in flipped.crossings] == [1, -1]
-    assert [oriented(x.slots, x.sign)[2] for x in flipped.crossings] == [4, 3]
+    assert list(flipped.signs.values()) == [1, -1]
+    signed = zip(flipped.rows.values(), flipped.signs.values())
+    assert [oriented(r, s)[2] for r, s in signed] == [4, 3]
 
 
 # -- the one-scan reader against the token scanner ----------------------------
@@ -573,7 +582,7 @@ def _read_like_the_scanner(text: str) -> str:
         d = parse_pd(text)
     except DiagramError:
         return "not a diagram"
-    assert ([x.slots for x in d.crossings], d.free_loops) == (rows, loops)
+    assert (list(d.rows.values()), d.free_loops) == (rows, loops)
     return "parsed"
 
 
@@ -610,7 +619,7 @@ def test_validate_of_a_parsed_diagram_builds_one_occurrence_index(corpus, count_
     d = parse_pd(text)
     assert counters == []
     assert validate(d) == []
-    assert (len(d.crossings), len(indexes)) == (5000, 1)
+    assert (len(d.rows), len(indexes)) == (5000, 1)
 
     recorded = json.loads(GOLDEN.joinpath("reduce.json").read_text())["hopf-4,4 color-parallel"]
     doc = json.loads(recorded.split("\n", 1)[1])

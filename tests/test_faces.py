@@ -57,10 +57,10 @@ from zcolor.rewrite import to_simple_coloring
 
 def euler_diagnostics(d: Diagram) -> list[str]:
     """The Euler line ``validate`` owes ``d``, from the reference face count."""
-    f = len(reference_faces({x.cid: x.slots for x in d.crossings}))
-    v, e = len(d.crossings), len(d.edges)
+    f = len(reference_faces(d.rows))
+    v, e = len(d.rows), len(d.edges)
     pieces = len([p for p in crossing_graph_pieces(d) if p])
-    if not d.crossings or v - e + f == 2 * pieces:
+    if not d.rows or v - e + f == 2 * pieces:
         return []
     return [f"face count {f} violates Euler formula (V={v}, E={e}, pieces={pieces})"]
 
@@ -310,7 +310,7 @@ def test_every_report_names_every_row_its_move_changed(corpus):
 
 
 def diagram_signs(d: Diagram) -> dict[int, int]:
-    return {x.cid: x.sign for x in d.crossings}
+    return dict(d.signs)
 
 
 @pytest.mark.parametrize("name", RUNS)

@@ -29,7 +29,7 @@ from zcolor.rewrite import RewriteError, to_simple_coloring
 WRITHE0_KNOTS = st.builds(
     lambda seed, n_ops: balanced_random_knot(random.Random(seed), n_ops),
     st.integers(0, 2**32 - 1), st.integers(0, 6),
-).filter(lambda d: len(d.crossings) <= 14)
+).filter(lambda d: len(d.rows) <= 14)
 
 # writhe-0 knot diagrams from 2 to 8 random operations
 TOGGLE_KNOTS = st.builds(

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     balanced_random_knot,
+    isomorphic,
     pd_signs,
+    reference_r1_remove,
+    reference_r2_remove,
     seeded_rng,
     single_stage,
     solve_partial,
@@ -56,7 +59,7 @@ def test_r1_remove_isolated_kink_leaves_free_loop():
     b = DiagramBuilder(parse_pd("X[1,1,2,2]"))
     apply_move(b, R1Remove(cid=0))
     d = b.diagram()
-    assert len(d.crossings) == 0
+    assert len(d.rows) == 0
     assert d.free_loops == 1
 
 
@@ -284,9 +287,9 @@ def recorded_traces():
 def rotated_copies(d: Diagram):
     """For each of 1, 2, 3 quarter turns, the first row whose slots turned
     that far, with its sign kept or flipped, still make a diagram."""
-    rows = [x.slots for x in d.crossings]
-    signs = [x.sign for x in d.crossings]
-    cids = [x.cid for x in d.crossings]
+    rows = list(d.rows.values())
+    signs = list(d.signs.values())
+    cids = list(d.rows)
     for k in (1, 2, 3):
         for i, row in enumerate(rows):
             turned = rows[:i] + [row[k:] + row[:k]] + rows[i + 1:]
@@ -305,18 +308,19 @@ def rotated_copies(d: Diagram):
 def reversed_over_only_strands(d: Diagram):
     """The same rows with each strand that passes under nothing run the
     other way: the signs of the crossings it passes over flip."""
-    unders = {x.slots[0] for x in d.crossings}
+    unders = {r[0] for r in d.rows.values()}
     for cyc in d.components:
         if unders.isdisjoint(cyc):
             # both over slots lie on the over strand
-            signs = [-x.sign if x.slots[1] in cyc else x.sign for x in d.crossings]
-            yield "strand reversed", Diagram([x.slots for x in d.crossings], signs,
-                                             d.free_loops, cids=[x.cid for x in d.crossings])
+            signs = [-d.signs[c] if r[1] in cyc else d.signs[c] for c, r in d.rows.items()]
+            yield "strand reversed", Diagram(list(d.rows.values()), signs,
+                                             d.free_loops, cids=list(d.rows))
 
 
 def canonical_signed_rows(d: Diagram) -> tuple:
     """The free loops and sorted signed rows of ``canonical(d)``."""
-    return d.free_loops, sorted((x.slots, x.sign) for x in canonical(d)[0].crossings)
+    canon = canonical(d)[0]
+    return d.free_loops, sorted(zip(canon.rows.values(), canon.signs.values()))
 
 
 def test_target_check_shortcut_keeps_the_same_diagram_verdict(count_calls):
@@ -325,7 +329,7 @@ def test_target_check_shortcut_keeps_the_same_diagram_verdict(count_calls):
     diagrams' signed rows, and it relabels canonically only when the rows
     differ."""
     def by_cid(d: Diagram) -> dict:
-        return {x.cid: (x.slots, x.sign) for x in d.crossings}
+        return {c: (r, d.signs[c]) for c, r in d.rows.items()}
 
     kinds = set()
     relabellings = count_calls(diagram, "_canonical_rows")
@@ -402,6 +406,17 @@ def picked_move(b: DiagramBuilder, kind: str, i: int, j: int, flag: bool):
     return R3(cids=tuple(k >> 2 for k in triangles[j % len(triangles)])) if triangles else None
 
 
+def removal_oracle(b: DiagramBuilder, move):
+    """What the plain-row oracle makes of an R1- or R2- on ``b`` as it
+    stands: rows, signs and free loops, or None where it refuses."""
+    state = (dict(b.rows), dict(b.signs), b.free_loops)
+    if isinstance(move, R1Remove):
+        return reference_r1_remove(*state, move.cid)
+    if isinstance(move, R2Remove):
+        return reference_r2_remove(*state, move.cid1, move.cid2)
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(MOVE_SOURCES, MOVE_PICKS)
 @example(parse_pd("X[1,3,2,2] X[3,4,4,1]"), [("R1+", 1, 0, False), ("R2-", 0, 0, False)])
@@ -410,22 +425,33 @@ def test_every_accepted_move_leaves_a_planar_map(source, picks):
     """After every move that applies, the builder's diagram builds, passes
     ``validate`` but for its labels, keeps the source's number of
     components, and the moves so far replay to it as one verified trace.
-    The examples are R2- moves whose bigon's two strands share outer arcs:
-    a kink's loop runs out of the bigon and straight back in, and, in the
-    second, each strand runs from the bigon back into the other, so that
-    removing the bigon leaves one free loop."""
+    An R1- or R2- applies exactly when the plain-row oracle of
+    ``tests/conftest.py`` accepts it, and leaves the oracle's rows, signs
+    and free loops, up to ``isomorphic``.  The examples are R2- moves whose
+    bigon's two strands share outer arcs: a kink's loop runs out of the
+    bigon and straight back in, and, in the second, each strand runs from
+    the bigon back into the other, so that removing the bigon leaves one
+    free loop."""
     b = DiagramBuilder(source)
     applied = []
     for pick in picks:
         move = picked_move(b, *pick)
         if move is None:
             continue
+        expected = removal_oracle(b, move)
         try:
             apply_move(b, move)
         except MoveError:
+            assert expected is None, (applied, move)
             continue
         applied.append((move, 1))
         d = b.diagram()
+        if isinstance(move, (R1Remove, R2Remove)):
+            assert expected is not None, applied
+            rows, signs, loops = expected
+            assert b.signs == signs, applied
+            assert isomorphic(d, Diagram(list(rows.values()), list(signs.values()), loops,
+                                         cids=list(rows))), applied
         assert structural(d) == [], applied
         assert d.num_components == source.num_components, applied
         trace = single_stage(applied, {1: frozenset(source.rows)})

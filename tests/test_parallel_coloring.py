@@ -397,7 +397,7 @@ def test_a_two_parallel_builds_two_diagrams_however_many_twists(count_calls):
     for i, base in enumerate(bases):
         builds.clear()
         cabled, _, _ = color_parallel(base, (2,))
-        twists = (len(cabled.crossings) - 4 * len(base.crossings)) // 2
+        twists = (len(cabled.rows) - 4 * len(base.rows)) // 2
         most_twists = max(most_twists, twists)
         assert len(builds) <= 2, (i, twists, len(builds))
     assert most_twists >= 4

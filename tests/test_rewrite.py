@@ -47,9 +47,8 @@ def test_path_through_kinks():
     spec = diff_spectrum(d, g)
     # intermediate crossings along the path all have diff 0
     for a, b in zip(p.via, p.via[1:]):
-        shared = [x.cid for x in d.crossings
-                  if a in x.slots and b in x.slots
-                  and x.cid not in (p.start, p.end)]
+        shared = [c for c, r in d.rows.items()
+                  if a in r and b in r and c not in (p.start, p.end)]
         assert any(spec.diffs[c] == 0 for c in shared)
 
 
@@ -59,9 +58,9 @@ def test_no_path_when_pieces_split():
     d1, g1 = diff_chain([2])
     d2, g2 = diff_chain([1])
     shift_e = max(d1.edges)
-    shift_c = len(d1.crossings)
-    rows = [x.slots for x in d1.crossings] + [
-        tuple(e + shift_e for e in x.slots) for x in d2.crossings]
+    shift_c = len(d1.rows)
+    rows = list(d1.rows.values()) + [
+        tuple(e + shift_e for e in r) for r in d2.rows.values()]
     from zcolor.diagram import parse_pd
     both = parse_pd(" ".join("X[%d,%d,%d,%d]" % r for r in rows))
     gamma = dict(g1)
@@ -113,7 +112,7 @@ def test_to_simple_full_pipeline(colors, kinks):
     assert simple
     assert verify_coloring(out_d, out_g)
     assert verify_local_equivalence(d, out_d, trace).ok
-    assert len(trace.stages) <= initial_dm * len(d.crossings)
+    assert len(trace.stages) <= initial_dm * len(d.rows)
     assert structural(out_d) == []
 
 

@@ -41,7 +41,7 @@ def test_path_search_grows_with_the_stages(corpus, count_calls):
         lookups.clear()
         searches.clear()
         rewrite.to_simple_coloring(cabled, witness)
-        points.append((len(cabled.crossings), len(lookups) + len(searches)))
+        points.append((len(cabled.rows), len(lookups) + len(searches)))
     assert loglog_slope(points) <= 1.45, points
 
 
