@@ -29,7 +29,7 @@ class TwistSite(NamedTuple):
 
 
 class CableSpec(NamedTuple):
-    """One multiplicity per component; ``parallel`` refuses any below 1."""
+    """One multiplicity per component; ``cable`` refuses any below 1."""
 
     multiplicities: tuple[int, ...]
 
