@@ -135,7 +135,7 @@ def cable(diagram: Diagram, spec: CableSpec) -> tuple[Diagram, CableStructure]:
 
     free = sum(mult[n_cycles:])
     structure = CableStructure(multiplicities=mult, regions=regions, copy_edges=copy_edges)
-    return Diagram(rows, signs, free_loops=free), structure
+    return Diagram(dict(enumerate(rows)), dict(enumerate(signs)), free_loops=free), structure
 
 
 def parallel(diagram: Diagram, spec: CableSpec) -> Diagram:

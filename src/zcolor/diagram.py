@@ -19,19 +19,21 @@ hand to one writer, ``_write_pd``, which orders a two-arc header by the
 text positions of its rows.
 
 The planar map is encoded here and nowhere else, in one representation,
-the one the move builder (``zcolor.moves``) keeps: ``rows`` maps each
-crossing id to its slots and ``signs`` to its sign, and every reader in the
-package reads those two dicts.  There are no crossing records;
-``Diagram.crossings`` is ``rows`` under another name, kept only because the
-benchmark harness sizes diagrams by ``len(d.crossings)``.  Slot s of
-crossing c is the position ``4*c + s``, and so is the corner
-counterclockwise after it.  ``occurrences`` maps each arc to the positions
-of its two occurrences; ``parse_pd`` builds it once for the sign walk and
-for ``Diagram``, which keeps it.  ``_next_corner`` is the one face step,
-and ``validate``'s Euler count lays it out for every corner at once.  The
-builder starts from copies of a diagram's maps and index and hands its own
-to the ``Diagram`` it builds; ``same_diagram`` reads only ``rows``,
-``signs`` and ``free_loops``, so it compares either.
+the one the move builder (``zcolor.moves``) keeps: two dicts keyed by
+crossing id, ``rows`` (slots) and ``signs`` (sign), with the same keys and
+no shared order, so every reader looks a sign up by its crossing's id.
+There are no crossing records; ``Diagram.crossings`` is ``rows`` under
+another name, kept only because the benchmark harness sizes diagrams by
+``len(d.crossings)``.  Slot s of crossing c is the position ``4*c + s``,
+and so is the corner counterclockwise after it.  ``occurrences`` maps each
+arc to the positions of its two occurrences; ``parse_pd`` builds it once
+for the sign walk and for ``Diagram``, which keeps it.  ``_next_corner`` is
+the one face step, and ``validate``'s Euler count lays it out for every
+corner at once.  ``Diagram`` keeps the maps it is given; the builder copies
+a diagram's maps and index in and its own out, because both go on being
+used: a colored-parallel run replays its trace from the untouched source,
+and a builder may keep moving after it built a diagram.  ``same_diagram``
+reads only ``rows``, ``signs`` and ``free_loops``, so it compares either.
 
 Arc labels are the PD edge labels 1..2n.  The arcs of Fox/integer coloring
 theory (maximal overpasses) are the equivalence classes of edge labels
@@ -46,7 +48,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain
 from operator import ne
-from typing import Optional, Sequence
+from typing import Optional
 
 
 class PDSyntaxError(ValueError):
@@ -76,47 +78,37 @@ class Diagram:
 
     Immutable after construction; all operations on diagrams are pure
     functions returning new values.  ``rows`` and ``signs`` map each
-    crossing id, in the order given, to its slots and its sign.  The signs
-    give the orientation: each row's incoming arcs are its slot 0 and its
-    ``over_in_slot``.  Signs that do not make every arc incoming exactly
-    once are refused.
+    crossing id to its slots and its sign; signs keyed by other ids than
+    the rows are refused.  The signs give the orientation: each row's
+    incoming arcs are its slot 0 and its ``over_in_slot``.  Signs that do
+    not make every arc incoming exactly once are refused.
     """
 
-    def __init__(
-        self,
-        rows: Sequence[tuple[int, int, int, int]],
-        signs: Sequence[int],
-        free_loops: int = 0,
-        cids: Optional[Sequence[int]] = None,
-        *,
-        _occ: Optional[dict[int, list[int]]] = None,
-    ):
+    def __init__(self, rows: dict[int, tuple[int, int, int, int]], signs: dict[int, int],
+                 free_loops: int = 0, *, _occ: Optional[dict[int, list[int]]] = None):
         if free_loops < 0:
             raise DiagramError("free loop count must be non-negative")
-        rows = list(rows)
-        labels = list(chain.from_iterable(rows))
-        if not ({tuple}.issuperset(map(type, rows)) and {int}.issuperset(map(type, labels))):
-            rows = [tuple(map(int, r)) for r in rows]
-            labels = list(chain.from_iterable(rows))
-        if min(labels, default=1) <= 0 or not set(map(len, rows)) <= {4}:
-            bad = next(r for r in rows if len(r) != 4 or any(x <= 0 for x in r))
+        labels = list(chain.from_iterable(rows.values()))
+        if not ({tuple}.issuperset(map(type, rows.values())) and {int}.issuperset(map(type, labels))):
+            rows = {c: tuple(map(int, r)) for c, r in rows.items()}
+            labels = list(chain.from_iterable(rows.values()))
+        if min(labels, default=1) <= 0 or not set(map(len, rows.values())) <= {4}:
+            bad = next(r for r in rows.values() if len(r) != 4 or any(x <= 0 for x in r))
             raise DiagramError(f"crossing {bad} is not a quadruple of positive labels")
-        if cids is None:
-            cids = range(len(rows))
-        elif len(set(cids)) != len(rows):
-            raise DiagramError("crossing ids must be distinct")
+        if signs.keys() != rows.keys():
+            raise DiagramError("signs must be keyed by exactly the crossing ids of the rows")
 
         self.free_loops = free_loops
         # ``parse_pd`` and the move builder hand over the index of these rows
-        occ = occurrences(cids, labels) if _occ is None else _occ
+        occ = occurrences(rows) if _occ is None else _occ
         if occ is None or not {2}.issuperset(map(len, occ.values())):
             e, k = next((e, k) for e, k in Counter(labels).items() if k != 2)
             raise DiagramError(f"arc {e} appears {k} times; every arc must appear exactly twice")
         self._occ = occ
 
         self._succ = _successors(rows, signs)
-        self.rows: dict[int, tuple[int, int, int, int]] = dict(zip(cids, rows))
-        self.signs: dict[int, int] = dict(zip(cids, signs))
+        self.rows: dict[int, tuple[int, int, int, int]] = rows
+        self.signs: dict[int, int] = signs
         self.components: tuple[tuple[int, ...], ...] = strand_cycles(self._succ)
 
     @property
@@ -151,17 +143,15 @@ class Diagram:
 # -- the planar map ----------------------------------------------------------
 
 
-def occurrences(cids: Sequence[int], labels: Sequence[int]) -> Optional[dict[int, list[int]]]:
-    """Arc -> the positions ``4*cid + slot`` of its occurrences, for rows
-    with ids ``cids`` whose labels run row after row in ``labels``; None
-    unless every arc occurs exactly twice."""
-    if cids == range(len(cids)):  # positions 0, 1, 2, ... row after row
-        positions = range(len(labels))
-    else:
-        positions = chain.from_iterable(range(4 * c, 4 * c + 4) for c in cids)
+def occurrences(rows: dict[int, tuple[int, int, int, int]]) -> Optional[dict[int, list[int]]]:
+    """Arc -> the positions ``4*cid + slot`` of its occurrences in ``rows``
+    (crossing id -> slots); None unless every arc occurs exactly twice."""
     occ: dict[int, list[int]] = {}
-    for p, e in zip(positions, labels):
-        occ.setdefault(e, []).append(p)
+    for c, r in rows.items():
+        p = 4 * c
+        for e in r:
+            occ.setdefault(e, []).append(p)
+            p += 1
     return occ if {2}.issuperset(map(len, occ.values())) else None
 
 
@@ -190,7 +180,7 @@ def _corner_successors(occ: dict[int, list[int]]) -> list[int]:
 INCONSISTENT = "orientation inconsistency: no consistent strand orientation exists"
 
 
-def _successors(rows: list, signs) -> dict[int, int]:
+def _successors(rows: dict, signs: dict) -> dict[int, int]:
     """Arc -> the arc after it along its strand, read off the signs.
 
     Each row's incoming arcs are its under slot 0 and its ``over_in_slot``.
@@ -199,8 +189,9 @@ def _successors(rows: list, signs) -> dict[int, int]:
     no incoming over-arc.
     """
     succ = {}
-    for r, sign in zip(rows, signs):
+    for c, r in rows.items():
         succ[r[UNDER_IN]] = r[UNDER_OUT]
+        sign = signs[c]
         if sign in (1, -1):
             k = over_in_slot(sign)
             succ[r[k]] = r[k ^ 2]
@@ -381,13 +372,14 @@ def parse_pd(text: str) -> Diagram:
     """
     labels, headers, loops = _read_pd(text)
     it = iter(labels)
-    rows = list(zip(it, it, it, it))
-    occ = occurrences(range(len(rows)), labels)
+    rows = dict(enumerate(zip(it, it, it, it)))
+    occ = occurrences(rows)
     n = 2 * len(rows)
     # positive labels, each occurring twice and none above 2n, are 1..2n
     if rows and (occ is None or max(labels) != n) and set(labels) != set(range(1, n + 1)):
         raise DiagramError(f"arc labels must be exactly 1..{n}; got {sorted(set(labels))}")
-    d = Diagram(rows, _solve_signs(labels, headers, occ), free_loops=loops, _occ=occ)
+    signs = dict(enumerate(_solve_signs(labels, headers, occ)))
+    d = Diagram(rows, signs, free_loops=loops, _occ=occ)
     for cyc in headers:
         nxt = cyc[1:] + cyc[:1]
         wrong = list(map(ne, map(d._succ.get, cyc), nxt))
@@ -515,8 +507,7 @@ def serialize_pd(diagram: Diagram) -> str:
     labels = map(new, chain.from_iterable(diagram.rows.values()))
     return _write_pd(diagram.free_loops, [tuple(map(new, cyc)) for cyc in diagram.components],
                      sorted(zip(labels, labels, labels, labels)),
-                     ((tuple(map(new, r)), s)
-                      for r, s in zip(diagram.rows.values(), diagram.signs.values())))
+                     ((tuple(map(new, r)), diagram.signs[c]) for c, r in diagram.rows.items()))
 
 
 def serialize_pd_raw(diagram: Diagram) -> str:
@@ -561,9 +552,8 @@ def _write_pd(free_loops: int, cycles, rows: list, signs) -> str:
 
 def relabel(diagram: Diagram, mapping: dict[int, int]) -> Diagram:
     """Apply an arc-label bijection; keeps crossing ids, signs and free loops."""
-    rows = [tuple(mapping[e] for e in r) for r in diagram.rows.values()]
-    return Diagram(rows, list(diagram.signs.values()), free_loops=diagram.free_loops,
-                   cids=list(diagram.rows),
+    rows = {c: tuple(mapping[e] for e in r) for c, r in diagram.rows.items()}
+    return Diagram(rows, diagram.signs, free_loops=diagram.free_loops,
                    _occ={mapping[e]: places for e, places in diagram._occ.items()})
 
 
@@ -607,7 +597,5 @@ def same_diagram(a, b) -> bool:
 def _canonical_rows(d) -> list[tuple[tuple[int, ...], int]]:
     """The signed rows of ``d``'s rows and signs, relabelled as ``canonical``
     relabels them, sorted."""
-    rows = list(d.rows.values())
-    signs = [d.signs[c] for c in d.rows]
-    new = _canonical_map(strand_cycles(_successors(rows, signs))).__getitem__
-    return sorted((tuple(map(new, r)), s) for r, s in zip(rows, signs))
+    new = _canonical_map(strand_cycles(_successors(d.rows, d.signs))).__getitem__
+    return sorted((tuple(map(new, r)), d.signs[c]) for c, r in d.rows.items())

@@ -51,7 +51,7 @@ def diff_chain(loop_colors: Sequence[int], kinks_between: int = 0
         gamma[outer] = v
         gamma[mid] = v
 
-    diagram = Diagram(rows, [1, -1] * k)
+    diagram = Diagram(dict(enumerate(rows)), dict(enumerate([1, -1] * k)))
     if kinks_between:
         builder = DiagramBuilder(diagram)
         for i in range(k):
@@ -70,7 +70,7 @@ def random_knot_diagram(rng: random.Random, n_ops: int = 6) -> Diagram:
     (writhe +-1) or claps two parallel co-face arcs with a full twist
     (writhe +-2), preserving validity and planarity throughout.
     """
-    builder = DiagramBuilder(Diagram([(1, 1, 2, 2)], [1]))
+    builder = DiagramBuilder(Diagram({0: (1, 1, 2, 2)}, {0: 1}))
     for _ in range(n_ops):
         edges = sorted({e for row in builder.rows.values() for e in row})
         op = rng.random()

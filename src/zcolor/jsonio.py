@@ -90,20 +90,20 @@ def spectrum_to_json(spec: DiffSpectrum, gamma: Coloring) -> dict:
 
 def _move_to_json(move: Move) -> dict:
     if isinstance(move, R1Insert):
-        return {"kind": "R1+", "edge": move.edge, "sign": move.sign,
+        return {"kind": move.kind, "edge": move.edge, "sign": move.sign,
                 "over_first": move.over_first}
     if isinstance(move, R1Remove):
-        return {"kind": "R1-", "crossing": move.cid}
+        return {"kind": move.kind, "crossing": move.cid}
     if isinstance(move, R2Insert):
-        out = {"kind": "R2+", "push": move.push_edge, "across": move.across_edge,
+        out = {"kind": move.kind, "push": move.push_edge, "across": move.across_edge,
                "over": move.push_over}
         if move.corner is not None:
             out["corner"] = list(move.corner)
         return out
     if isinstance(move, R2Remove):
-        return {"kind": "R2-", "crossings": [move.cid1, move.cid2]}
+        return {"kind": move.kind, "crossings": [move.cid1, move.cid2]}
     if isinstance(move, R3):
-        return {"kind": "R3", "crossings": list(move.cids)}
+        return {"kind": move.kind, "crossings": list(move.cids)}
     raise TypeError(f"unknown move {move!r}")
 
 
@@ -121,20 +121,20 @@ def _ints(v: Any, n: int, key: str) -> tuple[int, ...]:
 
 def _move_from_json(obj: dict) -> Move:
     kind = obj["kind"]
-    if kind == "R1+":
+    if kind == R1Insert.kind:
         return R1Insert(edge=decode_int(obj["edge"]), sign=decode_int(obj["sign"]),
                         over_first=_flag(obj.get("over_first", False), "over_first"))
-    if kind == "R1-":
+    if kind == R1Remove.kind:
         return R1Remove(cid=decode_int(obj["crossing"]))
-    if kind == "R2+":
+    if kind == R2Insert.kind:
         corner = obj.get("corner")
         return R2Insert(push_edge=decode_int(obj["push"]), across_edge=decode_int(obj["across"]),
                         push_over=_flag(obj["over"], "over"),
                         corner=None if corner is None else _ints(corner, 2, "corner"))
-    if kind == "R2-":
+    if kind == R2Remove.kind:
         a, b = _ints(obj["crossings"], 2, "crossings")
         return R2Remove(cid1=a, cid2=b)
-    if kind == "R3":
+    if kind == R3.kind:
         return R3(cids=_ints(obj["crossings"], 3, "crossings"))
     raise ValueError(f"unknown move kind {kind!r}")
 

@@ -103,8 +103,12 @@ class DiagramBuilder:
     """Mutable planar map used while applying moves.
 
     ``rows`` maps crossing ids to slot quadruples and ``signs`` to crossing
-    signs, both in one order, as ``Diagram`` stores them: a new crossing's
-    id is above every earlier one.  Both are read-only outside this class.
+    signs, as ``Diagram`` stores them; a new crossing's id is above every
+    earlier one.  Both are read-only outside this class.  The builder
+    copies a diagram's maps and index in, so the source stays untouched
+    for a replay of the moves (``parallel_coloring._Run.finish`` replays
+    from it), and copies its own out to each ``Diagram`` it builds, so it
+    may keep moving after it built one.
     ``set_row`` is the one writer of ``rows`` and of the arc-occurrence
     index, which it keeps current, so face queries walk only the faces
     they need; the other mutators write rows through it.
@@ -126,10 +130,10 @@ class DiagramBuilder:
         self.next_edge = max(self._occ, default=0) + 1
 
     def diagram(self) -> Diagram:
-        """A new ``Diagram`` of the current rows with the builder's signs,
-        which ``Diagram`` checks are consistent, and a copy of its index."""
-        return Diagram(self.rows.values(), self.signs.values(), self.free_loops,
-                       cids=list(self.rows), _occ={e: p.copy() for e, p in self._occ.items()})
+        """A new ``Diagram`` of copies of the builder's rows, signs and
+        index; ``Diagram`` checks that the signs are consistent."""
+        return Diagram(dict(self.rows), dict(self.signs), self.free_loops,
+                       _occ={e: p.copy() for e, p in self._occ.items()})
 
     # -- mutators -------------------------------------------------------------
 

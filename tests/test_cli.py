@@ -240,6 +240,17 @@ def test_corpus_reports_a_bad_sidecar(tmp_path, capsys, sidecar, why):
     assert good["file"] == "trefoil.pd" and good["ok"]
 
 
+def test_corpus_reports_a_mismatch(tmp_path, capsys):
+    (tmp_path / "trefoil.pd").write_text((CORPUS / "trefoil.pd").read_text())
+    expected = json.loads((CORPUS / "trefoil.expected.json").read_text())
+    (tmp_path / "trefoil.expected.json").write_text(json.dumps({**expected, "determinant": 5}))
+    code, doc = run(capsys, "corpus", str(tmp_path))
+    assert (code, doc["failures"]) == (1, 1)
+    [entry] = doc["entries"]
+    assert entry["ok"] is False
+    assert entry["mismatches"] == {"determinant": {"expected": 5, "got": 3}}
+
+
 def test_minimize(capsys):
     code, doc = run(capsys, "minimize", "--bound", "2",
                     str(CORPUS / "split_unlink.pd"))
@@ -497,7 +508,8 @@ def _trace(move: dict, disk=0) -> dict:
     (["replay", TREFOIL, "DOC"], _trace({"kind": "R3", "crossings": [0, 1]}), 2, "usage",
      "doc.json"),
     (["replay", TREFOIL, "DOC"], _trace({"kind": "R1-", "crossing": 0}, disk=0.5), 2, "usage",
-     "doc.json"),    (["verify", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "99": 7}, 1,
+     "doc.json"),
+    (["verify", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "99": 7}, 1,
      "ColoringError", "[99]"),
     (["simplify-coloring", TREFOIL, "DOC"], {**{str(e): 0 for e in range(1, 7)}, "99": 7}, 1,
      "ColoringError", "[99]"),
@@ -525,6 +537,12 @@ def _trace(move: dict, disk=0) -> dict:
     # disk keys that int() reads as one id would merge their crossings
     *[(["replay", TREFOIL, "DOC"], {"stages": [{"moves": [], "disks": {a: [0], b: [1]}}]}, 2,
        "usage", "disk key") for a, b in [("1", "01"), ("0", "-0"), ("1", " 1"), ("1", "+1")]],
+    # moves that parse but do not apply
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R1+", "edge": 9, "sign": 1}), 1, "MoveError",
+     "no such arc: 9"),
+    (["replay", TREFOIL, "DOC"], _trace({"kind": "R1+", "edge": 1, "sign": 2}), 1, "MoveError",
+     "kink sign must be +1 or -1"),
+    (["corpus", str(CORPUS / "no-such-dir")], None, 2, "usage", "no such corpus directory"),
 ])
 def test_bad_input_prints_one_json_error(tmp_path, capsys, argv, document, code, error_type,
                                          names):

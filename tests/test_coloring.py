@@ -103,6 +103,12 @@ def test_sign_free_checks_match_the_oriented_reference(corpus):
     assert valid > 100 and invalid > 100 and nontrivial >= 10, (valid, invalid, nontrivial)
 
 
+def test_propagation_refuses_seeds_that_leave_arcs_open():
+    with pytest.raises(ConstructionError) as err:
+        propagate_coloring(TREFOIL.rows, {1: 0})
+    assert str(err.value) == "seeds do not determine arcs [2, 3, 4, 5]"
+
+
 def test_partial_coloring_is_an_error_not_false():
     with pytest.raises(ColoringError):
         verify_coloring(TREFOIL, {1: 0})

@@ -66,6 +66,31 @@ def test_parse_errors():
         parse_pd("X[1,2,3,7] X[7,3,2,1]")  # labels not 1..2n
 
 
+@pytest.mark.parametrize("rows, signs, loops, message", [
+    ({0: (1, 1, 2, 2)}, {0: 1}, -1, "free loop count must be non-negative"),
+    ({0: (1, 1, 2)}, {0: 1}, 0, "crossing (1, 1, 2) is not a quadruple of positive labels"),
+    ({0: (1, 1, 0, 0)}, {0: 1}, 0, "crossing (1, 1, 0, 0) is not a quadruple of positive labels"),
+    ({0: (1, 1, 2, 2)}, {1: 1}, 0, "signs must be keyed by exactly the crossing ids of the rows"),
+    ({0: (1, 1, 2, 2)}, {}, 0, "signs must be keyed by exactly the crossing ids of the rows"),
+    ({0: (1, 1, 2, 2)}, {0: 1, 1: 1}, 0,
+     "signs must be keyed by exactly the crossing ids of the rows"),
+], ids=["negative loops", "three slots", "label 0", "other id", "no sign", "extra sign"])
+def test_diagram_refuses_malformed_maps(rows, signs, loops, message):
+    with pytest.raises(DiagramError) as err:
+        Diagram(rows, signs, loops)
+    assert str(err.value) == message
+
+
+def test_signs_share_their_keys_not_their_order_with_the_rows(corpus):
+    """A sign map listed in the reverse order builds the same diagram."""
+    from zcolor.diagram import serialize_pd_raw
+
+    for name, d in corpus.items():
+        e = Diagram(d.rows, dict(reversed(d.signs.items())), d.free_loops)
+        assert e.components == d.components and same_diagram(e, d), name
+        assert (serialize_pd(e), serialize_pd_raw(e)) == (serialize_pd(d), serialize_pd_raw(d)), name
+
+
 def test_contradictory_header_rejected():
     with pytest.raises(DiagramError):
         parse_pd("% component: 1 4 2 5 3 6\n" + TREFOIL)
@@ -217,12 +242,6 @@ def test_arc_classes_merge_over_pairs():
 INCONSISTENT = "orientation inconsistency: no consistent strand orientation exists"
 
 
-def _signed(d: Diagram, signs) -> Diagram:
-    """``d``'s rows, crossing ids and free loops, built from ``signs``."""
-    return Diagram(list(d.rows.values()), signs, free_loops=d.free_loops,
-                   cids=list(d.rows))
-
-
 def _orientation(d: Diagram) -> tuple:
     return (list(d.signs.values()), d.components, successors(d))
 
@@ -248,11 +267,10 @@ def _parallels(corpus, random_bases):
 @pytest.mark.parametrize("wrong", [lambda sign: -sign, lambda sign: 0], ids=["flipped", "zero"])
 def test_signed_build_refuses_a_wrong_sign(corpus, wrong):
     for name, d in corpus.items():
-        signs = list(d.signs.values())
-        for k in range(len(signs)):
+        for c, sign in d.signs.items():
             with pytest.raises(DiagramError) as err:
-                _signed(d, signs[:k] + [wrong(signs[k])] + signs[k + 1:])
-            assert str(err.value) == INCONSISTENT, (name, k)
+                Diagram(d.rows, {**d.signs, c: wrong(sign)}, d.free_loops)
+            assert str(err.value) == INCONSISTENT, (name, c)
 
 
 def test_signed_build_equals_the_solved_build(corpus):
@@ -261,7 +279,7 @@ def test_signed_build_equals_the_solved_build(corpus):
 
     cases = list(corpus.items()) + list(_parallels(corpus, _random_bases()))
     for name, d in cases:
-        signed = _signed(d, list(d.signs.values()))
+        signed = Diagram(d.rows, d.signs, d.free_loops)
         solved = parse_pd(serialize_pd_raw(d))
         assert _orientation(signed) == _orientation(solved) == _orientation(d), name
 
@@ -471,7 +489,8 @@ def _reference_parse(rows, headers, loops):
     from conftest import reference_orient
 
     try:
-        d = Diagram(rows, reference_orient(rows, headers), free_loops=loops)
+        d = Diagram(dict(enumerate(rows)), dict(enumerate(reference_orient(rows, headers))),
+                    free_loops=loops)
     except DiagramError:
         return None
     succ = successors(d)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from zcolor.cabling import CableSpec, cable
 from zcolor.coloring import verify_coloring
 from zcolor.diagram import Diagram, DiagramError, canonical, parse_pd, same_diagram, validate, writhe
 from zcolor.generate import diff_chain, standard_diagrams
+from zcolor.jsonio import dumps, trace_from_json, trace_to_json
 from zcolor.moves import (
     DiagramBuilder,
     MoveError,
@@ -284,19 +286,28 @@ def recorded_traces():
     yield "over-only strand", source, single_stage([(R2Remove(2, 3), 0)], {0: frozenset({2, 3})})
 
 
+def test_trace_json_round_trips_every_move_kind():
+    """Each of the five move kinds, with and without its optional fields,
+    comes back from its JSON as the same record."""
+    moves = [R1Insert(3, 1), R1Insert(4, -1, over_first=True), R1Remove(2), R2Insert(1, 4, True),
+             R2Insert(1, 4, False, corner=(0, 2)), R2Remove(1, 3), R3((0, 4, 6))]
+    assert {m.kind for m in moves} == {"R1+", "R1-", "R2+", "R2-", "R3"}
+    trace = single_stage([(m, k % 2) for k, m in enumerate(moves)],
+                         {0: frozenset({0, 4}), 1: frozenset({2})})
+    back = trace_from_json(json.loads(dumps(trace_to_json(trace))))
+    assert back == trace
+    assert [type(m) for m, _ in back.stages[0].moves] == list(map(type, moves))
+
+
 def rotated_copies(d: Diagram):
     """For each of 1, 2, 3 quarter turns, the first row whose slots turned
     that far, with its sign kept or flipped, still make a diagram."""
-    rows = list(d.rows.values())
-    signs = list(d.signs.values())
-    cids = list(d.rows)
     for k in (1, 2, 3):
-        for i, row in enumerate(rows):
-            turned = rows[:i] + [row[k:] + row[:k]] + rows[i + 1:]
-            for sign in (signs[i], -signs[i]):
+        for i, row in d.rows.items():
+            turned = {**d.rows, i: row[k:] + row[:k]}
+            for sign in (d.signs[i], -d.signs[i]):
                 try:
-                    yield f"row {i} turned {k}", Diagram(
-                        turned, signs[:i] + [sign] + signs[i + 1:], d.free_loops, cids=cids)
+                    yield f"row {i} turned {k}", Diagram(turned, {**d.signs, i: sign}, d.free_loops)
                     break
                 except DiagramError:
                     continue
@@ -312,9 +323,8 @@ def reversed_over_only_strands(d: Diagram):
     for cyc in d.components:
         if unders.isdisjoint(cyc):
             # both over slots lie on the over strand
-            signs = [-d.signs[c] if r[1] in cyc else d.signs[c] for c, r in d.rows.items()]
-            yield "strand reversed", Diagram(list(d.rows.values()), signs,
-                                             d.free_loops, cids=list(d.rows))
+            signs = {c: -d.signs[c] if r[1] in cyc else d.signs[c] for c, r in d.rows.items()}
+            yield "strand reversed", Diagram(d.rows, signs, d.free_loops)
 
 
 def canonical_signed_rows(d: Diagram) -> tuple:
@@ -450,8 +460,7 @@ def test_every_accepted_move_leaves_a_planar_map(source, picks):
             assert expected is not None, applied
             rows, signs, loops = expected
             assert b.signs == signs, applied
-            assert isomorphic(d, Diagram(list(rows.values()), list(signs.values()), loops,
-                                         cids=list(rows))), applied
+            assert isomorphic(d, Diagram(rows, signs, loops)), applied
         assert structural(d) == [], applied
         assert d.num_components == source.num_components, applied
         trace = single_stage(applied, {1: frozenset(source.rows)})
